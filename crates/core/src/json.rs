@@ -3,23 +3,35 @@
 //! Extracted from the hand-rolled [`crate::Strategy`] codec when the wire
 //! protocol (`revmax-http`) arrived: every serialised surface in the
 //! workspace — strategies, instances, adoption events, bench emitters —
-//! shares this one parser instead of growing ad-hoc string scanners.
+//! shares this one grammar instead of growing ad-hoc string scanners.
 //!
-//! The reader is a strict recursive-descent parser over the input bytes
-//! with two hard safety properties (they are fuzzed with 10k+ seeded byte
-//! mutations per release, see `revmax-http`'s fuzz suite):
+//! The grammar lives in exactly one place, the pull [`Reader`]: a cursor
+//! over the input bytes that hands out one token at a time (object keys,
+//! array elements, numbers, strings, literals) plus a validating
+//! [`Reader::skip`]. The wire decoders ([`crate::wire`]) read their targets
+//! straight from it without building a tree; [`parse`] is a small
+//! tree-building consumer of the same reader for callers that want a
+//! [`JsonValue`]. The reader has two hard safety properties (fuzzed with
+//! 10k+ seeded byte mutations per release, see `revmax-http`'s fuzz suite):
 //!
 //! * **no panics** — every malformed input returns a structured
 //!   [`JsonError`] with a byte offset;
-//! * **no over-reads** — the parser only ever indexes through the borrowed
+//! * **no over-reads** — the reader only ever indexes through the borrowed
 //!   input slice, and nesting is capped at [`MAX_DEPTH`] so deeply nested
 //!   input cannot exhaust the stack.
 //!
-//! Numbers are IEEE `f64` (the only number type the wire needs); the writer
-//! uses Rust's shortest round-trip formatting, so `f64 → text → f64` is
-//! bit-exact — the property the 1e-9 protocol-parity suites lean on.
+//! Input is raw bytes. Outside strings the grammar is pure ASCII, so UTF-8
+//! is validated only inside strings (including strings that are skipped);
+//! a body never needs a separate whole-document UTF-8 pass.
+//!
+//! Numbers are IEEE `f64` (the only number type the wire needs), parsed by
+//! a strict grammar (no leading zeros, no `+`, no `NaN`/`Infinity`, finite
+//! results only); the writer uses Rust's shortest round-trip formatting, so
+//! `f64 → text → f64` is bit-exact — the property the 1e-9 protocol-parity
+//! suites lean on.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the reader accepts (arrays + objects combined).
 pub const MAX_DEPTH: usize = 64;
@@ -44,6 +56,15 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+/// `n` as a `u32`, if it is a non-negative integer in range.
+pub fn exact_u32(n: f64) -> Option<u32> {
+    if n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n) {
+        Some(n as u32)
+    } else {
+        None
+    }
+}
+
 impl JsonValue {
     /// The value as a bool, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
@@ -63,12 +84,7 @@ impl JsonValue {
 
     /// The value as a `u32`, if it is a non-negative integer number in range.
     pub fn as_u32(&self) -> Option<u32> {
-        let n = self.as_f64()?;
-        if n.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&n) {
-            Some(n as u32)
-        } else {
-            None
-        }
+        exact_u32(self.as_f64()?)
     }
 
     /// The value as a `u64`, if it is a non-negative integer number that
@@ -139,190 +155,355 @@ impl std::error::Error for JsonError {}
 
 /// Parses exactly one JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after the JSON value"));
-    }
+    let mut r = Reader::new(input.as_bytes());
+    let value = r.value()?;
+    r.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// What kind of value comes next in a [`Reader`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array (`[`).
+    Array,
+    /// An object (`{`).
+    Object,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> JsonError {
+/// A strict pull reader over JSON bytes: the single JSON grammar of the
+/// workspace.
+///
+/// Values are consumed one token at a time. Containers are walked with
+/// [`Reader::begin_object`] + [`Reader::next_key`] and
+/// [`Reader::begin_array`] + [`Reader::next_element`]; scalars with
+/// [`Reader::number`], [`Reader::str`], [`Reader::boolean`] and
+/// [`Reader::null`]; anything unwanted with [`Reader::skip`], which still
+/// validates it. [`Reader::peek`] tells which kind of value is next, so a
+/// decoder can report a type mismatch as its own schema error. After the
+/// top-level value, [`Reader::finish`] rejects trailing bytes.
+///
+/// ```
+/// use revmax_core::json::Reader;
+///
+/// let mut r = Reader::new(br#"{"xs": [1, 2.5], "skip": {"a": null}}"#);
+/// r.begin_object().unwrap();
+/// let mut sum = 0.0;
+/// while let Some(key) = r.next_key().unwrap() {
+///     if key == "xs" {
+///         r.begin_array().unwrap();
+///         while r.next_element().unwrap() {
+///             sum += r.number().unwrap();
+///         }
+///     } else {
+///         r.skip().unwrap();
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(sum, 3.5);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers currently open.
+    depth: usize,
+    /// Whether the innermost open container has not yielded an entry yet
+    /// (so the next entry needs no `,`).
+    first: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned before the first value of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader {
+            bytes,
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
+    /// Byte offset of the cursor.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// An error at the cursor.
+    pub fn error(&self, message: &str) -> JsonError {
+        self.error_at(self.pos, message)
+    }
+
+    fn error_at(&self, offset: usize, message: &str) -> JsonError {
         JsonError {
-            offset: self.pos,
+            offset,
             message: message.to_string(),
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    fn peek_byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
             self.pos += 1;
         }
     }
 
-    /// Consumes `lit` if it is next; the caller has already matched its
-    /// first byte.
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
+    /// Moves to the start of the next value and returns its first byte,
+    /// enforcing [`MAX_DEPTH`].
+    fn start(&mut self) -> Result<u8, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
+            return Err(self.error("nesting deeper than MAX_DEPTH"));
+        }
+        self.peek_byte()
+            .ok_or_else(|| self.error("unexpected end of input"))
+    }
+
+    /// The kind of the next value, without consuming it.
+    pub fn peek(&mut self) -> Result<Kind, JsonError> {
+        match self.start()? {
+            b'n' => Ok(Kind::Null),
+            b't' | b'f' => Ok(Kind::Bool),
+            b'"' => Ok(Kind::String),
+            b'[' => Ok(Kind::Array),
+            b'{' => Ok(Kind::Object),
+            b'-' | b'0'..=b'9' => Ok(Kind::Number),
+            _ => Err(self.error("unexpected character")),
+        }
+    }
+
+    /// After the top-level value: only whitespace may remain.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
         } else {
-            Err(self.err("invalid literal"))
+            Err(self.error("trailing characters after the JSON value"))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting deeper than MAX_DEPTH"));
+    fn open(&mut self, byte: u8, what: &str) -> Result<(), JsonError> {
+        if self.start()? != byte {
+            return Err(self.error(what));
         }
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-        }
+        self.pos += 1;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.pos += 1; // '['
-        let mut items = Vec::new();
+    /// Consumes `close` if it is next (ending the innermost container), or
+    /// the `,` separating entries; returns whether the container ended.
+    fn close_or_separator(&mut self, close: u8, what: &str) -> Result<bool, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
+        match self.peek_byte() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                // The container that just closed was an entry of its parent.
+                self.first = false;
+                Ok(true)
             }
+            _ if self.first => {
+                self.first = false;
+                Ok(false)
+            }
+            Some(b',') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(self.error(what)),
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.pos += 1; // '{'
-        let mut pairs = Vec::new();
+    /// Consumes the `{` of an object.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{', "expected an object")
+    }
+
+    /// The next key of the innermost object (its `:` consumed, so the value
+    /// comes next), or `None` once the object's `}` has been consumed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.close_or_separator(b'}', "expected `,` or `}` in object")? {
+            return Ok(None);
+        }
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(pairs));
+        if self.peek_byte() != Some(b'"') {
+            return Err(self.error("expected a string key in object"));
         }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected a string key in object"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(self.err("expected `:` after object key"));
-            }
-            self.pos += 1;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek_byte() != Some(b':') {
+            return Err(self.error("expected `:` after object key"));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Consumes the `[` of an array.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[', "expected an array")
+    }
+
+    /// Whether the innermost array has another element (positioned before
+    /// it); `false` once the array's `]` has been consumed.
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        Ok(!self.close_or_separator(b']', "expected `,` or `]` in array")?)
+    }
+
+    fn literal(&mut self, lit: &[u8]) -> Result<(), JsonError> {
+        self.start()?;
+        if self.bytes[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(self.error("invalid literal"))
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.pos += 1; // opening '"'
-        let mut out = String::new();
+    /// Consumes a `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.literal(b"null")
+    }
+
+    /// Consumes a `true` or `false`.
+    pub fn boolean(&mut self) -> Result<bool, JsonError> {
+        if self.start()? == b't' {
+            self.literal(b"true").map(|()| true)
+        } else {
+            self.literal(b"false").map(|()| false)
+        }
+    }
+
+    fn digits(&mut self) {
+        while let Some(b'0'..=b'9') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    /// Consumes a number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`,
+    /// which must be finite as an `f64`.
+    pub fn number(&mut self) -> Result<f64, JsonError> {
+        self.start()?;
         let start = self.pos;
+        let negative = self.peek_byte() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        match self.peek_byte() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(self.error("invalid number")),
+        }
+        let int_end = self.pos;
+        let mut integer = true;
+        if self.peek_byte() == Some(b'.') {
+            integer = false;
+            self.pos += 1;
+            if !matches!(self.peek_byte(), Some(b'0'..=b'9')) {
+                return Err(self.error("digit expected after decimal point"));
+            }
+            self.digits();
+        }
+        if let Some(b'e' | b'E') = self.peek_byte() {
+            integer = false;
+            self.pos += 1;
+            if let Some(b'+' | b'-') = self.peek_byte() {
+                self.pos += 1;
+            }
+            if !matches!(self.peek_byte(), Some(b'0'..=b'9')) {
+                return Err(self.error("digit expected in exponent"));
+            }
+            self.digits();
+        }
+        // Up to 15 integer digits are exact in an `f64` (< 2⁵³), so the
+        // value needs no decimal-to-binary rounding.
+        if integer && int_end - int_start <= 15 {
+            let magnitude = self.bytes[int_start..int_end]
+                .iter()
+                .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'))
+                as f64;
+            return Ok(if negative { -magnitude } else { magnitude });
+        }
+        let n: f64 = std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse().ok())
+            .ok_or_else(|| self.error_at(start, "number does not parse as f64"))?;
+        if !n.is_finite() {
+            return Err(self.error_at(start, "number overflows f64"));
+        }
+        Ok(n)
+    }
+
+    /// Consumes a string, borrowing it from the input when it holds no
+    /// escapes.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.start()? != b'"' {
+            return Err(self.error("expected a string"));
+        }
+        self.string()
+    }
+
+    /// The string whose opening quote is at the cursor.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.pos += 1; // opening '"'
+        let mut segment = self.pos;
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
+            match self.peek_byte() {
+                None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
-                    // Copy the trailing raw segment; `bytes` is valid UTF-8
-                    // (the input is `&str`) and segment bounds sit on quote /
-                    // backslash bytes, never inside a multi-byte character.
-                    out.push_str(self.raw_segment(start));
+                    let tail = self.raw_segment(segment)?;
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
-                    out.push_str(self.raw_segment(start));
+                    let raw = self.raw_segment(segment)?;
                     self.pos += 1;
-                    out.push(self.escape()?);
-                    return self.string_rest(out);
+                    let c = self.escape()?;
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(raw);
+                    out.push(c);
+                    segment = self.pos;
                 }
                 Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
+                    return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => self.pos += 1,
             }
         }
     }
 
-    /// Continues a string after the first escape (avoids recursing once per
-    /// escaped character).
-    fn string_rest(&mut self, mut out: String) -> Result<String, JsonError> {
-        let mut start = self.pos;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    out.push_str(self.raw_segment(start));
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    out.push_str(self.raw_segment(start));
-                    self.pos += 1;
-                    out.push(self.escape()?);
-                    start = self.pos;
-                }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn raw_segment(&self, start: usize) -> &'a str {
-        // Safety of the unwrap-free conversion: `start..pos` begins and ends
-        // at ASCII bytes the scanner stopped on, so it is valid UTF-8.
-        std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("")
+    /// The raw bytes `start..pos` of a string as UTF-8. Segments end at a
+    /// quote or backslash, which never sit inside a multi-byte character,
+    /// so checking segment by segment validates the whole string.
+    fn raw_segment(&self, start: usize) -> Result<&'a str, JsonError> {
+        let bytes: &'a [u8] = self.bytes;
+        std::str::from_utf8(&bytes[start..self.pos])
+            .map_err(|e| self.error_at(start + e.valid_up_to(), "invalid UTF-8 in string"))
     }
 
     fn escape(&mut self) -> Result<char, JsonError> {
-        let c = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
+        let c = self
+            .peek_byte()
+            .ok_or_else(|| self.error("unterminated escape"))?;
         self.pos += 1;
         match c {
             b'"' => Ok('"'),
@@ -334,7 +515,7 @@ impl<'a> Parser<'a> {
             b'r' => Ok('\r'),
             b't' => Ok('\t'),
             b'u' => self.unicode_escape(),
-            _ => Err(self.err("unknown escape character")),
+            _ => Err(self.error("unknown escape character")),
         }
     }
 
@@ -342,11 +523,11 @@ impl<'a> Parser<'a> {
         let mut v = 0u32;
         for _ in 0..4 {
             let c = self
-                .peek()
-                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                .peek_byte()
+                .ok_or_else(|| self.error("truncated \\u escape"))?;
             let digit = (c as char)
                 .to_digit(16)
-                .ok_or_else(|| self.err("non-hex digit in \\u escape"))?;
+                .ok_or_else(|| self.error("non-hex digit in \\u escape"))?;
             v = v * 16 + digit;
             self.pos += 1;
         }
@@ -357,103 +538,181 @@ impl<'a> Parser<'a> {
         let hi = self.hex4()?;
         let code = if (0xD800..0xDC00).contains(&hi) {
             // High surrogate: a low surrogate escape must follow.
-            if self.peek() != Some(b'\\') {
-                return Err(self.err("unpaired high surrogate"));
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(self.error("unpaired high surrogate"));
             }
-            self.pos += 1;
-            if self.peek() != Some(b'u') {
-                return Err(self.err("unpaired high surrogate"));
-            }
-            self.pos += 1;
+            self.pos += 2;
             let lo = self.hex4()?;
             if !(0xDC00..0xE000).contains(&lo) {
-                return Err(self.err("invalid low surrogate"));
+                return Err(self.error("invalid low surrogate"));
             }
             0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
         } else if (0xDC00..0xE000).contains(&hi) {
-            return Err(self.err("unpaired low surrogate"));
+            return Err(self.error("unpaired low surrogate"));
         } else {
             hi
         };
-        char::from_u32(code).ok_or_else(|| self.err("invalid \\u code point"))
+        char::from_u32(code).ok_or_else(|| self.error("invalid \\u code point"))
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        // Integer part: `0` or a non-zero digit followed by digits.
-        match self.peek() {
-            Some(b'0') => self.pos += 1,
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
+    /// Consumes one value of any kind, validating it exactly as reading it
+    /// would (grammar, depth, number range, UTF-8 inside strings) without
+    /// building anything.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        // Bit `d` says whether the `d`-th container opened here is an
+        // object; at most `MAX_DEPTH + 1` can be open at once.
+        let mut objects: u128 = 0;
+        let mut open = 0u32;
+        loop {
+            match self.peek()? {
+                Kind::Null => self.null()?,
+                Kind::Bool => {
+                    self.boolean()?;
+                }
+                Kind::Number => {
+                    self.number()?;
+                }
+                Kind::String => {
+                    self.str()?;
+                }
+                Kind::Array => {
+                    self.begin_array()?;
+                    objects &= !(1 << open);
+                    open += 1;
+                }
+                Kind::Object => {
+                    self.begin_object()?;
+                    objects |= 1 << open;
+                    open += 1;
                 }
             }
-            _ => return Err(self.err("invalid number")),
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digit expected after decimal point"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("digit expected in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            // Step to the next value still to read, closing finished
+            // containers on the way.
+            loop {
+                if open == 0 {
+                    return Ok(());
+                }
+                let more = if objects >> (open - 1) & 1 == 1 {
+                    self.next_key()?.is_some()
+                } else {
+                    self.next_element()?
+                };
+                if more {
+                    break;
+                }
+                open -= 1;
             }
         }
-        let text = self.raw_segment(start);
-        let n: f64 = text
-            .parse()
-            .map_err(|_| self.err("number does not parse as f64"))?;
-        if !n.is_finite() {
-            return Err(self.err("number overflows f64"));
-        }
-        Ok(JsonValue::Number(n))
+    }
+
+    /// Consumes one value of any kind into a [`JsonValue`] tree.
+    pub fn value(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(match self.peek()? {
+            Kind::Null => {
+                self.null()?;
+                JsonValue::Null
+            }
+            Kind::Bool => JsonValue::Bool(self.boolean()?),
+            Kind::Number => JsonValue::Number(self.number()?),
+            Kind::String => JsonValue::String(self.str()?.into_owned()),
+            Kind::Array => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                JsonValue::Array(items)
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let key = key.into_owned();
+                    pairs.push((key, self.value()?));
+                }
+                JsonValue::Object(pairs)
+            }
+        })
     }
 }
 
 /// Appends a JSON string literal (quotes + escapes) for `s` to `out`.
 pub fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Writing into a `String` cannot fail.
+    let _ = escape_into(out, s);
+}
+
+fn escape_into(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut plain = 0;
+    for (at, c) in s.char_indices() {
+        let escaped = match c {
+            '"' => "\\\"",
+            '\\' => "\\\\",
+            '\n' => "\\n",
+            '\r' => "\\r",
+            '\t' => "\\t",
+            '\u{0008}' => "\\b",
+            '\u{000C}' => "\\f",
+            c if (c as u32) < 0x20 => "",
+            _ => continue,
+        };
+        out.write_str(&s[plain..at])?;
+        if escaped.is_empty() {
+            write!(out, "\\u{:04x}", c as u32)?;
+        } else {
+            out.write_str(escaped)?;
         }
+        plain = at + c.len_utf8();
     }
-    out.push('"');
+    out.write_str(&s[plain..])?;
+    out.write_char('"')
 }
 
 /// Appends the shortest round-trip decimal form of `v` to `out`
 /// (non-finite values, which valid wire data never contains, become `null`).
 pub fn write_f64(out: &mut String, v: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = f64_into(out, v);
+}
+
+fn f64_into(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        write!(out, "{v}")
     } else {
-        out.push_str("null");
+        out.write_str("null")
     }
+}
+
+/// Appends `n` in decimal — the same text [`write_f64`] writes for
+/// `f64::from(n)`.
+pub fn write_u32(out: &mut String, n: u32) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+/// Appends `[x0,x1,…]`, each number written by [`write_f64`].
+pub fn write_f64_array(out: &mut String, values: impl IntoIterator<Item = f64>) {
+    out.push('[');
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_f64(out, v);
+    }
+    out.push(']');
+}
+
+/// Appends `[n0,n1,…]`, each number written by [`write_u32`].
+pub fn write_u32_array(out: &mut String, values: impl IntoIterator<Item = u32>) {
+    out.push('[');
+    for (i, n) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_u32(out, n);
+    }
+    out.push(']');
 }
 
 impl fmt::Display for JsonValue {
@@ -463,16 +722,8 @@ impl fmt::Display for JsonValue {
         match self {
             JsonValue::Null => f.write_str("null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Number(n) => {
-                let mut s = String::new();
-                write_f64(&mut s, *n);
-                f.write_str(&s)
-            }
-            JsonValue::String(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                write_escaped(&mut out, s);
-                f.write_str(&out)
-            }
+            JsonValue::Number(n) => f64_into(f, *n),
+            JsonValue::String(s) => escape_into(f, s),
             JsonValue::Array(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -489,9 +740,8 @@ impl fmt::Display for JsonValue {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    write_escaped(&mut key, k);
-                    write!(f, "{key}:{v}")?;
+                    escape_into(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 f.write_str("}")
             }
@@ -572,13 +822,36 @@ mod tests {
             1.0 / 3.0,
             f64::MAX,
             f64::MIN_POSITIVE,
+            5e-324,
+            1e308,
             123_456_789.123_456_78,
             -2.2250738585072014e-308,
+            999_999_999_999_999.0,
+            9_007_199_254_740_993.0,
         ] {
             let mut s = String::new();
             write_f64(&mut s, v);
             let back = parse(&s).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "round-trip failed for {v}");
+        }
+    }
+
+    #[test]
+    fn integer_fast_path_matches_the_general_parser() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "4294967295",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+            "-123456789012345",
+        ] {
+            let fast = Reader::new(text.as_bytes()).number().unwrap();
+            let slow: f64 = text.parse().unwrap();
+            assert_eq!(fast.to_bits(), slow.to_bits(), "{text}");
         }
     }
 
@@ -590,9 +863,14 @@ mod tests {
             "{",
             "}",
             "[1,",
+            "[1,]",
+            "[,1]",
             "[1 2]",
             "{\"a\" 1}",
             "{\"a\":}",
+            "{\"a\":1,}",
+            "{\"a\":{} \"b\":1}",
+            "[[] 1]",
             "{a:1}",
             "nul",
             "truex",
@@ -610,12 +888,62 @@ mod tests {
             "\"\\u12\"",
             "\"\\ud800\"",
             "\"\\ud800\\u0041\"",
+            "\"\\udc00\"",
             "[1] trailing",
             "1e999",
+            "-1e999",
             "\u{0007}",
         ] {
             assert!(parse(bad).is_err(), "accepted malformed {bad:?}");
+            let mut r = Reader::new(bad.as_bytes());
+            assert!(
+                r.skip().and_then(|()| r.finish()).is_err(),
+                "skip accepted malformed {bad:?}"
+            );
         }
+    }
+
+    #[test]
+    fn skip_validates_like_parse() {
+        for text in [
+            "null",
+            "[1,[2,{\"a\":[]}],{}]",
+            "{\"k\":\"v\\n\",\"z\":[true,false,-0.5e3]}",
+            "[1,]",
+            "{\"a\":{} \"b\":1}",
+            "[1e999]",
+            "{\"x\":\"\\ud800\"}",
+            "[[[]]",
+        ] {
+            let mut r = Reader::new(text.as_bytes());
+            let skipped = r.skip().and_then(|()| r.finish());
+            assert_eq!(
+                skipped.is_ok(),
+                parse(text).is_ok(),
+                "skip and parse disagree on {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn utf8_is_validated_inside_strings_only_where_needed() {
+        // Valid multi-byte UTF-8 inside a string is accepted and borrowed.
+        let mut r = Reader::new("\"é漢🦀\"".as_bytes());
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("é漢🦀")));
+        for bad in [
+            &b"\"\xff\""[..],
+            b"\"ok\\n\xc3\"",
+            b"{\"\xe2\x82\":1}",
+            b"[\"a\", \"\xed\xa0\x80\"]",
+            b"\xef\xbb\xbf{}",
+            b"[1,\xc3\xa9]",
+        ] {
+            assert!(Reader::new(bad).skip().is_err(), "skip accepted {bad:?}");
+            assert!(Reader::new(bad).value().is_err(), "value accepted {bad:?}");
+        }
+        let err = Reader::new(b"\"ab\xff\"").str().unwrap_err();
+        assert_eq!(err.offset, 3);
+        assert!(err.message.contains("UTF-8"));
     }
 
     #[test]
@@ -629,6 +957,35 @@ mod tests {
         );
         let err = parse(&too_deep).unwrap_err();
         assert!(err.message.contains("MAX_DEPTH"));
+        assert!(Reader::new(too_deep.as_bytes()).skip().is_err());
+        let mut r = Reader::new(deep_ok.as_bytes());
+        assert!(r.skip().is_ok() && r.finish().is_ok());
+        // Empty containers at the deepest allowed level are fine too.
+        let empty_ok = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&empty_ok).is_ok());
+        assert!(Reader::new(empty_ok.as_bytes()).skip().is_ok());
+    }
+
+    #[test]
+    fn reader_walks_objects_and_arrays() {
+        let mut r = Reader::new(br#" { "a" : [ 1 , [ ] , "s" ] , "b\u0021" : { } } "#);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        r.begin_array().unwrap();
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.peek().unwrap(), Kind::Number);
+        assert_eq!(r.number().unwrap(), 1.0);
+        assert!(r.next_element().unwrap());
+        r.begin_array().unwrap();
+        assert!(!r.next_element().unwrap());
+        assert!(r.next_element().unwrap());
+        assert_eq!(r.str().unwrap(), "s");
+        assert!(!r.next_element().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b!"));
+        assert_eq!(r.peek().unwrap(), Kind::Object);
+        r.skip().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
     }
 
     #[test]
@@ -653,10 +1010,33 @@ mod tests {
                 JsonValue::Array(vec![JsonValue::String("a\"b".into())]),
             ),
             ("none", JsonValue::Null),
+            ("k\u{1}\"", n(-0.0)),
         ]);
         let text = v.to_string();
-        assert_eq!(text, r#"{"plan":1,"ok":true,"tags":["a\"b"],"none":null}"#);
+        assert_eq!(
+            text,
+            r#"{"plan":1,"ok":true,"tags":["a\"b"],"none":null,"k\u0001\"":-0}"#
+        );
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn direct_number_writers_match_display() {
+        for v in [0.0, -0.0, 5e-324, 1e308, 0.1, 4294967295.0, f64::NAN] {
+            let mut direct = String::new();
+            write_f64(&mut direct, v);
+            assert_eq!(direct, n(v).to_string());
+        }
+        for k in [0u32, 1, 42, u32::MAX] {
+            let mut direct = String::new();
+            write_u32(&mut direct, k);
+            assert_eq!(direct, n(f64::from(k)).to_string());
+        }
+        let mut arrays = String::new();
+        write_f64_array(&mut arrays, [0.5, -0.0]);
+        write_u32_array(&mut arrays, [3, 4]);
+        write_u32_array(&mut arrays, []);
+        assert_eq!(arrays, "[0.5,-0][3,4][]");
     }
 
     #[test]

@@ -158,17 +158,10 @@ impl Strategy {
     }
 
     /// Serialises the strategy as a JSON array of `[user, item, t]` triples in
-    /// insertion order.
+    /// insertion order (written by [`crate::wire::write_strategy`]).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.triples.len() * 16 + 2);
-        out.push('[');
-        for (idx, z) in self.triples.iter().enumerate() {
-            if idx > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{},{}]", z.user.0, z.item.0, z.t.0));
-        }
-        out.push(']');
+        crate::wire::write_strategy(&mut out, self);
         out
     }
 
@@ -180,13 +173,13 @@ impl Strategy {
     ///
     /// The original hand-rolled scanner grew into the shared
     /// [`crate::json`] reader when the wire protocol arrived; this method
-    /// is now a thin layer over [`crate::wire::strategy_from_value`] and
-    /// rejects exactly the same malformed inputs as before (pinned by the
-    /// tests below).
+    /// is now a thin layer over [`crate::wire::read_strategy`] and rejects
+    /// exactly the same malformed inputs as before (pinned by the tests
+    /// below).
     pub fn from_json(input: &str) -> Result<Strategy, StrategyParseError> {
-        let wrap = |message: String| StrategyParseError { message };
-        let value = crate::json::parse(input).map_err(|e| wrap(e.to_string()))?;
-        crate::wire::strategy_from_value(&value).map_err(|e| wrap(e.to_string()))
+        crate::wire::strategy_from_bytes(input.as_bytes()).map_err(|e| StrategyParseError {
+            message: e.to_string(),
+        })
     }
 
     /// Whether the strategy satisfies only the display constraint (the validity

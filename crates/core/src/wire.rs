@@ -8,6 +8,16 @@
 //!
 //! Design points:
 //!
+//! * **One decoder per type, no tree** — [`read_instance`],
+//!   [`read_events`] and [`read_strategy`] pull their targets straight from
+//!   a [`Reader`], the workspace's single JSON grammar; no [`JsonValue`]
+//!   tree is built in between. The `*_from_bytes` entry points decode a
+//!   whole document, and the `*_from_value` functions are thin adapters
+//!   that write a tree back out as text and read it with the same decoder.
+//! * **Direct writers** — [`write_instance`], [`write_strategy`] and
+//!   [`write_events`] append to a `String` without building a tree; their
+//!   output is byte-identical to the [`JsonValue`] `Display` form of the
+//!   same document.
 //! * **Bit-exact round trips** — every `f64` (prices, probabilities,
 //!   ratings, β) is written in shortest round-trip form, so
 //!   `instance → JSON → instance` reproduces the instance exactly and a
@@ -34,9 +44,15 @@
 //!
 //! `classes`, `beta`, `capacity`, and `exempt` are optional (builder
 //! defaults apply); a candidate row is `[user, item, rating, probs]` with
-//! one probability per horizon step.
+//! one probability per horizon step; a `prices` row may be `null`.
 //!
-//! Declared dimensions are capped *before* any allocation happens
+//! Fields may come in any order. They are staged into flat vectors (one
+//! `f64` arena for all candidate probabilities, one for all prices) and
+//! handed to the builder only once the object is complete. When a key
+//! repeats, its first occurrence wins; unknown keys are ignored. Repeated
+//! and unknown values are still read, so they must be valid JSON.
+//!
+//! Declared dimensions are capped *before* the builder is constructed
 //! ([`MAX_WIRE_DIM`] per dimension, [`MAX_WIRE_CELLS`] for the dense
 //! `items × horizon` price table), so a tiny document claiming huge
 //! `users`/`items`/`horizon` is rejected with a schema error instead of
@@ -46,9 +62,10 @@ use crate::error::BuildError;
 use crate::events::{AdoptionEvent, AdoptionOutcome};
 use crate::ids::{ItemId, Triple, UserId};
 use crate::instance::{Instance, InstanceBuilder};
-use crate::json::{self, JsonError, JsonValue};
+use crate::json::{self, JsonError, JsonValue, Kind, Reader};
 use crate::strategy::Strategy;
 use std::fmt;
+use std::ops::Range;
 
 /// Upper bound on each declared wire dimension (`users`, `items`,
 /// `horizon`). [`InstanceBuilder`] allocates `O(items)` vectors up front
@@ -108,204 +125,367 @@ impl From<BuildError> for WireError {
     }
 }
 
-fn field<'v>(obj: &'v JsonValue, key: &str) -> Result<&'v JsonValue, WireError> {
-    obj.get(key)
-        .ok_or_else(|| WireError::schema(format!("missing field `{key}`")))
+fn missing(key: &str) -> WireError {
+    WireError::schema(format!("missing field `{key}`"))
 }
 
-fn u32_field(value: &JsonValue, what: &str) -> Result<u32, WireError> {
-    value
-        .as_u32()
-        .ok_or_else(|| WireError::schema(format!("`{what}` must be a non-negative integer")))
+fn read_u32(r: &mut Reader<'_>, what: &str) -> Result<u32, WireError> {
+    let n = match r.peek()? {
+        Kind::Number => json::exact_u32(r.number()?),
+        _ => None,
+    };
+    n.ok_or_else(|| WireError::schema(format!("`{what}` must be a non-negative integer")))
 }
 
-/// A declared dimension: a `u32` additionally capped at [`MAX_WIRE_DIM`],
-/// rejected before anything is allocated from it.
-fn dim_field(value: &JsonValue, what: &str) -> Result<u32, WireError> {
-    let n = u32_field(value, what)?;
-    if n > MAX_WIRE_DIM {
-        return Err(WireError::schema(format!(
-            "`{what}` is {n}, above the wire limit of {MAX_WIRE_DIM}"
-        )));
+fn read_f64(r: &mut Reader<'_>, what: &str) -> Result<f64, WireError> {
+    if r.peek()? != Kind::Number {
+        return Err(WireError::schema(format!("`{what}` must be a number")));
     }
-    Ok(n)
+    Ok(r.number()?)
 }
 
-fn f64_field(value: &JsonValue, what: &str) -> Result<f64, WireError> {
-    value
-        .as_f64()
-        .ok_or_else(|| WireError::schema(format!("`{what}` must be a number")))
+fn begin_array(r: &mut Reader<'_>, what: &str) -> Result<(), WireError> {
+    if r.peek()? != Kind::Array {
+        return Err(WireError::schema(format!("`{what}` must be an array")));
+    }
+    Ok(r.begin_array()?)
 }
 
-fn array_field<'v>(value: &'v JsonValue, what: &str) -> Result<&'v [JsonValue], WireError> {
-    value
-        .as_array()
-        .ok_or_else(|| WireError::schema(format!("`{what}` must be an array")))
+/// Moves to the next element of a fixed-shape row, which must exist.
+fn row_element(r: &mut Reader<'_>, shape: &str) -> Result<(), WireError> {
+    if r.next_element()? {
+        Ok(())
+    } else {
+        Err(WireError::schema(shape))
+    }
 }
 
-fn f64_vec(value: &JsonValue, what: &str) -> Result<Vec<f64>, WireError> {
-    array_field(value, what)?
-        .iter()
-        .map(|v| f64_field(v, what))
-        .collect()
+/// Closes a fixed-shape row, which must have no further elements.
+fn row_end(r: &mut Reader<'_>, shape: &str) -> Result<(), WireError> {
+    if r.next_element()? {
+        Err(WireError::schema(shape))
+    } else {
+        Ok(())
+    }
 }
 
-fn u32_vec(value: &JsonValue, what: &str) -> Result<Vec<u32>, WireError> {
-    array_field(value, what)?
-        .iter()
-        .map(|v| u32_field(v, what))
-        .collect()
+fn read_f64s_into(r: &mut Reader<'_>, what: &str, out: &mut Vec<f64>) -> Result<(), WireError> {
+    begin_array(r, what)?;
+    while r.next_element()? {
+        out.push(read_f64(r, what)?);
+    }
+    Ok(())
+}
+
+fn read_f64s(r: &mut Reader<'_>, what: &str) -> Result<Vec<f64>, WireError> {
+    let mut out = Vec::new();
+    read_f64s_into(r, what, &mut out)?;
+    Ok(out)
+}
+
+fn read_u32s(r: &mut Reader<'_>, what: &str) -> Result<Vec<u32>, WireError> {
+    begin_array(r, what)?;
+    let mut out = Vec::new();
+    while r.next_element()? {
+        out.push(read_u32(r, what)?);
+    }
+    Ok(out)
+}
+
+/// Decodes exactly one document from `bytes` with `read`. A value that
+/// read completely (or built into a [`BuildError`]) must be followed by
+/// nothing but whitespace, so a build error is only reported for a
+/// syntactically valid document.
+fn whole<T>(
+    bytes: &[u8],
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(bytes);
+    let decoded = read(&mut r);
+    if let Ok(_) | Err(WireError::Build(_)) = decoded {
+        r.finish()?;
+    }
+    decoded
 }
 
 // ---------------------------------------------------------------------------
 // Instance
 // ---------------------------------------------------------------------------
 
-/// Encodes an instance as a wire [`JsonValue`] (see the module docs for the
+/// Appends an instance as compact wire JSON (see the module docs for the
 /// schema).
-pub fn instance_to_value(inst: &Instance) -> JsonValue {
+pub fn write_instance(out: &mut String, inst: &Instance) {
     let items = 0..inst.num_items();
-    let classes = items.clone().map(|i| f64::from(inst.class_of(ItemId(i)).0));
-    let beta = items.clone().map(|i| inst.beta(ItemId(i)));
-    let capacity = items.clone().map(|i| f64::from(inst.capacity(ItemId(i))));
-    let prices = items
-        .clone()
-        .map(|i| json::number_array(inst.price_series(ItemId(i)).iter().copied()))
-        .collect();
-
-    let mut candidates = Vec::new();
+    out.push_str("{\"users\":");
+    json::write_u32(out, inst.num_users());
+    out.push_str(",\"items\":");
+    json::write_u32(out, inst.num_items());
+    out.push_str(",\"horizon\":");
+    json::write_u32(out, inst.horizon());
+    out.push_str(",\"display_limit\":");
+    json::write_u32(out, inst.display_limit());
+    out.push_str(",\"classes\":");
+    json::write_u32_array(out, items.clone().map(|i| inst.class_of(ItemId(i)).0));
+    out.push_str(",\"beta\":");
+    json::write_f64_array(out, items.clone().map(|i| inst.beta(ItemId(i))));
+    out.push_str(",\"capacity\":");
+    json::write_u32_array(out, items.clone().map(|i| inst.capacity(ItemId(i))));
+    out.push_str(",\"prices\":[");
+    for i in items.clone() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_f64_array(out, inst.price_series(ItemId(i)).iter().copied());
+    }
+    out.push_str("],\"candidates\":[");
+    let mut first = true;
     for u in 0..inst.num_users() {
         for cand in inst.candidates_of_user(UserId(u)) {
-            candidates.push(JsonValue::Array(vec![
-                JsonValue::Number(f64::from(u)),
-                JsonValue::Number(f64::from(inst.candidate_item(cand).0)),
-                JsonValue::Number(inst.candidate_rating(cand)),
-                json::number_array(inst.candidate_probs(cand).iter().copied()),
-            ]));
+            out.push_str(if first { "[" } else { ",[" });
+            first = false;
+            json::write_u32(out, u);
+            out.push(',');
+            json::write_u32(out, inst.candidate_item(cand).0);
+            out.push(',');
+            json::write_f64(out, inst.candidate_rating(cand));
+            out.push(',');
+            json::write_f64_array(out, inst.candidate_probs(cand).iter().copied());
+            out.push(']');
         }
     }
-
-    let mut pairs = vec![
-        ("users", JsonValue::Number(f64::from(inst.num_users()))),
-        ("items", JsonValue::Number(f64::from(inst.num_items()))),
-        ("horizon", JsonValue::Number(f64::from(inst.horizon()))),
-        (
-            "display_limit",
-            JsonValue::Number(f64::from(inst.display_limit())),
-        ),
-        ("classes", json::number_array(classes)),
-        ("beta", json::number_array(beta)),
-        ("capacity", json::number_array(capacity)),
-        ("prices", JsonValue::Array(prices)),
-        ("candidates", JsonValue::Array(candidates)),
-    ];
+    out.push(']');
     if inst.has_exemptions() {
-        let exempt = (0..inst.num_items())
-            .filter_map(|i| {
-                let users = inst.exempt_users(ItemId(i));
-                if users.is_empty() {
-                    return None;
-                }
-                Some(JsonValue::Array(vec![
-                    JsonValue::Number(f64::from(i)),
-                    json::number_array(users.iter().map(|u| f64::from(u.0))),
-                ]))
-            })
-            .collect();
-        pairs.push(("exempt", JsonValue::Array(exempt)));
+        out.push_str(",\"exempt\":[");
+        let mut first = true;
+        for i in items {
+            let users = inst.exempt_users(ItemId(i));
+            if users.is_empty() {
+                continue;
+            }
+            out.push_str(if first { "[" } else { ",[" });
+            first = false;
+            json::write_u32(out, i);
+            out.push(',');
+            json::write_u32_array(out, users.iter().map(|u| u.0));
+            out.push(']');
+        }
+        out.push(']');
     }
-    json::object(pairs)
+    out.push('}');
 }
 
 /// Encodes an instance as compact wire JSON text.
 pub fn instance_to_json(inst: &Instance) -> String {
-    instance_to_value(inst).to_string()
+    // At most ~20 bytes per written number, reserved once.
+    let numbers = (u64::from(inst.num_items()) + inst.num_candidates() as u64)
+        * (u64::from(inst.horizon()) + 3);
+    let mut out = String::with_capacity(64 + 20 * numbers as usize);
+    write_instance(&mut out, inst);
+    out
 }
 
-/// Decodes a wire [`JsonValue`] into an [`Instance`], replaying it through
-/// [`InstanceBuilder`] so all semantic validation applies.
-pub fn instance_from_value(value: &JsonValue) -> Result<Instance, WireError> {
-    if value.as_object().is_none() {
-        return Err(WireError::schema("an instance must be a JSON object"));
+/// An instance document read field by field, before any of it reaches
+/// [`InstanceBuilder`].
+#[derive(Default)]
+struct StagedInstance {
+    users: Option<u32>,
+    items: Option<u32>,
+    horizon: Option<u32>,
+    display_limit: Option<u32>,
+    classes: Option<Vec<u32>>,
+    beta: Option<Vec<f64>>,
+    capacity: Option<Vec<u32>>,
+    /// One entry per `prices` row: its range in `price_cells`, or `None`
+    /// for a `null` row.
+    prices: Option<Vec<Option<Range<usize>>>>,
+    price_cells: Vec<f64>,
+    /// `(user, item, rating, end of its probabilities in probs)` per
+    /// candidate row; a row's probabilities start where the previous
+    /// row's end.
+    candidates: Option<Vec<(u32, u32, f64, usize)>>,
+    probs: Vec<f64>,
+    /// `(item, user)` pairs in document order.
+    exempt: Option<Vec<(u32, u32)>>,
+}
+
+const CANDIDATE_ROW: &str = "a candidate row must be `[user, item, rating, probs]`";
+const EXEMPT_ROW: &str = "an exempt row must be `[item, [users...]]`";
+
+impl StagedInstance {
+    fn read_prices(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        begin_array(r, "prices")?;
+        let mut rows = Vec::new();
+        while r.next_element()? {
+            if r.peek()? == Kind::Null {
+                r.null()?;
+                rows.push(None);
+                continue;
+            }
+            let start = self.price_cells.len();
+            read_f64s_into(r, "prices", &mut self.price_cells)?;
+            rows.push(Some(start..self.price_cells.len()));
+        }
+        self.prices = Some(rows);
+        Ok(())
     }
-    let users = dim_field(field(value, "users")?, "users")?;
-    let items = dim_field(field(value, "items")?, "items")?;
-    let horizon = dim_field(field(value, "horizon")?, "horizon")?;
-    if u64::from(items) * u64::from(horizon) > MAX_WIRE_CELLS {
-        return Err(WireError::schema(format!(
-            "`items * horizon` is {}, above the wire limit of {MAX_WIRE_CELLS} price cells",
-            u64::from(items) * u64::from(horizon)
-        )));
+
+    fn read_candidates(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        begin_array(r, "candidates")?;
+        let mut rows = Vec::new();
+        while r.next_element()? {
+            begin_array(r, "candidates")?;
+            row_element(r, CANDIDATE_ROW)?;
+            let user = read_u32(r, "candidate user")?;
+            row_element(r, CANDIDATE_ROW)?;
+            let item = read_u32(r, "candidate item")?;
+            row_element(r, CANDIDATE_ROW)?;
+            let rating = read_f64(r, "candidate rating")?;
+            row_element(r, CANDIDATE_ROW)?;
+            read_f64s_into(r, "candidate probs", &mut self.probs)?;
+            row_end(r, CANDIDATE_ROW)?;
+            rows.push((user, item, rating, self.probs.len()));
+        }
+        self.candidates = Some(rows);
+        Ok(())
     }
-    let mut b = InstanceBuilder::new(users, items, horizon);
-    if let Some(k) = value.get("display_limit") {
-        b.display_limit(u32_field(k, "display_limit")?);
+
+    fn read_exempt(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        begin_array(r, "exempt")?;
+        let mut pairs = Vec::new();
+        while r.next_element()? {
+            begin_array(r, "exempt")?;
+            row_element(r, EXEMPT_ROW)?;
+            let item = read_u32(r, "exempt item")?;
+            row_element(r, EXEMPT_ROW)?;
+            for user in read_u32s(r, "exempt users")? {
+                pairs.push((item, user));
+            }
+            row_end(r, EXEMPT_ROW)?;
+        }
+        self.exempt = Some(pairs);
+        Ok(())
     }
-    if let Some(classes) = value.get("classes") {
-        for (i, c) in u32_vec(classes, "classes")?.into_iter().enumerate() {
+
+    /// Checks the declared dimensions against the wire caps, then replays
+    /// the staged fields through [`InstanceBuilder`].
+    fn build(self) -> Result<Instance, WireError> {
+        let dim = |value: Option<u32>, what: &str| {
+            let n = value.ok_or_else(|| missing(what))?;
+            if n > MAX_WIRE_DIM {
+                return Err(WireError::schema(format!(
+                    "`{what}` is {n}, above the wire limit of {MAX_WIRE_DIM}"
+                )));
+            }
+            Ok(n)
+        };
+        let users = dim(self.users, "users")?;
+        let items = dim(self.items, "items")?;
+        let horizon = dim(self.horizon, "horizon")?;
+        let cells = u64::from(items) * u64::from(horizon);
+        if cells > MAX_WIRE_CELLS {
+            return Err(WireError::schema(format!(
+                "`items * horizon` is {cells}, above the wire limit of {MAX_WIRE_CELLS} price cells"
+            )));
+        }
+        let prices = self.prices.ok_or_else(|| missing("prices"))?;
+        let candidates = self.candidates.ok_or_else(|| missing("candidates"))?;
+
+        let mut b = InstanceBuilder::new(users, items, horizon);
+        if let Some(k) = self.display_limit {
+            b.display_limit(k);
+        }
+        for (i, &c) in self.classes.iter().flatten().enumerate() {
             b.item_class(i as u32, c);
         }
-    }
-    if let Some(beta) = value.get("beta") {
-        for (i, bi) in f64_vec(beta, "beta")?.into_iter().enumerate() {
-            b.beta(i as u32, bi);
+        for (i, &beta) in self.beta.iter().flatten().enumerate() {
+            b.beta(i as u32, beta);
         }
-    }
-    if let Some(capacity) = value.get("capacity") {
-        for (i, q) in u32_vec(capacity, "capacity")?.into_iter().enumerate() {
+        for (i, &q) in self.capacity.iter().flatten().enumerate() {
             b.capacity(i as u32, q);
         }
-    }
-    for (i, series) in array_field(field(value, "prices")?, "prices")?
-        .iter()
-        .enumerate()
-    {
-        if series.is_null() {
-            continue;
-        }
-        b.prices(i as u32, &f64_vec(series, "prices")?);
-    }
-    for row in array_field(field(value, "candidates")?, "candidates")? {
-        let row = array_field(row, "candidates")?;
-        if row.len() != 4 {
-            return Err(WireError::schema(
-                "a candidate row must be `[user, item, rating, probs]`",
-            ));
-        }
-        let user = u32_field(&row[0], "candidate user")?;
-        let item = u32_field(&row[1], "candidate item")?;
-        let rating = f64_field(&row[2], "candidate rating")?;
-        let probs = f64_vec(&row[3], "candidate probs")?;
-        b.candidate(user, item, &probs, rating);
-    }
-    if let Some(exempt) = value.get("exempt") {
-        for row in array_field(exempt, "exempt")? {
-            let row = array_field(row, "exempt")?;
-            if row.len() != 2 {
-                return Err(WireError::schema(
-                    "an exempt row must be `[item, [users...]]`",
-                ));
-            }
-            let item = u32_field(&row[0], "exempt item")?;
-            for user in u32_vec(&row[1], "exempt users")? {
-                b.exempt_user(item, user);
+        for (i, row) in prices.into_iter().enumerate() {
+            if let Some(range) = row {
+                b.prices(i as u32, &self.price_cells[range]);
             }
         }
+        let mut start = 0;
+        for (user, item, rating, end) in candidates {
+            b.candidate(user, item, &self.probs[start..end], rating);
+            start = end;
+        }
+        for &(item, user) in self.exempt.iter().flatten() {
+            b.exempt_user(item, user);
+        }
+        Ok(b.build()?)
     }
-    Ok(b.build()?)
 }
 
-/// Decodes wire JSON text into an [`Instance`].
-pub fn instance_from_json(text: &str) -> Result<Instance, WireError> {
-    instance_from_value(&json::parse(text)?)
+/// Reads one instance object from `r` and builds it through
+/// [`InstanceBuilder`]. Schema and JSON errors stop the read where they
+/// occur; a [`WireError::Build`] is returned only after the whole object
+/// has been consumed.
+pub fn read_instance(r: &mut Reader<'_>) -> Result<Instance, WireError> {
+    if r.peek()? != Kind::Object {
+        return Err(WireError::schema("an instance must be a JSON object"));
+    }
+    r.begin_object()?;
+    let mut s = StagedInstance::default();
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "users" if s.users.is_none() => s.users = Some(read_u32(r, "users")?),
+            "items" if s.items.is_none() => s.items = Some(read_u32(r, "items")?),
+            "horizon" if s.horizon.is_none() => s.horizon = Some(read_u32(r, "horizon")?),
+            "display_limit" if s.display_limit.is_none() => {
+                s.display_limit = Some(read_u32(r, "display_limit")?)
+            }
+            "classes" if s.classes.is_none() => s.classes = Some(read_u32s(r, "classes")?),
+            "beta" if s.beta.is_none() => s.beta = Some(read_f64s(r, "beta")?),
+            "capacity" if s.capacity.is_none() => s.capacity = Some(read_u32s(r, "capacity")?),
+            "prices" if s.prices.is_none() => s.read_prices(r)?,
+            "candidates" if s.candidates.is_none() => s.read_candidates(r)?,
+            "exempt" if s.exempt.is_none() => s.read_exempt(r)?,
+            // Repeated keys (first match wins) and unknown keys.
+            _ => r.skip()?,
+        }
+    }
+    s.build()
+}
+
+/// Decodes one wire instance document.
+pub fn instance_from_bytes(bytes: &[u8]) -> Result<Instance, WireError> {
+    whole(bytes, read_instance)
+}
+
+/// Decodes a wire [`JsonValue`] into an [`Instance`]: the value is written
+/// back out as text and read by [`read_instance`], the one instance
+/// decoder. (A programmatically built value with a non-finite number is
+/// written as `null` and so rejected as a schema error.)
+pub fn instance_from_value(value: &JsonValue) -> Result<Instance, WireError> {
+    instance_from_bytes(value.to_string().as_bytes())
 }
 
 // ---------------------------------------------------------------------------
 // Strategy
 // ---------------------------------------------------------------------------
 
-/// Encodes a strategy as its wire value: an array of `[user, item, t]`
-/// triples in insertion order (the same format as [`Strategy::to_json`]).
+/// Appends a strategy as its wire form: an array of `[user, item, t]`
+/// triples in insertion order.
+pub fn write_strategy(out: &mut String, strategy: &Strategy) {
+    out.push('[');
+    for (idx, z) in strategy.iter().enumerate() {
+        out.push_str(if idx > 0 { ",[" } else { "[" });
+        json::write_u32(out, z.user.0);
+        out.push(',');
+        json::write_u32(out, z.item.0);
+        out.push(',');
+        json::write_u32(out, z.t.0);
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// Encodes a strategy as its wire value (the tree form of
+/// [`write_strategy`]'s output).
 pub fn strategy_to_value(strategy: &Strategy) -> JsonValue {
     JsonValue::Array(
         strategy
@@ -321,25 +501,28 @@ pub fn strategy_to_value(strategy: &Strategy) -> JsonValue {
     )
 }
 
-/// Decodes a strategy wire value: duplicates are dropped and the membership
-/// index is rebuilt, exactly like [`Strategy::from_json`].
-pub fn strategy_from_value(value: &JsonValue) -> Result<Strategy, WireError> {
-    let rows = value
-        .as_array()
-        .ok_or_else(|| WireError::schema("expected a JSON array of triples"))?;
-    let mut s = Strategy::with_capacity(rows.len());
-    for row in rows {
-        let fields = row
-            .as_array()
-            .ok_or_else(|| WireError::schema("expected `[u,i,t]`"))?;
-        if fields.len() != 3 {
-            return Err(WireError::schema("a triple must have exactly 3 fields"));
+const TRIPLE: &str = "a triple must have exactly 3 fields";
+
+/// Reads a strategy: duplicates are dropped and the membership index is
+/// rebuilt (every triple goes through [`Strategy::insert`]).
+pub fn read_strategy(r: &mut Reader<'_>) -> Result<Strategy, WireError> {
+    if r.peek()? != Kind::Array {
+        return Err(WireError::schema("expected a JSON array of triples"));
+    }
+    r.begin_array()?;
+    let mut s = Strategy::new();
+    while r.next_element()? {
+        if r.peek()? != Kind::Array {
+            return Err(WireError::schema("expected `[u,i,t]`"));
         }
-        let int = |v: &JsonValue| {
-            v.as_u32()
-                .ok_or_else(|| WireError::schema("non-integer field in triple"))
-        };
-        let (user, item, t) = (int(&fields[0])?, int(&fields[1])?, int(&fields[2])?);
+        r.begin_array()?;
+        let mut fields = [0u32; 3];
+        for field in &mut fields {
+            row_element(r, TRIPLE)?;
+            *field = read_u32(r, "triple field")?;
+        }
+        row_end(r, TRIPLE)?;
+        let [user, item, t] = fields;
         if t == 0 {
             return Err(WireError::schema("time steps are 1-based"));
         }
@@ -348,68 +531,118 @@ pub fn strategy_from_value(value: &JsonValue) -> Result<Strategy, WireError> {
     Ok(s)
 }
 
+/// Decodes one strategy document.
+pub fn strategy_from_bytes(bytes: &[u8]) -> Result<Strategy, WireError> {
+    whole(bytes, read_strategy)
+}
+
+/// Decodes a strategy wire value through [`read_strategy`] (see
+/// [`instance_from_value`] for how the adapter works).
+pub fn strategy_from_value(value: &JsonValue) -> Result<Strategy, WireError> {
+    strategy_from_bytes(value.to_string().as_bytes())
+}
+
 // ---------------------------------------------------------------------------
 // Adoption events
 // ---------------------------------------------------------------------------
 
-/// Encodes one adoption event as its wire value.
-pub fn event_to_value(event: &AdoptionEvent) -> JsonValue {
-    json::object(vec![
-        ("user", JsonValue::Number(f64::from(event.user.0))),
-        ("item", JsonValue::Number(f64::from(event.item.0))),
-        ("t", JsonValue::Number(f64::from(event.t.0))),
-        (
-            "outcome",
-            JsonValue::String(
-                match event.outcome {
-                    AdoptionOutcome::Adopted => "adopted",
-                    AdoptionOutcome::Rejected => "rejected",
-                }
-                .to_string(),
-            ),
-        ),
-    ])
+/// Appends an event batch as compact wire JSON: an array of
+/// `{"user","item","t","outcome"}` objects.
+pub fn write_events(out: &mut String, events: &[AdoptionEvent]) {
+    out.push('[');
+    for (idx, event) in events.iter().enumerate() {
+        out.push_str(if idx > 0 { ",{\"user\":" } else { "{\"user\":" });
+        json::write_u32(out, event.user.0);
+        out.push_str(",\"item\":");
+        json::write_u32(out, event.item.0);
+        out.push_str(",\"t\":");
+        json::write_u32(out, event.t.0);
+        out.push_str(match event.outcome {
+            AdoptionOutcome::Adopted => ",\"outcome\":\"adopted\"}",
+            AdoptionOutcome::Rejected => ",\"outcome\":\"rejected\"}",
+        });
+    }
+    out.push(']');
 }
 
 /// Encodes an event batch as compact wire JSON text.
 pub fn events_to_json(events: &[AdoptionEvent]) -> String {
-    JsonValue::Array(events.iter().map(event_to_value).collect()).to_string()
+    let mut out = String::with_capacity(2 + events.len() * 56);
+    write_events(&mut out, events);
+    out
 }
 
-/// Decodes one adoption event from its wire value.
-pub fn event_from_value(value: &JsonValue) -> Result<AdoptionEvent, WireError> {
-    if value.as_object().is_none() {
+fn read_event(r: &mut Reader<'_>) -> Result<AdoptionEvent, WireError> {
+    if r.peek()? != Kind::Object {
         return Err(WireError::schema("an event must be a JSON object"));
     }
-    let user = u32_field(field(value, "user")?, "user")?;
-    let item = u32_field(field(value, "item")?, "item")?;
-    let t = u32_field(field(value, "t")?, "t")?;
+    r.begin_object()?;
+    let (mut user, mut item, mut t, mut outcome) = (None, None, None, None);
+    while let Some(key) = r.next_key()? {
+        match &*key {
+            "user" if user.is_none() => user = Some(read_u32(r, "user")?),
+            "item" if item.is_none() => item = Some(read_u32(r, "item")?),
+            "t" if t.is_none() => t = Some(read_u32(r, "t")?),
+            "outcome" if outcome.is_none() => {
+                if r.peek()? != Kind::String {
+                    return Err(WireError::schema("`outcome` must be a string"));
+                }
+                outcome = Some(match &*r.str()? {
+                    "adopted" => AdoptionOutcome::Adopted,
+                    "rejected" => AdoptionOutcome::Rejected,
+                    _ => {
+                        return Err(WireError::schema(
+                            "`outcome` must be \"adopted\" or \"rejected\"",
+                        ))
+                    }
+                });
+            }
+            // Repeated keys (first match wins) and unknown keys.
+            _ => r.skip()?,
+        }
+    }
+    let user = user.ok_or_else(|| missing("user"))?;
+    let item = item.ok_or_else(|| missing("item"))?;
+    let t = t.ok_or_else(|| missing("t"))?;
     if t == 0 {
         return Err(WireError::schema("time steps are 1-based"));
     }
-    let outcome = field(value, "outcome")?
-        .as_str()
-        .ok_or_else(|| WireError::schema("`outcome` must be a string"))?;
-    match outcome {
-        "adopted" => Ok(AdoptionEvent::adopted(user, item, t)),
-        "rejected" => Ok(AdoptionEvent::rejected(user, item, t)),
-        _ => Err(WireError::schema(
-            "`outcome` must be \"adopted\" or \"rejected\"",
-        )),
-    }
+    Ok(match outcome.ok_or_else(|| missing("outcome"))? {
+        AdoptionOutcome::Adopted => AdoptionEvent::adopted(user, item, t),
+        AdoptionOutcome::Rejected => AdoptionEvent::rejected(user, item, t),
+    })
 }
 
-/// Decodes an event batch from its wire value (a JSON array of events).
+/// Reads an event batch (a JSON array of events).
+pub fn read_events(r: &mut Reader<'_>) -> Result<Vec<AdoptionEvent>, WireError> {
+    begin_array(r, "events")?;
+    let mut events = Vec::new();
+    while r.next_element()? {
+        events.push(read_event(r)?);
+    }
+    Ok(events)
+}
+
+/// Decodes one event batch document.
+pub fn events_from_bytes(bytes: &[u8]) -> Result<Vec<AdoptionEvent>, WireError> {
+    whole(bytes, read_events)
+}
+
+/// Decodes an event batch wire value through [`read_events`] (see
+/// [`instance_from_value`] for how the adapter works).
 pub fn events_from_value(value: &JsonValue) -> Result<Vec<AdoptionEvent>, WireError> {
-    array_field(value, "events")?
-        .iter()
-        .map(event_from_value)
-        .collect()
+    events_from_bytes(value.to_string().as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn decode(text: &str) -> Result<Instance, WireError> {
+        instance_from_bytes(text.as_bytes())
+    }
 
     fn sample_instance() -> Instance {
         let mut b = InstanceBuilder::new(3, 2, 4);
@@ -428,6 +661,135 @@ mod tests {
             .candidate(2, 1, &[0.9, 0.0, 0.0, 0.1], 5.0)
             .exempt_user(0, 2);
         b.build().expect("sample instance is valid")
+    }
+
+    /// The tree form of an instance, built the way the codec did before it
+    /// had a direct writer: the reference the writer must match byte for
+    /// byte.
+    fn instance_tree(inst: &Instance) -> JsonValue {
+        let items = 0..inst.num_items();
+        let classes = items.clone().map(|i| f64::from(inst.class_of(ItemId(i)).0));
+        let beta = items.clone().map(|i| inst.beta(ItemId(i)));
+        let capacity = items.clone().map(|i| f64::from(inst.capacity(ItemId(i))));
+        let prices = items
+            .clone()
+            .map(|i| json::number_array(inst.price_series(ItemId(i)).iter().copied()))
+            .collect();
+        let mut candidates = Vec::new();
+        for u in 0..inst.num_users() {
+            for cand in inst.candidates_of_user(UserId(u)) {
+                candidates.push(JsonValue::Array(vec![
+                    JsonValue::Number(f64::from(u)),
+                    JsonValue::Number(f64::from(inst.candidate_item(cand).0)),
+                    JsonValue::Number(inst.candidate_rating(cand)),
+                    json::number_array(inst.candidate_probs(cand).iter().copied()),
+                ]));
+            }
+        }
+        let mut pairs = vec![
+            ("users", JsonValue::Number(f64::from(inst.num_users()))),
+            ("items", JsonValue::Number(f64::from(inst.num_items()))),
+            ("horizon", JsonValue::Number(f64::from(inst.horizon()))),
+            (
+                "display_limit",
+                JsonValue::Number(f64::from(inst.display_limit())),
+            ),
+            ("classes", json::number_array(classes)),
+            ("beta", json::number_array(beta)),
+            ("capacity", json::number_array(capacity)),
+            ("prices", JsonValue::Array(prices)),
+            ("candidates", JsonValue::Array(candidates)),
+        ];
+        if inst.has_exemptions() {
+            let exempt = (0..inst.num_items())
+                .filter(|&i| !inst.exempt_users(ItemId(i)).is_empty())
+                .map(|i| {
+                    JsonValue::Array(vec![
+                        JsonValue::Number(f64::from(i)),
+                        json::number_array(
+                            inst.exempt_users(ItemId(i)).iter().map(|u| f64::from(u.0)),
+                        ),
+                    ])
+                })
+                .collect();
+            pairs.push(("exempt", JsonValue::Array(exempt)));
+        }
+        json::object(pairs)
+    }
+
+    fn event_tree(event: &AdoptionEvent) -> JsonValue {
+        let outcome = match event.outcome {
+            AdoptionOutcome::Adopted => "adopted",
+            AdoptionOutcome::Rejected => "rejected",
+        };
+        json::object(vec![
+            ("user", JsonValue::Number(f64::from(event.user.0))),
+            ("item", JsonValue::Number(f64::from(event.item.0))),
+            ("t", JsonValue::Number(f64::from(event.t.0))),
+            ("outcome", JsonValue::String(outcome.to_string())),
+        ])
+    }
+
+    /// Finite values that stress shortest round-trip formatting.
+    const EDGE_VALUES: [f64; 6] = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 0.0];
+
+    fn random_instance(rng: &mut StdRng) -> Instance {
+        let users = rng.gen_range(1u32..=6);
+        let items = rng.gen_range(1u32..=4);
+        let horizon = rng.gen_range(1u32..=5);
+        let mut b = InstanceBuilder::new(users, items, horizon);
+        b.display_limit(rng.gen_range(1u32..=3));
+        let unit = |rng: &mut StdRng| {
+            if rng.gen_bool(0.3) {
+                [-0.0, 5e-324, 0.0, 1.0][rng.gen_range(0..4usize)]
+            } else {
+                rng.gen_range(0.0..1.0)
+            }
+        };
+        for i in 0..items {
+            b.item_class(i, rng.gen_range(0..items))
+                .capacity(i, rng.gen_range(0u32..=users))
+                .beta(i, unit(rng));
+            let series: Vec<f64> = (0..horizon)
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        EDGE_VALUES[rng.gen_range(0..3usize)]
+                    } else {
+                        rng.gen_range(0.0..100.0)
+                    }
+                })
+                .collect();
+            b.prices(i, &series);
+            if rng.gen_bool(0.3) {
+                b.exempt_user(i, rng.gen_range(0..users));
+            }
+        }
+        for u in 0..users {
+            for i in 0..items {
+                if rng.gen_bool(0.6) {
+                    let probs: Vec<f64> = (0..horizon).map(|_| unit(rng)).collect();
+                    let rating = if rng.gen_bool(0.3) {
+                        EDGE_VALUES[rng.gen_range(0..EDGE_VALUES.len())]
+                    } else {
+                        rng.gen_range(-5.0..5.0)
+                    };
+                    b.candidate(u, i, &probs, rating);
+                }
+            }
+        }
+        b.build().expect("random instance is valid")
+    }
+
+    fn random_strategy(rng: &mut StdRng, len: usize) -> Strategy {
+        (0..len)
+            .map(|_| {
+                Triple::new(
+                    rng.gen_range(0..u32::MAX),
+                    rng.gen_range(0..1000),
+                    rng.gen_range(1..=u32::MAX),
+                )
+            })
+            .collect()
     }
 
     fn assert_instances_equal(a: &Instance, b: &Instance) {
@@ -471,29 +833,139 @@ mod tests {
     fn instance_round_trips_bit_exactly() {
         let inst = sample_instance();
         let text = instance_to_json(&inst);
-        let back = instance_from_json(&text).expect("round trip parses");
+        let back = decode(&text).expect("round trip parses");
         assert_instances_equal(&inst, &back);
         // And a second hop is stable.
         assert_eq!(text, instance_to_json(&back));
+        // The tree adapter reads the same document identically.
+        let via_value =
+            instance_from_value(&json::parse(&text).expect("valid JSON")).expect("adapter decodes");
+        assert_instances_equal(&inst, &via_value);
+    }
+
+    #[test]
+    fn direct_writers_match_the_tree_display_byte_for_byte() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..200 {
+            let inst = random_instance(&mut rng);
+            let text = instance_to_json(&inst);
+            assert_eq!(
+                text,
+                instance_tree(&inst).to_string(),
+                "instance case {case}"
+            );
+            // Round trip through the tree parser is bit-exact (the text is
+            // canonical, so bit-equal numbers re-print identically) ...
+            let value = json::parse(&text).expect("writer output parses");
+            assert_eq!(value.to_string(), text, "instance case {case}");
+            // ... and through the streaming decoder.
+            let back = decode(&text).expect("writer output decodes");
+            assert_instances_equal(&inst, &back);
+
+            let len = [0, 1, 2, 500][case % 4];
+            let strategy = random_strategy(&mut rng, len);
+            let mut direct = String::new();
+            write_strategy(&mut direct, &strategy);
+            assert_eq!(direct, strategy_to_value(&strategy).to_string());
+            assert_eq!(direct, strategy.to_json());
+            assert_eq!(json::parse(&direct).expect("parses").to_string(), direct);
+            let back = strategy_from_bytes(direct.as_bytes()).expect("decodes");
+            assert_eq!(back.as_slice(), strategy.as_slice());
+
+            let events: Vec<AdoptionEvent> = strategy
+                .iter()
+                .take(len.min(40))
+                .map(|z| {
+                    if rng.gen_bool(0.5) {
+                        AdoptionEvent::adopted(z.user.0, z.item.0, z.t.0)
+                    } else {
+                        AdoptionEvent::rejected(z.user.0, z.item.0, z.t.0)
+                    }
+                })
+                .collect();
+            let direct = events_to_json(&events);
+            let tree = JsonValue::Array(events.iter().map(event_tree).collect());
+            assert_eq!(direct, tree.to_string());
+            assert_eq!(json::parse(&direct).expect("parses"), tree);
+            assert_eq!(
+                events_from_bytes(direct.as_bytes()).expect("decodes"),
+                events
+            );
+        }
+    }
+
+    #[test]
+    fn instance_fields_may_come_in_any_order() {
+        let text = r#"{"candidates": [[1, 0, 3.0, [0.25, 0.5]], [0, 0, 4.5, [0.5, 0.25]]],
+                       "prices": [[2.0, 1.0], null], "exempt": [[0, [1]]],
+                       "horizon": 2, "beta": [0.5, 1], "items": 2, "users": 2}"#;
+        let inst = decode(text).expect("any field order decodes");
+        assert_eq!(
+            (inst.num_users(), inst.num_items(), inst.horizon()),
+            (2, 2, 2)
+        );
+        assert_eq!(inst.num_candidates(), 2);
+        assert_eq!(inst.beta(ItemId(0)), 0.5);
+        assert_eq!(inst.exempt_users(ItemId(0)), &[UserId(1)]);
+    }
+
+    #[test]
+    fn repeated_keys_keep_the_first_and_unknown_keys_must_still_parse() {
+        let base = r#""items": 1, "horizon": 1, "prices": [[1.0]], "candidates": []"#;
+        // First match wins, even when the repeat would not type-check.
+        let inst = decode(&format!(r#"{{"users": 2, "users": "x", {base}}}"#))
+            .expect("a repeated key is skipped");
+        assert_eq!(inst.num_users(), 2);
+        let inst = decode(&format!(
+            r#"{{"users": 1, "note": {{"nested": [1, "é"]}}, {base}}}"#
+        ))
+        .expect("unknown keys are ignored");
+        assert_eq!(inst.num_users(), 1);
+        // Skipped values are still validated.
+        for bad in [
+            format!(r#"{{"users": 1, "note": [1,], {base}}}"#),
+            format!(r#"{{"users": 1, "users": 1e999, {base}}}"#),
+            format!(r#"{{"users": 1, "note": "\ud800", {base}}}"#),
+        ] {
+            assert!(
+                matches!(decode(&bad), Err(WireError::Json(_))),
+                "accepted {bad}"
+            );
+        }
+        let mut invalid_utf8 = format!(r#"{{"users": 1, "note": "??", {base}}}"#).into_bytes();
+        let at = invalid_utf8
+            .iter()
+            .position(|&b| b == b'?')
+            .expect("marker");
+        invalid_utf8[at] = 0xff;
+        assert!(matches!(
+            instance_from_bytes(&invalid_utf8),
+            Err(WireError::Json(_))
+        ));
+    }
+
+    #[test]
+    fn build_errors_need_a_syntactically_complete_document() {
+        let bad = r#"{"users": 1, "items": 1, "horizon": 1,
+                      "prices": [[1.0]], "candidates": [[0, 0, 0.0, [1.5]]]}"#;
+        assert!(matches!(decode(bad), Err(WireError::Build(_))));
+        assert!(matches!(
+            decode(&format!("{bad} x")),
+            Err(WireError::Json(_))
+        ));
     }
 
     #[test]
     fn instance_decode_distinguishes_schema_from_build_errors() {
+        assert!(matches!(decode("{not json}"), Err(WireError::Json(_))));
+        assert!(matches!(decode("[1,2,3]"), Err(WireError::Schema { .. })));
         assert!(matches!(
-            instance_from_json("not json"),
-            Err(WireError::Json(_))
-        ));
-        assert!(matches!(
-            instance_from_json("[1,2,3]"),
-            Err(WireError::Schema { .. })
-        ));
-        assert!(matches!(
-            instance_from_json(r#"{"users": 1, "items": 1}"#),
+            decode(r#"{"users": 1, "items": 1}"#),
             Err(WireError::Schema { .. })
         ));
         // Wrong-typed field.
         assert!(matches!(
-            instance_from_json(
+            decode(
                 r#"{"users": "two", "items": 1, "horizon": 1, "prices": [[1.0]], "candidates": []}"#
             ),
             Err(WireError::Schema { .. })
@@ -503,16 +975,26 @@ mod tests {
         let bad = r#"{"users": 1, "items": 1, "horizon": 1,
                       "prices": [[1.0]], "candidates": [[0, 0, 0.0, [1.5]]]}"#;
         assert!(matches!(
-            instance_from_json(bad),
+            decode(bad),
             Err(WireError::Build(BuildError::InvalidProbability { .. }))
         ));
         // Horizon-length mismatch in a candidate row, same split.
         let bad = r#"{"users": 1, "items": 1, "horizon": 2,
                       "prices": [[1.0, 1.0]], "candidates": [[0, 0, 0.0, [0.5]]]}"#;
         assert!(matches!(
-            instance_from_json(bad),
+            decode(bad),
             Err(WireError::Build(BuildError::ProbabilitySeriesLength { .. }))
         ));
+        // Row shapes.
+        for rows in ["[[0, 0, 0.0]]", "[[0, 0, 0.0, [0.5], 1]]", "[5]"] {
+            let text = format!(
+                r#"{{"users": 1, "items": 1, "horizon": 1, "prices": [[1.0]], "candidates": {rows}}}"#
+            );
+            assert!(
+                matches!(decode(&text), Err(WireError::Schema { .. })),
+                "accepted candidates {rows}"
+            );
+        }
     }
 
     #[test]
@@ -533,7 +1015,7 @@ mod tests {
             ),
         ] {
             assert!(
-                matches!(instance_from_json(&body), Err(WireError::Schema { .. })),
+                matches!(decode(&body), Err(WireError::Schema { .. })),
                 "accepted oversized dimension in {body}"
             );
         }
@@ -543,7 +1025,7 @@ mod tests {
         let body = format!(
             r#"{{"users": 1, "items": {dim}, "horizon": {dim}, "prices": [], "candidates": []}}"#
         );
-        match instance_from_json(&body) {
+        match decode(&body) {
             Err(WireError::Schema { message }) => {
                 assert!(
                     message.contains("items * horizon"),
@@ -560,7 +1042,7 @@ mod tests {
         );
         assert!(
             matches!(
-                instance_from_json(&body),
+                decode(&body),
                 Err(WireError::Build(BuildError::ZeroDisplayLimit))
             ),
             "an in-cap document should reach builder validation"
@@ -614,6 +1096,12 @@ mod tests {
         assert_eq!(back, events);
         assert!(back[0].is_adoption());
         assert!(!back[1].is_adoption());
+        // Field order is free; repeats keep the first; unknown keys skip.
+        let back = events_from_bytes(
+            br#"[{"outcome":"rejected","t":4,"x":[{}],"item":0,"user":3,"user":9}]"#,
+        )
+        .expect("reordered event decodes");
+        assert_eq!(back, vec![AdoptionEvent::rejected(3, 0, 4)]);
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The protocol handlers: a pure mapping from parsed [`Request`]s to
 //! [`Response`]s over a [`Registry`] — no sockets, so the conformance suite
 //! can exercise every status path in-process and over loopback identically.
+//!
+//! Request bodies are decoded straight from their bytes by the streaming
+//! wire decoders ([`wire::read_instance`], [`wire::read_events`]) on one
+//! [`Reader`]; session and plan bodies are written directly into a
+//! `String`. Only the small `config` object goes through a [`JsonValue`].
 
 use crate::request::Request;
 use crate::response::Response;
 use crate::router::{route, Route, RouteError};
 use revmax_algorithms::{EngineKind, HeapKind, PlanAlgorithm, PlannerConfig};
-use revmax_core::json::{self, JsonValue};
-use revmax_core::{wire, WireError};
+use revmax_core::json::{self, JsonError, JsonValue, Kind, Reader};
+use revmax_core::{wire, AdoptionEvent, WireError};
 use revmax_serve::{
     PlanView, Registry, RegistryError, RegistryStats, SessionError, SessionView, TicketStatus,
 };
@@ -50,7 +55,10 @@ impl Api {
             Route::OpenSession => self.open_session(&req.body),
             Route::SessionEvents(id) => self.session_events(id, &req.body),
             Route::SessionSuffix(id) => match self.registry.session_view(id) {
-                Ok(view) => Response::json(200, session_json(&view)),
+                Ok(view) => Response {
+                    status: 200,
+                    body: session_body(&view),
+                },
                 Err(e) => registry_error(&e),
             },
             Route::CloseSession(id) => match self.registry.close_session(id) {
@@ -107,31 +115,14 @@ impl Api {
 
     fn plan_status(&self, id: u64) -> Response {
         match self.registry.plan_status(id) {
-            Ok(PlanView::Pending(status)) => {
-                let label = match status {
-                    TicketStatus::Queued => "queued",
-                    _ => "running",
-                };
-                Response::json(
-                    202,
-                    json::object(vec![
-                        ("plan_id", id_json(id)),
-                        ("status", JsonValue::String(label.into())),
-                    ]),
-                )
-            }
-            Ok(PlanView::Done(report)) => Response::json(
-                200,
-                json::object(vec![
-                    ("plan_id", id_json(id)),
-                    ("status", JsonValue::String("done".into())),
-                    ("revenue", JsonValue::Number(report.outcome.revenue)),
-                    (
-                        "strategy",
-                        wire::strategy_to_value(&report.outcome.strategy),
-                    ),
-                ]),
-            ),
+            Ok(view) => Response {
+                status: if matches!(view, PlanView::Done(_)) {
+                    200
+                } else {
+                    202
+                },
+                body: plan_body(id, &view),
+            },
             Err(e) => registry_error(&e),
         }
     }
@@ -142,86 +133,113 @@ impl Api {
             Err(resp) => return *resp,
         };
         match self.registry.open_session(inst, config) {
-            Ok((_, view)) => Response::json(201, session_json(&view)),
+            Ok((_, view)) => Response {
+                status: 201,
+                body: session_body(&view),
+            },
             Err(e) => registry_error(&e),
         }
     }
 
     fn session_events(&self, id: u64, body: &[u8]) -> Response {
-        let value = match parse_body(body) {
-            Ok(v) => v,
+        let (events, now) = match parse_events(body) {
+            Ok(parts) => parts,
             Err(resp) => return *resp,
         };
-        let Some(obj) = value.as_object() else {
-            return Response::error(400, "request body must be a JSON object");
-        };
-        let mut events = None;
-        let mut now = None;
-        for (key, field) in obj {
-            match key.as_str() {
-                "events" => match wire::events_from_value(field) {
-                    Ok(parsed) => events = Some(parsed),
-                    Err(e) => return wire_error(&e),
-                },
-                "now" => match field.as_u32() {
-                    Some(t) => now = Some(t),
-                    None => return Response::error(400, "\"now\" must be an integer time step"),
-                },
-                _ => return Response::error(400, "unknown key in event submission"),
-            }
-        }
-        let Some(events) = events else {
-            return Response::error(400, "missing \"events\" array");
-        };
         match self.registry.advance_session(id, now, &events) {
-            Ok(view) => Response::json(200, session_json(&view)),
+            Ok(view) => Response {
+                status: 200,
+                body: session_body(&view),
+            },
             Err(e) => registry_error(&e),
         }
     }
 }
 
-/// `{"instance": ..., "config"?: ...}` → a built instance + planner config.
-fn parse_submission(body: &[u8]) -> Result<(revmax_core::Instance, PlannerConfig), Box<Response>> {
-    let value = parse_body(body)?;
-    let Some(obj) = value.as_object() else {
-        return Err(Box::new(Response::error(
-            400,
-            "request body must be a JSON object",
-        )));
-    };
+/// A body rejected before it reached the registry.
+type Rejection = Box<Response>;
+
+fn bad_request(message: &str) -> Rejection {
+    Box::new(Response::error(400, message))
+}
+
+fn json_error(e: JsonError) -> Rejection {
+    bad_request(&e.to_string())
+}
+
+/// Opens the top-level object of a request body.
+fn begin_body(r: &mut Reader<'_>) -> Result<(), Rejection> {
+    if r.peek().map_err(json_error)? != Kind::Object {
+        return Err(bad_request("request body must be a JSON object"));
+    }
+    r.begin_object().map_err(json_error)
+}
+
+/// `{"instance": ..., "config"?: ...}` → a built instance + planner config,
+/// decoded straight from the body bytes.
+///
+/// Keys are handled in document order and the first failing key decides
+/// the answer, except that a malformed document is always a `400`: an
+/// instance that fails to build (`422`) is reported only once the rest of
+/// the body has been read and found to be valid JSON.
+fn parse_submission(body: &[u8]) -> Result<(revmax_core::Instance, PlannerConfig), Rejection> {
+    let mut r = Reader::new(body);
+    begin_body(&mut r)?;
     let mut instance = None;
     let mut config = PlannerConfig::default();
-    for (key, field) in obj {
-        match key.as_str() {
-            "instance" => match wire::instance_from_value(field) {
+    let mut unbuildable = None;
+    while let Some(key) = r.next_key().map_err(json_error)? {
+        if unbuildable.is_some() {
+            r.skip().map_err(json_error)?;
+            continue;
+        }
+        match &*key {
+            "instance" => match wire::read_instance(&mut r) {
                 Ok(inst) => instance = Some(inst),
+                Err(e @ WireError::Build(_)) => unbuildable = Some(e),
                 Err(e) => return Err(Box::new(wire_error(&e))),
             },
-            "config" => match planner_config_from(field) {
-                Ok(cfg) => config = cfg,
-                Err(message) => return Err(Box::new(Response::error(400, &message))),
-            },
-            _ => {
-                return Err(Box::new(Response::error(
-                    400,
-                    "unknown key in plan submission",
-                )))
+            "config" => {
+                let value = r.value().map_err(json_error)?;
+                config = planner_config_from(&value).map_err(|m| bad_request(&m))?;
             }
+            _ => return Err(bad_request("unknown key in plan submission")),
         }
     }
-    let Some(instance) = instance else {
-        return Err(Box::new(Response::error(
-            400,
-            "missing \"instance\" object",
-        )));
-    };
+    r.finish().map_err(json_error)?;
+    if let Some(e) = unbuildable {
+        return Err(Box::new(wire_error(&e)));
+    }
+    let instance = instance.ok_or_else(|| bad_request("missing \"instance\" object"))?;
     Ok((instance, config))
 }
 
-fn parse_body(body: &[u8]) -> Result<JsonValue, Box<Response>> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| Box::new(Response::error(400, "request body is not valid UTF-8")))?;
-    json::parse(text).map_err(|e| Box::new(Response::error(400, &e.to_string())))
+/// `{"events": [...], "now"?: t}` → the event batch and the optional
+/// explicit frontier, decoded straight from the body bytes.
+fn parse_events(body: &[u8]) -> Result<(Vec<AdoptionEvent>, Option<u32>), Rejection> {
+    let mut r = Reader::new(body);
+    begin_body(&mut r)?;
+    let mut events = None;
+    let mut now = None;
+    while let Some(key) = r.next_key().map_err(json_error)? {
+        match &*key {
+            "events" => {
+                let batch = wire::read_events(&mut r).map_err(|e| Box::new(wire_error(&e)))?;
+                events = Some(batch);
+            }
+            "now" => {
+                let value = r.value().map_err(json_error)?;
+                let t = value
+                    .as_u32()
+                    .ok_or_else(|| bad_request("\"now\" must be an integer time step"))?;
+                now = Some(t);
+            }
+            _ => return Err(bad_request("unknown key in event submission")),
+        }
+    }
+    r.finish().map_err(json_error)?;
+    let events = events.ok_or_else(|| bad_request("missing \"events\" array"))?;
+    Ok((events, now))
 }
 
 /// The wire subset of [`PlannerConfig`]: algorithm/engine/heap selectors
@@ -286,22 +304,55 @@ fn planner_config_from(value: &JsonValue) -> Result<PlannerConfig, String> {
     Ok(cfg)
 }
 
-/// The JSON document for a session view (shared by open/advance/read).
-fn session_json(view: &SessionView) -> JsonValue {
-    json::object(vec![
-        ("session_id", id_json(view.id)),
-        ("now", JsonValue::Number(f64::from(view.now))),
-        ("horizon", JsonValue::Number(f64::from(view.horizon))),
-        ("exhausted", JsonValue::Bool(view.exhausted)),
-        ("events_applied", count_json(view.events_applied)),
-        ("replans", JsonValue::Number(f64::from(view.replans))),
-        (
-            "expected_remaining_revenue",
-            JsonValue::Number(view.expected_remaining_revenue),
-        ),
-        ("realized_revenue", JsonValue::Number(view.realized_revenue)),
-        ("suffix", wire::strategy_to_value(&view.suffix)),
-    ])
+/// The JSON document for a session view (shared by open/advance/read),
+/// written directly: `session_id`, `now`, `horizon`, `exhausted`,
+/// `events_applied`, `replans`, `expected_remaining_revenue`,
+/// `realized_revenue`, `suffix`.
+fn session_body(view: &SessionView) -> String {
+    let mut out = String::with_capacity(200 + 16 * view.suffix.len());
+    out.push_str("{\"session_id\":");
+    json::write_f64(&mut out, view.id as f64);
+    out.push_str(",\"now\":");
+    json::write_u32(&mut out, view.now);
+    out.push_str(",\"horizon\":");
+    json::write_u32(&mut out, view.horizon);
+    out.push_str(if view.exhausted {
+        ",\"exhausted\":true"
+    } else {
+        ",\"exhausted\":false"
+    });
+    out.push_str(",\"events_applied\":");
+    json::write_f64(&mut out, view.events_applied as f64);
+    out.push_str(",\"replans\":");
+    json::write_u32(&mut out, view.replans);
+    out.push_str(",\"expected_remaining_revenue\":");
+    json::write_f64(&mut out, view.expected_remaining_revenue);
+    out.push_str(",\"realized_revenue\":");
+    json::write_f64(&mut out, view.realized_revenue);
+    out.push_str(",\"suffix\":");
+    wire::write_strategy(&mut out, &view.suffix);
+    out.push('}');
+    out
+}
+
+/// The JSON document for `GET /plans/{id}`, written directly: `plan_id`
+/// and `status` while pending, plus `revenue` and `strategy` once done.
+fn plan_body(id: u64, view: &PlanView) -> String {
+    let mut out = String::from("{\"plan_id\":");
+    json::write_f64(&mut out, id as f64);
+    match view {
+        PlanView::Pending(TicketStatus::Queued) => out.push_str(",\"status\":\"queued\""),
+        PlanView::Pending(_) => out.push_str(",\"status\":\"running\""),
+        PlanView::Done(report) => {
+            out.reserve(64 + 16 * report.outcome.strategy.len());
+            out.push_str(",\"status\":\"done\",\"revenue\":");
+            json::write_f64(&mut out, report.outcome.revenue);
+            out.push_str(",\"strategy\":");
+            wire::write_strategy(&mut out, &report.outcome.strategy);
+        }
+    }
+    out.push('}');
+    out
 }
 
 /// Registry ids are sequential and far below 2^53, so `f64` is lossless.

@@ -1,33 +1,63 @@
-//! Seeded byte-mutation fuzzing for the two untrusted-input parsers: the
-//! HTTP head parser ([`crate::request::parse_head`]) and the JSON codec
-//! (`revmax_core::json::parse`).
+//! Seeded fuzzing for the untrusted-input surfaces: the HTTP head parser
+//! ([`crate::request::parse_head`]), the JSON [`Reader`]
+//! (`revmax_core::json`), and the streaming wire decoders for instances
+//! and event batches (`revmax_core::wire`).
 //!
 //! Deterministic by construction — the vendored `rand` shim is seeded, so a
-//! failing seed replays exactly (`cargo xtask fuzz-http --seed N`). The
-//! harness asserts the *totality* contract: every mutated input must parse
-//! or be rejected with a structured error; a panic (or out-of-bounds read,
-//! which in safe Rust surfaces as a panic) fails the run. Accepted JSON
-//! documents additionally round-trip through the writer and must re-parse
-//! to the identical value.
+//! failing seed replays exactly (`cargo xtask fuzz-http --seed N`). Every
+//! target asserts the *totality* contract: each input is accepted or
+//! rejected with a structured error; a panic (or out-of-bounds read, which
+//! in safe Rust surfaces as a panic) fails the run.
+//!
+//! * **JSON** — accepted documents round-trip through the writer to the
+//!   identical value, and [`Reader::skip`] accepts exactly what the
+//!   tree-building reader accepts.
+//! * **Wire decoders** (differential) — each streaming decoder runs beside
+//!   an oracle: the tree-walking decoder the wire module used before it
+//!   read from the [`Reader`] directly, kept verbatim in this module.
+//!   Documents come from a structure-aware generator (reordered, repeated
+//!   and unknown keys, `null` price rows, `1e999`, negative probabilities,
+//!   β outside `[0, 1]`, horizon 0, duplicate candidates, invalid UTF-8
+//!   inside strings); a quarter of them are then byte-mutated. The two must
+//!   agree on accept vs reject and on the HTTP class of a rejection (400
+//!   for JSON and schema errors; 422, with the same [`BuildError`], for an
+//!   instance that fails to build), and accepted documents must decode to
+//!   bit-identical values.
 
 use crate::request::{parse_head, HeadOutcome, DEFAULT_HEAD_LIMIT};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use revmax_core::json;
+use revmax_core::json::{self, JsonError, Reader};
+use revmax_core::{wire, BuildError, WireError};
 
-/// Default iteration count per parser (the acceptance bar is 10k).
+/// Default iteration count per target (the acceptance bar is 10k).
 pub const DEFAULT_ITERATIONS: usize = 10_000;
 
 /// What a fuzz run observed (a run that panics never returns one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuzzReport {
-    /// Mutated inputs fed to the parser.
+    /// Inputs fed to the target.
     pub iterations: usize,
-    /// Inputs the parser accepted.
+    /// Inputs the target accepted.
     pub accepted: usize,
     /// Inputs rejected with a structured error (or, for the HTTP parser,
     /// classified as incomplete).
     pub rejected: usize,
+    /// The rejections a wire decoder answers with `422` (instances that
+    /// parse but fail to build); 0 for the parsers.
+    pub unprocessable: usize,
+}
+
+impl FuzzReport {
+    fn new(iterations: usize) -> Self {
+        FuzzReport {
+            iterations,
+            accepted: 0,
+            rejected: 0,
+            unprocessable: 0,
+        }
+    }
 }
 
 /// Valid request heads the HTTP mutations start from.
@@ -59,6 +89,10 @@ const JSON_CORPUS: &[&str] = &[
     "\"escape \\u00e9 \\n \\\" \\\\ sequences\"",
     "[1e308,-1e-308,0.0,-0.0,9007199254740991]",
 ];
+
+fn json_splice_pool() -> Vec<&'static [u8]> {
+    JSON_CORPUS.iter().map(|s| s.as_bytes()).collect()
+}
 
 /// Applies 1–8 random byte-level mutations to `base`.
 fn mutate(rng: &mut StdRng, base: &[u8], splice_pool: &[&[u8]]) -> Vec<u8> {
@@ -119,8 +153,7 @@ fn mutate(rng: &mut StdRng, base: &[u8], splice_pool: &[&[u8]]) -> Vec<u8> {
 /// Fuzzes the HTTP head parser with `iterations` seeded mutations.
 pub fn fuzz_http_parser(seed: u64, iterations: usize) -> FuzzReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut accepted = 0;
-    let mut rejected = 0;
+    let mut report = FuzzReport::new(iterations);
     for _ in 0..iterations {
         let base = HTTP_CORPUS[rng.gen_range(0..HTTP_CORPUS.len())];
         let input = mutate(&mut rng, base, HTTP_CORPUS);
@@ -134,30 +167,35 @@ pub fn fuzz_http_parser(seed: u64, iterations: usize) -> FuzzReport {
                 // panicking either.
                 let _ = head.content_length();
                 let _ = head.keep_alive();
-                accepted += 1;
+                report.accepted += 1;
             }
-            HeadOutcome::Incomplete | HeadOutcome::Invalid(_) => rejected += 1,
+            HeadOutcome::Incomplete | HeadOutcome::Invalid(_) => report.rejected += 1,
         }
     }
-    FuzzReport {
-        iterations,
-        accepted,
-        rejected,
-    }
+    report
 }
 
-/// Fuzzes the JSON codec with `iterations` seeded mutations; accepted
-/// documents are round-tripped through the writer.
+/// Fuzzes the JSON reader with `iterations` seeded byte mutations: the
+/// validating skip must accept exactly what the tree reader accepts, and
+/// accepted documents are round-tripped through the writer.
 pub fn fuzz_json_codec(seed: u64, iterations: usize) -> FuzzReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let splice_pool: Vec<&[u8]> = JSON_CORPUS.iter().map(|s| s.as_bytes()).collect();
-    let mut accepted = 0;
-    let mut rejected = 0;
+    let splice_pool = json_splice_pool();
+    let mut report = FuzzReport::new(iterations);
     for _ in 0..iterations {
         let base = JSON_CORPUS[rng.gen_range(0..JSON_CORPUS.len())];
         let input = mutate(&mut rng, base.as_bytes(), &splice_pool);
-        let text = String::from_utf8_lossy(&input);
-        match json::parse(&text) {
+        let mut r = Reader::new(&input);
+        let parsed = r.value().and_then(|value| r.finish().map(|()| value));
+        let mut s = Reader::new(&input);
+        let skipped = s.skip().and_then(|()| s.finish());
+        assert_eq!(
+            parsed.is_ok(),
+            skipped.is_ok(),
+            "skip and value disagree on {:?}",
+            String::from_utf8_lossy(&input)
+        );
+        match parsed {
             Ok(value) => {
                 let rewritten = value.to_string();
                 let reparsed = json::parse(&rewritten);
@@ -165,15 +203,610 @@ pub fn fuzz_json_codec(seed: u64, iterations: usize) -> FuzzReport {
                     reparsed.as_ref().is_ok_and(|v| *v == value),
                     "write→parse round trip broke on {rewritten:?}: {reparsed:?}"
                 );
-                accepted += 1;
+                report.accepted += 1;
             }
-            Err(_) => rejected += 1,
+            Err(_) => report.rejected += 1,
         }
     }
-    FuzzReport {
+    report
+}
+
+// ---------------------------------------------------------------------------
+// Differential wire-decoder fuzzing
+// ---------------------------------------------------------------------------
+
+/// A decoder's answer to one document, in HTTP terms.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// Decoded. Carries the value re-encoded by the direct writer, whose
+    /// number formatting is canonical, so equal text means bit-identical
+    /// values.
+    Accepted(String),
+    /// `400`: malformed JSON or a schema violation.
+    BadRequest,
+    /// `422`: a well-formed instance that fails to build.
+    Unprocessable(BuildError),
+}
+
+fn verdict<T>(decoded: Result<T, WireError>, encode: impl FnOnce(&T) -> String) -> Verdict {
+    match decoded {
+        Ok(value) => Verdict::Accepted(encode(&value)),
+        Err(WireError::Json(_) | WireError::Schema { .. }) => Verdict::BadRequest,
+        Err(WireError::Build(e)) => Verdict::Unprocessable(e),
+    }
+}
+
+/// The oracle's view of a body: the tree [`json::parse`] builds, which
+/// needs `&str` — a body that was not UTF-8 was a `400` before any JSON
+/// was read.
+fn oracle_tree(doc: &[u8]) -> Result<json::JsonValue, WireError> {
+    let text = std::str::from_utf8(doc).map_err(|e| {
+        WireError::Json(JsonError {
+            offset: e.valid_up_to(),
+            message: "request body is not valid UTF-8".into(),
+        })
+    })?;
+    Ok(json::parse(text)?)
+}
+
+/// Runs `iterations` generated (a quarter of them byte-mutated) documents
+/// through both decoders and asserts that they agree.
+fn differential(
+    seed: u64,
+    iterations: usize,
+    generate: fn(&mut StdRng) -> Vec<u8>,
+    streaming: fn(&[u8]) -> Verdict,
+    oracle: fn(&[u8]) -> Verdict,
+) -> FuzzReport {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let splice_pool = json_splice_pool();
+    let mut report = FuzzReport::new(iterations);
+    for _ in 0..iterations {
+        let mut doc = generate(&mut rng);
+        if rng.gen_bool(0.25) {
+            doc = mutate(&mut rng, &doc, &splice_pool);
+        }
+        let fast = streaming(&doc);
+        let slow = oracle(&doc);
+        assert!(
+            fast == slow,
+            "streaming decoder and oracle disagree on {:?}:\n  streaming: {fast:?}\n  oracle:    {slow:?}",
+            String::from_utf8_lossy(&doc)
+        );
+        match fast {
+            Verdict::Accepted(_) => report.accepted += 1,
+            Verdict::BadRequest => report.rejected += 1,
+            Verdict::Unprocessable(_) => {
+                report.rejected += 1;
+                report.unprocessable += 1;
+            }
+        }
+    }
+    report
+}
+
+/// Differentially fuzzes the streaming instance decoder
+/// (`wire::instance_from_bytes`) against the tree-walking oracle.
+pub fn fuzz_instance_decoder(seed: u64, iterations: usize) -> FuzzReport {
+    differential(
+        seed,
         iterations,
-        accepted,
-        rejected,
+        instance_document,
+        |doc| verdict(wire::instance_from_bytes(doc), wire::instance_to_json),
+        |doc| {
+            let decoded = oracle_tree(doc).and_then(|v| oracle::instance_from_value(&v));
+            verdict(decoded, wire::instance_to_json)
+        },
+    )
+}
+
+/// Differentially fuzzes the streaming event-batch decoder
+/// (`wire::events_from_bytes`) against the tree-walking oracle.
+pub fn fuzz_event_decoder(seed: u64, iterations: usize) -> FuzzReport {
+    differential(
+        seed,
+        iterations,
+        event_document,
+        |doc| verdict(wire::events_from_bytes(doc), |e| wire::events_to_json(e)),
+        |doc| {
+            let decoded = oracle_tree(doc).and_then(|v| oracle::events_from_value(&v));
+            verdict(decoded, |e| wire::events_to_json(e))
+        },
+    )
+}
+
+/// A field list: raw key bytes (written between quotes as they are, so a
+/// key may hold escapes or invalid UTF-8) and raw value text.
+type Fields = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// JSON text for a number, as the writer spells it.
+fn number(v: f64) -> Vec<u8> {
+    let mut s = String::new();
+    json::write_f64(&mut s, v);
+    s.into_bytes()
+}
+
+fn integer(n: u32) -> Vec<u8> {
+    n.to_string().into_bytes()
+}
+
+fn array(items: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
+    let mut out = vec![b'['];
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(&item);
+    }
+    out.push(b']');
+    out
+}
+
+/// An object from `fields`, with a little whitespace here and there.
+fn object(rng: &mut StdRng, fields: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+    let mut out = vec![b'{'];
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        if rng.gen_bool(0.2) {
+            out.extend_from_slice(b"\n ");
+        }
+        out.push(b'"');
+        out.extend_from_slice(key);
+        out.extend_from_slice(b"\":");
+        out.extend_from_slice(value);
+    }
+    out.push(b'}');
+    out
+}
+
+/// Values of every kind, some not valid JSON: fillers for repeated,
+/// unknown and mistyped fields.
+const ODD_VALUES: &[&[u8]] = &[
+    b"null",
+    b"true",
+    b"\"x\"",
+    b"{}",
+    b"[]",
+    b"-1",
+    b"-0",
+    b"1.5",
+    b"4294967296",
+    b"1e-999",
+    b"[1,[2,{\"a\":null}]]",
+    b"{\"k\":[\"\\u00e9\"]}",
+    b"\"caf\xc3\xa9\"",
+    b"1e999",
+    b"\"\\ud800\"",
+    b"[1,]",
+    b"\"\xff\"",
+    b"\"\xc3\"",
+];
+
+fn odd_value(rng: &mut StdRng) -> Vec<u8> {
+    ODD_VALUES[rng.gen_range(0..ODD_VALUES.len())].to_vec()
+}
+
+/// Number spellings that break an index: negative, fractional, too large
+/// for an `f64`, too large for a `u32`.
+const BAD_NUMBERS: &[&[u8]] = &[b"-1", b"1.5", b"1e999", b"4294967296"];
+
+/// Replaces one number in `text`, chosen at random, with `with`.
+fn replace_number(rng: &mut StdRng, text: &[u8], with: &[u8]) -> Vec<u8> {
+    let in_number = |b: u8| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E');
+    let starts: Vec<usize> = (0..text.len())
+        .filter(|&i| {
+            (text[i].is_ascii_digit() || text[i] == b'-') && (i == 0 || !in_number(text[i - 1]))
+        })
+        .collect();
+    let Some(&start) = starts.get(rng.gen_range(0..starts.len().max(1))) else {
+        return text.to_vec();
+    };
+    let len = text[start..].iter().take_while(|&&b| in_number(b)).count();
+    [&text[..start], with, &text[start + len..]].concat()
+}
+
+/// Sets every field named `key` to `value`.
+fn set_field(fields: &mut [(Vec<u8>, Vec<u8>)], key: &[u8], value: &[u8]) {
+    for (k, v) in fields.iter_mut() {
+        if k.as_slice() == key {
+            *v = value.to_vec();
+        }
+    }
+}
+
+/// Respells key `k` with a `\u` escape (equal once decoded), or inserts a
+/// key holding invalid UTF-8 at `at`.
+fn odd_key(rng: &mut StdRng, fields: &mut Fields, k: usize, at: usize) {
+    if rng.gen_bool(0.5) {
+        let key = fields[k].0.clone();
+        if let Some((&first, rest)) = key.split_first() {
+            let escaped = format!("\\u{first:04x}");
+            fields[k].0 = [escaped.as_bytes(), rest].concat();
+        }
+    } else {
+        fields.insert(at, (b"n\xffte".to_vec(), b"1".to_vec()));
+    }
+}
+
+fn probability(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..6u32) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 5e-324,
+        3 => 1.0,
+        4 => 1.0 / 3.0,
+        _ => rng.gen_range(0.0..1.0),
+    }
+}
+
+fn price(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..5u32) {
+        0 => -0.0,
+        1 => 1e308,
+        _ => rng.gen_range(0.0..50.0),
+    }
+}
+
+fn series(rng: &mut StdRng, len: u32, value: fn(&mut StdRng) -> f64) -> Vec<u8> {
+    let values: Vec<Vec<u8>> = (0..len).map(|_| number(value(rng))).collect();
+    array(values)
+}
+
+/// A wire instance document, usually valid, with structure-aware faults.
+fn instance_document(rng: &mut StdRng) -> Vec<u8> {
+    let users = rng.gen_range(1u32..=4);
+    let items = rng.gen_range(1u32..=3);
+    let horizon = rng.gen_range(1u32..=4);
+    let mut prices: Vec<Vec<u8>> = (0..items).map(|_| series(rng, horizon, price)).collect();
+    let mut candidates = Vec::new();
+    for u in 0..users {
+        for i in 0..items {
+            if rng.gen_bool(0.6) {
+                let rating = number(rng.gen_range(-5.0..5.0));
+                let probs = series(rng, horizon, probability);
+                candidates.push(array([integer(u), integer(i), rating, probs]));
+            }
+        }
+    }
+
+    // Row faults.
+    if rng.gen_bool(0.15) {
+        let k = rng.gen_range(0..prices.len());
+        prices[k] = b"null".to_vec();
+    }
+    if !candidates.is_empty() {
+        let k = rng.gen_range(0..candidates.len());
+        match rng.gen_range(0..10u32) {
+            // A repeated (user, item) pair.
+            0 => candidates.push(candidates[k].clone()),
+            // A negative probability (or index).
+            1 => candidates[k] = replace_number(rng, &candidates[k], b"-0.25"),
+            // A probability series of the wrong length.
+            2 => {
+                let probs = series(rng, horizon + 1, probability);
+                candidates[k] = array([integer(0), integer(0), number(1.0), probs]);
+            }
+            // A user outside the declared range.
+            3 => {
+                let probs = series(rng, horizon, probability);
+                candidates[k] = array([integer(users), integer(0), number(1.0), probs]);
+            }
+            _ => {}
+        }
+    }
+
+    let mut fields: Fields = vec![
+        (b"users".to_vec(), integer(users)),
+        (b"items".to_vec(), integer(items)),
+        (b"horizon".to_vec(), integer(horizon)),
+        (b"prices".to_vec(), array(prices)),
+        (b"candidates".to_vec(), array(candidates)),
+    ];
+    if rng.gen_bool(0.5) {
+        fields.push((b"display_limit".to_vec(), integer(rng.gen_range(1u32..=2))));
+    }
+    if rng.gen_bool(0.5) {
+        let classes: Vec<Vec<u8>> = (0..items)
+            .map(|_| integer(rng.gen_range(0..items)))
+            .collect();
+        fields.push((b"classes".to_vec(), array(classes)));
+    }
+    if rng.gen_bool(0.5) {
+        fields.push((b"beta".to_vec(), series(rng, items, probability)));
+    }
+    if rng.gen_bool(0.5) {
+        let capacity: Vec<Vec<u8>> = (0..items)
+            .map(|_| integer(rng.gen_range(0..=users)))
+            .collect();
+        fields.push((b"capacity".to_vec(), array(capacity)));
+    }
+    if rng.gen_bool(0.3) {
+        let exempt_users: Vec<Vec<u8>> = (0..rng.gen_range(0..=2u32))
+            .map(|_| integer(rng.gen_range(0..users)))
+            .collect();
+        let row = array([integer(rng.gen_range(0..items)), array(exempt_users)]);
+        fields.push((b"exempt".to_vec(), array([row])));
+    }
+
+    // Field faults.
+    for _ in 0..rng.gen_range(0..=2u32) {
+        if fields.is_empty() {
+            break;
+        }
+        let k = rng.gen_range(0..fields.len());
+        let at = rng.gen_range(0..=fields.len());
+        match rng.gen_range(0..9u32) {
+            // Dimensions after everything else, `candidates` included.
+            0 => {
+                let n = 3.min(fields.len());
+                fields.rotate_left(n);
+            }
+            // A repeated key, before or after the first occurrence.
+            1 => {
+                let key = fields[k].0.clone();
+                fields.insert(at, (key, odd_value(rng)));
+            }
+            // An unknown key.
+            2 => fields.insert(at, (b"note".to_vec(), odd_value(rng))),
+            // A number too large for an `f64`.
+            3 => fields[k].1 = replace_number(rng, &fields[k].1, b"1e999"),
+            // β outside [0, 1].
+            4 => {
+                let beta = if rng.gen_bool(0.5) { 1.5 } else { -0.5 };
+                let values: Vec<Vec<u8>> = (0..items).map(|_| number(beta)).collect();
+                fields.retain(|(key, _)| key.as_slice() != b"beta");
+                fields.push((b"beta".to_vec(), array(values)));
+            }
+            // Horizon 0.
+            5 => set_field(&mut fields, b"horizon", b"0"),
+            // A missing field.
+            6 => {
+                fields.remove(k);
+            }
+            // A value of the wrong kind.
+            7 => fields[k].1 = odd_value(rng),
+            _ => odd_key(rng, &mut fields, k, at),
+        }
+    }
+    if rng.gen_bool(0.3) {
+        fields.shuffle(rng);
+    }
+    let doc = object(rng, &fields);
+    if rng.gen_bool(0.02) {
+        return array([doc]);
+    }
+    doc
+}
+
+/// Outcome spellings: valid, escaped, unknown, mistyped, invalid UTF-8.
+const OUTCOMES: &[&[u8]] = &[
+    b"\"adopted\"",
+    b"\"rejected\"",
+    b"\"adopt\\u0065d\"",
+    b"\"maybe\"",
+    b"3",
+    b"\"ad\xffopted\"",
+    b"\"rejected\xc3\"",
+];
+
+/// A wire event batch, usually valid, with structure-aware faults.
+fn event_document(rng: &mut StdRng) -> Vec<u8> {
+    let events: Vec<Vec<u8>> = (0..rng.gen_range(0..=4u32))
+        .map(|_| event_object(rng))
+        .collect();
+    if rng.gen_bool(0.03) {
+        return object(rng, &[(b"events".to_vec(), array(events))]);
+    }
+    array(events)
+}
+
+fn event_object(rng: &mut StdRng) -> Vec<u8> {
+    let outcome = if rng.gen_bool(0.8) {
+        OUTCOMES[rng.gen_range(0..2)]
+    } else {
+        OUTCOMES[rng.gen_range(0..OUTCOMES.len())]
+    };
+    let mut fields: Fields = vec![
+        (b"user".to_vec(), integer(rng.gen_range(0..5u32))),
+        (b"item".to_vec(), integer(rng.gen_range(0..5u32))),
+        (b"t".to_vec(), integer(rng.gen_range(1..5u32))),
+        (b"outcome".to_vec(), outcome.to_vec()),
+    ];
+    for _ in 0..rng.gen_range(0..=2u32) {
+        if fields.is_empty() {
+            break;
+        }
+        let k = rng.gen_range(0..fields.len());
+        let at = rng.gen_range(0..=fields.len());
+        match rng.gen_range(0..7u32) {
+            // Time step 0.
+            0 => set_field(&mut fields, b"t", b"0"),
+            1 => {
+                let with = BAD_NUMBERS[rng.gen_range(0..BAD_NUMBERS.len())];
+                fields[k].1 = replace_number(rng, &fields[k].1, with);
+            }
+            // A value of the wrong kind.
+            2 => fields[k].1 = odd_value(rng),
+            // A repeated key, before or after the first occurrence.
+            3 => {
+                let key = fields[k].0.clone();
+                fields.insert(at, (key, odd_value(rng)));
+            }
+            // An unknown key.
+            4 => fields.insert(at, (b"x".to_vec(), odd_value(rng))),
+            // A missing field.
+            5 => {
+                fields.remove(k);
+            }
+            _ => odd_key(rng, &mut fields, k, at),
+        }
+    }
+    if rng.gen_bool(0.5) {
+        fields.shuffle(rng);
+    }
+    if rng.gen_bool(0.03) {
+        return odd_value(rng);
+    }
+    object(rng, &fields)
+}
+
+/// The tree-walking decoders `revmax_core::wire` used before it read
+/// documents from the [`Reader`] directly, kept verbatim as the
+/// differential oracle.
+mod oracle {
+    use revmax_core::json::JsonValue;
+    use revmax_core::wire::{MAX_WIRE_CELLS, MAX_WIRE_DIM};
+    use revmax_core::{AdoptionEvent, Instance, InstanceBuilder, WireError};
+
+    fn schema(message: impl Into<String>) -> WireError {
+        WireError::Schema {
+            message: message.into(),
+        }
+    }
+
+    fn field<'v>(obj: &'v JsonValue, key: &str) -> Result<&'v JsonValue, WireError> {
+        obj.get(key)
+            .ok_or_else(|| schema(format!("missing field `{key}`")))
+    }
+
+    fn u32_field(value: &JsonValue, what: &str) -> Result<u32, WireError> {
+        value
+            .as_u32()
+            .ok_or_else(|| schema(format!("`{what}` must be a non-negative integer")))
+    }
+
+    fn dim_field(value: &JsonValue, what: &str) -> Result<u32, WireError> {
+        let n = u32_field(value, what)?;
+        if n > MAX_WIRE_DIM {
+            return Err(schema(format!(
+                "`{what}` is {n}, above the wire limit of {MAX_WIRE_DIM}"
+            )));
+        }
+        Ok(n)
+    }
+
+    fn f64_field(value: &JsonValue, what: &str) -> Result<f64, WireError> {
+        value
+            .as_f64()
+            .ok_or_else(|| schema(format!("`{what}` must be a number")))
+    }
+
+    fn array_field<'v>(value: &'v JsonValue, what: &str) -> Result<&'v [JsonValue], WireError> {
+        value
+            .as_array()
+            .ok_or_else(|| schema(format!("`{what}` must be an array")))
+    }
+
+    fn f64_vec(value: &JsonValue, what: &str) -> Result<Vec<f64>, WireError> {
+        array_field(value, what)?
+            .iter()
+            .map(|v| f64_field(v, what))
+            .collect()
+    }
+
+    fn u32_vec(value: &JsonValue, what: &str) -> Result<Vec<u32>, WireError> {
+        array_field(value, what)?
+            .iter()
+            .map(|v| u32_field(v, what))
+            .collect()
+    }
+
+    pub fn instance_from_value(value: &JsonValue) -> Result<Instance, WireError> {
+        if value.as_object().is_none() {
+            return Err(schema("an instance must be a JSON object"));
+        }
+        let users = dim_field(field(value, "users")?, "users")?;
+        let items = dim_field(field(value, "items")?, "items")?;
+        let horizon = dim_field(field(value, "horizon")?, "horizon")?;
+        if u64::from(items) * u64::from(horizon) > MAX_WIRE_CELLS {
+            return Err(schema(format!(
+                "`items * horizon` is {}, above the wire limit of {MAX_WIRE_CELLS} price cells",
+                u64::from(items) * u64::from(horizon)
+            )));
+        }
+        let mut b = InstanceBuilder::new(users, items, horizon);
+        if let Some(k) = value.get("display_limit") {
+            b.display_limit(u32_field(k, "display_limit")?);
+        }
+        if let Some(classes) = value.get("classes") {
+            for (i, c) in u32_vec(classes, "classes")?.into_iter().enumerate() {
+                b.item_class(i as u32, c);
+            }
+        }
+        if let Some(beta) = value.get("beta") {
+            for (i, bi) in f64_vec(beta, "beta")?.into_iter().enumerate() {
+                b.beta(i as u32, bi);
+            }
+        }
+        if let Some(capacity) = value.get("capacity") {
+            for (i, q) in u32_vec(capacity, "capacity")?.into_iter().enumerate() {
+                b.capacity(i as u32, q);
+            }
+        }
+        for (i, series) in array_field(field(value, "prices")?, "prices")?
+            .iter()
+            .enumerate()
+        {
+            if series.is_null() {
+                continue;
+            }
+            b.prices(i as u32, &f64_vec(series, "prices")?);
+        }
+        for row in array_field(field(value, "candidates")?, "candidates")? {
+            let row = array_field(row, "candidates")?;
+            if row.len() != 4 {
+                return Err(schema(
+                    "a candidate row must be `[user, item, rating, probs]`",
+                ));
+            }
+            let user = u32_field(&row[0], "candidate user")?;
+            let item = u32_field(&row[1], "candidate item")?;
+            let rating = f64_field(&row[2], "candidate rating")?;
+            let probs = f64_vec(&row[3], "candidate probs")?;
+            b.candidate(user, item, &probs, rating);
+        }
+        if let Some(exempt) = value.get("exempt") {
+            for row in array_field(exempt, "exempt")? {
+                let row = array_field(row, "exempt")?;
+                if row.len() != 2 {
+                    return Err(schema("an exempt row must be `[item, [users...]]`"));
+                }
+                let item = u32_field(&row[0], "exempt item")?;
+                for user in u32_vec(&row[1], "exempt users")? {
+                    b.exempt_user(item, user);
+                }
+            }
+        }
+        Ok(b.build()?)
+    }
+
+    fn event_from_value(value: &JsonValue) -> Result<AdoptionEvent, WireError> {
+        if value.as_object().is_none() {
+            return Err(schema("an event must be a JSON object"));
+        }
+        let user = u32_field(field(value, "user")?, "user")?;
+        let item = u32_field(field(value, "item")?, "item")?;
+        let t = u32_field(field(value, "t")?, "t")?;
+        if t == 0 {
+            return Err(schema("time steps are 1-based"));
+        }
+        let outcome = field(value, "outcome")?
+            .as_str()
+            .ok_or_else(|| schema("`outcome` must be a string"))?;
+        match outcome {
+            "adopted" => Ok(AdoptionEvent::adopted(user, item, t)),
+            "rejected" => Ok(AdoptionEvent::rejected(user, item, t)),
+            _ => Err(schema("`outcome` must be \"adopted\" or \"rejected\"")),
+        }
+    }
+
+    pub fn events_from_value(value: &JsonValue) -> Result<Vec<AdoptionEvent>, WireError> {
+        array_field(value, "events")?
+            .iter()
+            .map(event_from_value)
+            .collect()
     }
 }
 
@@ -183,12 +816,10 @@ mod tests {
 
     #[test]
     fn fuzz_runs_are_deterministic_per_seed() {
-        let a = fuzz_http_parser(7, 500);
-        let b = fuzz_http_parser(7, 500);
-        assert_eq!(a, b);
-        let c = fuzz_json_codec(7, 500);
-        let d = fuzz_json_codec(7, 500);
-        assert_eq!(c, d);
+        assert_eq!(fuzz_http_parser(7, 500), fuzz_http_parser(7, 500));
+        assert_eq!(fuzz_json_codec(7, 500), fuzz_json_codec(7, 500));
+        assert_eq!(fuzz_instance_decoder(7, 300), fuzz_instance_decoder(7, 300));
+        assert_eq!(fuzz_event_decoder(7, 300), fuzz_event_decoder(7, 300));
     }
 
     #[test]

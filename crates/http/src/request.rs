@@ -348,6 +348,10 @@ pub enum ReadOutcome {
 /// [`RequestError::Timeout`] (408) — so a client trickling a head or body
 /// one byte at a time cannot pin the caller forever. A request whose bytes
 /// are already buffered never times out.
+///
+/// Once the head is parsed, `buf` grows once to hold the declared body,
+/// socket reads land directly in it, and the body is handed out as that
+/// same allocation rather than copied into a new one.
 pub fn read_request(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
@@ -372,22 +376,11 @@ pub fn read_request(
                         limit: limits.body_bytes,
                     });
                 }
-                while buf.len() < consumed + body_len {
-                    if expired(deadline) {
-                        return ReadOutcome::Bad(RequestError::Timeout);
-                    }
-                    match stream.read(&mut chunk) {
-                        Ok(0) => {
-                            return ReadOutcome::Bad(RequestError::Syntax(
-                                "connection closed mid-body",
-                            ))
-                        }
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                        Err(e) => return ReadOutcome::Io(e),
-                    }
+                let end = consumed + body_len;
+                if let Some(stopped) = fill_to(stream, buf, end, deadline) {
+                    return stopped;
                 }
-                let body = buf[consumed..consumed + body_len].to_vec();
-                buf.drain(..consumed + body_len);
+                let body = split_body(buf, consumed, end);
                 return ReadOutcome::Request(Request { head, body });
             }
             HeadOutcome::Incomplete => {
@@ -408,6 +401,51 @@ pub fn read_request(
             }
         }
     }
+}
+
+/// Reads from `stream` until `buf` holds `end` bytes. The buffer grows to
+/// `end` once and every read lands directly in its unfilled tail, as large
+/// as the peer's data allows. Returns why reading stopped short, if it
+/// did; `buf` then holds exactly the bytes received so far, so a later
+/// call resumes from them.
+fn fill_to(
+    stream: &mut impl Read,
+    buf: &mut Vec<u8>,
+    end: usize,
+    deadline: Option<Instant>,
+) -> Option<ReadOutcome> {
+    let mut filled = buf.len();
+    if filled >= end {
+        return None;
+    }
+    buf.reserve_exact(end - filled);
+    buf.resize(end, 0);
+    let stopped = loop {
+        if filled == end {
+            return None;
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            break ReadOutcome::Bad(RequestError::Timeout);
+        }
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) => break ReadOutcome::Bad(RequestError::Syntax("connection closed mid-body")),
+            Ok(n) => filled += n,
+            Err(e) => break ReadOutcome::Io(e),
+        }
+    };
+    buf.truncate(filled);
+    Some(stopped)
+}
+
+/// Hands out the body `consumed..end` of the request at the front of `buf`
+/// without copying it into a new allocation: the buffer itself becomes the
+/// body once the head is shifted out in place, and any pipelined bytes
+/// past `end` move to the fresh buffer left behind.
+fn split_body(buf: &mut Vec<u8>, consumed: usize, end: usize) -> Vec<u8> {
+    let pipelined = buf.split_off(end);
+    let mut body = std::mem::replace(buf, pipelined);
+    body.drain(..consumed);
+    body
 }
 
 #[cfg(test)]
@@ -584,6 +622,73 @@ mod tests {
             read_request(&mut cursor, &mut buf, &limits, None),
             ReadOutcome::Closed
         ));
+    }
+
+    /// Hands out at most `chunk` bytes per read and a `WouldBlock` on every
+    /// fourth call, like a socket with a read timeout.
+    struct Stalling {
+        data: std::io::Cursor<Vec<u8>>,
+        chunk: usize,
+        calls: usize,
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 4 == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = out.len().min(self.chunk);
+            self.data.read(&mut out[..n])
+        }
+    }
+
+    #[test]
+    fn large_bodies_survive_stalls_and_keep_pipelined_requests() {
+        let body: Vec<u8> = (0..3_000_000u32).map(|i| (i % 251) as u8).collect();
+        let mut wire = format!(
+            "POST /sessions HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(&body);
+        wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
+        let limits = Limits::default();
+
+        // Streamed in chunks with stalls mid-body: a stall keeps the partial
+        // request buffered and the next call resumes it.
+        let mut stream = Stalling {
+            data: std::io::Cursor::new(wire.clone()),
+            chunk: 1 << 16,
+            calls: 0,
+        };
+        let mut buf = Vec::new();
+        let mut next = |buf: &mut Vec<u8>| loop {
+            match read_request(&mut stream, buf, &limits, None) {
+                ReadOutcome::Io(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
+                other => break other,
+            }
+        };
+        let ReadOutcome::Request(first) = next(&mut buf) else {
+            panic!("large request should parse");
+        };
+        assert_eq!(first.head.target, "/sessions");
+        assert!(first.body == body, "body bytes differ");
+        let ReadOutcome::Request(second) = next(&mut buf) else {
+            panic!("pipelined request should parse");
+        };
+        assert_eq!(second.head.target, "/healthz");
+        assert!(second.body.is_empty());
+        assert!(matches!(next(&mut buf), ReadOutcome::Closed));
+
+        // Fully buffered: the pipelined request stays behind in the buffer.
+        let mut buf = wire;
+        let mut empty = std::io::Cursor::new(Vec::new());
+        let ReadOutcome::Request(first) = read_request(&mut empty, &mut buf, &limits, None) else {
+            panic!("buffered request should parse");
+        };
+        assert!(first.body == body, "body bytes differ");
+        assert_eq!(buf, b"GET /healthz HTTP/1.1\r\n\r\n");
     }
 
     #[test]

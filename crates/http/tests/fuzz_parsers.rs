@@ -1,8 +1,13 @@
-//! The seeded fuzz gate: 10k byte-mutated inputs per parser per seed must
-//! all parse or reject — a panic anywhere fails the test. The same harness
-//! backs `cargo xtask fuzz-http --seed N` for replaying a specific seed.
+//! The seeded fuzz gate: 10k inputs per target per seed must all parse or
+//! reject — a panic anywhere fails the test — and the streaming wire
+//! decoders must agree with their tree-walking oracle on every input. The
+//! same harness backs `cargo xtask fuzz-http --seed N` for replaying a
+//! specific seed.
 
-use revmax_http::fuzz::{fuzz_http_parser, fuzz_json_codec, FuzzReport, DEFAULT_ITERATIONS};
+use revmax_http::fuzz::{
+    fuzz_event_decoder, fuzz_http_parser, fuzz_instance_decoder, fuzz_json_codec, FuzzReport,
+    DEFAULT_ITERATIONS,
+};
 
 fn check(report: FuzzReport, what: &str) {
     assert_eq!(report.iterations, DEFAULT_ITERATIONS, "{what}: short run");
@@ -34,6 +39,28 @@ fn json_codec_survives_10k_mutations_per_seed() {
         check(
             fuzz_json_codec(seed, DEFAULT_ITERATIONS),
             &format!("json seed {seed}"),
+        );
+    }
+}
+
+#[test]
+fn instance_decoder_agrees_with_the_tree_oracle_on_10k_documents_per_seed() {
+    for seed in [1, 2, 0xC0FFEE] {
+        let report = fuzz_instance_decoder(seed, DEFAULT_ITERATIONS);
+        check(report, &format!("instance seed {seed}"));
+        assert!(
+            report.unprocessable > 0,
+            "instance seed {seed}: no 422s ({report:?})"
+        );
+    }
+}
+
+#[test]
+fn event_decoder_agrees_with_the_tree_oracle_on_10k_documents_per_seed() {
+    for seed in [1, 2, 0xC0FFEE] {
+        check(
+            fuzz_event_decoder(seed, DEFAULT_ITERATIONS),
+            &format!("event seed {seed}"),
         );
     }
 }

@@ -13,10 +13,11 @@
 //!   claim/charge/release protocol under an acquire/release-aware memory
 //!   model, detector-sanity scenarios, a `Relaxed`-demotion mutant
 //!   sensitivity gate, and seeded random-schedule fuzzing.
-//! * `cargo xtask fuzz-http` — seeded byte-mutation fuzzing of the HTTP
-//!   front end's untrusted-input parsers (`revmax_http::request` and the
-//!   shared JSON codec); `--seed <n>` replays one seed, `--iterations <n>`
-//!   scales the per-seed input count.
+//! * `cargo xtask fuzz-http` — seeded fuzzing of the HTTP front end's
+//!   untrusted-input surfaces (`revmax_http::request`, the shared JSON
+//!   reader, and the streaming wire decoders against their tree-walking
+//!   oracle); `--seed <n>` replays one seed, `--iterations <n>` scales the
+//!   per-seed input count.
 //!
 //! Both commands exit non-zero on failure and run as gating CI jobs; see
 //! ARCHITECTURE.md § "Analysis toolchain".
@@ -43,10 +44,10 @@ fn usage() -> ExitCode {
     eprintln!("  check-ledger             ledger model checker (exhaustive 2-3 thread");
     eprintln!("                           schedules, mutant sensitivity, seeded fuzz)");
     eprintln!("    --fuzz-seed <n>        override the random-schedule fuzz seed");
-    eprintln!("  fuzz-http                seeded byte-mutation fuzzing of the HTTP head");
-    eprintln!("                           parser and the JSON codec");
+    eprintln!("  fuzz-http                seeded fuzzing of the HTTP head parser, the");
+    eprintln!("                           JSON reader and the wire decoders (differential)");
     eprintln!("    --seed <n>             fuzz a single seed (default: a fixed trio)");
-    eprintln!("    --iterations <n>       mutated inputs per parser per seed");
+    eprintln!("    --iterations <n>       inputs per target per seed");
     ExitCode::from(2)
 }
 
@@ -103,7 +104,7 @@ fn fuzz_http(seed: Option<u64>, iterations: usize) -> ExitCode {
         Some(s) => vec![s],
         None => FUZZ_HTTP_SEEDS.to_vec(),
     };
-    println!("fuzz-http: {iterations} mutated inputs per parser per seed");
+    println!("fuzz-http: {iterations} inputs per target per seed");
     for seed in seeds {
         let http = revmax_http::fuzz::fuzz_http_parser(seed, iterations);
         println!(
@@ -112,11 +113,21 @@ fn fuzz_http(seed: Option<u64>, iterations: usize) -> ExitCode {
         );
         let json = revmax_http::fuzz::fuzz_json_codec(seed, iterations);
         println!(
-            "  ok   json codec         seed {seed:#x}: {} accepted / {} rejected",
+            "  ok   json reader        seed {seed:#x}: {} accepted / {} rejected",
             json.accepted, json.rejected
         );
+        let instances = revmax_http::fuzz::fuzz_instance_decoder(seed, iterations);
+        println!(
+            "  ok   instance decoder   seed {seed:#x}: {} accepted / {} rejected ({} as 422), oracle agrees",
+            instances.accepted, instances.rejected, instances.unprocessable
+        );
+        let events = revmax_http::fuzz::fuzz_event_decoder(seed, iterations);
+        println!(
+            "  ok   event decoder      seed {seed:#x}: {} accepted / {} rejected, oracle agrees",
+            events.accepted, events.rejected
+        );
     }
-    println!("fuzz-http: all inputs parsed or rejected cleanly");
+    println!("fuzz-http: all inputs parsed or rejected cleanly; decoders agree with the oracle");
     ExitCode::SUCCESS
 }
 
