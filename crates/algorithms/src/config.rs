@@ -1,11 +1,8 @@
 //! The unified planner configuration and the single planning entry point.
 //!
-//! [`PlannerConfig`] subsumes the three historical option structs
-//! (`GreedyOptions`, `LocalGreedyOptions`, and `revmax-serve`'s old
-//! `PlanOptions`) behind one surface: pick an algorithm, an engine, a heap,
-//! a shard count, and a seed, then call [`plan`]. The old structs survive as
-//! thin `#[deprecated]` conversions (`impl From<…> for PlannerConfig`), so
-//! code written against them keeps compiling and produces identical plans.
+//! [`PlannerConfig`] is the one configuration surface of every planner:
+//! pick an algorithm, an engine, a shard count, and a seed, then call
+//! [`plan`].
 //!
 //! ```
 //! use revmax_algorithms::{plan, PlannerConfig};
@@ -23,13 +20,12 @@
 //! ```
 //!
 //! Every knob is a **performance knob, never a behaviour knob**: for a fixed
-//! [`PlanAlgorithm`], any combination of engine, heap, shard count, and
+//! [`PlanAlgorithm`], any combination of engine, shard count, and
 //! parallelism produces the same strategy (asserted to 1e-9 by the engine
 //! parity suites). The seed only matters for
 //! [`PlanAlgorithm::RandomizedLocalGreedy`].
 
 use crate::global_greedy::{EngineKind, GreedyOutcome};
-use crate::heap::HeapKind;
 use revmax_core::{env, AggregateMode, Instance, ResidualDelta};
 
 /// Which planning algorithm a [`PlannerConfig`] selects.
@@ -57,7 +53,7 @@ pub enum PlanAlgorithm {
 /// `Instance` build time, see `revmax_core::BetaProfile`), the flat engine
 /// answers marginals from per-(group, time) closed-form accumulators in
 /// `O(T)` instead of walking the group's selected triples. Mixed-β classes
-/// always fall back to the exact slab walk, so every mode is safe on every
+/// always fall back to the exact slab walk, so both modes are safe on every
 /// instance; like all planner knobs this changes speed, never results
 /// (parity asserted to 1e-9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,26 +65,17 @@ pub enum Aggregates {
     /// it saves), deeper groups compile to the aggregate kernel. The default.
     #[default]
     Auto,
-    /// Engage the fast path for **every** qualifying (uniform-β) group,
-    /// bypassing [`Aggregates::Auto`]'s depth gate — the fixed opt-in that
-    /// the aggregate-vs-walk bench rows and parity suites pin against.
-    On,
-    /// Never engage the fast path; every group uses the slab walk (the
-    /// ablation the aggregate-vs-walk bench rows measure).
+    /// Never engage the fast path; every group uses the slab walk — the
+    /// reference the kernel parity suites plan against and the ablation the
+    /// aggregate-vs-walk bench rows measure.
     Off,
 }
 
 impl Aggregates {
-    /// Whether engines should enable their aggregate path.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, Aggregates::Off)
-    }
-
     /// The engine-side kernel-selection mode this knob maps to.
     pub fn mode(&self) -> AggregateMode {
         match self {
             Aggregates::Auto => AggregateMode::Auto,
-            Aggregates::On => AggregateMode::On,
             Aggregates::Off => AggregateMode::Off,
         }
     }
@@ -105,8 +92,6 @@ pub struct PlannerConfig {
     pub algorithm: PlanAlgorithm,
     /// Incremental revenue engine backing the run.
     pub engine: EngineKind,
-    /// Heap implementation backing the selection loops.
-    pub heap: HeapKind,
     /// Number of user shards (`0`/`1` = the sequential driver, `n ≥ 2` = the
     /// shard-partitioned core of [`crate::sharded`]).
     pub shards: u32,
@@ -115,9 +100,6 @@ pub struct PlannerConfig {
     /// Use the lazy-forward optimisation (on by default); turning it off is
     /// the eager re-evaluation ablation.
     pub lazy_forward: bool,
-    /// Use the two-level heap layout of §5.1 (on by default); off selects
-    /// the single giant heap over all candidate triples (ablation).
-    pub two_level_heaps: bool,
     /// Record the objective value after every selection (Figure 4 traces).
     pub track_trace: bool,
     /// Thread parallelism for the deterministic fill/scan phases: `None`
@@ -176,11 +158,9 @@ impl Default for PlannerConfig {
         PlannerConfig {
             algorithm: PlanAlgorithm::default(),
             engine: EngineKind::default(),
-            heap: HeapKind::default(),
             shards: 1,
             seed: 0,
             lazy_forward: true,
-            two_level_heaps: true,
             track_trace: false,
             parallel: None,
             warm_start: false,
@@ -192,7 +172,7 @@ impl Default for PlannerConfig {
 }
 
 impl PlannerConfig {
-    /// The default configuration (G-Greedy, flat engine, lazy heap, 1 shard).
+    /// The default configuration (G-Greedy, flat engine, 1 shard).
     pub fn new() -> Self {
         Self::default()
     }
@@ -206,12 +186,6 @@ impl PlannerConfig {
     /// Selects the incremental revenue engine.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the heap implementation.
-    pub fn with_heap(mut self, heap: HeapKind) -> Self {
-        self.heap = heap;
         self
     }
 
@@ -230,12 +204,6 @@ impl PlannerConfig {
     /// Switches the lazy-forward optimisation.
     pub fn with_lazy_forward(mut self, lazy_forward: bool) -> Self {
         self.lazy_forward = lazy_forward;
-        self
-    }
-
-    /// Switches the two-level heap layout.
-    pub fn with_two_level_heaps(mut self, two_level_heaps: bool) -> Self {
-        self.two_level_heaps = two_level_heaps;
         self
     }
 
@@ -293,12 +261,9 @@ impl PlannerConfig {
     /// * `REVMAX_ALGORITHM` — `gg` (default), `gg-no`, `slg`, or `rlg`
     ///   (RL-Greedy with the paper's 20 permutations);
     /// * `REVMAX_ENGINE` — `flat` (default) or `hash`;
-    /// * `REVMAX_HEAP` — `lazy` (default) or `dary` / `indexed_dary`;
     /// * `REVMAX_SHARDS` — shard count (`≥ 2` engages the sharded core);
     /// * `REVMAX_SEED` — seed for the randomized algorithms;
     /// * `REVMAX_WARM_START` — `1` enables warm-started residual replans;
-    /// * `REVMAX_AGGREGATES` — `auto` (default), `on`, or `off`: the
-    ///   saturation-aggregate fast path for uniform-β classes;
     /// * `REVMAX_KERNEL_BATCH` — batched heap-refresh width (default 8,
     ///   `0` = the legacy scalar refresh loop);
     /// * `REVMAX_SHARD_THREADS` — worker threads for the concurrent shard
@@ -315,9 +280,6 @@ impl PlannerConfig {
         if let Some(engine) = env::var_with("REVMAX_ENGINE", parse_engine) {
             self.engine = engine;
         }
-        if let Some(heap) = env::var_with("REVMAX_HEAP", parse_heap) {
-            self.heap = heap;
-        }
         if let Some(shards) = env::var::<u32>("REVMAX_SHARDS") {
             self.shards = shards.max(1);
         }
@@ -326,9 +288,6 @@ impl PlannerConfig {
         }
         if let Some(warm) = env::var::<u32>("REVMAX_WARM_START") {
             self.warm_start = warm != 0;
-        }
-        if let Some(aggregates) = env::var_with("REVMAX_AGGREGATES", parse_aggregates) {
-            self.aggregates = aggregates;
         }
         if let Some(kernel_batch) = env::var::<u32>("REVMAX_KERNEL_BATCH") {
             self.kernel_batch = kernel_batch;
@@ -388,23 +347,6 @@ fn parse_engine(s: &str) -> Option<EngineKind> {
     }
 }
 
-fn parse_heap(s: &str) -> Option<HeapKind> {
-    match s {
-        "lazy" => Some(HeapKind::Lazy),
-        "dary" | "indexed_dary" => Some(HeapKind::IndexedDary),
-        _ => None,
-    }
-}
-
-fn parse_aggregates(s: &str) -> Option<Aggregates> {
-    match s {
-        "auto" => Some(Aggregates::Auto),
-        "on" | "1" | "true" => Some(Aggregates::On),
-        "off" | "0" | "false" => Some(Aggregates::Off),
-        _ => None,
-    }
-}
-
 /// Plans an instance with the configured algorithm — the single entry point
 /// the service layer, examples, and experiments are built on.
 pub fn plan(inst: &Instance, config: &PlannerConfig) -> GreedyOutcome {
@@ -439,48 +381,9 @@ pub fn plan_residual(
 /// Runs the per-time-step greedy under an explicit ordering of time steps
 /// (a permutation of `1..=T`, or a subset — only those steps receive
 /// recommendations). The configured algorithm field is ignored; engine,
-/// heap, shards, and parallelism apply.
+/// shards, and parallelism apply.
 pub fn plan_order(inst: &Instance, order: &[u32], config: &PlannerConfig) -> GreedyOutcome {
     crate::local_greedy::dispatch_order(inst, order, config, None)
-}
-
-#[allow(deprecated)]
-impl From<crate::global_greedy::GreedyOptions> for PlannerConfig {
-    fn from(o: crate::global_greedy::GreedyOptions) -> Self {
-        PlannerConfig {
-            algorithm: if o.ignore_saturation {
-                PlanAlgorithm::GlobalNoSaturation
-            } else {
-                PlanAlgorithm::GlobalGreedy
-            },
-            engine: o.engine,
-            heap: o.heap,
-            shards: o.shards.max(1),
-            seed: 0,
-            lazy_forward: o.lazy_forward,
-            two_level_heaps: o.two_level_heaps,
-            track_trace: o.track_trace,
-            parallel: Some(o.parallel_init),
-            warm_start: false,
-            aggregates: Aggregates::default(),
-            kernel_batch: PlannerConfig::default().kernel_batch,
-            shard_threads: 1,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<crate::local_greedy::LocalGreedyOptions> for PlannerConfig {
-    fn from(o: crate::local_greedy::LocalGreedyOptions) -> Self {
-        PlannerConfig {
-            algorithm: PlanAlgorithm::SequentialLocalGreedy,
-            engine: o.engine,
-            heap: o.heap,
-            shards: o.shards.max(1),
-            parallel: o.parallel_scan,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -492,27 +395,22 @@ mod tests {
         let cfg = PlannerConfig::new()
             .with_algorithm(PlanAlgorithm::SequentialLocalGreedy)
             .with_engine(EngineKind::Hash)
-            .with_heap(HeapKind::IndexedDary)
             .with_shards(0)
             .with_seed(7)
             .with_lazy_forward(false)
-            .with_two_level_heaps(false)
             .with_track_trace(true)
             .with_parallel(Some(false))
             .with_aggregates(Aggregates::Off)
             .with_kernel_batch(0);
         assert_eq!(cfg.algorithm, PlanAlgorithm::SequentialLocalGreedy);
         assert_eq!(cfg.engine, EngineKind::Hash);
-        assert_eq!(cfg.heap, HeapKind::IndexedDary);
         assert_eq!(cfg.shards, 1, "0 shards normalises to 1");
         assert_eq!(cfg.seed, 7);
         assert!(!cfg.lazy_forward);
-        assert!(!cfg.two_level_heaps);
         assert!(cfg.track_trace);
         assert_eq!(cfg.parallel, Some(false));
         assert_eq!(cfg.aggregates, Aggregates::Off);
-        assert!(!cfg.aggregates.enabled());
-        assert!(PlannerConfig::default().aggregates.enabled());
+        assert_eq!(PlannerConfig::default().aggregates, Aggregates::Auto);
         assert_eq!(cfg.kernel_batch, 0);
         assert_eq!(
             PlannerConfig::default().kernel_batch,
@@ -524,7 +422,6 @@ mod tests {
     #[test]
     fn aggregates_map_onto_the_engine_modes() {
         assert_eq!(Aggregates::Auto.mode(), AggregateMode::Auto);
-        assert_eq!(Aggregates::On.mode(), AggregateMode::On);
         assert_eq!(Aggregates::Off.mode(), AggregateMode::Off);
         assert_eq!(Aggregates::default().mode(), AggregateMode::default());
     }
@@ -577,18 +474,9 @@ mod tests {
 
     #[test]
     fn knob_parsers_accept_the_documented_values() {
-        assert_eq!(parse_aggregates("auto"), Some(Aggregates::Auto));
-        assert_eq!(parse_aggregates("on"), Some(Aggregates::On));
-        assert_eq!(parse_aggregates("1"), Some(Aggregates::On));
-        assert_eq!(parse_aggregates("off"), Some(Aggregates::Off));
-        assert_eq!(parse_aggregates("0"), Some(Aggregates::Off));
-        assert_eq!(parse_aggregates("typo"), None);
         assert_eq!(parse_engine("flat"), Some(EngineKind::Flat));
         assert_eq!(parse_engine("hash"), Some(EngineKind::Hash));
         assert_eq!(parse_engine("typo"), None);
-        assert_eq!(parse_heap("lazy"), Some(HeapKind::Lazy));
-        assert_eq!(parse_heap("dary"), Some(HeapKind::IndexedDary));
-        assert_eq!(parse_heap("indexed_dary"), Some(HeapKind::IndexedDary));
         assert_eq!(parse_algorithm("gg"), Some(PlanAlgorithm::GlobalGreedy));
         assert_eq!(
             parse_algorithm("gg-no"),
@@ -603,44 +491,5 @@ mod tests {
             Some(PlanAlgorithm::RandomizedLocalGreedy { permutations: 20 })
         );
         assert_eq!(parse_algorithm("brute_force"), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn conversions_from_the_deprecated_structs_preserve_every_knob() {
-        use crate::global_greedy::GreedyOptions;
-        use crate::local_greedy::LocalGreedyOptions;
-
-        let greedy = GreedyOptions {
-            ignore_saturation: true,
-            lazy_forward: false,
-            two_level_heaps: false,
-            track_trace: true,
-            engine: EngineKind::Hash,
-            parallel_init: false,
-            heap: HeapKind::IndexedDary,
-            shards: 3,
-        };
-        let cfg = PlannerConfig::from(greedy);
-        assert_eq!(cfg.algorithm, PlanAlgorithm::GlobalNoSaturation);
-        assert_eq!(cfg.engine, EngineKind::Hash);
-        assert_eq!(cfg.heap, HeapKind::IndexedDary);
-        assert_eq!(cfg.shards, 3);
-        assert!(!cfg.lazy_forward);
-        assert!(!cfg.two_level_heaps);
-        assert!(cfg.track_trace);
-        assert_eq!(cfg.parallel, Some(false));
-
-        let local = LocalGreedyOptions {
-            engine: EngineKind::Hash,
-            parallel_scan: Some(true),
-            heap: HeapKind::IndexedDary,
-            shards: 2,
-        };
-        let cfg = PlannerConfig::from(local);
-        assert_eq!(cfg.algorithm, PlanAlgorithm::SequentialLocalGreedy);
-        assert_eq!(cfg.engine, EngineKind::Hash);
-        assert_eq!(cfg.shards, 2);
-        assert_eq!(cfg.parallel, Some(true));
     }
 }

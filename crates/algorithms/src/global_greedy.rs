@@ -31,7 +31,7 @@
 //! candidates) is filled by scoped threads cut at user boundaries.
 
 use crate::config::PlannerConfig;
-use crate::heap::{GreedyHeap, HeapKind, IndexedDaryHeap, LazyMaxHeap};
+use crate::heap::LazyMaxHeap;
 use crate::par;
 use revmax_core::{
     revenue, CandidateId, HashIncrementalRevenue, IncrementalRevenue, Instance, ResidualDelta,
@@ -46,88 +46,6 @@ pub enum EngineKind {
     Flat,
     /// The pre-refactor hash-based engine, kept as a measured baseline.
     Hash,
-}
-
-/// Options controlling the G-Greedy run.
-///
-/// Superseded by [`PlannerConfig`], which unifies this struct with
-/// `LocalGreedyOptions` and the serving layer's options behind one surface;
-/// a `GreedyOptions` converts losslessly via `PlannerConfig::from`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use PlannerConfig (this struct converts via `PlannerConfig::from`); removal scheduled for 0.4.0"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct GreedyOptions {
-    /// Select triples as if `β_i = 1` for every item (the `GlobalNo` baseline).
-    /// The reported [`GreedyOutcome::revenue`] is always the true revenue.
-    pub ignore_saturation: bool,
-    /// Use the lazy-forward optimisation (on by default). Turning it off
-    /// recomputes a candidate's marginal revenues every time it surfaces,
-    /// which is the ablation measured in the benches.
-    pub lazy_forward: bool,
-    /// Use the two-level heap layout. When false, a single "giant" heap over
-    /// all candidate triples is used instead (ablation).
-    pub two_level_heaps: bool,
-    /// Record the revenue after every selection (Figure 4 traces).
-    pub track_trace: bool,
-    /// Incremental engine backing the run.
-    pub engine: EngineKind,
-    /// Fill the initial value table with scoped threads (deterministic; the
-    /// sequential and parallel fills are bit-identical).
-    pub parallel_init: bool,
-    /// Heap implementation backing the selection loops. The lazy-deletion
-    /// heap (default, measured fastest on the Amazon-shaped datasets) and
-    /// the indexed d-ary decrease-key heap produce identical selection
-    /// sequences (same deterministic tie-breaking); see
-    /// [`HeapKind`] for the trade-off.
-    pub heap: HeapKind,
-    /// Number of user shards for the shard-partitioned planning core.
-    /// `0` or `1` selects the single-engine sequential driver; `n ≥ 2`
-    /// partitions the users into `n` CSR-aligned shards, each owning a
-    /// shard-local engine view, candidate table, and heap, coordinated by a
-    /// deterministic max-marginal arbitration loop that reproduces the
-    /// sequential plan exactly (see `crate::sharded`). The sharded core
-    /// always uses the two-level heap layout.
-    pub shards: u32,
-}
-
-#[allow(deprecated)]
-impl Default for GreedyOptions {
-    fn default() -> Self {
-        GreedyOptions {
-            ignore_saturation: false,
-            lazy_forward: true,
-            two_level_heaps: true,
-            track_trace: false,
-            engine: EngineKind::Flat,
-            parallel_init: true,
-            heap: HeapKind::default(),
-            shards: 1,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl GreedyOptions {
-    /// Default options with the `REVMAX_*` environment knobs layered on top.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use PlannerConfig::from_env; removal scheduled for 0.4.0"
-    )]
-    pub fn from_env() -> Self {
-        let cfg = PlannerConfig::from_env();
-        GreedyOptions {
-            ignore_saturation: cfg.ignores_saturation(),
-            lazy_forward: cfg.lazy_forward,
-            two_level_heaps: cfg.two_level_heaps,
-            track_trace: cfg.track_trace,
-            engine: cfg.engine,
-            parallel_init: cfg.parallel_init(),
-            heap: cfg.heap,
-            shards: cfg.shards,
-        }
-    }
 }
 
 /// The result of a greedy run.
@@ -196,16 +114,6 @@ pub fn global_no_saturation(inst: &Instance) -> GreedyOutcome {
     )
 }
 
-/// Runs G-Greedy with explicit options.
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan with a PlannerConfig; removal scheduled for 0.4.0"
-)]
-#[allow(deprecated)]
-pub fn global_greedy_with(inst: &Instance, opts: &GreedyOptions) -> GreedyOutcome {
-    dispatch(inst, &PlannerConfig::from(*opts), None)
-}
-
 /// Constructs the engine for a driver: warm-started from the delta's
 /// snapshot when the configuration asks for it, cold otherwise, with the
 /// saturation-aggregate knob applied before the first insertion.
@@ -224,8 +132,8 @@ pub(crate) fn make_engine<'a, E: RevenueEngine<'a>>(
     engine
 }
 
-/// The G-Greedy driver dispatch: shard count, engine, heap layout. `delta`
-/// is the warm-start handle of a residual replan (`None` for one-shot plans).
+/// The G-Greedy driver dispatch: shard count, then engine. `delta` is the
+/// warm-start handle of a residual replan (`None` for one-shot plans).
 pub(crate) fn dispatch(
     inst: &Instance,
     cfg: &PlannerConfig,
@@ -234,27 +142,9 @@ pub(crate) fn dispatch(
     if cfg.shards > 1 {
         return crate::sharded::sharded_plan_residual(inst, cfg, cfg.shards as usize, delta);
     }
-    use EngineKind::{Flat, Hash};
-    use HeapKind::{IndexedDary, Lazy};
-    type FlatEng<'i> = IncrementalRevenue<'i>;
-    type HashEng<'i> = HashIncrementalRevenue<'i>;
-    match (cfg.engine, cfg.two_level_heaps, cfg.heap) {
-        (Flat, true, Lazy) => two_level_greedy::<FlatEng<'_>, LazyMaxHeap>(inst, cfg, delta),
-        (Flat, true, IndexedDary) => {
-            two_level_greedy::<FlatEng<'_>, IndexedDaryHeap>(inst, cfg, delta)
-        }
-        (Flat, false, Lazy) => giant_heap_greedy::<FlatEng<'_>, LazyMaxHeap>(inst, cfg, delta),
-        (Flat, false, IndexedDary) => {
-            giant_heap_greedy::<FlatEng<'_>, IndexedDaryHeap>(inst, cfg, delta)
-        }
-        (Hash, true, Lazy) => two_level_greedy::<HashEng<'_>, LazyMaxHeap>(inst, cfg, delta),
-        (Hash, true, IndexedDary) => {
-            two_level_greedy::<HashEng<'_>, IndexedDaryHeap>(inst, cfg, delta)
-        }
-        (Hash, false, Lazy) => giant_heap_greedy::<HashEng<'_>, LazyMaxHeap>(inst, cfg, delta),
-        (Hash, false, IndexedDary) => {
-            giant_heap_greedy::<HashEng<'_>, IndexedDaryHeap>(inst, cfg, delta)
-        }
+    match cfg.engine {
+        EngineKind::Flat => two_level_greedy::<IncrementalRevenue<'_>>(inst, cfg, delta),
+        EngineKind::Hash => two_level_greedy::<HashIncrementalRevenue<'_>>(inst, cfg, delta),
     }
 }
 
@@ -403,10 +293,10 @@ pub(crate) type StaleMember = (u8, u32, u32);
 /// (Like lazy forward itself this is asserted empirically — the kernel
 /// parity suite pins batched == scalar plans across batch widths.)
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_stale_run<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+pub(crate) fn collect_stale_run<'a, E: RevenueEngine<'a>>(
     inc: &E,
     table: &mut CandidateTable,
-    heap: &mut H,
+    heap: &mut LazyMaxHeap,
     cand_start: u32,
     lazy_forward: bool,
     violates: impl Fn(&E, CandidateId, TimeStep) -> bool,
@@ -448,10 +338,10 @@ pub(crate) fn collect_stale_run<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
 /// burst runs one kernel's inner loop back to back, branch-predictably;
 /// since no insertion happens inside a burst, the evaluation order cannot
 /// change any computed value. Returns the number of marginal evaluations.
-pub(crate) fn refresh_stale_run<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+pub(crate) fn refresh_stale_run<'a, E: RevenueEngine<'a>>(
     inc: &E,
     table: &mut CandidateTable,
-    heap: &mut H,
+    heap: &mut LazyMaxHeap,
     cand_start: u32,
     run: &mut [StaleMember],
 ) -> u64 {
@@ -501,29 +391,26 @@ fn finish<'a, E: RevenueEngine<'a>>(
 /// at 38k it wins 1.2–1.4×).
 const TOURNAMENT_MIN_CANDIDATES: usize = 4096;
 
-fn two_level_greedy<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+fn two_level_greedy<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
     if cfg.kernel_batch == 0 || inst.num_candidates() < TOURNAMENT_MIN_CANDIDATES {
-        two_level_greedy_scalar::<E, H>(inst, cfg, delta)
+        two_level_greedy_scalar::<E>(inst, cfg, delta)
     } else {
-        // The tournament driver has no heap, so the heap kind only affects
-        // the scalar ablation (and the sharded / SLG drivers).
         two_level_greedy_batched::<E>(inst, cfg, delta)
     }
 }
 
 /// A loser-free tournament tree over the candidate root values, with the
-/// same total order as the greedy heaps: larger value first, ties towards
+/// same total order as [`LazyMaxHeap`]: larger value first, ties towards
 /// the smaller candidate id. The kernel-compiled driver keys selection off
 /// this tree instead of a binary heap: re-keying a candidate is a fix of
 /// the leaf-to-root path — `log₂ candidates` branchless winner recomputes
 /// with no swaps, no position index, and an early exit as soon as a node is
 /// unchanged — where a lazy heap pays a full pop/push round trip (sift plus
-/// stale-entry drain) per surfaced candidate, and an indexed d-ary heap
-/// pays swap chains plus position bookkeeping on every decrease-key.
+/// stale-entry drain) per surfaced candidate.
 struct CandTournament {
     /// Leaf count, `num_candidates` rounded up to a power of two.
     size: usize,
@@ -546,8 +433,8 @@ impl CandTournament {
     }
 
     /// The heap ordering: maximum value, ties to the smaller candidate id —
-    /// exactly the (value desc, id asc) total order both greedy heaps use,
-    /// so the tournament selects the scalar driver's sequence.
+    /// exactly the (value desc, id asc) total order [`LazyMaxHeap`] pops
+    /// in, so the tournament selects the scalar driver's sequence.
     #[inline]
     fn winner(a: (f64, u32), b: (f64, u32)) -> (f64, u32) {
         if a.0 > b.0 || (a.0 == b.0 && a.1 < b.1) {
@@ -729,7 +616,7 @@ fn refresh_leaf(
 /// The legacy pop-per-iteration two-level driver (`kernel_batch == 0`): one
 /// heap round trip per examined candidate, scalar refreshes. Kept reachable
 /// as the measured "generic" baseline of the kernel-vs-generic bench rows.
-fn two_level_greedy_scalar<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+fn two_level_greedy_scalar<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
@@ -750,7 +637,7 @@ fn two_level_greedy_scalar<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
     for cand in 0..num_cand as u32 {
         roots[cand as usize] = table.best(cand).map_or(f64::NEG_INFINITY, |(_, v)| v);
     }
-    let mut heap = H::build(&roots);
+    let mut heap = LazyMaxHeap::new(&roots);
     let total_slots = inst.total_slots();
 
     'outer: while (inc.len() as u64) < total_slots {
@@ -824,66 +711,6 @@ fn two_level_greedy_scalar<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
                 Some((_, v)) => heap.update(cand_idx, v),
                 None => heap.remove(cand_idx),
             }
-        }
-    }
-
-    finish(inst, inc, cfg, trace, evals)
-}
-
-fn giant_heap_greedy<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
-    inst: &'a Instance,
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    let horizon = inst.horizon() as usize;
-    let mut inc: E = make_engine(
-        inst,
-        cfg.ignores_saturation(),
-        inst.full_shard(),
-        cfg,
-        delta,
-    );
-    let mut trace = Vec::new();
-    let mut evals: u64 = 0;
-
-    // One heap element per candidate triple; the table's value vector doubles
-    // as the initial heap keys.
-    let table = CandidateTable::new(inst, cfg.parallel_init());
-    let mut flags = table.flags;
-    let mut heap = H::build(&table.values);
-    let total_slots = inst.total_slots();
-
-    while (inc.len() as u64) < total_slots {
-        let Some((element, value)) = heap.pop() else {
-            break;
-        };
-        if value <= 0.0 {
-            break;
-        }
-        let cand = CandidateId(element / horizon as u32);
-        let t_idx = (element as usize) % horizon;
-        let t = TimeStep::from_index(t_idx);
-
-        if inc.would_violate_cand(cand, t) {
-            heap.remove(element);
-            continue;
-        }
-        let stamp = if cfg.lazy_forward {
-            inc.group_size_cand(cand) as u32
-        } else {
-            inc.len() as u32
-        };
-        if flags[element as usize] == stamp {
-            inc.insert_cand(cand, t);
-            heap.remove(element);
-            if cfg.track_trace {
-                trace.push(inc.revenue());
-            }
-        } else {
-            let fresh = inc.marginal_revenue_cand(cand, t);
-            evals += 1;
-            flags[element as usize] = stamp;
-            heap.update(element, fresh);
         }
     }
 
@@ -1004,39 +831,18 @@ mod tests {
     }
 
     #[test]
-    fn giant_heap_and_two_level_agree() {
-        let inst = small_instance();
-        let two = dispatch(&inst, &PlannerConfig::default(), None);
-        let giant = dispatch(
-            &inst,
-            &PlannerConfig::default().with_two_level_heaps(false),
-            None,
-        );
-        assert!((two.revenue - giant.revenue).abs() < 1e-9);
-        assert_eq!(two.strategy.len(), giant.strategy.len());
-    }
-
-    #[test]
     fn flat_and_hash_engines_agree_exactly() {
         let inst = small_instance();
-        for two_level in [true, false] {
-            let flat = dispatch(
-                &inst,
-                &PlannerConfig::default().with_two_level_heaps(two_level),
-                None,
-            );
-            let hash = dispatch(
-                &inst,
-                &PlannerConfig::default()
-                    .with_two_level_heaps(two_level)
-                    .with_engine(EngineKind::Hash),
-                None,
-            );
-            assert!((flat.revenue - hash.revenue).abs() < 1e-9);
-            assert_eq!(flat.strategy.len(), hash.strategy.len());
-            for z in flat.strategy.iter() {
-                assert!(hash.strategy.contains(z), "strategies diverged at {z}");
-            }
+        let flat = dispatch(&inst, &PlannerConfig::default(), None);
+        let hash = dispatch(
+            &inst,
+            &PlannerConfig::default().with_engine(EngineKind::Hash),
+            None,
+        );
+        assert!((flat.revenue - hash.revenue).abs() < 1e-9);
+        assert_eq!(flat.strategy.len(), hash.strategy.len());
+        for z in flat.strategy.iter() {
+            assert!(hash.strategy.contains(z), "strategies diverged at {z}");
         }
     }
 

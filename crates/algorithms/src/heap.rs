@@ -1,24 +1,14 @@
-//! Priority-queue building blocks shared by the greedy algorithms.
+//! The priority queue shared by the heap-driven greedy loops (the sharded
+//! drivers, SL/RL-Greedy, the staged variants, and sequential G-Greedy below
+//! the tournament size gate).
 //!
-//! Two interchangeable max-heaps keyed by (stale) marginal revenues:
-//!
-//! * [`LazyMaxHeap`] — the lazy-deletion scheme: every update pushes a fresh
-//!   entry and records the current value per element; popped entries whose
-//!   value no longer matches the recorded one are stale and skipped;
-//! * [`IndexedDaryHeap`] — a true decrease-key heap: a 4-ary implicit heap
-//!   plus a position index per element, so updates sift the element in place
-//!   and the heap never accumulates stale entries. Shallower than a binary
-//!   heap (`log₄ n` levels) and at most one array slot per live element, it
-//!   replaces the lazy heap's stale-entry pollution with `O(d · log_d n)`
-//!   sifts — the profile-guided ROADMAP item (~30% of the remaining G-Greedy
-//!   wall time sat in lazy-heap traffic).
-//!
-//! Both heaps break ties identically (maximum value, then the smaller
-//! element id), so the greedy algorithms produce the same selection sequence
-//! whichever heap backs them; [`HeapKind`] is the runtime-selected
-//! dispatcher behind `GreedyOptions::heap`, and the equivalence is asserted
-//! by the tests below and the driver-level tests in
-//! `tests/algorithm_properties.rs`.
+//! [`LazyMaxHeap`] is a lazy-deletion binary max-heap keyed by (possibly
+//! stale) marginal revenues: every update pushes a fresh entry and records
+//! the element's current value, and popped entries whose value is no longer
+//! exactly the recorded one are stale and skipped. It pops in the
+//! (value desc, element id asc) total order — the same order the tournament
+//! tree of `global_greedy` and the shard arbitration (`precedes`) use — so
+//! every driver selects the same sequence.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -79,16 +69,6 @@ impl LazyMaxHeap {
         }
     }
 
-    /// Number of elements still alive (not removed).
-    pub fn live_elements(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// The current value of an element.
-    pub fn value(&self, element: u32) -> f64 {
-        self.current[element as usize]
-    }
-
     /// Changes the value of an element (pushes a fresh entry).
     pub fn update(&mut self, element: u32, value: f64) {
         self.current[element as usize] = value;
@@ -102,10 +82,14 @@ impl LazyMaxHeap {
         self.alive[element as usize] = false;
     }
 
-    /// Re-inserts a previously removed element with a new value.
-    pub fn revive(&mut self, element: u32, value: f64) {
-        self.alive[element as usize] = true;
-        self.update(element, value);
+    /// Whether `entry` still carries its element's current value. `update`
+    /// stores and pushes the same `f64`, so exact equality is the test: any
+    /// tolerance would let a superseded value of a tiny marginal pass as
+    /// current.
+    #[inline]
+    fn is_current(&self, entry: &Entry) -> bool {
+        let idx = entry.element as usize;
+        self.alive[idx] && entry.value == self.current[idx]
     }
 
     /// Pops the element with the maximum current value, or `None` if empty.
@@ -114,241 +98,29 @@ impl LazyMaxHeap {
     /// [`LazyMaxHeap::remove`] it or [`LazyMaxHeap::update`] it afterwards.
     pub fn pop(&mut self) -> Option<(u32, f64)> {
         while let Some(entry) = self.heap.pop() {
-            let idx = entry.element as usize;
-            if !self.alive[idx] {
-                continue;
+            if self.is_current(&entry) {
+                return Some((entry.element, entry.value));
             }
-            if (entry.value - self.current[idx]).abs() > f64::EPSILON {
-                continue; // stale
-            }
-            return Some((entry.element, entry.value));
         }
         None
     }
 
-    /// Peeks at the maximum current value without popping.
+    /// Peeks at the maximum current value without popping (stale entries on
+    /// top are discarded on the way).
     pub fn peek(&mut self) -> Option<(u32, f64)> {
         loop {
             let entry = *self.heap.peek()?;
-            let idx = entry.element as usize;
-            if !self.alive[idx] || (entry.value - self.current[idx]).abs() > f64::EPSILON {
-                self.heap.pop();
-                continue;
+            if self.is_current(&entry) {
+                return Some((entry.element, entry.value));
             }
-            return Some((entry.element, entry.value));
+            self.heap.pop();
         }
     }
-}
-
-/// Branching factor of the indexed heap. Four children per node keeps the
-/// tree shallow while sift-down still touches at most one or two cache lines
-/// of the heap array per level.
-const D: usize = 4;
-
-/// Sentinel position for "element not currently in the heap array".
-const NOT_IN_HEAP: u32 = u32::MAX;
-
-/// A true decrease-key max-heap over element indices: a 4-ary implicit heap
-/// with a per-element position index.
-///
-/// API contract matches [`LazyMaxHeap`]: [`IndexedDaryHeap::pop`] removes the
-/// root element from the heap but leaves it alive (callers re-queue it with
-/// [`IndexedDaryHeap::update`] or retire it with [`IndexedDaryHeap::remove`]),
-/// updates of removed elements only record the value, and ties are broken
-/// towards the smaller element id.
-#[derive(Debug, Clone)]
-pub struct IndexedDaryHeap {
-    /// Heap array of element ids, max at index 0.
-    heap: Vec<u32>,
-    /// Current value per element (also kept for elements not in the heap).
-    current: Vec<f64>,
-    /// Position of each element in `heap`, or `NOT_IN_HEAP`.
-    pos: Vec<u32>,
-    alive: Vec<bool>,
-}
-
-impl IndexedDaryHeap {
-    /// Builds a heap over `values.len()` elements with the given initial
-    /// values, in `O(n)` (bottom-up heapify).
-    pub fn new(values: &[f64]) -> Self {
-        let n = values.len();
-        let mut h = IndexedDaryHeap {
-            heap: (0..n as u32).collect(),
-            current: values.to_vec(),
-            pos: (0..n as u32).collect(),
-            alive: vec![true; n],
-        };
-        if n > 1 {
-            for i in (0..=(n - 2) / D).rev() {
-                h.sift_down(i);
-            }
-        }
-        h
-    }
-
-    /// Whether element `a` has strictly higher priority than element `b`
-    /// (larger value, ties to the smaller id — the same total order as
-    /// [`LazyMaxHeap`]).
-    #[inline]
-    fn before(&self, a: u32, b: u32) -> bool {
-        let (va, vb) = (self.current[a as usize], self.current[b as usize]);
-        va > vb || (va == vb && a < b)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if self.before(self.heap[i], self.heap[parent]) {
-                self.swap_slots(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        loop {
-            let first = i * D + 1;
-            if first >= len {
-                break;
-            }
-            let mut best = first;
-            for child in first + 1..(first + D).min(len) {
-                if self.before(self.heap[child], self.heap[best]) {
-                    best = child;
-                }
-            }
-            if self.before(self.heap[best], self.heap[i]) {
-                self.swap_slots(i, best);
-                i = best;
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[inline]
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a] as usize] = a as u32;
-        self.pos[self.heap[b] as usize] = b as u32;
-    }
-
-    /// Detaches an element from the heap array (keeps `current` / `alive`).
-    fn detach(&mut self, element: u32) {
-        let p = self.pos[element as usize];
-        if p == NOT_IN_HEAP {
-            return;
-        }
-        let p = p as usize;
-        let last = self.heap.len() - 1;
-        self.swap_slots(p, last);
-        self.heap.pop();
-        self.pos[element as usize] = NOT_IN_HEAP;
-        if p < self.heap.len() {
-            // The element swapped into `p` may need to move either way.
-            let moved = self.heap[p];
-            self.sift_down(p);
-            self.sift_up(self.pos[moved as usize] as usize);
-        }
-    }
-
-    /// Number of elements still alive (not removed).
-    pub fn live_elements(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// The current value of an element.
-    pub fn value(&self, element: u32) -> f64 {
-        self.current[element as usize]
-    }
-
-    /// Changes the value of an element, re-inserting it if it was popped.
-    pub fn update(&mut self, element: u32, value: f64) {
-        self.current[element as usize] = value;
-        if !self.alive[element as usize] {
-            return;
-        }
-        let p = self.pos[element as usize];
-        if p == NOT_IN_HEAP {
-            self.pos[element as usize] = self.heap.len() as u32;
-            self.heap.push(element);
-            self.sift_up(self.heap.len() - 1);
-        } else {
-            let p = p as usize;
-            self.sift_up(p);
-            self.sift_down(self.pos[element as usize] as usize);
-        }
-    }
-
-    /// Removes an element from consideration entirely.
-    pub fn remove(&mut self, element: u32) {
-        self.alive[element as usize] = false;
-        self.detach(element);
-    }
-
-    /// Re-inserts a previously removed element with a new value.
-    pub fn revive(&mut self, element: u32, value: f64) {
-        self.alive[element as usize] = true;
-        self.update(element, value);
-    }
-
-    /// Pops the element with the maximum current value, or `None` if empty.
-    ///
-    /// The popped element stays alive; callers that select it should either
-    /// [`IndexedDaryHeap::remove`] it or [`IndexedDaryHeap::update`] it
-    /// afterwards.
-    pub fn pop(&mut self) -> Option<(u32, f64)> {
-        let root = *self.heap.first()?;
-        self.detach(root);
-        Some((root, self.current[root as usize]))
-    }
-
-    /// Peeks at the maximum current value without popping.
-    pub fn peek(&self) -> Option<(u32, f64)> {
-        self.heap.first().map(|&e| (e, self.current[e as usize]))
-    }
-}
-
-/// Which heap implementation backs a greedy run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HeapKind {
-    /// The lazy-deletion binary heap (default). Measured fastest for the
-    /// two-level greedy on the Amazon-shaped datasets: decreased keys are
-    /// appended and bubble up barely at all, while true decrease-key sifting
-    /// pays `O(d · log_d n)` scattered writes per update.
-    #[default]
-    Lazy,
-    /// The indexed 4-ary decrease-key heap: no stale entries, bounded
-    /// memory (one slot per live element), `O(1)` peek. Selectable for
-    /// workloads where the lazy heap's stale-entry growth hurts (giant-heap
-    /// layouts, memory-constrained serving).
-    IndexedDary,
-}
-
-/// The heap contract the greedy drivers are generic over: a max-heap over
-/// element indices with deterministic (value desc, element id asc)
-/// tie-breaking. Drivers are monomorphised per heap type, so the choice costs
-/// nothing on the hot path.
-pub trait GreedyHeap: Send {
-    /// Builds the heap over `values.len()` elements.
-    fn build(values: &[f64]) -> Self;
-    /// Pops the maximum element (stays alive; re-queue with
-    /// [`GreedyHeap::update`] or retire with [`GreedyHeap::remove`]).
-    fn pop(&mut self) -> Option<(u32, f64)>;
-    /// Peeks at the maximum element without popping.
-    fn peek(&mut self) -> Option<(u32, f64)>;
-    /// Changes the value of an element (re-inserting it if popped).
-    fn update(&mut self, element: u32, value: f64);
-    /// Removes an element from consideration entirely.
-    fn remove(&mut self, element: u32);
 }
 
 /// Whether move `(value, candidate id)` `a` precedes `b` in the sequential
 /// selection order (larger value first, ties towards the smaller id) — the
-/// same total order both heap implementations pop in.
+/// total order [`LazyMaxHeap`] pops in.
 #[inline]
 pub(crate) fn precedes(a: (f64, u32), b: (f64, u32)) -> bool {
     a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
@@ -367,8 +139,8 @@ pub(crate) fn precedes(a: (f64, u32), b: (f64, u32)) -> bool {
 /// sequence of held moves is identical to the pop sequence of a loop that
 /// re-queues eagerly.
 #[inline]
-pub(crate) fn refresh_held<H: GreedyHeap>(
-    heap: &mut H,
+pub(crate) fn refresh_held(
+    heap: &mut LazyMaxHeap,
     element: u32,
     requeue: Option<f64>,
 ) -> Option<(u32, f64)> {
@@ -383,52 +155,6 @@ pub(crate) fn refresh_held<H: GreedyHeap>(
     } else {
         heap.remove(element);
         heap.pop()
-    }
-}
-
-impl GreedyHeap for LazyMaxHeap {
-    #[inline]
-    fn build(values: &[f64]) -> Self {
-        LazyMaxHeap::new(values)
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(u32, f64)> {
-        LazyMaxHeap::pop(self)
-    }
-    #[inline]
-    fn peek(&mut self) -> Option<(u32, f64)> {
-        LazyMaxHeap::peek(self)
-    }
-    #[inline]
-    fn update(&mut self, element: u32, value: f64) {
-        LazyMaxHeap::update(self, element, value)
-    }
-    #[inline]
-    fn remove(&mut self, element: u32) {
-        LazyMaxHeap::remove(self, element)
-    }
-}
-
-impl GreedyHeap for IndexedDaryHeap {
-    #[inline]
-    fn build(values: &[f64]) -> Self {
-        IndexedDaryHeap::new(values)
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(u32, f64)> {
-        IndexedDaryHeap::pop(self)
-    }
-    #[inline]
-    fn peek(&mut self) -> Option<(u32, f64)> {
-        IndexedDaryHeap::peek(self)
-    }
-    #[inline]
-    fn update(&mut self, element: u32, value: f64) {
-        IndexedDaryHeap::update(self, element, value)
-    }
-    #[inline]
-    fn remove(&mut self, element: u32) {
-        IndexedDaryHeap::remove(self, element)
     }
 }
 
@@ -450,11 +176,16 @@ mod tests {
 
     #[test]
     fn stale_entries_are_skipped_after_update() {
-        let mut heap = LazyMaxHeap::new(&[10.0, 5.0]);
-        heap.update(0, 1.0); // element 0 decreased below element 1
-        assert_eq!(heap.pop(), Some((1, 5.0)));
-        heap.remove(1);
-        assert_eq!(heap.pop(), Some((0, 1.0)));
+        // Element 0 decreases below element 1. In the second case the values
+        // differ by less than f64::EPSILON in absolute terms, so only exact
+        // comparison sees that element 0's first entry is stale.
+        for [v0, v1, lowered] in [[10.0, 5.0, 1.0], [2e-17, 1.5e-17, 1e-17]] {
+            let mut heap = LazyMaxHeap::new(&[v0, v1]);
+            heap.update(0, lowered);
+            assert_eq!(heap.pop(), Some((1, v1)));
+            heap.remove(1);
+            assert_eq!(heap.pop(), Some((0, lowered)));
+        }
     }
 
     #[test]
@@ -464,15 +195,9 @@ mod tests {
         assert_eq!(heap.pop(), Some((2, 7.0)));
         heap.remove(2);
         assert_eq!(heap.pop(), Some((1, 5.0)));
-        assert_eq!(heap.live_elements(), 1);
-    }
-
-    #[test]
-    fn revive_brings_an_element_back() {
-        let mut heap = LazyMaxHeap::new(&[2.0, 1.0]);
-        heap.remove(0);
-        heap.revive(0, 9.0);
-        assert_eq!(heap.pop(), Some((0, 9.0)));
+        heap.remove(1);
+        heap.update(0, 99.0); // updating a removed element does not revive it
+        assert_eq!(heap.pop(), None);
     }
 
     #[test]
@@ -480,7 +205,6 @@ mod tests {
         let mut heap = LazyMaxHeap::new(&[4.0, 8.0]);
         assert_eq!(heap.peek(), Some((1, 8.0)));
         assert_eq!(heap.pop(), Some((1, 8.0)));
-        assert_eq!(heap.value(0), 4.0);
     }
 
     #[test]
@@ -498,119 +222,148 @@ mod tests {
         assert_eq!(heap.pop(), Some((0, 2.5)));
     }
 
-    #[test]
-    fn dary_pops_in_descending_value_order() {
-        let mut heap = IndexedDaryHeap::new(&[1.0, 5.0, 3.0, 4.0, 2.0]);
-        let mut got = Vec::new();
-        while let Some((e, v)) = heap.pop() {
-            got.push((e, v));
-            heap.remove(e);
+    /// The O(n) model the heap must be observationally equal to: per element
+    /// a value plus `alive` and `queued` flags; `pop` takes the queued live
+    /// element with the largest value, ties to the smaller id.
+    struct Reference {
+        value: Vec<f64>,
+        alive: Vec<bool>,
+        queued: Vec<bool>,
+    }
+
+    impl Reference {
+        fn new(values: &[f64]) -> Self {
+            Reference {
+                value: values.to_vec(),
+                alive: vec![true; values.len()],
+                queued: vec![true; values.len()],
+            }
         }
-        assert_eq!(got, vec![(1, 5.0), (3, 4.0), (2, 3.0), (4, 2.0), (0, 1.0)]);
-        assert_eq!(heap.live_elements(), 0);
+
+        fn update(&mut self, e: u32, v: f64) {
+            self.value[e as usize] = v;
+            self.queued[e as usize] = self.alive[e as usize];
+        }
+
+        fn remove(&mut self, e: u32) {
+            self.alive[e as usize] = false;
+            self.queued[e as usize] = false;
+        }
+
+        fn peek(&self) -> Option<(u32, f64)> {
+            (0..self.value.len() as u32)
+                .filter(|&e| self.queued[e as usize])
+                .map(|e| (e, self.value[e as usize]))
+                .fold(None, |best, (e, v)| match best {
+                    Some((be, bv)) if !precedes((v, e), (bv, be)) => Some((be, bv)),
+                    _ => Some((e, v)),
+                })
+        }
+
+        fn pop(&mut self) -> Option<(u32, f64)> {
+            let top = self.peek()?;
+            self.queued[top.0 as usize] = false;
+            Some(top)
+        }
     }
 
+    /// A seeded stream of pops, peeks, updates (of queued, held, and removed
+    /// elements) and removals, with values spanning 1e-18 to 1e2 so that
+    /// superseded values sit within `f64::EPSILON` of current ones. Popped
+    /// elements are either retired, re-queued at once, or held out of the
+    /// heap for a while — the three patterns the drivers use. An element
+    /// never takes the same value twice, so the heap holds at most one
+    /// current entry per element, which is what the reference assumes.
     #[test]
-    fn dary_decrease_key_moves_element_in_place() {
-        let mut heap = IndexedDaryHeap::new(&[10.0, 5.0, 7.0]);
-        heap.update(0, 1.0);
-        assert_eq!(heap.peek(), Some((2, 7.0)));
-        assert_eq!(heap.pop(), Some((2, 7.0)));
-        heap.remove(2);
-        assert_eq!(heap.pop(), Some((1, 5.0)));
-        heap.remove(1);
-        assert_eq!(heap.pop(), Some((0, 1.0)));
-        assert_eq!(heap.value(0), 1.0);
-    }
-
-    #[test]
-    fn dary_pop_then_update_requeues() {
-        let mut heap = IndexedDaryHeap::new(&[4.0, 8.0]);
-        assert_eq!(heap.pop(), Some((1, 8.0)));
-        heap.update(1, 3.0); // re-queued below element 0
-        assert_eq!(heap.pop(), Some((0, 4.0)));
-        heap.remove(0);
-        assert_eq!(heap.pop(), Some((1, 3.0)));
-    }
-
-    #[test]
-    fn dary_remove_and_revive() {
-        let mut heap = IndexedDaryHeap::new(&[2.0, 1.0]);
-        heap.remove(0);
-        assert_eq!(heap.pop(), Some((1, 1.0)));
-        heap.update(1, 1.0);
-        heap.revive(0, 9.0);
-        assert_eq!(heap.pop(), Some((0, 9.0)));
-    }
-
-    #[test]
-    fn dary_ties_break_to_smaller_element() {
-        let mut heap = IndexedDaryHeap::new(&[3.0, 3.0, 3.0]);
-        assert_eq!(heap.pop(), Some((0, 3.0)));
-    }
-
-    /// Deterministic pseudo-random op stream: both heaps must produce the
-    /// identical pop sequence under interleaved update / remove / pop /
-    /// revive operations.
-    #[test]
-    fn lazy_and_dary_heaps_are_observationally_equivalent() {
-        let n = 64u32;
-        let mut x = 0x243F_6A88_85A3_08D3u64; // deterministic xorshift stream
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let values: Vec<f64> = (0..n).map(|_| (next() % 1000) as f64 / 10.0).collect();
-        let mut lazy = LazyMaxHeap::new(&values);
-        let mut dary = IndexedDaryHeap::new(&values);
-        let mut removed = vec![false; n as usize];
-        for _step in 0..2000 {
-            match next() % 5 {
-                0 | 1 => {
-                    let a = lazy.pop();
-                    let b = dary.pop();
-                    assert_eq!(a, b, "pop diverged");
-                    if let Some((e, v)) = a {
-                        // Heap contract: popped elements must be re-queued or
-                        // removed, like the greedy drivers do.
-                        if next() % 2 == 0 {
-                            lazy.remove(e);
-                            dary.remove(e);
-                            removed[e as usize] = true;
-                        } else {
-                            let nv = v - (next() % 50) as f64 / 10.0;
-                            lazy.update(e, nv);
-                            dary.update(e, nv);
+    fn op_stream_matches_the_naive_reference() {
+        for seed in [
+            0x243F_6A88_85A3_08D3u64,
+            0x1319_8A2E_0370_7344,
+            0xA409_3822_299F_31D0,
+        ] {
+            let n = 48u32;
+            let mut x = seed;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let draw = |next: &mut dyn FnMut() -> u64| {
+                let mag = [1e-18, 1e-17, 1e-16, 1.0, 100.0][(next() % 5) as usize];
+                let v = (next() % 41) as f64 * 0.5 * mag;
+                if next().is_multiple_of(8) {
+                    -v
+                } else {
+                    v
+                }
+            };
+            let values: Vec<f64> = (0..n).map(|_| draw(&mut next)).collect();
+            let mut history: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
+            let mut heap = LazyMaxHeap::new(&values);
+            let mut reference = Reference::new(&values);
+            let mut held: Vec<u32> = Vec::new();
+            // Sets a value the element has never had (skips the op if the
+            // draw repeats one).
+            let mut fresh_update =
+                |heap: &mut LazyMaxHeap, reference: &mut Reference, e: u32, v: f64| {
+                    if history[e as usize].contains(&v) {
+                        return false;
+                    }
+                    history[e as usize].push(v);
+                    heap.update(e, v);
+                    reference.update(e, v);
+                    true
+                };
+            for step in 0..4000 {
+                match next() % 8 {
+                    0..=2 => {
+                        let got = heap.pop();
+                        assert_eq!(got, reference.pop(), "seed {seed:#x} step {step}: pop");
+                        if let Some((e, _)) = got {
+                            match next() % 3 {
+                                0 => {
+                                    heap.remove(e);
+                                    reference.remove(e);
+                                }
+                                1 => {
+                                    let v = draw(&mut next);
+                                    if !fresh_update(&mut heap, &mut reference, e, v) {
+                                        held.push(e);
+                                    }
+                                }
+                                _ => held.push(e),
+                            }
+                        }
+                    }
+                    3 => assert_eq!(
+                        heap.peek(),
+                        reference.peek(),
+                        "seed {seed:#x} step {step}: peek"
+                    ),
+                    4 | 5 => {
+                        // Update any element: queued (supersedes its entry),
+                        // held (re-queues it), or removed (no effect).
+                        let e = (next() % n as u64) as u32;
+                        let v = draw(&mut next);
+                        if fresh_update(&mut heap, &mut reference, e, v) {
+                            held.retain(|&h| h != e);
+                        }
+                    }
+                    6 => {
+                        let e = (next() % n as u64) as u32;
+                        heap.remove(e);
+                        reference.remove(e);
+                        held.retain(|&h| h != e);
+                    }
+                    _ => {
+                        if let Some(e) = held.pop() {
+                            heap.remove(e);
+                            reference.remove(e);
                         }
                     }
                 }
-                2 => {
-                    let e = (next() % n as u64) as u32;
-                    if !removed[e as usize] {
-                        let nv = (next() % 1000) as f64 / 10.0;
-                        lazy.update(e, nv);
-                        dary.update(e, nv);
-                    }
-                }
-                3 => {
-                    let e = (next() % n as u64) as u32;
-                    lazy.remove(e);
-                    dary.remove(e);
-                    removed[e as usize] = true;
-                }
-                _ => {
-                    let e = (next() % n as u64) as u32;
-                    if removed[e as usize] {
-                        let nv = (next() % 1000) as f64 / 10.0;
-                        lazy.revive(e, nv);
-                        dary.revive(e, nv);
-                        removed[e as usize] = false;
-                    }
-                }
             }
-            assert_eq!(lazy.live_elements(), dary.live_elements());
         }
     }
 }

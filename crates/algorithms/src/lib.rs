@@ -23,11 +23,9 @@
 //!   experiment harness.
 //!
 //! All of the above are configured through one [`PlannerConfig`] (algorithm,
-//! engine, heap, shard count, seed — builder methods plus a layered
+//! engine, shard count, seed — builder methods plus a layered
 //! [`PlannerConfig::from_env`]) and driven through the single entry point
-//! [`plan`] (or [`plan_order`] for an explicit time-step ordering). The
-//! historical `GreedyOptions` / `LocalGreedyOptions` structs are deprecated
-//! thin conversions into `PlannerConfig`.
+//! [`plan`] (or [`plan_order`] for an explicit time-step ordering).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -54,7 +52,7 @@ pub use exhaustive::{candidate_triples, exact_optimum, ExactOutcome};
 pub use global_greedy::{
     global_greedy, global_no_saturation, ConcurrencyStats, EngineKind, GreedyOutcome,
 };
-pub use heap::{GreedyHeap, HeapKind, IndexedDaryHeap, LazyMaxHeap};
+pub use heap::LazyMaxHeap;
 pub use local_greedy::{
     local_greedy_with_order, randomized_local_greedy, sample_permutations, sequential_local_greedy,
 };
@@ -69,12 +67,3 @@ pub use sharded::{
     sharded_plan_residual,
 };
 pub use staged::{global_greedy_staged, randomized_local_greedy_staged, stages_from_ends};
-
-// The deprecated pre-unification entry points stay importable from the crate
-// root so existing code keeps compiling (with a deprecation warning).
-#[allow(deprecated)]
-pub use global_greedy::{global_greedy_with, GreedyOptions};
-#[allow(deprecated)]
-pub use local_greedy::{local_greedy_with_order_opts, LocalGreedyOptions};
-#[allow(deprecated)]
-pub use sharded::{sharded_global_greedy, sharded_local_greedy};

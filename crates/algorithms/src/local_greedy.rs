@@ -15,7 +15,7 @@
 
 use crate::config::{PlanAlgorithm, PlannerConfig};
 use crate::global_greedy::{EngineKind, GreedyOutcome};
-use crate::heap::{GreedyHeap, HeapKind, IndexedDaryHeap, LazyMaxHeap};
+use crate::heap::LazyMaxHeap;
 use crate::par;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -25,42 +25,6 @@ use revmax_core::{
     RevenueEngine, TimeStep,
 };
 use std::collections::HashSet;
-
-/// Options controlling the local greedy algorithms.
-///
-/// Superseded by [`PlannerConfig`], which unifies this struct with
-/// `GreedyOptions` and the serving layer's options behind one surface; a
-/// `LocalGreedyOptions` converts losslessly via `PlannerConfig::from`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use PlannerConfig (this struct converts via `PlannerConfig::from`); removal scheduled for 0.4.0"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct LocalGreedyOptions {
-    /// Incremental engine backing the run.
-    pub engine: EngineKind,
-    /// Fill each time step's initial marginal-revenue scan with scoped
-    /// threads, cut at user boundaries. `None` (default) auto-enables the
-    /// parallel scan on large instances; `Some(x)` forces it on or off.
-    pub parallel_scan: Option<bool>,
-    /// Heap implementation backing the per-time-step selection loop.
-    pub heap: HeapKind,
-    /// Number of user shards (`0`/`1` = sequential driver, `n ≥ 2` = the
-    /// shard-partitioned core of [`crate::sharded`]).
-    pub shards: u32,
-}
-
-#[allow(deprecated)]
-impl Default for LocalGreedyOptions {
-    fn default() -> Self {
-        LocalGreedyOptions {
-            engine: EngineKind::default(),
-            parallel_scan: None,
-            heap: HeapKind::default(),
-            shards: 1,
-        }
-    }
-}
 
 /// Candidate count above which the per-step scan defaults to parallel.
 pub(crate) const PARALLEL_SCAN_THRESHOLD: usize = 1 << 13;
@@ -81,21 +45,7 @@ pub fn local_greedy_with_order(inst: &Instance, order: &[u32]) -> GreedyOutcome 
     dispatch_order(inst, order, &PlannerConfig::default(), None)
 }
 
-/// [`local_greedy_with_order`] with explicit engine / parallelism options.
-#[deprecated(
-    since = "0.2.0",
-    note = "use plan_order with a PlannerConfig; removal scheduled for 0.4.0"
-)]
-#[allow(deprecated)]
-pub fn local_greedy_with_order_opts(
-    inst: &Instance,
-    order: &[u32],
-    opts: &LocalGreedyOptions,
-) -> GreedyOutcome {
-    dispatch_order(inst, order, &PlannerConfig::from(*opts), None)
-}
-
-/// The per-time-step driver dispatch: shard count, engine, heap. `delta` is
+/// The per-time-step driver dispatch: shard count, then engine. `delta` is
 /// the warm-start handle of a residual replan (`None` for one-shot plans).
 pub(crate) fn dispatch_order(
     inst: &Instance,
@@ -112,24 +62,13 @@ pub(crate) fn dispatch_order(
             delta,
         );
     }
-    use HeapKind::{IndexedDary, Lazy};
-    match (cfg.engine, cfg.heap) {
-        (EngineKind::Flat, Lazy) => {
-            run_order::<IncrementalRevenue<'_>, LazyMaxHeap>(inst, order, cfg, delta)
-        }
-        (EngineKind::Flat, IndexedDary) => {
-            run_order::<IncrementalRevenue<'_>, IndexedDaryHeap>(inst, order, cfg, delta)
-        }
-        (EngineKind::Hash, Lazy) => {
-            run_order::<HashIncrementalRevenue<'_>, LazyMaxHeap>(inst, order, cfg, delta)
-        }
-        (EngineKind::Hash, IndexedDary) => {
-            run_order::<HashIncrementalRevenue<'_>, IndexedDaryHeap>(inst, order, cfg, delta)
-        }
+    match cfg.engine {
+        EngineKind::Flat => run_order::<IncrementalRevenue<'_>>(inst, order, cfg, delta),
+        EngineKind::Hash => run_order::<HashIncrementalRevenue<'_>>(inst, order, cfg, delta),
     }
 }
 
-fn run_order<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+fn run_order<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     order: &[u32],
     cfg: &PlannerConfig,
@@ -142,7 +81,7 @@ fn run_order<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
         .parallel
         .unwrap_or(inst.num_candidates() >= PARALLEL_SCAN_THRESHOLD);
     for &t in order {
-        run_time_step::<E, H>(
+        run_time_step(
             inst,
             &mut inc,
             TimeStep(t),
@@ -170,7 +109,7 @@ fn run_order<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
 /// candidates (see `crate::global_greedy::collect_stale_run` for the
 /// plan-preservation argument); `0` runs the legacy scalar loop. Both
 /// produce identical plans (asserted by the kernel parity suite).
-pub(crate) fn run_time_step<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+pub(crate) fn run_time_step<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     inc: &mut E,
     t: TimeStep,
@@ -202,7 +141,7 @@ pub(crate) fn run_time_step<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
         *f = inc.group_size_cand(CandidateId(c as u32)) as u32;
     }
 
-    let mut heap = H::build(&values);
+    let mut heap = LazyMaxHeap::new(&values);
     if kernel_batch == 0 {
         // Legacy scalar loop: one heap round trip per examined candidate.
         while let Some((cand_idx, value)) = heap.pop() {
@@ -326,7 +265,7 @@ pub fn randomized_local_greedy(inst: &Instance, permutations: usize, seed: u64) 
     )
 }
 
-/// RL-Greedy over an explicit configuration (engine, heap, shards, seed).
+/// RL-Greedy over an explicit configuration (engine, shards, seed).
 pub(crate) fn randomized_with(
     inst: &Instance,
     cfg: &PlannerConfig,

@@ -63,7 +63,7 @@ use crate::global_greedy::{
     collect_stale_run, make_engine, refresh_stale_run, CandidateTable, ConcurrencyStats,
     EngineKind, GreedyOutcome, StaleMember,
 };
-use crate::heap::{precedes, refresh_held, GreedyHeap, HeapKind, IndexedDaryHeap, LazyMaxHeap};
+use crate::heap::{precedes, refresh_held, LazyMaxHeap};
 use crate::par;
 use crate::protocol;
 use revmax_core::{
@@ -119,11 +119,11 @@ enum CStep {
 ///
 /// The shard's best pending move lives *outside* the heap, pre-popped into
 /// `held`; see the module docs for why this makes arbitration free.
-struct GreedyShard<'a, E, H> {
+struct GreedyShard<'a, E> {
     shard: UserShard,
     inc: E,
     table: CandidateTable,
-    heap: H,
+    heap: LazyMaxHeap,
     /// The shard's best pending move `(local candidate, root value)`,
     /// popped out of `heap`; `None` when the shard is exhausted.
     held: Option<(u32, f64)>,
@@ -135,7 +135,7 @@ struct GreedyShard<'a, E, H> {
     _inst: std::marker::PhantomData<&'a ()>,
 }
 
-impl<'a, E: RevenueEngine<'a>, H: GreedyHeap> GreedyShard<'a, E, H> {
+impl<'a, E: RevenueEngine<'a>> GreedyShard<'a, E> {
     fn new(
         inst: &'a Instance,
         cfg: &PlannerConfig,
@@ -150,7 +150,7 @@ impl<'a, E: RevenueEngine<'a>, H: GreedyHeap> GreedyShard<'a, E, H> {
         for local in 0..n as u32 {
             roots[local as usize] = table.best(local).map_or(f64::NEG_INFINITY, |(_, v)| v);
         }
-        let mut heap = H::build(&roots);
+        let mut heap = LazyMaxHeap::new(&roots);
         let held = heap.pop();
         GreedyShard {
             shard,
@@ -463,9 +463,9 @@ impl<'a, E: RevenueEngine<'a>, H: GreedyHeap> GreedyShard<'a, E, H> {
 /// the explicit-piece-count entry behind `plan` with `shards ≥ 2`.
 ///
 /// Produces the same plan as the sequential driver (see the module docs);
-/// `cfg.shards` is ignored in favour of the explicit `pieces`, and the
-/// two-level heap layout is always used. The returned strategy's insertion
-/// order is the coordinator order, i.e. the sequential selection order.
+/// `cfg.shards` is ignored in favour of the explicit `pieces`. The returned
+/// strategy's insertion order is the coordinator order, i.e. the sequential
+/// selection order.
 pub fn sharded_plan(inst: &Instance, cfg: &PlannerConfig, pieces: usize) -> GreedyOutcome {
     sharded_plan_residual(inst, cfg, pieces, None)
 }
@@ -479,40 +479,17 @@ pub fn sharded_plan_residual(
     pieces: usize,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
-    use HeapKind::{IndexedDary, Lazy};
-    type FlatEng<'i> = IncrementalRevenue<'i>;
-    type HashEng<'i> = HashIncrementalRevenue<'i>;
-    match (cfg.engine, cfg.heap) {
-        (EngineKind::Flat, Lazy) => {
-            sharded_global_greedy_impl::<FlatEng<'_>, LazyMaxHeap>(inst, cfg, pieces, delta)
+    match cfg.engine {
+        EngineKind::Flat => {
+            sharded_global_greedy_impl::<IncrementalRevenue<'_>>(inst, cfg, pieces, delta)
         }
-        (EngineKind::Flat, IndexedDary) => {
-            sharded_global_greedy_impl::<FlatEng<'_>, IndexedDaryHeap>(inst, cfg, pieces, delta)
-        }
-        (EngineKind::Hash, Lazy) => {
-            sharded_global_greedy_impl::<HashEng<'_>, LazyMaxHeap>(inst, cfg, pieces, delta)
-        }
-        (EngineKind::Hash, IndexedDary) => {
-            sharded_global_greedy_impl::<HashEng<'_>, IndexedDaryHeap>(inst, cfg, pieces, delta)
+        EngineKind::Hash => {
+            sharded_global_greedy_impl::<HashIncrementalRevenue<'_>>(inst, cfg, pieces, delta)
         }
     }
 }
 
-/// Runs G-Greedy on the shard-partitioned core with `pieces` user shards.
-#[deprecated(
-    since = "0.2.0",
-    note = "use sharded_plan with a PlannerConfig; removal scheduled for 0.4.0"
-)]
-#[allow(deprecated)]
-pub fn sharded_global_greedy(
-    inst: &Instance,
-    opts: &crate::global_greedy::GreedyOptions,
-    pieces: usize,
-) -> GreedyOutcome {
-    sharded_plan(inst, &PlannerConfig::from(*opts), pieces)
-}
-
-fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     pieces: usize,
@@ -521,11 +498,11 @@ fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
     let shards = shard_users(inst, pieces);
     let threads = cfg.effective_shard_threads(shards.len());
     if threads >= 2 {
-        return sharded_concurrent_impl::<E, H>(inst, cfg, shards, delta, threads);
+        return sharded_concurrent_impl::<E>(inst, cfg, shards, delta, threads);
     }
     let single = shards.len() == 1;
     let ledger = SharedCapacityLedger::new(inst);
-    let mut workers: Vec<GreedyShard<'a, E, H>> = par::scoped_map(
+    let mut workers: Vec<GreedyShard<'a, E>> = par::scoped_map(
         shards,
         |shard| GreedyShard::new(inst, cfg, shard, single && cfg.parallel_init(), delta),
         cfg.parallel_init(),
@@ -684,7 +661,7 @@ struct ShardRun {
 /// * the trace is not recorded (`track_trace` forces the sequential path);
 /// * revenue is folded per shard in shard-index order rather than in
 ///   selection order (same addend multiset).
-fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     shards: Vec<UserShard>,
@@ -700,11 +677,11 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
     let to_workers = Condvar::new();
     let shard_descs = &shards;
 
-    let worker = |tid: usize| -> Vec<(usize, GreedyShard<'a, E, H>, ShardRun)> {
+    let worker = |tid: usize| -> Vec<(usize, GreedyShard<'a, E>, ShardRun)> {
         // Worker `tid` owns shards `i` with `i % threads == tid`; it builds
         // them (construction parallelism rides on the pool itself) and
         // free-runs each to its next park or to exhaustion.
-        let mut owned: Vec<(usize, GreedyShard<'a, E, H>, ShardRun)> = (0..nshards)
+        let mut owned: Vec<(usize, GreedyShard<'a, E>, ShardRun)> = (0..nshards)
             .filter(|i| i % threads == tid)
             .map(|i| {
                 (
@@ -897,7 +874,7 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
 
     // Reassemble in shard-index order so the outcome is deterministic for a
     // fixed configuration regardless of scheduling.
-    let mut per_shard: Vec<Option<(GreedyShard<'a, E, H>, ShardRun)>> =
+    let mut per_shard: Vec<Option<(GreedyShard<'a, E>, ShardRun)>> =
         (0..nshards).map(|_| None).collect();
     for out in worker_outs {
         for (si, sh, run) in out {
@@ -955,8 +932,8 @@ struct LocalShard<'a, E> {
 
 /// One shard's per-time-step frontier: heap over the shard's candidates,
 /// lazy-forward flags, and the held (pre-popped) best move.
-struct LocalFrontier<H> {
-    heap: H,
+struct LocalFrontier {
+    heap: LazyMaxHeap,
     flags: Vec<u32>,
     held: Option<(u32, f64)>,
 }
@@ -982,45 +959,17 @@ pub fn sharded_plan_order_residual(
     pieces: usize,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
-    use HeapKind::{IndexedDary, Lazy};
-    type FlatEng<'i> = IncrementalRevenue<'i>;
-    type HashEng<'i> = HashIncrementalRevenue<'i>;
-    match (cfg.engine, cfg.heap) {
-        (EngineKind::Flat, Lazy) => {
-            sharded_local_greedy_impl::<FlatEng<'_>, LazyMaxHeap>(inst, order, cfg, pieces, delta)
+    match cfg.engine {
+        EngineKind::Flat => {
+            sharded_local_greedy_impl::<IncrementalRevenue<'_>>(inst, order, cfg, pieces, delta)
         }
-        (EngineKind::Flat, IndexedDary) => {
-            sharded_local_greedy_impl::<FlatEng<'_>, IndexedDaryHeap>(
-                inst, order, cfg, pieces, delta,
-            )
-        }
-        (EngineKind::Hash, Lazy) => {
-            sharded_local_greedy_impl::<HashEng<'_>, LazyMaxHeap>(inst, order, cfg, pieces, delta)
-        }
-        (EngineKind::Hash, IndexedDary) => {
-            sharded_local_greedy_impl::<HashEng<'_>, IndexedDaryHeap>(
-                inst, order, cfg, pieces, delta,
-            )
+        EngineKind::Hash => {
+            sharded_local_greedy_impl::<HashIncrementalRevenue<'_>>(inst, order, cfg, pieces, delta)
         }
     }
 }
 
-/// Runs the per-time-step local greedy on the shard-partitioned core.
-#[deprecated(
-    since = "0.2.0",
-    note = "use sharded_plan_order with a PlannerConfig; removal scheduled for 0.4.0"
-)]
-#[allow(deprecated)]
-pub fn sharded_local_greedy(
-    inst: &Instance,
-    order: &[u32],
-    opts: &crate::local_greedy::LocalGreedyOptions,
-    pieces: usize,
-) -> GreedyOutcome {
-    sharded_plan_order(inst, order, &PlannerConfig::from(*opts), pieces)
-}
-
-fn sharded_local_greedy_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
+fn sharded_local_greedy_impl<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     order: &[u32],
     cfg: &PlannerConfig,
@@ -1055,7 +1004,7 @@ fn sharded_local_greedy_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
         // Per-shard initial scan (read-only, deterministic, runs on scoped
         // workers when hardware parallelism is available), then the same
         // held-move arbitration as the global driver, per time step.
-        let mut frontiers: Vec<LocalFrontier<H>> = par::scoped_map(
+        let mut frontiers: Vec<LocalFrontier> = par::scoped_map(
             workers.iter().collect::<Vec<_>>(),
             |w| {
                 let n = w.shard.num_candidates();
@@ -1066,7 +1015,7 @@ fn sharded_local_greedy_impl<'a, E: RevenueEngine<'a>, H: GreedyHeap>(
                     values[local] = w.inc.marginal_revenue_cand(cand, t);
                     flags[local] = w.inc.group_size_cand(cand) as u32;
                 }
-                let mut heap = H::build(&values);
+                let mut heap = LazyMaxHeap::new(&values);
                 let held = heap.pop();
                 LocalFrontier { heap, flags, held }
             },

@@ -113,7 +113,7 @@ pub fn randomized_local_greedy_staged(
             let mut candidate_trace = Vec::new();
             for &offset in order {
                 let t = TimeStep(lo + offset - 1);
-                run_time_step::<_, LazyMaxHeap>(
+                run_time_step(
                     inst,
                     &mut candidate_inc,
                     t,

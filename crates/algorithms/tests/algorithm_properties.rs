@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 use revmax_algorithms::{
     exact_optimum, global_greedy, local_search_r_revmax, plan, plan_order, randomized_local_greedy,
     run, sequential_local_greedy, sharded_plan, sharded_plan_order, solve_t1_exact, top_rating,
-    top_revenue, Algorithm, EngineKind, HeapKind, PlanAlgorithm, PlannerConfig,
+    top_revenue, Algorithm, EngineKind, PlanAlgorithm, PlannerConfig,
 };
 use revmax_core::{revenue, Instance, InstanceBuilder};
 use revmax_data::{generate, DatasetConfig};
@@ -78,8 +78,8 @@ fn greedy_outputs_are_valid_and_consistent() {
     }
 }
 
-/// Greedy never exceeds the exact optimum, and lazy-forward / heap-layout /
-/// engine choices do not change the greedy result.
+/// Greedy never exceeds the exact optimum, and lazy-forward / engine choices
+/// do not change the greedy result.
 #[test]
 fn greedy_below_optimum_and_invariant_to_internals() {
     let mut rng = StdRng::seed_from_u64(43);
@@ -97,7 +97,6 @@ fn greedy_below_optimum_and_invariant_to_internals() {
             "case {case}: greedy beat the optimum"
         );
         let eager = plan(&inst, &PlannerConfig::default().with_lazy_forward(false));
-        let giant = plan(&inst, &PlannerConfig::default().with_two_level_heaps(false));
         let hash = plan(
             &inst,
             &PlannerConfig::default().with_engine(EngineKind::Hash),
@@ -105,10 +104,6 @@ fn greedy_below_optimum_and_invariant_to_internals() {
         assert!(
             (base.revenue - eager.revenue).abs() < 1e-9,
             "case {case}: lazy != eager"
-        );
-        assert!(
-            (base.revenue - giant.revenue).abs() < 1e-9,
-            "case {case}: two-level != giant"
         );
         assert!(
             (base.revenue - hash.revenue).abs() < 1e-9,
@@ -398,43 +393,6 @@ fn shards_option_routes_through_public_apis() {
     assert!((slg.revenue - slg_sharded.revenue).abs() < 1e-9);
 }
 
-/// The indexed d-ary decrease-key heap and the lazy-deletion heap drive the
-/// greedy algorithms to bit-identical plans.
-#[test]
-fn heap_kinds_produce_identical_plans() {
-    let mut rng = StdRng::seed_from_u64(0x0EA9);
-    for case in 0..40 {
-        let inst = random_small_instance(&mut rng);
-        for two_level in [true, false] {
-            let base = PlannerConfig::default().with_two_level_heaps(two_level);
-            let lazy = plan(&inst, &base.with_heap(HeapKind::Lazy));
-            let dary = plan(&inst, &base.with_heap(HeapKind::IndexedDary));
-            assert_eq!(
-                lazy.revenue.to_bits(),
-                dary.revenue.to_bits(),
-                "case {case} (two_level {two_level}): heaps diverged: {} vs {}",
-                lazy.revenue,
-                dary.revenue
-            );
-            assert_eq!(lazy.strategy.as_slice(), dary.strategy.as_slice());
-            assert_eq!(lazy.marginal_evaluations, dary.marginal_evaluations);
-        }
-        let order: Vec<u32> = (1..=inst.horizon()).collect();
-        let slg_lazy = plan_order(
-            &inst,
-            &order,
-            &PlannerConfig::default().with_heap(HeapKind::Lazy),
-        );
-        let slg_dary = plan_order(
-            &inst,
-            &order,
-            &PlannerConfig::default().with_heap(HeapKind::IndexedDary),
-        );
-        assert_eq!(slg_lazy.revenue.to_bits(), slg_dary.revenue.to_bits());
-        assert_eq!(slg_lazy.strategy.as_slice(), slg_dary.strategy.as_slice());
-    }
-}
-
 /// Sharded parity on a generated dataset with binding capacities: the
 /// acceptance-shaped check (a scaled-down analogue of
 /// `amazon_like().scaled(0.02)`, where ~half the items end at capacity).
@@ -487,106 +445,19 @@ fn engines_agree_on_generated_dataset() {
     }
 }
 
-/// The deprecated pre-unification entry points (`GreedyOptions`,
-/// `LocalGreedyOptions`, and their `*_with` / sharded functions) still
-/// compile and produce plans identical to the unified `plan` /
-/// `PlannerConfig` surface — the backward-compatibility acceptance check of
-/// the API redesign.
+/// `PlannerConfig::from_env` reads the shared environment knobs; this also
+/// pins the layered `env_overlay` behaviour. Runs in one test to avoid
+/// racing on process-global state.
 #[test]
-#[allow(deprecated)]
-fn deprecated_entry_points_match_the_unified_surface() {
-    use revmax_algorithms::{
-        global_greedy_with, local_greedy_with_order_opts, sharded_global_greedy,
-        sharded_local_greedy, GreedyOptions, LocalGreedyOptions,
-    };
-    let mut rng = StdRng::seed_from_u64(0xDE9);
-    for case in 0..20 {
-        let inst = random_small_instance(&mut rng);
-        for engine in [EngineKind::Flat, EngineKind::Hash] {
-            let cfg = PlannerConfig::default().with_engine(engine);
-            let new = plan(&inst, &cfg);
-            let old = global_greedy_with(
-                &inst,
-                &GreedyOptions {
-                    engine,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                new.revenue.to_bits(),
-                old.revenue.to_bits(),
-                "case {case} ({engine:?}): deprecated G-Greedy diverged"
-            );
-            assert_eq!(new.strategy.as_slice(), old.strategy.as_slice());
-
-            let order: Vec<u32> = (1..=inst.horizon()).collect();
-            let new_local = plan_order(&inst, &order, &cfg);
-            let old_local = local_greedy_with_order_opts(
-                &inst,
-                &order,
-                &LocalGreedyOptions {
-                    engine,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(new_local.revenue.to_bits(), old_local.revenue.to_bits());
-            assert_eq!(new_local.strategy.as_slice(), old_local.strategy.as_slice());
-
-            let new_sharded = sharded_plan(&inst, &cfg, 2);
-            let old_sharded = sharded_global_greedy(
-                &inst,
-                &GreedyOptions {
-                    engine,
-                    ..Default::default()
-                },
-                2,
-            );
-            assert_eq!(new_sharded.revenue.to_bits(), old_sharded.revenue.to_bits());
-            assert_eq!(
-                new_sharded.strategy.as_slice(),
-                old_sharded.strategy.as_slice()
-            );
-
-            let old_sharded_local = sharded_local_greedy(
-                &inst,
-                &order,
-                &LocalGreedyOptions {
-                    engine,
-                    ..Default::default()
-                },
-                2,
-            );
-            let new_sharded_local = sharded_plan_order(&inst, &order, &cfg, 2);
-            assert_eq!(
-                new_sharded_local.revenue.to_bits(),
-                old_sharded_local.revenue.to_bits()
-            );
-        }
-    }
-}
-
-/// `GreedyOptions::from_env` (deprecated) and `PlannerConfig::from_env` read
-/// the same environment knobs; this also pins the layered `env_overlay`
-/// behaviour. Runs in one test to avoid racing on process-global state.
-#[test]
-#[allow(deprecated)]
 fn env_layering_reads_the_shared_knobs() {
-    use revmax_algorithms::GreedyOptions;
     std::env::set_var("REVMAX_ENGINE", "hash");
-    std::env::set_var("REVMAX_HEAP", "dary");
     std::env::set_var("REVMAX_SHARDS", "3");
     std::env::set_var("REVMAX_SEED", "99");
 
     let cfg = PlannerConfig::from_env();
     assert_eq!(cfg.engine, EngineKind::Hash);
-    assert_eq!(cfg.heap, HeapKind::IndexedDary);
     assert_eq!(cfg.shards, 3);
     assert_eq!(cfg.seed, 99);
-
-    let old = GreedyOptions::from_env();
-    assert_eq!(old.engine, EngineKind::Hash);
-    assert_eq!(old.heap, HeapKind::IndexedDary);
-    assert_eq!(old.shards, 3);
 
     // Layering: the overlay only replaces knobs that are actually set.
     std::env::remove_var("REVMAX_ENGINE");
@@ -598,7 +469,6 @@ fn env_layering_reads_the_shared_knobs() {
     assert_eq!(layered.shards, 3, "set knob overlaid");
     assert!(layered.track_trace, "non-env knob untouched");
 
-    std::env::remove_var("REVMAX_HEAP");
     std::env::remove_var("REVMAX_SHARDS");
     std::env::remove_var("REVMAX_SEED");
 }
@@ -635,9 +505,7 @@ fn unified_plan_matches_dedicated_entry_points() {
             &PlannerConfig::default().with_algorithm(PlanAlgorithm::GlobalNoSaturation),
         );
         let no_sat_direct = revmax_algorithms::global_no_saturation(&inst);
-        // The true-revenue re-evaluation sums hash-grouped terms, so two
-        // identical runs may differ in float summation order: compare to 1e-9.
-        assert!((no_sat.revenue - no_sat_direct.revenue).abs() < 1e-9);
+        assert_eq!(no_sat.revenue.to_bits(), no_sat_direct.revenue.to_bits());
         assert_eq!(
             no_sat.strategy.as_slice(),
             no_sat_direct.strategy.as_slice()

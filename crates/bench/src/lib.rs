@@ -1,17 +1,10 @@
 //! # revmax-bench
 //!
-//! Criterion benchmarks for the REVMAX reproduction. The benches live in
-//! `benches/`:
-//!
-//! * `greedy` — Table 2 analogue (algorithm running times);
-//! * `scalability` — Figure 6 analogue (G-Greedy vs dataset size);
-//! * `heaps`, `lazy_forward` — ablations of the §5.1 implementation choices;
-//! * `oracle` — exact vs Monte-Carlo capacity oracle;
-//! * `substrates` — MF training, KDE, revenue evaluation.
-//!
-//! The library part of this crate holds [`legacy`]: a frozen copy of the
-//! seed's pre-refactor G-Greedy used as the measured baseline of the perf
-//! trajectory (`BENCH_greedy.json`, emitted by the `bench_greedy` binary).
+//! The perf trajectory of the REVMAX reproduction. The library holds
+//! [`legacy`]: a frozen copy of the seed's pre-refactor G-Greedy used as the
+//! measured baseline (`BENCH_greedy.json`, emitted by the `bench_greedy`
+//! binary). The paper's Table 2 and Figure 6 analogues are the
+//! `revmax-experiments` binaries `table2` and `fig6`.
 
 #![warn(missing_docs)]
 

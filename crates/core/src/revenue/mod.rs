@@ -48,9 +48,9 @@
 //! * the `1 − 1/e` style greedy guarantee does not follow from theory for
 //!   the exact objective; the experiments reproduce the paper's *empirical*
 //!   quality ranking instead;
-//! * anything that replays selection order (the sharded planners, the
-//!   indexed decrease-key heap) must reproduce the sequential pop order
-//!   bit-for-bit rather than re-derive it from submodularity arguments.
+//! * anything that replays selection order (the tournament tree, the
+//!   sharded planners) must reproduce the sequential pop order bit-for-bit
+//!   rather than re-derive it from submodularity arguments.
 //!
 //! The consolidated write-up — exact marginal definition, the measured
 //! violation rate, how lazy-forward is validated, and the related PR-4
@@ -60,7 +60,7 @@
 use crate::ids::{ClassId, Triple, UserId};
 use crate::instance::Instance;
 use crate::strategy::Strategy;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 pub mod engine;
 pub mod flat;
@@ -91,8 +91,13 @@ pub fn revenue(inst: &Instance, strategy: &Strategy) -> f64 {
 
 /// Computes the dynamic adoption probability `q_S(u, i, t)` of every triple in
 /// the strategy, from scratch.
+///
+/// The output order is a function of the strategy's contents alone — groups
+/// by (user, class), triples by (time, item) within a group — so [`revenue`]
+/// folds the same terms in the same order on every call and is bit-for-bit
+/// reproducible.
 pub fn dynamic_probabilities(inst: &Instance, strategy: &Strategy) -> Vec<(Triple, f64)> {
-    let mut groups: HashMap<(UserId, ClassId), Vec<Triple>> = HashMap::new();
+    let mut groups: BTreeMap<(UserId, ClassId), Vec<Triple>> = BTreeMap::new();
     for triple in strategy.iter() {
         let class = inst.class_of(triple.item);
         groups.entry((triple.user, class)).or_default().push(triple);
@@ -153,6 +158,46 @@ pub fn marginal_revenue(inst: &Instance, strategy: &Strategy, z: Triple) -> f64 
 mod tests {
     use super::*;
     use crate::instance::InstanceBuilder;
+    use std::collections::HashMap;
+
+    #[test]
+    fn revenue_is_bit_reproducible_across_calls() {
+        // Many (user, class) groups whose terms span several magnitudes, so
+        // any call-to-call change in summation order shows in the low bits.
+        let (users, items, horizon) = (40u32, 6u32, 3u32);
+        let mut b = InstanceBuilder::new(users, items, horizon);
+        b.display_limit(2);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut unit = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for i in 0..items {
+            b.item_class(i, i % 3)
+                .beta(i, 0.2 + 0.7 * unit())
+                .capacity(i, users)
+                .prices(i, &[1.0 + 1e3 * unit(), 0.01 + unit(), 1e2 * unit()]);
+        }
+        for u in 0..users {
+            for i in 0..items {
+                b.candidate(u, i, &[unit(), unit(), unit()], 0.0);
+            }
+        }
+        let inst = b.build().unwrap();
+        let mut s = Strategy::new();
+        for u in 0..users {
+            for t in 1..=horizon {
+                s.insert(Triple::new(u, (u + t) % items, t));
+                s.insert(Triple::new(u, (u + 2 * t + 1) % items, t));
+            }
+        }
+        let first = revenue(&inst, &s).to_bits();
+        for call in 0..50 {
+            assert_eq!(revenue(&inst, &s).to_bits(), first, "call {call}");
+        }
+    }
 
     /// The non-monotonicity instance from the proof of Theorem 2 / Example 4.
     fn example4_instance() -> Instance {

@@ -10,7 +10,7 @@
 use crate::request::Request;
 use crate::response::Response;
 use crate::router::{route, Route, RouteError};
-use revmax_algorithms::{EngineKind, HeapKind, PlanAlgorithm, PlannerConfig};
+use revmax_algorithms::{EngineKind, PlanAlgorithm, PlannerConfig};
 use revmax_core::json::{self, JsonError, JsonValue, Kind, Reader};
 use revmax_core::{wire, AdoptionEvent, WireError};
 use revmax_serve::{
@@ -242,7 +242,7 @@ fn parse_events(body: &[u8]) -> Result<(Vec<AdoptionEvent>, Option<u32>), Reject
     Ok((events, now))
 }
 
-/// The wire subset of [`PlannerConfig`]: algorithm/engine/heap selectors
+/// The wire subset of [`PlannerConfig`]: algorithm/engine selectors
 /// plus the numeric knobs a remote client can meaningfully set. Unknown
 /// keys are rejected so typos fail loudly instead of silently defaulting.
 fn planner_config_from(value: &JsonValue) -> Result<PlannerConfig, String> {
@@ -268,14 +268,6 @@ fn planner_config_from(value: &JsonValue) -> Result<PlannerConfig, String> {
                     "flat" => EngineKind::Flat,
                     "hash" => EngineKind::Hash,
                     other => return Err(format!("unknown engine {other:?}")),
-                });
-            }
-            "heap" => {
-                let name = field.as_str().ok_or("\"heap\" must be a string")?;
-                cfg = cfg.with_heap(match name {
-                    "lazy" => HeapKind::Lazy,
-                    "dary" | "indexed_dary" => HeapKind::IndexedDary,
-                    other => return Err(format!("unknown heap {other:?}")),
                 });
             }
             "shards" => {

@@ -635,7 +635,7 @@ mod tests {
     impl Read for Stalling {
         fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
             self.calls += 1;
-            if self.calls % 4 == 0 {
+            if self.calls.is_multiple_of(4) {
                 return Err(std::io::ErrorKind::WouldBlock.into());
             }
             let n = out.len().min(self.chunk);

@@ -66,6 +66,10 @@ fn golden_request_table() {
     // fails `InstanceBuilder::build` (422, distinct from the 400s).
     let build_invalid = valid.replacen("0.15", "1.5", 1);
     assert_ne!(build_invalid, valid, "replacement must hit a probability");
+    // Unknown config keys are rejected even next to a valid instance;
+    // `heap` is a retired key and answers like any other unknown one.
+    let unknown_config_key = submission_body(&inst, "{\"warm\":true}");
+    let retired_heap_key = submission_body(&inst, "{\"heap\":\"lazy\"}");
 
     // (name, method, target, body, expected status)
     let table: &[(&str, &str, &str, Option<&str>, u16)] = &[
@@ -135,7 +139,14 @@ fn golden_request_table() {
             "unknown config key",
             "POST",
             "/sessions",
-            Some("{\"instance\":{},\"config\":{\"warm\":true}}"),
+            Some(&unknown_config_key),
+            400,
+        ),
+        (
+            "unknown config key (retired heap)",
+            "POST",
+            "/sessions",
+            Some(&retired_heap_key),
             400,
         ),
     ];

@@ -1,5 +1,5 @@
 //! Batch-serving throughput emitter: times `plan_batch` over the persistent
-//! pool across within-instance shard counts and both heap implementations,
+//! pool across within-instance shard counts and shard-worker thread counts,
 //! measures the async front-end's submit/await round-trip overhead against
 //! inline synchronous planning, and writes a machine-readable
 //! `BENCH_serve.json`.
@@ -16,16 +16,16 @@
 //! * `REVMAX_SERVE_THREADS` — comma-separated worker-thread counts for the
 //!   concurrent shard executor (default `1,2,4`); 1-shard rows always run
 //!   single-threaded (there is nothing to arbitrate);
-//! * `REVMAX_BENCH_ENFORCE` — set to `1` to fail the run unless each
-//!   heap's 1-shard, 1-worker serving row stays within 2% of inline
-//!   sequential planning (the no-regression floor for the serving default).
+//! * `REVMAX_BENCH_ENFORCE` — set to `1` to fail the run unless the
+//!   1-shard, 1-worker serving row stays within 2% of inline sequential
+//!   planning (the no-regression floor for the serving default).
 //!
 //! Samples are interleaved round-robin across configurations so host noise
 //! hits every configuration equally, and the per-configuration minimum is
 //! reported alongside the median. Every configuration's plans are asserted
 //! equal to the sequential G-Greedy reference (relative 1e-9, identical
-//! sizes) — shard count, worker-thread count, and heap are performance
-//! knobs, never behaviour knobs.
+//! sizes) — shard count and worker-thread count are performance knobs,
+//! never behaviour knobs.
 //!
 //! The `async_front_end` section times, for single instances on a 1-worker
 //! service, the full submit → wait round trip (channel hop, ticket
@@ -43,14 +43,14 @@
 //! free-run on a scoped worker pool, abundant items commit lock-free, and
 //! only scarce-window moves park for value-ordered arbitration. The
 //! `concurrent_speedup_over_sequential_arbitration` headline compares, per
-//! heap × shard count, the best concurrent row against the 1-thread row of
-//! the same configuration — the wall-clock the new executor wins on a
+//! shard count, the best concurrent row against the 1-thread row of the
+//! same shard count — the wall-clock the new executor wins on a
 //! multi-core host. On a single-core host, oversubscribed worker threads
 //! only add scheduling overhead, so concurrent speedups ≤ 1.0 are expected
 //! there; the CI multi-core leg uploads the representative artifact. See
 //! `crates/bench/README.md`.
 
-use revmax_algorithms::{global_greedy, plan, HeapKind, PlannerConfig};
+use revmax_algorithms::{global_greedy, plan, PlannerConfig};
 use revmax_core::{env, Instance};
 use revmax_data::{generate, DatasetConfig};
 use revmax_serve::PlanService;
@@ -58,7 +58,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 struct Config {
-    heap: HeapKind,
     shards: u32,
     /// Worker threads of the concurrent shard executor (1 = sequential
     /// arbitration, the pre-existing driver).
@@ -66,7 +65,6 @@ struct Config {
 }
 
 struct Row {
-    heap: &'static str,
     shards: u32,
     threads: u32,
     workers: usize,
@@ -83,13 +81,6 @@ struct Row {
 fn median(mut xs: Vec<u128>) -> u128 {
     xs.sort_unstable();
     xs[xs.len() / 2]
-}
-
-fn heap_name(kind: HeapKind) -> &'static str {
-    match kind {
-        HeapKind::Lazy => "lazy",
-        HeapKind::IndexedDary => "indexed_dary",
-    }
 }
 
 fn main() {
@@ -133,23 +124,16 @@ fn main() {
         reference.strategy.len()
     );
 
-    // The row grid: heap × shards × worker threads. 1-shard rows run only
-    // the 1-thread configuration (the executor resolves them to the
-    // sequential driver regardless, so extra rows would be duplicates).
-    let configs: Vec<Config> = [HeapKind::Lazy, HeapKind::IndexedDary]
+    // The row grid: shards × worker threads. 1-shard rows run only the
+    // 1-thread configuration (the executor resolves them to the sequential
+    // driver regardless, so extra rows would be duplicates).
+    let configs: Vec<Config> = shard_counts
         .iter()
-        .flat_map(|&heap| {
-            let thread_counts = &thread_counts;
-            shard_counts.iter().flat_map(move |&shards| {
-                thread_counts
-                    .iter()
-                    .filter(move |&&threads| shards >= 2 || threads == 1)
-                    .map(move |&threads| Config {
-                        heap,
-                        shards,
-                        threads,
-                    })
-            })
+        .flat_map(|&shards| {
+            thread_counts
+                .iter()
+                .filter(move |&&threads| shards >= 2 || threads == 1)
+                .map(move |&threads| Config { shards, threads })
         })
         .collect();
 
@@ -159,34 +143,29 @@ fn main() {
     let mut revenue = vec![0.0f64; configs.len()];
     let mut strategy_len = vec![0usize; configs.len()];
     let mut occupancy = vec![0.0f64; configs.len()];
-    // Inline sequential baseline per heap family: the same batch planned
-    // through the unified dispatch on a dedicated thread (matching the
-    // service's thread placement, so the comparison isolates the serving
-    // machinery rather than scheduler effects) — the
-    // `REVMAX_BENCH_ENFORCE` floor for the serving default.
-    let mut inline_batch_ns: Vec<Vec<u128>> = vec![Vec::new(), Vec::new()];
+    // Inline sequential baseline: the same batch planned through the
+    // unified dispatch on a dedicated thread (matching the service's thread
+    // placement, so the comparison isolates the serving machinery rather
+    // than scheduler effects) — the `REVMAX_BENCH_ENFORCE` floor for the
+    // serving default.
+    let mut inline_batch_ns: Vec<u128> = Vec::new();
+    // Mirror the service's per-plan parallelism default (off) so both paths
+    // run identical code.
+    let inline_config = PlannerConfig::default().with_parallel(Some(false));
     // Interleave samples round-robin so host noise is shared fairly.
     for _round in 0..samples {
-        for (hi, &heap) in [HeapKind::Lazy, HeapKind::IndexedDary].iter().enumerate() {
-            // Mirror the service's per-plan parallelism default (off) so
-            // both paths run identical code.
-            let inline_config = PlannerConfig::default()
-                .with_heap(heap)
-                .with_parallel(Some(false));
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    for _ in 0..batch_size {
-                        std::hint::black_box(plan(inst, &inline_config));
-                    }
-                });
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..batch_size {
+                    std::hint::black_box(plan(inst, &inline_config));
+                }
             });
-            inline_batch_ns[hi].push(t0.elapsed().as_nanos());
-        }
+        });
+        inline_batch_ns.push(t0.elapsed().as_nanos());
         for (ci, cfg) in configs.iter().enumerate() {
             let planner_config = PlannerConfig::default()
                 .with_shards(cfg.shards)
-                .with_heap(cfg.heap)
                 .with_shard_threads(cfg.threads);
             let batch: Vec<Instance> = (0..batch_size).map(|_| inst.clone()).collect();
             let t0 = Instant::now();
@@ -196,9 +175,8 @@ fn main() {
                 assert!(
                     (report.outcome.revenue - reference.revenue).abs()
                         <= 1e-9 * reference.revenue.abs().max(1.0),
-                    "{} heap, {} shards, {} threads: plan diverged from the sequential \
+                    "{} shards, {} threads: plan diverged from the sequential \
                      reference: {} vs {}",
-                    heap_name(cfg.heap),
                     cfg.shards,
                     cfg.threads,
                     report.outcome.revenue,
@@ -207,8 +185,7 @@ fn main() {
                 assert_eq!(
                     report.outcome.strategy.len(),
                     reference.strategy.len(),
-                    "{} heap, {} shards, {} threads: strategy size diverged",
-                    heap_name(cfg.heap),
+                    "{} shards, {} threads: strategy size diverged",
                     cfg.shards,
                     cfg.threads
                 );
@@ -226,7 +203,6 @@ fn main() {
             let median_ns = median(times[ci].clone());
             let min_ns = *times[ci].iter().min().expect("samples > 0");
             Row {
-                heap: heap_name(cfg.heap),
                 shards: cfg.shards,
                 threads: cfg.threads,
                 workers,
@@ -241,15 +217,9 @@ fn main() {
         .collect();
     for r in &rows {
         eprintln!(
-            "{:>12} heap, {} shards, {} threads: median {:>13} ns  min {:>13} ns  \
+            "{} shards, {} threads: median {:>13} ns  min {:>13} ns  \
              ({:.3} instances/s, scarce occupancy {:.3})",
-            r.heap,
-            r.shards,
-            r.threads,
-            r.median_ns,
-            r.min_ns,
-            r.instances_per_sec,
-            r.scarce_occupancy
+            r.shards, r.threads, r.median_ns, r.min_ns, r.instances_per_sec, r.scarce_occupancy
         );
     }
 
@@ -285,88 +255,67 @@ fn main() {
          ({overhead_pct:+.3}% median round-trip overhead)"
     );
 
-    // Per heap family: best >= 2-shard configuration vs the 1-shard baseline
-    // (minimum wall time, sequential arbitration only — the shard count is
-    // the only variable).
-    let mut family_summaries = Vec::new();
-    for heap in ["lazy", "indexed_dary"] {
-        let base = rows
-            .iter()
-            .find(|r| r.heap == heap && r.shards == 1 && r.threads == 1)
-            .expect("1-shard row");
-        let best_multi = rows
-            .iter()
-            .filter(|r| r.heap == heap && r.shards >= 2 && r.threads == 1)
-            .min_by_key(|r| r.min_ns)
-            .expect(">=2-shard row");
-        let speedup = base.min_ns as f64 / best_multi.min_ns as f64;
-        eprintln!(
-            "{heap}: best multi-shard = {} shards, {speedup:.3}x vs 1 shard",
-            best_multi.shards
-        );
-        family_summaries.push((heap, best_multi.shards, speedup));
-    }
-    let best_family = family_summaries
+    // Best >= 2-shard configuration vs the 1-shard baseline (minimum wall
+    // time, sequential arbitration only — the shard count is the only
+    // variable).
+    let base = rows
         .iter()
-        .max_by(|a, b| a.2.partial_cmp(&b.2).expect("finite"))
-        .expect("two families");
-    if best_family.2 <= 1.0 {
-        eprintln!("WARNING: no multi-shard configuration beat its 1-shard baseline on this host");
+        .find(|r| r.shards == 1 && r.threads == 1)
+        .expect("1-shard row");
+    let best_multi = rows
+        .iter()
+        .filter(|r| r.shards >= 2 && r.threads == 1)
+        .min_by_key(|r| r.min_ns)
+        .expect(">=2-shard row");
+    let multi_speedup = base.min_ns as f64 / best_multi.min_ns as f64;
+    eprintln!(
+        "best multi-shard = {} shards, {multi_speedup:.3}x vs 1 shard",
+        best_multi.shards
+    );
+    if multi_speedup <= 1.0 {
+        eprintln!("WARNING: no multi-shard configuration beat the 1-shard baseline on this host");
     }
 
-    // The headline: per heap × shard count, the best concurrent row against
-    // the 1-thread row of the same configuration — what the concurrent
-    // executor buys over sequential arbitration on this host.
-    let mut concurrent_best: Option<(&'static str, u32, u32, f64)> = None;
-    for heap in ["lazy", "indexed_dary"] {
-        for &shards in shard_counts.iter().filter(|&&s| s >= 2) {
-            let Some(base) = rows
-                .iter()
-                .find(|r| r.heap == heap && r.shards == shards && r.threads == 1)
-            else {
-                continue;
-            };
-            let Some(best) = rows
-                .iter()
-                .filter(|r| r.heap == heap && r.shards == shards && r.threads >= 2)
-                .min_by_key(|r| r.min_ns)
-            else {
-                continue;
-            };
-            let speedup = base.min_ns as f64 / best.min_ns as f64;
-            if concurrent_best.is_none_or(|(_, _, _, s)| speedup > s) {
-                concurrent_best = Some((heap, shards, best.threads, speedup));
-            }
+    // The headline: per shard count, the best concurrent row against the
+    // 1-thread row of the same shard count — what the concurrent executor
+    // buys over sequential arbitration on this host.
+    let mut concurrent_best: Option<(u32, u32, f64)> = None;
+    for &shards in shard_counts.iter().filter(|&&s| s >= 2) {
+        let Some(seq) = rows.iter().find(|r| r.shards == shards && r.threads == 1) else {
+            continue;
+        };
+        let Some(best) = rows
+            .iter()
+            .filter(|r| r.shards == shards && r.threads >= 2)
+            .min_by_key(|r| r.min_ns)
+        else {
+            continue;
+        };
+        let speedup = seq.min_ns as f64 / best.min_ns as f64;
+        if concurrent_best.is_none_or(|(_, _, s)| speedup > s) {
+            concurrent_best = Some((shards, best.threads, speedup));
         }
     }
-    let (c_heap, c_shards, c_threads, c_speedup) =
+    let (c_shards, c_threads, c_speedup) =
         concurrent_best.expect("a >=2-shard, >=2-thread row (REVMAX_SERVE_THREADS covers >=2)");
     eprintln!(
         "concurrent arbitration: best {c_speedup:.3}x over sequential \
-         ({c_heap} heap, {c_shards} shards, {c_threads} threads)"
+         ({c_shards} shards, {c_threads} threads)"
     );
 
-    // The no-regression floor: with `REVMAX_BENCH_ENFORCE=1`, each heap's
-    // 1-shard, 1-worker serving row (the serving default, routed through
-    // the sequential driver) must stay within 2% of planning the same
-    // batch inline.
-    let mut floors = Vec::new();
-    for (hi, heap) in ["lazy", "indexed_dary"].iter().enumerate() {
-        let row = rows
-            .iter()
-            .find(|r| r.heap == *heap && r.shards == 1 && r.threads == 1)
-            .expect("1-shard row");
-        let inline_min = *inline_batch_ns[hi].iter().min().expect("samples > 0");
-        let floor = inline_min as f64 / row.min_ns as f64;
-        eprintln!("{heap}: 1-shard 1-worker serving throughput = {floor:.3}x inline sequential");
-        floors.push((*heap, floor));
-        if enforce == 1 && floor < 0.98 {
-            eprintln!(
-                "REVMAX_BENCH_ENFORCE: {heap} 1-worker serving row fell below the 0.98 floor \
-                 ({floor:.3}x inline)"
-            );
-            std::process::exit(1);
-        }
+    // The no-regression floor: with `REVMAX_BENCH_ENFORCE=1`, the 1-shard,
+    // 1-worker serving row (the serving default, routed through the
+    // sequential driver) must stay within 2% of planning the same batch
+    // inline.
+    let inline_min = *inline_batch_ns.iter().min().expect("samples > 0");
+    let floor = inline_min as f64 / base.min_ns as f64;
+    eprintln!("1-shard 1-worker serving throughput = {floor:.3}x inline sequential");
+    if enforce == 1 && floor < 0.98 {
+        eprintln!(
+            "REVMAX_BENCH_ENFORCE: the 1-worker serving row fell below the 0.98 floor \
+             ({floor:.3}x inline)"
+        );
+        std::process::exit(1);
     }
 
     let mut json = String::from("{\n");
@@ -402,8 +351,7 @@ fn main() {
     json.push_str("  \"measurements\": [\n");
     for (idx, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"heap\": \"{}\", \"shards\": {}, \"shard_threads\": {}, \"workers\": {}, \"median_ns\": {}, \"min_ns\": {}, \"instances_per_sec\": {:.4}, \"scarce_occupancy\": {:.4}, \"revenue\": {:.6}, \"strategy_len\": {}}}{}\n",
-            r.heap,
+            "    {{\"shards\": {}, \"shard_threads\": {}, \"workers\": {}, \"median_ns\": {}, \"min_ns\": {}, \"instances_per_sec\": {:.4}, \"scarce_occupancy\": {:.4}, \"revenue\": {:.6}, \"strategy_len\": {}}}{}\n",
             r.shards,
             r.threads,
             r.workers,
@@ -426,27 +374,19 @@ fn main() {
         inline_ns.iter().min().expect("samples > 0"),
         ticket_ns.iter().min().expect("samples > 0"),
     ));
-    json.push_str("  \"multi_shard_vs_1_shard\": {\n");
-    for (idx, (heap, shards, speedup)) in family_summaries.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{heap}\": {{\"best_shards\": {shards}, \"speedup_over_1_shard\": {speedup:.3}}}{}\n",
-            if idx + 1 < family_summaries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
+    json.push_str(&format!(
+        "  \"multi_shard_vs_1_shard\": {{\"best_shards\": {}, \"speedup_over_1_shard\": {multi_speedup:.3}}},\n",
+        best_multi.shards
+    ));
     json.push_str(&format!(
         "  \"concurrent_speedup_over_sequential_arbitration\": {{\"best\": {c_speedup:.3}, \
-         \"heap\": \"{c_heap}\", \"shards\": {c_shards}, \"threads\": {c_threads}}},\n"
+         \"shards\": {c_shards}, \"threads\": {c_threads}}},\n"
     ));
-    json.push_str("  \"serving_floor_vs_inline\": {\n");
-    for (idx, (heap, floor)) in floors.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{heap}\": {{\"throughput_vs_inline\": {floor:.3}, \"enforced_floor\": 0.98, \"enforced\": {}}}{}\n",
-            enforce == 1,
-            if idx + 1 < floors.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  }\n}\n");
+    json.push_str(&format!(
+        "  \"serving_floor_vs_inline\": {{\"throughput_vs_inline\": {floor:.3}, \
+         \"enforced_floor\": 0.98, \"enforced\": {}}}\n}}\n",
+        enforce == 1
+    ));
     std::fs::write(&out_path, json).expect("write BENCH_serve.json");
     eprintln!("wrote {out_path}");
 }

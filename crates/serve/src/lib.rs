@@ -19,8 +19,8 @@
 //!   exempt-aware capacity: re-displays to prefix users are never
 //!   double-charged), and replans only the remaining horizon. The
 //!   replanned suffix equals a from-scratch plan of the residual instance
-//!   to 1e-9 for every engine/heap/shard configuration — warm-started or
-//!   not, inline or attached.
+//!   to 1e-9 for every engine/shard configuration — warm-started or not,
+//!   inline or attached.
 //! * [`Registry`] — id-addressed plans and sessions over one shared
 //!   service, with backpressure bounds, LRU/TTL eviction, occupancy stats,
 //!   and a drainable shutdown path ([`RegistryConfig`]); this is the state
@@ -82,24 +82,6 @@
 //! assert!(!report.pending);
 //! ```
 //!
-//! # Migrating from the pre-unification API
-//!
-//! | Deprecated | Replacement |
-//! |---|---|
-//! | `BatchPlanner::new(n)` | [`PlanService::new`] |
-//! | `PlanOptions { algorithm, shards, engine, heap }` | [`PlannerConfig`] (builder: `with_algorithm` / `with_shards` / `with_engine` / `with_heap`) |
-//! | `BatchAlgorithm::GlobalGreedy` / `::SequentialLocalGreedy` | `PlanAlgorithm::GlobalGreedy` / `::SequentialLocalGreedy` |
-//! | `plan_batch(instances, PlanOptions { .. })` | [`plan_batch`]`(instances, PlannerConfig, ..)` — the function now accepts either (conversion is automatic) |
-//! | `GreedyOptions::from_env()` (in `revmax-algorithms`) | `PlannerConfig::from_env()` |
-//! | blocking [`PlanTicket::wait`] with an external watchdog | [`PlanTicket::wait_timeout`]`(duration)` → [`WaitOutcome`] |
-//! | synchronous-only `PlanSession::advance` (replans on the calling thread) | [`PlanSession::attach`]`(&service)` + `advance` + [`PlanSession::sync`] (ticketed, cancellable) |
-//! | from-scratch residual rebuild per advance | `PlannerConfig::warm_start(true)` (incremental residuals + recycled engine state; identical plans) |
-//! | `residual_instance` conservative capacity (re-displays double-charged) | exact exempt-aware capacity is now the default; `ResidualMode::Conservative` keeps the old accounting |
-//!
-//! The deprecated names still compile and produce identical plans (asserted
-//! by the compatibility tests); they are thin conversions into
-//! [`PlannerConfig`].
-//!
 //! The `bench_serve` binary measures batch throughput across shard counts
 //! plus the submit/await round-trip overhead of the async front-end
 //! (`BENCH_serve.json`); the `bench_session` binary measures per-event
@@ -117,7 +99,3 @@ pub use registry::{PlanView, Registry, RegistryConfig, RegistryError, RegistrySt
 pub use revmax_algorithms::{PlanAlgorithm, PlannerConfig};
 pub use service::{plan_batch, PlanReport, PlanService, PlanTicket, TicketStatus, WaitOutcome};
 pub use session::{PlanSession, ReplanReport, SessionError};
-
-// Deprecated pre-unification surface (see the migration table above).
-#[allow(deprecated)]
-pub use service::{BatchAlgorithm, BatchPlanner, PlanOptions};

@@ -281,9 +281,8 @@ impl PlanService {
     pub fn plan_batch_reports(
         &self,
         instances: Vec<Instance>,
-        config: impl Into<PlannerConfig>,
+        config: PlannerConfig,
     ) -> Vec<PlanReport> {
-        let config = config.into();
         let tickets: Vec<PlanTicket> = instances
             .into_iter()
             .enumerate()
@@ -298,11 +297,7 @@ impl PlanService {
     /// Plans every instance of the batch and returns the strategies in batch
     /// order (the `plan_batch(Vec<Instance>, config) -> Vec<Strategy>`
     /// serving API).
-    pub fn plan_batch(
-        &self,
-        instances: Vec<Instance>,
-        config: impl Into<PlannerConfig>,
-    ) -> Vec<Strategy> {
+    pub fn plan_batch(&self, instances: Vec<Instance>, config: PlannerConfig) -> Vec<Strategy> {
         self.plan_batch_reports(instances, config)
             .into_iter()
             .map(|r| r.outcome.strategy)
@@ -348,95 +343,10 @@ impl Drop for PlanService {
 }
 
 /// One-shot convenience: plans a batch over a transient pool sized to the
-/// available hardware parallelism. Accepts a [`PlannerConfig`] or anything
-/// convertible into one (including the deprecated `PlanOptions`).
-pub fn plan_batch(instances: Vec<Instance>, config: impl Into<PlannerConfig>) -> Vec<Strategy> {
+/// available hardware parallelism.
+pub fn plan_batch(instances: Vec<Instance>, config: PlannerConfig) -> Vec<Strategy> {
     PlanService::new(0).plan_batch(instances, config)
 }
-
-// ---------------------------------------------------------------------------
-// Deprecated pre-unification surface, kept as thin conversions.
-// ---------------------------------------------------------------------------
-
-/// Which planner runs per instance of a batch.
-#[deprecated(
-    since = "0.2.0",
-    note = "use PlanAlgorithm via PlannerConfig; removal scheduled for 0.4.0"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchAlgorithm {
-    /// G-Greedy (the paper's best performer, the serving default).
-    GlobalGreedy,
-    /// SL-Greedy (chronological per-time-step greedy; cheaper, lower revenue).
-    SequentialLocalGreedy,
-}
-
-// Derived `Default` would reference the deprecated variant and trip the
-// deprecation lint; the manual impl carries the allow.
-#[allow(deprecated, clippy::derivable_impls)]
-impl Default for BatchAlgorithm {
-    fn default() -> Self {
-        BatchAlgorithm::GlobalGreedy
-    }
-}
-
-/// Options for a batch-planning call.
-#[deprecated(
-    since = "0.2.0",
-    note = "use PlannerConfig (this struct converts via `PlannerConfig::from`); removal scheduled for 0.4.0"
-)]
-#[derive(Debug, Clone, Copy)]
-#[allow(deprecated)]
-pub struct PlanOptions {
-    /// Planner run per instance.
-    pub algorithm: BatchAlgorithm,
-    /// User shards per instance (`0`/`1` = sequential planning core).
-    pub shards: u32,
-    /// Incremental revenue engine backing every plan.
-    pub engine: revmax_algorithms::EngineKind,
-    /// Heap implementation backing the selection loops.
-    pub heap: revmax_algorithms::HeapKind,
-}
-
-#[allow(deprecated)]
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            algorithm: BatchAlgorithm::GlobalGreedy,
-            shards: 1,
-            engine: revmax_algorithms::EngineKind::Flat,
-            heap: revmax_algorithms::HeapKind::Lazy,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<PlanOptions> for PlannerConfig {
-    fn from(o: PlanOptions) -> Self {
-        PlannerConfig {
-            algorithm: match o.algorithm {
-                BatchAlgorithm::GlobalGreedy => revmax_algorithms::PlanAlgorithm::GlobalGreedy,
-                BatchAlgorithm::SequentialLocalGreedy => {
-                    revmax_algorithms::PlanAlgorithm::SequentialLocalGreedy
-                }
-            },
-            engine: o.engine,
-            heap: o.heap,
-            shards: o.shards.max(1),
-            // The pool multiplexes instances over threads; keep per-plan
-            // fills sequential (the historical PlanOptions behaviour).
-            parallel: Some(false),
-            ..PlannerConfig::default()
-        }
-    }
-}
-
-/// The pre-unification name of [`PlanService`].
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to PlanService; removal scheduled for 0.4.0"
-)]
-pub type BatchPlanner = PlanService;
 
 #[cfg(test)]
 mod tests {
@@ -745,29 +655,5 @@ mod tests {
         // Reaching this line at all is the assertion (no deadlock, no leak);
         // give the allocator a beat so the test is not trivially reordered.
         std::thread::sleep(Duration::from_millis(1));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_plan_options_surface_still_works() {
-        // Acceptance check: the pre-unification PlanOptions/BatchPlanner
-        // entry points still compile and produce identical plans.
-        let batch = vec![instance(0), instance(1)];
-        let reference = PlanService::new(1).plan_batch(batch.clone(), PlannerConfig::default());
-        let planner = BatchPlanner::new(1);
-        let legacy = planner.plan_batch(batch.clone(), PlanOptions::default());
-        assert_eq!(reference.len(), legacy.len());
-        for (new, old) in reference.iter().zip(&legacy) {
-            assert_eq!(new.as_slice(), old.as_slice());
-        }
-        let legacy_free = plan_batch(
-            batch,
-            PlanOptions {
-                algorithm: BatchAlgorithm::SequentialLocalGreedy,
-                shards: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(legacy_free.len(), 2);
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! The replanned suffix is exactly a from-scratch plan of the residual
 //! instance — the engine-parity suites assert this to 1e-9 for both engines
-//! and shard counts 1 and 2 — so every engine/heap/shard knob of
+//! and shard counts 1 and 2 — so every engine/shard knob of
 //! [`PlannerConfig`] remains a pure performance knob during a session too.
 //!
 //! # Warm-started replans

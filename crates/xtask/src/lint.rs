@@ -14,9 +14,10 @@
 //!    atomic ordering is documented (function and ordering both appear as
 //!    code spans) in `docs/concurrency.md`, and both the ledger and
 //!    ARCHITECTURE.md link that contract.
-//! 3. **Deprecation discipline** — `#[allow(deprecated)]` appears only on
-//!    compat shims (the annotated item mentions a workspace item that is
-//!    itself declared `#[deprecated]`) or in test code.
+//! 3. **No deprecated surface** — `#[deprecated]` and lint attributes that
+//!    name `deprecated` (`#[allow(deprecated)]` and friends) appear only in
+//!    test code. The workspace has no external users, so a superseded API
+//!    is deleted, not kept behind a compat shim.
 //! 4. **No stray panics** — non-test library code of `core`, `algorithms`,
 //!    and `serve` contains no bare `.unwrap()` and no `panic!` (the
 //!    documented-invariant style is `.expect("why this cannot fail")`).
@@ -63,7 +64,7 @@ pub fn run() -> ExitCode {
 
     atomics_confinement(&files, &mut violations);
     ordering_contract(&root, &files, &mut violations);
-    deprecation_discipline(&files, &mut violations);
+    no_deprecated_surface(&files, &mut violations);
     no_stray_panics(&files, &mut violations);
     env_registry(&root, &files, &mut violations);
 
@@ -258,103 +259,47 @@ fn ordering_contract(root: &Path, files: &[File], violations: &mut Vec<String>) 
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: deprecation discipline
+// Rule 3: no deprecated surface
 // ---------------------------------------------------------------------------
 
-const ITEM_KEYWORDS: &[&str] = &[
-    "pub", "crate", "in", "fn", "struct", "enum", "trait", "type", "mod", "const", "static", "use",
-    "unsafe", "async", "extern", "impl", "dyn", "super", "self",
-];
-
-/// Names of items declared `#[deprecated]` anywhere in the workspace.
-fn deprecated_names(files: &[File]) -> Vec<String> {
-    let mut names = Vec::new();
-    for f in files {
-        let code = &f.model.code;
-        for at in lex::token_offsets(code, "#[deprecated") {
-            // Skip past this attribute (bracket-matched), any stacked
-            // attributes, then take the first non-keyword identifier of the
-            // item (its name, for fn/struct/enum/type; good enough for the
-            // shapes the workspace uses).
-            let bytes = code.as_bytes();
-            let mut p = at + 1; // at '['
-            let mut depth = 0usize;
-            while p < bytes.len() {
-                match bytes[p] {
-                    b'[' => depth += 1,
-                    b']' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            p += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                p += 1;
-            }
-            loop {
-                while p < bytes.len() && bytes[p].is_ascii_whitespace() {
-                    p += 1;
-                }
-                if p < bytes.len() && bytes[p] == b'#' {
-                    let mut d = 0usize;
-                    while p < bytes.len() {
-                        match bytes[p] {
-                            b'[' => d += 1,
-                            b']' => {
-                                d -= 1;
-                                if d == 0 {
-                                    p += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        p += 1;
-                    }
-                } else {
-                    break;
+/// The byte range of the attribute opened at `at` (`#[` or `#![`), through
+/// its matching `]`.
+fn attribute_span(code: &str, at: usize) -> std::ops::Range<usize> {
+    let bytes = code.as_bytes();
+    let mut depth = 0usize;
+    for (p, &b) in bytes.iter().enumerate().skip(at) {
+        match b {
+            b'[' => depth += 1,
+            b']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return at..p + 1;
                 }
             }
-            let snippet_end = (p + 240).min(code.len());
-            let mut q = p;
-            while q < snippet_end {
-                let b = bytes[q];
-                if b.is_ascii_alphabetic() || b == b'_' {
-                    let ident = lex::ident_at(code, q);
-                    if !ITEM_KEYWORDS.contains(&ident) {
-                        names.push(ident.to_string());
-                        break;
-                    }
-                    q += ident.len();
-                } else {
-                    q += 1;
-                }
-            }
+            _ => {}
         }
     }
-    names.sort();
-    names.dedup();
-    names
+    at..bytes.len()
 }
 
-fn deprecation_discipline(files: &[File], violations: &mut Vec<String>) {
-    let names = deprecated_names(files);
+fn no_deprecated_surface(files: &[File], violations: &mut Vec<String>) {
     for f in files {
         let code = &f.model.code;
-        for at in lex::token_offsets(code, "#[allow(deprecated)]") {
-            if f.in_test_code(at) {
-                continue;
-            }
-            let window = &code[at..(at + 500).min(code.len())];
-            let shims_deprecated_item = names.iter().any(|n| window.contains(n.as_str()));
-            if !shims_deprecated_item {
+        for opener in ["#[", "#!["] {
+            for at in lex::token_offsets(code, opener) {
+                let span = attribute_span(code, at);
+                if lex::token_offsets(&code[span.clone()], "deprecated").is_empty()
+                    || f.in_test_code(at)
+                {
+                    continue;
+                }
+                // Blanking preserves byte offsets, so the raw text of the
+                // span is the attribute as written.
                 violations.push(format!(
-                    "deprecation-discipline: {}: #[allow(deprecated)] on an item that \
-                     mentions no `#[deprecated]` workspace item — allowed only on compat \
-                     shims and in tests",
-                    f.at(at)
+                    "no-deprecated-surface: {}: `{}` outside test code — delete the \
+                     superseded item and migrate its callers instead of deprecating it",
+                    f.at(at),
+                    f.raw[span].split_whitespace().collect::<Vec<_>>().join(" ")
                 ));
             }
         }

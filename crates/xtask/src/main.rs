@@ -5,7 +5,7 @@
 //!
 //! * `cargo xtask lint` — repo-invariant linter: a source-model pass over
 //!   every workspace `.rs` file enforcing atomics confinement, the
-//!   memory-ordering contract doc, deprecation discipline, panic-free
+//!   memory-ordering contract doc, no deprecated surface, panic-free
 //!   library code, and the `REVMAX_*` env-knob registry (see
 //!   `docs/env.md`).
 //! * `cargo xtask check-ledger` — ledger model checker: exhaustive DFS
@@ -39,7 +39,7 @@ fn usage() -> ExitCode {
     eprintln!();
     eprintln!("commands:");
     eprintln!("  lint                     repo-invariant linter (atomics confinement,");
-    eprintln!("                           ordering contract, deprecation discipline,");
+    eprintln!("                           ordering contract, no deprecated surface,");
     eprintln!("                           panic-free library code, env-knob registry)");
     eprintln!("  check-ledger             ledger model checker (exhaustive 2-3 thread");
     eprintln!("                           schedules, mutant sensitivity, seeded fuzz)");

@@ -15,9 +15,9 @@
 //! Run with: `cargo run --release --example dynamic_storefront`
 //!
 //! Planner configuration comes from `PlannerConfig::from_env()`
-//! (`REVMAX_ENGINE`, `REVMAX_HEAP`, `REVMAX_SHARDS`, `REVMAX_WARM_START`,
-//! …) with warm-started replans enabled by default; none of the knobs may
-//! change any (re)plan, which the example asserts by cross-checking every
+//! (`REVMAX_ENGINE`, `REVMAX_SHARDS`, `REVMAX_WARM_START`, …) with
+//! warm-started replans enabled by default; none of the knobs may change
+//! any (re)plan, which the example asserts by cross-checking every
 //! replanned suffix against a from-scratch plan of the residual instance
 //! on the *other* engine.
 

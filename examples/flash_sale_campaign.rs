@@ -51,8 +51,8 @@ fn main() {
     }
     let instance = builder.build().expect("valid instance");
 
-    // Engine / heap / shard selection from the environment (REVMAX_ENGINE,
-    // REVMAX_HEAP, REVMAX_SHARDS); the plan is identical for every choice.
+    // Engine / shard selection from the environment (REVMAX_ENGINE,
+    // REVMAX_SHARDS); the plan is identical for every choice.
     let plan = plan(&instance, &PlannerConfig::from_env());
     println!("expected campaign revenue: {:.2}\n", plan.revenue);
     println!("{:<10} {:>12} {:>14}", "user", "segment", "first shown on");

@@ -4,11 +4,10 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Planner configuration comes from the environment through the unified
-//! `PlannerConfig::from_env()` (`REVMAX_ENGINE=flat|hash`,
-//! `REVMAX_HEAP=lazy|dary`, `REVMAX_SHARDS=n`, `REVMAX_ALGORITHM`,
-//! `REVMAX_SEED`) — none of which may change a given algorithm's plan, which
-//! this example asserts by cross-checking the flat-arena engine against the
-//! hash reference engine.
+//! `PlannerConfig::from_env()` (`REVMAX_ENGINE=flat|hash`, `REVMAX_SHARDS=n`,
+//! `REVMAX_ALGORITHM`, `REVMAX_SEED`) — none of which may change a given
+//! algorithm's plan, which this example asserts by cross-checking the
+//! flat-arena engine against the hash reference engine.
 
 use revmax::prelude::*;
 
@@ -43,8 +42,8 @@ fn main() {
         .candidate(2, 2, &[0.25, 0.35, 0.25], 3.9);
     let instance = builder.build().expect("valid instance");
 
-    // Revenue-maximizing plan, with algorithm/engine/heap/shards picked from
-    // the environment (defaults: G-Greedy, flat engine, lazy heap, 1 shard).
+    // Revenue-maximizing plan, with algorithm/engine/shards picked from the
+    // environment (defaults: G-Greedy, flat engine, 1 shard).
     let config = PlannerConfig::from_env();
     let outcome = plan(&instance, &config);
 

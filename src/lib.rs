@@ -9,9 +9,9 @@
 //! downstream users can get going with a single `use revmax::prelude::*`.
 //!
 //! **Start here for orientation:** `ARCHITECTURE.md` in the repository root
-//! maps the 8 crates, the
+//! maps the crates, the
 //! `Instance → PlannerConfig → plan/plan_residual → PlanService/PlanSession`
-//! data flow, and the engine / ledger / heap extension points;
+//! data flow, and the engine / ledger / sharding extension points;
 //! `docs/submodularity.md` explains why the exact marginal implemented here
 //! is not submodular (~13% of random instances violate the Theorem-2
 //! inequality) and how lazy-forward correctness is therefore validated
@@ -91,35 +91,6 @@
 //! assert!(report.pending);
 //! session.sync().expect("collects the replanned suffix");
 //! ```
-//!
-//! ## Migrating from the pre-unification API
-//!
-//! | Deprecated | Replacement |
-//! |---|---|
-//! | `GreedyOptions { engine, heap, shards, .. }` | [`PlannerConfig`](crate::algorithms::PlannerConfig) builder (`with_engine`, `with_heap`, `with_shards`, …) |
-//! | `LocalGreedyOptions { .. }` | `PlannerConfig` with `PlanAlgorithm::SequentialLocalGreedy` |
-//! | `global_greedy_with(inst, &opts)` | [`plan`](crate::algorithms::plan)`(inst, &config)` |
-//! | `local_greedy_with_order_opts(inst, order, &opts)` | [`plan_order`](crate::algorithms::plan_order)`(inst, order, &config)` |
-//! | `sharded_global_greedy` / `sharded_local_greedy` | `sharded_plan` / `sharded_plan_order` |
-//! | `GreedyOptions::from_env()` | `PlannerConfig::from_env()` (adds `REVMAX_ALGORITHM`, `REVMAX_SEED`, `REVMAX_WARM_START`) |
-//! | `BatchPlanner` / `PlanOptions` / `BatchAlgorithm` | [`PlanService`](crate::serve::PlanService) / `PlannerConfig` / `PlanAlgorithm` |
-//! | synchronous-only `PlanSession::advance` | [`PlanSession::attach`](crate::serve::PlanSession::attach) + `advance` + `sync` (ticketed replans over a shared service) |
-//! | conservative residual capacity (re-displays double-charged) | exempt-aware exact capacity (default); `ResidualMode::Conservative` keeps the old accounting |
-//!
-//! Every deprecated entry point still compiles and produces an identical
-//! plan (the old structs convert into `PlannerConfig` via `From`).
-//!
-//! ### Removal schedule
-//!
-//! The deprecated shims above shipped with the 0.2.0 unification (PR 3) and
-//! have been conversion-only ever since. They are scheduled for **removal in
-//! 0.4.0** (two releases after deprecation): until then they stay
-//! compile-clean and plan-identical, enforced by the compat suites
-//! (`deprecated_entry_points_match_the_unified_surface` in
-//! `crates/algorithms`, `deprecated_plan_options_surface_still_works` in
-//! `crates/serve`). The only remaining `#[allow(deprecated)]` sites in the
-//! workspace are the shim definitions themselves, their re-exports, and
-//! those compat tests — no internal caller consumes the deprecated surface.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -136,7 +107,7 @@ pub mod prelude {
     pub use revmax_algorithms::{
         global_greedy, global_no_saturation, plan, plan_order, plan_residual,
         randomized_local_greedy, run, sequential_local_greedy, solve_t1_exact, top_rating,
-        top_revenue, Aggregates, Algorithm, EngineKind, GreedyOutcome, HeapKind, PlanAlgorithm,
+        top_revenue, Aggregates, Algorithm, EngineKind, GreedyOutcome, PlanAlgorithm,
         PlannerConfig, RunReport,
     };
     pub use revmax_core::{
@@ -154,12 +125,6 @@ pub mod prelude {
     pub use revmax_serve::{
         plan_batch, PlanService, PlanSession, PlanTicket, ReplanReport, TicketStatus, WaitOutcome,
     };
-
-    // Deprecated pre-unification names, kept importable for compatibility.
-    #[allow(deprecated)]
-    pub use revmax_algorithms::{global_greedy_with, GreedyOptions, LocalGreedyOptions};
-    #[allow(deprecated)]
-    pub use revmax_serve::{BatchAlgorithm, BatchPlanner, PlanOptions};
 }
 
 #[cfg(test)]
