@@ -92,8 +92,11 @@ pub struct PlannerConfig {
     pub algorithm: PlanAlgorithm,
     /// Incremental revenue engine backing the run.
     pub engine: EngineKind,
-    /// Number of user shards (`0`/`1` = the sequential driver, `n ≥ 2` = the
-    /// shard-partitioned core of [`crate::sharded`]).
+    /// Number of user shards G-Greedy plans on (`0`/`1` = one shard, `n ≥ 2`
+    /// = `n` shards coupled through a shared capacity ledger, see
+    /// [`crate::sharded`]). Every shard runs the same selection core, and
+    /// every shard count produces the same plan. SL-Greedy and RL-Greedy
+    /// ignore it: they always plan on one shard.
     pub shards: u32,
     /// Seed for the randomized algorithms (RL-Greedy permutation sampling).
     pub seed: u64,
@@ -119,24 +122,6 @@ pub struct PlannerConfig {
     /// [`Aggregates::Auto`]): uniform-β classes answer marginals from `O(T)`
     /// closed-form accumulators, mixed-β classes keep the exact slab walk.
     pub aggregates: Aggregates,
-    /// Selects the kernel-compiled drivers and, where they still run on
-    /// lazy heaps, the width of their batched refresh bursts (default 8).
-    /// `0` runs the legacy pop/refresh/push loop everywhere — the
-    /// "generic" baseline the kernel-vs-generic bench rows measure. Any
-    /// value `≥ 1` switches the sequential G-Greedy core onto the
-    /// tournament-tree driver (selection over candidate roots with O(1)
-    /// pops and swap-free path fixes; the value itself is ignored there —
-    /// stale runs refresh implicitly through the tree) on instances of
-    /// ~4k candidates or more — below that size gate the tree build and
-    /// eager blocking don't amortise and the scalar loop is kept — while
-    /// the sharded
-    /// and SLG heap drivers collect up to `kernel_batch` stale tops per
-    /// pop and refresh the run in one pass grouped by compiled kernel id
-    /// (`RevenueEngine::kernel_id_cand`). Purely a performance knob: all
-    /// widths produce bit-identical plans (a refreshed marginal depends
-    /// only on the candidate's own group, so refreshing it earlier or
-    /// later in a burst cannot change its value).
-    pub kernel_batch: u32,
     /// Worker threads for the **concurrent shard executor** of the sharded
     /// G-Greedy core (default `1` = the sequential value-ordered
     /// arbitration, unchanged from previous releases). With `≥ 2`, shards
@@ -165,7 +150,6 @@ impl Default for PlannerConfig {
             parallel: None,
             warm_start: false,
             aggregates: Aggregates::default(),
-            kernel_batch: 8,
             shard_threads: 1,
         }
     }
@@ -234,13 +218,6 @@ impl PlannerConfig {
         self
     }
 
-    /// Selects the batched heap-refresh width (see
-    /// [`PlannerConfig::kernel_batch`]; `0` selects the legacy scalar loop).
-    pub fn with_kernel_batch(mut self, kernel_batch: u32) -> Self {
-        self.kernel_batch = kernel_batch;
-        self
-    }
-
     /// Selects the concurrent shard executor's worker-thread count (see
     /// [`PlannerConfig::shard_threads`]; `1` = sequential arbitration,
     /// `0` = auto).
@@ -261,11 +238,10 @@ impl PlannerConfig {
     /// * `REVMAX_ALGORITHM` — `gg` (default), `gg-no`, `slg`, or `rlg`
     ///   (RL-Greedy with the paper's 20 permutations);
     /// * `REVMAX_ENGINE` — `flat` (default) or `hash`;
-    /// * `REVMAX_SHARDS` — shard count (`≥ 2` engages the sharded core);
+    /// * `REVMAX_SHARDS` — G-Greedy shard count (`≥ 2` couples the shards
+    ///   through the shared capacity ledger);
     /// * `REVMAX_SEED` — seed for the randomized algorithms;
     /// * `REVMAX_WARM_START` — `1` enables warm-started residual replans;
-    /// * `REVMAX_KERNEL_BATCH` — batched heap-refresh width (default 8,
-    ///   `0` = the legacy scalar refresh loop);
     /// * `REVMAX_SHARD_THREADS` — worker threads for the concurrent shard
     ///   executor (default 1 = sequential arbitration, `0` = auto).
     ///
@@ -288,9 +264,6 @@ impl PlannerConfig {
         }
         if let Some(warm) = env::var::<u32>("REVMAX_WARM_START") {
             self.warm_start = warm != 0;
-        }
-        if let Some(kernel_batch) = env::var::<u32>("REVMAX_KERNEL_BATCH") {
-            self.kernel_batch = kernel_batch;
         }
         if let Some(shard_threads) = env::var::<u32>("REVMAX_SHARD_THREADS") {
             self.shard_threads = shard_threads;
@@ -366,7 +339,7 @@ pub fn plan_residual(
 ) -> GreedyOutcome {
     match config.algorithm {
         PlanAlgorithm::GlobalGreedy | PlanAlgorithm::GlobalNoSaturation => {
-            crate::global_greedy::dispatch(inst, config, delta)
+            crate::sharded::sharded_plan_residual(inst, config, config.shards as usize, delta)
         }
         PlanAlgorithm::SequentialLocalGreedy => {
             let order: Vec<u32> = (1..=inst.horizon()).collect();
@@ -400,8 +373,7 @@ mod tests {
             .with_lazy_forward(false)
             .with_track_trace(true)
             .with_parallel(Some(false))
-            .with_aggregates(Aggregates::Off)
-            .with_kernel_batch(0);
+            .with_aggregates(Aggregates::Off);
         assert_eq!(cfg.algorithm, PlanAlgorithm::SequentialLocalGreedy);
         assert_eq!(cfg.engine, EngineKind::Hash);
         assert_eq!(cfg.shards, 1, "0 shards normalises to 1");
@@ -411,12 +383,6 @@ mod tests {
         assert_eq!(cfg.parallel, Some(false));
         assert_eq!(cfg.aggregates, Aggregates::Off);
         assert_eq!(PlannerConfig::default().aggregates, Aggregates::Auto);
-        assert_eq!(cfg.kernel_batch, 0);
-        assert_eq!(
-            PlannerConfig::default().kernel_batch,
-            8,
-            "batched refresh is the default driver"
-        );
     }
 
     #[test]
@@ -424,21 +390,6 @@ mod tests {
         assert_eq!(Aggregates::Auto.mode(), AggregateMode::Auto);
         assert_eq!(Aggregates::Off.mode(), AggregateMode::Off);
         assert_eq!(Aggregates::default().mode(), AggregateMode::default());
-    }
-
-    #[test]
-    fn kernel_batch_env_knob_overlays_and_degrades_gracefully() {
-        // `env_overlay` reads through `revmax_core::env`, which trims and
-        // rejects unparsable values, keeping the receiver's setting.
-        let base = PlannerConfig::default().with_kernel_batch(3);
-        std::env::set_var("REVMAX_KERNEL_BATCH", "16");
-        assert_eq!(base.env_overlay().kernel_batch, 16);
-        std::env::set_var("REVMAX_KERNEL_BATCH", " 0 ");
-        assert_eq!(base.env_overlay().kernel_batch, 0, "0 = legacy scalar loop");
-        std::env::set_var("REVMAX_KERNEL_BATCH", "not-a-number");
-        assert_eq!(base.env_overlay().kernel_batch, 3, "typo keeps the setting");
-        std::env::remove_var("REVMAX_KERNEL_BATCH");
-        assert_eq!(base.env_overlay().kernel_batch, 3);
     }
 
     #[test]

@@ -6,22 +6,32 @@
 //! revenue that does not violate the display or capacity constraint. Two
 //! implementation-level optimisations from §5.1 are reproduced:
 //!
-//! * the **two-level heap** structure: one small "lower heap" per (user, item)
+//! * the **two-level** structure: one small "lower heap" per (user, item)
 //!   candidate pair holding its `T` triples (here a linear scan over a
-//!   struct-of-arrays block, since `T ≤ 7` in all experiments), and one upper
-//!   heap over candidate pairs keyed by the root of their lower heap;
+//!   struct-of-arrays block, since `T ≤ 7` in all experiments), and one
+//!   upper level over candidate pairs keyed by the root of their lower heap
+//!   (here a tournament tree, `CandTournament`);
 //! * **lazy forward**: a triple's cached marginal revenue carries a flag equal
-//!   to `|set(u, C(i))|` at computation time; when the triple reaches the root
-//!   of the upper heap, it is re-evaluated only if the flag is stale. The
-//!   paper justifies this via submodularity (Theorem 2); the exact objective
-//!   implemented here is not submodular in all corners (see the notes in
-//!   `crates/core/tests/properties.rs`), so lazy forward is treated as a
-//!   heuristic and the lazy == eager equivalence is asserted empirically.
+//!   to `|set(u, C(i))|` at computation time; when the triple reaches the
+//!   root of the upper level, it is re-evaluated only if the flag is stale.
+//!   The paper justifies this via submodularity (Theorem 2); the exact
+//!   objective implemented here is not submodular in all corners (see the
+//!   notes in `crates/core/tests/properties.rs`), so lazy forward is treated
+//!   as a heuristic and the lazy == eager equivalence is asserted
+//!   empirically.
+//!
+//! Every G-Greedy plan runs on one selection core, `ShardCore`: an engine
+//! view, a `CandidateTable`, a `CandTournament` and a cached argmax per
+//! candidate, over one user shard. One shard covering every user is the
+//! sequential driver; [`crate::sharded`] runs several and arbitrates between
+//! their roots. The only thing that differs is where capacity lives
+//! (`Capacity`).
 //!
 //! The drivers are generic over [`RevenueEngine`]: the default is the
-//! flat-arena [`IncrementalRevenue`]; [`EngineKind::Hash`] selects the
-//! pre-refactor [`HashIncrementalRevenue`] so benches can measure the
-//! refactor's speedup on identical selection sequences.
+//! flat-arena [`revmax_core::IncrementalRevenue`]; [`EngineKind::Hash`]
+//! selects the pre-refactor [`revmax_core::HashIncrementalRevenue`] so
+//! benches can measure the refactor's speedup on identical selection
+//! sequences.
 //!
 //! Per-candidate cached state is stored struct-of-arrays: flat `values` and
 //! `flags` vectors indexed by `cand * T + t` (blocked slots are encoded as
@@ -31,11 +41,11 @@
 //! candidates) is filled by scoped threads cut at user boundaries.
 
 use crate::config::PlannerConfig;
-use crate::heap::LazyMaxHeap;
+use crate::heap::precedes;
 use crate::par;
 use revmax_core::{
-    revenue, CandidateId, HashIncrementalRevenue, IncrementalRevenue, Instance, ResidualDelta,
-    RevenueEngine, Strategy, TimeStep,
+    revenue, CandidateId, Instance, ResidualDelta, RevenueEngine, Strategy, TimeStep, Triple,
+    UserShard,
 };
 
 /// Which incremental revenue engine backs a greedy run.
@@ -101,16 +111,15 @@ impl ConcurrencyStats {
 
 /// Runs G-Greedy with the default configuration.
 pub fn global_greedy(inst: &Instance) -> GreedyOutcome {
-    dispatch(inst, &PlannerConfig::default(), None)
+    crate::plan(inst, &PlannerConfig::default())
 }
 
 /// Runs the `GlobalNo` ablation: saturation is ignored during selection, the
 /// returned revenue is evaluated with the true saturation factors.
 pub fn global_no_saturation(inst: &Instance) -> GreedyOutcome {
-    dispatch(
+    crate::plan(
         inst,
         &PlannerConfig::default().with_algorithm(crate::config::PlanAlgorithm::GlobalNoSaturation),
-        None,
     )
 }
 
@@ -132,50 +141,25 @@ pub(crate) fn make_engine<'a, E: RevenueEngine<'a>>(
     engine
 }
 
-/// The G-Greedy driver dispatch: shard count, then engine. `delta` is the
-/// warm-start handle of a residual replan (`None` for one-shot plans).
-pub(crate) fn dispatch(
-    inst: &Instance,
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    if cfg.shards > 1 {
-        return crate::sharded::sharded_plan_residual(inst, cfg, cfg.shards as usize, delta);
-    }
-    match cfg.engine {
-        EngineKind::Flat => two_level_greedy::<IncrementalRevenue<'_>>(inst, cfg, delta),
-        EngineKind::Hash => two_level_greedy::<HashIncrementalRevenue<'_>>(inst, cfg, delta),
-    }
-}
-
 /// Struct-of-arrays per-candidate cached state: slot `local_cand * T + t`
 /// holds the cached (possibly stale) marginal revenue and the lazy-forward
 /// flag it was computed under. A blocked (dead) slot is encoded as
 /// `NEG_INFINITY` in `values`, so the per-candidate "lower heap" is a single
 /// contiguous max scan over `T` floats.
 ///
-/// The table covers a contiguous candidate range (the whole instance for the
-/// sequential drivers, one user shard for the shard-partitioned core) and is
-/// addressed by *local* candidate indices relative to the range start.
-pub(crate) struct CandidateTable {
+/// The table covers one shard's contiguous candidate range (the whole
+/// instance for a one-shard plan) and is addressed by *local* candidate
+/// indices relative to the range start.
+struct CandidateTable {
     horizon: usize,
-    pub(crate) values: Vec<f64>,
-    pub(crate) flags: Vec<u32>,
+    values: Vec<f64>,
+    flags: Vec<u32>,
 }
 
 impl CandidateTable {
-    fn new(inst: &Instance, parallel: bool) -> Self {
-        Self::for_range(inst, 0, inst.num_candidates() as u32, parallel)
-    }
-
     /// Builds the initial value table (`q(u,i,t) · p(i,t)`) for the candidate
     /// range `[cand_start, cand_end)`.
-    pub(crate) fn for_range(
-        inst: &Instance,
-        cand_start: u32,
-        cand_end: u32,
-        parallel: bool,
-    ) -> Self {
+    fn for_range(inst: &Instance, cand_start: u32, cand_end: u32, parallel: bool) -> Self {
         let horizon = inst.horizon() as usize;
         let n = (cand_end - cand_start) as usize * horizon;
         let mut values = vec![f64::NEG_INFINITY; n];
@@ -201,7 +185,7 @@ impl CandidateTable {
     /// Re-evaluates every live slot of the local candidate `local` (engine
     /// calls address the global `cand`), stamping the flags; returns the
     /// number of marginal evaluations performed.
-    pub(crate) fn reevaluate<'a, E: RevenueEngine<'a>>(
+    fn reevaluate<'a, E: RevenueEngine<'a>>(
         &mut self,
         inc: &E,
         local: u32,
@@ -237,7 +221,7 @@ impl CandidateTable {
     /// Best live slot of a candidate: `(t index, value)`; `None` when every
     /// slot is blocked.
     #[inline]
-    pub(crate) fn best(&self, cand: u32) -> Option<(usize, f64)> {
+    fn best(&self, cand: u32) -> Option<(usize, f64)> {
         let base = cand as usize * self.horizon;
         let mut best_t = 0usize;
         let mut best_v = f64::NEG_INFINITY;
@@ -255,162 +239,41 @@ impl CandidateTable {
     }
 
     /// Marks a slot dead (already selected, or its display slot is full).
+    /// Returns whether the slot was live.
     #[inline]
-    pub(crate) fn block(&mut self, cand: u32, t: usize) {
-        self.values[cand as usize * self.horizon + t] = f64::NEG_INFINITY;
+    fn block(&mut self, cand: u32, t: usize) -> bool {
+        let slot = &mut self.values[cand as usize * self.horizon + t];
+        let live = *slot != f64::NEG_INFINITY;
+        *slot = f64::NEG_INFINITY;
+        live
+    }
+
+    /// Marks every slot of a candidate dead.
+    #[inline]
+    fn retire(&mut self, cand: u32) {
+        let base = cand as usize * self.horizon;
+        self.values[base..base + self.horizon].fill(f64::NEG_INFINITY);
     }
 
     #[inline]
-    pub(crate) fn is_blocked(&self, cand: u32, t: usize) -> bool {
+    fn is_blocked(&self, cand: u32, t: usize) -> bool {
         self.values[cand as usize * self.horizon + t] == f64::NEG_INFINITY
     }
 
     #[inline]
-    pub(crate) fn slot(&self, cand: u32, t: usize) -> usize {
+    fn slot(&self, cand: u32, t: usize) -> usize {
         cand as usize * self.horizon + t
     }
 }
 
-/// One member of a batched heap-refresh burst: the compiled kernel id of the
-/// candidate's group, the candidate's local heap index, and the lazy-forward
-/// stamp its refresh must be computed against.
-pub(crate) type StaleMember = (u8, u32, u32);
-
-/// Collects the run of **stale** tops of `heap` into `run`, stopping at the
-/// first top that is fresh, non-positive, or constraint-blocked at its best
-/// slot (the main loop drains those), or when `cap` members are gathered.
-/// Tops whose every slot is already blocked are retired from the heap in
-/// place — they can never revive, so early retirement commutes with
-/// everything. Collected members are popped out of the heap; pass them to
-/// [`refresh_stale_run`] before touching the heap again.
-///
-/// Refreshing a stale candidate early — rather than when it individually
-/// surfaces — is plan-preserving: no insertion happens inside a burst, a
-/// marginal depends only on the candidate's own (user, class) group state,
-/// and the lazy-forward stamp is the group size, so the values a burst
-/// refresh writes are bit-identical to the values the pop-per-iteration loop
-/// writes when the same candidate surfaces stale under the same group state.
-/// (Like lazy forward itself this is asserted empirically — the kernel
-/// parity suite pins batched == scalar plans across batch widths.)
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn collect_stale_run<'a, E: RevenueEngine<'a>>(
-    inc: &E,
-    table: &mut CandidateTable,
-    heap: &mut LazyMaxHeap,
-    cand_start: u32,
-    lazy_forward: bool,
-    violates: impl Fn(&E, CandidateId, TimeStep) -> bool,
-    run: &mut Vec<StaleMember>,
-    cap: usize,
-) {
-    while run.len() < cap {
-        let Some((next, next_v)) = heap.peek() else {
-            break;
-        };
-        if next_v <= 0.0 {
-            break;
-        }
-        let cand = CandidateId(cand_start + next);
-        let Some((bt, _)) = table.best(next) else {
-            heap.remove(next);
-            continue;
-        };
-        let t = TimeStep::from_index(bt);
-        if violates(inc, cand, t) {
-            break;
-        }
-        let stamp = if lazy_forward {
-            inc.group_size_cand(cand) as u32
-        } else {
-            inc.len() as u32
-        };
-        if table.flags[table.slot(next, bt)] == stamp {
-            break;
-        }
-        heap.pop();
-        run.push((inc.kernel_id_cand(cand), next, stamp));
-    }
-}
-
-/// Refreshes every member of a collected stale run and re-queues it at its
-/// new root value. Members are evaluated grouped by compiled kernel id
-/// (sorted, ties to the smaller index for determinism) so each group of the
-/// burst runs one kernel's inner loop back to back, branch-predictably;
-/// since no insertion happens inside a burst, the evaluation order cannot
-/// change any computed value. Returns the number of marginal evaluations.
-pub(crate) fn refresh_stale_run<'a, E: RevenueEngine<'a>>(
-    inc: &E,
-    table: &mut CandidateTable,
-    heap: &mut LazyMaxHeap,
-    cand_start: u32,
-    run: &mut [StaleMember],
-) -> u64 {
-    if run.len() > 1 {
-        run.sort_unstable_by_key(|&(k, idx, _)| (k, idx));
-    }
-    let mut evals = 0;
-    for &(_, idx, stamp) in run.iter() {
-        evals += table.reevaluate(inc, idx, CandidateId(cand_start + idx), stamp);
-        match table.best(idx) {
-            Some((_, v)) => heap.update(idx, v),
-            None => heap.remove(idx),
-        }
-    }
-    evals
-}
-
-fn finish<'a, E: RevenueEngine<'a>>(
-    inst: &'a Instance,
-    inc: E,
-    cfg: &PlannerConfig,
-    trace: Vec<f64>,
-    marginal_evaluations: u64,
-) -> GreedyOutcome {
-    let selection_objective = inc.revenue();
-    let strategy = inc.into_strategy();
-    let true_revenue = if cfg.ignores_saturation() {
-        revenue(inst, &strategy)
-    } else {
-        selection_objective
-    };
-    GreedyOutcome {
-        strategy,
-        revenue: true_revenue,
-        selection_objective,
-        trace,
-        marginal_evaluations,
-        concurrency: Default::default(),
-    }
-}
-
-/// Minimum candidate count for the tournament driver. Below this the
-/// scalar lazy-heap loop wins: the tree build plus the eager column-block
-/// scans cost a fixed overhead that only amortises once the selection
-/// stream is long enough (measured crossover ~4–6k candidates on the
-/// amazon-shaped benches; at 2.4k candidates the tournament loses ~10%,
-/// at 38k it wins 1.2–1.4×).
-const TOURNAMENT_MIN_CANDIDATES: usize = 4096;
-
-fn two_level_greedy<'a, E: RevenueEngine<'a>>(
-    inst: &'a Instance,
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    if cfg.kernel_batch == 0 || inst.num_candidates() < TOURNAMENT_MIN_CANDIDATES {
-        two_level_greedy_scalar::<E>(inst, cfg, delta)
-    } else {
-        two_level_greedy_batched::<E>(inst, cfg, delta)
-    }
-}
-
-/// A loser-free tournament tree over the candidate root values, with the
-/// same total order as [`LazyMaxHeap`]: larger value first, ties towards
-/// the smaller candidate id. The kernel-compiled driver keys selection off
-/// this tree instead of a binary heap: re-keying a candidate is a fix of
-/// the leaf-to-root path — `log₂ candidates` branchless winner recomputes
-/// with no swaps, no position index, and an early exit as soon as a node is
-/// unchanged — where a lazy heap pays a full pop/push round trip (sift plus
-/// stale-entry drain) per surfaced candidate.
+/// A loser-free tournament tree over the candidate root values, in the
+/// [`precedes`] order (larger value first, ties towards the smaller
+/// candidate id) that the shard arbitration and the parity suites' heap
+/// oracle share. Re-keying a candidate is a fix of the leaf-to-root
+/// path — `log₂ candidates` branchless winner recomputes with no swaps, no
+/// position index, and an early exit as soon as a node is unchanged — where
+/// a lazy heap pays a full pop/push round trip (sift plus stale-entry
+/// drain) per surfaced candidate.
 struct CandTournament {
     /// Leaf count, `num_candidates` rounded up to a power of two.
     size: usize,
@@ -432,12 +295,10 @@ impl CandTournament {
         CandTournament { size, tree }
     }
 
-    /// The heap ordering: maximum value, ties to the smaller candidate id —
-    /// exactly the (value desc, id asc) total order [`LazyMaxHeap`] pops
-    /// in, so the tournament selects the scalar driver's sequence.
+    /// The selection order: maximum value, ties to the smaller candidate id.
     #[inline]
     fn winner(a: (f64, u32), b: (f64, u32)) -> (f64, u32) {
-        if a.0 > b.0 || (a.0 == b.0 && a.1 < b.1) {
+        if precedes(a, b) {
             a
         } else {
             b
@@ -467,260 +328,334 @@ impl CandTournament {
     }
 }
 
-/// The kernel-compiled two-level driver (`kernel_batch ≥ 1`, the default).
-///
-/// Replaces the scalar driver's lazy binary heap with a [`CandTournament`]
-/// over the candidate roots plus a cached argmax time per candidate, so
-/// selection is O(1) and every constraint block, stale refresh, or
-/// insertion costs one leaf path fix. Display fills block the filled
-/// `(user, t)` column across the user's contiguous candidate range eagerly
-/// (display counts never decrease, so this is the same bookkeeping the
-/// scalar drain loop does lazily, minus the surface-and-requeue round
-/// trips), and capacity exhaustion retires the whole candidate row. A stale
-/// root is re-evaluated over all its live time slots in one fused kernel
-/// pass; the stale *run* a lazy heap has to collect explicitly
-/// ([`collect_stale_run`], still used by the sharded and SLG drivers) is
-/// implicit here — after the path fix, the next stale member of the run is
-/// back at the tree root in O(1).
-///
-/// Produces the identical plan to [`two_level_greedy_scalar`]: cached root
-/// values evolve identically (marginals depend only on the candidate's own
-/// (user, class) group state, refreshed under the same lazy-forward
-/// stamps), and both selection orders are (value desc, candidate id asc)
-/// over those cached values. Like lazy forward itself, the equivalence is
-/// asserted empirically — the kernel parity suite pins batched == scalar
-/// across batch widths, engines, shard counts, and warm/cold construction.
-fn two_level_greedy_batched<'a, E: RevenueEngine<'a>>(
-    inst: &'a Instance,
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    let num_cand = inst.num_candidates();
-    let horizon = inst.horizon() as usize;
-    let mut inc: E = make_engine(
-        inst,
-        cfg.ignores_saturation(),
-        inst.full_shard(),
-        cfg,
-        delta,
-    );
-    let mut trace = Vec::new();
-    let mut evals: u64 = 0;
-
-    let mut table = CandidateTable::new(inst, cfg.parallel_init());
-    // Cached argmax time per candidate; the matching value lives in the
-    // tournament leaf. Together they mirror `table.best` exactly.
-    let mut cand_best_t = vec![0u32; num_cand];
-    let mut roots = vec![f64::NEG_INFINITY; num_cand];
-    for c in 0..num_cand {
-        if let Some((t, v)) = table.best(c as u32) {
-            roots[c] = v;
-            cand_best_t[c] = t as u32;
-        }
-    }
-    let mut tour = CandTournament::new(&roots);
-    drop(roots);
-    let user_offsets = inst.user_cand_offsets();
-    let total_slots = inst.total_slots();
-
-    while (inc.len() as u64) < total_slots {
-        let (root_v, cand_idx) = tour.root();
-        if root_v <= 0.0 {
-            break;
-        }
-        let cand = CandidateId(cand_idx);
-        let best_t = cand_best_t[cand_idx as usize] as usize;
-        let t = TimeStep::from_index(best_t);
-
-        if inc.would_violate_cand(cand, t) {
-            if inc.would_violate_display_cand(cand, t) {
-                // The (user, t) slot is full: dead for this candidate, other
-                // time steps may still be fine. (Only pre-filled warm-start
-                // displays reach this branch — fills during the run block
-                // eagerly below.)
-                table.block(cand_idx, best_t);
-                refresh_leaf(&table, cand_idx, &mut cand_best_t, &mut tour);
-            } else {
-                // Capacity exhausted by other users: the whole candidate
-                // dies (exempt users never violate capacity, so this is
-                // permanent). Wipe the table row too — otherwise a later
-                // eager column block would treat it as live.
-                for tt in 0..horizon {
-                    let s = table.slot(cand_idx, tt);
-                    table.values[s] = f64::NEG_INFINITY;
-                }
-                tour.update(cand_idx, f64::NEG_INFINITY);
-            }
-            continue;
-        }
-
-        let stamp = if cfg.lazy_forward {
-            inc.group_size_cand(cand) as u32
-        } else {
-            inc.len() as u32
-        };
-        if table.flags[table.slot(cand_idx, best_t)] == stamp {
-            inc.insert_cand(cand, t);
-            table.block(cand_idx, best_t);
-            if cfg.track_trace {
-                trace.push(inc.revenue());
-            }
-            if inc.would_violate_display_cand(cand, t) {
-                // This insertion filled the (user, t) display slot: block
-                // the t column across the user's candidate range now. A
-                // candidate whose cached argmax sat elsewhere keeps its
-                // root (blocking a non-argmax slot cannot change the
-                // forward-scan argmax), so only argmax hits pay a path fix.
-                let user = inst.candidate_user(cand).index();
-                let (lo, hi) = (user_offsets[user] as usize, user_offsets[user + 1] as usize);
-                for c in lo..hi {
-                    let s = table.slot(c as u32, best_t);
-                    if table.values[s] != f64::NEG_INFINITY {
-                        table.values[s] = f64::NEG_INFINITY;
-                        if cand_best_t[c] as usize == best_t {
-                            refresh_leaf(&table, c as u32, &mut cand_best_t, &mut tour);
-                        }
-                    }
-                }
-            }
-            refresh_leaf(&table, cand_idx, &mut cand_best_t, &mut tour);
-        } else {
-            // Stale root: re-evaluate this candidate's live slots in one
-            // fused kernel pass, then fix its path.
-            evals += table.reevaluate(&inc, cand_idx, cand, stamp);
-            refresh_leaf(&table, cand_idx, &mut cand_best_t, &mut tour);
-        }
-    }
-
-    finish(inst, inc, cfg, trace, evals)
+/// What one selection step did.
+pub(crate) enum Step {
+    /// A triple was committed; `marginal` is its realised marginal revenue.
+    Inserted { z: Triple, marginal: f64 },
+    /// Bookkeeping only (slot blocked, candidate retired, or re-evaluated).
+    Continue,
+    /// The root move reached a commit point its [`Capacity`] cannot decide
+    /// alone (the concurrent executor's scarce window). The shard is
+    /// untouched — the move stays at the tree root, the engine is not
+    /// mutated — until [`ShardCore::admit`] or [`ShardCore::reject`];
+    /// `t_idx` is the commit's time index and `granted` whether a
+    /// speculative claim won a capacity unit.
+    Park { t_idx: usize, granted: bool },
 }
 
-/// Re-derives one candidate's root `(value, argmax t)` from its table row
-/// after the row changed, and re-keys its tournament leaf.
-#[inline]
-fn refresh_leaf(
-    table: &CandidateTable,
-    c: u32,
-    cand_best_t: &mut [u32],
-    tour: &mut CandTournament,
-) {
-    match table.best(c) {
-        Some((t, v)) => {
-            cand_best_t[c as usize] = t as u32;
-            tour.update(c, v);
-        }
-        None => tour.update(c, f64::NEG_INFINITY),
+/// What a [`Capacity`] decided at a fresh root move's commit point.
+pub(crate) enum Commit {
+    /// The capacity side is settled: insert the move.
+    Insert,
+    /// Park the move for arbitration (see [`Step::Park`]).
+    Park { granted: bool },
+}
+
+/// Where a shard's capacity lives — the one thing that differs between the
+/// one-shard driver (the engine's own counters, [`EngineCapacity`]), the
+/// sequential shard arbitration and the concurrent executor (the shared
+/// ledger, through `crate::protocol`).
+pub(crate) trait Capacity {
+    /// Whether the capacity gate retires `cand`, whose slot `t` is
+    /// display-feasible. `counted` is whether the candidate's (user, item)
+    /// pair has already claimed in a shared ledger.
+    fn blocked<'a, E: RevenueEngine<'a>>(
+        &self,
+        inc: &E,
+        counted: bool,
+        cand: CandidateId,
+        t: TimeStep,
+    ) -> bool;
+
+    /// The capacity side of committing a fresh root move of `cand`.
+    fn commit(&self, counted: &mut bool, cand: CandidateId) -> Commit;
+
+    /// `cand` died without a claim: retired by the capacity gate, or left
+    /// with no live slot by display fills.
+    #[inline]
+    fn retired(&self, counted: bool, cand: CandidateId) {
+        let _ = (counted, cand);
     }
 }
 
-/// The legacy pop-per-iteration two-level driver (`kernel_batch == 0`): one
-/// heap round trip per examined candidate, scalar refreshes. Kept reachable
-/// as the measured "generic" baseline of the kernel-vs-generic bench rows.
-fn two_level_greedy_scalar<'a, E: RevenueEngine<'a>>(
-    inst: &'a Instance,
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    let num_cand = inst.num_candidates();
-    let mut inc: E = make_engine(
-        inst,
-        cfg.ignores_saturation(),
-        inst.full_shard(),
-        cfg,
-        delta,
-    );
-    let mut trace = Vec::new();
-    let mut evals: u64 = 0;
+/// A one-shard plan's capacity: the engine's own counters, which see every
+/// user.
+pub(crate) struct EngineCapacity;
 
-    let mut table = CandidateTable::new(inst, cfg.parallel_init());
-    let mut roots = vec![f64::NEG_INFINITY; num_cand];
-    for cand in 0..num_cand as u32 {
-        roots[cand as usize] = table.best(cand).map_or(f64::NEG_INFINITY, |(_, v)| v);
+impl Capacity for EngineCapacity {
+    #[inline]
+    fn blocked<'a, E: RevenueEngine<'a>>(
+        &self,
+        inc: &E,
+        _counted: bool,
+        cand: CandidateId,
+        t: TimeStep,
+    ) -> bool {
+        inc.would_violate_cand(cand, t)
     }
-    let mut heap = LazyMaxHeap::new(&roots);
-    let total_slots = inst.total_slots();
 
-    'outer: while (inc.len() as u64) < total_slots {
-        let Some((cand_idx, root_value)) = heap.pop() else {
-            break;
-        };
-        if root_value <= 0.0 {
-            break;
-        }
-        let cand = CandidateId(cand_idx);
+    #[inline]
+    fn commit(&self, _counted: &mut bool, _cand: CandidateId) -> Commit {
+        Commit::Insert
+    }
+}
 
-        // Drain display-dead slots of this candidate in one pop instead of one
-        // heap round-trip each — blocking is value-neutral bookkeeping on this
-        // candidate's own slots and display violations are monotone, so the
-        // eager batching commutes with other candidates' operations. If
-        // anything was blocked, the candidate is re-queued at its new best
-        // (never processed immediately, even on an exact value tie), which
-        // keeps the selection sequence identical to the seed driver's
-        // one-block-per-pop behaviour under the heap's id tie-breaking.
-        let mut blocked_any = false;
-        let (best_t, best_v) = loop {
-            let Some((best_t, best_v)) = table.best(cand_idx) else {
-                heap.remove(cand_idx);
-                continue 'outer;
-            };
-            let t = TimeStep::from_index(best_t);
-            if !inc.would_violate_cand(cand, t) {
-                break (best_t, best_v);
+/// One user shard's G-Greedy selection state: an engine view over the
+/// shard, its [`CandidateTable`], a [`CandTournament`] over the candidate
+/// roots, and a cached argmax time per candidate (the matching value lives
+/// in the tournament leaf; together they mirror `table.best` exactly).
+///
+/// Selection is O(1) at the tree root, and every constraint block, stale
+/// refresh or insertion costs one leaf path fix. A display fill blocks the
+/// filled `(user, t)` column across the user's contiguous candidate range
+/// at once — users never straddle shards, and display counts never
+/// decrease, so the block is final — and capacity exhaustion retires the
+/// whole candidate row. A stale root is re-evaluated over all its live time
+/// slots in one fused kernel pass; after the path fix the next stale
+/// candidate is back at the root in O(1).
+///
+/// The core selects the pop-per-iteration lazy-heap loop's sequence exactly:
+/// cached root values evolve identically (marginals depend only on the
+/// candidate's own (user, class) group state, refreshed under the same
+/// lazy-forward stamps), and both selection orders are (value desc,
+/// candidate id asc) over those cached values. Like lazy forward itself,
+/// the equivalence is asserted empirically — the kernel parity suite pins
+/// every plan bit for bit against that heap loop, kept as a test oracle.
+pub(crate) struct ShardCore<'a, E> {
+    inst: &'a Instance,
+    /// First global candidate id of the shard; local index `c` is global
+    /// candidate `start + c`.
+    start: u32,
+    pub(crate) inc: E,
+    table: CandidateTable,
+    tour: CandTournament,
+    /// Cached argmax time index per local candidate.
+    best_t: Vec<u32>,
+    /// Per local candidate: the (user, item) pair already claimed in a
+    /// shared ledger (unused by [`EngineCapacity`]).
+    counted: Vec<bool>,
+}
+
+impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
+    pub(crate) fn new(
+        inst: &'a Instance,
+        cfg: &PlannerConfig,
+        shard: UserShard,
+        parallel: bool,
+        delta: Option<&ResidualDelta>,
+    ) -> Self {
+        let inc: E = make_engine(inst, cfg.ignores_saturation(), shard, cfg, delta);
+        let table = CandidateTable::for_range(inst, shard.cand_start(), shard.cand_end(), parallel);
+        let n = shard.num_candidates();
+        let mut best_t = vec![0u32; n];
+        let mut roots = vec![f64::NEG_INFINITY; n];
+        for c in 0..n {
+            if let Some((t, v)) = table.best(c as u32) {
+                roots[c] = v;
+                best_t[c] = t as u32;
             }
-            if inc.would_violate_display_cand(cand, t) {
-                // The (user, t) slot is full: this time step is dead for this
-                // candidate, other time steps may still be fine.
-                table.block(cand_idx, best_t);
-                blocked_any = true;
-            } else {
-                // Capacity exhausted by other users: the whole candidate dies.
-                heap.remove(cand_idx);
-                continue 'outer;
-            }
-        };
-        if blocked_any {
-            debug_assert!(best_v <= root_value);
-            heap.update(cand_idx, best_v);
-            continue;
         }
-        let t = TimeStep::from_index(best_t);
+        let tour = CandTournament::new(&roots);
+        ShardCore {
+            inst,
+            start: shard.cand_start(),
+            inc,
+            table,
+            tour,
+            best_t,
+            counted: vec![false; n],
+        }
+    }
+
+    /// The shard's pending move as `(value, global candidate id)`, or `None`
+    /// when no candidate has a positive value left.
+    #[inline]
+    pub(crate) fn lead(&self) -> Option<(f64, u32)> {
+        let (v, local) = self.tour.root();
+        if v > 0.0 {
+            Some((v, self.start + local))
+        } else {
+            None
+        }
+    }
+
+    /// Resolves the root move one step: block its display-full slot, retire
+    /// it on capacity, re-evaluate it when stale, or commit it. The caller
+    /// must have checked [`ShardCore::lead`] (and, across shards, that this
+    /// shard leads).
+    pub(crate) fn step<C: Capacity>(
+        &mut self,
+        cfg: &PlannerConfig,
+        cap: &C,
+        evals: &mut u64,
+    ) -> Step {
+        let local = self.tour.root().1;
+        let t_idx = self.best_t[local as usize] as usize;
+        let cand = CandidateId(self.start + local);
+        let t = TimeStep::from_index(t_idx);
+
+        if self.inc.would_violate_display_cand(cand, t) {
+            // The (user, t) slot is full: dead for this candidate, other
+            // time steps may still be fine. (Only pre-filled warm-start
+            // displays reach this branch — fills during the run block
+            // eagerly in `insert`.)
+            self.table.block(local, t_idx);
+            self.refresh_leaf(local, cap);
+            return Step::Continue;
+        }
+        let counted = self.counted[local as usize];
+        if cap.blocked(&self.inc, counted, cand, t) {
+            // Capacity exhausted by other users: the whole candidate dies
+            // (exempt users never violate capacity, so this is permanent).
+            self.retire(local);
+            cap.retired(counted, cand);
+            return Step::Continue;
+        }
 
         // Lazy forward compares the flag against |set(u, C(i))|; the eager
-        // ablation compares against the global selection count, forcing a
+        // ablation compares against the selection count, forcing a
         // re-evaluation whenever anything was inserted since the last one.
         let stamp = if cfg.lazy_forward {
-            inc.group_size_cand(cand) as u32
+            self.inc.group_size_cand(cand) as u32
         } else {
-            inc.len() as u32
+            self.inc.len() as u32
         };
-        let slot = table.slot(cand_idx, best_t);
-        if table.flags[slot] == stamp {
-            inc.insert_cand(cand, t);
-            table.block(cand_idx, best_t);
-            if cfg.track_trace {
-                trace.push(inc.revenue());
-            }
-            match table.best(cand_idx) {
-                Some((_, v)) => heap.update(cand_idx, v),
-                None => heap.remove(cand_idx),
-            }
-        } else {
-            // Re-evaluate every live triple of this candidate, then re-queue.
-            evals += table.reevaluate(&inc, cand_idx, cand, stamp);
-            match table.best(cand_idx) {
-                Some((_, v)) => heap.update(cand_idx, v),
-                None => heap.remove(cand_idx),
+        if self.table.flags[self.table.slot(local, t_idx)] != stamp {
+            // Stale root: re-evaluate this candidate's live slots in one
+            // fused kernel pass, then fix its path.
+            *evals += self.table.reevaluate(&self.inc, local, cand, stamp);
+            self.refresh_leaf(local, cap);
+            return Step::Continue;
+        }
+        match cap.commit(&mut self.counted[local as usize], cand) {
+            Commit::Park { granted } => Step::Park { t_idx, granted },
+            Commit::Insert => {
+                let (z, marginal) = self.insert(cap, local, t_idx);
+                Step::Inserted { z, marginal }
             }
         }
     }
 
-    finish(inst, inc, cfg, trace, evals)
+    /// Commits a parked root move whose claim the coordinator admitted (the
+    /// ledger side is settled): exactly the insertion `step` would have
+    /// made, since nothing in the shard moved while it was parked.
+    pub(crate) fn admit<C: Capacity>(&mut self, cap: &C, t_idx: usize) -> (Triple, f64) {
+        let local = self.tour.root().1;
+        self.counted[local as usize] = true;
+        self.insert(cap, local, t_idx)
+    }
+
+    /// Retires a parked root move whose claim the coordinator rejected (the
+    /// item is full for its pair; the coordinator retired the demand).
+    pub(crate) fn reject(&mut self) {
+        self.retire(self.tour.root().1);
+    }
+
+    /// Kills a candidate: its leaf, and its table row too — otherwise a
+    /// later column block would treat the row as live.
+    fn retire(&mut self, local: u32) {
+        self.table.retire(local);
+        self.tour.update(local, f64::NEG_INFINITY);
+    }
+
+    fn insert<C: Capacity>(&mut self, cap: &C, local: u32, t_idx: usize) -> (Triple, f64) {
+        let cand = CandidateId(self.start + local);
+        let t = TimeStep::from_index(t_idx);
+        let marginal = self.inc.insert_cand(cand, t);
+        self.table.block(local, t_idx);
+        let user = self.inst.candidate_user(cand);
+        if self.inc.would_violate_display_cand(cand, t) {
+            // This insertion filled the (user, t) display slot: block the t
+            // column across the user's candidate range now. A candidate
+            // whose cached argmax sat elsewhere keeps its root (blocking a
+            // non-argmax slot cannot change the forward-scan argmax), so
+            // only argmax hits pay a path fix.
+            let offsets = self.inst.user_cand_offsets();
+            let lo = offsets[user.index()] - self.start;
+            let hi = offsets[user.index() + 1] - self.start;
+            for c in lo..hi {
+                if self.table.block(c, t_idx) && self.best_t[c as usize] as usize == t_idx {
+                    self.refresh_leaf(c, cap);
+                }
+            }
+        }
+        self.refresh_leaf(local, cap);
+        let item = self.inst.candidate_item(cand);
+        (Triple { user, item, t }, marginal)
+    }
+
+    /// Re-derives one candidate's root `(value, argmax t)` from its table row
+    /// after the row changed, and re-keys its tournament leaf. A row left
+    /// with no live slot retires the candidate.
+    #[inline]
+    fn refresh_leaf<C: Capacity>(&mut self, c: u32, cap: &C) {
+        match self.table.best(c) {
+            Some((t, v)) => {
+                self.best_t[c as usize] = t as u32;
+                self.tour.update(c, v);
+            }
+            None => {
+                self.tour.update(c, f64::NEG_INFINITY);
+                cap.retired(self.counted[c as usize], CandidateId(self.start + c));
+            }
+        }
+    }
+}
+
+/// The one-shard G-Greedy plan: the selection core over every user, with
+/// capacity read from the engine's own counters.
+pub(crate) fn one_shard_plan<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    cfg: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+) -> GreedyOutcome {
+    let mut core: ShardCore<'a, E> =
+        ShardCore::new(inst, cfg, inst.full_shard(), cfg.parallel_init(), delta);
+    let mut trace = Vec::new();
+    let mut evals: u64 = 0;
+    let total_slots = inst.total_slots();
+    while (core.inc.len() as u64) < total_slots && core.lead().is_some() {
+        if let Step::Inserted { .. } = core.step(cfg, &EngineCapacity, &mut evals) {
+            if cfg.track_trace {
+                trace.push(core.inc.revenue());
+            }
+        }
+    }
+
+    let selection_objective = core.inc.revenue();
+    let strategy = core.inc.into_strategy();
+    outcome(inst, cfg, strategy, selection_objective, trace, evals)
+}
+
+/// Assembles a G-Greedy outcome; `GlobalNo` plans report the true revenue
+/// of the strategy, not the saturation-blind objective they selected by.
+pub(crate) fn outcome(
+    inst: &Instance,
+    cfg: &PlannerConfig,
+    strategy: Strategy,
+    selection_objective: f64,
+    trace: Vec<f64>,
+    marginal_evaluations: u64,
+) -> GreedyOutcome {
+    let revenue = if cfg.ignores_saturation() {
+        revenue(inst, &strategy)
+    } else {
+        selection_objective
+    };
+    GreedyOutcome {
+        strategy,
+        revenue,
+        selection_objective,
+        trace,
+        marginal_evaluations,
+        concurrency: Default::default(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revmax_core::{marginal_revenue, InstanceBuilder, Triple};
+    use revmax_core::{marginal_revenue, IncrementalRevenue, InstanceBuilder};
 
     /// Small instance with one class of two items, price drops, and saturation.
     fn small_instance() -> Instance {
@@ -776,11 +711,7 @@ mod tests {
     #[test]
     fn never_selects_negative_marginals() {
         let inst = small_instance();
-        let out = dispatch(
-            &inst,
-            &PlannerConfig::default().with_track_trace(true),
-            None,
-        );
+        let out = crate::plan(&inst, &PlannerConfig::default().with_track_trace(true));
         // The traced objective must be non-decreasing (every accepted marginal > 0).
         for w in out.trace.windows(2) {
             assert!(w[1] >= w[0] - 1e-9, "objective decreased: {:?}", w);
@@ -833,11 +764,10 @@ mod tests {
     #[test]
     fn flat_and_hash_engines_agree_exactly() {
         let inst = small_instance();
-        let flat = dispatch(&inst, &PlannerConfig::default(), None);
-        let hash = dispatch(
+        let flat = crate::plan(&inst, &PlannerConfig::default());
+        let hash = crate::plan(
             &inst,
             &PlannerConfig::default().with_engine(EngineKind::Hash),
-            None,
         );
         assert!((flat.revenue - hash.revenue).abs() < 1e-9);
         assert_eq!(flat.strategy.len(), hash.strategy.len());
@@ -849,12 +779,8 @@ mod tests {
     #[test]
     fn lazy_forward_does_not_change_the_result_but_saves_evaluations() {
         let inst = small_instance();
-        let lazy = dispatch(&inst, &PlannerConfig::default(), None);
-        let eager = dispatch(
-            &inst,
-            &PlannerConfig::default().with_lazy_forward(false),
-            None,
-        );
+        let lazy = crate::plan(&inst, &PlannerConfig::default());
+        let eager = crate::plan(&inst, &PlannerConfig::default().with_lazy_forward(false));
         assert!((lazy.revenue - eager.revenue).abs() < 1e-9);
         assert!(lazy.marginal_evaluations <= eager.marginal_evaluations);
     }

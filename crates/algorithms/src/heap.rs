@@ -1,14 +1,12 @@
-//! The priority queue shared by the heap-driven greedy loops (the sharded
-//! drivers, SL/RL-Greedy, the staged variants, and sequential G-Greedy below
-//! the tournament size gate).
+//! The priority queue of the heap-driven greedy loops: SL/RL-Greedy and
+//! the staged variants.
 //!
 //! [`LazyMaxHeap`] is a lazy-deletion binary max-heap keyed by (possibly
 //! stale) marginal revenues: every update pushes a fresh entry and records
 //! the element's current value, and popped entries whose value is no longer
 //! exactly the recorded one are stale and skipped. It pops in the
-//! (value desc, element id asc) total order — the same order the tournament
-//! tree of `global_greedy` and the shard arbitration (`precedes`) use — so
-//! every driver selects the same sequence.
+//! (value desc, element id asc) total order (`precedes`) — the same order
+//! the G-Greedy tournament tree and the shard arbitration select in.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -104,18 +102,6 @@ impl LazyMaxHeap {
         }
         None
     }
-
-    /// Peeks at the maximum current value without popping (stale entries on
-    /// top are discarded on the way).
-    pub fn peek(&mut self) -> Option<(u32, f64)> {
-        loop {
-            let entry = *self.heap.peek()?;
-            if self.is_current(&entry) {
-                return Some((entry.element, entry.value));
-            }
-            self.heap.pop();
-        }
-    }
 }
 
 /// Whether move `(value, candidate id)` `a` precedes `b` in the sequential
@@ -124,38 +110,6 @@ impl LazyMaxHeap {
 #[inline]
 pub(crate) fn precedes(a: (f64, u32), b: (f64, u32)) -> bool {
     a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
-}
-
-/// Refreshes a driver's *held* move after a step resolved the held element
-/// `element` to `requeue` (its new root value, or `None` when retired).
-///
-/// Every rotation-based greedy driver (the sharded coordinator and the
-/// batched sequential loops) keeps its best pending move pre-popped out of
-/// the heap in a held slot. Fast path: when the re-queued value still beats
-/// the heap top, the element simply stays held — no heap traffic at all.
-/// (The plain pop-per-iteration loop pays a push + pop round trip for the
-/// same situation; this saving is what the held-move rotation buys.) Because
-/// both paths respect the heap's own (value desc, id asc) order, the
-/// sequence of held moves is identical to the pop sequence of a loop that
-/// re-queues eagerly.
-#[inline]
-pub(crate) fn refresh_held(
-    heap: &mut LazyMaxHeap,
-    element: u32,
-    requeue: Option<f64>,
-) -> Option<(u32, f64)> {
-    if let Some(v) = requeue {
-        match heap.peek() {
-            Some((top, top_v)) if !precedes((v, element), (top_v, top)) => {
-                heap.update(element, v);
-                heap.pop()
-            }
-            _ => Some((element, v)),
-        }
-    } else {
-        heap.remove(element);
-        heap.pop()
-    }
 }
 
 #[cfg(test)]
@@ -201,13 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume_valid_entries() {
-        let mut heap = LazyMaxHeap::new(&[4.0, 8.0]);
-        assert_eq!(heap.peek(), Some((1, 8.0)));
-        assert_eq!(heap.pop(), Some((1, 8.0)));
-    }
-
-    #[test]
     fn ties_are_broken_deterministically() {
         let mut heap = LazyMaxHeap::new(&[3.0, 3.0, 3.0]);
         assert_eq!(heap.pop(), Some((0, 3.0)));
@@ -250,28 +197,24 @@ mod tests {
             self.queued[e as usize] = false;
         }
 
-        fn peek(&self) -> Option<(u32, f64)> {
-            (0..self.value.len() as u32)
+        fn pop(&mut self) -> Option<(u32, f64)> {
+            let top = (0..self.value.len() as u32)
                 .filter(|&e| self.queued[e as usize])
                 .map(|e| (e, self.value[e as usize]))
                 .fold(None, |best, (e, v)| match best {
                     Some((be, bv)) if !precedes((v, e), (bv, be)) => Some((be, bv)),
                     _ => Some((e, v)),
-                })
-        }
-
-        fn pop(&mut self) -> Option<(u32, f64)> {
-            let top = self.peek()?;
+                })?;
             self.queued[top.0 as usize] = false;
             Some(top)
         }
     }
 
-    /// A seeded stream of pops, peeks, updates (of queued, held, and removed
+    /// A seeded stream of pops, updates (of queued, held, and removed
     /// elements) and removals, with values spanning 1e-18 to 1e2 so that
     /// superseded values sit within `f64::EPSILON` of current ones. Popped
     /// elements are either retired, re-queued at once, or held out of the
-    /// heap for a while — the three patterns the drivers use. An element
+    /// heap for a while before either. An element
     /// never takes the same value twice, so the heap holds at most one
     /// current entry per element, which is what the reference assumes.
     #[test]
@@ -316,7 +259,7 @@ mod tests {
                     true
                 };
             for step in 0..4000 {
-                match next() % 8 {
+                match next() % 7 {
                     0..=2 => {
                         let got = heap.pop();
                         assert_eq!(got, reference.pop(), "seed {seed:#x} step {step}: pop");
@@ -336,12 +279,7 @@ mod tests {
                             }
                         }
                     }
-                    3 => assert_eq!(
-                        heap.peek(),
-                        reference.peek(),
-                        "seed {seed:#x} step {step}: peek"
-                    ),
-                    4 | 5 => {
+                    3 | 4 => {
                         // Update any element: queued (supersedes its entry),
                         // held (re-queues it), or removed (no effect).
                         let e = (next() % n as u64) as u32;
@@ -350,7 +288,7 @@ mod tests {
                             held.retain(|&h| h != e);
                         }
                     }
-                    6 => {
+                    5 => {
                         let e = (next() % n as u64) as u32;
                         heap.remove(e);
                         reference.remove(e);

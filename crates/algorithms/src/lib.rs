@@ -4,9 +4,11 @@
 //! recommendation problem:
 //!
 //! * [`mod@global_greedy`] — G-Greedy (Algorithm 1): hill climbing over the entire
-//!   `U × I × [T]` ground set with the two-level heap layout and the
-//!   lazy-forward optimisation of §5.1, plus the `GlobalNo` ablation
-//!   ([`global_no_saturation`]) that ignores saturation during selection;
+//!   `U × I × [T]` ground set with the two-level layout of §5.1 (per-candidate
+//!   time slots under a tournament tree over candidates) and lazy forward,
+//!   plus the `GlobalNo` ablation ([`global_no_saturation`]) that ignores
+//!   saturation during selection; [`mod@sharded`] runs the same selection
+//!   core on user shards coupled through a shared capacity ledger;
 //! * [`sequential_local_greedy`] / [`randomized_local_greedy`] — the per-time-
 //!   step SL-Greedy and RL-Greedy algorithms of §5.2;
 //! * [`top_rating`] / [`top_revenue`] — the TopRA and TopRE baselines of §6.1;
@@ -62,8 +64,5 @@ pub use local_search::{
 };
 pub use max_dcs::{solve_t1_exact, MaxDcsOutcome};
 pub use runner::{run, Algorithm, RunReport};
-pub use sharded::{
-    shard_users, sharded_plan, sharded_plan_order, sharded_plan_order_residual,
-    sharded_plan_residual,
-};
+pub use sharded::{shard_users, sharded_plan, sharded_plan_residual};
 pub use staged::{global_greedy_staged, randomized_local_greedy_staged, stages_from_ends};

@@ -45,23 +45,15 @@ pub fn local_greedy_with_order(inst: &Instance, order: &[u32]) -> GreedyOutcome 
     dispatch_order(inst, order, &PlannerConfig::default(), None)
 }
 
-/// The per-time-step driver dispatch: shard count, then engine. `delta` is
-/// the warm-start handle of a residual replan (`None` for one-shot plans).
+/// The per-time-step driver dispatch, by engine. `delta` is the warm-start
+/// handle of a residual replan (`None` for one-shot plans). The local
+/// greedies always plan on one shard: `cfg.shards` does not apply.
 pub(crate) fn dispatch_order(
     inst: &Instance,
     order: &[u32],
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
-    if cfg.shards > 1 {
-        return crate::sharded::sharded_plan_order_residual(
-            inst,
-            order,
-            cfg,
-            cfg.shards as usize,
-            delta,
-        );
-    }
     match cfg.engine {
         EngineKind::Flat => run_order::<IncrementalRevenue<'_>>(inst, order, cfg, delta),
         EngineKind::Hash => run_order::<HashIncrementalRevenue<'_>>(inst, order, cfg, delta),
@@ -86,7 +78,6 @@ fn run_order<'a, E: RevenueEngine<'a>>(
             &mut inc,
             TimeStep(t),
             parallel,
-            cfg.kernel_batch,
             &mut evals,
             &mut trace,
         );
@@ -104,17 +95,12 @@ fn run_order<'a, E: RevenueEngine<'a>>(
 
 /// Greedily fills the recommendation slots of a single time step given the
 /// strategy accumulated so far (lines 5–15 of Algorithm 2, with lazy
-/// forward). `kernel_batch ≥ 1` selects the batched selection loop: stale
-/// heap tops are refreshed in kernel-grouped bursts of up to `kernel_batch`
-/// candidates (see `crate::global_greedy::collect_stale_run` for the
-/// plan-preservation argument); `0` runs the legacy scalar loop. Both
-/// produce identical plans (asserted by the kernel parity suite).
+/// forward): one heap round trip per examined candidate.
 pub(crate) fn run_time_step<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     inc: &mut E,
     t: TimeStep,
     parallel_scan: bool,
-    kernel_batch: u32,
     evals: &mut u64,
     trace: &mut Vec<f64>,
 ) {
@@ -142,87 +128,25 @@ pub(crate) fn run_time_step<'a, E: RevenueEngine<'a>>(
     }
 
     let mut heap = LazyMaxHeap::new(&values);
-    if kernel_batch == 0 {
-        // Legacy scalar loop: one heap round trip per examined candidate.
-        while let Some((cand_idx, value)) = heap.pop() {
-            if value <= 0.0 {
-                break;
-            }
-            let cand = CandidateId(cand_idx);
-            if inc.would_violate_cand(cand, t) {
-                heap.remove(cand_idx);
-                continue;
-            }
-            let group_size = inc.group_size_cand(cand) as u32;
-            if flags[cand_idx as usize] == group_size {
-                inc.insert_cand(cand, t);
-                heap.remove(cand_idx);
-                trace.push(inc.revenue());
-            } else {
-                let fresh = inc.marginal_revenue_cand(cand, t);
-                *evals += 1;
-                flags[cand_idx as usize] = group_size;
-                heap.update(cand_idx, fresh);
-            }
-        }
-        return;
-    }
-
-    // Batched loop: a stale top starts a kernel-grouped refresh burst over
-    // the run of stale tops below it. Single-time-step variant of the
-    // two-level burst — staleness is per candidate (one slot per candidate
-    // here), and no insertion happens inside a burst, so burst refreshes
-    // write the same values the scalar loop writes at surfacing time.
-    let batch_cap = kernel_batch as usize;
-    let mut run: Vec<(u8, u32, u32)> = Vec::with_capacity(batch_cap);
-    let mut held = heap.pop();
-    while let Some((cand_idx, value)) = held {
+    while let Some((cand_idx, value)) = heap.pop() {
         if value <= 0.0 {
             break;
         }
         let cand = CandidateId(cand_idx);
         if inc.would_violate_cand(cand, t) {
             heap.remove(cand_idx);
-            held = heap.pop();
             continue;
         }
         let group_size = inc.group_size_cand(cand) as u32;
         if flags[cand_idx as usize] == group_size {
             inc.insert_cand(cand, t);
-            trace.push(inc.revenue());
             heap.remove(cand_idx);
-            held = heap.pop();
+            trace.push(inc.revenue());
         } else {
-            run.clear();
-            run.push((inc.kernel_id_cand(cand), cand_idx, group_size));
-            while run.len() < batch_cap {
-                let Some((next, next_v)) = heap.peek() else {
-                    break;
-                };
-                if next_v <= 0.0 {
-                    break;
-                }
-                let next_cand = CandidateId(next);
-                if inc.would_violate_cand(next_cand, t) {
-                    break;
-                }
-                let gs = inc.group_size_cand(next_cand) as u32;
-                if flags[next as usize] == gs {
-                    break;
-                }
-                heap.pop();
-                run.push((inc.kernel_id_cand(next_cand), next, gs));
-            }
-            if run.len() > 1 {
-                run.sort_unstable_by_key(|&(k, idx, _)| (k, idx));
-            }
-            for &(_, idx, gs) in &run {
-                let fresh = inc.marginal_revenue_cand(CandidateId(idx), t);
-                *evals += 1;
-                flags[idx as usize] = gs;
-                heap.update(idx, fresh);
-            }
-            held = heap.pop();
+            let fresh = inc.marginal_revenue_cand(cand, t);
+            *evals += 1;
+            flags[cand_idx as usize] = group_size;
+            heap.update(cand_idx, fresh);
         }
     }
 }

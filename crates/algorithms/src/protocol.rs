@@ -1,8 +1,9 @@
 //! The shard/ledger claim protocol, as code.
 //!
-//! Both sharded drivers (`sharded_plan` and `sharded_plan_order`) couple
-//! their shard workers through a [`SharedCapacityLedgerIn`] and follow the
-//! same two-step capacity discipline per candidate:
+//! The sharded G-Greedy drivers (sequential arbitration and the concurrent
+//! executor of `crate::sharded`) couple their shards through a
+//! [`SharedCapacityLedgerIn`] and follow the same two-step capacity
+//! discipline per candidate:
 //!
 //! 1. **gate** — before granting a display, check [`claim_blocked`]: a
 //!    candidate whose `(item, user)` pair has not yet claimed is dead when
@@ -17,8 +18,8 @@
 //! check-ledger` executes the **identical code** the production drivers run
 //! — only the cell type changes, from `AtomicCell` to an instrumented cell
 //! whose every load/RMW is routed through a schedule controller. The
-//! model-checker scenarios for the held-slot rotation (claim-gated
-//! publication of a shard's held move) call straight into these functions;
+//! model-checker scenarios (claim-gated publication of shared state,
+//! the capacity window) call straight into these functions;
 //! see `docs/concurrency.md` for the protocol's memory-ordering contract
 //! and `ARCHITECTURE.md` § "Analysis toolchain" for how the ROADMAP-1
 //! speculative-shard executor is expected to extend them.

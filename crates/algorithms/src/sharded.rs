@@ -4,9 +4,11 @@
 //! competition all act inside one user's (user, class) groups — and the
 //! display constraint is per (user, time). The *only* cross-user coupling is
 //! item capacity. This module partitions the users into CSR-aligned shards
-//! ([`shard_users`]), gives each shard its own engine view
-//! ([`revmax_core::RevenueEngine::for_shard`]), candidate table, and heap,
-//! and couples the shards exclusively through a [`SharedCapacityLedger`].
+//! ([`shard_users`]), runs the G-Greedy selection core
+//! (`global_greedy::ShardCore`: engine view, candidate table,
+//! tournament tree) on each, and couples the shards exclusively through a
+//! [`SharedCapacityLedger`]. One shard is the sequential driver, with
+//! capacity read from its own engine.
 //!
 //! # Determinism: value-ordered claim arbitration
 //!
@@ -19,29 +21,26 @@
 //! roughly half of all items exactly at capacity.)
 //!
 //! The coordinator therefore performs a *deterministic reconciliation* of
-//! the shard frontiers. Every shard keeps its best pending move **pre-popped
-//! out of its heap** in a held slot, so the coordinator's arbitration is a
-//! scan over plain `(value, candidate id)` pairs: it repeatedly advances the
-//! shard whose held move is globally maximal (ties towards the smaller
-//! candidate id — the same total order as the sequential heap), and that
-//! shard then refreshes its held move with exactly one heap
-//! update-or-remove plus one pop — the identical heap traffic the
-//! sequential driver pays per step. Capacity is claimed through the shared
-//! ledger at the moment a move is committed, so claims are granted in
-//! exactly the order the sequential run grants them, independent of thread
-//! scheduling.
+//! the shard frontiers. Every shard's best pending move is its tournament
+//! root, so the coordinator's arbitration is a scan over plain `(value,
+//! candidate id)` pairs: it repeatedly advances the shard whose root is
+//! globally maximal (ties towards the smaller candidate id — the same total
+//! order the tree uses inside a shard), and that shard's step re-keys its
+//! own leaves. Capacity is claimed through the shared ledger at the moment
+//! a move is committed, so claims are granted in exactly the order the
+//! one-shard run grants them, independent of thread scheduling.
 //!
 //! The sharded plan is consequently not merely "close": the selection
 //! sequence is identical triple for triple, and the reported revenue is the
 //! same fold of the same realised marginals (engine marginals are
 //! bit-identical because each user's group state only depends on that
-//! user's own picks). The engine-parity suite asserts agreement with the
-//! sequential flat plan to `1e-9` at 1, 2, and 7 shards, for both engines.
+//! user's own picks). The kernel parity suite asserts bit-identical plans
+//! at 1 and 2 shards, for both engines, cold and warm.
 //!
 //! What the shards buy, given the arbitration itself is sequential:
 //!
-//! * **near-free coordination** — the held-move rotation keeps per-step heap
-//!   work identical to the sequential driver, with per-shard heaps
+//! * **near-free coordination** — reading a shard's root is a field read,
+//!   and per-step tree work is the same as one shard's, on trees
 //!   `shards`× smaller;
 //! * **construction parallelism** — shard engines and tables are built
 //!   concurrently by scoped workers when hardware parallelism is available
@@ -57,19 +56,21 @@
 //! sequential eager run performs and a shard skips return the value already
 //! cached — the selected plan is identical, only `marginal_evaluations`
 //! differs.
+//!
+//! SL-Greedy and RL-Greedy always plan on one shard; `PlannerConfig::shards`
+//! applies to G-Greedy only.
 
 use crate::config::PlannerConfig;
 use crate::global_greedy::{
-    collect_stale_run, make_engine, refresh_stale_run, CandidateTable, ConcurrencyStats,
-    EngineKind, GreedyOutcome, StaleMember,
+    one_shard_plan, outcome, Capacity, Commit, ConcurrencyStats, EngineKind, GreedyOutcome,
+    ShardCore, Step,
 };
-use crate::heap::{precedes, refresh_held, LazyMaxHeap};
+use crate::heap::precedes;
 use crate::par;
 use crate::protocol;
 use revmax_core::{
-    revenue, CandidateId, HashIncrementalRevenue, IncrementalRevenue, Instance, ItemId,
-    ResidualDelta, RevenueEngine, SharedCapacityLedger, Strategy, TimeStep, Triple, UserId,
-    UserShard,
+    CandidateId, HashIncrementalRevenue, IncrementalRevenue, Instance, ItemId, ResidualDelta,
+    RevenueEngine, SharedCapacityLedger, Strategy, TimeStep, Triple, UserId, UserShard,
 };
 use std::sync::{Condvar, Mutex};
 
@@ -93,379 +94,105 @@ pub fn shard_users(inst: &Instance, pieces: usize) -> Vec<UserShard> {
         .collect()
 }
 
-/// What one arbitration step did.
-enum Step {
-    /// A triple was committed; `marginal` is its realised marginal revenue.
-    Inserted { z: Triple, marginal: f64 },
-    /// Bookkeeping only (slot blocked, candidate retired, or re-evaluated).
-    Continue,
+/// The `(item, user)` pair a candidate claims capacity for.
+#[inline]
+fn pair(inst: &Instance, cand: CandidateId) -> (ItemId, UserId) {
+    (inst.candidate_item(cand), inst.candidate_user(cand))
 }
 
-/// What one free-running concurrent step did.
-enum CStep {
-    /// A triple was committed lock-free; `marginal` is its realised marginal.
-    Inserted { z: Triple, marginal: f64 },
-    /// Bookkeeping only (slot blocked, candidate retired, or re-evaluated).
-    Continue,
-    /// The held move reached a scarce-window commit point and parked as a
-    /// proposal for the coordinator. The shard's state is untouched (the
-    /// held move stays held, the engine is not mutated); `t_idx` is the
-    /// commit's time-step index and `granted` whether the speculative claim
-    /// won a capacity unit.
-    Park { t_idx: usize, granted: bool },
+/// Sequential arbitration's capacity: the shared ledger's gate and claim
+/// ([`protocol::claim_blocked`] / [`protocol::commit_claim`]).
+struct Arbitrated<'l> {
+    inst: &'l Instance,
+    ledger: &'l SharedCapacityLedger,
 }
 
-/// One shard's planning state for the two-level G-Greedy.
-///
-/// The shard's best pending move lives *outside* the heap, pre-popped into
-/// `held`; see the module docs for why this makes arbitration free.
-struct GreedyShard<'a, E> {
-    shard: UserShard,
-    inc: E,
-    table: CandidateTable,
-    heap: LazyMaxHeap,
-    /// The shard's best pending move `(local candidate, root value)`,
-    /// popped out of `heap`; `None` when the shard is exhausted.
-    held: Option<(u32, f64)>,
-    /// Shard-local per-candidate flag: (user, item) pair already claimed in
-    /// the shared ledger.
-    counted: Vec<bool>,
-    /// Scratch for batched refresh bursts (`PlannerConfig::kernel_batch`).
-    run: Vec<StaleMember>,
-    _inst: std::marker::PhantomData<&'a ()>,
-}
-
-impl<'a, E: RevenueEngine<'a>> GreedyShard<'a, E> {
-    fn new(
-        inst: &'a Instance,
-        cfg: &PlannerConfig,
-        shard: UserShard,
-        parallel: bool,
-        delta: Option<&ResidualDelta>,
-    ) -> Self {
-        let inc: E = make_engine(inst, cfg.ignores_saturation(), shard, cfg, delta);
-        let table = CandidateTable::for_range(inst, shard.cand_start(), shard.cand_end(), parallel);
-        let n = shard.num_candidates();
-        let mut roots = vec![f64::NEG_INFINITY; n];
-        for local in 0..n as u32 {
-            roots[local as usize] = table.best(local).map_or(f64::NEG_INFINITY, |(_, v)| v);
-        }
-        let mut heap = LazyMaxHeap::new(&roots);
-        let held = heap.pop();
-        GreedyShard {
-            shard,
-            inc,
-            table,
-            heap,
-            held,
-            counted: vec![false; n],
-            run: Vec::with_capacity(cfg.kernel_batch as usize),
-            _inst: std::marker::PhantomData,
-        }
-    }
-
-    /// The shard's best pending move as `(global candidate id, value)` —
-    /// a plain field read, no heap access.
+impl Capacity for Arbitrated<'_> {
     #[inline]
-    fn root(&self) -> Option<(u32, f64)> {
-        self.held
-            .map(|(local, v)| (self.shard.cand_start() + local, v))
+    fn blocked<'a, E: RevenueEngine<'a>>(
+        &self,
+        _inc: &E,
+        counted: bool,
+        cand: CandidateId,
+        _t: TimeStep,
+    ) -> bool {
+        let (item, user) = pair(self.inst, cand);
+        protocol::claim_blocked(self.ledger, counted, item, user)
     }
 
-    /// Executes one pop-to-resolution of the two-level greedy on the held
-    /// move: the exact body the sequential driver runs, with capacity read
-    /// from (and claimed against) the shared ledger instead of the engine.
-    /// Ends by refreshing the held move (one heap update-or-remove plus one
-    /// pop — the same heap traffic as a sequential step).
-    ///
-    /// The caller must have verified that the held move leads globally.
-    fn step(
-        &mut self,
-        inst: &'a Instance,
-        cfg: &PlannerConfig,
-        ledger: &SharedCapacityLedger,
-        evals: &mut u64,
-    ) -> Step {
-        let (local_idx, _) = self.held.expect("step requires a held move");
-        let cand = CandidateId(self.shard.cand_start() + local_idx);
-        let item = inst.candidate_item(cand);
-        let user = inst.candidate_user(cand);
+    #[inline]
+    fn commit(&self, counted: &mut bool, cand: CandidateId) -> Commit {
+        let (item, user) = pair(self.inst, cand);
+        let granted = protocol::commit_claim(self.ledger, counted, item, user);
+        debug_assert!(granted, "arbitrated claim must never be denied");
+        Commit::Insert
+    }
+}
 
-        // Drain display-dead slots in one visit (see the sequential driver
-        // for why this commutes); capacity exhaustion retires the candidate.
-        let mut outcome = Step::Continue;
-        let mut requeue: Option<f64> = None;
-        let mut blocked_any = false;
-        // Loop ends with `requeue == None` when the candidate is fully dead
-        // or retired by capacity.
-        while let Some((best_t, best_v)) = self.table.best(local_idx) {
-            let t = TimeStep::from_index(best_t);
-            let display_bad = self.inc.would_violate_display_cand(cand, t);
-            let capacity_bad =
-                protocol::claim_blocked(ledger, self.counted[local_idx as usize], item, user);
-            if display_bad {
-                // The (user, t) slot is full: this time step is dead for
-                // this candidate, other time steps may still be fine.
-                self.table.block(local_idx, best_t);
-                blocked_any = true;
-                continue;
-            }
-            if capacity_bad {
-                break; // retired: capacity exhausted by other users
-            }
-            if blocked_any {
-                // Something was blocked: re-queue at the new best, never
-                // process immediately (matches the sequential driver's
-                // one-block-per-pop-equivalent behaviour).
-                requeue = Some(best_v);
-                break;
-            }
+/// The concurrent executor's capacity, under the scarcity-window protocol
+/// (`docs/concurrency.md`, "The capacity window"):
+///
+/// * gates read the **committed** count
+///   ([`protocol::claim_blocked_committed`]) — a speculative unit held by a
+///   parked proposal may still be stolen by a sequentially earlier claim,
+///   so retiring a candidate against the raw count would be premature;
+/// * commits are routed by the window: counted, exempt, and abundant moves
+///   commit lock-free ([`protocol::fast_commit_claim`]); scarce-window
+///   moves claim speculatively and park for the coordinator;
+/// * a candidate dying without a claim retires its demand, so the window
+///   can shrink behind it.
+struct Window<'l> {
+    inst: &'l Instance,
+    ledger: &'l SharedCapacityLedger,
+}
 
-            let stamp = if cfg.lazy_forward {
-                self.inc.group_size_cand(cand) as u32
-            } else {
-                self.inc.len() as u32
-            };
-            let slot = self.table.slot(local_idx, best_t);
-            if self.table.flags[slot] == stamp {
-                let marginal = self.inc.insert_cand(cand, t);
-                let granted = protocol::commit_claim(
-                    ledger,
-                    &mut self.counted[local_idx as usize],
-                    item,
-                    user,
-                );
-                debug_assert!(granted, "arbitrated claim must never be denied");
-                self.table.block(local_idx, best_t);
-                outcome = Step::Inserted {
-                    z: Triple { user, item, t },
-                    marginal,
-                };
-            } else {
-                *evals += self.table.reevaluate(&self.inc, local_idx, cand, stamp);
-                if cfg.kernel_batch >= 2 {
-                    // Batched refresh: the run of stale tops of this shard's
-                    // own heap is refreshed in the same kernel-grouped burst
-                    // (the held move keeps its scalar refresh above — the
-                    // extras ride along). Burst refreshes are value-neutral
-                    // bookkeeping on the members' own groups, so arbitration
-                    // — which only reads held moves — is unaffected.
-                    let start = self.shard.cand_start();
-                    let counted = &self.counted;
-                    self.run.clear();
-                    collect_stale_run(
-                        &self.inc,
-                        &mut self.table,
-                        &mut self.heap,
-                        start,
-                        cfg.lazy_forward,
-                        |inc: &E, c, tt| {
-                            inc.would_violate_display_cand(c, tt)
-                                || protocol::claim_blocked(
-                                    ledger,
-                                    counted[(c.0 - start) as usize],
-                                    inst.candidate_item(c),
-                                    inst.candidate_user(c),
-                                )
-                        },
-                        &mut self.run,
-                        cfg.kernel_batch as usize - 1,
-                    );
-                    *evals += refresh_stale_run(
-                        &self.inc,
-                        &mut self.table,
-                        &mut self.heap,
-                        start,
-                        &mut self.run,
-                    );
-                }
-            }
-            requeue = self.table.best(local_idx).map(|(_, v)| v);
-            break;
+impl Capacity for Window<'_> {
+    #[inline]
+    fn blocked<'a, E: RevenueEngine<'a>>(
+        &self,
+        _inc: &E,
+        counted: bool,
+        cand: CandidateId,
+        _t: TimeStep,
+    ) -> bool {
+        let (item, user) = pair(self.inst, cand);
+        protocol::claim_blocked_committed(self.ledger, counted, item, user)
+    }
+
+    fn commit(&self, counted: &mut bool, cand: CandidateId) -> Commit {
+        let (item, user) = pair(self.inst, cand);
+        if !*counted && !self.ledger.is_exempt(item, user) && self.ledger.is_scarce(item) {
+            let granted = protocol::speculative_claim(self.ledger, item, user);
+            return Commit::Park { granted };
         }
-
-        self.held = refresh_held(&mut self.heap, local_idx, requeue);
-        outcome
-    }
-
-    /// The concurrent-executor counterpart of [`GreedyShard::step`]: the
-    /// same pop-to-resolution body, with three differences mandated by the
-    /// scarcity-window protocol (`docs/concurrency.md`, "The capacity
-    /// window"):
-    ///
-    /// * capacity gates read the **committed** count
-    ///   ([`protocol::claim_blocked_committed`]) — a speculative unit held
-    ///   by a parked proposal may still be stolen by a sequentially earlier
-    ///   claim, so retiring a candidate against the raw count would be
-    ///   premature;
-    /// * commits are routed by the window: counted, exempt, and abundant
-    ///   moves commit lock-free ([`protocol::fast_commit_claim`]);
-    ///   scarce-window moves claim speculatively and **park** — the method
-    ///   returns [`CStep::Park`] with the shard untouched, and the caller
-    ///   resumes via [`GreedyShard::apply_admit`] /
-    ///   [`GreedyShard::apply_reject`] once the coordinator rules;
-    /// * a candidate dying without a claim retires its demand so the
-    ///   window can shrink behind it.
-    fn step_concurrent(
-        &mut self,
-        inst: &'a Instance,
-        cfg: &PlannerConfig,
-        ledger: &SharedCapacityLedger,
-        evals: &mut u64,
-    ) -> CStep {
-        let (local_idx, _) = self.held.expect("step requires a held move");
-        let cand = CandidateId(self.shard.cand_start() + local_idx);
-        let item = inst.candidate_item(cand);
-        let user = inst.candidate_user(cand);
-
-        let mut outcome = CStep::Continue;
-        let mut requeue: Option<f64> = None;
-        let mut blocked_any = false;
-        while let Some((best_t, best_v)) = self.table.best(local_idx) {
-            let t = TimeStep::from_index(best_t);
-            let display_bad = self.inc.would_violate_display_cand(cand, t);
-            let capacity_bad = protocol::claim_blocked_committed(
-                ledger,
-                self.counted[local_idx as usize],
-                item,
-                user,
-            );
-            if display_bad {
-                self.table.block(local_idx, best_t);
-                blocked_any = true;
-                continue;
-            }
-            if capacity_bad {
-                break; // retired: capacity committed-exhausted by other users
-            }
-            if blocked_any {
-                requeue = Some(best_v);
-                break;
-            }
-
-            let stamp = if cfg.lazy_forward {
-                self.inc.group_size_cand(cand) as u32
-            } else {
-                self.inc.len() as u32
-            };
-            let slot = self.table.slot(local_idx, best_t);
-            if self.table.flags[slot] == stamp {
-                // Commit point: route by the capacity window.
-                let counted = self.counted[local_idx as usize];
-                if !counted && !ledger.is_exempt(item, user) && ledger.is_scarce(item) {
-                    let granted = protocol::speculative_claim(ledger, item, user);
-                    return CStep::Park {
-                        t_idx: best_t,
-                        granted,
-                    };
-                }
-                if protocol::fast_commit_claim(
-                    ledger,
-                    &mut self.counted[local_idx as usize],
-                    item,
-                    user,
-                ) {
-                    let marginal = self.inc.insert_cand(cand, t);
-                    self.table.block(local_idx, best_t);
-                    outcome = CStep::Inserted {
-                        z: Triple { user, item, t },
-                        marginal,
-                    };
-                } else {
-                    // The abundance check raced a `charge`: the item
-                    // migrated into the window between the check and the
-                    // claim. Park ungranted — no free-running thread can
-                    // release a unit (releases are barrier-quiescent), so
-                    // retrying the claim here could never succeed.
-                    return CStep::Park {
-                        t_idx: best_t,
-                        granted: false,
-                    };
-                }
-            } else {
-                *evals += self.table.reevaluate(&self.inc, local_idx, cand, stamp);
-                if cfg.kernel_batch >= 2 {
-                    let start = self.shard.cand_start();
-                    let counted = &self.counted;
-                    self.run.clear();
-                    collect_stale_run(
-                        &self.inc,
-                        &mut self.table,
-                        &mut self.heap,
-                        start,
-                        cfg.lazy_forward,
-                        |inc: &E, c, tt| {
-                            inc.would_violate_display_cand(c, tt)
-                                || protocol::claim_blocked_committed(
-                                    ledger,
-                                    counted[(c.0 - start) as usize],
-                                    inst.candidate_item(c),
-                                    inst.candidate_user(c),
-                                )
-                        },
-                        &mut self.run,
-                        cfg.kernel_batch as usize - 1,
-                    );
-                    *evals += refresh_stale_run(
-                        &self.inc,
-                        &mut self.table,
-                        &mut self.heap,
-                        start,
-                        &mut self.run,
-                    );
-                }
-            }
-            requeue = self.table.best(local_idx).map(|(_, v)| v);
-            break;
+        if protocol::fast_commit_claim(self.ledger, counted, item, user) {
+            Commit::Insert
+        } else {
+            // The abundance check raced a `charge`: the item migrated into
+            // the window between the check and the claim. Park ungranted —
+            // no free-running thread can release a unit (releases are
+            // barrier-quiescent), so retrying the claim here could never
+            // succeed.
+            Commit::Park { granted: false }
         }
+    }
 
-        // Window bookkeeping: a candidate dying without a claim (capacity
-        // retirement or display-drain exhaustion) retires its demand.
-        if requeue.is_none() && !self.counted[local_idx as usize] && !ledger.is_exempt(item, user) {
-            protocol::retire_candidate(ledger, item, user);
+    #[inline]
+    fn retired(&self, counted: bool, cand: CandidateId) {
+        let (item, user) = pair(self.inst, cand);
+        if !counted && !self.ledger.is_exempt(item, user) {
+            protocol::retire_candidate(self.ledger, item, user);
         }
-        self.held = refresh_held(&mut self.heap, local_idx, requeue);
-        outcome
-    }
-
-    /// Applies an `Admitted` verdict to the parked held move: exactly the
-    /// insertion the sequential commit would have performed — the shard's
-    /// state did not move between park and verdict (the drain loop stopped
-    /// at this commit point with fresh flags, and nothing shard-local
-    /// changes while parked), so the table still reports the parked slot as
-    /// best. The ledger side (claim, demand) was already settled by the
-    /// coordinator.
-    fn apply_admit(&mut self, inst: &'a Instance, t_idx: usize) -> (Triple, f64) {
-        let (local_idx, _) = self.held.expect("verdict requires a held move");
-        let cand = CandidateId(self.shard.cand_start() + local_idx);
-        let item = inst.candidate_item(cand);
-        let user = inst.candidate_user(cand);
-        let t = TimeStep::from_index(t_idx);
-        let marginal = self.inc.insert_cand(cand, t);
-        self.counted[local_idx as usize] = true;
-        self.table.block(local_idx, t_idx);
-        let requeue = self.table.best(local_idx).map(|(_, v)| v);
-        self.held = refresh_held(&mut self.heap, local_idx, requeue);
-        (Triple { user, item, t }, marginal)
-    }
-
-    /// Applies a `Rejected` verdict: the item is committed-full for this
-    /// pair, so the candidate is retired exactly as a sequential capacity
-    /// gate would retire it (the coordinator already rolled back the
-    /// speculative claim and retired the demand).
-    fn apply_reject(&mut self) {
-        let (local_idx, _) = self.held.expect("verdict requires a held move");
-        self.held = refresh_held(&mut self.heap, local_idx, None);
     }
 }
 
 /// Runs G-Greedy on the shard-partitioned core with `pieces` user shards —
-/// the explicit-piece-count entry behind `plan` with `shards ≥ 2`.
+/// the explicit-piece-count entry behind `plan`.
 ///
-/// Produces the same plan as the sequential driver (see the module docs);
-/// `cfg.shards` is ignored in favour of the explicit `pieces`. The returned
-/// strategy's insertion order is the coordinator order, i.e. the sequential
-/// selection order.
+/// Produces the same plan as one shard (see the module docs); `cfg.shards`
+/// is ignored in favour of the explicit `pieces`. The returned strategy's
+/// insertion order is the coordinator order, i.e. the sequential selection
+/// order.
 pub fn sharded_plan(inst: &Instance, cfg: &PlannerConfig, pieces: usize) -> GreedyOutcome {
     sharded_plan_residual(inst, cfg, pieces, None)
 }
@@ -496,15 +223,21 @@ fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>>(
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
     let shards = shard_users(inst, pieces);
+    if shards.len() <= 1 {
+        return one_shard_plan::<E>(inst, cfg, delta);
+    }
     let threads = cfg.effective_shard_threads(shards.len());
     if threads >= 2 {
         return sharded_concurrent_impl::<E>(inst, cfg, shards, delta, threads);
     }
-    let single = shards.len() == 1;
     let ledger = SharedCapacityLedger::new(inst);
-    let mut workers: Vec<GreedyShard<'a, E>> = par::scoped_map(
+    let cap = Arbitrated {
+        inst,
+        ledger: &ledger,
+    };
+    let mut workers: Vec<ShardCore<'a, E>> = par::scoped_map(
         shards,
-        |shard| GreedyShard::new(inst, cfg, shard, single && cfg.parallel_init(), delta),
+        |shard| ShardCore::new(inst, cfg, shard, false, delta),
         cfg.parallel_init(),
     );
 
@@ -518,33 +251,30 @@ fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>>(
     let mut evals: u64 = 0;
 
     'arbitrate: while selected < total_slots {
-        // Deterministic arbitration over the held moves: advance the shard
+        // Deterministic arbitration over the shard roots: advance the shard
         // whose move is globally maximal (ties to the smaller candidate id).
-        let mut best: Option<(usize, f64, u32)> = None;
+        let mut best: Option<(usize, (f64, u32))> = None;
         let mut runner_up: Option<(f64, u32)> = None;
         for (wi, w) in workers.iter().enumerate() {
-            if let Some((cand, v)) = w.root() {
-                if best.is_none_or(|(_, bv, bc)| precedes((v, cand), (bv, bc))) {
-                    runner_up = best.map(|(_, bv, bc)| (bv, bc));
-                    best = Some((wi, v, cand));
-                } else if runner_up.is_none_or(|ru| precedes((v, cand), ru)) {
-                    runner_up = Some((v, cand));
-                }
+            let Some(lead) = w.lead() else {
+                continue;
+            };
+            if best.is_none_or(|(_, b)| precedes(lead, b)) {
+                runner_up = best.map(|(_, b)| b);
+                best = Some((wi, lead));
+            } else if runner_up.is_none_or(|ru| precedes(lead, ru)) {
+                runner_up = Some(lead);
             }
         }
-        let Some((wi, value, _)) = best else {
+        let Some((wi, _)) = best else {
             break;
         };
-        if value <= 0.0 {
-            break;
-        }
-        // Advance the leading shard for as long as its held move stays the
-        // global leader: its steps only change its own held move, so
+        // Advance the leading shard for as long as its root stays the
+        // global leader: its steps only change its own leaves, so
         // consecutive selections from one shard replay the sequential order
         // exactly while the leadership re-check is two register compares.
         loop {
-            if let Step::Inserted { z, marginal } = workers[wi].step(inst, cfg, &ledger, &mut evals)
-            {
+            if let Step::Inserted { z, marginal } = workers[wi].step(cfg, &cap, &mut evals) {
                 running_revenue += marginal;
                 picks.push(z);
                 selected += 1;
@@ -555,14 +285,9 @@ fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>>(
                     break 'arbitrate;
                 }
             }
-            let Some((cand, v)) = workers[wi].root() else {
-                continue 'arbitrate;
-            };
-            if v <= 0.0 {
-                continue 'arbitrate;
-            }
-            if !runner_up.is_none_or(|ru| precedes((v, cand), ru)) {
-                continue 'arbitrate;
+            match workers[wi].lead() {
+                Some(lead) if runner_up.is_none_or(|ru| precedes(lead, ru)) => {}
+                _ => continue 'arbitrate,
             }
         }
     }
@@ -572,35 +297,25 @@ fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>>(
     for w in workers {
         let _ = w.inc.into_strategy();
     }
+    outcome(inst, cfg, strategy_of(picks), running_revenue, trace, evals)
+}
 
+fn strategy_of(picks: Vec<Triple>) -> Strategy {
     let mut strategy = Strategy::with_capacity(picks.len());
     for z in picks {
         strategy.insert(z);
     }
-    let selection_objective = running_revenue;
-    let true_revenue = if cfg.ignores_saturation() {
-        revenue(inst, &strategy)
-    } else {
-        selection_objective
-    };
-    GreedyOutcome {
-        strategy,
-        revenue: true_revenue,
-        selection_objective,
-        trace,
-        marginal_evaluations: evals,
-        concurrency: Default::default(),
-    }
+    strategy
 }
 
 /// A scarce-window move parked for coordinator arbitration.
 #[derive(Clone, Copy)]
 struct Proposal {
-    /// The held root value at the commit point (fresh — the drain loop only
-    /// parks when the flags stamp matches).
+    /// The root value at the commit point (fresh — a shard only parks when
+    /// the flags stamp matches).
     value: f64,
     /// Global candidate id (the arbitration tie-break, identical to the
-    /// sequential heap order).
+    /// sequential order).
     cand: u32,
     item: ItemId,
     user: UserId,
@@ -634,6 +349,7 @@ struct CoordState {
 }
 
 /// Per-shard results accumulated by the owning worker.
+#[derive(Default)]
 struct ShardRun {
     picks: Vec<Triple>,
     revenue: f64,
@@ -657,7 +373,7 @@ struct ShardRun {
 ///
 /// * the `total_slots` early-stop is not taken — once every (user, time)
 ///   slot is filled, every remaining candidate is display-blocked and
-///   drains to retirement without committing;
+///   retires without committing;
 /// * the trace is not recorded (`track_trace` forces the sequential path);
 /// * revenue is folded per shard in shard-index order rather than in
 ///   selection order (same addend multiset).
@@ -670,6 +386,10 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
 ) -> GreedyOutcome {
     let nshards = shards.len();
     let ledger = SharedCapacityLedger::new(inst);
+    let window = Window {
+        inst,
+        ledger: &ledger,
+    };
     let state = Mutex::new(CoordState {
         phases: vec![Phase::Running; nshards],
     });
@@ -677,24 +397,17 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
     let to_workers = Condvar::new();
     let shard_descs = &shards;
 
-    let worker = |tid: usize| -> Vec<(usize, GreedyShard<'a, E>, ShardRun)> {
+    let worker = |tid: usize| -> Vec<(usize, ShardCore<'a, E>, ShardRun)> {
         // Worker `tid` owns shards `i` with `i % threads == tid`; it builds
         // them (construction parallelism rides on the pool itself) and
         // free-runs each to its next park or to exhaustion.
-        let mut owned: Vec<(usize, GreedyShard<'a, E>, ShardRun)> = (0..nshards)
+        let mut owned: Vec<(usize, ShardCore<'a, E>, ShardRun)> = (0..nshards)
             .filter(|i| i % threads == tid)
             .map(|i| {
                 (
                     i,
-                    GreedyShard::new(inst, cfg, shard_descs[i], false, delta),
-                    ShardRun {
-                        picks: Vec::new(),
-                        revenue: 0.0,
-                        evals: 0,
-                        fast: 0,
-                        arbitrated: 0,
-                        rejected: 0,
-                    },
+                    ShardCore::new(inst, cfg, shard_descs[i], false, delta),
+                    ShardRun::default(),
                 )
             })
             .collect();
@@ -711,26 +424,21 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
                 }
                 let (si, sh, run) = &mut owned[k];
                 loop {
-                    let exhausted = match sh.root() {
-                        None => true,
-                        Some((_, v)) => v <= 0.0,
-                    };
-                    if exhausted {
+                    let Some((value, cand)) = sh.lead() else {
                         status[k] = FINISHED;
                         state.lock().expect("executor state mutex poisoned").phases[*si] =
                             Phase::Done;
                         to_coord.notify_one();
                         break;
-                    }
-                    match sh.step_concurrent(inst, cfg, &ledger, &mut run.evals) {
-                        CStep::Inserted { z, marginal } => {
+                    };
+                    match sh.step(cfg, &window, &mut run.evals) {
+                        Step::Inserted { z, marginal } => {
                             run.revenue += marginal;
                             run.picks.push(z);
                             run.fast += 1;
                         }
-                        CStep::Continue => {}
-                        CStep::Park { t_idx, granted } => {
-                            let (cand, value) = sh.root().expect("parked move is held");
+                        Step::Continue => {}
+                        Step::Park { t_idx, granted } => {
                             let cid = CandidateId(cand);
                             status[k] = WAITING;
                             state.lock().expect("executor state mutex poisoned").phases[*si] =
@@ -776,11 +484,11 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
                 let (_, sh, run) = &mut owned[k];
                 run.arbitrated += 1;
                 if admitted {
-                    let (z, marginal) = sh.apply_admit(inst, t_idx);
+                    let (z, marginal) = sh.admit(&window, t_idx);
                     run.revenue += marginal;
                     run.picks.push(z);
                 } else {
-                    sh.apply_reject();
+                    sh.reject();
                     run.rejected += 1;
                 }
             }
@@ -874,7 +582,7 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
 
     // Reassemble in shard-index order so the outcome is deterministic for a
     // fixed configuration regardless of scheduling.
-    let mut per_shard: Vec<Option<(GreedyShard<'a, E>, ShardRun)>> =
+    let mut per_shard: Vec<Option<(ShardCore<'a, E>, ShardRun)>> =
         (0..nshards).map(|_| None).collect();
     for out in worker_outs {
         for (si, sh, run) in out {
@@ -902,213 +610,15 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
         let _ = sh.inc.into_strategy();
     }
 
-    let mut strategy = Strategy::with_capacity(picks.len());
-    for z in picks {
-        strategy.insert(z);
-    }
-    let selection_objective = running_revenue;
-    let true_revenue = if cfg.ignores_saturation() {
-        revenue(inst, &strategy)
-    } else {
-        selection_objective
-    };
     GreedyOutcome {
-        strategy,
-        revenue: true_revenue,
-        selection_objective,
-        trace: Vec::new(),
-        marginal_evaluations: evals,
         concurrency: stats,
-    }
-}
-
-/// One shard's planning state for a single local-greedy time step.
-struct LocalShard<'a, E> {
-    shard: UserShard,
-    inc: E,
-    counted: Vec<bool>,
-    _inst: std::marker::PhantomData<&'a ()>,
-}
-
-/// One shard's per-time-step frontier: heap over the shard's candidates,
-/// lazy-forward flags, and the held (pre-popped) best move.
-struct LocalFrontier {
-    heap: LazyMaxHeap,
-    flags: Vec<u32>,
-    held: Option<(u32, f64)>,
-}
-
-/// Runs the per-time-step local greedy (SL-Greedy order, or any explicit
-/// order) on the shard-partitioned core with `pieces` user shards. Same plan
-/// as the sequential driver, same arbitration scheme as [`sharded_plan`].
-pub fn sharded_plan_order(
-    inst: &Instance,
-    order: &[u32],
-    cfg: &PlannerConfig,
-    pieces: usize,
-) -> GreedyOutcome {
-    sharded_plan_order_residual(inst, order, cfg, pieces, None)
-}
-
-/// [`sharded_plan_order`] for a residual replan (see
-/// [`sharded_plan_residual`]).
-pub fn sharded_plan_order_residual(
-    inst: &Instance,
-    order: &[u32],
-    cfg: &PlannerConfig,
-    pieces: usize,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    match cfg.engine {
-        EngineKind::Flat => {
-            sharded_local_greedy_impl::<IncrementalRevenue<'_>>(inst, order, cfg, pieces, delta)
-        }
-        EngineKind::Hash => {
-            sharded_local_greedy_impl::<HashIncrementalRevenue<'_>>(inst, order, cfg, pieces, delta)
-        }
-    }
-}
-
-fn sharded_local_greedy_impl<'a, E: RevenueEngine<'a>>(
-    inst: &'a Instance,
-    order: &[u32],
-    cfg: &PlannerConfig,
-    pieces: usize,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    let shards = shard_users(inst, pieces);
-    let ledger = SharedCapacityLedger::new(inst);
-    // Same auto-enable contract as the sequential driver: `None` goes
-    // parallel only on large instances.
-    let parallel = cfg
-        .parallel
-        .unwrap_or(inst.num_candidates() >= crate::local_greedy::PARALLEL_SCAN_THRESHOLD);
-    let mut workers: Vec<LocalShard<'a, E>> = par::scoped_map(
-        shards,
-        |shard| LocalShard {
-            inc: make_engine(inst, false, shard, cfg, delta),
-            counted: vec![false; shard.num_candidates()],
-            shard,
-            _inst: std::marker::PhantomData,
-        },
-        parallel,
-    );
-
-    let mut running_revenue = 0.0f64;
-    let mut picks: Vec<Triple> = Vec::new();
-    let mut trace = Vec::new();
-    let mut evals: u64 = 0;
-
-    for &tv in order {
-        let t = TimeStep(tv);
-        // Per-shard initial scan (read-only, deterministic, runs on scoped
-        // workers when hardware parallelism is available), then the same
-        // held-move arbitration as the global driver, per time step.
-        let mut frontiers: Vec<LocalFrontier> = par::scoped_map(
-            workers.iter().collect::<Vec<_>>(),
-            |w| {
-                let n = w.shard.num_candidates();
-                let mut values = vec![f64::NEG_INFINITY; n];
-                let mut flags = vec![0u32; n];
-                for local in 0..n {
-                    let cand = CandidateId(w.shard.cand_start() + local as u32);
-                    values[local] = w.inc.marginal_revenue_cand(cand, t);
-                    flags[local] = w.inc.group_size_cand(cand) as u32;
-                }
-                let mut heap = LazyMaxHeap::new(&values);
-                let held = heap.pop();
-                LocalFrontier { heap, flags, held }
-            },
-            parallel,
-        );
-        evals += inst.num_candidates() as u64;
-
-        'arbitrate: loop {
-            let mut best: Option<(usize, f64, u32)> = None;
-            let mut runner_up: Option<(f64, u32)> = None;
-            for (wi, frontier) in frontiers.iter().enumerate() {
-                if let Some((local, v)) = frontier.held {
-                    let cand = workers[wi].shard.cand_start() + local;
-                    if best.is_none_or(|(_, bv, bc)| precedes((v, cand), (bv, bc))) {
-                        runner_up = best.map(|(_, bv, bc)| (bv, bc));
-                        best = Some((wi, v, cand));
-                    } else if runner_up.is_none_or(|ru| precedes((v, cand), ru)) {
-                        runner_up = Some((v, cand));
-                    }
-                }
-            }
-            let Some((wi, value, _)) = best else {
-                break;
-            };
-            if value <= 0.0 {
-                break;
-            }
-            // Run the leading shard until its held move stops leading.
-            let w = &mut workers[wi];
-            let frontier = &mut frontiers[wi];
-            loop {
-                let (local_idx, _) = frontier.held.expect("leader holds a move");
-                let cand = CandidateId(w.shard.cand_start() + local_idx);
-                let item = inst.candidate_item(cand);
-                let user = inst.candidate_user(cand);
-                let display_bad = w.inc.would_violate_display_cand(cand, t);
-                let capacity_bad =
-                    protocol::claim_blocked(&ledger, w.counted[local_idx as usize], item, user);
-                let requeue = if display_bad || capacity_bad {
-                    None
-                } else {
-                    let group_size = w.inc.group_size_cand(cand) as u32;
-                    if frontier.flags[local_idx as usize] == group_size {
-                        let marginal = w.inc.insert_cand(cand, t);
-                        let granted = protocol::commit_claim(
-                            &ledger,
-                            &mut w.counted[local_idx as usize],
-                            item,
-                            user,
-                        );
-                        debug_assert!(granted, "arbitrated claim must never be denied");
-                        running_revenue += marginal;
-                        picks.push(Triple { user, item, t });
-                        trace.push(running_revenue);
-                        None
-                    } else {
-                        let fresh = w.inc.marginal_revenue_cand(cand, t);
-                        evals += 1;
-                        frontier.flags[local_idx as usize] = group_size;
-                        Some(fresh)
-                    }
-                };
-                frontier.held = refresh_held(&mut frontier.heap, local_idx, requeue);
-
-                let Some((local, v)) = frontier.held else {
-                    continue 'arbitrate;
-                };
-                if v <= 0.0 {
-                    continue 'arbitrate;
-                }
-                let cand = w.shard.cand_start() + local;
-                if !runner_up.is_none_or(|ru| precedes((v, cand), ru)) {
-                    continue 'arbitrate;
-                }
-            }
-        }
-    }
-
-    // Release the shard engines (returns warm buffers to the pool).
-    for w in workers {
-        let _ = w.inc.into_strategy();
-    }
-
-    let mut strategy = Strategy::with_capacity(picks.len());
-    for z in picks {
-        strategy.insert(z);
-    }
-    GreedyOutcome {
-        revenue: running_revenue,
-        selection_objective: running_revenue,
-        strategy,
-        trace,
-        marginal_evaluations: evals,
-        concurrency: Default::default(),
+        ..outcome(
+            inst,
+            cfg,
+            strategy_of(picks),
+            running_revenue,
+            Vec::new(),
+            evals,
+        )
     }
 }

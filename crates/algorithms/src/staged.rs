@@ -118,7 +118,6 @@ pub fn randomized_local_greedy_staged(
                     &mut candidate_inc,
                     t,
                     false,
-                    crate::config::PlannerConfig::default().kernel_batch,
                     &mut candidate_evals,
                     &mut candidate_trace,
                 );

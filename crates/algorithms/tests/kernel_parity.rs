@@ -1,39 +1,44 @@
-//! Randomized kernel-parity suite (PR 7).
+//! Randomized kernel-parity suite.
 //!
-//! The flat engine now *compiles* each (user, class) group to a marginal
+//! The flat engine *compiles* each (user, class) group to a marginal
 //! kernel at construction time (mixed-β walk, uniform-β walk, uniform-β
 //! aggregate, β ∈ {0, 1} degenerates — see `revmax_core::KernelId`), the
-//! greedy drivers batch heap-refresh bursts by kernel id, and the default
-//! [`Aggregates::Auto`] mode depth-gates the aggregate kernels. None of that
-//! may change a single plan. For ≥ 120 random instances that deliberately mix
-//! every kernel shape and straddle the Auto depth gate, this suite asserts:
+//! default [`Aggregates::Auto`] mode depth-gates the aggregate kernels, and
+//! every G-Greedy plan runs on the tournament-tree selection core, on one
+//! shard or several. None of that may change a single plan. On random
+//! instances that deliberately mix every kernel shape and straddle the Auto
+//! depth gate, this suite asserts:
 //!
 //! * **Compiled kernels == generic walk == hash engine.** Plans produced with
 //!   the default compiled-kernel configuration match the `Aggregates::Off`
 //!   generic-walk ablation and the hash-engine oracle to 1e-9 in revenue with
 //!   identically sized, valid strategies — across GG and SLG, at 1 and 2
 //!   shards.
-//! * **Batched refresh == scalar refresh, bit for bit.** `kernel_batch` 0
-//!   (the legacy scalar loop), 1 and 8 (the tournament driver for G-Greedy,
-//!   burst widths for the heap-based sharded/SLG drivers) produce
-//!   bit-identical revenues and identical strategies on both engines.
+//! * **The tree == the heap oracle, bit for bit.** Every G-Greedy plan, at 1
+//!   and 2 shards, on both engines, cold and warm, has the revenue bits and
+//!   the strategy (in insertion order) of the pop-per-iteration lazy-heap
+//!   loop in `oracle/mod.rs`. The concurrent executor, which folds revenue
+//!   per shard, matches it to 1e-9 with the same triple set.
 //! * **Warm == cold.** Residual replans through the snapshot pool
 //!   ([`plan_residual`] with `warm_start`) reproduce the cold plans exactly,
-//!   with batching on and off, and still seed/return the pooled buffers.
+//!   and still seed/return the pooled buffers.
 //!
 //! The generator is deliberately adversarial about kernel coverage: classes
 //! are independently shaped uniform-β, mixed-β, β = 1 (memoryless) or β = 0
 //! (full saturation), and horizons span 2–6 so the Auto gate
 //! (`horizon ≥ 4 && group candidates ≥ 2`) lands groups on both sides.
 
+mod oracle;
+
+use oracle::heap_greedy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revmax_algorithms::{
-    plan, plan_residual, Aggregates, EngineKind, PlanAlgorithm, PlannerConfig,
+    plan, plan_residual, Aggregates, EngineKind, GreedyOutcome, PlanAlgorithm, PlannerConfig,
 };
 use revmax_core::{
     residual_of_validated, validate_events, AdoptionEvent, EngineSnapshot, Instance,
-    InstanceBuilder, ItemId, ResidualDelta,
+    InstanceBuilder, ItemId, ResidualDelta, Triple,
 };
 
 /// Per-class kernel shape the generator aimed for (the compiler re-derives
@@ -129,6 +134,44 @@ const ALGORITHMS: [PlanAlgorithm; 2] = [
     PlanAlgorithm::SequentialLocalGreedy,
 ];
 
+/// Asserts that `other` is `reference`'s plan bit for bit: the same revenue
+/// bits and the same strategy in the same insertion order.
+fn assert_bit_identical(label: &str, reference: &GreedyOutcome, other: &GreedyOutcome) {
+    assert_eq!(
+        reference.revenue.to_bits(),
+        other.revenue.to_bits(),
+        "{label}: revenue {} vs reference {}",
+        other.revenue,
+        reference.revenue
+    );
+    assert_eq!(
+        reference.strategy.as_slice(),
+        other.strategy.as_slice(),
+        "{label}: strategy diverged"
+    );
+}
+
+/// The concurrent executor's contract (`concurrent_parity.rs`): revenue to
+/// 1e-9 — it folds revenue per shard — and the same triple set.
+fn assert_same_plan(label: &str, reference: &GreedyOutcome, other: &GreedyOutcome) {
+    assert!(
+        (reference.revenue - other.revenue).abs() < 1e-9,
+        "{label}: revenue {} vs reference {}",
+        other.revenue,
+        reference.revenue
+    );
+    let sorted = |o: &GreedyOutcome| {
+        let mut triples: Vec<Triple> = o.strategy.iter().collect();
+        triples.sort_unstable();
+        triples
+    };
+    assert_eq!(
+        sorted(reference),
+        sorted(other),
+        "{label}: triple sets diverged"
+    );
+}
+
 #[test]
 fn compiled_kernels_match_generic_walk_and_hash_engine() {
     let mut rng = StdRng::seed_from_u64(0x4b45_524e);
@@ -154,9 +197,11 @@ fn compiled_kernels_match_generic_walk_and_hash_engine() {
                 let base = PlannerConfig::default()
                     .with_algorithm(algorithm)
                     .with_shards(shards);
+                let walk_cfg = base.with_aggregates(Aggregates::Off);
+                let hash_cfg = base.with_engine(EngineKind::Hash);
                 let kernels = plan(&inst, &base);
-                let walk = plan(&inst, &base.with_aggregates(Aggregates::Off));
-                let hash = plan(&inst, &base.with_engine(EngineKind::Hash));
+                let walk = plan(&inst, &walk_cfg);
+                let hash = plan(&inst, &hash_cfg);
                 for (label, other) in [("generic walk", &walk), ("hash", &hash)] {
                     assert!(
                         (kernels.revenue - other.revenue).abs()
@@ -175,6 +220,19 @@ fn compiled_kernels_match_generic_walk_and_hash_engine() {
                     kernels.strategy.validate(&inst).is_ok(),
                     "case {case} {algorithm:?} shards {shards}: compiled-kernel plan invalid"
                 );
+                if algorithm == PlanAlgorithm::GlobalGreedy {
+                    for (label, cfg, out) in [
+                        ("kernels", &base, &kernels),
+                        ("generic walk", &walk_cfg, &walk),
+                        ("hash", &hash_cfg, &hash),
+                    ] {
+                        assert_bit_identical(
+                            &format!("case {case} shards {shards} {label} vs heap oracle"),
+                            &heap_greedy(&inst, cfg, None),
+                            out,
+                        );
+                    }
+                }
             }
         }
     }
@@ -194,34 +252,37 @@ fn compiled_kernels_match_generic_walk_and_hash_engine() {
 }
 
 #[test]
-fn batched_refresh_is_bit_identical_to_scalar_refresh() {
+fn tree_plans_are_bit_identical_to_the_heap_oracle() {
     let mut rng = StdRng::seed_from_u64(0x0ba7_c4ed);
     for case in 0..60u32 {
         let (inst, _) = random_kernel_instance(&mut rng);
-        for algorithm in ALGORITHMS {
+        for algorithm in [
+            PlanAlgorithm::GlobalGreedy,
+            PlanAlgorithm::GlobalNoSaturation,
+        ] {
             for engine in [EngineKind::Flat, EngineKind::Hash] {
-                for shards in [1u32, 2] {
+                for lazy_forward in [true, false] {
                     let base = PlannerConfig::default()
                         .with_algorithm(algorithm)
                         .with_engine(engine)
-                        .with_shards(shards);
-                    let scalar = plan(&inst, &base.with_kernel_batch(0));
-                    let rotation = plan(&inst, &base.with_kernel_batch(1));
-                    let batched = plan(&inst, &base.with_kernel_batch(8));
-                    for (label, other) in [("rotation", &rotation), ("batch-8", &batched)] {
-                        assert_eq!(
-                            scalar.revenue.to_bits(),
-                            other.revenue.to_bits(),
-                            "case {case} {algorithm:?} {engine:?} shards {shards}: \
-                             scalar {} vs {label} {}",
-                            scalar.revenue,
-                            other.revenue
+                        .with_lazy_forward(lazy_forward)
+                        .with_track_trace(true);
+                    let reference = heap_greedy(&inst, &base, None);
+                    for shards in [1u32, 2] {
+                        let tree = plan(&inst, &base.with_shards(shards));
+                        let label = format!(
+                            "case {case} {algorithm:?} {engine:?} lazy {lazy_forward} \
+                             shards {shards}"
                         );
+                        assert_bit_identical(&label, &reference, &tree);
                         assert_eq!(
-                            scalar.strategy.as_slice(),
-                            other.strategy.as_slice(),
-                            "case {case} {algorithm:?} {engine:?} shards {shards}: \
-                             {label} strategy diverged"
+                            reference
+                                .trace
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .collect::<Vec<_>>(),
+                            tree.trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            "{label}: trace diverged"
                         );
                     }
                 }
@@ -230,9 +291,10 @@ fn batched_refresh_is_bit_identical_to_scalar_refresh() {
     }
 }
 
-/// An instance above the tournament driver's size gate (~4k candidates):
-/// the small generator above never reaches it, so this one exists to give
-/// the tournament selection core real parity coverage.
+/// An instance of ~4.8k candidates: the small generator above stays under
+/// a hundred, so this one gives the selection core and its shard
+/// arbitration parity coverage at a size where trees are deep and columns
+/// of many candidates block at once.
 fn large_kernel_instance(rng: &mut StdRng) -> Instance {
     let num_users = 90;
     let num_items = 60;
@@ -247,7 +309,7 @@ fn large_kernel_instance(rng: &mut StdRng) -> Instance {
         let class = rng.gen_range(0..num_classes);
         b.item_class(item, class);
         // Half the classes uniform-β, half mixed, so both kernel families
-        // run under the tournament driver.
+        // run under the tree.
         b.beta(
             item,
             if class % 2 == 0 {
@@ -272,42 +334,50 @@ fn large_kernel_instance(rng: &mut StdRng) -> Instance {
 }
 
 #[test]
-fn tournament_driver_matches_scalar_above_the_size_gate() {
+fn tree_matches_the_heap_oracle_at_scale() {
     let mut rng = StdRng::seed_from_u64(0x0070_4a4e);
     for case in 0..3u32 {
         let inst = large_kernel_instance(&mut rng);
-        assert!(
-            inst.num_candidates() >= 4096,
-            "case {case}: generator must clear the tournament size gate \
-             ({} candidates)",
-            inst.num_candidates()
-        );
+        let now = rng.gen_range(1..inst.horizon());
+        let events = random_events(&mut rng, &inst, now);
+        let residual = residual_of_validated(&inst, &events, now);
         let base = PlannerConfig::default();
-        let scalar = plan(&inst, &base.with_kernel_batch(0));
-        let tournament = plan(&inst, &base.with_kernel_batch(8));
-        assert_eq!(
-            scalar.revenue.to_bits(),
-            tournament.revenue.to_bits(),
-            "case {case}: tournament revenue diverged from scalar"
-        );
-        assert_eq!(
-            scalar.strategy.as_slice(),
-            tournament.strategy.as_slice(),
-            "case {case}: tournament strategy diverged from scalar"
-        );
+        let warm = base.with_warm_start(true);
+        let snapshot = EngineSnapshot::new();
+        let delta = ResidualDelta::initial(snapshot.clone());
+
+        for (phase, target, cfg, delta) in [
+            ("cold", &inst, &base, None),
+            ("warm residual", &residual, &warm, Some(&delta)),
+        ] {
+            let reference = heap_greedy(target, cfg, delta);
+            assert!(reference.strategy.validate(target).is_ok());
+            for (shards, threads) in [(1u32, 1u32), (2, 1), (2, 2)] {
+                let cfg = cfg.with_shards(shards).with_shard_threads(threads);
+                let tree = plan_residual(target, &cfg, delta);
+                let label =
+                    format!("case {case} {phase}: {shards} shards, {threads} shard threads");
+                if threads >= 2 {
+                    assert_eq!(tree.concurrency.worker_threads, threads, "{label}");
+                    assert_same_plan(&label, &reference, &tree);
+                } else {
+                    assert_bit_identical(&label, &reference, &tree);
+                }
+            }
+        }
         let hash = plan(&inst, &base.with_engine(EngineKind::Hash));
+        let flat = plan(&inst, &base);
         assert!(
-            (tournament.revenue - hash.revenue).abs() <= 1e-9 * hash.revenue.abs().max(1.0),
-            "case {case}: tournament {} vs hash oracle {}",
-            tournament.revenue,
+            (flat.revenue - hash.revenue).abs() <= 1e-9 * hash.revenue.abs().max(1.0),
+            "case {case}: flat {} vs hash oracle {}",
+            flat.revenue,
             hash.revenue
         );
-        assert!(tournament.strategy.validate(&inst).is_ok());
     }
 }
 
 #[test]
-fn warm_replans_match_cold_with_kernels_and_batching() {
+fn warm_replans_match_cold_and_the_heap_oracle() {
     let mut rng = StdRng::seed_from_u64(0x3a64_77a8);
     for case in 0..60u32 {
         let (inst, _) = random_kernel_instance(&mut rng);
@@ -318,32 +388,23 @@ fn warm_replans_match_cold_with_kernels_and_batching() {
         let snapshot = EngineSnapshot::new();
         let delta = ResidualDelta::initial(snapshot.clone());
         for algorithm in ALGORITHMS {
-            for shards in [1u32, 2] {
+            for engine in [EngineKind::Flat, EngineKind::Hash] {
                 let base = PlannerConfig::default()
                     .with_algorithm(algorithm)
-                    .with_shards(shards);
-                let cold = plan(&residual, &base);
-                let warm = plan_residual(&residual, &base.with_warm_start(true), Some(&delta));
-                let warm_scalar = plan_residual(
-                    &residual,
-                    &base.with_warm_start(true).with_kernel_batch(0),
-                    Some(&delta),
-                );
-                for (label, other) in [("warm", &warm), ("warm scalar", &warm_scalar)] {
-                    assert_eq!(
-                        cold.revenue.to_bits(),
-                        other.revenue.to_bits(),
-                        "case {case} {algorithm:?} shards {shards}: cold {} vs {label} {}",
-                        cold.revenue,
-                        other.revenue
-                    );
-                    assert_eq!(
-                        cold.strategy.as_slice(),
-                        other.strategy.as_slice(),
-                        "case {case} {algorithm:?} shards {shards}: {label} strategy diverged"
-                    );
+                    .with_engine(engine);
+                let reference = (algorithm == PlanAlgorithm::GlobalGreedy)
+                    .then(|| heap_greedy(&residual, &base, None));
+                for shards in [1u32, 2] {
+                    let cfg = base.with_shards(shards);
+                    let cold = plan(&residual, &cfg);
+                    let warm = plan_residual(&residual, &cfg.with_warm_start(true), Some(&delta));
+                    let label = format!("case {case} {algorithm:?} {engine:?} shards {shards}");
+                    assert_bit_identical(&format!("{label} warm vs cold"), &cold, &warm);
+                    if let Some(reference) = &reference {
+                        assert_bit_identical(&format!("{label} vs heap oracle"), reference, &cold);
+                    }
+                    assert!(cold.strategy.validate(&residual).is_ok());
                 }
-                assert!(cold.strategy.validate(&residual).is_ok());
             }
         }
         assert!(

@@ -18,28 +18,19 @@
 //! A second section benches the compiled marginal kernels: the same
 //! amazon-shaped dataset regenerated with **one β per item class**
 //! (`BetaSetting::PerClassRandom`, every class `BetaProfile::Uniform`), timed
-//! in three interleaved modes —
+//! in two interleaved modes —
 //!
-//! * `flat_generic` — `Aggregates::Off` + `kernel_batch = 0`: the full
-//!   pre-kernel generic path (scalar slab walk, lazy-heap selection);
-//! * `flat_walk`    — `Aggregates::Off` + the default driver: walk kernels
-//!   on the tournament selection core, isolating the driver win;
-//! * `flat_kernels` — the default config (`Aggregates::Auto`, tournament
-//!   driver): the compiled-kernel hot path.
+//! * `flat_walk`    — `Aggregates::Off`: every group on the slab-walk
+//!   kernels;
+//! * `flat_kernels` — the default config (`Aggregates::Auto`): the
+//!   compiled-kernel hot path.
 //!
-//! All three are parity-asserted to relative 1e-9. Headlines under the
-//! `uniform_beta` key: `gg_speedup_kernels_over_generic` (the tracked
-//! number) plus `gg_speedup_aggregates_over_walk` (kernels vs walk, kept
-//! from the pre-kernel schema).
+//! Both are parity-asserted to relative 1e-9. The headlines under the
+//! `uniform_beta` key are `gg_speedup_aggregates_over_walk` and
+//! `slg_speedup_aggregates_over_walk`.
 //!
-//! A third `stale_burst` section shapes the dataset for long stale runs
-//! (3 item classes, so every insertion stales a large (user, class) group)
-//! and times G-Greedy on the tournament driver (`kernel_batch = 8`) against
-//! the scalar refresh loop (`kernel_batch = 0`), headline
-//! `gg_speedup_batch8_over_scalar`.
-//!
-//! With `REVMAX_BENCH_ENFORCE=1` the emitter *fails* (panics) if any
-//! kernel-vs-generic ratio — computed from per-mode **min** times, the
+//! With `REVMAX_BENCH_ENFORCE=1` the emitter *fails* (panics) if either
+//! kernels-vs-walk ratio — computed from per-mode **min** times, the
 //! noise-robust statistic — drops below 0.95×; CI runs the smoke bench with
 //! this tripwire armed.
 
@@ -204,17 +195,14 @@ fn main() {
         agg_inst.all_beta_uniform(),
         "per-class betas must make every class uniform"
     );
-    // Samples are interleaved round-robin (generic, walk, kernels, …) so host
-    // noise and cache warm-up hit every mode equally.
-    let generic_cfg = PlannerConfig::default()
-        .with_aggregates(Aggregates::Off)
-        .with_kernel_batch(0);
-    let walk_cfg = PlannerConfig::default().with_aggregates(Aggregates::Off);
-    let kernel_cfg = PlannerConfig::default();
-    let kernel_modes: [(&'static str, PlannerConfig); 3] = [
-        ("flat_generic", generic_cfg),
-        ("flat_walk", walk_cfg),
-        ("flat_kernels", kernel_cfg),
+    // Samples are interleaved round-robin (walk, kernels, …) so host noise
+    // and cache warm-up hit both modes equally.
+    let kernel_modes: [(&'static str, PlannerConfig); 2] = [
+        (
+            "flat_walk",
+            PlannerConfig::default().with_aggregates(Aggregates::Off),
+        ),
+        ("flat_kernels", PlannerConfig::default()),
     ];
     let order: Vec<u32> = (1..=agg_inst.horizon()).collect();
     let mut agg_rows = Vec::new();
@@ -229,8 +217,8 @@ fn main() {
             Box::new(|cfg: &PlannerConfig| plan_order(agg_inst, &order, cfg)),
         ),
     ] {
-        let mut times = [Vec::new(), Vec::new(), Vec::new()];
-        let mut results = [(0.0, 0usize); 3];
+        let mut times = [Vec::new(), Vec::new()];
+        let mut results = [(0.0, 0usize); 2];
         for _ in 0..samples {
             for (mode, (_, cfg)) in kernel_modes.iter().enumerate() {
                 let t0 = Instant::now();
@@ -257,109 +245,41 @@ fn main() {
             .expect("all kernel modes benched")
     };
     for alg in ["GG", "SLG"] {
-        let generic = agg_row(alg, "flat_generic");
-        for engine in ["flat_walk", "flat_kernels"] {
-            let other = agg_row(alg, engine);
-            assert!(
-                (generic.revenue - other.revenue).abs() <= 1e-9 * generic.revenue.abs().max(1.0),
-                "{alg}: kernel modes disagree: generic {} vs {engine} {}",
-                generic.revenue,
-                other.revenue
-            );
-            assert_eq!(
-                generic.strategy_len, other.strategy_len,
-                "{alg}: strategy sizes diverged across kernel modes"
-            );
-        }
+        let walk = agg_row(alg, "flat_walk");
         let kernels = agg_row(alg, "flat_kernels");
-        let speedup = generic.median_ns as f64 / kernels.median_ns as f64;
+        assert!(
+            (walk.revenue - kernels.revenue).abs() <= 1e-9 * walk.revenue.abs().max(1.0),
+            "{alg}: kernel modes disagree: walk {} vs kernels {}",
+            walk.revenue,
+            kernels.revenue
+        );
+        assert_eq!(
+            walk.strategy_len, kernels.strategy_len,
+            "{alg}: strategy sizes diverged across kernel modes"
+        );
+        let speedup = walk.median_ns as f64 / kernels.median_ns as f64;
         eprintln!(
-            "{alg} uniform-beta: generic {:>12} ns  kernels {:>12} ns  speedup {speedup:.2}x",
-            generic.median_ns, kernels.median_ns
+            "{alg} uniform-beta: walk {:>12} ns  kernels {:>12} ns  speedup {speedup:.2}x",
+            walk.median_ns, kernels.median_ns
         );
     }
-    let kernel_speedup = |alg: &str| {
-        agg_row(alg, "flat_generic").median_ns as f64
-            / agg_row(alg, "flat_kernels").median_ns as f64
-    };
     let agg_speedup = |alg: &str| {
         agg_row(alg, "flat_walk").median_ns as f64 / agg_row(alg, "flat_kernels").median_ns as f64
     };
-
-    // --- stale-burst microbench: batched refresh vs the scalar loop ---
-    // Three item classes over the amazon-shaped universe: every insertion
-    // stales a large (user, class) group, so global greedy's heap tops form
-    // long stale runs — exactly the shape the batched refresh targets.
-    eprintln!("generating stale-burst (3-class) variant ...");
-    let mut burst_config = DatasetConfig::amazon_like().scaled(scale);
-    burst_config.num_classes = 3;
-    burst_config.beta = BetaSetting::PerClassRandom;
-    burst_config.name.push_str("-burst");
-    let burst_ds = generate(&burst_config);
-    let burst_inst = &burst_ds.instance;
-    let burst_modes: [(&'static str, PlannerConfig); 2] = [
-        ("batch_0", PlannerConfig::default().with_kernel_batch(0)),
-        ("batch_8", PlannerConfig::default().with_kernel_batch(8)),
-    ];
-    let mut burst_times = [Vec::new(), Vec::new()];
-    let mut burst_results = [(0.0, 0usize); 2];
-    for _ in 0..samples {
-        for (mode, (_, cfg)) in burst_modes.iter().enumerate() {
-            let t0 = Instant::now();
-            let out = plan(burst_inst, cfg);
-            burst_times[mode].push(t0.elapsed().as_nanos());
-            burst_results[mode] = (out.revenue, out.strategy.len());
-        }
-    }
-    assert!(
-        (burst_results[0].0 - burst_results[1].0).abs() <= 1e-9 * burst_results[0].0.abs().max(1.0),
-        "stale burst: batched refresh changed revenue: {} vs {}",
-        burst_results[0].0,
-        burst_results[1].0
-    );
-    assert_eq!(
-        burst_results[0].1, burst_results[1].1,
-        "stale burst: batched refresh changed the strategy size"
-    );
-    let burst_rows: Vec<Row> = burst_modes
-        .iter()
-        .enumerate()
-        .map(|(mode, (engine, _))| Row {
-            algorithm: "GG",
-            engine,
-            median_ns: median(burst_times[mode].clone()),
-            min_ns: *burst_times[mode].iter().min().expect("samples > 0"),
-            revenue: burst_results[mode].0,
-            strategy_len: burst_results[mode].1,
-        })
-        .collect();
-    let burst_speedup = burst_rows[0].median_ns as f64 / burst_rows[1].median_ns as f64;
-    eprintln!(
-        "GG stale-burst: batch_0 {:>12} ns  batch_8 {:>12} ns  speedup {burst_speedup:.2}x",
-        burst_rows[0].median_ns, burst_rows[1].median_ns
-    );
 
     // Perf-regression tripwire (CI smoke): min-time ratios are the
     // noise-robust statistic on a 2-sample run.
     if env::var_or("REVMAX_BENCH_ENFORCE", 0u32) != 0 {
         let floor = 0.95;
-        let min_ratio = |alg: &str| {
-            agg_row(alg, "flat_generic").min_ns as f64 / agg_row(alg, "flat_kernels").min_ns as f64
-        };
         for alg in ["GG", "SLG"] {
-            let r = min_ratio(alg);
+            let r = agg_row(alg, "flat_walk").min_ns as f64
+                / agg_row(alg, "flat_kernels").min_ns as f64;
             assert!(
                 r >= floor,
-                "{alg}: kernel-vs-generic min-time ratio {r:.3} fell below {floor}"
+                "{alg}: kernels-vs-walk min-time ratio {r:.3} fell below {floor}"
             );
-            eprintln!("enforce: {alg} kernel-vs-generic min-time ratio {r:.3} >= {floor}");
+            eprintln!("enforce: {alg} kernels-vs-walk min-time ratio {r:.3} >= {floor}");
         }
-        let r = burst_rows[0].min_ns as f64 / burst_rows[1].min_ns as f64;
-        assert!(
-            r >= floor,
-            "stale burst: batch8-vs-scalar min-time ratio {r:.3} fell below {floor}"
-        );
-        eprintln!("enforce: stale-burst batch8-vs-scalar min-time ratio {r:.3} >= {floor}");
     }
 
     let mut json = String::from("{\n");
@@ -441,42 +361,9 @@ fn main() {
     }
     json.push_str("    ],\n");
     json.push_str(&format!(
-        "    \"gg_speedup_kernels_over_generic\": {:.3},\n    \"slg_speedup_kernels_over_generic\": {:.3},\n",
-        kernel_speedup("GG"),
-        kernel_speedup("SLG")
-    ));
-    json.push_str(&format!(
-        "    \"gg_speedup_aggregates_over_walk\": {:.3},\n    \"slg_speedup_aggregates_over_walk\": {:.3}\n  }},\n",
+        "    \"gg_speedup_aggregates_over_walk\": {:.3},\n    \"slg_speedup_aggregates_over_walk\": {:.3}\n  }}\n}}\n",
         agg_speedup("GG"),
         agg_speedup("SLG")
-    ));
-    json.push_str("  \"stale_burst\": {\n");
-    json.push_str(&format!(
-        "    \"dataset\": \"amazon_like.scaled({scale}) + num_classes=3 + BetaSetting::PerClassRandom\",\n"
-    ));
-    json.push_str(&format!(
-        "    \"num_users\": {}, \"num_items\": {}, \"horizon\": {}, \"num_candidates\": {},\n",
-        burst_inst.num_users(),
-        burst_inst.num_items(),
-        burst_inst.horizon(),
-        burst_inst.num_candidates()
-    ));
-    json.push_str("    \"measurements\": [\n");
-    for (idx, r) in burst_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"algorithm\": \"{}\", \"engine\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"revenue\": {:.6}, \"strategy_len\": {}}}{}\n",
-            r.algorithm,
-            r.engine,
-            r.median_ns,
-            r.min_ns,
-            r.revenue,
-            r.strategy_len,
-            if idx + 1 < burst_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"gg_speedup_batch8_over_scalar\": {burst_speedup:.3}\n  }}\n}}\n"
     ));
     std::fs::write(&out_path, json).expect("write BENCH_greedy.json");
     eprintln!("wrote {out_path}");

@@ -99,15 +99,6 @@ pub trait RevenueEngine<'a>: Sized + Sync + Send {
         self.set_aggregates(mode.allows_aggregates());
     }
 
-    /// The compiled kernel byte of a candidate's (user, class) group —
-    /// batched heap-refresh drivers sort stale candidates by it so each
-    /// refresh burst runs grouped, branch-predictable inner loops. Engines
-    /// without a kernel compiler report one uniform kernel (0).
-    fn kernel_id_cand(&self, cand: CandidateId) -> u8 {
-        let _ = cand;
-        0
-    }
-
     /// Whether the saturation-aggregate fast path can engage for at least one
     /// of this evaluator's (user, class) groups — the capability probe benches
     /// and tests use to verify the fast path actually ran. `false` for

@@ -461,13 +461,6 @@ impl<'a> IncrementalRevenue<'a> {
                 .any(|&k| KernelId::from_u8(k).uses_aggregates())
     }
 
-    /// The compiled kernel of a candidate's (user, class) group, as its byte
-    /// id — what batched heap-refresh drivers group stale candidates by.
-    #[inline]
-    pub fn kernel_id_cand(&self, cand: CandidateId) -> u8 {
-        self.kernel[self.cand_group[self.local_cand(cand)] as usize]
-    }
-
     /// The user/candidate range this evaluator covers.
     pub fn shard(&self) -> UserShard {
         self.shard
@@ -1310,10 +1303,6 @@ impl<'a> RevenueEngine<'a> for IncrementalRevenue<'a> {
 
     fn aggregates_active(&self) -> bool {
         IncrementalRevenue::aggregates_active(self)
-    }
-
-    fn kernel_id_cand(&self, cand: CandidateId) -> u8 {
-        IncrementalRevenue::kernel_id_cand(self, cand)
     }
 
     fn instance(&self) -> &'a Instance {

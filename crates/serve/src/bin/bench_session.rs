@@ -27,15 +27,11 @@
 //! calling thread; with several concurrent sessions the pool amortises it.
 //!
 //! A `uniform_beta` section re-runs the warm inline mode on the per-class-β
-//! dataset variant in three interleaved configurations: `warm_generic`
-//! (`Aggregates::Off` + `kernel_batch = 0`, the full pre-kernel path),
-//! `warm_walk` (walk kernels on the tournament driver) and `warm_kernels`
-//! (the default compiled-kernel config). Headlines:
-//! `kernels_vs_generic_replan_speedup` (the tracked number — warm replans
-//! must not regress under the kernel drivers) and
-//! `agg_vs_walk_replan_speedup` (aggregate vs walk kernels, kept from the
-//! pre-kernel schema). Per-day parity is asserted across all three, and
-//! `REVMAX_BENCH_ENFORCE=1` arms a panic if the kernels-vs-generic ratio
+//! dataset variant in two interleaved configurations: `warm_walk`
+//! (`Aggregates::Off`, every group on the slab-walk kernels) and
+//! `warm_kernels` (the default compiled-kernel config). The headline is
+//! `agg_vs_walk_replan_speedup`. Per-day parity is asserted across both,
+//! and `REVMAX_BENCH_ENFORCE=1` arms a panic if the kernels-vs-walk ratio
 //! of summed **best-of-samples** per-event latencies drops below 0.95×.
 
 use revmax_algorithms::Aggregates;
@@ -230,18 +226,12 @@ fn main() {
     let agg_ds = generate(&agg_config);
     let agg_inst = &agg_ds.instance;
     assert!(agg_inst.all_beta_uniform());
-    // Interleave the three modes sample by sample so host noise hits each
+    // Interleave the two modes sample by sample so host noise hits each
     // equally (run_config walks a full session per sample internally, so
     // interleave at the sample granularity here).
     let warm_cfg = PlannerConfig::default().with_warm_start(true);
-    let agg_configs = [
-        warm_cfg
-            .with_aggregates(Aggregates::Off)
-            .with_kernel_batch(0),
-        warm_cfg.with_aggregates(Aggregates::Off),
-        warm_cfg,
-    ];
-    let agg_mode_names = ["warm_generic", "warm_walk", "warm_kernels"];
+    let agg_configs = [warm_cfg.with_aggregates(Aggregates::Off), warm_cfg];
+    let agg_mode_names = ["warm_walk", "warm_kernels"];
     let mut agg_rows: Vec<ModeRow> = agg_configs
         .iter()
         .zip(agg_mode_names)
@@ -258,19 +248,16 @@ fn main() {
             agg_rows[idx].replan_ns.extend(extra.replan_ns);
         }
     }
-    for row in &agg_rows[1..] {
-        for (day, (generic, other)) in agg_rows[0]
-            .day_revenue
-            .iter()
-            .zip(&row.day_revenue)
-            .enumerate()
-        {
-            assert!(
-                (generic - other).abs() <= 1e-9 * generic.abs().max(1.0),
-                "uniform-beta day {day}: {} {other} vs warm_generic {generic}",
-                row.mode
-            );
-        }
+    for (day, (walk, kernels)) in agg_rows[0]
+        .day_revenue
+        .iter()
+        .zip(&agg_rows[1].day_revenue)
+        .enumerate()
+    {
+        assert!(
+            (walk - kernels).abs() <= 1e-9 * walk.abs().max(1.0),
+            "uniform-beta day {day}: warm_kernels {kernels} vs warm_walk {walk}"
+        );
     }
     let agg_medians: Vec<u128> = agg_rows
         .iter()
@@ -280,11 +267,7 @@ fn main() {
         .iter()
         .map(|r| *r.replan_ns.iter().min().expect("replans > 0"))
         .collect();
-    let kernels_speedup = agg_medians[0] as f64 / agg_medians[2] as f64;
-    let agg_speedup = agg_medians[1] as f64 / agg_medians[2] as f64;
-    eprintln!(
-        "kernels vs generic (warm inline, uniform-beta): {kernels_speedup:.3}x per-event replan"
-    );
+    let agg_speedup = agg_medians[0] as f64 / agg_medians[1] as f64;
     eprintln!("aggregates vs walk (warm inline, uniform-beta): {agg_speedup:.3}x per-event replan");
     if env::var_or("REVMAX_BENCH_ENFORCE", 0u32) == 1 {
         // A session's replans shrink as the horizon empties, so the global
@@ -303,10 +286,10 @@ fn main() {
                 .sum()
         };
         let min_ratio = per_event_best_sum(&agg_rows[0].replan_ns) as f64
-            / per_event_best_sum(&agg_rows[2].replan_ns) as f64;
+            / per_event_best_sum(&agg_rows[1].replan_ns) as f64;
         assert!(
             min_ratio >= 0.95,
-            "kernel drivers regressed warm replans: best-of-samples latency ratio \
+            "compiled kernels regressed warm replans: best-of-samples latency ratio \
              {min_ratio:.3} < 0.95"
         );
     }
@@ -367,9 +350,6 @@ fn main() {
         ));
     }
     json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"kernels_vs_generic_replan_speedup\": {kernels_speedup:.3},\n"
-    ));
     json.push_str(&format!(
         "    \"agg_vs_walk_replan_speedup\": {agg_speedup:.3}\n  }}\n"
     ));
