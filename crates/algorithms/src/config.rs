@@ -1,8 +1,7 @@
 //! The unified planner configuration and the single planning entry point.
 //!
 //! [`PlannerConfig`] is the one configuration surface of every planner:
-//! pick an algorithm, an engine, a shard count, and a seed, then call
-//! [`plan`].
+//! pick an algorithm, a shard count, and a seed, then call [`plan`].
 //!
 //! ```
 //! use revmax_algorithms::{plan, PlannerConfig};
@@ -20,13 +19,19 @@
 //! ```
 //!
 //! Every knob is a **performance knob, never a behaviour knob**: for a fixed
-//! [`PlanAlgorithm`], any combination of engine, shard count, and
-//! parallelism produces the same strategy (asserted to 1e-9 by the engine
-//! parity suites). The seed only matters for
+//! [`PlanAlgorithm`], any combination of shard count, shard threads,
+//! parallelism and warm starts produces the same strategy (asserted to 1e-9
+//! by the parity suites). The seed only matters for
 //! [`PlanAlgorithm::RandomizedLocalGreedy`].
+//!
+//! The planner runs one engine, the flat-arena
+//! [`revmax_core::IncrementalRevenue`]. [`plan_with`] runs the same drivers
+//! on any [`RevenueEngine`]: that is how the parity suites plug in their
+//! reference engines (the hash engine, eager re-evaluation, walk-only
+//! kernels), which are types, not configuration.
 
-use crate::global_greedy::{EngineKind, GreedyOutcome};
-use revmax_core::{env, AggregateMode, Instance, ResidualDelta};
+use crate::global_greedy::GreedyOutcome;
+use revmax_core::{env, IncrementalRevenue, Instance, ResidualDelta, RevenueEngine};
 
 /// Which planning algorithm a [`PlannerConfig`] selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,40 +52,6 @@ pub enum PlanAlgorithm {
     },
 }
 
-/// How the flat engine's saturation-aggregate fast path is selected.
-///
-/// When every item of a class shares one saturation factor `β` (detected at
-/// `Instance` build time, see `revmax_core::BetaProfile`), the flat engine
-/// answers marginals from per-(group, time) closed-form accumulators in
-/// `O(T)` instead of walking the group's selected triples. Mixed-β classes
-/// always fall back to the exact slab walk, so both modes are safe on every
-/// instance; like all planner knobs this changes speed, never results
-/// (parity asserted to 1e-9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Aggregates {
-    /// Let the engine's kernel compiler decide per (user, class) group using
-    /// a measured depth crossover: groups with a short residual horizon or
-    /// trivially few candidates compile to the plain slab walk (on shallow
-    /// warm-residual groups the aggregate block costs more to maintain than
-    /// it saves), deeper groups compile to the aggregate kernel. The default.
-    #[default]
-    Auto,
-    /// Never engage the fast path; every group uses the slab walk — the
-    /// reference the kernel parity suites plan against and the ablation the
-    /// aggregate-vs-walk bench rows measure.
-    Off,
-}
-
-impl Aggregates {
-    /// The engine-side kernel-selection mode this knob maps to.
-    pub fn mode(&self) -> AggregateMode {
-        match self {
-            Aggregates::Auto => AggregateMode::Auto,
-            Aggregates::Off => AggregateMode::Off,
-        }
-    }
-}
-
 /// The unified configuration for every REVMAX planner.
 ///
 /// Construct with [`PlannerConfig::default`] plus the `with_*` builder
@@ -90,8 +61,6 @@ impl Aggregates {
 pub struct PlannerConfig {
     /// The algorithm to run.
     pub algorithm: PlanAlgorithm,
-    /// Incremental revenue engine backing the run.
-    pub engine: EngineKind,
     /// Number of user shards G-Greedy plans on (`0`/`1` = one shard, `n ≥ 2`
     /// = `n` shards coupled through a shared capacity ledger, see
     /// [`crate::sharded`]). Every shard runs the same selection core, and
@@ -100,9 +69,6 @@ pub struct PlannerConfig {
     pub shards: u32,
     /// Seed for the randomized algorithms (RL-Greedy permutation sampling).
     pub seed: u64,
-    /// Use the lazy-forward optimisation (on by default); turning it off is
-    /// the eager re-evaluation ablation.
-    pub lazy_forward: bool,
     /// Record the objective value after every selection (Figure 4 traces).
     pub track_trace: bool,
     /// Thread parallelism for the deterministic fill/scan phases: `None`
@@ -115,13 +81,9 @@ pub struct PlannerConfig {
     /// rebuilding them, and `revmax_serve::PlanSession` builds each residual
     /// instance incrementally (`revmax_core::residual_advance`). Like every
     /// other knob this is purely a performance switch — warm and cold
-    /// replans produce identical plans (asserted to 1e-9 for both engines at
-    /// shard counts 1 and 2).
+    /// replans produce identical plans (asserted to 1e-9 at shard counts 1
+    /// and 2).
     pub warm_start: bool,
-    /// Saturation-aggregate fast path selection (default
-    /// [`Aggregates::Auto`]): uniform-β classes answer marginals from `O(T)`
-    /// closed-form accumulators, mixed-β classes keep the exact slab walk.
-    pub aggregates: Aggregates,
     /// Worker threads for the **concurrent shard executor** of the sharded
     /// G-Greedy core (default `1` = the sequential value-ordered
     /// arbitration, unchanged from previous releases). With `≥ 2`, shards
@@ -142,21 +104,18 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             algorithm: PlanAlgorithm::default(),
-            engine: EngineKind::default(),
             shards: 1,
             seed: 0,
-            lazy_forward: true,
             track_trace: false,
             parallel: None,
             warm_start: false,
-            aggregates: Aggregates::default(),
             shard_threads: 1,
         }
     }
 }
 
 impl PlannerConfig {
-    /// The default configuration (G-Greedy, flat engine, 1 shard).
+    /// The default configuration (G-Greedy, 1 shard).
     pub fn new() -> Self {
         Self::default()
     }
@@ -164,12 +123,6 @@ impl PlannerConfig {
     /// Selects the algorithm.
     pub fn with_algorithm(mut self, algorithm: PlanAlgorithm) -> Self {
         self.algorithm = algorithm;
-        self
-    }
-
-    /// Selects the incremental revenue engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -182,12 +135,6 @@ impl PlannerConfig {
     /// Selects the seed for the randomized algorithms.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Switches the lazy-forward optimisation.
-    pub fn with_lazy_forward(mut self, lazy_forward: bool) -> Self {
-        self.lazy_forward = lazy_forward;
         self
     }
 
@@ -211,13 +158,6 @@ impl PlannerConfig {
         self
     }
 
-    /// Selects the saturation-aggregate fast-path mode (see
-    /// [`PlannerConfig::aggregates`]).
-    pub fn with_aggregates(mut self, aggregates: Aggregates) -> Self {
-        self.aggregates = aggregates;
-        self
-    }
-
     /// Selects the concurrent shard executor's worker-thread count (see
     /// [`PlannerConfig::shard_threads`]; `1` = sequential arbitration,
     /// `0` = auto).
@@ -237,7 +177,6 @@ impl PlannerConfig {
     ///
     /// * `REVMAX_ALGORITHM` — `gg` (default), `gg-no`, `slg`, or `rlg`
     ///   (RL-Greedy with the paper's 20 permutations);
-    /// * `REVMAX_ENGINE` — `flat` (default) or `hash`;
     /// * `REVMAX_SHARDS` — G-Greedy shard count (`≥ 2` couples the shards
     ///   through the shared capacity ledger);
     /// * `REVMAX_SEED` — seed for the randomized algorithms;
@@ -252,9 +191,6 @@ impl PlannerConfig {
     pub fn env_overlay(mut self) -> Self {
         if let Some(algorithm) = env::var_with("REVMAX_ALGORITHM", parse_algorithm) {
             self.algorithm = algorithm;
-        }
-        if let Some(engine) = env::var_with("REVMAX_ENGINE", parse_engine) {
-            self.engine = engine;
         }
         if let Some(shards) = env::var::<u32>("REVMAX_SHARDS") {
             self.shards = shards.max(1);
@@ -312,14 +248,6 @@ fn parse_algorithm(s: &str) -> Option<PlanAlgorithm> {
     }
 }
 
-fn parse_engine(s: &str) -> Option<EngineKind> {
-    match s {
-        "flat" => Some(EngineKind::Flat),
-        "hash" => Some(EngineKind::Hash),
-        _ => None,
-    }
-}
-
 /// Plans an instance with the configured algorithm — the single entry point
 /// the service layer, examples, and experiments are built on.
 pub fn plan(inst: &Instance, config: &PlannerConfig) -> GreedyOutcome {
@@ -337,26 +265,38 @@ pub fn plan_residual(
     config: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
+    plan_with::<IncrementalRevenue<'_>>(inst, config, delta)
+}
+
+/// [`plan_residual`] on an explicit engine type `E`: the one generic entry
+/// behind every planner. The product plans with
+/// [`revmax_core::IncrementalRevenue`]; the parity suites instantiate `E`
+/// with their reference engines and compare the plans.
+pub fn plan_with<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    config: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+) -> GreedyOutcome {
     match config.algorithm {
         PlanAlgorithm::GlobalGreedy | PlanAlgorithm::GlobalNoSaturation => {
-            crate::sharded::sharded_plan_residual(inst, config, config.shards as usize, delta)
+            crate::sharded::sharded_plan_residual::<E>(inst, config, config.shards as usize, delta)
         }
         PlanAlgorithm::SequentialLocalGreedy => {
             let order: Vec<u32> = (1..=inst.horizon()).collect();
-            crate::local_greedy::dispatch_order(inst, &order, config, delta)
+            crate::local_greedy::run_order::<E>(inst, &order, config, delta)
         }
         PlanAlgorithm::RandomizedLocalGreedy { permutations } => {
-            crate::local_greedy::randomized_with(inst, config, permutations as usize, delta)
+            crate::local_greedy::randomized_with::<E>(inst, config, permutations as usize, delta)
         }
     }
 }
 
 /// Runs the per-time-step greedy under an explicit ordering of time steps
 /// (a permutation of `1..=T`, or a subset — only those steps receive
-/// recommendations). The configured algorithm field is ignored; engine,
-/// shards, and parallelism apply.
+/// recommendations). The configured algorithm field is ignored; shards do
+/// not apply, parallelism does.
 pub fn plan_order(inst: &Instance, order: &[u32], config: &PlannerConfig) -> GreedyOutcome {
-    crate::local_greedy::dispatch_order(inst, order, config, None)
+    crate::local_greedy::run_order::<IncrementalRevenue<'_>>(inst, order, config, None)
 }
 
 #[cfg(test)]
@@ -367,29 +307,19 @@ mod tests {
     fn builder_methods_compose() {
         let cfg = PlannerConfig::new()
             .with_algorithm(PlanAlgorithm::SequentialLocalGreedy)
-            .with_engine(EngineKind::Hash)
             .with_shards(0)
             .with_seed(7)
-            .with_lazy_forward(false)
             .with_track_trace(true)
             .with_parallel(Some(false))
-            .with_aggregates(Aggregates::Off);
+            .with_warm_start(true)
+            .with_shard_threads(3);
         assert_eq!(cfg.algorithm, PlanAlgorithm::SequentialLocalGreedy);
-        assert_eq!(cfg.engine, EngineKind::Hash);
         assert_eq!(cfg.shards, 1, "0 shards normalises to 1");
         assert_eq!(cfg.seed, 7);
-        assert!(!cfg.lazy_forward);
         assert!(cfg.track_trace);
         assert_eq!(cfg.parallel, Some(false));
-        assert_eq!(cfg.aggregates, Aggregates::Off);
-        assert_eq!(PlannerConfig::default().aggregates, Aggregates::Auto);
-    }
-
-    #[test]
-    fn aggregates_map_onto_the_engine_modes() {
-        assert_eq!(Aggregates::Auto.mode(), AggregateMode::Auto);
-        assert_eq!(Aggregates::Off.mode(), AggregateMode::Off);
-        assert_eq!(Aggregates::default().mode(), AggregateMode::default());
+        assert!(cfg.warm_start);
+        assert_eq!(cfg.shard_threads, 3);
     }
 
     #[test]
@@ -425,9 +355,6 @@ mod tests {
 
     #[test]
     fn knob_parsers_accept_the_documented_values() {
-        assert_eq!(parse_engine("flat"), Some(EngineKind::Flat));
-        assert_eq!(parse_engine("hash"), Some(EngineKind::Hash));
-        assert_eq!(parse_engine("typo"), None);
         assert_eq!(parse_algorithm("gg"), Some(PlanAlgorithm::GlobalGreedy));
         assert_eq!(
             parse_algorithm("gg-no"),

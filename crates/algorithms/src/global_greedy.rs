@@ -18,7 +18,8 @@
 //!   objective implemented here is not submodular in all corners (see the
 //!   notes in `crates/core/tests/properties.rs`), so lazy forward is treated
 //!   as a heuristic and the lazy == eager equivalence is asserted
-//!   empirically.
+//!   empirically (eager re-evaluation is the test-only `revmax_oracle::Eager`
+//!   engine wrapper, plugged in through [`crate::plan_with`]).
 //!
 //! Every G-Greedy plan runs on one selection core, `ShardCore`: an engine
 //! view, a `CandidateTable`, a `CandTournament` and a cached argmax per
@@ -27,11 +28,10 @@
 //! their roots. The only thing that differs is where capacity lives
 //! (`Capacity`).
 //!
-//! The drivers are generic over [`RevenueEngine`]: the default is the
-//! flat-arena [`revmax_core::IncrementalRevenue`]; [`EngineKind::Hash`]
-//! selects the pre-refactor [`revmax_core::HashIncrementalRevenue`] so
-//! benches can measure the refactor's speedup on identical selection
-//! sequences.
+//! The drivers are generic over [`RevenueEngine`]: the planner runs the
+//! flat-arena [`revmax_core::IncrementalRevenue`], and the parity suites
+//! and benches run the same drivers on their reference engines through
+//! [`crate::plan_with`].
 //!
 //! Per-candidate cached state is stored struct-of-arrays: flat `values` and
 //! `flags` vectors indexed by `cand * T + t` (blocked slots are encoded as
@@ -48,16 +48,6 @@ use revmax_core::{
     UserShard,
 };
 
-/// Which incremental revenue engine backs a greedy run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The flat-arena engine (default): dense group index, no hashing.
-    #[default]
-    Flat,
-    /// The pre-refactor hash-based engine, kept as a measured baseline.
-    Hash,
-}
-
 /// The result of a greedy run.
 #[derive(Debug, Clone)]
 pub struct GreedyOutcome {
@@ -71,7 +61,8 @@ pub struct GreedyOutcome {
     pub selection_objective: f64,
     /// Selection-objective value after each insertion, if tracing was enabled.
     pub trace: Vec<f64>,
-    /// Number of marginal-revenue evaluations performed (lazy-forward ablation metric).
+    /// Number of marginal-revenue evaluations performed — the work lazy
+    /// forward saves.
     pub marginal_evaluations: u64,
     /// Concurrent shard-executor statistics; all zero for sequential runs.
     pub concurrency: ConcurrencyStats,
@@ -124,8 +115,7 @@ pub fn global_no_saturation(inst: &Instance) -> GreedyOutcome {
 }
 
 /// Constructs the engine for a driver: warm-started from the delta's
-/// snapshot when the configuration asks for it, cold otherwise, with the
-/// saturation-aggregate knob applied before the first insertion.
+/// snapshot when the configuration asks for it, cold otherwise.
 pub(crate) fn make_engine<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     ignore_saturation: bool,
@@ -133,12 +123,10 @@ pub(crate) fn make_engine<'a, E: RevenueEngine<'a>>(
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> E {
-    let mut engine = match delta {
+    match delta {
         Some(delta) if cfg.warm_start => E::warm_start(inst, ignore_saturation, shard, delta),
         _ => E::for_shard(inst, ignore_saturation, shard),
-    };
-    engine.set_aggregate_mode(cfg.aggregates.mode());
-    engine
+    }
 }
 
 /// Struct-of-arrays per-candidate cached state: slot `local_cand * T + t`
@@ -483,12 +471,7 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
     /// it on capacity, re-evaluate it when stale, or commit it. The caller
     /// must have checked [`ShardCore::lead`] (and, across shards, that this
     /// shard leads).
-    pub(crate) fn step<C: Capacity>(
-        &mut self,
-        cfg: &PlannerConfig,
-        cap: &C,
-        evals: &mut u64,
-    ) -> Step {
+    pub(crate) fn step<C: Capacity>(&mut self, cap: &C, evals: &mut u64) -> Step {
         let local = self.tour.root().1;
         let t_idx = self.best_t[local as usize] as usize;
         let cand = CandidateId(self.start + local);
@@ -512,14 +495,9 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
             return Step::Continue;
         }
 
-        // Lazy forward compares the flag against |set(u, C(i))|; the eager
-        // ablation compares against the selection count, forcing a
-        // re-evaluation whenever anything was inserted since the last one.
-        let stamp = if cfg.lazy_forward {
-            self.inc.group_size_cand(cand) as u32
-        } else {
-            self.inc.len() as u32
-        };
+        // Lazy forward: the cached value is fresh while the flag matches
+        // |set(u, C(i))|.
+        let stamp = self.inc.group_size_cand(cand) as u32;
         if self.table.flags[self.table.slot(local, t_idx)] != stamp {
             // Stale root: re-evaluate this candidate's live slots in one
             // fused kernel pass, then fix its path.
@@ -615,7 +593,7 @@ pub(crate) fn one_shard_plan<'a, E: RevenueEngine<'a>>(
     let mut evals: u64 = 0;
     let total_slots = inst.total_slots();
     while (core.inc.len() as u64) < total_slots && core.lead().is_some() {
-        if let Step::Inserted { .. } = core.step(cfg, &EngineCapacity, &mut evals) {
+        if let Step::Inserted { .. } = core.step(&EngineCapacity, &mut evals) {
             if cfg.track_trace {
                 trace.push(core.inc.revenue());
             }
@@ -656,6 +634,7 @@ pub(crate) fn outcome(
 mod tests {
     use super::*;
     use revmax_core::{marginal_revenue, IncrementalRevenue, InstanceBuilder};
+    use revmax_oracle::{Eager, HashIncrementalRevenue};
 
     /// Small instance with one class of two items, price drops, and saturation.
     fn small_instance() -> Instance {
@@ -765,10 +744,8 @@ mod tests {
     fn flat_and_hash_engines_agree_exactly() {
         let inst = small_instance();
         let flat = crate::plan(&inst, &PlannerConfig::default());
-        let hash = crate::plan(
-            &inst,
-            &PlannerConfig::default().with_engine(EngineKind::Hash),
-        );
+        let hash =
+            crate::plan_with::<HashIncrementalRevenue<'_>>(&inst, &PlannerConfig::default(), None);
         assert!((flat.revenue - hash.revenue).abs() < 1e-9);
         assert_eq!(flat.strategy.len(), hash.strategy.len());
         for z in flat.strategy.iter() {
@@ -778,11 +755,18 @@ mod tests {
 
     #[test]
     fn lazy_forward_does_not_change_the_result_but_saves_evaluations() {
-        let inst = small_instance();
-        let lazy = crate::plan(&inst, &PlannerConfig::default());
-        let eager = crate::plan(&inst, &PlannerConfig::default().with_lazy_forward(false));
+        let ds = revmax_data::generate(&revmax_data::DatasetConfig::tiny());
+        let cfg = PlannerConfig::default();
+        let lazy = crate::plan(&ds.instance, &cfg);
+        let eager = crate::plan_with::<Eager<IncrementalRevenue<'_>>>(&ds.instance, &cfg, None);
         assert!((lazy.revenue - eager.revenue).abs() < 1e-9);
-        assert!(lazy.marginal_evaluations <= eager.marginal_evaluations);
+        assert_eq!(lazy.strategy.len(), eager.strategy.len());
+        assert!(
+            lazy.marginal_evaluations < eager.marginal_evaluations,
+            "lazy {} vs eager {} evaluations",
+            lazy.marginal_evaluations,
+            eager.marginal_evaluations
+        );
     }
 
     #[test]

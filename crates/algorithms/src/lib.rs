@@ -25,9 +25,12 @@
 //!   experiment harness.
 //!
 //! All of the above are configured through one [`PlannerConfig`] (algorithm,
-//! engine, shard count, seed — builder methods plus a layered
+//! shard count, seed — builder methods plus a layered
 //! [`PlannerConfig::from_env`]) and driven through the single entry point
-//! [`plan`] (or [`plan_order`] for an explicit time-step ordering).
+//! [`plan`] (or [`plan_order`] for an explicit time-step ordering). The
+//! planner runs one engine; [`plan_with`] runs the same drivers on any
+//! `RevenueEngine`, which is how the parity suites plug in their reference
+//! engines.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -49,20 +52,16 @@ pub mod staged;
 
 pub use baselines::{top_rating, top_revenue};
 pub use capacity_oracle::MonteCarloOracle;
-pub use config::{plan, plan_order, plan_residual, Aggregates, PlanAlgorithm, PlannerConfig};
+pub use config::{plan, plan_order, plan_residual, plan_with, PlanAlgorithm, PlannerConfig};
 pub use exhaustive::{candidate_triples, exact_optimum, ExactOutcome};
-pub use global_greedy::{
-    global_greedy, global_no_saturation, ConcurrencyStats, EngineKind, GreedyOutcome,
-};
+pub use global_greedy::{global_greedy, global_no_saturation, ConcurrencyStats, GreedyOutcome};
 pub use heap::LazyMaxHeap;
-pub use local_greedy::{
-    local_greedy_with_order, randomized_local_greedy, sample_permutations, sequential_local_greedy,
-};
+pub use local_greedy::{randomized_local_greedy, sample_permutations, sequential_local_greedy};
 pub use local_search::{
     exact_r_revmax_optimum, is_display_independent, local_search_r_revmax, slot_occupancy,
     LocalSearchOutcome,
 };
 pub use max_dcs::{solve_t1_exact, MaxDcsOutcome};
 pub use runner::{run, Algorithm, RunReport};
-pub use sharded::{shard_users, sharded_plan, sharded_plan_residual};
+pub use sharded::shard_users;
 pub use staged::{global_greedy_staged, randomized_local_greedy_staged, stages_from_ends};

@@ -14,15 +14,14 @@
 //! scans are bit-identical, which the equivalence tests assert.
 
 use crate::config::{PlanAlgorithm, PlannerConfig};
-use crate::global_greedy::{EngineKind, GreedyOutcome};
+use crate::global_greedy::GreedyOutcome;
 use crate::heap::LazyMaxHeap;
 use crate::par;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use revmax_core::{
-    CandidateId, HashIncrementalRevenue, IncrementalRevenue, Instance, ResidualDelta,
-    RevenueEngine, TimeStep,
+    CandidateId, IncrementalRevenue, Instance, ResidualDelta, RevenueEngine, TimeStep,
 };
 use std::collections::HashSet;
 
@@ -31,36 +30,18 @@ pub(crate) const PARALLEL_SCAN_THRESHOLD: usize = 1 << 13;
 
 /// Runs SL-Greedy: per-time-step greedy in chronological order `1, 2, …, T`.
 pub fn sequential_local_greedy(inst: &Instance) -> GreedyOutcome {
-    let order: Vec<u32> = (1..=inst.horizon()).collect();
-    local_greedy_with_order(inst, &order)
+    crate::plan(
+        inst,
+        &PlannerConfig::default().with_algorithm(PlanAlgorithm::SequentialLocalGreedy),
+    )
 }
 
-/// Runs the per-time-step greedy under an explicit ordering of time steps and
-/// returns the resulting strategy.
-///
-/// The ordering must be a permutation of `1..=T`; a subset is also accepted
-/// (only those time steps receive recommendations), which the incomplete-price
-/// experiments use.
-pub fn local_greedy_with_order(inst: &Instance, order: &[u32]) -> GreedyOutcome {
-    dispatch_order(inst, order, &PlannerConfig::default(), None)
-}
-
-/// The per-time-step driver dispatch, by engine. `delta` is the warm-start
-/// handle of a residual replan (`None` for one-shot plans). The local
-/// greedies always plan on one shard: `cfg.shards` does not apply.
-pub(crate) fn dispatch_order(
-    inst: &Instance,
-    order: &[u32],
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    match cfg.engine {
-        EngineKind::Flat => run_order::<IncrementalRevenue<'_>>(inst, order, cfg, delta),
-        EngineKind::Hash => run_order::<HashIncrementalRevenue<'_>>(inst, order, cfg, delta),
-    }
-}
-
-fn run_order<'a, E: RevenueEngine<'a>>(
+/// The per-time-step driver on engine `E` under an explicit ordering of time
+/// steps (a permutation of `1..=T`, or a subset — only those steps receive
+/// recommendations). `delta` is the warm-start handle of a residual replan
+/// (`None` for one-shot plans). The local greedies always plan on one shard:
+/// `cfg.shards` does not apply.
+pub(crate) fn run_order<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     order: &[u32],
     cfg: &PlannerConfig,
@@ -160,9 +141,15 @@ pub fn sample_permutations(horizon: u32, n: usize, seed: u64) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
     seen.insert(base.clone());
     out.push(base.clone());
-    // T! can be tiny (e.g. T = 2); stop once all permutations are exhausted.
-    let factorial: u64 = (1..=horizon as u64).product::<u64>().max(1);
-    let target = n.max(1).min(factorial as usize);
+    // Only min(n, T!) distinct orderings can be drawn. T! can be tiny (e.g.
+    // T = 2), and it overflows from T = 21 on, so the product stops as soon
+    // as it reaches n.
+    let wanted = n.max(1);
+    let target = (2..=horizon as usize)
+        .try_fold(1usize, |factorial, k| {
+            factorial.checked_mul(k).filter(|&f| f < wanted)
+        })
+        .unwrap_or(wanted);
     let mut attempts = 0;
     while out.len() < target && attempts < 50 * target {
         attempts += 1;
@@ -181,7 +168,7 @@ pub fn sample_permutations(horizon: u32, n: usize, seed: u64) -> Vec<Vec<u32>> {
 /// oversubscription) — a single-order or single-core run keeps the default
 /// per-user parallel scan.
 pub fn randomized_local_greedy(inst: &Instance, permutations: usize, seed: u64) -> GreedyOutcome {
-    randomized_with(
+    randomized_with::<IncrementalRevenue<'_>>(
         inst,
         &PlannerConfig::default().with_seed(seed),
         permutations,
@@ -189,9 +176,10 @@ pub fn randomized_local_greedy(inst: &Instance, permutations: usize, seed: u64) 
     )
 }
 
-/// RL-Greedy over an explicit configuration (engine, shards, seed).
-pub(crate) fn randomized_with(
-    inst: &Instance,
+/// RL-Greedy on engine `E` over an explicit configuration (seed,
+/// parallelism).
+pub(crate) fn randomized_with<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
     cfg: &PlannerConfig,
     permutations: usize,
     delta: Option<&ResidualDelta>,
@@ -214,7 +202,7 @@ pub(crate) fn randomized_with(
     let results: Vec<GreedyOutcome> = if !concurrent_orders {
         orders
             .iter()
-            .map(|o| dispatch_order(inst, o, &inner, delta))
+            .map(|o| run_order::<E>(inst, o, &inner, delta))
             .collect()
     } else {
         let chunks: Vec<&[Vec<u32>]> = orders.chunks(orders.len().div_ceil(threads)).collect();
@@ -225,7 +213,7 @@ pub(crate) fn randomized_with(
                     scope.spawn(move || {
                         chunk
                             .iter()
-                            .map(|o| dispatch_order(inst, o, &inner, delta))
+                            .map(|o| run_order::<E>(inst, o, &inner, delta))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -246,6 +234,7 @@ pub(crate) fn randomized_with(
 mod tests {
     use super::*;
     use revmax_core::{revenue, InstanceBuilder};
+    use revmax_oracle::HashIncrementalRevenue;
 
     fn example4_instance() -> Instance {
         let mut b = InstanceBuilder::new(1, 1, 2);
@@ -324,17 +313,15 @@ mod tests {
     fn parallel_and_sequential_scans_are_identical() {
         let inst = medium_instance();
         let order: Vec<u32> = (1..=inst.horizon()).collect();
-        let seq = dispatch_order(
+        let seq = crate::plan_order(
             &inst,
             &order,
             &PlannerConfig::default().with_parallel(Some(false)),
-            None,
         );
-        let par = dispatch_order(
+        let par = crate::plan_order(
             &inst,
             &order,
             &PlannerConfig::default().with_parallel(Some(true)),
-            None,
         );
         assert_eq!(seq.revenue.to_bits(), par.revenue.to_bits());
         assert_eq!(seq.strategy.as_slice(), par.strategy.as_slice());
@@ -343,14 +330,9 @@ mod tests {
     #[test]
     fn hash_engine_reproduces_flat_engine_results() {
         let inst = medium_instance();
-        let order: Vec<u32> = (1..=inst.horizon()).collect();
-        let flat = local_greedy_with_order(&inst, &order);
-        let hash = dispatch_order(
-            &inst,
-            &order,
-            &PlannerConfig::default().with_engine(EngineKind::Hash),
-            None,
-        );
+        let cfg = PlannerConfig::default().with_algorithm(PlanAlgorithm::SequentialLocalGreedy);
+        let flat = sequential_local_greedy(&inst);
+        let hash = crate::plan_with::<HashIncrementalRevenue<'_>>(&inst, &cfg, None);
         assert!((flat.revenue - hash.revenue).abs() < 1e-9);
         assert_eq!(flat.strategy.len(), hash.strategy.len());
     }
@@ -372,9 +354,21 @@ mod tests {
     }
 
     #[test]
+    fn permutation_sampling_survives_horizons_whose_factorial_overflows() {
+        // 21! overflows u64 and 66! wraps the product to 0; both horizons
+        // still have far more than 20 orderings.
+        for horizon in [21u32, 66] {
+            let perms = sample_permutations(horizon, 20, 1);
+            let unique: HashSet<_> = perms.iter().cloned().collect();
+            assert_eq!(perms.len(), 20, "horizon {horizon}");
+            assert_eq!(unique.len(), 20, "horizon {horizon}");
+        }
+    }
+
+    #[test]
     fn partial_order_restricts_time_steps() {
         let inst = medium_instance();
-        let out = local_greedy_with_order(&inst, &[2]);
+        let out = crate::plan_order(&inst, &[2], &PlannerConfig::default());
         assert!(out.strategy.iter().all(|z| z.t.value() == 2));
         assert!(!out.strategy.is_empty());
     }

@@ -3,7 +3,6 @@
 //! [`RunReport`].
 
 use crate::baselines::{top_rating, top_revenue};
-use crate::config::{plan, PlannerConfig};
 use crate::global_greedy::{global_greedy, global_no_saturation, GreedyOutcome};
 use crate::local_greedy::{randomized_local_greedy, sequential_local_greedy};
 use crate::staged::{global_greedy_staged, randomized_local_greedy_staged};
@@ -16,13 +15,6 @@ use std::time::{Duration, Instant};
 pub enum Algorithm {
     /// G-Greedy (Algorithm 1), the paper's best performer.
     GlobalGreedy,
-    /// G-Greedy on the shard-partitioned planning core (identical plan to
-    /// [`Algorithm::GlobalGreedy`]; the shards change memory layout and
-    /// parallelism, not behaviour).
-    ShardedGlobalGreedy {
-        /// Number of user shards (≥ 2 engages the sharded coordinator).
-        shards: u32,
-    },
     /// G-Greedy selecting as if no saturation existed (ablation "GG-No").
     GlobalNoSaturation,
     /// SL-Greedy (Algorithm 2), chronological per-time-step greedy.
@@ -56,7 +48,6 @@ impl Algorithm {
     pub fn name(&self) -> String {
         match self {
             Algorithm::GlobalGreedy => "GG".to_string(),
-            Algorithm::ShardedGlobalGreedy { shards } => format!("GG-S{shards}"),
             Algorithm::GlobalNoSaturation => "GG-No".to_string(),
             Algorithm::SequentialLocalGreedy => "SLG".to_string(),
             Algorithm::RandomizedLocalGreedy { .. } => "RLG".to_string(),
@@ -106,9 +97,6 @@ pub fn run(inst: &Instance, algorithm: &Algorithm, seed: u64) -> RunReport {
     let start = Instant::now();
     let outcome = match algorithm {
         Algorithm::GlobalGreedy => global_greedy(inst),
-        Algorithm::ShardedGlobalGreedy { shards } => {
-            plan(inst, &PlannerConfig::default().with_shards(*shards))
-        }
         Algorithm::GlobalNoSaturation => global_no_saturation(inst),
         Algorithm::SequentialLocalGreedy => sequential_local_greedy(inst),
         Algorithm::RandomizedLocalGreedy { permutations } => {
@@ -162,7 +150,6 @@ mod tests {
     fn every_algorithm_runs_and_produces_valid_output() {
         let inst = instance();
         let mut algorithms = Algorithm::paper_lineup();
-        algorithms.push(Algorithm::ShardedGlobalGreedy { shards: 2 });
         algorithms.push(Algorithm::StagedGlobalGreedy {
             stage_ends: vec![2],
         });
@@ -183,16 +170,6 @@ mod tests {
                 assert!(report.outcome.strategy.validate(&inst).is_ok());
             }
         }
-    }
-
-    #[test]
-    fn sharded_runner_matches_global_greedy() {
-        let inst = instance();
-        let sequential = run(&inst, &Algorithm::GlobalGreedy, 0);
-        let sharded = run(&inst, &Algorithm::ShardedGlobalGreedy { shards: 3 }, 0);
-        assert!((sequential.revenue - sharded.revenue).abs() < 1e-9);
-        assert_eq!(sequential.strategy_size, sharded.strategy_size);
-        assert_eq!(sharded.algorithm, "GG-S3");
     }
 
     #[test]

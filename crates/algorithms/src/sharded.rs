@@ -50,27 +50,26 @@
 //! * **a serving boundary** — `revmax-serve` keeps shard workers alive
 //!   across requests and plans batches of instances over the same pool.
 //!
-//! The eager (`lazy_forward: false`) ablation stamps flags with the shard's
-//! own selection count rather than the global one; a cross-shard insertion
-//! cannot change another shard's marginals, so re-evaluations that the
-//! sequential eager run performs and a shard skips return the value already
-//! cached — the selected plan is identical, only `marginal_evaluations`
-//! differs.
+//! Under eager re-evaluation (the parity suites' `revmax_oracle::Eager`
+//! engine) flags are stamped with the shard's own selection count rather
+//! than the global one; a cross-shard insertion cannot change another
+//! shard's marginals, so re-evaluations that the sequential eager run
+//! performs and a shard skips return the value already cached — the
+//! selected plan is identical, only `marginal_evaluations` differs.
 //!
 //! SL-Greedy and RL-Greedy always plan on one shard; `PlannerConfig::shards`
 //! applies to G-Greedy only.
 
 use crate::config::PlannerConfig;
 use crate::global_greedy::{
-    one_shard_plan, outcome, Capacity, Commit, ConcurrencyStats, EngineKind, GreedyOutcome,
-    ShardCore, Step,
+    one_shard_plan, outcome, Capacity, Commit, ConcurrencyStats, GreedyOutcome, ShardCore, Step,
 };
 use crate::heap::precedes;
 use crate::par;
 use crate::protocol;
 use revmax_core::{
-    CandidateId, HashIncrementalRevenue, IncrementalRevenue, Instance, ItemId, ResidualDelta,
-    RevenueEngine, SharedCapacityLedger, Strategy, TimeStep, Triple, UserId, UserShard,
+    CandidateId, Instance, ItemId, ResidualDelta, RevenueEngine, SharedCapacityLedger, Strategy,
+    TimeStep, Triple, UserId, UserShard,
 };
 use std::sync::{Condvar, Mutex};
 
@@ -186,37 +185,15 @@ impl Capacity for Window<'_> {
     }
 }
 
-/// Runs G-Greedy on the shard-partitioned core with `pieces` user shards —
-/// the explicit-piece-count entry behind `plan`.
+/// Runs G-Greedy on engine `E` with `pieces` user shards — the G-Greedy
+/// dispatch behind [`crate::plan_with`]. `delta` (with `cfg.warm_start`)
+/// warm-starts each shard engine from the session's snapshot pool; `None`
+/// is a one-shot (cold) plan.
 ///
-/// Produces the same plan as one shard (see the module docs); `cfg.shards`
-/// is ignored in favour of the explicit `pieces`. The returned strategy's
-/// insertion order is the coordinator order, i.e. the sequential selection
-/// order.
-pub fn sharded_plan(inst: &Instance, cfg: &PlannerConfig, pieces: usize) -> GreedyOutcome {
-    sharded_plan_residual(inst, cfg, pieces, None)
-}
-
-/// [`sharded_plan`] for a residual replan: `delta` (with
-/// `cfg.warm_start`) warm-starts each shard engine from the session's
-/// snapshot pool. `None` is a one-shot (cold) plan.
-pub fn sharded_plan_residual(
-    inst: &Instance,
-    cfg: &PlannerConfig,
-    pieces: usize,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    match cfg.engine {
-        EngineKind::Flat => {
-            sharded_global_greedy_impl::<IncrementalRevenue<'_>>(inst, cfg, pieces, delta)
-        }
-        EngineKind::Hash => {
-            sharded_global_greedy_impl::<HashIncrementalRevenue<'_>>(inst, cfg, pieces, delta)
-        }
-    }
-}
-
-fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>>(
+/// Every piece count produces the same plan as one shard (see the module
+/// docs). The returned strategy's insertion order is the coordinator order,
+/// i.e. the sequential selection order.
+pub(crate) fn sharded_plan_residual<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     pieces: usize,
@@ -274,7 +251,7 @@ fn sharded_global_greedy_impl<'a, E: RevenueEngine<'a>>(
         // consecutive selections from one shard replay the sequential order
         // exactly while the leadership re-check is two register compares.
         loop {
-            if let Step::Inserted { z, marginal } = workers[wi].step(cfg, &cap, &mut evals) {
+            if let Step::Inserted { z, marginal } = workers[wi].step(&cap, &mut evals) {
                 running_revenue += marginal;
                 picks.push(z);
                 selected += 1;
@@ -431,7 +408,7 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
                         to_coord.notify_one();
                         break;
                     };
-                    match sh.step(cfg, &window, &mut run.evals) {
+                    match sh.step(&window, &mut run.evals) {
                         Step::Inserted { z, marginal } => {
                             run.revenue += marginal;
                             run.picks.push(z);

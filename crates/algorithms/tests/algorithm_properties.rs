@@ -1,18 +1,20 @@
 //! Seeded randomized property and integration tests for the algorithm suite:
 //! greedy validity and quality against the exact optimum on tiny instances,
-//! engine (flat vs hash) and parallelism equivalence, the Max-DCS upper bound
+//! engine (flat vs the `revmax_oracle` references: hash, eager, walk-only)
+//! and parallelism equivalence, the Max-DCS upper bound
 //! for `T = 1`, the local-search guarantee, and end-to-end runs on generated
 //! datasets.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revmax_algorithms::{
-    exact_optimum, global_greedy, local_search_r_revmax, plan, plan_order, randomized_local_greedy,
-    run, sequential_local_greedy, sharded_plan, solve_t1_exact, top_rating, top_revenue, Algorithm,
-    EngineKind, PlanAlgorithm, PlannerConfig,
+    exact_optimum, global_greedy, local_search_r_revmax, plan, plan_with, randomized_local_greedy,
+    run, sequential_local_greedy, solve_t1_exact, top_rating, top_revenue, Algorithm,
+    PlanAlgorithm, PlannerConfig,
 };
-use revmax_core::{revenue, Instance, InstanceBuilder};
+use revmax_core::{revenue, IncrementalRevenue as Flat, Instance, InstanceBuilder, RevenueEngine};
 use revmax_data::{generate, DatasetConfig};
+use revmax_oracle::{Eager, HashIncrementalRevenue as Hash, Walk};
 
 /// Draws a random small instance (2–3 users, 2–4 items, horizon 1–3).
 fn random_small_instance(rng: &mut StdRng) -> Instance {
@@ -78,8 +80,8 @@ fn greedy_outputs_are_valid_and_consistent() {
     }
 }
 
-/// Greedy never exceeds the exact optimum, and lazy-forward / engine choices
-/// do not change the greedy result.
+/// Greedy never exceeds the exact optimum, and eager re-evaluation and the
+/// hash engine do not change the greedy result.
 #[test]
 fn greedy_below_optimum_and_invariant_to_internals() {
     let mut rng = StdRng::seed_from_u64(43);
@@ -96,11 +98,9 @@ fn greedy_below_optimum_and_invariant_to_internals() {
             base.revenue <= opt.revenue + 1e-9,
             "case {case}: greedy beat the optimum"
         );
-        let eager = plan(&inst, &PlannerConfig::default().with_lazy_forward(false));
-        let hash = plan(
-            &inst,
-            &PlannerConfig::default().with_engine(EngineKind::Hash),
-        );
+        let cfg = PlannerConfig::default();
+        let eager = plan_with::<Eager<Flat<'_>>>(&inst, &cfg, None);
+        let hash = plan_with::<Hash<'_>>(&inst, &cfg, None);
         assert!(
             (base.revenue - eager.revenue).abs() < 1e-9,
             "case {case}: lazy != eager"
@@ -120,6 +120,24 @@ fn greedy_below_optimum_and_invariant_to_internals() {
     );
 }
 
+/// SL-Greedy on engine `E` with the per-user scan forced parallel and
+/// forced sequential: bit-identical revenue and strategy.
+fn parallel_vs_sequential_scan<'a, E: RevenueEngine<'a>>(label: &str, inst: &'a Instance) {
+    let cfg = PlannerConfig::default().with_algorithm(PlanAlgorithm::SequentialLocalGreedy);
+    let seq = plan_with::<E>(inst, &cfg.with_parallel(Some(false)), None);
+    let par = plan_with::<E>(inst, &cfg.with_parallel(Some(true)), None);
+    assert_eq!(
+        seq.revenue.to_bits(),
+        par.revenue.to_bits(),
+        "{label}: parallel scan changed the revenue"
+    );
+    assert_eq!(
+        seq.strategy.as_slice(),
+        par.strategy.as_slice(),
+        "{label}: parallel scan changed the strategy"
+    );
+}
+
 /// The parallel per-user scan and the sequential scan of local greedy produce
 /// bit-identical revenues and identical strategies, for both engines.
 #[test]
@@ -127,22 +145,8 @@ fn parallel_local_greedy_equals_sequential() {
     let mut rng = StdRng::seed_from_u64(47);
     for case in 0..30 {
         let inst = random_small_instance(&mut rng);
-        let order: Vec<u32> = (1..=inst.horizon()).collect();
-        for engine in [EngineKind::Flat, EngineKind::Hash] {
-            let cfg = PlannerConfig::default().with_engine(engine);
-            let seq = plan_order(&inst, &order, &cfg.with_parallel(Some(false)));
-            let par = plan_order(&inst, &order, &cfg.with_parallel(Some(true)));
-            assert_eq!(
-                seq.revenue.to_bits(),
-                par.revenue.to_bits(),
-                "case {case} ({engine:?}): parallel scan changed the revenue"
-            );
-            assert_eq!(
-                seq.strategy.as_slice(),
-                par.strategy.as_slice(),
-                "case {case} ({engine:?}): parallel scan changed the strategy"
-            );
-        }
+        parallel_vs_sequential_scan::<Flat<'_>>(&format!("case {case} (flat)"), &inst);
+        parallel_vs_sequential_scan::<Hash<'_>>(&format!("case {case} (hash)"), &inst);
     }
 }
 
@@ -305,6 +309,37 @@ fn saturation_ablation_loses_revenue_on_saturated_datasets() {
     );
 }
 
+/// The shard-partitioned core on engine `E` at 1, 2 and 7 shards against
+/// the sequential flat plan: identical strategies and revenue to 1e-9.
+fn shards_vs_sequential<'a, E: RevenueEngine<'a>>(
+    label: &str,
+    inst: &'a Instance,
+    sequential: &revmax_algorithms::GreedyOutcome,
+) {
+    for shards in [1u32, 2, 7] {
+        let cfg = PlannerConfig::default().with_shards(shards);
+        let sharded = plan_with::<E>(inst, &cfg, None);
+        assert!(
+            (sharded.revenue - sequential.revenue).abs() < 1e-9,
+            "{label} ({shards} shards): sharded {} vs sequential {}",
+            sharded.revenue,
+            sequential.revenue
+        );
+        assert_eq!(
+            sharded.strategy.len(),
+            sequential.strategy.len(),
+            "{label} ({shards} shards): strategy sizes diverged"
+        );
+        for z in sequential.strategy.iter() {
+            assert!(
+                sharded.strategy.contains(z),
+                "{label} ({shards} shards): {z} missing from sharded plan"
+            );
+        }
+        assert!(sharded.strategy.validate(inst).is_ok(), "{label}");
+    }
+}
+
 /// Engine-parity for the shard-partitioned core: every randomized instance
 /// also runs the sharded path with 1, 2, and 7 shards, for both engines,
 /// and must match the sequential flat plan to 1e-9 — identical strategies
@@ -316,36 +351,14 @@ fn sharded_global_greedy_matches_sequential_at_1_2_7_shards() {
     for case in 0..40 {
         let inst = random_small_instance(&mut rng);
         let sequential = global_greedy(&inst);
-        for shards in [1usize, 2, 7] {
-            for engine in [EngineKind::Flat, EngineKind::Hash] {
-                let cfg = PlannerConfig::default().with_engine(engine);
-                let sharded = sharded_plan(&inst, &cfg, shards);
-                assert!(
-                    (sharded.revenue - sequential.revenue).abs() < 1e-9,
-                    "case {case} ({shards} shards, {engine:?}): sharded {} vs sequential {}",
-                    sharded.revenue,
-                    sequential.revenue
-                );
-                assert_eq!(
-                    sharded.strategy.len(),
-                    sequential.strategy.len(),
-                    "case {case} ({shards} shards, {engine:?}): strategy sizes diverged"
-                );
-                for z in sequential.strategy.iter() {
-                    assert!(
-                        sharded.strategy.contains(z),
-                        "case {case} ({shards} shards, {engine:?}): {z} missing from sharded plan"
-                    );
-                }
-                assert!(sharded.strategy.validate(&inst).is_ok(), "case {case}");
-            }
-        }
+        shards_vs_sequential::<Flat<'_>>(&format!("case {case} flat"), &inst, &sequential);
+        shards_vs_sequential::<Hash<'_>>(&format!("case {case} hash"), &inst, &sequential);
     }
 }
 
-/// Sharding through the unified front-end (`PlannerConfig::shards`) is
-/// equivalent to the explicit sharded entry points, and SL-Greedy, which
-/// always plans on one shard, is unchanged by it.
+/// Sharding through the unified front-end (`PlannerConfig::shards`) leaves
+/// the G-Greedy plan unchanged, and SL-Greedy, which always plans on one
+/// shard, is unchanged by it.
 #[test]
 fn shards_option_routes_through_public_apis() {
     let mut rng = StdRng::seed_from_u64(0x5AAF);
@@ -380,8 +393,8 @@ fn sharded_matches_sequential_on_capacity_bound_dataset() {
     };
     let ds = generate(&config);
     let sequential = global_greedy(&ds.instance);
-    for shards in [2usize, 4] {
-        let sharded = sharded_plan(&ds.instance, &PlannerConfig::default(), shards);
+    for shards in [2u32, 4] {
+        let sharded = plan(&ds.instance, &PlannerConfig::default().with_shards(shards));
         assert!(
             (sharded.revenue - sequential.revenue).abs()
                 <= 1e-9 * sequential.revenue.abs().max(1.0),
@@ -406,10 +419,7 @@ fn engines_agree_on_generated_dataset() {
     config.candidates_per_user = 12;
     let ds = generate(&config);
     let flat = plan(&ds.instance, &PlannerConfig::default());
-    let hash = plan(
-        &ds.instance,
-        &PlannerConfig::default().with_engine(EngineKind::Hash),
-    );
+    let hash = plan_with::<Hash<'_>>(&ds.instance, &PlannerConfig::default(), None);
     assert!((flat.revenue - hash.revenue).abs() < 1e-9);
     assert_eq!(flat.strategy.len(), hash.strategy.len());
     for z in flat.strategy.iter() {
@@ -422,22 +432,26 @@ fn engines_agree_on_generated_dataset() {
 /// racing on process-global state.
 #[test]
 fn env_layering_reads_the_shared_knobs() {
-    std::env::set_var("REVMAX_ENGINE", "hash");
+    std::env::set_var("REVMAX_ALGORITHM", "slg");
     std::env::set_var("REVMAX_SHARDS", "3");
     std::env::set_var("REVMAX_SEED", "99");
 
     let cfg = PlannerConfig::from_env();
-    assert_eq!(cfg.engine, EngineKind::Hash);
+    assert_eq!(cfg.algorithm, PlanAlgorithm::SequentialLocalGreedy);
     assert_eq!(cfg.shards, 3);
     assert_eq!(cfg.seed, 99);
 
     // Layering: the overlay only replaces knobs that are actually set.
-    std::env::remove_var("REVMAX_ENGINE");
+    std::env::remove_var("REVMAX_ALGORITHM");
     let layered = PlannerConfig::default()
-        .with_engine(EngineKind::Hash)
+        .with_algorithm(PlanAlgorithm::SequentialLocalGreedy)
         .with_track_trace(true)
         .env_overlay();
-    assert_eq!(layered.engine, EngineKind::Hash, "unset knob preserved");
+    assert_eq!(
+        layered.algorithm,
+        PlanAlgorithm::SequentialLocalGreedy,
+        "unset knob preserved"
+    );
     assert_eq!(layered.shards, 3, "set knob overlaid");
     assert!(layered.track_trace, "non-env knob untouched");
 
@@ -485,15 +499,13 @@ fn unified_plan_matches_dedicated_entry_points() {
     }
 }
 
-/// The saturation-aggregate knob is behaviour-neutral: on a uniform-β
-/// generated dataset (where the fast path engages on every group) and on
-/// random mixed-β instances (where it falls back per group), `Aggregates::Off`
-/// and the default `Auto` produce the same plan for both engines at shard
+/// The compiled aggregate kernels are behaviour-neutral: on a uniform-β
+/// generated dataset (where the fast path engages on every deep group) and
+/// on random mixed-β instances (where it falls back per group), the flat
+/// engine and the walk-only engine ([`Walk`]) produce the same plan at shard
 /// counts 1 and 2, for the global and the per-time-step drivers.
 #[test]
-fn aggregates_knob_is_behaviour_neutral_across_engines_and_shards() {
-    use revmax_algorithms::Aggregates;
-
+fn aggregate_kernels_are_behaviour_neutral_across_shards() {
     let mut uniform = DatasetConfig::tiny();
     uniform.beta = revmax_data::BetaSetting::PerClassRandom;
     let uniform_ds = generate(&uniform);
@@ -504,35 +516,31 @@ fn aggregates_knob_is_behaviour_neutral_across_engines_and_shards() {
     instances.push(uniform_ds.instance);
 
     for (idx, inst) in instances.iter().enumerate() {
-        for engine in [EngineKind::Flat, EngineKind::Hash] {
-            for shards in [1u32, 2] {
-                let base = PlannerConfig::default()
-                    .with_engine(engine)
-                    .with_shards(shards);
-                let on = plan(inst, &base.with_aggregates(Aggregates::Auto));
-                let off = plan(inst, &base.with_aggregates(Aggregates::Off));
-                assert!(
-                    (on.revenue - off.revenue).abs() <= 1e-9 * off.revenue.abs().max(1.0),
-                    "case {idx} {engine:?} shards {shards}: GG {} vs {}",
-                    on.revenue,
-                    off.revenue
-                );
-                assert_eq!(on.strategy.len(), off.strategy.len());
-                for z in on.strategy.iter() {
-                    assert!(off.strategy.contains(z), "case {idx}: diverged at {z}");
-                }
-
-                let order: Vec<u32> = (1..=inst.horizon()).collect();
-                let on = plan_order(inst, &order, &base.with_aggregates(Aggregates::Auto));
-                let off = plan_order(inst, &order, &base.with_aggregates(Aggregates::Off));
-                assert!(
-                    (on.revenue - off.revenue).abs() <= 1e-9 * off.revenue.abs().max(1.0),
-                    "case {idx} {engine:?} shards {shards}: SLG {} vs {}",
-                    on.revenue,
-                    off.revenue
-                );
-                assert_eq!(on.strategy.len(), off.strategy.len());
+        for shards in [1u32, 2] {
+            let gg = PlannerConfig::default().with_shards(shards);
+            let on = plan(inst, &gg);
+            let off = plan_with::<Walk<'_>>(inst, &gg, None);
+            assert!(
+                (on.revenue - off.revenue).abs() <= 1e-9 * off.revenue.abs().max(1.0),
+                "case {idx} shards {shards}: GG {} vs {}",
+                on.revenue,
+                off.revenue
+            );
+            assert_eq!(on.strategy.len(), off.strategy.len());
+            for z in on.strategy.iter() {
+                assert!(off.strategy.contains(z), "case {idx}: diverged at {z}");
             }
+
+            let slg = gg.with_algorithm(PlanAlgorithm::SequentialLocalGreedy);
+            let on = plan(inst, &slg);
+            let off = plan_with::<Walk<'_>>(inst, &slg, None);
+            assert!(
+                (on.revenue - off.revenue).abs() <= 1e-9 * off.revenue.abs().max(1.0),
+                "case {idx} shards {shards}: SLG {} vs {}",
+                on.revenue,
+                off.revenue
+            );
+            assert_eq!(on.strategy.len(), off.strategy.len());
         }
     }
 }

@@ -1,13 +1,15 @@
 //! Parity oracle for the concurrent shard executor
-//! (`PlannerConfig::shard_threads >= 2`): every configuration of engine ×
-//! shard count × worker-thread count must reproduce the sequential plan —
+//! (`PlannerConfig::shard_threads >= 2`): every configuration of engine
+//! (the flat engine and the hash reference, through `plan_with`) × shard
+//! count × worker-thread count must reproduce the sequential plan —
 //! same strategy triple set, same revenue to 1e-9 — plus directed tests for
 //! the rollback (steal/reject) path and the scarcity-window boundary.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use revmax_algorithms::{plan, EngineKind, PlannerConfig};
-use revmax_core::{env, Instance, InstanceBuilder};
+use revmax_algorithms::{plan, plan_with, PlannerConfig};
+use revmax_core::{env, IncrementalRevenue as Flat, Instance, InstanceBuilder, RevenueEngine};
+use revmax_oracle::HashIncrementalRevenue as Hash;
 
 /// Worker-thread counts under test: {1, 2, 4} plus any `REVMAX_SHARD_THREADS`
 /// override — the CI multi-core matrix leg re-runs the oracle with its
@@ -83,6 +85,26 @@ fn assert_same_plan(
     }
 }
 
+/// Every shard × thread configuration on engine `E` against the sequential
+/// one-shard plan on `E`.
+fn configurations_vs_sequential<'a, E: RevenueEngine<'a>>(
+    label: &str,
+    inst: &'a Instance,
+    thread_counts: &[u32],
+) {
+    let seq = plan_with::<E>(inst, &PlannerConfig::default(), None);
+    for shards in [1u32, 2, 4, 8] {
+        for &threads in thread_counts {
+            let cfg = PlannerConfig::default()
+                .with_shards(shards)
+                .with_shard_threads(threads);
+            let conc = plan_with::<E>(inst, &cfg, None);
+            let label = format!("{label}: {shards} shards, {threads} threads");
+            assert_same_plan(&label, &seq, &conc);
+        }
+    }
+}
+
 /// The randomized oracle: ≥120 contended instances across engines × shards
 /// {1, 2, 4, 8} × threads {1, 2, 4}. Thread counts above the shard count
 /// and single-shard / single-thread configurations resolve to the
@@ -94,21 +116,9 @@ fn concurrent_executor_matches_sequential_plans() {
     let thread_counts = thread_counts();
     for case in 0..120 {
         let inst = random_contended_instance(&mut rng);
-        for engine in [EngineKind::Flat, EngineKind::Hash] {
-            let seq = plan(&inst, &PlannerConfig::default().with_engine(engine));
-            for shards in [1u32, 2, 4, 8] {
-                for &threads in &thread_counts {
-                    let cfg = PlannerConfig::default()
-                        .with_engine(engine)
-                        .with_shards(shards)
-                        .with_shard_threads(threads);
-                    let conc = plan(&inst, &cfg);
-                    let label =
-                        format!("case {case} ({engine:?}, {shards} shards, {threads} threads)");
-                    assert_same_plan(&label, &seq, &conc);
-                }
-            }
-        }
+        let label = |engine| format!("case {case} {engine}");
+        configurations_vs_sequential::<Flat<'_>>(&label("flat"), &inst, &thread_counts);
+        configurations_vs_sequential::<Hash<'_>>(&label("hash"), &inst, &thread_counts);
     }
 }
 

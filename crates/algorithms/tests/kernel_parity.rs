@@ -2,23 +2,24 @@
 //!
 //! The flat engine *compiles* each (user, class) group to a marginal
 //! kernel at construction time (mixed-β walk, uniform-β walk, uniform-β
-//! aggregate, β ∈ {0, 1} degenerates — see `revmax_core::KernelId`), the
-//! default [`Aggregates::Auto`] mode depth-gates the aggregate kernels, and
+//! aggregate, β ∈ {0, 1} degenerates — see `revmax_core::KernelId`), its
+//! default `AggregateMode::Auto` depth-gates the aggregate kernels, and
 //! every G-Greedy plan runs on the tournament-tree selection core, on one
 //! shard or several. None of that may change a single plan. On random
 //! instances that deliberately mix every kernel shape and straddle the Auto
 //! depth gate, this suite asserts:
 //!
-//! * **Compiled kernels == generic walk == hash engine.** Plans produced with
-//!   the default compiled-kernel configuration match the `Aggregates::Off`
-//!   generic-walk ablation and the hash-engine oracle to 1e-9 in revenue with
+//! * **Compiled kernels == walk == hash engine.** Plans produced by the flat
+//!   engine match the walk-only engine (`revmax_oracle::Walk`) and the hash
+//!   engine, both run through [`plan_with`], to 1e-9 in revenue with
 //!   identically sized, valid strategies — across GG and SLG, at 1 and 2
 //!   shards.
 //! * **The tree == the heap oracle, bit for bit.** Every G-Greedy plan, at 1
-//!   and 2 shards, on both engines, cold and warm, has the revenue bits and
-//!   the strategy (in insertion order) of the pop-per-iteration lazy-heap
-//!   loop in `oracle/mod.rs`. The concurrent executor, which folds revenue
-//!   per shard, matches it to 1e-9 with the same triple set.
+//!   and 2 shards, on both engines, lazy and `Eager`, cold and
+//!   warm, has the revenue bits and the strategy (in insertion order) of the
+//!   pop-per-iteration lazy-heap loop in `oracle/mod.rs` on the same engine
+//!   type. The concurrent executor, which folds revenue per shard, matches
+//!   it to 1e-9 with the same triple set.
 //! * **Warm == cold.** Residual replans through the snapshot pool
 //!   ([`plan_residual`] with `warm_start`) reproduce the cold plans exactly,
 //!   and still seed/return the pooled buffers.
@@ -34,12 +35,14 @@ use oracle::heap_greedy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revmax_algorithms::{
-    plan, plan_residual, Aggregates, EngineKind, GreedyOutcome, PlanAlgorithm, PlannerConfig,
+    plan, plan_residual, plan_with, GreedyOutcome, PlanAlgorithm, PlannerConfig,
 };
 use revmax_core::{
-    residual_of_validated, validate_events, AdoptionEvent, EngineSnapshot, Instance,
-    InstanceBuilder, ItemId, ResidualDelta, Triple,
+    residual_of_validated, validate_events, AdoptionEvent, EngineSnapshot,
+    IncrementalRevenue as Flat, Instance, InstanceBuilder, ItemId, ResidualDelta, RevenueEngine,
+    Triple,
 };
+use revmax_oracle::{Eager, HashIncrementalRevenue as Hash, Walk};
 
 /// Per-class kernel shape the generator aimed for (the compiler re-derives
 /// the true shape from the built instance; this is only used for coverage
@@ -54,7 +57,7 @@ enum Shape {
 
 /// A small instance mixing every kernel shape: 2–4 classes, each drawn as
 /// uniform-β, per-item mixed-β, β = 1 or β = 0; horizons 2–6 straddle the
-/// `Aggregates::Auto` depth gate; tight capacities so saturation and
+/// `AggregateMode::Auto` depth gate; tight capacities so saturation and
 /// capacity retirement both fire.
 fn random_kernel_instance(rng: &mut StdRng) -> (Instance, Vec<Shape>) {
     let num_users = rng.gen_range(2u32..=5);
@@ -172,6 +175,17 @@ fn assert_same_plan(label: &str, reference: &GreedyOutcome, other: &GreedyOutcom
     );
 }
 
+/// Asserts that `out` is the heap oracle's plan on engine `E`, bit for bit.
+fn assert_heap_plan<'a, E: RevenueEngine<'a>>(
+    label: &str,
+    inst: &'a Instance,
+    cfg: &PlannerConfig,
+    out: &GreedyOutcome,
+) {
+    let reference = heap_greedy::<E>(inst, cfg, None);
+    assert_bit_identical(&format!("{label} vs heap oracle"), &reference, out);
+}
+
 #[test]
 fn compiled_kernels_match_generic_walk_and_hash_engine() {
     let mut rng = StdRng::seed_from_u64(0x4b45_524e);
@@ -197,12 +211,10 @@ fn compiled_kernels_match_generic_walk_and_hash_engine() {
                 let base = PlannerConfig::default()
                     .with_algorithm(algorithm)
                     .with_shards(shards);
-                let walk_cfg = base.with_aggregates(Aggregates::Off);
-                let hash_cfg = base.with_engine(EngineKind::Hash);
                 let kernels = plan(&inst, &base);
-                let walk = plan(&inst, &walk_cfg);
-                let hash = plan(&inst, &hash_cfg);
-                for (label, other) in [("generic walk", &walk), ("hash", &hash)] {
+                let walk = plan_with::<Walk<'_>>(&inst, &base, None);
+                let hash = plan_with::<Hash<'_>>(&inst, &base, None);
+                for (label, other) in [("walk", &walk), ("hash", &hash)] {
                     assert!(
                         (kernels.revenue - other.revenue).abs()
                             <= 1e-9 * kernels.revenue.abs().max(1.0),
@@ -221,17 +233,10 @@ fn compiled_kernels_match_generic_walk_and_hash_engine() {
                     "case {case} {algorithm:?} shards {shards}: compiled-kernel plan invalid"
                 );
                 if algorithm == PlanAlgorithm::GlobalGreedy {
-                    for (label, cfg, out) in [
-                        ("kernels", &base, &kernels),
-                        ("generic walk", &walk_cfg, &walk),
-                        ("hash", &hash_cfg, &hash),
-                    ] {
-                        assert_bit_identical(
-                            &format!("case {case} shards {shards} {label} vs heap oracle"),
-                            &heap_greedy(&inst, cfg, None),
-                            out,
-                        );
-                    }
+                    let label = |engine| format!("case {case} shards {shards} {engine}");
+                    assert_heap_plan::<Flat<'_>>(&label("kernels"), &inst, &base, &kernels);
+                    assert_heap_plan::<Walk<'_>>(&label("walk"), &inst, &base, &walk);
+                    assert_heap_plan::<Hash<'_>>(&label("hash"), &inst, &base, &hash);
                 }
             }
         }
@@ -251,6 +256,26 @@ fn compiled_kernels_match_generic_walk_and_hash_engine() {
     );
 }
 
+/// The tree on engine `E`, at 1 and 2 shards, against the heap oracle on
+/// the same engine type: revenue, strategy and trace bit for bit.
+fn tree_vs_heap<'a, E: RevenueEngine<'a>>(label: &str, inst: &'a Instance, base: &PlannerConfig) {
+    let reference = heap_greedy::<E>(inst, base, None);
+    for shards in [1u32, 2] {
+        let tree = plan_with::<E>(inst, &base.with_shards(shards), None);
+        let label = format!("{label} shards {shards}");
+        assert_bit_identical(&label, &reference, &tree);
+        assert_eq!(
+            reference
+                .trace
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>(),
+            tree.trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{label}: trace diverged"
+        );
+    }
+}
+
 #[test]
 fn tree_plans_are_bit_identical_to_the_heap_oracle() {
     let mut rng = StdRng::seed_from_u64(0x0ba7_c4ed);
@@ -260,33 +285,14 @@ fn tree_plans_are_bit_identical_to_the_heap_oracle() {
             PlanAlgorithm::GlobalGreedy,
             PlanAlgorithm::GlobalNoSaturation,
         ] {
-            for engine in [EngineKind::Flat, EngineKind::Hash] {
-                for lazy_forward in [true, false] {
-                    let base = PlannerConfig::default()
-                        .with_algorithm(algorithm)
-                        .with_engine(engine)
-                        .with_lazy_forward(lazy_forward)
-                        .with_track_trace(true);
-                    let reference = heap_greedy(&inst, &base, None);
-                    for shards in [1u32, 2] {
-                        let tree = plan(&inst, &base.with_shards(shards));
-                        let label = format!(
-                            "case {case} {algorithm:?} {engine:?} lazy {lazy_forward} \
-                             shards {shards}"
-                        );
-                        assert_bit_identical(&label, &reference, &tree);
-                        assert_eq!(
-                            reference
-                                .trace
-                                .iter()
-                                .map(|v| v.to_bits())
-                                .collect::<Vec<_>>(),
-                            tree.trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                            "{label}: trace diverged"
-                        );
-                    }
-                }
-            }
+            let base = PlannerConfig::default()
+                .with_algorithm(algorithm)
+                .with_track_trace(true);
+            let label = |engine| format!("case {case} {algorithm:?} {engine}");
+            tree_vs_heap::<Flat<'_>>(&label("flat lazy"), &inst, &base);
+            tree_vs_heap::<Hash<'_>>(&label("hash lazy"), &inst, &base);
+            tree_vs_heap::<Eager<Flat<'_>>>(&label("flat eager"), &inst, &base);
+            tree_vs_heap::<Eager<Hash<'_>>>(&label("hash eager"), &inst, &base);
         }
     }
 }
@@ -350,7 +356,7 @@ fn tree_matches_the_heap_oracle_at_scale() {
             ("cold", &inst, &base, None),
             ("warm residual", &residual, &warm, Some(&delta)),
         ] {
-            let reference = heap_greedy(target, cfg, delta);
+            let reference = heap_greedy::<Flat<'_>>(target, cfg, delta);
             assert!(reference.strategy.validate(target).is_ok());
             for (shards, threads) in [(1u32, 1u32), (2, 1), (2, 2)] {
                 let cfg = cfg.with_shards(shards).with_shard_threads(threads);
@@ -365,7 +371,7 @@ fn tree_matches_the_heap_oracle_at_scale() {
                 }
             }
         }
-        let hash = plan(&inst, &base.with_engine(EngineKind::Hash));
+        let hash = plan_with::<Hash<'_>>(&inst, &base, None);
         let flat = plan(&inst, &base);
         assert!(
             (flat.revenue - hash.revenue).abs() <= 1e-9 * hash.revenue.abs().max(1.0),
@@ -373,6 +379,29 @@ fn tree_matches_the_heap_oracle_at_scale() {
             flat.revenue,
             hash.revenue
         );
+    }
+}
+
+/// Cold and warm residual replans on engine `E` at 1 and 2 shards: warm
+/// equals cold bit for bit, and G-Greedy equals the heap oracle on `E`.
+fn warm_vs_cold<'a, E: RevenueEngine<'a>>(
+    label: &str,
+    residual: &'a Instance,
+    base: &PlannerConfig,
+    delta: &ResidualDelta,
+) {
+    let reference = (base.algorithm == PlanAlgorithm::GlobalGreedy)
+        .then(|| heap_greedy::<E>(residual, base, None));
+    for shards in [1u32, 2] {
+        let cfg = base.with_shards(shards);
+        let cold = plan_with::<E>(residual, &cfg, None);
+        let warm = plan_with::<E>(residual, &cfg.with_warm_start(true), Some(delta));
+        let label = format!("{label} shards {shards}");
+        assert_bit_identical(&format!("{label} warm vs cold"), &cold, &warm);
+        if let Some(reference) = &reference {
+            assert_bit_identical(&format!("{label} vs heap oracle"), reference, &cold);
+        }
+        assert!(cold.strategy.validate(residual).is_ok());
     }
 }
 
@@ -388,24 +417,10 @@ fn warm_replans_match_cold_and_the_heap_oracle() {
         let snapshot = EngineSnapshot::new();
         let delta = ResidualDelta::initial(snapshot.clone());
         for algorithm in ALGORITHMS {
-            for engine in [EngineKind::Flat, EngineKind::Hash] {
-                let base = PlannerConfig::default()
-                    .with_algorithm(algorithm)
-                    .with_engine(engine);
-                let reference = (algorithm == PlanAlgorithm::GlobalGreedy)
-                    .then(|| heap_greedy(&residual, &base, None));
-                for shards in [1u32, 2] {
-                    let cfg = base.with_shards(shards);
-                    let cold = plan(&residual, &cfg);
-                    let warm = plan_residual(&residual, &cfg.with_warm_start(true), Some(&delta));
-                    let label = format!("case {case} {algorithm:?} {engine:?} shards {shards}");
-                    assert_bit_identical(&format!("{label} warm vs cold"), &cold, &warm);
-                    if let Some(reference) = &reference {
-                        assert_bit_identical(&format!("{label} vs heap oracle"), reference, &cold);
-                    }
-                    assert!(cold.strategy.validate(&residual).is_ok());
-                }
-            }
+            let base = PlannerConfig::default().with_algorithm(algorithm);
+            let label = |engine| format!("case {case} {algorithm:?} {engine}");
+            warm_vs_cold::<Flat<'_>>(&label("flat"), &residual, &base, &delta);
+            warm_vs_cold::<Hash<'_>>(&label("hash"), &residual, &base, &delta);
         }
         assert!(
             snapshot.has_tables(),

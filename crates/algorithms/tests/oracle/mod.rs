@@ -9,26 +9,13 @@
 //! candidates re-evaluated through the same `marginal_revenue_batch` call
 //! the core uses — so cached values, and therefore plans and revenues, must
 //! agree bit for bit.
+//!
+//! Like the drivers, the loop is generic over the engine: the parity suites
+//! run it on the same engine type they pass to `plan_with` (the flat engine
+//! or a `revmax_oracle` reference).
 
-use revmax_algorithms::{EngineKind, GreedyOutcome, LazyMaxHeap, PlanAlgorithm, PlannerConfig};
-use revmax_core::{
-    revenue, CandidateId, HashIncrementalRevenue, IncrementalRevenue, Instance, ResidualDelta,
-    RevenueEngine, TimeStep,
-};
-
-/// Plans G-Greedy (or `GlobalNo`, per `cfg.algorithm`) on one shard with the
-/// heap loop. Honours `engine`, `lazy_forward`, `aggregates`, `track_trace`
-/// and `warm_start` (with `delta`); every other knob only changes speed.
-pub fn heap_greedy(
-    inst: &Instance,
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    match cfg.engine {
-        EngineKind::Flat => run::<IncrementalRevenue<'_>>(inst, cfg, delta),
-        EngineKind::Hash => run::<HashIncrementalRevenue<'_>>(inst, cfg, delta),
-    }
-}
+use revmax_algorithms::{GreedyOutcome, LazyMaxHeap, PlanAlgorithm, PlannerConfig};
+use revmax_core::{revenue, CandidateId, Instance, ResidualDelta, RevenueEngine, TimeStep};
 
 /// Best live slot of a candidate's row: `(t index, value)`, first maximum
 /// on ties; `None` when every slot is blocked (`NEG_INFINITY`).
@@ -44,7 +31,10 @@ fn best(row: &[f64]) -> Option<(usize, f64)> {
     best
 }
 
-fn run<'a, E: RevenueEngine<'a>>(
+/// Plans G-Greedy (or `GlobalNo`, per `cfg.algorithm`) on one shard of
+/// engine `E` with the heap loop. Honours `track_trace` and `warm_start`
+/// (with `delta`); every other knob only changes speed.
+pub fn heap_greedy<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
@@ -55,7 +45,6 @@ fn run<'a, E: RevenueEngine<'a>>(
         Some(delta) if cfg.warm_start => E::warm_start(inst, ignore_saturation, shard, delta),
         _ => E::for_shard(inst, ignore_saturation, shard),
     };
-    inc.set_aggregate_mode(cfg.aggregates.mode());
 
     let horizon = inst.horizon() as usize;
     let num_cand = inst.num_candidates();
@@ -111,11 +100,7 @@ fn run<'a, E: RevenueEngine<'a>>(
             continue;
         }
 
-        let stamp = if cfg.lazy_forward {
-            inc.group_size_cand(cand) as u32
-        } else {
-            inc.len() as u32
-        };
+        let stamp = inc.group_size_cand(cand) as u32;
         if flags[base + t_idx] == stamp {
             inc.insert_cand(cand, TimeStep::from_index(t_idx));
             values[base + t_idx] = f64::NEG_INFINITY;

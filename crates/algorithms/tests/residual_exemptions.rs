@@ -25,11 +25,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use revmax_algorithms::{plan, EngineKind, PlannerConfig};
+use revmax_algorithms::{plan, plan_with, PlannerConfig};
 use revmax_core::{
     residual_advance, residual_of_validated, residual_of_validated_with, validate_events,
     AdoptionEvent, EngineSnapshot, Instance, InstanceBuilder, ItemId, ResidualDelta, ResidualMode,
 };
+use revmax_oracle::HashIncrementalRevenue as Hash;
 
 /// A storefront-shaped instance with tight capacities (1–3 over 3–5 users),
 /// so prefix displays regularly pin items at residual capacity 0 and the
@@ -138,7 +139,7 @@ fn exempt_mode_dominates_conservative_and_engines_agree() {
         }
 
         // Engine parity on the exempt residual.
-        let exempt_hash = plan(&exempt, &flat_cfg.with_engine(EngineKind::Hash));
+        let exempt_hash = plan_with::<Hash<'_>>(&exempt, &flat_cfg, None);
         assert!(
             (exempt_flat.revenue - exempt_hash.revenue).abs() < 1e-9,
             "case {case}: flat {} vs hash {} on the exempt residual",
@@ -283,12 +284,13 @@ fn incremental_residuals_match_from_scratch_across_random_histories() {
 /// Exempt-user residuals re-planned with the saturation-aggregate fast path
 /// engaged: uniform-β instances (one β per class) produce residuals whose
 /// exempt capacity accounting and aggregate marginals compose — plans match
-/// the walk ablation and the hash engine to 1e-9, warm and cold, and the
+/// the walk-only engine and the hash engine to 1e-9, warm and cold, and the
 /// warm path still hands its recycled aggregate buffers back through the
 /// snapshot pool.
 #[test]
 fn exempt_residuals_replan_identically_with_aggregates_on() {
-    use revmax_algorithms::{plan_residual, Aggregates};
+    use revmax_algorithms::plan_residual;
+    use revmax_oracle::Walk;
 
     let mut rng = StdRng::seed_from_u64(0xA66E);
     let mut binding_cases = 0u32;
@@ -334,8 +336,8 @@ fn exempt_residuals_replan_identically_with_aggregates_on() {
         for shards in [1u32, 2] {
             let base = PlannerConfig::default().with_shards(shards);
             let agg_cold = plan(&residual, &base);
-            let walk_cold = plan(&residual, &base.with_aggregates(Aggregates::Off));
-            let hash_cold = plan(&residual, &base.with_engine(EngineKind::Hash));
+            let walk_cold = plan_with::<Walk<'_>>(&residual, &base, None);
+            let hash_cold = plan_with::<Hash<'_>>(&residual, &base, None);
             let agg_warm = plan_residual(&residual, &base.with_warm_start(true), Some(&delta));
             for (label, other) in [
                 ("walk", &walk_cold),

@@ -15,14 +15,18 @@
 //! on every algorithm, so a perf regression hunt can never silently change
 //! results.
 //!
+//! Every row runs the same drivers through `plan_with`; only the engine type
+//! differs (`hash_new_driver` is `revmax_oracle::HashIncrementalRevenue`,
+//! `flat_arena` the planner's `IncrementalRevenue`).
+//!
 //! A second section benches the compiled marginal kernels: the same
 //! amazon-shaped dataset regenerated with **one β per item class**
 //! (`BetaSetting::PerClassRandom`, every class `BetaProfile::Uniform`), timed
 //! in two interleaved modes —
 //!
-//! * `flat_walk`    — `Aggregates::Off`: every group on the slab-walk
+//! * `flat_walk`    — `revmax_oracle::Walk`: every group on the slab-walk
 //!   kernels;
-//! * `flat_kernels` — the default config (`Aggregates::Auto`): the
+//! * `flat_kernels` — the planner's engine (`AggregateMode::Auto`): the
 //!   compiled-kernel hot path.
 //!
 //! Both are parity-asserted to relative 1e-9. The headlines under the
@@ -34,10 +38,11 @@
 //! noise-robust statistic — drops below 0.95×; CI runs the smoke bench with
 //! this tripwire armed.
 
-use revmax_algorithms::{plan, plan_order, Aggregates, EngineKind, PlannerConfig};
+use revmax_algorithms::{plan_with, GreedyOutcome, PlanAlgorithm, PlannerConfig};
 use revmax_bench::seed_global_greedy;
-use revmax_core::{env, Instance};
+use revmax_core::{env, IncrementalRevenue, Instance, RevenueEngine};
 use revmax_data::{generate, BetaSetting, DatasetConfig};
+use revmax_oracle::{HashIncrementalRevenue, Walk};
 use std::time::Instant;
 
 struct Row {
@@ -72,41 +77,38 @@ fn time_runs<F: FnMut() -> (f64, usize)>(samples: usize, mut f: F) -> (u128, u12
     )
 }
 
-fn bench_config(
-    inst: &Instance,
-    cfg: PlannerConfig,
+/// The two timed algorithms and their configurations.
+fn algorithms() -> [(&'static str, PlannerConfig); 2] {
+    [
+        ("GG", PlannerConfig::default()),
+        (
+            "SLG",
+            PlannerConfig::default().with_algorithm(PlanAlgorithm::SequentialLocalGreedy),
+        ),
+    ]
+}
+
+/// Times GG and SLG on engine `E`.
+fn bench_engine<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
     engine_name: &'static str,
     samples: usize,
     rows: &mut Vec<Row>,
 ) {
-    let gg_cfg = cfg;
-    let (median_ns, min_ns, revenue, strategy_len) = time_runs(samples, || {
-        let out = plan(inst, &gg_cfg);
-        (out.revenue, out.strategy.len())
-    });
-    rows.push(Row {
-        algorithm: "GG",
-        engine: engine_name,
-        median_ns,
-        min_ns,
-        revenue,
-        strategy_len,
-    });
-
-    let order: Vec<u32> = (1..=inst.horizon()).collect();
-    let lg_cfg = cfg;
-    let (median_ns, min_ns, revenue, strategy_len) = time_runs(samples, || {
-        let out = plan_order(inst, &order, &lg_cfg);
-        (out.revenue, out.strategy.len())
-    });
-    rows.push(Row {
-        algorithm: "SLG",
-        engine: engine_name,
-        median_ns,
-        min_ns,
-        revenue,
-        strategy_len,
-    });
+    for (algorithm, cfg) in algorithms() {
+        let (median_ns, min_ns, revenue, strategy_len) = time_runs(samples, || {
+            let out = plan_with::<E>(inst, &cfg, None);
+            (out.revenue, out.strategy.len())
+        });
+        rows.push(Row {
+            algorithm,
+            engine: engine_name,
+            median_ns,
+            min_ns,
+            revenue,
+            strategy_len,
+        });
+    }
 }
 
 fn main() {
@@ -144,20 +146,8 @@ fn main() {
         revenue,
         strategy_len,
     });
-    bench_config(
-        inst,
-        PlannerConfig::default().with_engine(EngineKind::Hash),
-        "hash_new_driver",
-        samples,
-        &mut rows,
-    );
-    bench_config(
-        inst,
-        PlannerConfig::default(),
-        "flat_arena",
-        samples,
-        &mut rows,
-    );
+    bench_engine::<HashIncrementalRevenue<'_>>(inst, "hash_new_driver", samples, &mut rows);
+    bench_engine::<IncrementalRevenue<'_>>(inst, "flat_arena", samples, &mut rows);
 
     // Results must be identical across engines — speed is the only difference.
     for alg in ["GG", "SLG"] {
@@ -197,32 +187,25 @@ fn main() {
     );
     // Samples are interleaved round-robin (walk, kernels, …) so host noise
     // and cache warm-up hit both modes equally.
-    let kernel_modes: [(&'static str, PlannerConfig); 2] = [
+    type Runner<'r> = Box<dyn Fn(&PlannerConfig) -> GreedyOutcome + 'r>;
+    let kernel_modes: [(&'static str, Runner<'_>); 2] = [
         (
             "flat_walk",
-            PlannerConfig::default().with_aggregates(Aggregates::Off),
+            Box::new(|cfg| plan_with::<Walk<'_>>(agg_inst, cfg, None)),
         ),
-        ("flat_kernels", PlannerConfig::default()),
+        (
+            "flat_kernels",
+            Box::new(|cfg| plan_with::<IncrementalRevenue<'_>>(agg_inst, cfg, None)),
+        ),
     ];
-    let order: Vec<u32> = (1..=agg_inst.horizon()).collect();
     let mut agg_rows = Vec::new();
-    for (algorithm, runner) in [
-        (
-            "GG",
-            Box::new(|cfg: &PlannerConfig| plan(agg_inst, cfg))
-                as Box<dyn Fn(&PlannerConfig) -> revmax_algorithms::GreedyOutcome>,
-        ),
-        (
-            "SLG",
-            Box::new(|cfg: &PlannerConfig| plan_order(agg_inst, &order, cfg)),
-        ),
-    ] {
+    for (algorithm, cfg) in algorithms() {
         let mut times = [Vec::new(), Vec::new()];
         let mut results = [(0.0, 0usize); 2];
         for _ in 0..samples {
-            for (mode, (_, cfg)) in kernel_modes.iter().enumerate() {
+            for (mode, (_, runner)) in kernel_modes.iter().enumerate() {
                 let t0 = Instant::now();
-                let out = runner(cfg);
+                let out = runner(&cfg);
                 times[mode].push(t0.elapsed().as_nanos());
                 results[mode] = (out.revenue, out.strategy.len());
             }

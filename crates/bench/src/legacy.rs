@@ -12,7 +12,8 @@
 //! exactly the ways the seed was.
 
 use revmax_algorithms::{GreedyOutcome, LazyMaxHeap};
-use revmax_core::{CandidateId, HashIncrementalRevenue, Instance, TimeStep, Triple};
+use revmax_core::{CandidateId, Instance, TimeStep, Triple};
+use revmax_oracle::HashIncrementalRevenue;
 
 /// Per-candidate cached state of the seed implementation: one slot per time
 /// step, three `Vec`s per candidate.

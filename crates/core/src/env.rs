@@ -30,7 +30,7 @@ pub fn var_or<T: FromStr>(key: &str, default: T) -> T {
 }
 
 /// Reads an environment variable through a custom parser (for enum-valued
-/// knobs like `REVMAX_ENGINE=flat|hash`); `None` when unset or rejected.
+/// knobs like `REVMAX_ALGORITHM=gg|slg`); `None` when unset or rejected.
 pub fn var_with<T>(key: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
     std::env::var(key).ok().and_then(|s| parse(s.trim()))
 }

@@ -90,9 +90,8 @@ pub use instance::{BetaProfile, Instance, InstanceBuilder, UserShard};
 pub use json::{JsonError, JsonValue};
 pub use revenue::{
     dynamic_probabilities, dynamic_probability_of, marginal_revenue, revenue, AggregateMode,
-    AtomicCell, CapacityLedger, EngineSnapshot, HashIncrementalRevenue, IncrementalRevenue,
-    KernelId, LedgerCell, ResidualDelta, RevenueEngine, SharedCapacityLedger,
-    SharedCapacityLedgerIn,
+    AtomicCell, CapacityLedger, EngineSnapshot, IncrementalRevenue, KernelId, LedgerCell,
+    ResidualDelta, RevenueEngine, SharedCapacityLedger, SharedCapacityLedgerIn,
 };
 pub use strategy::Strategy;
 pub use wire::WireError;

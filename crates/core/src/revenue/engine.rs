@@ -1,11 +1,11 @@
 //! The engine abstraction the greedy algorithms are generic over.
 //!
-//! Two implementations exist: the flat-arena [`super::IncrementalRevenue`]
-//! (the default, zero hashing on the hot path) and the original
-//! [`super::HashIncrementalRevenue`] kept as a correctness reference and as
-//! the measured baseline for the perf trajectory in `crates/bench`.
+//! The planner runs one implementation, the flat-arena
+//! [`super::IncrementalRevenue`] (zero hashing on the hot path). The
+//! test-only `revmax-oracle` crate holds the others — the original
+//! hash-based engine and wrappers for eager re-evaluation and walk-only
+//! kernels — which the parity suites plug into the same generic drivers.
 
-use super::kernels::AggregateMode;
 use super::warm::ResidualDelta;
 use crate::ids::{CandidateId, TimeStep};
 use crate::instance::{Instance, UserShard};
@@ -70,41 +70,6 @@ pub trait RevenueEngine<'a>: Sized + Sync + Send {
     ) -> Self {
         let _ = residual;
         Self::for_shard(inst, ignore_saturation, shard)
-    }
-
-    /// Switches the engine's saturation-aggregate fast path on or off, when
-    /// it has one (`PlannerConfig::aggregates` routes here). Normally called
-    /// once, right after construction; implementations must keep mid-run
-    /// toggling *safe* (the flat engine treats it as one-way: disabling
-    /// falls back to the exact path, re-enabling after disabled insertions
-    /// is ignored). The default implementation ignores the request —
-    /// correct for engines without an aggregate path (the hash engine),
-    /// whose [`RevenueEngine::aggregates_active`] stays `false`.
-    ///
-    /// Like every engine capability this is strictly a performance surface:
-    /// both settings must produce marginals that agree to within
-    /// floating-point noise (asserted to 1e-9 by the parity suites).
-    fn set_aggregates(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
-    /// Sets the engine's aggregate-engagement mode, when it compiles kernels
-    /// (see `super::kernels`; `PlannerConfig::aggregates` routes here). The
-    /// default implementation collapses the mode to the boolean
-    /// [`RevenueEngine::set_aggregates`] surface — correct for engines
-    /// without a kernel compiler (the hash engine), which simply have no
-    /// aggregate path to gate. Like every engine capability this is strictly
-    /// a performance surface (parity to 1e-9 across all modes).
-    fn set_aggregate_mode(&mut self, mode: AggregateMode) {
-        self.set_aggregates(mode.allows_aggregates());
-    }
-
-    /// Whether the saturation-aggregate fast path can engage for at least one
-    /// of this evaluator's (user, class) groups — the capability probe benches
-    /// and tests use to verify the fast path actually ran. `false` for
-    /// engines without one.
-    fn aggregates_active(&self) -> bool {
-        false
     }
 
     /// The instance this evaluator is bound to.

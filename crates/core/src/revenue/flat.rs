@@ -1,8 +1,9 @@
 //! The flat-arena incremental revenue engine.
 //!
-//! This is the default [`IncrementalRevenue`] evaluator behind every greedy
+//! This is the [`IncrementalRevenue`] evaluator behind every greedy
 //! algorithm. It re-implements the (user, class) group bookkeeping of the
-//! original hash-based evaluator (kept in [`super::hash`]) with dense,
+//! original hash-based evaluator (kept as a test-only reference in the
+//! `revmax-oracle` crate) with dense,
 //! index-based structures so the hot path performs **zero hashing and zero
 //! transcendental calls beyond a single `exp`**:
 //!
@@ -58,8 +59,8 @@
 //! selected triples and no transcendental calls** (the slab walk pays one
 //! `exp` whenever the group has earlier same-class entries, plus one fused
 //! pass over all of them). Classes with mixed betas, and engines with
-//! aggregates disabled ([`IncrementalRevenue::set_aggregates`]), keep the
-//! exact slab walk; the parity suites assert both paths agree to 1e-9 (the
+//! aggregates disabled ([`IncrementalRevenue::set_aggregate_mode`] with
+//! [`AggregateMode::Off`]), keep the exact slab walk; the parity suites assert both paths agree to 1e-9 (the
 //! arithmetic differs only in association order — `β^{Σ 1/d}` becomes
 //! `Π β^{1/d}`). The slab itself stays authoritative either way — insertions
 //! still update every entry's `q_dyn`, so `dynamic_probability` and the
@@ -163,8 +164,8 @@ pub struct IncrementalRevenue<'a> {
 
     // --- compiled kernels + saturation-aggregate fast path (see the module
     // --- docs and `super::kernels`) ---
-    /// Aggregate-engagement mode (`PlannerConfig::aggregates` routes here);
-    /// changing it recompiles the per-group kernels while the strategy is
+    /// Aggregate-engagement mode ([`AggregateMode::Auto`] unless set through
+    /// [`IncrementalRevenue::set_aggregate_mode`]); changing it recompiles the per-group kernels while the strategy is
     /// empty, and mid-run only the one-way fallback to the walks is honoured.
     mode: AggregateMode,
     /// Whether aggregate blocks are maintained on insertion (false once the
@@ -410,25 +411,14 @@ impl<'a> IncrementalRevenue<'a> {
         }
     }
 
-    /// Switches the saturation-aggregate kernels on (`AggregateMode::On`) or
-    /// off (`AggregateMode::Off`). Kept as the boolean compatibility surface;
-    /// prefer [`IncrementalRevenue::set_aggregate_mode`], which also exposes
-    /// the depth-gated default.
-    pub fn set_aggregates(&mut self, enabled: bool) {
-        self.set_aggregate_mode(if enabled {
-            AggregateMode::On
-        } else {
-            AggregateMode::Off
-        });
-    }
-
     /// Sets the aggregate-engagement mode and recompiles the per-group
     /// kernels (see `super::kernels`). Purely a performance knob: every mode
     /// selects among paths that agree to 1e-9 (asserted by the kernel-parity
     /// suites).
     ///
-    /// Normally configured once, before the first insertion (the drivers do
-    /// this through `PlannerConfig::aggregates`). Mid-run changes are safe
+    /// Normally configured once, before the first insertion: the planner
+    /// keeps the construction-time `Auto`, and the parity suites' walk-only
+    /// reference engine sets `Off`. Mid-run changes are safe
     /// but one-way: dropping to [`AggregateMode::Off`] downgrades every
     /// group to its walk kernel for all later queries, while any other
     /// mid-run change is ignored — blocks that missed inserts while a walk
@@ -1291,18 +1281,6 @@ impl<'a> RevenueEngine<'a> for IncrementalRevenue<'a> {
         residual: &ResidualDelta,
     ) -> Self {
         IncrementalRevenue::warm_start_shard(inst, ignore_saturation, shard, residual)
-    }
-
-    fn set_aggregates(&mut self, enabled: bool) {
-        IncrementalRevenue::set_aggregates(self, enabled)
-    }
-
-    fn set_aggregate_mode(&mut self, mode: AggregateMode) {
-        IncrementalRevenue::set_aggregate_mode(self, mode)
-    }
-
-    fn aggregates_active(&self) -> bool {
-        IncrementalRevenue::aggregates_active(self)
     }
 
     fn instance(&self) -> &'a Instance {

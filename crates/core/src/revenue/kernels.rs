@@ -44,14 +44,16 @@
 //! horizon shrinks — exactly the "walk when shallow" fallback the 0.97× row
 //! was missing. [`AggregateMode::On`] forces the aggregate kernels wherever a
 //! class shape permits them; [`AggregateMode::Off`] compiles every group to a
-//! walk kernel. All modes select among bit-compatible paths (parity to 1e-9
-//! is asserted by the kernel-parity suites), so the mode is a performance
-//! knob, never a behaviour knob.
+//! walk kernel (the walk-only reference the kernel-parity suites plan
+//! against). All modes select among bit-compatible paths (parity to 1e-9
+//! is asserted by those suites), so the mode is never a planner choice: the
+//! planner runs `Auto`.
 
 use crate::instance::BetaProfile;
 
-/// Aggregate-engagement mode of the flat engine's kernel compiler (the
-/// engine-level counterpart of `PlannerConfig::aggregates`).
+/// Aggregate-engagement mode of the flat engine's kernel compiler. The
+/// planner always runs the default [`AggregateMode::Auto`]; `On` and `Off`
+/// exist for the engine's own tests and the test-only walk reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggregateMode {
     /// Depth-gated: aggregate kernels engage only for groups expected to grow

@@ -64,14 +64,12 @@ use std::collections::BTreeMap;
 
 pub mod engine;
 pub mod flat;
-pub mod hash;
 pub mod kernels;
 pub mod ledger;
 pub mod warm;
 
 pub use engine::RevenueEngine;
 pub use flat::IncrementalRevenue;
-pub use hash::HashIncrementalRevenue;
 pub use kernels::{AggregateMode, KernelId};
 pub use ledger::{
     AtomicCell, CapacityLedger, LedgerCell, SharedCapacityLedger, SharedCapacityLedgerIn,

@@ -1,9 +1,9 @@
 //! Seeded randomized property tests of the revenue model invariants: Lemma 1
 //! (dynamic adoption probabilities are non-increasing in the strategy),
 //! consistency between the from-scratch evaluator and BOTH incremental
-//! engines (the flat-arena default and the hash-based reference), batch /
-//! per-slot bit-identity, and basic sanity of the effective (R-REVMAX)
-//! objective. (See `prospective_probability_is_non_increasing` for why the
+//! engines (the flat-arena default and the hash-based reference from
+//! `revmax-oracle`), batch / per-slot bit-identity, and basic sanity of the
+//! effective (R-REVMAX) objective. (See `prospective_probability_is_non_increasing` for why the
 //! paper's Theorem-2 submodularity claim is not asserted verbatim.)
 //!
 //! The generators are driven by an explicit seeded RNG, so every failure is
@@ -13,10 +13,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use revmax_core::{
-    dynamic_probability_of, effective_revenue, marginal_revenue, revenue, CandidateId,
-    ExactPoissonBinomial, HashIncrementalRevenue, IncrementalRevenue, Instance, InstanceBuilder,
+    dynamic_probability_of, effective_revenue, marginal_revenue, revenue, AggregateMode,
+    CandidateId, ExactPoissonBinomial, IncrementalRevenue, Instance, InstanceBuilder,
     RevenueEngine, Strategy, TimeStep, Triple,
 };
+use revmax_oracle::HashIncrementalRevenue;
 
 /// Draws a random small instance: 2–5 users, 2–6 items, horizon 1–5,
 /// display limit 1–2, random classes, betas (including the β ∈ {0, 1} edge
@@ -575,9 +576,9 @@ fn aggregate_fast_path_matches_walk_on_uniform_beta_instances() {
         // Explicit opt-in: these instances are small enough that the default
         // depth-gated `Auto` mode would compile some groups to walk kernels.
         let mut agg = IncrementalRevenue::new(&inst);
-        agg.set_aggregates(true);
+        agg.set_aggregate_mode(AggregateMode::On);
         let mut walk = IncrementalRevenue::new(&inst);
-        walk.set_aggregates(false);
+        walk.set_aggregate_mode(AggregateMode::Off);
         assert!(
             agg.aggregates_active(),
             "case {case}: fast path must engage"
@@ -614,7 +615,7 @@ fn aggregate_batch_is_bit_identical_to_scalar() {
     for case in 0..40 {
         let inst = random_uniform_beta_instance(&mut rng);
         let mut inc = IncrementalRevenue::new(&inst);
-        inc.set_aggregates(true);
+        inc.set_aggregate_mode(AggregateMode::On);
         let mut triples = shuffled_candidate_triples(&inst, &mut rng);
         triples.truncate(10);
         for z in triples {
@@ -664,11 +665,11 @@ fn aggregate_eligibility_edges() {
     let mut inc = IncrementalRevenue::new(&inst);
     // Forced engagement (`On`): the default `Auto` mode would depth-gate
     // this tiny instance's groups to walk kernels.
-    inc.set_aggregates(true);
+    inc.set_aggregate_mode(AggregateMode::On);
     // The single-item class keeps the engine's fast path engageable.
     assert!(inc.aggregates_active());
     let mut walk = IncrementalRevenue::new(&inst);
-    walk.set_aggregates(false);
+    walk.set_aggregate_mode(AggregateMode::Off);
     let picks = [
         Triple::new(0, 0, 1),
         Triple::new(0, 2, 1),
@@ -701,11 +702,11 @@ fn aggregate_eligibility_edges() {
         .candidate(0, 1, &[0.4, 0.4], 0.0);
     let mixed = b.build().unwrap();
     let mut forced = IncrementalRevenue::new(&mixed);
-    forced.set_aggregates(true);
+    forced.set_aggregate_mode(AggregateMode::On);
     assert!(!forced.aggregates_active());
     // `ignore_saturation` treats every class as uniform (all factors are 1).
     let mut sat_free = IncrementalRevenue::with_options(&mixed, true);
-    sat_free.set_aggregates(true);
+    sat_free.set_aggregate_mode(AggregateMode::On);
     assert!(sat_free.aggregates_active());
 }
 
@@ -725,7 +726,7 @@ fn aggregate_shard_views_match_full_walk() {
             inst.user_shard(cut, inst.num_users()),
         ];
         let mut full = IncrementalRevenue::new(&inst);
-        full.set_aggregates(false);
+        full.set_aggregate_mode(AggregateMode::Off);
         let mut views: Vec<IncrementalRevenue<'_>> = shards
             .iter()
             .map(|&s| IncrementalRevenue::for_user_shard(&inst, false, s))
@@ -774,11 +775,11 @@ fn aggregate_toggle_mid_run_never_reads_stale_blocks() {
         for (idx, &z) in triples.iter().enumerate() {
             if idx == 2 {
                 // Allocated blocks exist by now; they must be ignored below.
-                toggled.set_aggregates(false);
+                toggled.set_aggregate_mode(AggregateMode::Off);
             }
             if idx == 4 {
                 // Re-enabling mid-run must not resurrect the stale blocks.
-                toggled.set_aggregates(true);
+                toggled.set_aggregate_mode(AggregateMode::On);
             }
             let scratch = marginal_revenue(&inst, &s, z);
             let m = toggled.marginal_revenue(z);

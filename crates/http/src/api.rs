@@ -10,7 +10,7 @@
 use crate::request::Request;
 use crate::response::Response;
 use crate::router::{route, Route, RouteError};
-use revmax_algorithms::{EngineKind, PlanAlgorithm, PlannerConfig};
+use revmax_algorithms::{PlanAlgorithm, PlannerConfig};
 use revmax_core::json::{self, JsonError, JsonValue, Kind, Reader};
 use revmax_core::{wire, AdoptionEvent, WireError};
 use revmax_serve::{
@@ -242,8 +242,8 @@ fn parse_events(body: &[u8]) -> Result<(Vec<AdoptionEvent>, Option<u32>), Reject
     Ok((events, now))
 }
 
-/// The wire subset of [`PlannerConfig`]: algorithm/engine selectors
-/// plus the numeric knobs a remote client can meaningfully set. Unknown
+/// The wire subset of [`PlannerConfig`]: the algorithm selector plus the
+/// knobs a remote client can meaningfully set. Unknown
 /// keys are rejected so typos fail loudly instead of silently defaulting.
 fn planner_config_from(value: &JsonValue) -> Result<PlannerConfig, String> {
     let Some(obj) = value.as_object() else {
@@ -260,14 +260,6 @@ fn planner_config_from(value: &JsonValue) -> Result<PlannerConfig, String> {
                     "slg" => PlanAlgorithm::SequentialLocalGreedy,
                     "rlg" => PlanAlgorithm::RandomizedLocalGreedy { permutations: 20 },
                     other => return Err(format!("unknown algorithm {other:?}")),
-                });
-            }
-            "engine" => {
-                let name = field.as_str().ok_or("\"engine\" must be a string")?;
-                cfg = cfg.with_engine(match name {
-                    "flat" => EngineKind::Flat,
-                    "hash" => EngineKind::Hash,
-                    other => return Err(format!("unknown engine {other:?}")),
                 });
             }
             "shards" => {

@@ -1,12 +1,14 @@
 //! Protocol conformance: a table of golden request → status cases over a
 //! real loopback socket, plus the end-to-end acceptance walk — an
 //! Amazon-shaped instance planned and replanned over the wire must match
-//! the in-process `PlanSession` to 1e-9 on both engines.
+//! the in-process `PlanSession` to 1e-9, and every replan must match a
+//! hash-engine plan of the same residual.
 
-use revmax_algorithms::{EngineKind, PlannerConfig};
-use revmax_core::{json, wire, AdoptionEvent, Instance, InstanceBuilder};
+use revmax_algorithms::{plan_with, PlannerConfig};
+use revmax_core::{json, shift_strategy, wire, AdoptionEvent, Instance, InstanceBuilder};
 use revmax_data::{generate, DatasetConfig};
 use revmax_http::{testkit, HttpConfig, Server};
+use revmax_oracle::HashIncrementalRevenue as Hash;
 use revmax_serve::{PlanService, PlanSession, Registry, RegistryConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,10 +68,8 @@ fn golden_request_table() {
     // fails `InstanceBuilder::build` (422, distinct from the 400s).
     let build_invalid = valid.replacen("0.15", "1.5", 1);
     assert_ne!(build_invalid, valid, "replacement must hit a probability");
-    // Unknown config keys are rejected even next to a valid instance;
-    // `heap` is a retired key and answers like any other unknown one.
+    // Unknown config keys are rejected even next to a valid instance.
     let unknown_config_key = submission_body(&inst, "{\"warm\":true}");
-    let retired_heap_key = submission_body(&inst, "{\"heap\":\"lazy\"}");
 
     // (name, method, target, body, expected status)
     let table: &[(&str, &str, &str, Option<&str>, u16)] = &[
@@ -142,13 +142,6 @@ fn golden_request_table() {
             Some(&unknown_config_key),
             400,
         ),
-        (
-            "unknown config key (retired heap)",
-            "POST",
-            "/sessions",
-            Some(&retired_heap_key),
-            400,
-        ),
     ];
     for (name, method, target, body, expected) in table {
         let (status, reply) =
@@ -161,6 +154,19 @@ fn golden_request_table() {
                 "case {name:?} has no error key"
             );
         }
+    }
+    // Retired keys answer like any other unknown one: the planner has one
+    // heap and one engine.
+    for retired in [
+        "{\"heap\":\"lazy\"}",
+        "{\"engine\":\"hash\"}",
+        "{\"engine\":\"flat\"}",
+    ] {
+        let body = submission_body(&inst, retired);
+        let (status, reply) =
+            testkit::request(addr, "POST", "/sessions", Some(&body)).expect("request completes");
+        assert_eq!(status, 400, "retired key {retired}: {reply}");
+        assert!(reply.contains("unknown config key"), "{retired}: {reply}");
     }
 
     // Health body is pinned exactly.
@@ -417,8 +423,8 @@ fn session_conflicts_closures_and_evictions_answer_correctly() {
 
 /// The acceptance walk: an Amazon-shaped instance served over a real
 /// socket, ≥ 5 adoption events streamed day by day, and the wire session's
-/// suffix + revenue must track an in-process twin to 1e-9 — on both
-/// engines, with the engine selected through the wire config.
+/// suffix + revenue must track an in-process twin to 1e-9 — and every
+/// replanned suffix must equal a hash-engine plan of the twin's residual.
 #[test]
 fn amazon_shaped_session_over_the_wire_matches_in_process_to_1e9() {
     let ds = generate(&DatasetConfig::amazon_like().scaled(0.01));
@@ -426,106 +432,117 @@ fn amazon_shaped_session_over_the_wire_matches_in_process_to_1e9() {
     let server = start_server(HttpConfig::default());
     let addr = server.addr();
 
-    for (engine_name, engine) in [("flat", EngineKind::Flat), ("hash", EngineKind::Hash)] {
-        let mut client = testkit::Client::connect(addr).expect("connect");
-        let config_json = format!("{{\"engine\":\"{engine_name}\",\"warm_start\":true}}");
-        let twin_config = PlannerConfig::default()
-            .with_engine(engine)
-            .with_warm_start(true);
-        let mut twin = PlanSession::new(inst.clone(), twin_config);
+    let mut client = testkit::Client::connect(addr).expect("connect");
+    let config_json = "{\"warm_start\":true}";
+    let twin_config = PlannerConfig::default().with_warm_start(true);
+    let mut twin = PlanSession::new(inst.clone(), twin_config);
 
-        let (status, body) = client
-            .request(
-                "POST",
-                "/sessions",
-                Some(&submission_body(inst, &config_json)),
-            )
-            .expect("open");
-        assert_eq!(status, 201, "[{engine_name}] {body}");
-        let view = json::parse(&body).expect("session JSON");
-        let sid = view
-            .get("session_id")
-            .and_then(|v| v.as_u64())
-            .expect("sid");
-        let horizon = view
-            .get("horizon")
-            .and_then(|v| v.as_u32())
-            .expect("horizon");
-        assert_eq!(horizon, inst.horizon());
-        let opening_suffix =
+    let (status, body) = client
+        .request(
+            "POST",
+            "/sessions",
+            Some(&submission_body(inst, config_json)),
+        )
+        .expect("open");
+    assert_eq!(status, 201, "{body}");
+    let view = json::parse(&body).expect("session JSON");
+    let sid = view
+        .get("session_id")
+        .and_then(|v| v.as_u64())
+        .expect("sid");
+    let horizon = view
+        .get("horizon")
+        .and_then(|v| v.as_u32())
+        .expect("horizon");
+    assert_eq!(horizon, inst.horizon());
+    let opening_suffix =
+        wire::strategy_from_value(view.get("suffix").expect("suffix")).expect("suffix");
+    assert_eq!(
+        opening_suffix.as_slice(),
+        twin.planned_suffix().as_slice(),
+        "opening plans diverge"
+    );
+
+    let mut total_events = 0usize;
+    let days = horizon.min(6);
+    for day in 1..=days {
+        // Shopper rule: adopt every second triple the twin displays
+        // today (the wire session is asserted identical, so both see
+        // the same display set).
+        let events: Vec<AdoptionEvent> = twin
+            .upcoming()
+            .into_iter()
+            .enumerate()
+            .map(|(idx, z)| {
+                if idx % 2 == 0 {
+                    AdoptionEvent::adopted(z.user.0, z.item.0, z.t.value())
+                } else {
+                    AdoptionEvent::rejected(z.user.0, z.item.0, z.t.value())
+                }
+            })
+            .collect();
+        total_events += events.len();
+        let body = format!(
+            "{{\"now\":{day},\"events\":{}}}",
+            wire::events_to_json(&events)
+        );
+        let (status, reply) = client
+            .request("POST", &format!("/sessions/{sid}/events"), Some(&body))
+            .expect("advance");
+        assert_eq!(status, 200, "day {day}: {reply}");
+        let twin_report = twin.advance_to(day, &events).expect("twin advances");
+        assert!(!twin_report.pending);
+
+        let view = json::parse(&reply).expect("view JSON");
+        let suffix =
             wire::strategy_from_value(view.get("suffix").expect("suffix")).expect("suffix");
         assert_eq!(
-            opening_suffix.as_slice(),
+            suffix.as_slice(),
             twin.planned_suffix().as_slice(),
-            "[{engine_name}] opening plans diverge"
+            "day {day}: replanned suffixes diverge"
         );
-
-        let mut total_events = 0usize;
-        let days = horizon.min(6);
-        for day in 1..=days {
-            // Shopper rule: adopt every second triple the twin displays
-            // today (the wire session is asserted identical, so both see
-            // the same display set).
-            let events: Vec<AdoptionEvent> = twin
-                .upcoming()
-                .into_iter()
-                .enumerate()
-                .map(|(idx, z)| {
-                    if idx % 2 == 0 {
-                        AdoptionEvent::adopted(z.user.0, z.item.0, z.t.value())
-                    } else {
-                        AdoptionEvent::rejected(z.user.0, z.item.0, z.t.value())
-                    }
-                })
-                .collect();
-            total_events += events.len();
-            let body = format!(
-                "{{\"now\":{day},\"events\":{}}}",
-                wire::events_to_json(&events)
-            );
-            let (status, reply) = client
-                .request("POST", &format!("/sessions/{sid}/events"), Some(&body))
-                .expect("advance");
-            assert_eq!(status, 200, "[{engine_name}] day {day}: {reply}");
-            let twin_report = twin.advance_to(day, &events).expect("twin advances");
-            assert!(!twin_report.pending);
-
-            let view = json::parse(&reply).expect("view JSON");
-            let suffix =
-                wire::strategy_from_value(view.get("suffix").expect("suffix")).expect("suffix");
+        if let Some(residual) = twin.residual() {
+            let hash = plan_with::<Hash<'_>>(residual, &twin_config, None);
             assert_eq!(
                 suffix.as_slice(),
-                twin.planned_suffix().as_slice(),
-                "[{engine_name}] day {day}: replanned suffixes diverge"
+                shift_strategy(&hash.strategy, day).as_slice(),
+                "day {day}: the replanned suffix diverges from the hash engine's plan"
             );
-            let expected = view
-                .get("expected_remaining_revenue")
-                .and_then(|v| v.as_f64())
-                .expect("expected revenue");
-            let realized = view
-                .get("realized_revenue")
-                .and_then(|v| v.as_f64())
-                .expect("realized revenue");
             assert!(
-                (expected - twin_report.expected_remaining_revenue).abs()
-                    <= 1e-9 * expected.abs().max(1.0),
-                "[{engine_name}] day {day}: expected revenue {expected} vs {}",
+                (hash.revenue - twin_report.expected_remaining_revenue).abs()
+                    <= 1e-9 * hash.revenue.abs().max(1.0),
+                "day {day}: hash engine {} vs {}",
+                hash.revenue,
                 twin_report.expected_remaining_revenue
             );
-            assert!(
-                (realized - twin_report.realized_revenue).abs() <= 1e-9 * realized.abs().max(1.0),
-                "[{engine_name}] day {day}: realized revenue {realized} vs {}",
-                twin_report.realized_revenue
-            );
         }
+        let expected = view
+            .get("expected_remaining_revenue")
+            .and_then(|v| v.as_f64())
+            .expect("expected revenue");
+        let realized = view
+            .get("realized_revenue")
+            .and_then(|v| v.as_f64())
+            .expect("realized revenue");
         assert!(
-            total_events >= 5,
-            "[{engine_name}] acceptance requires ≥ 5 adoption events, got {total_events}"
+            (expected - twin_report.expected_remaining_revenue).abs()
+                <= 1e-9 * expected.abs().max(1.0),
+            "day {day}: expected revenue {expected} vs {}",
+            twin_report.expected_remaining_revenue
         );
-        let (status, _) = client
-            .request("DELETE", &format!("/sessions/{sid}"), None)
-            .expect("close");
-        assert_eq!(status, 200);
+        assert!(
+            (realized - twin_report.realized_revenue).abs() <= 1e-9 * realized.abs().max(1.0),
+            "day {day}: realized revenue {realized} vs {}",
+            twin_report.realized_revenue
+        );
     }
+    assert!(
+        total_events >= 5,
+        "acceptance requires ≥ 5 adoption events, got {total_events}"
+    );
+    let (status, _) = client
+        .request("DELETE", &format!("/sessions/{sid}"), None)
+        .expect("close");
+    assert_eq!(status, 200);
     assert!(server.shutdown());
 }

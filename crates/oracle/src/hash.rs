@@ -5,15 +5,14 @@
 //! Every marginal-revenue evaluation goes through a
 //! `HashMap<(u32, u32), Vec<Entry>>` group lookup, a `HashSet<(u32, u32)>`
 //! capacity set, and repeated `powf` calls — exactly the overhead the
-//! flat-arena [`super::IncrementalRevenue`] removes. Do not use this engine in
-//! new code; select it explicitly (e.g. `EngineKind::Hash` in
-//! `revmax-algorithms`) only to measure or cross-check.
+//! flat-arena [`revmax_core::IncrementalRevenue`] removes. Tests and benches
+//! plug it into the generic drivers (`revmax_algorithms::plan_with`) to
+//! cross-check or measure the flat engine.
 
-use super::engine::RevenueEngine;
-use super::ledger::CapacityLedger;
-use crate::ids::{CandidateId, ClassId, TimeStep, Triple, UserId};
-use crate::instance::Instance;
-use crate::strategy::Strategy;
+use revmax_core::{
+    CandidateId, CapacityLedger, ClassId, Instance, RevenueEngine, Strategy, TimeStep, Triple,
+    UserId,
+};
 use std::collections::{HashMap, HashSet};
 
 /// One selected triple inside a (user, class) group of the incremental state.
@@ -32,7 +31,7 @@ struct Entry {
 
 /// The pre-refactor incremental evaluator (hash-based group index).
 ///
-/// Semantically identical to [`super::IncrementalRevenue`]; slower on the hot
+/// Semantically identical to [`revmax_core::IncrementalRevenue`]; slower on the hot
 /// path. See the module docs.
 #[derive(Debug, Clone)]
 pub struct HashIncrementalRevenue<'a> {

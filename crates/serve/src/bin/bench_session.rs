@@ -25,18 +25,9 @@
 //! recomputing them). `attached_overhead_pct` is the submit → sync round
 //! trip of the ticketed session-over-service path against replanning on the
 //! calling thread; with several concurrent sessions the pool amortises it.
-//!
-//! A `uniform_beta` section re-runs the warm inline mode on the per-class-β
-//! dataset variant in two interleaved configurations: `warm_walk`
-//! (`Aggregates::Off`, every group on the slab-walk kernels) and
-//! `warm_kernels` (the default compiled-kernel config). The headline is
-//! `agg_vs_walk_replan_speedup`. Per-day parity is asserted across both,
-//! and `REVMAX_BENCH_ENFORCE=1` arms a panic if the kernels-vs-walk ratio
-//! of summed **best-of-samples** per-event latencies drops below 0.95×.
 
-use revmax_algorithms::Aggregates;
 use revmax_core::{env, AdoptionEvent, AdoptionOutcome};
-use revmax_data::{generate, BetaSetting, DatasetConfig};
+use revmax_data::{generate, DatasetConfig};
 use revmax_serve::{PlanService, PlanSession, PlannerConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,26 +79,7 @@ fn run_mode(
         (false, true) => "cold_attached",
         (true, true) => "warm_attached",
     };
-    run_config(
-        inst,
-        PlannerConfig::default().with_warm_start(warm),
-        mode,
-        warm,
-        attached,
-        samples,
-        service,
-    )
-}
-
-fn run_config(
-    inst: &revmax_core::Instance,
-    config: PlannerConfig,
-    mode: &'static str,
-    warm: bool,
-    attached: bool,
-    samples: usize,
-    service: &Arc<PlanService>,
-) -> ModeRow {
+    let config = PlannerConfig::default().with_warm_start(warm);
     let mut replan_ns = Vec::new();
     let mut day_revenue = Vec::new();
     for sample in 0..samples {
@@ -218,82 +190,6 @@ fn main() {
         eprintln!("WARNING: warm-start replans were not faster than cold on this host");
     }
 
-    // --- compiled kernels vs the pre-kernel path on the uniform-β variant ---
-    eprintln!("generating uniform-beta (per-class) variant ...");
-    let mut agg_config = DatasetConfig::amazon_like().scaled(scale);
-    agg_config.beta = BetaSetting::PerClassRandom;
-    agg_config.name.push_str("-classbeta");
-    let agg_ds = generate(&agg_config);
-    let agg_inst = &agg_ds.instance;
-    assert!(agg_inst.all_beta_uniform());
-    // Interleave the two modes sample by sample so host noise hits each
-    // equally (run_config walks a full session per sample internally, so
-    // interleave at the sample granularity here).
-    let warm_cfg = PlannerConfig::default().with_warm_start(true);
-    let agg_configs = [warm_cfg.with_aggregates(Aggregates::Off), warm_cfg];
-    let agg_mode_names = ["warm_walk", "warm_kernels"];
-    let mut agg_rows: Vec<ModeRow> = agg_configs
-        .iter()
-        .zip(agg_mode_names)
-        .map(|(cfg, mode)| run_config(agg_inst, *cfg, mode, true, false, 1, &service))
-        .collect();
-    for _ in 1..samples {
-        for (idx, cfg) in agg_configs.iter().enumerate() {
-            let extra = run_config(agg_inst, *cfg, agg_rows[idx].mode, true, false, 1, &service);
-            assert_eq!(
-                agg_rows[idx].day_revenue, extra.day_revenue,
-                "{} diverged across samples",
-                agg_rows[idx].mode
-            );
-            agg_rows[idx].replan_ns.extend(extra.replan_ns);
-        }
-    }
-    for (day, (walk, kernels)) in agg_rows[0]
-        .day_revenue
-        .iter()
-        .zip(&agg_rows[1].day_revenue)
-        .enumerate()
-    {
-        assert!(
-            (walk - kernels).abs() <= 1e-9 * walk.abs().max(1.0),
-            "uniform-beta day {day}: warm_kernels {kernels} vs warm_walk {walk}"
-        );
-    }
-    let agg_medians: Vec<u128> = agg_rows
-        .iter()
-        .map(|r| median(r.replan_ns.clone()))
-        .collect();
-    let agg_mins: Vec<u128> = agg_rows
-        .iter()
-        .map(|r| *r.replan_ns.iter().min().expect("replans > 0"))
-        .collect();
-    let agg_speedup = agg_medians[0] as f64 / agg_medians[1] as f64;
-    eprintln!("aggregates vs walk (warm inline, uniform-beta): {agg_speedup:.3}x per-event replan");
-    if env::var_or("REVMAX_BENCH_ENFORCE", 0u32) == 1 {
-        // A session's replans shrink as the horizon empties, so the global
-        // min is just "the cheapest day" and noisy; enforce on the sum of
-        // per-event best-of-samples latencies instead (events are matched
-        // across modes — every sample replans the same days).
-        let per_event_best_sum = |ns: &[u128]| -> u128 {
-            let events = ns.len() / samples;
-            (0..events)
-                .map(|d| {
-                    (0..samples)
-                        .map(|s| ns[s * events + d])
-                        .min()
-                        .expect("sample")
-                })
-                .sum()
-        };
-        let min_ratio = per_event_best_sum(&agg_rows[0].replan_ns) as f64
-            / per_event_best_sum(&agg_rows[1].replan_ns) as f64;
-        assert!(
-            min_ratio >= 0.95,
-            "compiled kernels regressed warm replans: best-of-samples latency ratio \
-             {min_ratio:.3} < 0.95"
-        );
-    }
-
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"dataset\": \"amazon_like.scaled({scale})\",\n"
@@ -332,26 +228,7 @@ fn main() {
         "  \"warm_vs_cold_inline_speedup\": {warm_speedup:.3},\n"
     ));
     json.push_str(&format!(
-        "  \"attached_vs_inline_overhead_pct\": {attached_overhead_pct:.3},\n"
-    ));
-    json.push_str("  \"uniform_beta\": {\n");
-    json.push_str(&format!(
-        "    \"dataset\": \"amazon_like.scaled({scale}) + BetaSetting::PerClassRandom\",\n"
-    ));
-    json.push_str("    \"measurements\": [\n");
-    for (idx, row) in agg_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"mode\": \"{}\", \"replans\": {}, \"median_ns_per_replan\": {}, \"min_ns_per_replan\": {}}}{}\n",
-            row.mode,
-            row.replan_ns.len(),
-            agg_medians[idx],
-            agg_mins[idx],
-            if idx + 1 < agg_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"agg_vs_walk_replan_speedup\": {agg_speedup:.3}\n  }}\n"
+        "  \"attached_vs_inline_overhead_pct\": {attached_overhead_pct:.3}\n"
     ));
     json.push_str("}\n");
     std::fs::write(&out_path, json).expect("write BENCH_session.json");

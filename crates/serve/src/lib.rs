@@ -19,8 +19,8 @@
 //!   exempt-aware capacity: re-displays to prefix users are never
 //!   double-charged), and replans only the remaining horizon. The
 //!   replanned suffix equals a from-scratch plan of the residual instance
-//!   to 1e-9 for every engine/shard configuration — warm-started or not,
-//!   inline or attached.
+//!   to 1e-9 for every shard configuration — warm-started or not, inline
+//!   or attached.
 //! * [`Registry`] — id-addressed plans and sessions over one shared
 //!   service, with backpressure bounds, LRU/TTL eviction, occupancy stats,
 //!   and a drainable shutdown path ([`RegistryConfig`]); this is the state

@@ -351,8 +351,9 @@ pub fn plan_batch(instances: Vec<Instance>, config: PlannerConfig) -> Vec<Strate
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revmax_algorithms::{global_greedy, EngineKind, PlanAlgorithm};
+    use revmax_algorithms::{global_greedy, plan_with, PlanAlgorithm};
     use revmax_core::InstanceBuilder;
+    use revmax_oracle::HashIncrementalRevenue;
     use std::time::Duration;
 
     fn instance(seed: u32) -> Instance {
@@ -583,32 +584,30 @@ mod tests {
     #[test]
     fn cancelled_and_resubmitted_plans_match_across_engines() {
         // Satellite check: a cancel + re-submit cycle must not perturb the
-        // plan, and the flat and hash engines must agree to 1e-9 on the
-        // re-submitted ticket.
+        // plan, and the re-submitted ticket must agree to 1e-9 with the hash
+        // reference engine.
         let service = PlanService::new(1);
         let inst = instance(2);
         let reference = global_greedy(&inst);
+        let hash = plan_with::<HashIncrementalRevenue<'_>>(&inst, &PlannerConfig::default(), None);
         let blocker = service.submit(chunky_instance(), PlannerConfig::default());
         let first = service.submit(inst.clone(), PlannerConfig::default());
         first.cancel();
-        let mut outcomes = Vec::new();
-        for engine in [EngineKind::Flat, EngineKind::Hash] {
-            let resubmitted =
-                service.submit(inst.clone(), PlannerConfig::default().with_engine(engine));
-            let report = resubmitted.wait().expect("resubmission completes");
+        let resubmitted = service.submit(inst.clone(), PlannerConfig::default());
+        let report = resubmitted.wait().expect("resubmission completes");
+        for (label, expected) in [("flat", &reference), ("hash", &hash)] {
             assert!(
-                (report.outcome.revenue - reference.revenue).abs() < 1e-9,
-                "{engine:?} after cancel/resubmit: {} vs {}",
+                (report.outcome.revenue - expected.revenue).abs() < 1e-9,
+                "after cancel/resubmit: {} vs {label} {}",
                 report.outcome.revenue,
-                reference.revenue
+                expected.revenue
             );
-            outcomes.push(report.outcome);
+            assert_eq!(
+                report.outcome.strategy.as_slice(),
+                expected.strategy.as_slice(),
+                "the re-submitted ticket diverged from the {label} plan"
+            );
         }
-        assert_eq!(
-            outcomes[0].strategy.as_slice(),
-            outcomes[1].strategy.as_slice(),
-            "flat and hash engines diverged on the re-submitted ticket"
-        );
         let _ = blocker.wait();
     }
 

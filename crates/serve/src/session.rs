@@ -12,13 +12,13 @@
 //!    ([`revmax_core::residual_instance`] — adopted classes close, rejected
 //!    displays keep only their saturation memory, consumed capacity is
 //!    pre-charged), replans **only the remaining horizon** through the
-//!    configured incremental engine, and shifts the result back onto the
-//!    original timeline.
+//!    planner, and shifts the result back onto the original timeline.
 //!
 //! The replanned suffix is exactly a from-scratch plan of the residual
-//! instance — the engine-parity suites assert this to 1e-9 for both engines
-//! and shard counts 1 and 2 — so every engine/shard knob of
-//! [`PlannerConfig`] remains a pure performance knob during a session too.
+//! instance — the session tests assert this to 1e-9 at shard counts 1 and
+//! 2, against the flat engine and the hash reference engine — so every
+//! shard/warm-start knob of [`PlannerConfig`] remains a pure performance
+//! knob during a session too.
 //!
 //! # Warm-started replans
 //!
@@ -459,8 +459,9 @@ impl PlanSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revmax_algorithms::{EngineKind, PlanAlgorithm};
+    use revmax_algorithms::{plan_with, GreedyOutcome, PlanAlgorithm};
     use revmax_core::{residual_instance, revenue, AdoptionOutcome, InstanceBuilder, TimeStep};
+    use revmax_oracle::{HashIncrementalRevenue, Walk};
 
     fn storefront_instance(seed: u32) -> Instance {
         let mut b = InstanceBuilder::new(4, 5, 4);
@@ -519,131 +520,135 @@ mod tests {
             .collect()
     }
 
+    /// Asserts that a session's replanned suffix is `reference`, a plan of
+    /// its residual instance, shifted onto the session's clock, with the
+    /// same expected revenue to 1e-9.
+    fn assert_suffix_is(session: &PlanSession, reference: &GreedyOutcome, label: &str) {
+        assert!(
+            (session.expected_remaining_revenue() - reference.revenue).abs() < 1e-9,
+            "{label}: session {} vs reference {}",
+            session.expected_remaining_revenue(),
+            reference.revenue
+        );
+        assert_eq!(
+            session.planned_suffix().as_slice(),
+            shift_strategy(&reference.strategy, session.now()).as_slice(),
+            "{label}: suffix diverged"
+        );
+    }
+
     /// The acceptance criterion of the replanning pipeline: after `k`
     /// adoption events the session's replanned suffix equals a from-scratch
-    /// plan of the residual instance to 1e-9 — for both engines, shard
-    /// counts 1 and 2, and warm-started as well as cold replans — and all
-    /// eight configurations agree with each other.
+    /// plan of the residual instance to 1e-9 — on the flat engine and on
+    /// the hash reference engine, for shard counts 1 and 2, and
+    /// warm-started as well as cold replans — and all four session
+    /// configurations agree with each other.
     #[test]
     fn session_replan_matches_from_scratch_residual_plan() {
         for seed in 0..3u32 {
             let inst = storefront_instance(seed);
             let mut suffixes: Vec<Vec<Triple>> = Vec::new();
-            for engine in [EngineKind::Flat, EngineKind::Hash] {
-                for shards in [1u32, 2] {
-                    for warm in [false, true] {
-                        let cfg = PlannerConfig::default()
-                            .with_engine(engine)
-                            .with_shards(shards)
-                            .with_warm_start(warm);
-                        let mut session = PlanSession::new(inst.clone(), cfg);
-                        let mut all_events = Vec::new();
-                        for _day in 0..2 {
-                            let events = realize_upcoming(&session);
-                            all_events.extend(events.iter().copied());
-                            let report = session.advance(&events).expect("advance");
-                            assert_eq!(report.now, session.now());
+            for shards in [1u32, 2] {
+                for warm in [false, true] {
+                    let cfg = PlannerConfig::default()
+                        .with_shards(shards)
+                        .with_warm_start(warm);
+                    let mut session = PlanSession::new(inst.clone(), cfg);
+                    let mut all_events = Vec::new();
+                    for _day in 0..2 {
+                        let events = realize_upcoming(&session);
+                        all_events.extend(events.iter().copied());
+                        let report = session.advance(&events).expect("advance");
+                        assert_eq!(report.now, session.now());
 
-                            // From-scratch reference: residual instance built
-                            // independently, planned with the same config.
-                            let residual =
-                                residual_instance(&inst, &all_events, session.now()).unwrap();
-                            let reference = plan(&residual, &cfg);
-                            assert!(
-                                (session.expected_remaining_revenue() - reference.revenue).abs()
-                                    < 1e-9,
-                                "seed {seed} {engine:?} {shards} shards: session {} vs scratch {}",
-                                session.expected_remaining_revenue(),
-                                reference.revenue
-                            );
-                            let shifted = shift_strategy(&reference.strategy, session.now());
-                            assert_eq!(
-                                session.planned_suffix().as_slice(),
-                                shifted.as_slice(),
-                                "seed {seed} {engine:?} {shards} shards: suffix diverged"
-                            );
-                            // And the reported expectation is a real evaluation of
-                            // the suffix under the residual model.
-                            assert!(
-                                (revenue(&residual, &reference.strategy)
-                                    - session.expected_remaining_revenue())
-                                .abs()
-                                    < 1e-9
-                            );
-                        }
-                        if warm && engine == EngineKind::Flat {
-                            // Warm starts must actually engage for the flat
-                            // engine: the pool holds tables and recycled buffers.
-                            assert!(session.warm_snapshot().has_tables());
-                            assert!(session.warm_snapshot().pooled_buffers() > 0);
-                        }
-                        suffixes.push(session.planned_suffix().iter().collect());
+                        // From-scratch references: residual instance built
+                        // independently, planned with the same config on
+                        // the flat engine and on the hash engine.
+                        let residual =
+                            residual_instance(&inst, &all_events, session.now()).unwrap();
+                        let reference = plan(&residual, &cfg);
+                        let label = format!("seed {seed} {shards} shards warm {warm}");
+                        assert_suffix_is(&session, &reference, &format!("{label} flat"));
+                        let hash = plan_with::<HashIncrementalRevenue<'_>>(&residual, &cfg, None);
+                        assert_suffix_is(&session, &hash, &format!("{label} hash"));
+                        // And the reported expectation is a real evaluation of
+                        // the suffix under the residual model.
+                        assert!(
+                            (revenue(&residual, &reference.strategy)
+                                - session.expected_remaining_revenue())
+                            .abs()
+                                < 1e-9
+                        );
                     }
+                    if warm {
+                        // Warm starts must actually engage: the pool holds
+                        // tables and recycled buffers.
+                        assert!(session.warm_snapshot().has_tables());
+                        assert!(session.warm_snapshot().pooled_buffers() > 0);
+                    }
+                    suffixes.push(session.planned_suffix().iter().collect());
                 }
             }
-            // Engine/shard/warm parity of the session path itself.
+            // Shard/warm parity of the session path itself.
             for s in &suffixes[1..] {
                 assert_eq!(
                     suffixes[0], *s,
-                    "seed {seed}: engine/shard/warm configurations diverged"
+                    "seed {seed}: shard/warm configurations diverged"
                 );
             }
         }
     }
 
     /// Warm sharded replans equal cold ones at shard counts 2 and 4 — with
-    /// sequential and concurrent (2-thread) arbitration — and the
-    /// shard-keyed buffer pool actually recycles: after a replan round the
-    /// flat engine has returned one buffer set per shard.
+    /// sequential and concurrent (2-thread) arbitration — and a hash-engine
+    /// plan of the same residual; and the shard-keyed buffer pool actually
+    /// recycles: after a replan round the flat engine has returned one
+    /// buffer set per shard.
     #[test]
     fn warm_sharded_replans_match_cold_across_thread_counts() {
         for seed in 0..2u32 {
             let inst = storefront_instance(seed);
-            for engine in [EngineKind::Flat, EngineKind::Hash] {
-                for shards in [2u32, 4] {
-                    for threads in [1u32, 2] {
-                        let base = PlannerConfig::default()
-                            .with_engine(engine)
-                            .with_shards(shards)
-                            .with_shard_threads(threads);
-                        let mut cold = PlanSession::new(inst.clone(), base);
-                        let mut warm = PlanSession::new(inst.clone(), base.with_warm_start(true));
-                        let mut pooled_after_first_day = 0;
-                        for day in 0..2 {
-                            let events = realize_upcoming(&cold);
-                            cold.advance(&events).expect("cold advance");
-                            warm.advance(&events).expect("warm advance");
-                            assert!(
-                                (cold.expected_remaining_revenue()
-                                    - warm.expected_remaining_revenue())
+            for shards in [2u32, 4] {
+                for threads in [1u32, 2] {
+                    let base = PlannerConfig::default()
+                        .with_shards(shards)
+                        .with_shard_threads(threads);
+                    let mut cold = PlanSession::new(inst.clone(), base);
+                    let mut warm = PlanSession::new(inst.clone(), base.with_warm_start(true));
+                    let mut pooled_after_first_day = 0;
+                    for day in 0..2 {
+                        let events = realize_upcoming(&cold);
+                        cold.advance(&events).expect("cold advance");
+                        warm.advance(&events).expect("warm advance");
+                        let label = format!("seed {seed} {shards} shards {threads} threads");
+                        assert!(
+                            (cold.expected_remaining_revenue() - warm.expected_remaining_revenue())
                                 .abs()
-                                    < 1e-9,
-                                "seed {seed} {engine:?} {shards} shards {threads} threads: \
-                                 warm revenue diverged from cold"
-                            );
-                            assert_eq!(
-                                cold.planned_suffix().as_slice(),
-                                warm.planned_suffix().as_slice(),
-                                "seed {seed} {engine:?} {shards} shards {threads} threads: \
-                                 warm suffix diverged from cold"
-                            );
-                            if day == 0 {
-                                pooled_after_first_day = warm.warm_snapshot().pooled_buffers();
-                            }
-                        }
-                        if engine == EngineKind::Flat {
-                            assert!(warm.warm_snapshot().has_tables());
-                            // Steady-state recycling: every buffer set taken
-                            // by a shard comes back under its key, so the
-                            // pool neither grows nor drains across replans.
-                            assert!(pooled_after_first_day > 0);
-                            assert_eq!(
-                                warm.warm_snapshot().pooled_buffers(),
-                                pooled_after_first_day,
-                                "the keyed pool must settle to one set per planning shard"
-                            );
+                                < 1e-9,
+                            "{label}: warm revenue diverged from cold"
+                        );
+                        assert_eq!(
+                            cold.planned_suffix().as_slice(),
+                            warm.planned_suffix().as_slice(),
+                            "{label}: warm suffix diverged from cold"
+                        );
+                        let residual = warm.residual().expect("mid-horizon residual");
+                        let hash = plan_with::<HashIncrementalRevenue<'_>>(residual, &base, None);
+                        assert_suffix_is(&warm, &hash, &format!("{label} hash"));
+                        if day == 0 {
+                            pooled_after_first_day = warm.warm_snapshot().pooled_buffers();
                         }
                     }
+                    assert!(warm.warm_snapshot().has_tables());
+                    // Steady-state recycling: every buffer set taken by a
+                    // shard comes back under its key, so the pool neither
+                    // grows nor drains across replans.
+                    assert!(pooled_after_first_day > 0);
+                    assert_eq!(
+                        warm.warm_snapshot().pooled_buffers(),
+                        pooled_after_first_day,
+                        "the keyed pool must settle to one set per planning shard"
+                    );
                 }
             }
         }
@@ -915,14 +920,12 @@ mod tests {
     }
 
     /// Warm-start interplay of the saturation-aggregate fast path: on a
-    /// uniform-β storefront every per-day replanned suffix is identical with
-    /// aggregates on and off, warm and cold, inline and attached — and the
-    /// warm sessions keep recycling their (aggregate-carrying) engine
-    /// buffers through the snapshot pool.
+    /// uniform-β storefront every per-day replanned suffix, warm and cold,
+    /// inline and attached, equals a walk-only plan ([`Walk`]) of the same
+    /// residual — and the warm sessions keep recycling their
+    /// (aggregate-carrying) engine buffers through the snapshot pool.
     #[test]
-    fn aggregate_sessions_match_walk_sessions_warm_and_cold() {
-        use revmax_algorithms::Aggregates;
-
+    fn aggregate_sessions_match_walk_plans_warm_and_cold() {
         let inst = {
             let mut b = InstanceBuilder::new(4, 5, 4);
             b.display_limit(2)
@@ -953,36 +956,25 @@ mod tests {
         let service = Arc::new(crate::PlanService::new(2));
         for warm in [false, true] {
             for attached in [false, true] {
-                let make = |aggregates| {
-                    let cfg = PlannerConfig::default()
-                        .with_warm_start(warm)
-                        .with_aggregates(aggregates);
-                    let mut s = PlanSession::new(inst.clone(), cfg);
-                    if attached {
-                        s.attach(&service);
-                    }
-                    s
-                };
-                let mut agg = make(Aggregates::Auto);
-                let mut walk = make(Aggregates::Off);
+                let cfg = PlannerConfig::default().with_warm_start(warm);
+                let mut agg = PlanSession::new(inst.clone(), cfg);
+                if attached {
+                    agg.attach(&service);
+                }
                 while !agg.is_exhausted() {
                     let events = realize_upcoming(&agg);
                     agg.advance(&events).expect("advance");
-                    walk.advance(&events).expect("advance");
                     if attached {
                         agg.sync();
-                        walk.sync();
                     }
-                    assert_eq!(
-                        agg.planned_suffix().as_slice(),
-                        walk.planned_suffix().as_slice(),
-                        "suffixes diverged (warm = {warm}, attached = {attached})"
-                    );
-                    assert!(
-                        (agg.expected_remaining_revenue() - walk.expected_remaining_revenue())
-                            .abs()
-                            < 1e-9
-                    );
+                    if let Some(residual) = agg.residual() {
+                        let walk = plan_with::<Walk<'_>>(residual, &cfg, None);
+                        assert_suffix_is(
+                            &agg,
+                            &walk,
+                            &format!("warm = {warm}, attached = {attached}"),
+                        );
+                    }
                 }
                 if warm {
                     assert!(agg.warm_snapshot().has_tables());

@@ -1,6 +1,6 @@
 //! `cargo xtask lint` — the repo-invariant linter.
 //!
-//! Five mechanical rules over the lexed source model (see [`crate::lex`]);
+//! Six mechanical rules over the lexed source model (see [`crate::lex`]);
 //! each encodes an invariant the workspace documents elsewhere, so drift
 //! between code and contract fails CI instead of rotting silently:
 //!
@@ -25,6 +25,11 @@
 //!    is listed in `docs/env.md` and vice versa, and environment reads go
 //!    through `revmax_core::env` (no direct `std::env::var` outside it and
 //!    the vendored shims).
+//! 6. **Oracle confinement** — the `revmax_oracle` path (the test-only
+//!    reference engines: hash, eager, walk-only) appears only in test code,
+//!    under `crates/oracle/`, and in the bench emitters (`crates/bench/`).
+//!    The product plans with one engine; references are plugged in by tests
+//!    through `plan_with`, never selected at runtime.
 
 use crate::lex::{self, SourceModel};
 use std::path::{Path, PathBuf};
@@ -67,6 +72,7 @@ pub fn run() -> ExitCode {
     no_deprecated_surface(&files, &mut violations);
     no_stray_panics(&files, &mut violations);
     env_registry(&root, &files, &mut violations);
+    oracle_confinement(&files, &mut violations);
 
     if violations.is_empty() {
         println!(
@@ -447,6 +453,34 @@ fn env_registry(root: &Path, files: &[File], violations: &mut Vec<String>) {
         if !used.iter().any(|(n, _)| n == name) {
             violations.push(format!(
                 "env-registry: docs/env.md lists `{name}` but no source references it"
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 6: oracle confinement
+// ---------------------------------------------------------------------------
+
+const ORACLE_PATH: &str = "revmax_oracle";
+
+fn oracle_allowed(rel: &str) -> bool {
+    rel.starts_with("crates/oracle/") || rel.starts_with("crates/bench/")
+}
+
+fn oracle_confinement(files: &[File], violations: &mut Vec<String>) {
+    for f in files {
+        if oracle_allowed(&f.rel) {
+            continue;
+        }
+        for at in lex::token_offsets(&f.model.code, ORACLE_PATH) {
+            if f.in_test_code(at) {
+                continue;
+            }
+            violations.push(format!(
+                "oracle-confinement: {}: `{ORACLE_PATH}` outside test code (the reference \
+                 engines are test-only: tests plug them in through `plan_with`)",
+                f.at(at)
             ));
         }
     }

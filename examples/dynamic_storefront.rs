@@ -15,11 +15,10 @@
 //! Run with: `cargo run --release --example dynamic_storefront`
 //!
 //! Planner configuration comes from `PlannerConfig::from_env()`
-//! (`REVMAX_ENGINE`, `REVMAX_SHARDS`, `REVMAX_WARM_START`, …) with
-//! warm-started replans enabled by default; none of the knobs may change
-//! any (re)plan, which the example asserts by cross-checking every
-//! replanned suffix against a from-scratch plan of the residual instance
-//! on the *other* engine.
+//! (`REVMAX_SHARDS`, `REVMAX_WARM_START`, …) with warm-started replans
+//! enabled by default; none of the knobs may change any (re)plan, which the
+//! example asserts by cross-checking every replanned suffix against a cold,
+//! in-process, from-scratch plan of the residual instance.
 
 use revmax::prelude::*;
 use std::sync::Arc;
@@ -155,19 +154,14 @@ fn main() {
                 report.expected_remaining_revenue,
             );
 
-            // Engine cross-check: the replanned suffix must equal a
-            // from-scratch plan of the residual instance under the *other*
-            // engine to 1e-9 — warm starts, the service route, and the
-            // engine are all pure performance knobs.
+            // Cross-check: the replanned suffix must equal a cold,
+            // in-process plan of the residual instance to 1e-9 — warm
+            // starts and the service route are pure performance knobs.
             if let Some(residual) = session.residual() {
-                let other = match config.engine {
-                    EngineKind::Flat => EngineKind::Hash,
-                    EngineKind::Hash => EngineKind::Flat,
-                };
-                let reference = plan(residual, &config.with_engine(other));
+                let reference = plan(residual, &config);
                 assert!(
                     (reference.revenue - session.expected_remaining_revenue()).abs() < 1e-9,
-                    "engines disagreed on the replanned suffix: {} vs {}",
+                    "the from-scratch plan disagreed on the replanned suffix: {} vs {}",
                     reference.revenue,
                     session.expected_remaining_revenue()
                 );
@@ -175,7 +169,7 @@ fn main() {
                 assert_eq!(
                     shifted.as_slice(),
                     session.planned_suffix().as_slice(),
-                    "engines disagreed on the replanned suffix triples"
+                    "the from-scratch plan disagreed on the replanned suffix triples"
                 );
             }
         }
@@ -196,11 +190,9 @@ fn main() {
             session.replans(),
             if config.warm_start { "warm" } else { "cold" },
         );
-        // The snapshot pool only fills for the flat engine (the hash engine
-        // has nothing worth recycling) and only when the knob is on — and
-        // `REVMAX_WARM_START=0` / `REVMAX_ENGINE=hash` may have overridden
-        // the defaults above.
-        if config.warm_start && config.engine == EngineKind::Flat {
+        // The snapshot pool only fills when the knob is on — and
+        // `REVMAX_WARM_START=0` may have overridden the default above.
+        if config.warm_start {
             assert!(
                 session.warm_snapshot().has_tables(),
                 "warm-started sessions must engage the snapshot pool"

@@ -22,14 +22,8 @@ fn main() {
         dataset.mf_rmse
     );
 
-    // REVMAX_SHARDS (default 2) picks the shard count of the sharded entry;
-    // its revenue always matches GG exactly — shards change speed and memory
-    // layout, never the plan. Read through the unified config so the knob
-    // parses identically everywhere.
-    let shards: u32 = PlannerConfig::default().with_shards(2).env_overlay().shards;
     let lineup = vec![
         Algorithm::GlobalGreedy,
-        Algorithm::ShardedGlobalGreedy { shards },
         Algorithm::GlobalNoSaturation,
         Algorithm::RandomizedLocalGreedy { permutations: 10 },
         Algorithm::SequentialLocalGreedy,

@@ -4,10 +4,9 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Planner configuration comes from the environment through the unified
-//! `PlannerConfig::from_env()` (`REVMAX_ENGINE=flat|hash`, `REVMAX_SHARDS=n`,
-//! `REVMAX_ALGORITHM`, `REVMAX_SEED`) — none of which may change a given
-//! algorithm's plan, which this example asserts by cross-checking the
-//! flat-arena engine against the hash reference engine.
+//! `PlannerConfig::from_env()` (`REVMAX_ALGORITHM`, `REVMAX_SHARDS=n`,
+//! `REVMAX_SEED`, …). The example asserts that the planner's reported
+//! revenue is the from-scratch revenue of the plan it returns.
 
 use revmax::prelude::*;
 
@@ -42,23 +41,18 @@ fn main() {
         .candidate(2, 2, &[0.25, 0.35, 0.25], 3.9);
     let instance = builder.build().expect("valid instance");
 
-    // Revenue-maximizing plan, with algorithm/engine/shards picked from the
-    // environment (defaults: G-Greedy, flat engine, 1 shard).
+    // Revenue-maximizing plan, with algorithm/shards picked from the
+    // environment (defaults: G-Greedy, 1 shard).
     let config = PlannerConfig::from_env();
     let outcome = plan(&instance, &config);
 
-    // The engine choice is a performance knob, never a behaviour knob:
-    // re-plan with the *other* engine and check the revenues agree to 1e-9.
-    let other_engine = match config.engine {
-        EngineKind::Flat => EngineKind::Hash,
-        EngineKind::Hash => EngineKind::Flat,
-    };
-    let cross_check = plan(&instance, &config.with_engine(other_engine));
+    // The incremental engine's running total must equal the revenue model
+    // evaluated from scratch on the returned plan.
+    let from_scratch = revenue(&instance, &outcome.strategy);
     assert!(
-        (outcome.revenue - cross_check.revenue).abs() < 1e-9,
-        "flat and hash engines must agree to 1e-9: {} vs {}",
-        outcome.revenue,
-        cross_check.revenue
+        (outcome.revenue - from_scratch).abs() < 1e-9,
+        "planner and from-scratch revenue must agree to 1e-9: {} vs {from_scratch}",
+        outcome.revenue
     );
 
     println!("expected revenue: {:.2}", outcome.revenue);

@@ -107,8 +107,7 @@ pub mod prelude {
     pub use revmax_algorithms::{
         global_greedy, global_no_saturation, plan, plan_order, plan_residual,
         randomized_local_greedy, run, sequential_local_greedy, solve_t1_exact, top_rating,
-        top_revenue, Aggregates, Algorithm, EngineKind, GreedyOutcome, PlanAlgorithm,
-        PlannerConfig, RunReport,
+        top_revenue, Algorithm, GreedyOutcome, PlanAlgorithm, PlannerConfig, RunReport,
     };
     pub use revmax_core::{
         realized_revenue, residual_advance, residual_instance, residual_instance_with, revenue,
