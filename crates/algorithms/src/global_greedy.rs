@@ -10,7 +10,9 @@
 //!   candidate pair holding its `T` triples (here a linear scan over a
 //!   struct-of-arrays block, since `T ≤ 7` in all experiments), and one
 //!   upper level over candidate pairs keyed by the root of their lower heap
-//!   (here a tournament tree, `CandTournament`);
+//!   (here a blocked tournament, `CandTournament`: one leaf value per
+//!   candidate, 16-candidate leaf blocks, and a small winner tree over the
+//!   block winners);
 //! * **lazy forward**: a triple's cached marginal revenue carries a flag equal
 //!   to `|set(u, C(i))|` at computation time; when the triple reaches the
 //!   root of the upper level, it is re-evaluated only if the flag is stale.
@@ -254,33 +256,55 @@ impl CandidateTable {
     }
 }
 
-/// A loser-free tournament tree over the candidate root values, in the
+/// Candidates per leaf block of [`CandTournament`]: a block is 128 bytes
+/// of leaves, and a rescan is a 16-float forward scan.
+const BLOCK: usize = 16;
+
+/// A blocked tournament over the candidate root values, in the
 /// [`precedes`] order (larger value first, ties towards the smaller
 /// candidate id) that the shard arbitration and the parity suites' heap
-/// oracle share. Re-keying a candidate is a fix of the leaf-to-root
-/// path — `log₂ candidates` branchless winner recomputes with no swaps, no
-/// position index, and an early exit as soon as a node is unchanged — where
-/// a lazy heap pays a full pop/push round trip (sift plus stale-entry
-/// drain) per surfaced candidate.
+/// oracle share. The leaves are one `f64` per candidate; each run of
+/// [`BLOCK`] contiguous candidates is summarised by its winner, and a
+/// loser-free winner tree over the block winners yields the root. Blocks
+/// keep path fixes cache resident: at 150k candidates the tree is 512 KB,
+/// where one tree leaf per candidate would take 8 MB.
+///
+/// Re-keying a candidate writes its leaf, touches its block only when the
+/// block's winner changes (a rescan when the winner itself did not
+/// improve), and then fixes the block's path — branchless winner
+/// recomputes with no swaps, no position index, and an early exit as soon
+/// as a node is unchanged — where a lazy heap pays a full pop/push round
+/// trip (sift plus stale-entry drain) per surfaced candidate. Leaves may
+/// also be written in a batch ([`CandTournament::write`]) and the blocks
+/// they touch re-summarised once ([`CandTournament::refix`]).
 struct CandTournament {
-    /// Leaf count, `num_candidates` rounded up to a power of two.
+    /// One value per local candidate.
+    leaves: Vec<f64>,
+    /// Block-winner count, `⌈candidates / BLOCK⌉` rounded up to a power of
+    /// two.
     size: usize,
-    /// Implicit tree: node `i`'s children are `2i` / `2i + 1`, leaves at
-    /// `size + c`, root at 1. Each node holds the winning `(value, cand)`.
+    /// Implicit winner tree: node `i`'s children are `2i` / `2i + 1`, block
+    /// `b`'s winner at `size + b`, root at 1. Each node holds the winning
+    /// `(value, cand)`.
     tree: Vec<(f64, u32)>,
 }
 
 impl CandTournament {
-    fn new(roots: &[f64]) -> Self {
-        let size = roots.len().next_power_of_two().max(1);
-        let mut tree = vec![(f64::NEG_INFINITY, u32::MAX); 2 * size];
-        for (c, &v) in roots.iter().enumerate() {
-            tree[size + c] = (v, c as u32);
+    fn new(leaves: Vec<f64>) -> Self {
+        let blocks = leaves.len().div_ceil(BLOCK);
+        let size = blocks.next_power_of_two().max(1);
+        let mut tour = CandTournament {
+            leaves,
+            size,
+            tree: vec![(f64::NEG_INFINITY, u32::MAX); 2 * size],
+        };
+        for b in 0..blocks {
+            tour.tree[size + b] = tour.scan(b);
         }
         for i in (1..size).rev() {
-            tree[i] = Self::winner(tree[2 * i], tree[2 * i + 1]);
+            tour.tree[i] = Self::winner(tour.tree[2 * i], tour.tree[2 * i + 1]);
         }
-        CandTournament { size, tree }
+        tour
     }
 
     /// The selection order: maximum value, ties to the smaller candidate id.
@@ -293,12 +317,25 @@ impl CandTournament {
         }
     }
 
-    /// Re-keys candidate `c` and fixes the path to the root, stopping at the
-    /// first unchanged node (its ancestors cannot change either).
+    /// Block `b`'s winner: a forward scan with strict `>` keeps the smallest
+    /// id among ties.
     #[inline]
-    fn update(&mut self, c: u32, value: f64) {
-        let mut i = self.size + c as usize;
-        self.tree[i] = (value, c);
+    fn scan(&self, b: usize) -> (f64, u32) {
+        let lo = b * BLOCK;
+        let hi = (lo + BLOCK).min(self.leaves.len());
+        let mut best = (self.leaves[lo], lo as u32);
+        for c in lo + 1..hi {
+            if self.leaves[c] > best.0 {
+                best = (self.leaves[c], c as u32);
+            }
+        }
+        best
+    }
+
+    /// Fixes the path above tree node `i`, stopping at the first unchanged
+    /// node (its ancestors cannot change either).
+    #[inline]
+    fn fix_up(&mut self, mut i: usize) {
         while i > 1 {
             i /= 2;
             let w = Self::winner(self.tree[2 * i], self.tree[2 * i + 1]);
@@ -306,6 +343,45 @@ impl CandTournament {
                 break;
             }
             self.tree[i] = w;
+        }
+    }
+
+    /// Re-keys candidate `c`. The block's winner changes only when `c` now
+    /// beats it, or when `c` was the winner (then the block is rescanned);
+    /// otherwise nothing above the leaf moves.
+    #[inline]
+    fn update(&mut self, c: u32, value: f64) {
+        self.leaves[c as usize] = value;
+        let i = self.size + c as usize / BLOCK;
+        let w = self.tree[i];
+        if precedes((value, c), w) {
+            self.tree[i] = (value, c);
+        } else if w.1 == c {
+            self.tree[i] = self.scan(c as usize / BLOCK);
+        } else {
+            return;
+        }
+        self.fix_up(i);
+    }
+
+    /// Writes candidate `c`'s leaf without touching the tree; the caller
+    /// must [`CandTournament::refix`] a range covering `c` before the next
+    /// [`CandTournament::root`] or [`CandTournament::update`].
+    #[inline]
+    fn write(&mut self, c: u32, value: f64) {
+        self.leaves[c as usize] = value;
+    }
+
+    /// Re-summarises every block overlapping the non-empty candidate range
+    /// `[lo, hi)` once and fixes its path.
+    fn refix(&mut self, lo: u32, hi: u32) {
+        for b in lo as usize / BLOCK..=(hi as usize - 1) / BLOCK {
+            let w = self.scan(b);
+            let i = self.size + b;
+            if w != self.tree[i] {
+                self.tree[i] = w;
+                self.fix_up(i);
+            }
         }
     }
 
@@ -394,13 +470,15 @@ impl Capacity for EngineCapacity {
 /// in the tournament leaf; together they mirror `table.best` exactly).
 ///
 /// Selection is O(1) at the tree root, and every constraint block, stale
-/// refresh or insertion costs one leaf path fix. A display fill blocks the
-/// filled `(user, t)` column across the user's contiguous candidate range
-/// at once — users never straddle shards, and display counts never
-/// decrease, so the block is final — and capacity exhaustion retires the
-/// whole candidate row. A stale root is re-evaluated over all its live time
-/// slots in one fused kernel pass; after the path fix the next stale
-/// candidate is back at the root in O(1).
+/// refresh or insertion re-keys one leaf (at most a 16-leaf block rescan
+/// plus a path fix in the small block-winner tree). A display fill blocks
+/// the filled `(user, t)` column across the user's contiguous candidate
+/// range at once — users never straddle shards, and display counts never
+/// decrease, so the block is final — rewriting the leaves it hits and then
+/// re-summarising each leaf block under the range once; capacity
+/// exhaustion retires the whole candidate row. A stale root is re-evaluated
+/// over all its live time slots in one fused kernel pass; after the re-key
+/// the next stale candidate is back at the root in O(1).
 ///
 /// The core selects the pop-per-iteration lazy-heap loop's sequence exactly:
 /// cached root values evolve identically (marginals depend only on the
@@ -443,7 +521,7 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
                 best_t[c] = t as u32;
             }
         }
-        let tour = CandTournament::new(&roots);
+        let tour = CandTournament::new(roots);
         ShardCore {
             inst,
             start: shard.cand_start(),
@@ -472,10 +550,17 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
     /// must have checked [`ShardCore::lead`] (and, across shards, that this
     /// shard leads).
     pub(crate) fn step<C: Capacity>(&mut self, cap: &C, evals: &mut u64) -> Step {
-        let local = self.tour.root().1;
+        let (value, local) = self.tour.root();
         let t_idx = self.best_t[local as usize] as usize;
         let cand = CandidateId(self.start + local);
         let t = TimeStep::from_index(t_idx);
+        // A root out of step with its row would be selected (or refreshed)
+        // forever; fail loudly instead.
+        debug_assert_eq!(
+            value,
+            self.table.values[self.table.slot(local, t_idx)],
+            "tournament root {local} disagrees with its table row"
+        );
 
         if self.inc.would_violate_display_cand(cand, t) {
             // The (user, t) slot is full: dead for this candidate, other
@@ -547,34 +632,48 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
             // column across the user's candidate range now. A candidate
             // whose cached argmax sat elsewhere keeps its root (blocking a
             // non-argmax slot cannot change the forward-scan argmax), so
-            // only argmax hits pay a path fix.
+            // only argmax hits rewrite their leaf; the blocks under the
+            // user's range are then re-summarised once, together with the
+            // inserted candidate's own leaf.
             let offsets = self.inst.user_cand_offsets();
             let lo = offsets[user.index()] - self.start;
             let hi = offsets[user.index() + 1] - self.start;
             for c in lo..hi {
                 if self.table.block(c, t_idx) && self.best_t[c as usize] as usize == t_idx {
-                    self.refresh_leaf(c, cap);
+                    let v = self.row_root(c, cap);
+                    self.tour.write(c, v);
                 }
             }
+            let v = self.row_root(local, cap);
+            self.tour.write(local, v);
+            self.tour.refix(lo, hi);
+        } else {
+            self.refresh_leaf(local, cap);
         }
-        self.refresh_leaf(local, cap);
         let item = self.inst.candidate_item(cand);
         (Triple { user, item, t }, marginal)
     }
 
-    /// Re-derives one candidate's root `(value, argmax t)` from its table row
-    /// after the row changed, and re-keys its tournament leaf. A row left
-    /// with no live slot retires the candidate.
+    /// Re-keys one candidate's tournament leaf after its table row changed.
     #[inline]
     fn refresh_leaf<C: Capacity>(&mut self, c: u32, cap: &C) {
+        let v = self.row_root(c, cap);
+        self.tour.update(c, v);
+    }
+
+    /// Re-derives one candidate's root `(value, argmax t)` from its table
+    /// row, caching the argmax and returning the leaf value. A row left with
+    /// no live slot retires the candidate.
+    #[inline]
+    fn row_root<C: Capacity>(&mut self, c: u32, cap: &C) -> f64 {
         match self.table.best(c) {
             Some((t, v)) => {
                 self.best_t[c as usize] = t as u32;
-                self.tour.update(c, v);
+                v
             }
             None => {
-                self.tour.update(c, f64::NEG_INFINITY);
                 cap.retired(self.counted[c as usize], CandidateId(self.start + c));
+                f64::NEG_INFINITY
             }
         }
     }
@@ -658,6 +757,65 @@ mod tests {
             .candidate(1, 0, &[0.5, 0.55, 0.45], 4.8)
             .candidate(1, 2, &[0.6, 0.2, 0.3], 2.5);
         b.build().unwrap()
+    }
+
+    /// The blocked tournament against an O(n) argmax over its leaves, on
+    /// sizes around the block width and one with a ragged last block: a
+    /// seeded stream mixes single re-keys with batched leaf writes plus a
+    /// refix over ranges that cross block boundaries. Values come from a
+    /// small set, so ties are common, plus `NEG_INFINITY`. After every op
+    /// the root is the [`precedes`]-maximal leaf whenever some leaf is
+    /// finite, and `NEG_INFINITY` otherwise.
+    #[test]
+    fn tournament_op_stream_matches_the_naive_argmax() {
+        const VALUES: [f64; 7] = [f64::NEG_INFINITY, -1.0, 0.0, 0.25, 0.5, 1.0, 2.0];
+        for n in [0u32, 1, 15, 16, 17, 1003] {
+            let mut x = 0x243F_6A88_85A3_08D3u64 ^ u64::from(n);
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let draw = |next: &mut dyn FnMut() -> u64| VALUES[(next() % 7) as usize];
+            let mut leaves: Vec<f64> = (0..n).map(|_| draw(&mut next)).collect();
+            let mut tour = CandTournament::new(leaves.clone());
+            for step in 0..3000 {
+                let best = leaves
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &v)| (v, c as u32))
+                    .filter(|&(v, _)| v.is_finite())
+                    .fold(None, |best, e| match best {
+                        Some(b) if precedes(b, e) => Some(b),
+                        _ => Some(e),
+                    });
+                match best {
+                    Some(best) => assert_eq!(tour.root(), best, "n {n} step {step}"),
+                    None => assert_eq!(tour.root().0, f64::NEG_INFINITY, "n {n} step {step}"),
+                }
+                if n == 0 {
+                    break;
+                }
+                if next() % 3 < 2 {
+                    let c = (next() % u64::from(n)) as u32;
+                    let v = draw(&mut next);
+                    leaves[c as usize] = v;
+                    tour.update(c, v);
+                } else {
+                    let lo = (next() % u64::from(n)) as u32;
+                    let hi = (lo + 1 + (next() % (3 * BLOCK as u64)) as u32).min(n);
+                    for c in lo..hi {
+                        if next() % 2 == 0 {
+                            let v = draw(&mut next);
+                            leaves[c as usize] = v;
+                            tour.write(c, v);
+                        }
+                    }
+                    tour.refix(lo, hi);
+                }
+            }
+        }
     }
 
     #[test]

@@ -299,8 +299,10 @@ fn tree_plans_are_bit_identical_to_the_heap_oracle() {
 
 /// An instance of ~4.8k candidates: the small generator above stays under
 /// a hundred, so this one gives the selection core and its shard
-/// arbitration parity coverage at a size where trees are deep and columns
-/// of many candidates block at once.
+/// arbitration parity coverage at a size where a shard's tournament spans
+/// 150–300 leaf blocks of 16 candidates under a winner tree eight or nine
+/// levels deep, and a column block re-summarises the four or five leaf
+/// blocks under one user's ~54 candidates at once.
 fn large_kernel_instance(rng: &mut StdRng) -> Instance {
     let num_users = 90;
     let num_items = 60;
