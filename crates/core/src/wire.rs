@@ -171,10 +171,11 @@ fn row_end(r: &mut Reader<'_>, shape: &str) -> Result<(), WireError> {
 
 fn read_f64s_into(r: &mut Reader<'_>, what: &str, out: &mut Vec<f64>) -> Result<(), WireError> {
     begin_array(r, what)?;
-    while r.next_element()? {
-        out.push(read_f64(r, what)?);
+    if r.numbers_into(out)? {
+        Ok(())
+    } else {
+        Err(WireError::schema(format!("`{what}` must be a number")))
     }
-    Ok(())
 }
 
 fn read_f64s(r: &mut Reader<'_>, what: &str) -> Result<Vec<f64>, WireError> {

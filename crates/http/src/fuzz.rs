@@ -1,7 +1,7 @@
 //! Seeded fuzzing for the untrusted-input surfaces: the HTTP head parser
 //! ([`crate::request::parse_head`]), the JSON [`Reader`]
-//! (`revmax_core::json`), and the streaming wire decoders for instances
-//! and event batches (`revmax_core::wire`).
+//! (`revmax_core::json`) and its number reader, and the streaming wire
+//! decoders for instances and event batches (`revmax_core::wire`).
 //!
 //! Deterministic by construction — the vendored `rand` shim is seeded, so a
 //! failing seed replays exactly (`cargo xtask fuzz-http --seed N`). Every
@@ -23,11 +23,22 @@
 //!   for JSON and schema errors; 422, with the same [`BuildError`], for an
 //!   instance that fails to build), and accepted documents must decode to
 //!   bit-identical values.
+//! * **Number reader** (differential) — [`Reader::number`] runs beside the
+//!   number scan the reader had before its one-pass Eisel–Lemire reader,
+//!   kept verbatim in this module: a grammar scan, then `str::parse` of the
+//!   same bytes. The decoder oracle above parses through [`Reader::number`]
+//!   itself, so only this target can see a conversion bug. Number texts come
+//!   from the hard cases of decimal-to-binary conversion (halfway points,
+//!   2⁵³ ± 1, 19- and 20-digit significands, long leading-zero fractions,
+//!   the edges of the power-of-five window, subnormals, the overflow
+//!   threshold, huge exponents on zero); a quarter are then byte-mutated.
+//!   The two must agree on accept vs reject, the error's offset and
+//!   message, the bytes consumed and the value's bits.
 
 use crate::request::{parse_head, HeadOutcome, DEFAULT_HEAD_LIMIT};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use revmax_core::json::{self, JsonError, Reader};
 use revmax_core::{wire, BuildError, WireError};
 
@@ -313,6 +324,200 @@ pub fn fuzz_event_decoder(seed: u64, iterations: usize) -> FuzzReport {
             verdict(decoded, |e| wire::events_to_json(e))
         },
     )
+}
+
+/// Differentially fuzzes [`Reader::number`] against the number scan the
+/// reader had before (`str::parse` of the scanned bytes).
+pub fn fuzz_number_reader(seed: u64, iterations: usize) -> FuzzReport {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let splice_pool = json_splice_pool();
+    let mut report = FuzzReport::new(iterations);
+    for _ in 0..iterations {
+        let mut text = number_text(&mut rng);
+        if rng.gen_bool(0.25) {
+            text = mutate(&mut rng, &text, &splice_pool);
+        }
+        let mut r = Reader::new(&text);
+        let read = r.number().map(f64::to_bits);
+        let (oracle, consumed) = oracle::number(&text);
+        let oracle = oracle.map(f64::to_bits);
+        assert!(
+            read == oracle && r.offset() == consumed,
+            "number reader and oracle disagree on {:?}:\n  reader: {read:?} after {} bytes\n  oracle: {oracle:?} after {consumed} bytes",
+            String::from_utf8_lossy(&text),
+            r.offset()
+        );
+        match read {
+            Ok(_) => report.accepted += 1,
+            Err(_) => report.rejected += 1,
+        }
+    }
+    report
+}
+
+/// A random significand of `len` digits, the first nonzero.
+fn digit_string(rng: &mut StdRng, len: usize) -> String {
+    (0..len)
+        .map(|i| char::from(b'0' + rng.gen_range(u8::from(i == 0)..10)))
+        .collect()
+}
+
+/// `digits · 10^q`, spelled with the decimal point at a random place.
+fn spell(rng: &mut StdRng, digits: &str, q: i64) -> String {
+    let point = rng.gen_range(1..=digits.len());
+    let (int, frac) = digits.split_at(point);
+    let exponent = q + (digits.len() - point) as i64;
+    let mut text = int.to_string();
+    if !frac.is_empty() {
+        text.push('.');
+        text.push_str(frac);
+    }
+    if exponent != 0 || rng.gen_bool(0.2) {
+        text.push(if rng.gen_bool(0.5) { 'e' } else { 'E' });
+        if exponent >= 0 && rng.gen_bool(0.3) {
+            text.push('+');
+        }
+        text.push_str(&exponent.to_string());
+    }
+    text
+}
+
+/// Shortest round-trip text of `v`, plain or scientific.
+fn shortest(rng: &mut StdRng, v: f64) -> String {
+    if rng.gen_bool(0.5) {
+        format!("{v}")
+    } else {
+        format!("{v:e}")
+    }
+}
+
+/// The exact point halfway between two neighbouring doubles `m · 2^e` and
+/// `(m + 1) · 2^e` near 2⁵³ (mostly 17 digits), the text one unit off in
+/// its last digit, or one of the two neighbours.
+fn halfway(rng: &mut StdRng) -> String {
+    let m = rng.gen_range((1u64 << 52)..(1u64 << 53) - 1);
+    let e = rng.gen_range(-3i32..=4);
+    match rng.gen_range(0..4u32) {
+        0 => {
+            let below = m as f64 * 2f64.powi(e);
+            shortest(rng, below)
+        }
+        1 => {
+            let above = (m + 1) as f64 * 2f64.powi(e);
+            shortest(rng, above)
+        }
+        _ => {
+            // (2m + 1) · 2^(e-1), as a decimal integer times 10^q.
+            let odd = u128::from(2 * m + 1);
+            let (mut digits, q) = if e >= 1 {
+                (odd << (e - 1), 0)
+            } else {
+                (odd * 5u128.pow((1 - e) as u32), i64::from(e - 1))
+            };
+            match rng.gen_range(0..4u32) {
+                0 => digits -= 1,
+                1 => digits += 1,
+                _ => {}
+            }
+            spell(rng, &digits.to_string(), q)
+        }
+    }
+}
+
+/// Number text from the hard cases of decimal-to-binary conversion,
+/// usually valid.
+fn number_text(rng: &mut StdRng) -> Vec<u8> {
+    let body = match rng.gen_range(0..12u32) {
+        // Shortest round-trip text of random bits.
+        0 | 1 => {
+            let v = f64::from_bits(rng.next_u64() >> 1);
+            let v = if v.is_finite() { v } else { f64::MAX };
+            shortest(rng, v)
+        }
+        2 => halfway(rng),
+        // 2⁵³ ± 1 and its neighbours, which need the last bit rounded.
+        3 => {
+            let n = (1u64 << 53) - 2 + rng.gen_range(0..5u64);
+            let q = rng.gen_range(-2i64..=2);
+            spell(rng, &n.to_string(), q)
+        }
+        // 19 significant digits stay exact; 20 do not.
+        4 => {
+            let len = rng.gen_range(19..=20);
+            let digits = digit_string(rng, len);
+            let q = rng.gen_range(-40i64..=40);
+            spell(rng, &digits, q)
+        }
+        // A long run of leading fraction zeros.
+        5 => {
+            let zeros = "0".repeat(rng.gen_range(1..=400));
+            let len = rng.gen_range(1..=20);
+            let digits = digit_string(rng, len);
+            let exponent = if rng.gen_bool(0.5) {
+                format!("e{}", rng.gen_range(-40i64..=400))
+            } else {
+                String::new()
+            };
+            format!("0.{zeros}{digits}{exponent}")
+        }
+        // The edges of the power-of-five window.
+        6 => {
+            let q = [-28, -27, 55, 56][rng.gen_range(0..4)];
+            let len = rng.gen_range(1..=19);
+            let digits = digit_string(rng, len);
+            spell(rng, &digits, q)
+        }
+        // Subnormals and the normal/subnormal boundary.
+        7 => {
+            let bits = if rng.gen_bool(0.5) {
+                rng.gen_range(1u64..1 << 52)
+            } else {
+                (1u64 << 52) - 4 + rng.gen_range(0..8u64)
+            };
+            shortest(rng, f64::from_bits(bits))
+        }
+        // The largest finite value, and the text just past it.
+        8 => {
+            let last = rng.gen_range(5u32..=9);
+            let zeros = rng.gen_range(0..=6);
+            let digits = format!("1797693134862315{last}{}", "0".repeat(zeros));
+            spell(rng, &digits, 292 - zeros as i64)
+        }
+        // A long zero run against a huge exponent. `str::parse` stops
+        // adding exponent digits once the exponent reaches 65,536, so with
+        // a zero run of more than ~65,000 digits only the reader under
+        // test gets the value right; the runs here stay well short of it.
+        9 => {
+            let zeros = rng.gen_range(300..=5_000);
+            let exponent = match rng.gen_range(0..4u32) {
+                0 => (zeros as i64 + rng.gen_range(-400i64..=400)).to_string(),
+                1 => "999999999".to_string(),
+                2 => "-99999999999999999999".to_string(),
+                _ => "9223372036854775808".to_string(),
+            };
+            format!("0.{}1e{exponent}", "0".repeat(zeros))
+        }
+        // Zero, whatever its exponent.
+        10 => [
+            "0",
+            "0.0",
+            "0e999999999",
+            "0.000E-7",
+            "0e+0",
+            "0.0e99999999999999999999",
+        ][rng.gen_range(0..6)]
+        .to_string(),
+        // Random 1–25-digit significands.
+        _ => {
+            let len = rng.gen_range(1..=25);
+            let digits = digit_string(rng, len);
+            let q = rng.gen_range(-360i64..=330);
+            spell(rng, &digits, q)
+        }
+    };
+    let sign = if rng.gen_bool(0.25) { "-" } else { "" };
+    let space = if rng.gen_bool(0.1) { " \n" } else { "" };
+    format!("{space}{sign}{body}").into_bytes()
 }
 
 /// A field list: raw key bytes (written between quotes as they are, so a
@@ -652,11 +857,12 @@ fn event_object(rng: &mut StdRng) -> Vec<u8> {
     object(rng, &fields)
 }
 
-/// The tree-walking decoders `revmax_core::wire` used before it read
-/// documents from the [`Reader`] directly, kept verbatim as the
-/// differential oracle.
+/// The differential oracles, kept verbatim: the tree-walking decoders
+/// `revmax_core::wire` used before it read documents from the [`Reader`]
+/// directly, and the number scan the reader used before its one-pass
+/// number reader.
 mod oracle {
-    use revmax_core::json::JsonValue;
+    use revmax_core::json::{JsonError, JsonValue};
     use revmax_core::wire::{MAX_WIRE_CELLS, MAX_WIRE_DIM};
     use revmax_core::{AdoptionEvent, Instance, InstanceBuilder, WireError};
 
@@ -808,6 +1014,109 @@ mod oracle {
             .map(event_from_value)
             .collect()
     }
+
+    /// `Reader::number` as it was before the one-pass reader, run on the
+    /// bytes of one number (after optional whitespace): a grammar scan, a
+    /// 15-digit integer shortcut, then `str::parse` of the same bytes and a
+    /// finiteness check. Returns the result and the bytes consumed.
+    pub fn number(bytes: &[u8]) -> (Result<f64, JsonError>, usize) {
+        let mut scan = Scan { bytes, pos: 0 };
+        let read = scan.number();
+        (read, scan.pos)
+    }
+
+    /// The reader's cursor, with just what its old `number` body uses; that
+    /// body is kept verbatim.
+    struct Scan<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl Scan<'_> {
+        fn error(&self, message: &str) -> JsonError {
+            self.error_at(self.pos, message)
+        }
+
+        fn error_at(&self, offset: usize, message: &str) -> JsonError {
+            JsonError {
+                offset,
+                message: message.to_string(),
+            }
+        }
+
+        fn peek_byte(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        /// The reader's `start` outside any container: skips whitespace and
+        /// returns the next byte.
+        fn start(&mut self) -> Result<u8, JsonError> {
+            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+                self.pos += 1;
+            }
+            self.peek_byte()
+                .ok_or_else(|| self.error("unexpected end of input"))
+        }
+
+        fn digits(&mut self) {
+            while let Some(b'0'..=b'9') = self.bytes.get(self.pos) {
+                self.pos += 1;
+            }
+        }
+
+        fn number(&mut self) -> Result<f64, JsonError> {
+            self.start()?;
+            let start = self.pos;
+            let negative = self.peek_byte() == Some(b'-');
+            if negative {
+                self.pos += 1;
+            }
+            let int_start = self.pos;
+            match self.peek_byte() {
+                Some(b'0') => self.pos += 1,
+                Some(b'1'..=b'9') => self.digits(),
+                _ => return Err(self.error("invalid number")),
+            }
+            let int_end = self.pos;
+            let mut integer = true;
+            if self.peek_byte() == Some(b'.') {
+                integer = false;
+                self.pos += 1;
+                if !matches!(self.peek_byte(), Some(b'0'..=b'9')) {
+                    return Err(self.error("digit expected after decimal point"));
+                }
+                self.digits();
+            }
+            if let Some(b'e' | b'E') = self.peek_byte() {
+                integer = false;
+                self.pos += 1;
+                if let Some(b'+' | b'-') = self.peek_byte() {
+                    self.pos += 1;
+                }
+                if !matches!(self.peek_byte(), Some(b'0'..=b'9')) {
+                    return Err(self.error("digit expected in exponent"));
+                }
+                self.digits();
+            }
+            // Up to 15 integer digits are exact in an `f64` (< 2⁵³), so the
+            // value needs no decimal-to-binary rounding.
+            if integer && int_end - int_start <= 15 {
+                let magnitude = self.bytes[int_start..int_end]
+                    .iter()
+                    .fold(0u64, |acc, &d| acc * 10 + u64::from(d - b'0'))
+                    as f64;
+                return Ok(if negative { -magnitude } else { magnitude });
+            }
+            let n: f64 = std::str::from_utf8(&self.bytes[start..self.pos])
+                .ok()
+                .and_then(|text| text.parse().ok())
+                .ok_or_else(|| self.error_at(start, "number does not parse as f64"))?;
+            if !n.is_finite() {
+                return Err(self.error_at(start, "number overflows f64"));
+            }
+            Ok(n)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -820,6 +1129,7 @@ mod tests {
         assert_eq!(fuzz_json_codec(7, 500), fuzz_json_codec(7, 500));
         assert_eq!(fuzz_instance_decoder(7, 300), fuzz_instance_decoder(7, 300));
         assert_eq!(fuzz_event_decoder(7, 300), fuzz_event_decoder(7, 300));
+        assert_eq!(fuzz_number_reader(7, 500), fuzz_number_reader(7, 500));
     }
 
     #[test]

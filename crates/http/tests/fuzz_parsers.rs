@@ -1,12 +1,13 @@
 //! The seeded fuzz gate: 10k inputs per target per seed must all parse or
-//! reject — a panic anywhere fails the test — and the streaming wire
-//! decoders must agree with their tree-walking oracle on every input. The
+//! reject — a panic anywhere fails the test — the streaming wire decoders
+//! must agree with their tree-walking oracle on every input, and the number
+//! reader with the `str::parse` scan it replaced. The
 //! same harness backs `cargo xtask fuzz-http --seed N` for replaying a
 //! specific seed.
 
 use revmax_http::fuzz::{
-    fuzz_event_decoder, fuzz_http_parser, fuzz_instance_decoder, fuzz_json_codec, FuzzReport,
-    DEFAULT_ITERATIONS,
+    fuzz_event_decoder, fuzz_http_parser, fuzz_instance_decoder, fuzz_json_codec,
+    fuzz_number_reader, FuzzReport, DEFAULT_ITERATIONS,
 };
 
 fn check(report: FuzzReport, what: &str) {
@@ -61,6 +62,16 @@ fn event_decoder_agrees_with_the_tree_oracle_on_10k_documents_per_seed() {
         check(
             fuzz_event_decoder(seed, DEFAULT_ITERATIONS),
             &format!("event seed {seed}"),
+        );
+    }
+}
+
+#[test]
+fn number_reader_agrees_with_the_str_parse_oracle_on_10k_numbers_per_seed() {
+    for seed in [1, 2, 0xC0FFEE] {
+        check(
+            fuzz_number_reader(seed, DEFAULT_ITERATIONS),
+            &format!("number seed {seed}"),
         );
     }
 }

@@ -15,9 +15,10 @@
 //!   sensitivity gate, and seeded random-schedule fuzzing.
 //! * `cargo xtask fuzz-http` — seeded fuzzing of the HTTP front end's
 //!   untrusted-input surfaces (`revmax_http::request`, the shared JSON
-//!   reader, and the streaming wire decoders against their tree-walking
-//!   oracle); `--seed <n>` replays one seed, `--iterations <n>` scales the
-//!   per-seed input count.
+//!   reader, its number reader against the `str::parse` scan it replaced,
+//!   and the streaming wire decoders against their tree-walking oracle);
+//!   `--seed <n>` replays one seed, `--iterations <n>` scales the per-seed
+//!   input count.
 //!
 //! Both commands exit non-zero on failure and run as gating CI jobs; see
 //! ARCHITECTURE.md § "Analysis toolchain".
@@ -45,7 +46,8 @@ fn usage() -> ExitCode {
     eprintln!("                           schedules, mutant sensitivity, seeded fuzz)");
     eprintln!("    --fuzz-seed <n>        override the random-schedule fuzz seed");
     eprintln!("  fuzz-http                seeded fuzzing of the HTTP head parser, the");
-    eprintln!("                           JSON reader and the wire decoders (differential)");
+    eprintln!("                           JSON reader, and (differential) the number");
+    eprintln!("                           reader and the wire decoders");
     eprintln!("    --seed <n>             fuzz a single seed (default: a fixed trio)");
     eprintln!("    --iterations <n>       inputs per target per seed");
     ExitCode::from(2)
@@ -126,8 +128,13 @@ fn fuzz_http(seed: Option<u64>, iterations: usize) -> ExitCode {
             "  ok   event decoder      seed {seed:#x}: {} accepted / {} rejected, oracle agrees",
             events.accepted, events.rejected
         );
+        let numbers = revmax_http::fuzz::fuzz_number_reader(seed, iterations);
+        println!(
+            "  ok   number reader      seed {seed:#x}: {} accepted / {} rejected, oracle agrees",
+            numbers.accepted, numbers.rejected
+        );
     }
-    println!("fuzz-http: all inputs parsed or rejected cleanly; decoders agree with the oracle");
+    println!("fuzz-http: all inputs parsed or rejected cleanly; decoders and number reader agree with their oracles");
     ExitCode::SUCCESS
 }
 
