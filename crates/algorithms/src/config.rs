@@ -27,8 +27,8 @@
 //! The planner runs one engine, the flat-arena
 //! [`revmax_core::IncrementalRevenue`]. [`plan_with`] runs the same drivers
 //! on any [`RevenueEngine`]: that is how the parity suites plug in their
-//! reference engines (the hash engine, eager re-evaluation, walk-only
-//! kernels), which are types, not configuration.
+//! reference engines (the hash engine, eager re-evaluation), which are
+//! types, not configuration.
 
 use crate::global_greedy::GreedyOutcome;
 use revmax_core::{env, IncrementalRevenue, Instance, ResidualDelta, RevenueEngine};

@@ -1,7 +1,7 @@
 //! Seeded randomized property and integration tests for the algorithm suite:
 //! greedy validity and quality against the exact optimum on tiny instances,
-//! engine (flat vs the `revmax_oracle` references: hash, eager, walk-only)
-//! and parallelism equivalence, the Max-DCS upper bound
+//! engine (flat vs the `revmax_oracle` references: hash, eager) and
+//! parallelism equivalence, the Max-DCS upper bound
 //! for `T = 1`, the local-search guarantee, and end-to-end runs on generated
 //! datasets.
 
@@ -14,7 +14,7 @@ use revmax_algorithms::{
 };
 use revmax_core::{revenue, IncrementalRevenue as Flat, Instance, InstanceBuilder, RevenueEngine};
 use revmax_data::{generate, DatasetConfig};
-use revmax_oracle::{Eager, HashIncrementalRevenue as Hash, Walk};
+use revmax_oracle::{Eager, HashIncrementalRevenue as Hash};
 
 /// Draws a random small instance (2–3 users, 2–4 items, horizon 1–3).
 fn random_small_instance(rng: &mut StdRng) -> Instance {
@@ -496,51 +496,5 @@ fn unified_plan_matches_dedicated_entry_points() {
             no_sat.strategy.as_slice(),
             no_sat_direct.strategy.as_slice()
         );
-    }
-}
-
-/// The compiled aggregate kernels are behaviour-neutral: on a uniform-β
-/// generated dataset (where the fast path engages on every deep group) and
-/// on random mixed-β instances (where it falls back per group), the flat
-/// engine and the walk-only engine ([`Walk`]) produce the same plan at shard
-/// counts 1 and 2, for the global and the per-time-step drivers.
-#[test]
-fn aggregate_kernels_are_behaviour_neutral_across_shards() {
-    let mut uniform = DatasetConfig::tiny();
-    uniform.beta = revmax_data::BetaSetting::PerClassRandom;
-    let uniform_ds = generate(&uniform);
-    assert!(uniform_ds.instance.all_beta_uniform());
-
-    let mut rng = StdRng::seed_from_u64(0xA667);
-    let mut instances: Vec<Instance> = (0..6).map(|_| random_small_instance(&mut rng)).collect();
-    instances.push(uniform_ds.instance);
-
-    for (idx, inst) in instances.iter().enumerate() {
-        for shards in [1u32, 2] {
-            let gg = PlannerConfig::default().with_shards(shards);
-            let on = plan(inst, &gg);
-            let off = plan_with::<Walk<'_>>(inst, &gg, None);
-            assert!(
-                (on.revenue - off.revenue).abs() <= 1e-9 * off.revenue.abs().max(1.0),
-                "case {idx} shards {shards}: GG {} vs {}",
-                on.revenue,
-                off.revenue
-            );
-            assert_eq!(on.strategy.len(), off.strategy.len());
-            for z in on.strategy.iter() {
-                assert!(off.strategy.contains(z), "case {idx}: diverged at {z}");
-            }
-
-            let slg = gg.with_algorithm(PlanAlgorithm::SequentialLocalGreedy);
-            let on = plan(inst, &slg);
-            let off = plan_with::<Walk<'_>>(inst, &slg, None);
-            assert!(
-                (on.revenue - off.revenue).abs() <= 1e-9 * off.revenue.abs().max(1.0),
-                "case {idx} shards {shards}: SLG {} vs {}",
-                on.revenue,
-                off.revenue
-            );
-            assert_eq!(on.strategy.len(), off.strategy.len());
-        }
     }
 }

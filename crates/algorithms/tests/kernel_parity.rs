@@ -1,17 +1,12 @@
-//! Randomized kernel-parity suite.
+//! Randomized engine-parity suite.
 //!
-//! The flat engine *compiles* each (user, class) group to a marginal
-//! kernel at construction time (mixed-β walk, uniform-β walk, uniform-β
-//! aggregate, β ∈ {0, 1} degenerates — see `revmax_core::KernelId`), its
-//! default `AggregateMode::Auto` depth-gates the aggregate kernels, and
-//! every G-Greedy plan runs on the tournament-tree selection core, on one
-//! shard or several. None of that may change a single plan. On random
-//! instances that deliberately mix every kernel shape and straddle the Auto
-//! depth gate, this suite asserts:
+//! Every G-Greedy plan runs on the tournament-tree selection core, on one
+//! shard or several, over the flat engine's slab walk. None of that may
+//! change a single plan. On random instances whose classes are shaped
+//! uniform-β, mixed-β, β = 1 or β = 0, this suite asserts:
 //!
-//! * **Compiled kernels == walk == hash engine.** Plans produced by the flat
-//!   engine match the walk-only engine (`revmax_oracle::Walk`) and the hash
-//!   engine, both run through [`plan_with`], to 1e-9 in revenue with
+//! * **Flat == hash engine.** Plans produced by the flat engine match the
+//!   hash engine run through [`plan_with`] to 1e-9 in revenue with
 //!   identically sized, valid strategies — across GG and SLG, at 1 and 2
 //!   shards.
 //! * **The tree == the heap oracle, bit for bit.** Every G-Greedy plan, at 1
@@ -24,10 +19,8 @@
 //!   ([`plan_residual`] with `warm_start`) reproduce the cold plans exactly,
 //!   and still seed/return the pooled buffers.
 //!
-//! The generator is deliberately adversarial about kernel coverage: classes
-//! are independently shaped uniform-β, mixed-β, β = 1 (memoryless) or β = 0
-//! (full saturation), and horizons span 2–6 so the Auto gate
-//! (`horizon ≥ 4 && group candidates ≥ 2`) lands groups on both sides.
+//! The generator shapes each class independently as uniform-β, mixed-β,
+//! β = 1 (memoryless) or β = 0 (full saturation), over horizons 2–6.
 
 mod oracle;
 
@@ -39,13 +32,11 @@ use revmax_algorithms::{
 };
 use revmax_core::{
     residual_of_validated, validate_events, AdoptionEvent, EngineSnapshot,
-    IncrementalRevenue as Flat, Instance, InstanceBuilder, ItemId, ResidualDelta, RevenueEngine,
-    Triple,
+    IncrementalRevenue as Flat, Instance, InstanceBuilder, ResidualDelta, RevenueEngine, Triple,
 };
-use revmax_oracle::{Eager, HashIncrementalRevenue as Hash, Walk};
+use revmax_oracle::{Eager, HashIncrementalRevenue as Hash};
 
-/// Per-class kernel shape the generator aimed for (the compiler re-derives
-/// the true shape from the built instance; this is only used for coverage
+/// Per-class β shape the generator aimed for (used for coverage
 /// accounting).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Shape {
@@ -55,11 +46,10 @@ enum Shape {
     Zero,
 }
 
-/// A small instance mixing every kernel shape: 2–4 classes, each drawn as
-/// uniform-β, per-item mixed-β, β = 1 or β = 0; horizons 2–6 straddle the
-/// `AggregateMode::Auto` depth gate; tight capacities so saturation and
-/// capacity retirement both fire.
-fn random_kernel_instance(rng: &mut StdRng) -> (Instance, Vec<Shape>) {
+/// A small instance mixing every class shape: 2–4 classes, each drawn as
+/// uniform-β, per-item mixed-β, β = 1 or β = 0; horizons 2–6; tight
+/// capacities so saturation and capacity retirement both fire.
+fn random_parity_instance(rng: &mut StdRng) -> (Instance, Vec<Shape>) {
     let num_users = rng.gen_range(2u32..=5);
     let num_items = rng.gen_range(3u32..=6);
     let horizon = rng.gen_range(2u32..=6);
@@ -101,7 +91,7 @@ fn random_kernel_instance(rng: &mut StdRng) -> (Instance, Vec<Shape>) {
             }
         }
     }
-    (b.build().expect("kernel instance must build"), shapes)
+    (b.build().expect("parity instance must build"), shapes)
 }
 
 /// Valid random event prefix up to `now` (same scheme as the residual suite).
@@ -187,23 +177,13 @@ fn assert_heap_plan<'a, E: RevenueEngine<'a>>(
 }
 
 #[test]
-fn compiled_kernels_match_generic_walk_and_hash_engine() {
+fn flat_plans_match_the_hash_engine_and_the_heap_oracle() {
     let mut rng = StdRng::seed_from_u64(0x4b45_524e);
     let mut degenerate_cases = 0u32;
-    let mut agg_gated_cases = 0u32;
-    let mut walk_gated_cases = 0u32;
     for case in 0..120u32 {
-        let (inst, shapes) = random_kernel_instance(&mut rng);
+        let (inst, shapes) = random_parity_instance(&mut rng);
         if shapes.contains(&Shape::Unit) || shapes.contains(&Shape::Zero) {
             degenerate_cases += 1;
-        }
-        let has_uniform =
-            (0..inst.num_items()).any(|i| inst.beta(ItemId(i)) > 0.0 && inst.beta(ItemId(i)) < 1.0);
-        if has_uniform && inst.horizon() >= 4 {
-            agg_gated_cases += 1;
-        }
-        if inst.horizon() < 4 {
-            walk_gated_cases += 1;
         }
 
         for algorithm in ALGORITHMS {
@@ -211,48 +191,36 @@ fn compiled_kernels_match_generic_walk_and_hash_engine() {
                 let base = PlannerConfig::default()
                     .with_algorithm(algorithm)
                     .with_shards(shards);
-                let kernels = plan(&inst, &base);
-                let walk = plan_with::<Walk<'_>>(&inst, &base, None);
+                let flat = plan(&inst, &base);
                 let hash = plan_with::<Hash<'_>>(&inst, &base, None);
-                for (label, other) in [("walk", &walk), ("hash", &hash)] {
-                    assert!(
-                        (kernels.revenue - other.revenue).abs()
-                            <= 1e-9 * kernels.revenue.abs().max(1.0),
-                        "case {case} {algorithm:?} shards {shards}: kernels {} vs {label} {}",
-                        kernels.revenue,
-                        other.revenue
-                    );
-                    assert_eq!(
-                        kernels.strategy.len(),
-                        other.strategy.len(),
-                        "case {case} {algorithm:?} shards {shards}: {label} strategy size"
-                    );
-                }
                 assert!(
-                    kernels.strategy.validate(&inst).is_ok(),
-                    "case {case} {algorithm:?} shards {shards}: compiled-kernel plan invalid"
+                    (flat.revenue - hash.revenue).abs() <= 1e-9 * flat.revenue.abs().max(1.0),
+                    "case {case} {algorithm:?} shards {shards}: flat {} vs hash {}",
+                    flat.revenue,
+                    hash.revenue
+                );
+                assert_eq!(
+                    flat.strategy.len(),
+                    hash.strategy.len(),
+                    "case {case} {algorithm:?} shards {shards}: hash strategy size"
+                );
+                assert!(
+                    flat.strategy.validate(&inst).is_ok(),
+                    "case {case} {algorithm:?} shards {shards}: flat plan invalid"
                 );
                 if algorithm == PlanAlgorithm::GlobalGreedy {
                     let label = |engine| format!("case {case} shards {shards} {engine}");
-                    assert_heap_plan::<Flat<'_>>(&label("kernels"), &inst, &base, &kernels);
-                    assert_heap_plan::<Walk<'_>>(&label("walk"), &inst, &base, &walk);
+                    assert_heap_plan::<Flat<'_>>(&label("flat"), &inst, &base, &flat);
                     assert_heap_plan::<Hash<'_>>(&label("hash"), &inst, &base, &hash);
                 }
             }
         }
     }
-    // The suite must exercise every kernel family, not vacuously pass on one.
+    // The suite must exercise the degenerate β classes, not vacuously pass
+    // without them.
     assert!(
         degenerate_cases >= 15,
         "only {degenerate_cases} of 120 cases had β ∈ {{0, 1}} classes"
-    );
-    assert!(
-        agg_gated_cases >= 15,
-        "only {agg_gated_cases} of 120 cases could clear the Auto depth gate"
-    );
-    assert!(
-        walk_gated_cases >= 15,
-        "only {walk_gated_cases} of 120 cases sat below the Auto depth gate"
     );
 }
 
@@ -280,7 +248,7 @@ fn tree_vs_heap<'a, E: RevenueEngine<'a>>(label: &str, inst: &'a Instance, base:
 fn tree_plans_are_bit_identical_to_the_heap_oracle() {
     let mut rng = StdRng::seed_from_u64(0x0ba7_c4ed);
     for case in 0..60u32 {
-        let (inst, _) = random_kernel_instance(&mut rng);
+        let (inst, _) = random_parity_instance(&mut rng);
         for algorithm in [
             PlanAlgorithm::GlobalGreedy,
             PlanAlgorithm::GlobalNoSaturation,
@@ -303,7 +271,7 @@ fn tree_plans_are_bit_identical_to_the_heap_oracle() {
 /// 150–300 leaf blocks of 16 candidates under a winner tree eight or nine
 /// levels deep, and a column block re-summarises the four or five leaf
 /// blocks under one user's ~54 candidates at once.
-fn large_kernel_instance(rng: &mut StdRng) -> Instance {
+fn large_parity_instance(rng: &mut StdRng) -> Instance {
     let num_users = 90;
     let num_items = 60;
     let horizon = rng.gen_range(4u32..=6);
@@ -316,8 +284,8 @@ fn large_kernel_instance(rng: &mut StdRng) -> Instance {
     for item in 0..num_items {
         let class = rng.gen_range(0..num_classes);
         b.item_class(item, class);
-        // Half the classes uniform-β, half mixed, so both kernel families
-        // run under the tree.
+        // Half the classes uniform-β, half mixed, so both class shapes run
+        // under the tree.
         b.beta(
             item,
             if class % 2 == 0 {
@@ -338,14 +306,14 @@ fn large_kernel_instance(rng: &mut StdRng) -> Instance {
             }
         }
     }
-    b.build().expect("large kernel instance must build")
+    b.build().expect("large parity instance must build")
 }
 
 #[test]
 fn tree_matches_the_heap_oracle_at_scale() {
     let mut rng = StdRng::seed_from_u64(0x0070_4a4e);
     for case in 0..3u32 {
-        let inst = large_kernel_instance(&mut rng);
+        let inst = large_parity_instance(&mut rng);
         let now = rng.gen_range(1..inst.horizon());
         let events = random_events(&mut rng, &inst, now);
         let residual = residual_of_validated(&inst, &events, now);
@@ -411,7 +379,7 @@ fn warm_vs_cold<'a, E: RevenueEngine<'a>>(
 fn warm_replans_match_cold_and_the_heap_oracle() {
     let mut rng = StdRng::seed_from_u64(0x3a64_77a8);
     for case in 0..60u32 {
-        let (inst, _) = random_kernel_instance(&mut rng);
+        let (inst, _) = random_parity_instance(&mut rng);
         let now = rng.gen_range(1..inst.horizon());
         let events = random_events(&mut rng, &inst, now);
         let residual = residual_of_validated(&inst, &events, now);

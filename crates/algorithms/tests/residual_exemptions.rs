@@ -281,22 +281,19 @@ fn incremental_residuals_match_from_scratch_across_random_histories() {
     }
 }
 
-/// Exempt-user residuals re-planned with the saturation-aggregate fast path
-/// engaged: uniform-β instances (one β per class) produce residuals whose
-/// exempt capacity accounting and aggregate marginals compose — plans match
-/// the walk-only engine and the hash engine to 1e-9, warm and cold, and the
-/// warm path still hands its recycled aggregate buffers back through the
-/// snapshot pool.
+/// Exempt-user residuals of uniform-β instances (one β per class) replan
+/// identically: plans match the hash engine to 1e-9, warm and cold, and the
+/// warm path still hands its recycled buffers back through the snapshot
+/// pool.
 #[test]
-fn exempt_residuals_replan_identically_with_aggregates_on() {
+fn exempt_residuals_replan_identically_on_uniform_beta_instances() {
     use revmax_algorithms::plan_residual;
-    use revmax_oracle::Walk;
 
     let mut rng = StdRng::seed_from_u64(0xA66E);
     let mut binding_cases = 0u32;
     for case in 0..60u32 {
         // Uniform-β variant of the storefront-shaped generator: one β per
-        // class, so every residual group qualifies for aggregates.
+        // class.
         let num_users = rng.gen_range(3u32..=5);
         let num_items = rng.gen_range(3u32..=6);
         let horizon = rng.gen_range(3u32..=5);
@@ -321,12 +318,10 @@ fn exempt_residuals_replan_identically_with_aggregates_on() {
             }
         }
         let inst = b.build().expect("uniform-beta instance must build");
-        assert!(inst.all_beta_uniform());
 
         let now = rng.gen_range(1..inst.horizon());
         let events = random_events(&mut rng, &inst, now);
         let residual = residual_of_validated(&inst, &events, now);
-        assert!(residual.all_beta_uniform(), "case {case}: residual profile");
         if residual.has_exemptions() {
             binding_cases += 1;
         }
@@ -335,29 +330,23 @@ fn exempt_residuals_replan_identically_with_aggregates_on() {
         let delta = ResidualDelta::initial(snapshot.clone());
         for shards in [1u32, 2] {
             let base = PlannerConfig::default().with_shards(shards);
-            let agg_cold = plan(&residual, &base);
-            let walk_cold = plan_with::<Walk<'_>>(&residual, &base, None);
+            let cold = plan(&residual, &base);
             let hash_cold = plan_with::<Hash<'_>>(&residual, &base, None);
-            let agg_warm = plan_residual(&residual, &base.with_warm_start(true), Some(&delta));
-            for (label, other) in [
-                ("walk", &walk_cold),
-                ("hash", &hash_cold),
-                ("warm", &agg_warm),
-            ] {
+            let warm = plan_residual(&residual, &base.with_warm_start(true), Some(&delta));
+            for (label, other) in [("hash", &hash_cold), ("warm", &warm)] {
                 assert!(
-                    (agg_cold.revenue - other.revenue).abs()
-                        <= 1e-9 * agg_cold.revenue.abs().max(1.0),
-                    "case {case} shards {shards}: aggregates {} vs {label} {}",
-                    agg_cold.revenue,
+                    (cold.revenue - other.revenue).abs() <= 1e-9 * cold.revenue.abs().max(1.0),
+                    "case {case} shards {shards}: flat {} vs {label} {}",
+                    cold.revenue,
                     other.revenue
                 );
                 assert_eq!(
-                    agg_cold.strategy.len(),
+                    cold.strategy.len(),
                     other.strategy.len(),
                     "case {case} shards {shards}: {label} size"
                 );
             }
-            assert!(agg_cold.strategy.validate(&residual).is_ok());
+            assert!(cold.strategy.validate(&residual).is_ok());
         }
         assert!(
             snapshot.has_tables(),

@@ -18,31 +18,12 @@
 //! Every row runs the same drivers through `plan_with`; only the engine type
 //! differs (`hash_new_driver` is `revmax_oracle::HashIncrementalRevenue`,
 //! `flat_arena` the planner's `IncrementalRevenue`).
-//!
-//! A second section benches the compiled marginal kernels: the same
-//! amazon-shaped dataset regenerated with **one β per item class**
-//! (`BetaSetting::PerClassRandom`, every class `BetaProfile::Uniform`), timed
-//! in two interleaved modes —
-//!
-//! * `flat_walk`    — `revmax_oracle::Walk`: every group on the slab-walk
-//!   kernels;
-//! * `flat_kernels` — the planner's engine (`AggregateMode::Auto`): the
-//!   compiled-kernel hot path.
-//!
-//! Both are parity-asserted to relative 1e-9. The headlines under the
-//! `uniform_beta` key are `gg_speedup_aggregates_over_walk` and
-//! `slg_speedup_aggregates_over_walk`.
-//!
-//! With `REVMAX_BENCH_ENFORCE=1` the emitter *fails* (panics) if either
-//! kernels-vs-walk ratio — computed from per-mode **min** times, the
-//! noise-robust statistic — drops below 0.95×; CI runs the smoke bench with
-//! this tripwire armed.
 
-use revmax_algorithms::{plan_with, GreedyOutcome, PlanAlgorithm, PlannerConfig};
+use revmax_algorithms::{plan_with, PlanAlgorithm, PlannerConfig};
 use revmax_bench::seed_global_greedy;
 use revmax_core::{env, IncrementalRevenue, Instance, RevenueEngine};
-use revmax_data::{generate, BetaSetting, DatasetConfig};
-use revmax_oracle::{HashIncrementalRevenue, Walk};
+use revmax_data::{generate, DatasetConfig};
+use revmax_oracle::HashIncrementalRevenue;
 use std::time::Instant;
 
 struct Row {
@@ -174,97 +155,6 @@ fn main() {
         );
     }
 
-    // --- compiled marginal kernels: uniform-β amazon-shaped variant ---
-    eprintln!("generating uniform-beta (per-class) variant ...");
-    let mut agg_config = DatasetConfig::amazon_like().scaled(scale);
-    agg_config.beta = BetaSetting::PerClassRandom;
-    agg_config.name.push_str("-classbeta");
-    let agg_ds = generate(&agg_config);
-    let agg_inst = &agg_ds.instance;
-    assert!(
-        agg_inst.all_beta_uniform(),
-        "per-class betas must make every class uniform"
-    );
-    // Samples are interleaved round-robin (walk, kernels, …) so host noise
-    // and cache warm-up hit both modes equally.
-    type Runner<'r> = Box<dyn Fn(&PlannerConfig) -> GreedyOutcome + 'r>;
-    let kernel_modes: [(&'static str, Runner<'_>); 2] = [
-        (
-            "flat_walk",
-            Box::new(|cfg| plan_with::<Walk<'_>>(agg_inst, cfg, None)),
-        ),
-        (
-            "flat_kernels",
-            Box::new(|cfg| plan_with::<IncrementalRevenue<'_>>(agg_inst, cfg, None)),
-        ),
-    ];
-    let mut agg_rows = Vec::new();
-    for (algorithm, cfg) in algorithms() {
-        let mut times = [Vec::new(), Vec::new()];
-        let mut results = [(0.0, 0usize); 2];
-        for _ in 0..samples {
-            for (mode, (_, runner)) in kernel_modes.iter().enumerate() {
-                let t0 = Instant::now();
-                let out = runner(&cfg);
-                times[mode].push(t0.elapsed().as_nanos());
-                results[mode] = (out.revenue, out.strategy.len());
-            }
-        }
-        for (mode, (engine, _)) in kernel_modes.iter().enumerate() {
-            agg_rows.push(Row {
-                algorithm,
-                engine,
-                median_ns: median(times[mode].clone()),
-                min_ns: *times[mode].iter().min().expect("samples > 0"),
-                revenue: results[mode].0,
-                strategy_len: results[mode].1,
-            });
-        }
-    }
-    let agg_row = |alg: &str, engine: &str| {
-        agg_rows
-            .iter()
-            .find(|r| r.algorithm == alg && r.engine == engine)
-            .expect("all kernel modes benched")
-    };
-    for alg in ["GG", "SLG"] {
-        let walk = agg_row(alg, "flat_walk");
-        let kernels = agg_row(alg, "flat_kernels");
-        assert!(
-            (walk.revenue - kernels.revenue).abs() <= 1e-9 * walk.revenue.abs().max(1.0),
-            "{alg}: kernel modes disagree: walk {} vs kernels {}",
-            walk.revenue,
-            kernels.revenue
-        );
-        assert_eq!(
-            walk.strategy_len, kernels.strategy_len,
-            "{alg}: strategy sizes diverged across kernel modes"
-        );
-        let speedup = walk.median_ns as f64 / kernels.median_ns as f64;
-        eprintln!(
-            "{alg} uniform-beta: walk {:>12} ns  kernels {:>12} ns  speedup {speedup:.2}x",
-            walk.median_ns, kernels.median_ns
-        );
-    }
-    let agg_speedup = |alg: &str| {
-        agg_row(alg, "flat_walk").median_ns as f64 / agg_row(alg, "flat_kernels").median_ns as f64
-    };
-
-    // Perf-regression tripwire (CI smoke): min-time ratios are the
-    // noise-robust statistic on a 2-sample run.
-    if env::var_or("REVMAX_BENCH_ENFORCE", 0u32) != 0 {
-        let floor = 0.95;
-        for alg in ["GG", "SLG"] {
-            let r = agg_row(alg, "flat_walk").min_ns as f64
-                / agg_row(alg, "flat_kernels").min_ns as f64;
-            assert!(
-                r >= floor,
-                "{alg}: kernels-vs-walk min-time ratio {r:.3} fell below {floor}"
-            );
-            eprintln!("enforce: {alg} kernels-vs-walk min-time ratio {r:.3} >= {floor}");
-        }
-    }
-
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"dataset\": \"amazon_like.scaled({scale})\",\n"
@@ -314,39 +204,9 @@ fn main() {
     let speedup_vs_seed = gg_seed.median_ns as f64 / gg_flat.median_ns as f64;
     eprintln!("GG speedup vs pre-refactor seed baseline: {speedup_vs_seed:.2}x");
     json.push_str(&format!(
-        "  \"gg_speedup_flat_over_seed\": {:.3},\n  \"gg_speedup_flat_over_hash_new_driver\": {:.3},\n",
+        "  \"gg_speedup_flat_over_seed\": {:.3},\n  \"gg_speedup_flat_over_hash_new_driver\": {:.3}\n}}\n",
         speedup_vs_seed,
         gg_hash.median_ns as f64 / gg_flat.median_ns as f64
-    ));
-    json.push_str("  \"uniform_beta\": {\n");
-    json.push_str(&format!(
-        "    \"dataset\": \"amazon_like.scaled({scale}) + BetaSetting::PerClassRandom\",\n"
-    ));
-    json.push_str(&format!(
-        "    \"num_users\": {}, \"num_items\": {}, \"horizon\": {}, \"num_candidates\": {},\n",
-        agg_inst.num_users(),
-        agg_inst.num_items(),
-        agg_inst.horizon(),
-        agg_inst.num_candidates()
-    ));
-    json.push_str("    \"measurements\": [\n");
-    for (idx, r) in agg_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"algorithm\": \"{}\", \"engine\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"revenue\": {:.6}, \"strategy_len\": {}}}{}\n",
-            r.algorithm,
-            r.engine,
-            r.median_ns,
-            r.min_ns,
-            r.revenue,
-            r.strategy_len,
-            if idx + 1 < agg_rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!(
-        "    \"gg_speedup_aggregates_over_walk\": {:.3},\n    \"slg_speedup_aggregates_over_walk\": {:.3}\n  }}\n}}\n",
-        agg_speedup("GG"),
-        agg_speedup("SLG")
     ));
     std::fs::write(&out_path, json).expect("write BENCH_greedy.json");
     eprintln!("wrote {out_path}");

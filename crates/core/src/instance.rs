@@ -43,55 +43,6 @@ impl ExemptSets {
     }
 }
 
-/// The saturation-factor structure of one item class, detected at
-/// [`Instance`] build time.
-///
-/// When every item of a class carries the **bit-identical** saturation
-/// factor `β`, the per-(user, class) saturation bookkeeping of the flat
-/// revenue engine closes under insertion into per-time aggregates — the
-/// saturation-aggregate fast path evaluates marginals in `O(T)` without
-/// walking the group's selected triples (see
-/// [`crate::revenue::IncrementalRevenue`]). Classes whose items disagree on
-/// `β` report [`BetaProfile::Mixed`] and always use the exact slab walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BetaProfile {
-    /// Every item of the class shares this saturation factor (single-item
-    /// classes are trivially uniform).
-    Uniform(f64),
-    /// The class contains items with differing saturation factors.
-    Mixed,
-}
-
-impl BetaProfile {
-    /// Whether the class qualifies for the saturation-aggregate fast path.
-    #[inline]
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, BetaProfile::Uniform(_))
-    }
-}
-
-/// Computes the per-class [`BetaProfile`]s from the class → items map and the
-/// per-item saturation factors. Uniformity is exact bit equality: the fast
-/// path substitutes one item's power table for another's, which is only
-/// value-preserving when the betas are the same `f64`.
-fn beta_profiles(class_items: &[Vec<ItemId>], beta: &[f64]) -> Vec<BetaProfile> {
-    class_items
-        .iter()
-        .map(|items| {
-            let mut iter = items.iter();
-            let Some(first) = iter.next() else {
-                return BetaProfile::Uniform(1.0);
-            };
-            let b = beta[first.index()];
-            if iter.all(|i| beta[i.index()].to_bits() == b.to_bits()) {
-                BetaProfile::Uniform(b)
-            } else {
-                BetaProfile::Mixed
-            }
-        })
-        .collect()
-}
-
 /// An immutable REVMAX problem instance (Problem 1 of the paper).
 #[derive(Debug, Clone)]
 pub struct Instance {
@@ -102,9 +53,6 @@ pub struct Instance {
     display_limit: u32,
     item_class: Vec<ClassId>,
     class_items: Vec<Vec<ItemId>>,
-    /// Per-class saturation profile (see [`BetaProfile`]), derived from
-    /// `beta` at build time.
-    class_beta: Vec<BetaProfile>,
     capacity: Vec<u32>,
     /// Users whose displays of an item are exempt from its capacity.
     exempt: Arc<ExemptSets>,
@@ -209,28 +157,6 @@ impl Instance {
     #[inline]
     pub fn beta(&self, item: ItemId) -> f64 {
         self.beta[item.index()]
-    }
-
-    /// The saturation profile of a class: [`BetaProfile::Uniform`] when every
-    /// item of the class shares the same `β` (detected at build time), which
-    /// qualifies the class for the saturation-aggregate fast path of the flat
-    /// revenue engine.
-    #[inline]
-    pub fn beta_profile(&self, class: ClassId) -> BetaProfile {
-        self.class_beta[class.index()]
-    }
-
-    /// The per-class saturation profiles (indexed by class id).
-    #[inline]
-    pub fn beta_profiles(&self) -> &[BetaProfile] {
-        &self.class_beta
-    }
-
-    /// Whether **every** class carries a uniform saturation factor — the
-    /// instance-wide precondition under which the flat engine's aggregate
-    /// fast path covers every (user, class) group.
-    pub fn all_beta_uniform(&self) -> bool {
-        self.class_beta.iter().all(BetaProfile::is_uniform)
     }
 
     /// The exogenous price `p(i, t)`.
@@ -362,7 +288,6 @@ impl Instance {
         for b in &mut copy.beta {
             *b = 1.0;
         }
-        copy.class_beta = beta_profiles(&copy.class_items, &copy.beta);
         copy
     }
 
@@ -503,7 +428,6 @@ impl Instance {
             display_limit: original.display_limit,
             item_class: original.item_class.clone(),
             class_items: original.class_items.clone(),
-            class_beta: original.class_beta.clone(),
             capacity,
             exempt: Arc::new(exempt),
             beta: original.beta.clone(),
@@ -807,7 +731,6 @@ impl InstanceBuilder {
         for (item, class) in item_class.iter().enumerate() {
             class_items[class.index()].push(ItemId(item as u32));
         }
-        let class_beta = beta_profiles(&class_items, &self.beta);
 
         Ok(Instance {
             num_users: self.num_users,
@@ -817,7 +740,6 @@ impl InstanceBuilder {
             display_limit: self.display_limit,
             item_class,
             class_items,
-            class_beta,
             capacity: self.capacity.clone(),
             exempt: Arc::new(ExemptSets {
                 per_item: exempt_per_item,
@@ -1048,39 +970,12 @@ mod tests {
     }
 
     #[test]
-    fn beta_profiles_detect_uniform_and_mixed_classes() {
-        // small_builder: items 0, 1 share class 10 with betas 0.5 / 1.0
-        // (default) → Mixed; item 2 is alone in class 20 → trivially Uniform.
+    fn without_saturation_sets_every_beta_to_one() {
         let inst = small_builder().build().unwrap();
-        let c01 = inst.class_of(ItemId(0));
-        let c2 = inst.class_of(ItemId(2));
-        assert_eq!(inst.beta_profile(c01), BetaProfile::Mixed);
-        assert_eq!(inst.beta_profile(c2), BetaProfile::Uniform(1.0));
-        assert!(!inst.all_beta_uniform());
-
-        // Aligning the betas makes the two-item class uniform.
-        let mut b = small_builder();
-        b.beta(1, 0.5);
-        let inst = b.build().unwrap();
-        assert_eq!(inst.beta_profile(c01), BetaProfile::Uniform(0.5));
-        assert!(inst.all_beta_uniform());
-
-        // β ∈ {0, 1} extremes are ordinary uniform values.
-        let mut b = small_builder();
-        b.beta(0, 0.0).beta(1, 0.0).beta(2, 1.0);
-        let inst = b.build().unwrap();
-        assert_eq!(inst.beta_profile(c01), BetaProfile::Uniform(0.0));
-        assert_eq!(inst.beta_profile(c2), BetaProfile::Uniform(1.0));
-    }
-
-    #[test]
-    fn without_saturation_resets_beta_profiles() {
-        let inst = small_builder().build().unwrap();
-        assert!(!inst.all_beta_uniform());
+        assert_eq!(inst.beta(ItemId(0)), 0.5);
         let no_sat = inst.without_saturation();
-        assert!(no_sat.all_beta_uniform());
-        for profile in no_sat.beta_profiles() {
-            assert_eq!(*profile, BetaProfile::Uniform(1.0));
+        for item in 0..no_sat.num_items() {
+            assert_eq!(no_sat.beta(ItemId(item)), 1.0);
         }
     }
 

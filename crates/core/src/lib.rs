@@ -86,12 +86,12 @@ pub use events::{
     AdoptionEvent, AdoptionOutcome, EventError, ResidualMode,
 };
 pub use ids::{CandidateId, ClassId, ItemId, TimeStep, Triple, UserId};
-pub use instance::{BetaProfile, Instance, InstanceBuilder, UserShard};
+pub use instance::{Instance, InstanceBuilder, UserShard};
 pub use json::{JsonError, JsonValue};
 pub use revenue::{
-    dynamic_probabilities, dynamic_probability_of, marginal_revenue, revenue, AggregateMode,
-    AtomicCell, CapacityLedger, EngineSnapshot, IncrementalRevenue, KernelId, LedgerCell,
-    ResidualDelta, RevenueEngine, SharedCapacityLedger, SharedCapacityLedgerIn,
+    dynamic_probabilities, dynamic_probability_of, marginal_revenue, revenue, AtomicCell,
+    CapacityLedger, EngineSnapshot, IncrementalRevenue, LedgerCell, ResidualDelta, RevenueEngine,
+    SharedCapacityLedger, SharedCapacityLedgerIn,
 };
 pub use strategy::Strategy;
 pub use wire::WireError;

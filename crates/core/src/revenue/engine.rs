@@ -3,8 +3,8 @@
 //! The planner runs one implementation, the flat-arena
 //! [`super::IncrementalRevenue`] (zero hashing on the hot path). The
 //! test-only `revmax-oracle` crate holds the others — the original
-//! hash-based engine and wrappers for eager re-evaluation and walk-only
-//! kernels — which the parity suites plug into the same generic drivers.
+//! hash-based engine and a wrapper for eager re-evaluation — which the
+//! parity suites plug into the same generic drivers.
 
 use super::warm::ResidualDelta;
 use crate::ids::{CandidateId, TimeStep};

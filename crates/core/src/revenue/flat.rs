@@ -27,47 +27,18 @@
 //! triple-based compatibility API and handled on a cold path so the engine
 //! stays exactly equivalent to the from-scratch evaluator for any strategy.
 //!
-//! # The saturation-aggregate fast path (uniform-β classes)
+//! # One marginal path
 //!
-//! A marginal evaluation needs three quantities from the (user, class) group
-//! of the probed triple `(u, i, t)`:
-//!
-//! * the memory `Σ_{τ < t} count(τ) / (t − τ)`,
-//! * the competition product `Π_{τ ≤ t} Π_{e at τ} (1 − q_e)`, and
-//! * the loss on later selections `Σ_{τ > t} (Σ_{e at τ} p_e · q_dyn(e)) ·
-//!   ((1 − q) · β_e^{1/(τ − t)} − 1)` (plus the same-time `−q` term).
-//!
-//! The first two depend only on per-time-step *aggregates* of the group. The
-//! third mixes a per-entry factor `β_e^{1/(τ − t)}` into the sum — but when
-//! every item of the class shares one `β` (detected at build time as
-//! [`BetaProfile::Uniform`](crate::instance::BetaProfile), bit-exact
-//! equality), that factor is common per `τ` and factors out. Two per-(group,
-//! τ) accumulators then close under insertion:
-//!
-//! > `pros(τ) = β^{M(τ)} · Π_{e at τ' ≤ τ} (1 − q_e)` — the *prospective
-//! > potential*: an insertion at `τ0` multiplies `pros(τ)` by
-//! > `(1 − q) · β^{1/(τ − τ0)}` for `τ > τ0` and by `(1 − q)` at `τ0` — the
-//! > memory growth `β^{1/d}` is a **table lookup**, so queries need no `exp`;
-//! >
-//! > `wsum(τ) = Σ_{e at τ} p_e · q_dyn(e)` — updated by the *same* factors
-//! > the slab walk applies to each entry's `q_dyn`, so it tracks the sum to
-//! > the ulp.
-//!
-//! Both live in a lazily allocated per-group block of `2 · T` floats. A
-//! marginal at `t` is then `price · q_prim · pros(t)` plus a loss fold over
-//! the `wsum` suffix — `O(T − t)` table-driven flops, **no walk over the
-//! selected triples and no transcendental calls** (the slab walk pays one
-//! `exp` whenever the group has earlier same-class entries, plus one fused
-//! pass over all of them). Classes with mixed betas, and engines with
-//! aggregates disabled ([`IncrementalRevenue::set_aggregate_mode`] with
-//! [`AggregateMode::Off`]), keep the exact slab walk; the parity suites assert both paths agree to 1e-9 (the
-//! arithmetic differs only in association order — `β^{Σ 1/d}` becomes
-//! `Π β^{1/d}`). The slab itself stays authoritative either way — insertions
-//! still update every entry's `q_dyn`, so `dynamic_probability` and the
-//! revenue fold are identical in both modes.
+//! Every marginal query — [`IncrementalRevenue::marginal_revenue_cand`], the
+//! lane walk of [`IncrementalRevenue::marginal_revenue_batch`] and the fused
+//! walk of [`IncrementalRevenue::insert_cand`] — walks the probed group's slab
+//! once, folding the memory `Σ_{τ < t} 1/(t − τ)`, the competition product
+//! `Π (1 − q_e)` and the loss on later same-class selections with each
+//! entry's own `β_e^{1/(τ − t)}` row. β belongs to the item (Definition 1),
+//! so no class-level shortcut is taken: a uniform-β class walks exactly like
+//! a mixed one.
 
 use super::engine::RevenueEngine;
-use super::kernels::{effective_kernel, AggregateMode, ClassShape, KernelId};
 use super::ledger::CapacityLedger;
 use super::warm::{EngineSnapshot, FlatBuffers, ResidualDelta, SatTables};
 use crate::ids::{CandidateId, ClassId, TimeStep, Triple, UserId};
@@ -76,13 +47,6 @@ use crate::strategy::Strategy;
 use std::sync::Arc;
 
 const NONE: u32 = u32::MAX;
-
-/// `agg_start` sentinel: the group's class qualifies for the aggregate fast
-/// path but no block has been allocated yet (the group is empty).
-const AGG_UNALLOCATED: u32 = u32::MAX;
-/// `agg_start` sentinel: the group's class has mixed betas — the group always
-/// uses the exact slab walk.
-const AGG_INELIGIBLE: u32 = u32::MAX - 1;
 
 /// One selected triple stored in the group arena.
 #[derive(Debug, Clone, Copy, Default)]
@@ -156,46 +120,15 @@ pub struct IncrementalRevenue<'a> {
     /// Per shard-local candidate: whether its (item, user) pair was counted
     /// in the ledger.
     cand_counted: Vec<bool>,
+    /// Per shard-local candidate: compiled exempt-capacity bit. Empty unless
+    /// the instance carries exemptions; when populated, the hot capacity
+    /// check is two flat loads instead of a binary search per query.
+    cand_exempt: Vec<bool>,
     /// (item, user) pairs of inserted *non-candidate* triples (cold path).
     extra_seen: Vec<(u32, u32)>,
     /// Groups created on demand for non-candidate (user, class) pairs the
     /// static numbering has no slot for (cold path, linear-scanned).
     extra_groups: Vec<(u32, u32, u32)>,
-
-    // --- compiled kernels + saturation-aggregate fast path (see the module
-    // --- docs and `super::kernels`) ---
-    /// Aggregate-engagement mode ([`AggregateMode::Auto`] unless set through
-    /// [`IncrementalRevenue::set_aggregate_mode`]); changing it recompiles the per-group kernels while the strategy is
-    /// empty, and mid-run only the one-way fallback to the walks is honoured.
-    mode: AggregateMode,
-    /// Whether aggregate blocks are maintained on insertion (false once the
-    /// mode drops to [`AggregateMode::Off`]).
-    agg_enabled: bool,
-    /// Per group: the compiled [`KernelId`] byte the marginal hot path
-    /// dispatches on — classification happens at construction and on
-    /// [`IncrementalRevenue::set_aggregate_mode`], never per query.
-    kernel: Vec<u8>,
-    /// Per group: the [`ClassShape`] byte of its class (kernel recompilation
-    /// input).
-    group_shape: Vec<u8>,
-    /// Per group: number of candidates addressing it (depth signal of the
-    /// `Auto` gate).
-    group_cands: Vec<u32>,
-    /// Per shard-local candidate: compiled exempt-capacity bit. Empty unless
-    /// the instance carries exemptions; when populated, the hot capacity
-    /// check is two flat loads instead of a binary search per query.
-    cand_exempt: Vec<bool>,
-    /// Per group: start of its `2 · T` aggregate block in `agg`, or one of
-    /// the [`AGG_UNALLOCATED`] / [`AGG_INELIGIBLE`] sentinels.
-    agg_start: Vec<u32>,
-    /// Aggregate block arena: per allocated group `T` prospective potentials
-    /// (`β^M · Π (1 − q)`) and `T` sums of `p · q_dyn`, indexed by time.
-    agg: Vec<f64>,
-    /// Per group: one past the largest occupied time index (0 = empty).
-    /// Bounds the loss fold — `wsum` is identically 0 beyond it, so queries
-    /// probing at or past the group's last selection skip the fold entirely
-    /// (the chronological SL-Greedy scans always do).
-    agg_hi: Vec<u32>,
 }
 
 impl<'a> IncrementalRevenue<'a> {
@@ -279,12 +212,6 @@ impl<'a> IncrementalRevenue<'a> {
             mut selected,
             mut display_count,
             mut cand_counted,
-            mut agg_start,
-            mut agg,
-            mut agg_hi,
-            mut kernel,
-            mut group_shape,
-            mut group_cands,
             mut cand_exempt,
         } = buffers;
 
@@ -292,26 +219,11 @@ impl<'a> IncrementalRevenue<'a> {
         // stamped scan over each shard user's candidates assigns dense group
         // slots without hashing. Stamps avoid clearing the per-class scratch
         // rows. Every shard candidate is assigned, so the recycled buffer
-        // needs resizing only, not clearing. The same pass records each
-        // group's class shape and candidate count — the inputs of the kernel
-        // compilation pass (see `super::kernels`) run right after.
+        // needs resizing only, not clearing.
         let num_classes = inst.num_classes() as usize;
-        let class_shape: Vec<ClassShape> = (0..num_classes)
-            .map(|c| {
-                ClassShape::of(
-                    inst.beta_profile(crate::ids::ClassId(c as u32)),
-                    ignore_saturation,
-                )
-            })
-            .collect();
         let mut class_stamp = vec![NONE; num_classes];
         let mut class_group = vec![0u32; num_classes];
         cand_group.resize(num_cand, 0);
-        agg_start.clear();
-        agg_hi.clear();
-        kernel.clear();
-        group_shape.clear();
-        group_cands.clear();
         let mut num_groups: u32 = 0;
         for user in shard.user_start()..shard.user_end() {
             for cand in inst.candidates_of_user(UserId(user)) {
@@ -320,15 +232,8 @@ impl<'a> IncrementalRevenue<'a> {
                     class_stamp[class] = user;
                     class_group[class] = num_groups;
                     num_groups += 1;
-                    group_shape.push(class_shape[class].as_u8());
-                    group_cands.push(0);
-                    kernel.push(KernelId::MixedWalk.as_u8());
-                    agg_start.push(AGG_INELIGIBLE);
-                    agg_hi.push(0);
                 }
-                let g = class_group[class];
-                group_cands[g as usize] += 1;
-                cand_group[(cand.0 - shard.cand_start()) as usize] = g;
+                cand_group[(cand.0 - shard.cand_start()) as usize] = class_group[class];
             }
         }
 
@@ -357,9 +262,8 @@ impl<'a> IncrementalRevenue<'a> {
         display_count.resize(shard.num_users() * horizon, 0);
         cand_counted.clear();
         cand_counted.resize(num_cand, false);
-        agg.clear();
 
-        let mut this = IncrementalRevenue {
+        IncrementalRevenue {
             inst,
             shard,
             ignore_saturation,
@@ -378,77 +282,8 @@ impl<'a> IncrementalRevenue<'a> {
             cand_counted,
             extra_seen: Vec::new(),
             extra_groups: Vec::new(),
-            mode: AggregateMode::default(),
-            agg_enabled: AggregateMode::default().allows_aggregates(),
-            kernel,
-            group_shape,
-            group_cands,
             cand_exempt,
-            agg_start,
-            agg,
-            agg_hi,
-        };
-        this.recompile_kernels();
-        this
-    }
-
-    /// The kernel compilation pass: derives every group's effective
-    /// [`KernelId`] from its class shape, the aggregate mode, and the `Auto`
-    /// depth gate, and resets the aggregate sentinels accordingly. Only legal
-    /// while the strategy is empty (sentinel resets discard block state).
-    fn recompile_kernels(&mut self) {
-        debug_assert!(self.strategy.is_empty());
-        let horizon = self.inst.horizon();
-        for g in 0..self.kernel.len() {
-            let shape = ClassShape::from_u8(self.group_shape[g]);
-            let k = effective_kernel(shape, self.mode, horizon, self.group_cands[g]);
-            self.kernel[g] = k.as_u8();
-            self.agg_start[g] = if self.agg_enabled && k.uses_aggregates() {
-                AGG_UNALLOCATED
-            } else {
-                AGG_INELIGIBLE
-            };
         }
-    }
-
-    /// Sets the aggregate-engagement mode and recompiles the per-group
-    /// kernels (see `super::kernels`). Purely a performance knob: every mode
-    /// selects among paths that agree to 1e-9 (asserted by the kernel-parity
-    /// suites).
-    ///
-    /// Normally configured once, before the first insertion: the planner
-    /// keeps the construction-time `Auto`, and the parity suites' walk-only
-    /// reference engine sets `Off`. Mid-run changes are safe
-    /// but one-way: dropping to [`AggregateMode::Off`] downgrades every
-    /// group to its walk kernel for all later queries, while any other
-    /// mid-run change is ignored — blocks that missed inserts while a walk
-    /// kernel was active must never be read again.
-    pub fn set_aggregate_mode(&mut self, mode: AggregateMode) {
-        if self.strategy.is_empty() {
-            self.mode = mode;
-            self.agg_enabled = mode.allows_aggregates();
-            self.recompile_kernels();
-            return;
-        }
-        if !mode.allows_aggregates() {
-            self.mode = mode;
-            self.agg_enabled = false;
-            for (k, &shape) in self.kernel.iter_mut().zip(&self.group_shape) {
-                if ClassShape::from_u8(shape) != ClassShape::Mixed {
-                    *k = KernelId::UniformWalk.as_u8();
-                }
-            }
-        }
-    }
-
-    /// Whether the aggregate fast path can engage for at least one of this
-    /// evaluator's groups (probe for benches and tests).
-    pub fn aggregates_active(&self) -> bool {
-        self.agg_enabled
-            && self
-                .kernel
-                .iter()
-                .any(|&k| KernelId::from_u8(k).uses_aggregates())
     }
 
     /// The user/candidate range this evaluator covers.
@@ -509,12 +344,6 @@ impl<'a> IncrementalRevenue<'a> {
                     selected: std::mem::take(&mut self.selected),
                     display_count: std::mem::take(&mut self.display_count),
                     cand_counted: std::mem::take(&mut self.cand_counted),
-                    agg_start: std::mem::take(&mut self.agg_start),
-                    agg: std::mem::take(&mut self.agg),
-                    agg_hi: std::mem::take(&mut self.agg_hi),
-                    kernel: std::mem::take(&mut self.kernel),
-                    group_shape: std::mem::take(&mut self.group_shape),
-                    group_cands: std::mem::take(&mut self.group_cands),
                     cand_exempt: std::mem::take(&mut self.cand_exempt),
                 },
             );
@@ -641,135 +470,8 @@ impl<'a> IncrementalRevenue<'a> {
         self.group_start.push(NONE);
         self.group_len.push(0);
         self.group_cap.push(0);
-        let shape = ClassShape::of(self.inst.beta_profile(class), self.ignore_saturation);
-        let k = effective_kernel(shape, self.mode, self.inst.horizon(), 0);
-        self.group_shape.push(shape.as_u8());
-        self.group_cands.push(0);
-        self.kernel.push(k.as_u8());
-        self.agg_start
-            .push(if self.agg_enabled && k.uses_aggregates() {
-                AGG_UNALLOCATED
-            } else {
-                AGG_INELIGIBLE
-            });
-        self.agg_hi.push(0);
         self.extra_groups.push((user.0, class.0, g));
         g
-    }
-
-    /// Start of a group's aggregate block, when one is allocated and the
-    /// fast path is enabled (disabling mid-run leaves allocated blocks
-    /// behind that stopped receiving inserts — they must not be read).
-    #[inline]
-    fn agg_block(&self, group: usize) -> Option<usize> {
-        let s = self.agg_start[group];
-        if self.agg_enabled && s < AGG_INELIGIBLE {
-            Some(s as usize)
-        } else {
-            None
-        }
-    }
-
-    /// Allocates a group's aggregate block (`T` prospective potentials at 1,
-    /// `T` weighted sums at 0) and returns its start.
-    fn agg_alloc(&mut self, group: usize) -> usize {
-        let horizon = self.inst.horizon() as usize;
-        let start = self.agg.len();
-        debug_assert!(start + 2 * horizon < AGG_INELIGIBLE as usize);
-        self.agg.extend(std::iter::repeat_n(1.0, horizon));
-        self.agg.extend(std::iter::repeat_n(0.0, horizon));
-        self.agg_start[group] = start as u32;
-        start
-    }
-
-    /// Gain and loss of inserting `(item, t)` with primitive probability
-    /// `q_prim`, answered from a group's aggregate block in `O(T − t)` — the
-    /// closed form of the slab walk in
-    /// [`IncrementalRevenue::gain_and_loss_cand`] for uniform-β groups (the
-    /// per-entry discount `β_e^{1/d}` is common per time step there, so the
-    /// candidate's own power-table row substitutes bit-exactly for every
-    /// entry's). The prospective potential already folds memory and
-    /// competition, so — unlike the walk — no `exp` is ever evaluated.
-    fn gain_and_loss_agg(
-        &self,
-        kernel: KernelId,
-        astart: usize,
-        hi: usize,
-        item: u32,
-        q_prim: f64,
-        t: TimeStep,
-    ) -> (f64, f64) {
-        let horizon = self.inst.horizon() as usize;
-        let tv = t.index();
-        let (pros, wsum) = self.agg[astart..astart + 2 * horizon].split_at(horizon);
-
-        // Same-time entries all compete (an entry of the probed item at the
-        // probed time would mean the triple is already selected, which the
-        // callers short-circuit before dispatching here), so `pros[tv]` is
-        // exactly the potential a fresh triple at `tv` would see.
-        let q_new = q_prim * pros[tv];
-        let mut loss = wsum[tv] * (-q_prim);
-        // `wsum` is identically 0 past the group's last occupied step, so the
-        // fold stops at `hi` — probes at or beyond it (every probe of a
-        // chronologically filled group) skip it entirely. The degenerate
-        // kernels run the same fold with their constant factor — their β-root
-        // rows hold exactly 1.0 / 0.0, so skipping the loads is bit-neutral.
-        let fold = &wsum[tv + 1..hi.max(tv + 1)];
-        match kernel {
-            KernelId::UnitAgg => {
-                let factor = 1.0 - q_prim;
-                for &w in fold {
-                    loss += w * (factor - 1.0);
-                }
-            }
-            KernelId::ZeroAgg => {
-                for &w in fold {
-                    loss -= w;
-                }
-            }
-            _ => {
-                let row = self.pow_row(item) as usize;
-                let beta_root = &self.tables.beta_root[row * self.tables.stride..];
-                for (d, &w) in fold.iter().enumerate() {
-                    let factor = (1.0 - q_prim) * beta_root[d];
-                    loss += w * (factor - 1.0);
-                }
-            }
-        }
-        (self.inst.price(crate::ids::ItemId(item), t) * q_new, loss)
-    }
-
-    /// Folds one insertion into a group's aggregate block: the insertion step
-    /// updates in `O(1)`, later steps each absorb one multiplicative factor
-    /// `(1 − q) · β^{1/d}` — the same factor the slab walk applies to each
-    /// entry's `q_dyn` (so `Σ p · q_dyn` stays exact to the ulp) and the
-    /// closed-form growth of the prospective potential. `q_new` is the
-    /// inserted entry's realised dynamic probability (0 for non-candidate
-    /// inserts).
-    fn agg_apply_insert(
-        &mut self,
-        astart: usize,
-        t_idx: usize,
-        item: u32,
-        q_prim: f64,
-        price: f64,
-        q_new: f64,
-    ) {
-        let horizon = self.inst.horizon() as usize;
-        let row = self.pow_row(item) as usize;
-        let stride = self.tables.stride;
-        let one_minus_q = 1.0 - q_prim;
-        self.agg[astart + t_idx] *= one_minus_q;
-        let wbase = astart + horizon;
-        self.agg[wbase + t_idx] = self.agg[wbase + t_idx] * one_minus_q + price * q_new;
-        let beta_root = &self.tables.beta_root;
-        let (pros_tail, rest) = self.agg[astart + t_idx + 1..].split_at_mut(horizon - t_idx - 1);
-        let wsum_tail = &mut rest[t_idx + 1..horizon];
-        for (d, (p, w)) in pros_tail.iter_mut().zip(wsum_tail).enumerate() {
-            let factor = one_minus_q * beta_root[row * stride + d];
-            *p *= factor;
-            *w *= factor;
-        }
     }
 
     /// Whether adding the triple would violate the display or capacity
@@ -822,43 +524,13 @@ impl<'a> IncrementalRevenue<'a> {
     }
 
     /// Marginal revenue of a candidate triple, addressed by candidate id.
-    ///
-    /// Dispatches through the group's compiled kernel byte (see
-    /// `super::kernels`): one flat `match`, no per-query profile or knob
-    /// branching. Aggregate kernels answer from the group's `pros`/`wsum`
-    /// block in `O(T − t)`; walk kernels run the exact slab walk.
     #[inline]
     pub fn marginal_revenue_cand(&self, cand: CandidateId, t: TimeStep) -> f64 {
-        let local = self.local_cand(cand);
         let horizon = self.inst.horizon() as usize;
-        if self.selected[local * horizon + t.index()] {
+        if self.selected[self.local_cand(cand) * horizon + t.index()] {
             return 0.0;
         }
-        let group = self.cand_group[local] as usize;
-        let kernel = KernelId::from_u8(self.kernel[group]);
-        let (gain, loss) = if kernel.uses_aggregates() {
-            let s = self.agg_start[group];
-            if s == AGG_UNALLOCATED {
-                // Empty group: unit potential, no competition, no loss —
-                // bit-identical to walking the empty slab.
-                let q_prim = self.inst.candidate_prob(cand, t);
-                (
-                    self.inst.price(self.inst.candidate_item(cand), t) * q_prim,
-                    0.0,
-                )
-            } else {
-                self.gain_and_loss_agg(
-                    kernel,
-                    s as usize,
-                    self.agg_hi[group] as usize,
-                    self.inst.candidate_item(cand).0,
-                    self.inst.candidate_prob(cand, t),
-                    t,
-                )
-            }
-        } else {
-            self.gain_and_loss_cand(cand, t)
-        };
+        let (gain, loss) = self.gain_and_loss_cand(cand, t);
         gain + loss
     }
 
@@ -913,17 +585,13 @@ impl<'a> IncrementalRevenue<'a> {
         let row = self.pow_row(item.0);
         let group = self.cand_group[local] as usize;
         let tv = t.value();
-        let kernel = KernelId::from_u8(self.kernel[group]);
 
         // One fused walk over the group's contiguous slab: apply the discount
-        // to entries at the same or later times, accumulating the loss. For
-        // walk kernels the same pass accumulates memory / competition (the
-        // inputs of the new entry's dynamic probability); aggregate kernels
-        // read that potential straight from the group's `pros` block instead
-        // — earlier entries need no visit and the per-insert `exp`
-        // disappears. Field-level borrows keep the lookup tables readable
-        // while the arena is mutated.
-        let use_agg = self.agg_enabled && kernel.uses_aggregates();
+        // to entries at the same or later times, accumulating the loss, and
+        // in the same pass the memory / competition of earlier and same-time
+        // entries (the inputs of the new entry's dynamic probability).
+        // Field-level borrows keep the lookup tables readable while the arena
+        // is mutated.
         let mut memory = 0.0_f64;
         let mut comp = 1.0_f64;
         let mut loss = 0.0_f64;
@@ -933,53 +601,25 @@ impl<'a> IncrementalRevenue<'a> {
             let inv_dist = &self.tables.inv_dist;
             let beta_root = &self.tables.beta_root;
             let max_dist = self.tables.stride;
-            if use_agg {
-                for e in &mut self.arena[start..start + len] {
-                    if e.t > tv {
-                        let factor = (1.0 - q_prim)
-                            * beta_root[e.pow_row as usize * max_dist + (e.t - tv - 1) as usize];
-                        loss += e.price * e.q_dyn * (factor - 1.0);
-                        e.q_dyn *= factor;
-                    } else if e.t == tv && e.item != item.0 {
-                        loss += e.price * e.q_dyn * (-q_prim);
-                        e.q_dyn *= 1.0 - q_prim;
-                    }
-                }
-            } else {
-                for e in &mut self.arena[start..start + len] {
-                    if e.t < tv {
-                        memory += inv_dist[(tv - e.t) as usize];
-                        comp *= 1.0 - e.q_prim;
-                    } else if e.t > tv {
-                        let factor = (1.0 - q_prim)
-                            * beta_root[e.pow_row as usize * max_dist + (e.t - tv - 1) as usize];
-                        loss += e.price * e.q_dyn * (factor - 1.0);
-                        e.q_dyn *= factor;
-                    } else if e.item != item.0 {
-                        comp *= 1.0 - e.q_prim;
-                        loss += e.price * e.q_dyn * (-q_prim);
-                        e.q_dyn *= 1.0 - q_prim;
-                    }
+            for e in &mut self.arena[start..start + len] {
+                if e.t < tv {
+                    memory += inv_dist[(tv - e.t) as usize];
+                    comp *= 1.0 - e.q_prim;
+                } else if e.t > tv {
+                    let factor = (1.0 - q_prim)
+                        * beta_root[e.pow_row as usize * max_dist + (e.t - tv - 1) as usize];
+                    loss += e.price * e.q_dyn * (factor - 1.0);
+                    e.q_dyn *= factor;
+                } else if e.item != item.0 {
+                    comp *= 1.0 - e.q_prim;
+                    loss += e.price * e.q_dyn * (-q_prim);
+                    e.q_dyn *= 1.0 - q_prim;
                 }
             }
         }
         let price = self.inst.price(item, t);
-        let (q_new, gain);
-        if use_agg {
-            let astart = match self.agg_block(group) {
-                Some(s) => s,
-                None => self.agg_alloc(group),
-            };
-            // The prospective potential is read before the block absorbs the
-            // insertion — it is exactly `β^memory · Π (1 − q)` of the walk.
-            q_new = q_prim * self.agg[astart + t.index()];
-            gain = price * q_new;
-            self.agg_apply_insert(astart, t.index(), item.0, q_prim, price, q_new);
-            self.agg_hi[group] = self.agg_hi[group].max(t.index() as u32 + 1);
-        } else {
-            q_new = q_prim * self.pow_memory(row, memory) * comp;
-            gain = price * q_new;
-        }
+        let q_new = q_prim * self.pow_memory(row, memory) * comp;
+        let gain = price * q_new;
 
         self.slab_push(
             group,
@@ -1076,45 +716,6 @@ impl<'a> IncrementalRevenue<'a> {
         let group = self.cand_group[self.local_cand(cand)] as usize;
         let probs = self.inst.candidate_probs(cand);
         let prices = self.inst.price_series(crate::ids::ItemId(item));
-
-        let kernel = KernelId::from_u8(self.kernel[group]);
-        if kernel.uses_aggregates() && self.agg_start[group] < AGG_INELIGIBLE {
-            // Aggregate fast path: one O(T − t) closed-form evaluation per
-            // live slot. The arithmetic per slot is identical to
-            // [`IncrementalRevenue::gain_and_loss_agg`] (`prices[t]` is the
-            // same f64 `price(item, t)` loads; the degenerate kernels' β-root
-            // rows hold exactly 1.0 / 0.0, so the shared row-based loop is
-            // bit-neutral for them), so batch and per-slot results stay
-            // bit-identical.
-            let astart = self.agg_start[group] as usize;
-            let hi = self.agg_hi[group] as usize;
-            let base = self.local_cand(cand) * horizon;
-            let (pros, wsum) = self.agg[astart..astart + 2 * horizon].split_at(horizon);
-            let beta_root = &self.tables.beta_root[row as usize * self.tables.stride..];
-            let mut evaluated = 0;
-            let mut mask = live_mask;
-            while mask != 0 {
-                let t_idx = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if t_idx >= horizon {
-                    break;
-                }
-                out[t_idx] = if self.selected[base + t_idx] {
-                    0.0
-                } else {
-                    let q_prim = probs[t_idx];
-                    let q_new = q_prim * pros[t_idx];
-                    let mut loss = wsum[t_idx] * (-q_prim);
-                    for (d, &w) in wsum[t_idx + 1..hi.max(t_idx + 1)].iter().enumerate() {
-                        let factor = (1.0 - q_prim) * beta_root[d];
-                        loss += w * (factor - 1.0);
-                    }
-                    prices[t_idx] * q_new + loss
-                };
-                evaluated += 1;
-            }
-            return evaluated;
-        }
 
         // Compact lanes: one slot of fixed-size scratch per live time index.
         // The greedy hot path evaluates only a handful of live slots, so the
@@ -1243,16 +844,6 @@ impl<'a> IncrementalRevenue<'a> {
                 price: self.inst.price(z.item, z.t),
             },
         );
-        if self.agg_enabled && self.agg_start[group] != AGG_INELIGIBLE {
-            let astart = match self.agg_block(group) {
-                Some(s) => s,
-                None => self.agg_alloc(group),
-            };
-            // q_prim = q_dyn = 0: the entry still counts towards memory and
-            // still saturates later selections by its β root factor.
-            self.agg_apply_insert(astart, z.t.index(), z.item.0, 0.0, 0.0, 0.0);
-            self.agg_hi[group] = self.agg_hi[group].max(z.t.index() as u32 + 1);
-        }
         self.revenue += loss;
         let dslot = self.local_user(z.user) * self.inst.horizon() as usize + z.t.index();
         self.display_count[dslot] += 1;

@@ -64,13 +64,11 @@ use std::collections::BTreeMap;
 
 pub mod engine;
 pub mod flat;
-pub mod kernels;
 pub mod ledger;
 pub mod warm;
 
 pub use engine::RevenueEngine;
 pub use flat::IncrementalRevenue;
-pub use kernels::{AggregateMode, KernelId};
 pub use ledger::{
     AtomicCell, CapacityLedger, LedgerCell, SharedCapacityLedger, SharedCapacityLedgerIn,
 };

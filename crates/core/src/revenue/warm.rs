@@ -107,12 +107,6 @@ pub(crate) struct FlatBuffers {
     pub(crate) selected: Vec<bool>,
     pub(crate) display_count: Vec<u16>,
     pub(crate) cand_counted: Vec<bool>,
-    pub(crate) agg_start: Vec<u32>,
-    pub(crate) agg: Vec<f64>,
-    pub(crate) agg_hi: Vec<u32>,
-    pub(crate) kernel: Vec<u8>,
-    pub(crate) group_shape: Vec<u8>,
-    pub(crate) group_cands: Vec<u32>,
     pub(crate) cand_exempt: Vec<bool>,
 }
 

@@ -13,9 +13,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use revmax_core::{
-    dynamic_probability_of, effective_revenue, marginal_revenue, revenue, AggregateMode,
-    CandidateId, ExactPoissonBinomial, IncrementalRevenue, Instance, InstanceBuilder,
-    RevenueEngine, Strategy, TimeStep, Triple,
+    dynamic_probability_of, effective_revenue, marginal_revenue, revenue, CandidateId,
+    ExactPoissonBinomial, IncrementalRevenue, Instance, InstanceBuilder, RevenueEngine, Strategy,
+    TimeStep, Triple,
 };
 use revmax_oracle::HashIncrementalRevenue;
 
@@ -66,6 +66,53 @@ fn random_instance(rng: &mut StdRng) -> Instance {
     b.build().expect("random instance must build")
 }
 
+/// Like [`random_instance`], but betas are drawn **per class**, so every
+/// item of a class shares one β. Class betas include the exact 0 and 1 edge
+/// cases, and display limits reach 3 so (user, class) groups grow deeper.
+fn random_uniform_beta_instance(rng: &mut StdRng) -> Instance {
+    let num_users = rng.gen_range(2u32..=5);
+    let num_items = rng.gen_range(2u32..=6);
+    let horizon = rng.gen_range(1u32..=5);
+    let display_limit = rng.gen_range(1u32..=3);
+    let class_betas: Vec<f64> = (0..3)
+        .map(|_| match rng.gen_range(0u32..6) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.gen_range(0.0..=1.0),
+        })
+        .collect();
+    let mut b = InstanceBuilder::new(num_users, num_items, horizon);
+    b.display_limit(display_limit);
+    for item in 0..num_items {
+        let class = rng.gen_range(0u32..3);
+        b.item_class(item, class);
+        b.beta(item, class_betas[class as usize]);
+        b.capacity(item, rng.gen_range(1u32..=3));
+        let prices: Vec<f64> = (0..horizon).map(|_| rng.gen_range(0.5..50.0)).collect();
+        b.prices(item, &prices);
+    }
+    for user in 0..num_users {
+        for item in 0..num_items {
+            if rng.gen_bool(0.2) {
+                continue;
+            }
+            let probs: Vec<f64> = (0..horizon)
+                .map(|_| {
+                    if rng.gen_bool(0.15) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..=1.0)
+                    }
+                })
+                .collect();
+            if probs.iter().any(|&p| p > 0.0) {
+                b.candidate(user, item, &probs, 0.0);
+            }
+        }
+    }
+    b.build().expect("uniform-beta instance must build")
+}
+
 /// All candidate triples of an instance, shuffled.
 fn shuffled_candidate_triples(inst: &Instance, rng: &mut StdRng) -> Vec<Triple> {
     let mut out = Vec::new();
@@ -82,10 +129,12 @@ fn shuffled_candidate_triples(inst: &Instance, rng: &mut StdRng) -> Vec<Triple> 
     out
 }
 
-/// The tentpole acceptance property: across ≥100 random instances, the
-/// flat-arena engine agrees with the from-scratch `revenue()` /
-/// `marginal_revenue()` evaluator to 1e-9 at every step of a random insertion
-/// sequence — and so does the hash-based reference engine.
+/// The tentpole acceptance property: across ≥100 random instances from each
+/// of two generators, the flat-arena engine agrees with the from-scratch
+/// `revenue()` / `marginal_revenue()` evaluator to 1e-9 at every step of a
+/// random insertion sequence — and so does the hash-based reference engine.
+/// The second generator draws one β per class (β ∈ {0, 1} classes, deeper
+/// groups) and mixes in non-candidate triples.
 #[test]
 fn incremental_engines_match_scratch_on_100_random_instances() {
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
@@ -93,44 +142,63 @@ fn incremental_engines_match_scratch_on_100_random_instances() {
         let inst = random_instance(&mut rng);
         let mut triples = shuffled_candidate_triples(&inst, &mut rng);
         triples.truncate(14);
-        let mut flat = IncrementalRevenue::new(&inst);
-        let mut hash = HashIncrementalRevenue::new(&inst);
-        let mut s = Strategy::new();
-        for z in triples {
-            let scratch = marginal_revenue(&inst, &s, z);
-            let flat_m = flat.marginal_revenue(z);
-            let hash_m = hash.marginal_revenue(z);
-            assert!(
-                (scratch - flat_m).abs() < 1e-9,
-                "case {case}: flat marginal {flat_m} vs scratch {scratch} for {z}"
+        assert_engines_match_scratch(&inst, triples, &format!("case {case}"));
+    }
+    let mut rng = StdRng::seed_from_u64(0xA66);
+    for case in 0..120 {
+        let inst = random_uniform_beta_instance(&mut rng);
+        let mut triples = shuffled_candidate_triples(&inst, &mut rng);
+        triples.truncate(16);
+        // A couple of non-candidate triples: memory and saturation without
+        // gain.
+        for _ in 0..2 {
+            let z = Triple::new(
+                rng.gen_range(0..inst.num_users()),
+                rng.gen_range(0..inst.num_items()),
+                rng.gen_range(1..=inst.horizon()),
             );
-            assert!(
-                (scratch - hash_m).abs() < 1e-9,
-                "case {case}: hash marginal {hash_m} vs scratch {scratch} for {z}"
-            );
-            let realised_flat = flat.insert(z);
-            let realised_hash = hash.insert(z);
-            assert!(
-                (realised_flat - scratch).abs() < 1e-9,
-                "case {case}: insert {z}"
-            );
-            assert!(
-                (realised_hash - scratch).abs() < 1e-9,
-                "case {case}: insert {z}"
-            );
-            s.insert(z);
-            let total = revenue(&inst, &s);
-            assert!(
-                (flat.revenue() - total).abs() < 1e-9,
-                "case {case}: flat total {} vs scratch {total}",
-                flat.revenue()
-            );
-            assert!(
-                (hash.revenue() - total).abs() < 1e-9,
-                "case {case}: hash total {} vs scratch {total}",
-                hash.revenue()
-            );
+            if inst.prob_of(z) == 0.0 {
+                triples.push(z);
+            }
         }
+        assert_engines_match_scratch(&inst, triples, &format!("uniform-β case {case}"));
+    }
+}
+
+/// Inserts `triples` in order into both incremental engines, checking every
+/// marginal, realised gain and running total against the scratch evaluator.
+fn assert_engines_match_scratch(inst: &Instance, triples: Vec<Triple>, case: &str) {
+    let mut flat = IncrementalRevenue::new(inst);
+    let mut hash = HashIncrementalRevenue::new(inst);
+    let mut s = Strategy::new();
+    for z in triples {
+        let scratch = marginal_revenue(inst, &s, z);
+        let flat_m = flat.marginal_revenue(z);
+        let hash_m = hash.marginal_revenue(z);
+        assert!(
+            (scratch - flat_m).abs() < 1e-9,
+            "{case}: flat marginal {flat_m} vs scratch {scratch} for {z}"
+        );
+        assert!(
+            (scratch - hash_m).abs() < 1e-9,
+            "{case}: hash marginal {hash_m} vs scratch {scratch} for {z}"
+        );
+        let realised_flat = flat.insert(z);
+        let realised_hash = hash.insert(z);
+        assert!((realised_flat - scratch).abs() < 1e-9, "{case}: insert {z}");
+        assert!((realised_hash - scratch).abs() < 1e-9, "{case}: insert {z}");
+        s.insert(z);
+        let total = revenue(inst, &s);
+        assert!(
+            (flat.revenue() - total).abs() < 1e-9,
+            "{case}: flat total {} vs scratch {total}",
+            flat.revenue()
+        );
+        assert!(
+            (hash.revenue() - total).abs() < 1e-9,
+            "{case}: hash total {} vs scratch {total}",
+            hash.revenue()
+        );
     }
 }
 
@@ -499,300 +567,5 @@ fn shared_and_sequential_ledgers_agree() {
 fn timestep_index_round_trip() {
     for idx in 0..10 {
         assert_eq!(TimeStep::from_index(idx).index(), idx);
-    }
-}
-
-/// Like [`random_instance`], but betas are drawn **per class** so every class
-/// is `BetaProfile::Uniform` and the flat engine's saturation-aggregate fast
-/// path covers every group. Class betas include the exact 0 and 1 edge cases.
-fn random_uniform_beta_instance(rng: &mut StdRng) -> Instance {
-    let num_users = rng.gen_range(2u32..=5);
-    let num_items = rng.gen_range(2u32..=6);
-    let horizon = rng.gen_range(1u32..=5);
-    let display_limit = rng.gen_range(1u32..=3);
-    let class_betas: Vec<f64> = (0..3)
-        .map(|_| match rng.gen_range(0u32..6) {
-            0 => 0.0,
-            1 => 1.0,
-            _ => rng.gen_range(0.0..=1.0),
-        })
-        .collect();
-    let mut b = InstanceBuilder::new(num_users, num_items, horizon);
-    b.display_limit(display_limit);
-    for item in 0..num_items {
-        let class = rng.gen_range(0u32..3);
-        b.item_class(item, class);
-        b.beta(item, class_betas[class as usize]);
-        b.capacity(item, rng.gen_range(1u32..=3));
-        let prices: Vec<f64> = (0..horizon).map(|_| rng.gen_range(0.5..50.0)).collect();
-        b.prices(item, &prices);
-    }
-    for user in 0..num_users {
-        for item in 0..num_items {
-            if rng.gen_bool(0.2) {
-                continue;
-            }
-            let probs: Vec<f64> = (0..horizon)
-                .map(|_| {
-                    if rng.gen_bool(0.15) {
-                        0.0
-                    } else {
-                        rng.gen_range(0.0..=1.0)
-                    }
-                })
-                .collect();
-            if probs.iter().any(|&p| p > 0.0) {
-                b.candidate(user, item, &probs, 0.0);
-            }
-        }
-    }
-    b.build().expect("uniform-beta instance must build")
-}
-
-/// The saturation-aggregate fast path (engaged on every group of a uniform-β
-/// instance) agrees with the slab walk and the from-scratch evaluator to
-/// 1e-9, across random insertion sequences that include non-candidate
-/// triples, deeper groups (display limit up to 3), and β ∈ {0, 1} classes.
-#[test]
-fn aggregate_fast_path_matches_walk_on_uniform_beta_instances() {
-    let mut rng = StdRng::seed_from_u64(0xA66);
-    for case in 0..120 {
-        let inst = random_uniform_beta_instance(&mut rng);
-        assert!(inst.all_beta_uniform(), "case {case}: generator broken");
-        let mut triples = shuffled_candidate_triples(&inst, &mut rng);
-        triples.truncate(16);
-        // A couple of non-candidate triples exercise the cold-path aggregate
-        // bookkeeping (memory + saturation without gain).
-        for _ in 0..2 {
-            let z = Triple::new(
-                rng.gen_range(0..inst.num_users()),
-                rng.gen_range(0..inst.num_items()),
-                rng.gen_range(1..=inst.horizon()),
-            );
-            if inst.prob_of(z) == 0.0 {
-                triples.push(z);
-            }
-        }
-        // Explicit opt-in: these instances are small enough that the default
-        // depth-gated `Auto` mode would compile some groups to walk kernels.
-        let mut agg = IncrementalRevenue::new(&inst);
-        agg.set_aggregate_mode(AggregateMode::On);
-        let mut walk = IncrementalRevenue::new(&inst);
-        walk.set_aggregate_mode(AggregateMode::Off);
-        assert!(
-            agg.aggregates_active(),
-            "case {case}: fast path must engage"
-        );
-        assert!(!walk.aggregates_active());
-        let mut s = Strategy::new();
-        for z in triples {
-            let scratch = marginal_revenue(&inst, &s, z);
-            let m_agg = agg.marginal_revenue(z);
-            let m_walk = walk.marginal_revenue(z);
-            assert!(
-                (m_agg - m_walk).abs() < 1e-9,
-                "case {case}: aggregate {m_agg} vs walk {m_walk} for {z}"
-            );
-            assert!(
-                (m_agg - scratch).abs() < 1e-9,
-                "case {case}: aggregate {m_agg} vs scratch {scratch} for {z}"
-            );
-            agg.insert(z);
-            walk.insert(z);
-            s.insert(z);
-            assert!(
-                (agg.revenue() - revenue(&inst, &s)).abs() < 1e-9,
-                "case {case}: total after {z}"
-            );
-        }
-    }
-}
-
-/// Batch and per-slot evaluation stay bit-identical on the aggregate path.
-#[test]
-fn aggregate_batch_is_bit_identical_to_scalar() {
-    let mut rng = StdRng::seed_from_u64(0xA66B);
-    for case in 0..40 {
-        let inst = random_uniform_beta_instance(&mut rng);
-        let mut inc = IncrementalRevenue::new(&inst);
-        inc.set_aggregate_mode(AggregateMode::On);
-        let mut triples = shuffled_candidate_triples(&inst, &mut rng);
-        triples.truncate(10);
-        for z in triples {
-            inc.insert(z);
-        }
-        let horizon = inst.horizon() as usize;
-        let mask = (1u64 << horizon) - 1;
-        let mut out = vec![0.0; horizon];
-        for cand in inst.candidates() {
-            inc.marginal_revenue_batch(cand, mask, &mut out);
-            for (t_idx, &batched) in out.iter().enumerate() {
-                let scalar =
-                    RevenueEngine::marginal_revenue_cand(&inc, cand, TimeStep::from_index(t_idx));
-                assert_eq!(
-                    batched.to_bits(),
-                    scalar.to_bits(),
-                    "case {case}: cand {cand:?} t {t_idx}"
-                );
-            }
-        }
-    }
-}
-
-/// Aggregate-eligibility edges: single-item classes are trivially uniform,
-/// mixed-β classes fall back to the walk (per group, within one engine), and
-/// an all-mixed instance reports the fast path inactive.
-#[test]
-fn aggregate_eligibility_edges() {
-    // Item 0 and 1 share a class with different betas (mixed), item 2 is a
-    // single-item class (uniform by definition).
-    let mut b = InstanceBuilder::new(2, 3, 3);
-    b.display_limit(2)
-        .item_class(0, 0)
-        .item_class(1, 0)
-        .item_class(2, 1)
-        .beta(0, 0.3)
-        .beta(1, 0.7)
-        .beta(2, 0.5)
-        .constant_price(0, 10.0)
-        .constant_price(1, 8.0)
-        .constant_price(2, 6.0)
-        .candidate(0, 0, &[0.5, 0.4, 0.3], 0.0)
-        .candidate(0, 1, &[0.2, 0.6, 0.1], 0.0)
-        .candidate(0, 2, &[0.3, 0.3, 0.3], 0.0)
-        .candidate(1, 2, &[0.9, 0.1, 0.2], 0.0);
-    let inst = b.build().unwrap();
-    let mut inc = IncrementalRevenue::new(&inst);
-    // Forced engagement (`On`): the default `Auto` mode would depth-gate
-    // this tiny instance's groups to walk kernels.
-    inc.set_aggregate_mode(AggregateMode::On);
-    // The single-item class keeps the engine's fast path engageable.
-    assert!(inc.aggregates_active());
-    let mut walk = IncrementalRevenue::new(&inst);
-    walk.set_aggregate_mode(AggregateMode::Off);
-    let picks = [
-        Triple::new(0, 0, 1),
-        Triple::new(0, 2, 1),
-        Triple::new(0, 1, 2),
-        Triple::new(1, 2, 2),
-        Triple::new(0, 2, 3),
-        Triple::new(0, 0, 3),
-    ];
-    let mut s = Strategy::new();
-    for z in picks {
-        let scratch = marginal_revenue(&inst, &s, z);
-        assert!((inc.marginal_revenue(z) - scratch).abs() < 1e-10, "{z}");
-        assert!((walk.marginal_revenue(z) - scratch).abs() < 1e-10, "{z}");
-        inc.insert(z);
-        walk.insert(z);
-        s.insert(z);
-    }
-    assert!((inc.revenue() - revenue(&inst, &s)).abs() < 1e-10);
-    assert!((inc.revenue() - walk.revenue()).abs() < 1e-10);
-
-    // All-mixed instance: the probe reports the fast path inactive.
-    let mut b = InstanceBuilder::new(1, 2, 2);
-    b.item_class(0, 0)
-        .item_class(1, 0)
-        .beta(0, 0.2)
-        .beta(1, 0.9)
-        .constant_price(0, 5.0)
-        .constant_price(1, 5.0)
-        .candidate(0, 0, &[0.5, 0.5], 0.0)
-        .candidate(0, 1, &[0.4, 0.4], 0.0);
-    let mixed = b.build().unwrap();
-    let mut forced = IncrementalRevenue::new(&mixed);
-    forced.set_aggregate_mode(AggregateMode::On);
-    assert!(!forced.aggregates_active());
-    // `ignore_saturation` treats every class as uniform (all factors are 1).
-    let mut sat_free = IncrementalRevenue::with_options(&mixed, true);
-    sat_free.set_aggregate_mode(AggregateMode::On);
-    assert!(sat_free.aggregates_active());
-}
-
-/// Shard views keep aggregate parity: a sharded evaluator with aggregates on
-/// matches the full walk evaluator on shard-restricted insertions.
-#[test]
-fn aggregate_shard_views_match_full_walk() {
-    let mut rng = StdRng::seed_from_u64(0xA665);
-    for case in 0..30 {
-        let inst = random_uniform_beta_instance(&mut rng);
-        if inst.num_users() < 2 {
-            continue;
-        }
-        let cut = inst.num_users() / 2;
-        let shards = [
-            inst.user_shard(0, cut),
-            inst.user_shard(cut, inst.num_users()),
-        ];
-        let mut full = IncrementalRevenue::new(&inst);
-        full.set_aggregate_mode(AggregateMode::Off);
-        let mut views: Vec<IncrementalRevenue<'_>> = shards
-            .iter()
-            .map(|&s| IncrementalRevenue::for_user_shard(&inst, false, s))
-            .collect();
-        let mut triples = shuffled_candidate_triples(&inst, &mut rng);
-        triples.truncate(12);
-        for z in triples {
-            let cand = inst.candidate_for(z.user, z.item).unwrap();
-            let view = views
-                .iter_mut()
-                .find(|v| v.shard().contains_user(z.user))
-                .unwrap();
-            let m_full = RevenueEngine::marginal_revenue_cand(&full, cand, z.t);
-            let m_view = RevenueEngine::marginal_revenue_cand(&*view, cand, z.t);
-            assert!(
-                (m_full - m_view).abs() < 1e-9,
-                "case {case}: shard {m_view} vs full {m_full} for {z}"
-            );
-            full.insert_cand(cand, z.t);
-            view.insert_cand(cand, z.t);
-        }
-        let sum: f64 = views.iter().map(|v| v.revenue()).sum();
-        assert!(
-            (sum - full.revenue()).abs() < 1e-9,
-            "case {case}: {sum} vs {}",
-            full.revenue()
-        );
-    }
-}
-
-/// Disabling aggregates after insertions must not leave stale blocks behind:
-/// queries fall back to the (always-correct) slab walk, and re-enabling
-/// mid-run stays on the walk rather than reading blocks that missed inserts.
-#[test]
-fn aggregate_toggle_mid_run_never_reads_stale_blocks() {
-    let mut rng = StdRng::seed_from_u64(0xA668);
-    for case in 0..20 {
-        let inst = random_uniform_beta_instance(&mut rng);
-        let mut triples = shuffled_candidate_triples(&inst, &mut rng);
-        triples.truncate(10);
-        if triples.len() < 4 {
-            continue;
-        }
-        let mut toggled = IncrementalRevenue::new(&inst);
-        let mut s = Strategy::new();
-        for (idx, &z) in triples.iter().enumerate() {
-            if idx == 2 {
-                // Allocated blocks exist by now; they must be ignored below.
-                toggled.set_aggregate_mode(AggregateMode::Off);
-            }
-            if idx == 4 {
-                // Re-enabling mid-run must not resurrect the stale blocks.
-                toggled.set_aggregate_mode(AggregateMode::On);
-            }
-            let scratch = marginal_revenue(&inst, &s, z);
-            let m = toggled.marginal_revenue(z);
-            assert!(
-                (m - scratch).abs() < 1e-9,
-                "case {case}: toggled {m} vs scratch {scratch} for {z}"
-            );
-            toggled.insert(z);
-            s.insert(z);
-            assert!(
-                (toggled.revenue() - revenue(&inst, &s)).abs() < 1e-9,
-                "case {case}: total after {z}"
-            );
-        }
     }
 }

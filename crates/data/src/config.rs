@@ -18,51 +18,14 @@ pub enum BetaSetting {
     Fixed(f64),
     /// Independent uniform draws from `[0, 1]` (the paper's "unknown β" case).
     UniformRandom,
-    /// One uniform draw **per item class**, shared by every item of the
-    /// class. Classes then qualify for the flat engine's saturation-aggregate
-    /// fast path (`revmax_core::BetaProfile::Uniform`) while still differing
-    /// from each other — the shape the aggregate-vs-walk bench rows measure.
-    PerClassRandom,
 }
 
 impl BetaSetting {
-    /// Samples a saturation factor for one item **without class context**:
-    /// [`BetaSetting::PerClassRandom`] degenerates to an independent draw
-    /// here. The generator pipelines use a [`BetaSampler`] instead, which
-    /// gives all items of one class the same draw.
+    /// Samples a saturation factor for one item.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> f64 {
         match self {
             BetaSetting::Fixed(b) => b.clamp(0.0, 1.0),
-            BetaSetting::UniformRandom | BetaSetting::PerClassRandom => rng.gen_range(0.0..=1.0),
-        }
-    }
-}
-
-/// Stateful sampler for per-item saturation factors that keeps
-/// [`BetaSetting::PerClassRandom`] coherent: the first item of each class
-/// draws the class's `β`, later items reuse it bit-exactly.
-#[derive(Debug)]
-pub struct BetaSampler {
-    setting: BetaSetting,
-    per_class: Vec<Option<f64>>,
-}
-
-impl BetaSampler {
-    /// A sampler for `num_classes` classes under `setting`.
-    pub fn new(setting: BetaSetting, num_classes: u32) -> Self {
-        BetaSampler {
-            setting,
-            per_class: vec![None; num_classes as usize],
-        }
-    }
-
-    /// Samples the saturation factor of one item given its class label.
-    pub fn sample_for<R: Rng>(&mut self, class: u32, rng: &mut R) -> f64 {
-        match self.setting {
-            BetaSetting::PerClassRandom => {
-                *self.per_class[class as usize].get_or_insert_with(|| rng.gen_range(0.0..=1.0))
-            }
-            other => other.sample(rng),
+            BetaSetting::UniformRandom => rng.gen_range(0.0..=1.0),
         }
     }
 }

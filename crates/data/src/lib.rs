@@ -32,7 +32,7 @@ pub mod ratings_gen;
 pub mod stats;
 
 pub use classes::{assign_classes, class_size_summary, class_sizes};
-pub use config::{BetaSampler, BetaSetting, CapacityDistribution, DatasetConfig};
+pub use config::{BetaSetting, CapacityDistribution, DatasetConfig};
 pub use pipeline::{generate, generate_scalability, GeneratedDataset};
 pub use prices::{
     amazon_style_series, base_price, epinions_style_series, reported_price_samples,

@@ -113,10 +113,9 @@ fn build_instance(
 ) -> GeneratedDataset {
     let mut builder = InstanceBuilder::new(config.num_users, config.num_items, config.horizon);
     builder.display_limit(config.display_limit);
-    let mut betas = crate::config::BetaSampler::new(config.beta, config.num_classes);
     for item in 0..config.num_items {
         builder.item_class(item, classes[item as usize]);
-        builder.beta(item, betas.sample_for(classes[item as usize], rng));
+        builder.beta(item, config.beta.sample(rng));
         builder.capacity(item, config.capacity.sample(rng));
         builder.prices(item, &price_series[item as usize]);
     }
@@ -166,12 +165,11 @@ pub fn generate_scalability(config: &DatasetConfig) -> GeneratedDataset {
 
     let mut builder = InstanceBuilder::new(config.num_users, config.num_items, config.horizon);
     builder.display_limit(config.display_limit);
-    let mut betas = crate::config::BetaSampler::new(config.beta, config.num_classes);
     let mut price_series = Vec::with_capacity(config.num_items as usize);
     let mut attractiveness = Vec::with_capacity(config.num_items as usize);
     for item in 0..config.num_items {
         builder.item_class(item, classes[item as usize]);
-        builder.beta(item, betas.sample_for(classes[item as usize], &mut rng));
+        builder.beta(item, config.beta.sample(&mut rng));
         builder.capacity(item, config.capacity.sample(&mut rng));
         let series = synthetic_series(config.price_range, config.horizon, &mut rng);
         builder.prices(item, &series);
@@ -336,32 +334,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn per_class_random_beta_is_uniform_within_every_class() {
-        let mut config = DatasetConfig::tiny();
-        config.beta = BetaSetting::PerClassRandom;
-        let ds = generate(&config);
-        assert!(
-            ds.instance.all_beta_uniform(),
-            "every class must share one beta"
-        );
-        // Classes are not all identical: at least two distinct class betas
-        // exist on the tiny config (5 classes, independent draws).
-        let betas: std::collections::BTreeSet<u64> = (0..config.num_items)
-            .map(|i| ds.instance.beta(ItemId(i)).to_bits())
-            .collect();
-        assert!(betas.len() > 1, "class betas should differ across classes");
-
-        // The synthetic (no-MF) pipeline honours the setting too.
-        let mut synth = DatasetConfig::synthetic_scalability(50);
-        synth.num_items = 40;
-        synth.num_classes = 6;
-        synth.candidates_per_user = 10;
-        synth.beta = BetaSetting::PerClassRandom;
-        let ds = generate_scalability(&synth);
-        assert!(ds.instance.all_beta_uniform());
     }
 
     #[test]

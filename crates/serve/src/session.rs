@@ -461,7 +461,7 @@ mod tests {
     use super::*;
     use revmax_algorithms::{plan_with, GreedyOutcome, PlanAlgorithm};
     use revmax_core::{residual_instance, revenue, AdoptionOutcome, InstanceBuilder, TimeStep};
-    use revmax_oracle::{HashIncrementalRevenue, Walk};
+    use revmax_oracle::HashIncrementalRevenue;
 
     fn storefront_instance(seed: u32) -> Instance {
         let mut b = InstanceBuilder::new(4, 5, 4);
@@ -917,71 +917,6 @@ mod tests {
         };
         assert_eq!(report.now, 1);
         assert!(!session.replan_pending());
-    }
-
-    /// Warm-start interplay of the saturation-aggregate fast path: on a
-    /// uniform-β storefront every per-day replanned suffix, warm and cold,
-    /// inline and attached, equals a walk-only plan ([`Walk`]) of the same
-    /// residual — and the warm sessions keep recycling their
-    /// (aggregate-carrying) engine buffers through the snapshot pool.
-    #[test]
-    fn aggregate_sessions_match_walk_plans_warm_and_cold() {
-        let inst = {
-            let mut b = InstanceBuilder::new(4, 5, 4);
-            b.display_limit(2)
-                .item_class(0, 0)
-                .item_class(1, 0)
-                .item_class(2, 1)
-                .item_class(3, 1)
-                .item_class(4, 2);
-            let class_beta = [0.3, 0.7, 0.5];
-            for i in 0..5u32 {
-                let class = [0, 0, 1, 1, 2][i as usize];
-                b.beta(i, class_beta[class])
-                    .capacity(i, 2 + i % 3)
-                    .prices(i, &[20.0 + i as f64, 18.0, 22.0 - i as f64, 16.0]);
-            }
-            for u in 0..4u32 {
-                for i in 0..5u32 {
-                    if (u + i) % 2 == 0 {
-                        let base = 0.15 + 0.08 * ((u + i) % 4) as f64;
-                        b.candidate(u, i, &[base, base + 0.1, base + 0.05, base + 0.15], 3.0);
-                    }
-                }
-            }
-            b.build().unwrap()
-        };
-        assert!(inst.all_beta_uniform());
-
-        let service = Arc::new(crate::PlanService::new(2));
-        for warm in [false, true] {
-            for attached in [false, true] {
-                let cfg = PlannerConfig::default().with_warm_start(warm);
-                let mut agg = PlanSession::new(inst.clone(), cfg);
-                if attached {
-                    agg.attach(&service);
-                }
-                while !agg.is_exhausted() {
-                    let events = realize_upcoming(&agg);
-                    agg.advance(&events).expect("advance");
-                    if attached {
-                        agg.sync();
-                    }
-                    if let Some(residual) = agg.residual() {
-                        let walk = plan_with::<Walk<'_>>(residual, &cfg, None);
-                        assert_suffix_is(
-                            &agg,
-                            &walk,
-                            &format!("warm = {warm}, attached = {attached}"),
-                        );
-                    }
-                }
-                if warm {
-                    assert!(agg.warm_snapshot().has_tables());
-                    assert!(agg.warm_snapshot().pooled_buffers() > 0);
-                }
-            }
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!    through `revmax_core::env` (no direct `std::env::var` outside it and
 //!    the vendored shims).
 //! 6. **Oracle confinement** — the `revmax_oracle` path (the test-only
-//!    reference engines: hash, eager, walk-only) appears only in test code,
+//!    reference engines: hash, eager) appears only in test code,
 //!    under `crates/oracle/`, and in the bench emitters (`crates/bench/`).
 //!    The product plans with one engine; references are plugged in by tests
 //!    through `plan_with`, never selected at runtime.

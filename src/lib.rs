@@ -111,9 +111,9 @@ pub mod prelude {
     };
     pub use revmax_core::{
         realized_revenue, residual_advance, residual_instance, residual_instance_with, revenue,
-        shift_strategy, validate_events, AdoptionEvent, AdoptionOutcome, BetaProfile,
-        EngineSnapshot, EventError, IncrementalRevenue, Instance, InstanceBuilder, ItemId,
-        ResidualDelta, ResidualMode, Strategy, TimeStep, Triple, UserId,
+        shift_strategy, validate_events, AdoptionEvent, AdoptionOutcome, EngineSnapshot,
+        EventError, IncrementalRevenue, Instance, InstanceBuilder, ItemId, ResidualDelta,
+        ResidualMode, Strategy, TimeStep, Triple, UserId,
     };
     pub use revmax_data::{
         generate, generate_scalability, BetaSetting, CapacityDistribution, DatasetConfig,
