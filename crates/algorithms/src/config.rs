@@ -78,9 +78,10 @@ pub struct PlannerConfig {
     /// Warm-start residual replans (off by default): when a replan comes
     /// with a [`ResidualDelta`] (see [`plan_residual`]), engines recycle the
     /// previous replan's saturation tables and arena buffers instead of
-    /// rebuilding them, and `revmax_serve::PlanSession` builds each residual
-    /// instance incrementally (`revmax_core::residual_advance`). Like every
-    /// other knob this is purely a performance switch — warm and cold
+    /// rebuilding them. It recycles engine state only: a
+    /// `revmax_serve::PlanSession` builds every residual instance
+    /// incrementally (`revmax_core::residual_advance`) either way. Like
+    /// every other knob this is purely a performance switch — warm and cold
     /// replans produce identical plans (asserted to 1e-9 at shard counts 1
     /// and 2).
     pub warm_start: bool,

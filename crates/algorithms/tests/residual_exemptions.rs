@@ -2,8 +2,9 @@
 //!
 //! For ≥ 100 random instances with realized event prefixes it asserts:
 //!
-//! * **Exempt ≥ conservative.** The exact residual semantics
-//!   ([`ResidualMode::Exempt`]) strictly enlarge the feasible set — every
+//! * **Exempt ≥ conservative.** The exact residual semantics strictly
+//!   enlarge the feasible set over the conservative accounting of the
+//!   oracle's builder ([`ResidualMode::Conservative`]) — every
 //!   conservative-valid plan is exempt-valid (asserted per case) — so the
 //!   exempt **optimum** dominates the conservative optimum; the
 //!   `exact_optimum_dominates` test asserts that per case on tiny
@@ -17,9 +18,12 @@
 //! * **Flat == hash on residual instances.** Both engines agree to 1e-9
 //!   (identical suffixes) on exempt-mode residuals, i.e. the exemption
 //!   checks are engine-invariant.
-//! * **Incremental == from-scratch.** `residual_advance` reproduces
-//!   `residual_of_validated` bit for bit (probabilities, capacities, exempt
-//!   sets) across random two-batch histories.
+//! * **Chained advances == the builder.** Every residual of a chain of
+//!   `residual_advance` calls from frontier 0 to `T − 1` — multi-step
+//!   advances, empty batches, adoptions that close groups, instances with
+//!   and without original exemptions — equals the oracle's builder-based
+//!   construction bit for bit (probabilities, ratings, capacities, exempt
+//!   sets, prices).
 //! * **Validity both ways.** Every planned suffix validates against its own
 //!   residual instance.
 
@@ -27,18 +31,31 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revmax_algorithms::{plan, plan_with, PlannerConfig};
 use revmax_core::{
-    residual_advance, residual_of_validated, residual_of_validated_with, validate_events,
-    AdoptionEvent, EngineSnapshot, Instance, InstanceBuilder, ItemId, ResidualDelta, ResidualMode,
+    residual_advance, residual_of_validated, validate_events, AdoptionEvent, EngineSnapshot,
+    Instance, InstanceBuilder, ItemId, ResidualDelta,
 };
-use revmax_oracle::HashIncrementalRevenue as Hash;
+use revmax_oracle::{residual_by_builder, HashIncrementalRevenue as Hash, ResidualMode};
+use std::ops::RangeInclusive;
 
 /// A storefront-shaped instance with tight capacities (1–3 over 3–5 users),
 /// so prefix displays regularly pin items at residual capacity 0 and the
 /// exempt-vs-conservative distinction actually binds.
 fn random_instance(rng: &mut StdRng) -> Instance {
+    random_instance_over(rng, 3..=5, false, false)
+}
+
+/// [`random_instance`] over a range of horizons, optionally with exempt
+/// (item, user) pairs on the original instance itself and with zero
+/// entries in the candidate rows (so whole rows die as the horizon shrinks).
+fn random_instance_over(
+    rng: &mut StdRng,
+    horizons: RangeInclusive<u32>,
+    original_exemptions: bool,
+    sparse: bool,
+) -> Instance {
     let num_users = rng.gen_range(3u32..=5);
     let num_items = rng.gen_range(3u32..=6);
-    let horizon = rng.gen_range(3u32..=5);
+    let horizon = rng.gen_range(horizons);
     let num_classes = rng.gen_range(2u32..=3);
     let mut b = InstanceBuilder::new(num_users, num_items, horizon);
     b.display_limit(rng.gen_range(1u32..=2));
@@ -52,8 +69,25 @@ fn random_instance(rng: &mut StdRng) -> Instance {
     for user in 0..num_users {
         for item in 0..num_items {
             if rng.gen_bool(0.75) {
-                let probs: Vec<f64> = (0..horizon).map(|_| rng.gen_range(0.05..0.8)).collect();
+                let probs: Vec<f64> = (0..horizon)
+                    .map(|_| {
+                        if sparse && rng.gen_bool(0.4) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.05..0.8)
+                        }
+                    })
+                    .collect();
                 b.candidate(user, item, &probs, probs[0] * 5.0);
+            }
+        }
+    }
+    if original_exemptions {
+        for item in 0..num_items {
+            for user in 0..num_users {
+                if rng.gen_bool(0.2) {
+                    b.exempt_user(item, user);
+                }
             }
         }
     }
@@ -63,8 +97,16 @@ fn random_instance(rng: &mut StdRng) -> Instance {
 /// Draws a valid random event prefix up to `now`: per (user, t) slot at most
 /// `display_limit` distinct items, random adoption outcomes.
 fn random_events(rng: &mut StdRng, inst: &Instance, now: u32) -> Vec<AdoptionEvent> {
+    let events = random_batch(rng, inst, 0, now);
+    assert!(validate_events(inst, &events, now).is_ok());
+    events
+}
+
+/// Draws random events for the steps `from + 1 ..= to`, as
+/// [`random_events`] does for a whole prefix.
+fn random_batch(rng: &mut StdRng, inst: &Instance, from: u32, to: u32) -> Vec<AdoptionEvent> {
     let mut events = Vec::new();
-    for t in 1..=now {
+    for t in from + 1..=to {
         for user in 0..inst.num_users() {
             let mut shown: Vec<u32> = Vec::new();
             for _slot in 0..inst.display_limit() {
@@ -85,7 +127,6 @@ fn random_events(rng: &mut StdRng, inst: &Instance, now: u32) -> Vec<AdoptionEve
             }
         }
     }
-    assert!(validate_events(inst, &events, now).is_ok());
     events
 }
 
@@ -102,8 +143,7 @@ fn exempt_mode_dominates_conservative_and_engines_agree() {
         let events = random_events(&mut rng, &inst, now);
 
         let exempt = residual_of_validated(&inst, &events, now);
-        let conservative =
-            residual_of_validated_with(&inst, &events, now, ResidualMode::Conservative);
+        let conservative = residual_by_builder(&inst, &events, now, ResidualMode::Conservative);
         if exempt.has_exemptions() {
             binding_cases += 1;
         }
@@ -205,8 +245,7 @@ fn exact_optimum_dominates_conservative_per_case() {
         let inst = b.build().unwrap();
         let events = random_events(&mut rng, &inst, 1);
         let exempt = residual_of_validated(&inst, &events, 1);
-        let conservative =
-            residual_of_validated_with(&inst, &events, 1, ResidualMode::Conservative);
+        let conservative = residual_by_builder(&inst, &events, 1, ResidualMode::Conservative);
 
         let best_exempt = revmax_algorithms::exact_optimum(&exempt, 16);
         let best_conservative = revmax_algorithms::exact_optimum(&conservative, 16);
@@ -226,59 +265,149 @@ fn exact_optimum_dominates_conservative_per_case() {
     );
 }
 
-#[test]
-fn incremental_residuals_match_from_scratch_across_random_histories() {
-    let mut rng = StdRng::seed_from_u64(0xacc_2024);
-    for case in 0..100 {
-        let inst = random_instance(&mut rng);
-        if inst.horizon() < 3 {
-            continue;
-        }
-        let first = rng.gen_range(1..inst.horizon() - 1);
-        let second = rng.gen_range(first + 1..inst.horizon());
-        let batch1 = random_events(&mut rng, &inst, first);
-        let mut batch2 = random_events(&mut rng, &inst, second);
-        batch2.retain(|e| e.t.value() > first);
-
-        let prev = residual_of_validated(&inst, &batch1, first);
-        let mut all = batch1.clone();
-        all.extend_from_slice(&batch2);
-        let delta = ResidualDelta::new(first, second, &batch2, EngineSnapshot::new());
-        let incremental = residual_advance(&inst, &prev, &all, &delta);
-        let scratch = residual_of_validated(&inst, &all, second);
-
+/// Asserts that two residual instances are the same, bit for bit: shape,
+/// items (classes, betas, prices, capacities, exempt sets) and candidate
+/// rows in CSR order (users, items, probabilities, ratings).
+fn assert_same_residual(product: &Instance, reference: &Instance, label: &str) {
+    assert_eq!(product.horizon(), reference.horizon(), "{label}: horizon");
+    assert_eq!(product.num_users(), reference.num_users(), "{label}: users");
+    assert_eq!(
+        product.num_classes(),
+        reference.num_classes(),
+        "{label}: classes"
+    );
+    assert_eq!(
+        product.display_limit(),
+        reference.display_limit(),
+        "{label}: display limit"
+    );
+    assert_eq!(
+        product.has_exemptions(),
+        reference.has_exemptions(),
+        "{label}: exemption flag"
+    );
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(product.num_items(), reference.num_items(), "{label}: items");
+    for i in 0..reference.num_items() {
+        let item = ItemId(i);
         assert_eq!(
-            incremental.num_candidates(),
-            scratch.num_candidates(),
-            "case {case}: candidate sets diverged"
+            product.class_of(item),
+            reference.class_of(item),
+            "{label}: class of {item}"
         );
-        for i in 0..inst.num_items() {
-            let item = ItemId(i);
-            assert_eq!(incremental.capacity(item), scratch.capacity(item));
-            assert_eq!(incremental.exempt_users(item), scratch.exempt_users(item));
-            assert_eq!(incremental.price_series(item), scratch.price_series(item));
-        }
-        for cand in scratch.candidates() {
-            let user = scratch.candidate_user(cand);
-            let item = scratch.candidate_item(cand);
-            let inc = incremental
-                .candidate_for(user, item)
-                .unwrap_or_else(|| panic!("case {case}: {user} {item} missing incrementally"));
-            for (a, b) in scratch
-                .candidate_probs(cand)
-                .iter()
-                .zip(incremental.candidate_probs(inc))
-            {
-                assert_eq!(a.to_bits(), b.to_bits(), "case {case}: row bits diverged");
-            }
-        }
-
-        // And the plans over the two constructions are exactly equal.
-        let a = plan(&incremental, &PlannerConfig::default());
-        let b = plan(&scratch, &PlannerConfig::default());
-        assert_eq!(a.strategy.as_slice(), b.strategy.as_slice());
-        assert_eq!(a.revenue.to_bits(), b.revenue.to_bits());
+        assert_eq!(
+            product.beta(item).to_bits(),
+            reference.beta(item).to_bits(),
+            "{label}: β of {item}"
+        );
+        assert_eq!(
+            product.capacity(item),
+            reference.capacity(item),
+            "{label}: capacity of {item}"
+        );
+        assert_eq!(
+            product.exempt_users(item),
+            reference.exempt_users(item),
+            "{label}: exempt users of {item}"
+        );
+        assert_eq!(
+            bits(product.price_series(item)),
+            bits(reference.price_series(item)),
+            "{label}: prices of {item}"
+        );
     }
+    assert_eq!(
+        product.user_cand_offsets(),
+        reference.user_cand_offsets(),
+        "{label}: candidate rows per user"
+    );
+    for cand in reference.candidates() {
+        let (user, item) = (
+            reference.candidate_user(cand),
+            reference.candidate_item(cand),
+        );
+        assert_eq!(
+            product.candidate_item(cand),
+            item,
+            "{label}: candidate {} item",
+            cand.0
+        );
+        assert_eq!(
+            bits(product.candidate_probs(cand)),
+            bits(reference.candidate_probs(cand)),
+            "{label}: row bits of {user} {item}"
+        );
+        assert_eq!(
+            product.candidate_rating(cand).to_bits(),
+            reference.candidate_rating(cand).to_bits(),
+            "{label}: rating of {user} {item}"
+        );
+    }
+}
+
+/// Chains `residual_advance` from the original instance (frontier 0) to
+/// `T − 1` in random steps of 1–3, with empty batches and adoptions that
+/// close groups, on instances with and without original exemptions and
+/// zero entries; every
+/// residual of the chain equals the oracle's builder bit for bit, and so
+/// does the one-shot `residual_of_validated` on the same history.
+#[test]
+fn chained_advances_match_the_builder_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xc4a1_2026);
+    let (mut advances, mut multi_step, mut empty, mut closing, mut exempt_displays) =
+        (0u32, 0u32, 0u32, 0u32, 0u32);
+    for case in 0..120u32 {
+        let inst = random_instance_over(&mut rng, 3..=8, case % 2 == 1, case % 4 < 2);
+        // Frontier 0 is the instance itself, minus rows with no positive entry.
+        assert_same_residual(
+            &residual_of_validated(&inst, &[], 0),
+            &residual_by_builder(&inst, &[], 0, ResidualMode::Exempt),
+            &format!("case {case} at frontier 0"),
+        );
+        let mut history: Vec<AdoptionEvent> = Vec::new();
+        let mut prev: Option<Instance> = None;
+        let mut frontier = 0;
+        while frontier + 1 < inst.horizon() {
+            let now = rng.gen_range(frontier + 1..=(frontier + 3).min(inst.horizon() - 1));
+            let batch = if rng.gen_bool(0.2) {
+                Vec::new()
+            } else {
+                random_batch(&mut rng, &inst, frontier, now)
+            };
+            history.extend_from_slice(&batch);
+            advances += 1;
+            multi_step += u32::from(now - frontier > 1);
+            empty += u32::from(batch.is_empty());
+            closing += batch.iter().filter(|e| e.is_adoption()).count() as u32;
+            exempt_displays += batch
+                .iter()
+                .filter(|e| inst.is_exempt(e.item, e.user))
+                .count() as u32;
+
+            let delta = ResidualDelta::new(frontier, now, &batch, EngineSnapshot::new());
+            let residual =
+                residual_advance(&inst, prev.as_ref().unwrap_or(&inst), &history, &delta);
+            let reference = residual_by_builder(&inst, &history, now, ResidualMode::Exempt);
+            let label = format!("case {case} advance {frontier} -> {now}");
+            assert_same_residual(&residual, &reference, &label);
+            assert_same_residual(
+                &residual_of_validated(&inst, &history, now),
+                &reference,
+                &format!("{label} (one shot)"),
+            );
+            prev = Some(residual);
+            frontier = now;
+        }
+    }
+    // The suite must reach every path it claims to cover.
+    assert!(advances >= 300, "only {advances} advances");
+    assert!(multi_step >= 50, "only {multi_step} multi-step advances");
+    assert!(empty >= 30, "only {empty} empty batches");
+    assert!(closing >= 100, "only {closing} adoptions");
+    assert!(
+        exempt_displays >= 50,
+        "only {exempt_displays} originally exempt displays"
+    );
 }
 
 /// Exempt-user residuals of uniform-β instances (one β per class) replan

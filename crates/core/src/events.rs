@@ -46,30 +46,31 @@
 //!   registered as an **exempt pair** on the residual instance
 //!   ([`Instance::is_exempt`]): re-displaying the item to such a user
 //!   consumed its single unit of *original* capacity already, so it is not
-//!   charged a residual unit again. Residual capacity semantics are
-//!   therefore **exact**: a residual-valid plan is valid, and a valid
-//!   continuation of the original plan is residual-valid. The historical
-//!   conservative semantics — no exempt sets, so re-displays to prefix
-//!   users double-charge and can be spuriously blocked at capacity — remain
-//!   available behind [`ResidualMode::Conservative`] for parity tests.
+//!   charged a residual unit again. Pairs the original instance already
+//!   exempts stay exempt and are never charged — their displays never
+//!   counted against capacity. Residual capacity semantics are therefore
+//!   **exact**, with or without original exemptions: a residual-valid plan
+//!   is valid, and a valid continuation of the original plan is
+//!   residual-valid.
 //!
 //! Prices simply shift: `p'(i, t') = p(i, now + t')`.
 //!
 //! # Incremental residual construction
 //!
 //! [`residual_advance`] builds the residual at frontier `now` from the
-//! residual at the previous frontier instead of from scratch: candidate rows
-//! of **untouched** (user, class) groups are a pure left-shift of the
-//! previous residual's rows (memory depends only on absolute display times,
-//! so the shifted values are bit-identical to a recomputation), and only the
-//! **prefix-adjacent** groups — those of users with events in the advance,
-//! listed in [`ResidualDelta::touched_users`] — are rebuilt from the
-//! original instance. The result is bit-identical to
-//! [`residual_of_validated`] on the cumulative history, which the property
-//! suites assert.
+//! residual at the previous frontier, and is the only construction: a
+//! from-scratch residual ([`residual_of_validated`]) is an advance from the
+//! original instance at frontier 0. Only the **touched** (user, class)
+//! groups — those with an event in the advance's batch — are rebuilt from
+//! the original instance; every other candidate row is a pure left-shift
+//! of the previous residual's row (memory depends only on absolute display
+//! times, so the shifted values are bit-identical to a recomputation).
+//! Capacities and exempt sets are the previous residual's, charged with the
+//! batch alone. The property suites assert that every chain of advances
+//! matches an independent builder-based construction bit for bit.
 
 use crate::ids::{CandidateId, ClassId, ItemId, TimeStep, Triple, UserId};
-use crate::instance::{ExemptSets, Instance, InstanceBuilder};
+use crate::instance::{ExemptSets, Instance};
 use crate::revenue::ResidualDelta;
 use crate::strategy::Strategy;
 use std::collections::{HashMap, HashSet};
@@ -266,26 +267,9 @@ pub fn shift_strategy(strategy: &Strategy, offset: u32) -> Strategy {
     shifted
 }
 
-/// How a residual instance accounts the capacity already consumed by the
-/// prefix (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResidualMode {
-    /// Exact semantics (the default): capacity is pre-charged per distinct
-    /// displayed user **and** each displayed `(item, user)` pair is exempt,
-    /// so re-displays are never double-charged.
-    #[default]
-    Exempt,
-    /// The historical conservative semantics: capacity is pre-charged but no
-    /// exempt sets are registered, so a re-display to a prefix user is
-    /// double-charged (and blocked once the item sits at capacity). Kept for
-    /// parity tests against the pre-exemption behaviour.
-    Conservative,
-}
-
 /// Conditions an instance on a realized prefix of events, producing the
 /// residual instance over the remaining horizon `now+1 ..= T` (re-indexed to
-/// `1 ..= T − now`), with exact ([`ResidualMode::Exempt`]) capacity
-/// semantics. See the module docs.
+/// `1 ..= T − now`), with exact capacity semantics. See the module docs.
 ///
 /// `events` must all lie at `t ≤ now` and `now` must leave at least one
 /// remaining time step (`now < T`). Candidate pairs whose future is entirely
@@ -297,274 +281,234 @@ pub fn residual_instance(
     events: &[AdoptionEvent],
     now: u32,
 ) -> Result<Instance, EventError> {
-    residual_instance_with(inst, events, now, ResidualMode::Exempt)
-}
-
-/// [`residual_instance`] with an explicit capacity-accounting mode.
-pub fn residual_instance_with(
-    inst: &Instance,
-    events: &[AdoptionEvent],
-    now: u32,
-    mode: ResidualMode,
-) -> Result<Instance, EventError> {
     if now >= inst.horizon() {
         return Err(EventError::ExhaustedHorizon {
             horizon: inst.horizon(),
         });
     }
     validate_events(inst, events, now)?;
-    Ok(residual_of_validated_with(inst, events, now, mode))
+    Ok(residual_of_validated(inst, events, now))
 }
 
 /// [`residual_instance`] for callers that have already run
-/// [`validate_events`] against `now < T` — e.g. a replanning session that
-/// validates each incoming batch against its cumulative history exactly
-/// once. Skips the `O(events)` re-validation; the preconditions are checked
-/// only in debug builds.
+/// [`validate_events`] against `now < T`. Skips the `O(events)`
+/// re-validation; the preconditions are checked only in debug builds.
+///
+/// This is the advance from the original instance at frontier 0, whose
+/// batch is the whole history: see [`residual_advance`].
 pub fn residual_of_validated(inst: &Instance, events: &[AdoptionEvent], now: u32) -> Instance {
-    residual_of_validated_with(inst, events, now, ResidualMode::Exempt)
-}
-
-/// [`residual_of_validated`] with an explicit capacity-accounting mode.
-pub fn residual_of_validated_with(
-    inst: &Instance,
-    events: &[AdoptionEvent],
-    now: u32,
-    mode: ResidualMode,
-) -> Instance {
-    debug_assert!(now < inst.horizon(), "residual requires now < T");
-    debug_assert!(validate_events(inst, events, now).is_ok());
-    let remaining = (inst.horizon() - now) as usize;
-
-    // Per (user, class) prefix state: did the user adopt in the class, and at
-    // which times was the class displayed (for the residual memory factor).
-    let mut adopted: HashSet<(UserId, ClassId)> = HashSet::new();
-    let mut displays: HashMap<(UserId, ClassId), Vec<u32>> = HashMap::new();
-    for e in events {
-        let class = inst.class_of(e.item);
-        displays
-            .entry((e.user, class))
-            .or_default()
-            .push(e.t.value());
-        if e.is_adoption() {
-            adopted.insert((e.user, class));
-        }
-    }
-
-    let mut b = InstanceBuilder::new(inst.num_users(), inst.num_items(), remaining as u32);
-    seed_residual_items(&mut b, inst, events, now, mode);
-
-    let mut probs = vec![0.0f64; remaining];
-    for cand in inst.candidates() {
-        let user = inst.candidate_user(cand);
-        let class = inst.candidate_class(cand);
-        if adopted.contains(&(user, class)) {
-            continue; // the class is closed for this user
-        }
-        let prefix_times = displays.get(&(user, class)).map_or(&[][..], Vec::as_slice);
-        if fill_residual_row(inst, cand, now, prefix_times, &mut probs) {
-            b.candidate(
-                user.0,
-                inst.candidate_item(cand).0,
-                &probs,
-                inst.candidate_rating(cand),
-            );
-        }
-    }
-
-    match b.build() {
-        Ok(residual) => residual,
-        // All inputs were derived from an already-valid instance.
-        Err(e) => unreachable!("residual construction produced an invalid instance: {e:?}"),
-    }
-}
-
-/// Seeds the item axis of a residual builder: classes, betas, shifted
-/// prices, pre-charged capacities, and (in exempt mode) the exempt sets of
-/// the distinct displayed `(item, user)` pairs.
-fn seed_residual_items(
-    b: &mut InstanceBuilder,
-    inst: &Instance,
-    events: &[AdoptionEvent],
-    now: u32,
-    mode: ResidualMode,
-) {
-    // Distinct (item, user) display pairs — the capacity already consumed.
-    let mut charged: HashSet<(ItemId, UserId)> = HashSet::with_capacity(events.len());
-    for e in events {
-        charged.insert((e.item, e.user));
-    }
-    let mut residual_capacity: Vec<u32> = (0..inst.num_items())
-        .map(|i| inst.capacity(ItemId(i)))
-        .collect();
-    for (item, user) in &charged {
-        let slot = &mut residual_capacity[item.index()];
-        *slot = slot.saturating_sub(1);
-        if mode == ResidualMode::Exempt {
-            // The pair's unit of original capacity is spent; a re-display
-            // must not be charged a residual unit on top.
-            b.exempt_user(item.0, user.0);
-        }
-    }
-
-    b.display_limit(inst.display_limit());
-    for i in 0..inst.num_items() {
-        let item = ItemId(i);
-        // Class labels are already dense and in first-appearance order, so
-        // the builder's densification reproduces them exactly.
-        b.item_class(i, inst.class_of(item).0)
-            .beta(i, inst.beta(item))
-            .capacity(i, residual_capacity[item.index()])
-            .prices(i, &inst.price_series(item)[now as usize..]);
-    }
+    advance(inst, inst, events, now, now)
 }
 
 /// Fills `probs` with the residual primitive probabilities of `cand` (a
-/// candidate of the **original** instance) at frontier `now`, folding the
-/// class's prefix display times into the memory factor. Returns whether any
-/// entry is positive. Shared between the from-scratch and the incremental
-/// residual constructions so both produce bit-identical rows.
+/// candidate of the **original** instance) at frontier `now`, where
+/// `memory[idx]` is the prefix memory of the class at `t = now + idx + 1`.
+/// Returns whether any entry is positive.
 fn fill_residual_row(
     inst: &Instance,
     cand: CandidateId,
     now: u32,
-    prefix_times: &[u32],
+    memory: &[f64],
     probs: &mut [f64],
 ) -> bool {
     let beta = inst.beta(inst.candidate_item(cand));
-    let original = inst.candidate_probs(cand);
+    let original = &inst.candidate_probs(cand)[now as usize..];
     let mut any_positive = false;
-    for (idx, slot) in probs.iter_mut().enumerate() {
-        let t = now + idx as u32 + 1;
-        let q = original[(t - 1) as usize];
+    for ((slot, &q), &m) in probs.iter_mut().zip(original).zip(memory) {
         if q == 0.0 {
-            *slot = 0.0;
+            *slot = q; // a shifted row keeps the sign of a −0.0 too
             continue;
         }
-        let memory: f64 = prefix_times.iter().map(|&tau| 1.0 / (t - tau) as f64).sum();
-        *slot = q * beta.powf(memory);
+        *slot = q * beta.powf(m);
         any_positive |= *slot > 0.0;
     }
     any_positive
 }
 
-/// Builds the residual instance at frontier `delta.now()` **incrementally**
-/// from the residual at the previous frontier, rebuilding only the
-/// prefix-adjacent groups (users in [`ResidualDelta::touched_users`]) and
-/// left-shifting every other candidate row of `prev` by [`ResidualDelta::step`].
-/// Always uses [`ResidualMode::Exempt`] semantics.
+/// Builds the residual instance at frontier `delta.now()` from `prev`, the
+/// residual at the previous frontier `delta.now() − delta.step()`, in work
+/// proportional to the advance's batch (the events at `t > delta.now() −
+/// delta.step()`) rather than to the instance.
 ///
-/// The result is **bit-identical** to
-/// `residual_of_validated(inst, events, delta.now())` — memory factors
-/// depend only on absolute display times, so a shifted row equals a
-/// recomputed one — and the instance is assembled directly from the
-/// pre-validated parts (no [`InstanceBuilder`] re-validation, allocation,
-/// or sorting: a previous residual's CSR walk is already in candidate
-/// order), so an advance costs a row copy per untouched candidate plus a
-/// rebuild per prefix-adjacent one.
+/// * Rows of the **touched** (user, class) groups — those with a batch
+///   event — are rebuilt from the original instance, with each group's
+///   adoption flag and saturation memory gathered in one hashing-free pass
+///   over `events`.
+/// * Every other row is `prev`'s row shifted left by [`ResidualDelta::step`]:
+///   memory factors depend only on absolute display times, so a shifted row
+///   equals a recomputed one bit for bit.
+/// * Capacities and exempt sets are `prev`'s, charged with the batch's new
+///   (item, user) pairs only.
+///
+/// The instance is assembled directly from these parts, without
+/// [`crate::InstanceBuilder`] re-validation or sorting: `prev`'s CSR walk is
+/// already in candidate order. Every chain of advances produces the same
+/// instance, bit for bit, whatever its steps.
 ///
 /// Preconditions (checked in debug builds): `events` is the cumulative
 /// validated history at `delta.now() < T`, and `prev` is the residual of
-/// `inst` at frontier `delta.now() - delta.step()` under the same history
-/// minus the advance's batch.
+/// `inst` at the previous frontier under the history without the batch —
+/// or `inst` itself when that frontier is 0.
 pub fn residual_advance(
     inst: &Instance,
     prev: &Instance,
     events: &[AdoptionEvent],
     delta: &ResidualDelta,
 ) -> Instance {
-    let now = delta.now();
-    let step = delta.step();
+    advance(inst, prev, events, delta.now(), delta.step())
+}
+
+/// Per-class stamp of a class no touched group of the current user owns.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// [`residual_advance`] on raw frontiers: from `prev` at `now − step` to
+/// `now`.
+fn advance(
+    inst: &Instance,
+    prev: &Instance,
+    events: &[AdoptionEvent],
+    now: u32,
+    step: u32,
+) -> Instance {
+    let frontier = now - step;
     debug_assert!(now < inst.horizon(), "residual requires now < T");
     debug_assert!(validate_events(inst, events, now).is_ok());
     debug_assert_eq!(
         prev.horizon(),
-        inst.horizon() - (now - step),
+        inst.horizon() - frontier,
         "prev is not the residual at frontier now - step"
     );
     let remaining = (inst.horizon() - now) as usize;
+    let num_users = inst.num_users() as usize;
+    // History before the frontier lies at t <= frontier (the precondition).
+    let batch = events.iter().filter(|e| e.t.value() > frontier);
 
-    // Prefix state of the touched users only; untouched groups reuse their
-    // previous rows unchanged (shifted).
-    let mut adopted: HashSet<(UserId, ClassId)> = HashSet::new();
-    let mut displays: HashMap<(UserId, ClassId), Vec<u32>> = HashMap::new();
-    for e in events {
-        if !delta.is_touched_user(e.user) {
-            continue;
-        }
-        let class = inst.class_of(e.item);
-        displays
-            .entry((e.user, class))
-            .or_default()
-            .push(e.t.value());
-        if e.is_adoption() {
-            adopted.insert((e.user, class));
-        }
-    }
-
-    // Capacity and exempt sets from the cumulative charged pairs (O(events)).
-    let mut charged: HashSet<(ItemId, UserId)> = HashSet::with_capacity(events.len());
-    for e in events {
-        charged.insert((e.item, e.user));
-    }
-    let mut capacity: Vec<u32> = (0..inst.num_items())
-        .map(|i| inst.capacity(ItemId(i)))
+    // Touched groups, (user, class)-sorted; user `u` owns the groups
+    // `group_start[u]..group_start[u + 1]`.
+    let mut groups: Vec<(UserId, ClassId)> = batch
+        .clone()
+        .map(|e| (e.user, inst.class_of(e.item)))
         .collect();
-    let mut exempt_per_item = vec![Vec::new(); inst.num_items() as usize];
-    for (item, user) in &charged {
-        capacity[item.index()] = capacity[item.index()].saturating_sub(1);
-        exempt_per_item[item.index()].push(*user);
+    groups.sort_unstable();
+    groups.dedup();
+    let mut group_start = vec![0usize; num_users + 1];
+    for (user, _) in &groups {
+        group_start[user.index() + 1] += 1;
     }
-    let mut any_exempt = false;
-    for users in &mut exempt_per_item {
-        users.sort_unstable();
-        any_exempt |= !users.is_empty();
+    for u in 0..num_users {
+        group_start[u + 1] += group_start[u];
+    }
+    let group_of = |user: UserId, class: ClassId| {
+        let first = group_start[user.index()];
+        groups[first..group_start[user.index() + 1]]
+            .iter()
+            .position(|&(_, c)| c == class)
+            .map(|off| first + off)
+    };
+
+    // Prefix state of the touched groups, in one pass over the history:
+    // whether the user adopted in the class, and the memory `Σ_τ 1/(t − τ)`
+    // the class's display times `τ` leave at each remaining step `t`. The
+    // terms are added in event order from zero, as summing one row's terms
+    // does, so every bit of a rebuilt row is the same.
+    let mut adopted = vec![false; groups.len()];
+    let mut memory = vec![0.0f64; groups.len() * remaining];
+    for e in events {
+        if let Some(group) = group_of(e.user, inst.class_of(e.item)) {
+            adopted[group] |= e.is_adoption();
+            let tau = e.t.value();
+            let steps = memory[group * remaining..][..remaining].iter_mut();
+            for (t, m) in (now + 1..).zip(steps) {
+                *m += 1.0 / (t - tau) as f64;
+            }
+        }
     }
 
-    // Candidate rows, written straight into the final CSR buffers: a
-    // previous residual's CSR walk is already (user, item)-sorted, so no
-    // builder-side sorting or re-validation is needed.
+    // Capacities and exempt sets: `prev`'s, charged with the batch. A pair
+    // `prev` exempts (displayed before, or exempt in the original instance)
+    // costs nothing; a new pair spends the unit of original capacity its
+    // first display consumed and becomes exempt, so a re-display is never
+    // charged again.
+    let mut capacity: Vec<u32> = (0..inst.num_items())
+        .map(|i| prev.capacity(ItemId(i)))
+        .collect();
+    let mut exempt: Vec<Vec<UserId>> = (0..inst.num_items())
+        .map(|i| prev.exempt_users(ItemId(i)).to_vec())
+        .collect();
+    let mut any_exempt = prev.has_exemptions();
+    for e in batch {
+        let users = &mut exempt[e.item.index()];
+        if let Err(pos) = users.binary_search(&e.user) {
+            users.insert(pos, e.user);
+            capacity[e.item.index()] = capacity[e.item.index()].saturating_sub(1);
+            any_exempt = true;
+        }
+    }
+
+    // Candidate rows, user by user in `prev`'s CSR order.
     let upper = prev.num_candidates();
     let mut cand_user: Vec<UserId> = Vec::with_capacity(upper);
     let mut cand_item: Vec<ItemId> = Vec::with_capacity(upper);
     let mut cand_rating: Vec<f64> = Vec::with_capacity(upper);
     let mut cand_prob: Vec<f64> = Vec::with_capacity(upper * remaining);
-    for prev_cand in prev.candidates() {
-        let user = prev.candidate_user(prev_cand);
-        let item = prev.candidate_item(prev_cand);
-        let start = cand_prob.len();
-        let (live, rating) = if delta.is_touched_user(user) {
-            // Prefix-adjacent: rebuild the row from the original instance.
-            let class = inst.class_of(item);
-            if adopted.contains(&(user, class)) {
-                continue;
+    let mut class_group = vec![UNTOUCHED; inst.num_classes() as usize];
+    let prev_rows = prev.user_cand_offsets();
+    let orig_rows = inst.user_cand_offsets();
+    for u in 0..num_users {
+        let user = UserId(u as u32);
+        let touched = group_start[u]..group_start[u + 1];
+        for g in touched.clone() {
+            class_group[groups[g].1.index()] = g as u32;
+        }
+        let mut orig = orig_rows[u];
+        for c in prev_rows[u]..prev_rows[u + 1] {
+            let prev_cand = CandidateId(c);
+            let item = prev.candidate_item(prev_cand);
+            let group = if touched.is_empty() {
+                UNTOUCHED
+            } else {
+                class_group[inst.class_of(item).index()]
+            };
+            let start = cand_prob.len();
+            let live = if group == UNTOUCHED {
+                // Memory depends only on absolute display times, so the
+                // shifted row is bit-identical to a rebuilt one.
+                let row = &prev.candidate_probs(prev_cand)[step as usize..];
+                cand_prob.extend_from_slice(row);
+                row.iter().any(|&q| q > 0.0)
+            } else if adopted[group as usize] {
+                continue; // the class is closed for this user
+            } else {
+                // `prev`'s candidates are a subsequence of the original's
+                // item-sorted ones, so this walk only moves forward.
+                while inst.candidate_item(CandidateId(orig)) < item {
+                    orig += 1;
+                }
+                assert_eq!(
+                    inst.candidate_item(CandidateId(orig)),
+                    item,
+                    "prev residual candidates descend from the original instance"
+                );
+                let g = group as usize;
+                cand_prob.resize(start + remaining, 0.0);
+                fill_residual_row(
+                    inst,
+                    CandidateId(orig),
+                    now,
+                    &memory[g * remaining..][..remaining],
+                    &mut cand_prob[start..],
+                )
+            };
+            if live {
+                cand_user.push(user);
+                cand_item.push(item);
+                cand_rating.push(prev.candidate_rating(prev_cand));
+            } else {
+                cand_prob.truncate(start); // entirely dead: drop the pair
             }
-            let cand = inst
-                .candidate_for(user, item)
-                .expect("prev residual candidates descend from the original instance");
-            let prefix_times = displays.get(&(user, class)).map_or(&[][..], Vec::as_slice);
-            cand_prob.resize(start + remaining, 0.0);
-            (
-                fill_residual_row(inst, cand, now, prefix_times, &mut cand_prob[start..]),
-                inst.candidate_rating(cand),
-            )
-        } else {
-            // Untouched: the new row is the previous row shifted left. The
-            // memory folded into each entry depends only on absolute times,
-            // so the shifted values are bit-identical to a recomputation.
-            let prev_row = &prev.candidate_probs(prev_cand)[step as usize..];
-            cand_prob.extend_from_slice(prev_row);
-            (
-                prev_row.iter().any(|&q| q > 0.0),
-                prev.candidate_rating(prev_cand),
-            )
-        };
-        if live {
-            cand_user.push(user);
-            cand_item.push(item);
-            cand_rating.push(rating);
-        } else {
-            cand_prob.truncate(start); // entirely dead: drop the pair
+        }
+        for g in touched {
+            class_group[groups[g].1.index()] = UNTOUCHED;
         }
     }
 
@@ -574,7 +518,7 @@ pub fn residual_advance(
         remaining as u32,
         capacity,
         ExemptSets {
-            per_item: exempt_per_item,
+            per_item: exempt,
             any: any_exempt,
         },
         cand_user,
@@ -587,6 +531,7 @@ pub fn residual_advance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::InstanceBuilder;
     use crate::revenue::{dynamic_probabilities, revenue};
     use std::collections::HashMap;
 
@@ -768,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn exempt_mode_registers_prefix_pairs_conservative_does_not() {
+    fn residual_registers_prefix_pairs_as_exempt() {
         let inst = instance();
         let events = [
             AdoptionEvent::rejected(0, 0, 1),
@@ -776,31 +721,16 @@ mod tests {
             AdoptionEvent::rejected(1, 0, 2),
         ];
         let exact = residual_instance(&inst, &events, 2).unwrap();
-        // Same pre-charged capacities as ever …
+        // Pre-charged capacities …
         assert_eq!(exact.capacity(ItemId(0)), 0);
         assert_eq!(exact.capacity(ItemId(2)), 1);
-        // … but the displayed pairs are exempt, so re-displays are free.
+        // … and the displayed pairs are exempt, so re-displays are free.
         assert!(exact.has_exemptions());
         assert!(exact.is_exempt(ItemId(0), UserId(0)));
         assert!(exact.is_exempt(ItemId(0), UserId(1)));
         assert!(exact.is_exempt(ItemId(2), UserId(1)));
         assert!(!exact.is_exempt(ItemId(2), UserId(0)));
         assert!(!exact.is_exempt(ItemId(1), UserId(0)));
-
-        let conservative =
-            residual_instance_with(&inst, &events, 2, ResidualMode::Conservative).unwrap();
-        assert!(!conservative.has_exemptions());
-        assert_eq!(conservative.capacity(ItemId(0)), 0);
-        // Probabilities and prices are identical across modes.
-        for cand in exact.candidates() {
-            let user = exact.candidate_user(cand);
-            let item = exact.candidate_item(cand);
-            let other = conservative.candidate_for(user, item).unwrap();
-            assert_eq!(
-                exact.candidate_probs(cand),
-                conservative.candidate_probs(other)
-            );
-        }
     }
 
     #[test]
@@ -816,79 +746,38 @@ mod tests {
         // A *new* user is still blocked.
         let fresh: Strategy = vec![Triple::new(1, 0, 1)].into_iter().collect();
         assert!(fresh.validate(&residual).is_err());
-        // Under conservative semantics even the re-display is blocked.
-        let conservative =
-            residual_instance_with(&inst, &events, 1, ResidualMode::Conservative).unwrap();
-        assert!(redisplay.validate(&conservative).is_err());
     }
 
     #[test]
-    fn residual_advance_matches_from_scratch_bit_for_bit() {
-        let inst = instance();
-        let day1 = [
-            AdoptionEvent::rejected(0, 0, 1),
-            AdoptionEvent::rejected(1, 2, 1),
-        ];
-        let day2 = [
-            AdoptionEvent::adopted(1, 0, 2),
-            AdoptionEvent::rejected(0, 2, 2),
-        ];
-        let prev = residual_of_validated(&inst, &day1, 1);
+    fn original_exemptions_survive_the_residual() {
+        // One item of capacity 1, two users, user 0 exempt on the item.
+        let mut b = InstanceBuilder::new(2, 1, 3);
+        b.capacity(0, 1)
+            .exempt_user(0, 0)
+            .constant_price(0, 5.0)
+            .candidate(0, 0, &[0.5, 0.5, 0.5], 0.0)
+            .candidate(1, 0, &[0.5, 0.5, 0.5], 0.0);
+        let inst = b.build().unwrap();
 
-        let mut all: Vec<AdoptionEvent> = day1.to_vec();
-        all.extend_from_slice(&day2);
-        let delta = ResidualDelta::new(1, 2, &day2, crate::EngineSnapshot::new());
-        let incremental = residual_advance(&inst, &prev, &all, &delta);
-        let scratch = residual_of_validated(&inst, &all, 2);
+        // No events: the exemption carries over, capacity is untouched.
+        let quiet = residual_of_validated(&inst, &[], 1);
+        assert_eq!(quiet.exempt_users(ItemId(0)), &[UserId(0)]);
+        assert_eq!(quiet.capacity(ItemId(0)), 1);
 
-        assert_eq!(incremental.horizon(), scratch.horizon());
-        assert_eq!(incremental.num_candidates(), scratch.num_candidates());
-        for i in 0..inst.num_items() {
-            let item = ItemId(i);
-            assert_eq!(incremental.capacity(item), scratch.capacity(item));
-            assert_eq!(incremental.price_series(item), scratch.price_series(item));
-            assert_eq!(incremental.exempt_users(item), scratch.exempt_users(item));
-        }
-        for cand in scratch.candidates() {
-            let user = scratch.candidate_user(cand);
-            let item = scratch.candidate_item(cand);
-            let inc_cand = incremental
-                .candidate_for(user, item)
-                .expect("candidate sets must match");
-            let a = scratch.candidate_probs(cand);
-            let b = incremental.candidate_probs(inc_cand);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits(), "rows diverged for {user} {item}");
-            }
-            assert_eq!(
-                scratch.candidate_rating(cand).to_bits(),
-                incremental.candidate_rating(inc_cand).to_bits()
-            );
-        }
-    }
+        // User 0's display never counted against capacity, so user 1 still
+        // fits after it.
+        let shown = residual_of_validated(&inst, &[AdoptionEvent::rejected(0, 0, 1)], 1);
+        assert_eq!(shown.exempt_users(ItemId(0)), &[UserId(0)]);
+        assert_eq!(shown.capacity(ItemId(0)), 1);
+        let both: Strategy = vec![Triple::new(0, 0, 1), Triple::new(1, 0, 1)]
+            .into_iter()
+            .collect();
+        assert!(both.validate(&shown).is_ok());
 
-    #[test]
-    fn residual_advance_handles_multi_step_and_empty_batches() {
-        let inst = instance();
-        let day1 = [AdoptionEvent::rejected(0, 1, 1)];
-        let prev = residual_of_validated(&inst, &day1, 1);
-        // Advance with no new events: every group is untouched and every
-        // row of the new residual is a pure shift of the previous one.
-        let delta = ResidualDelta::new(1, 2, &[], crate::EngineSnapshot::new());
-        let incremental = residual_advance(&inst, &prev, &day1, &delta);
-        let scratch = residual_of_validated(&inst, &day1, 2);
-        assert_eq!(incremental.num_candidates(), scratch.num_candidates());
-        for cand in scratch.candidates() {
-            let user = scratch.candidate_user(cand);
-            let item = scratch.candidate_item(cand);
-            let inc_cand = incremental.candidate_for(user, item).unwrap();
-            let a = scratch.candidate_probs(cand);
-            let b = incremental.candidate_probs(inc_cand);
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        // A non-exempt display is charged and becomes exempt.
+        let charged = residual_of_validated(&inst, &[AdoptionEvent::rejected(1, 0, 1)], 1);
+        assert_eq!(charged.exempt_users(ItemId(0)), &[UserId(0), UserId(1)]);
+        assert_eq!(charged.capacity(ItemId(0)), 0);
     }
 
     #[test]

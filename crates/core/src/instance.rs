@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// `i` to user `u` already consumed a capacity unit of the *original*
 /// instance, the residual instance pre-charges that unit — and marks
 /// `(i, u)` exempt so a re-display is not double-charged (see
-/// [`crate::events::ResidualMode`]). Ordinary instances have no exemptions
+/// [`mod@crate::events`]). Ordinary instances have no exemptions
 /// and pay a single `bool` check on the capacity fast path.
 ///
 /// Shared behind an `Arc` so engines and ledgers can carry the sets without
@@ -526,7 +526,7 @@ impl InstanceBuilder {
     /// Marks `(item, user)` exempt from the capacity constraint: displays of
     /// the item to that user consume none of its capacity `q_i`. Used by the
     /// residual construction for prefix pairs whose capacity unit was already
-    /// charged (see [`crate::events::ResidualMode::Exempt`]). Duplicates are
+    /// charged (see [`mod@crate::events`]). Duplicates are
     /// deduplicated at build time.
     pub fn exempt_user(&mut self, item: u32, user: u32) -> &mut Self {
         self.exempt.push((item, user));

@@ -81,9 +81,8 @@ pub use effective::{
 };
 pub use error::{BuildError, ConstraintViolation, StrategyParseError};
 pub use events::{
-    realized_revenue, residual_advance, residual_instance, residual_instance_with,
-    residual_of_validated, residual_of_validated_with, shift_strategy, validate_events,
-    AdoptionEvent, AdoptionOutcome, EventError, ResidualMode,
+    realized_revenue, residual_advance, residual_instance, residual_of_validated, shift_strategy,
+    validate_events, AdoptionEvent, AdoptionOutcome, EventError,
 };
 pub use ids::{CandidateId, ClassId, ItemId, TimeStep, Triple, UserId};
 pub use instance::{Instance, InstanceBuilder, UserShard};

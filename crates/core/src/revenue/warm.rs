@@ -3,7 +3,7 @@
 //! A dynamic replan session (`revmax_serve::PlanSession`) plans a chain of
 //! residual instances of one original instance: same items, same saturation
 //! factors, a horizon that shrinks by one per advance, and candidate rows
-//! that change only around the users touched by new adoption events. A
+//! that change only in the (user, class) groups new adoption events touch. A
 //! from-scratch engine construction per replan rebuilds state that is
 //! invariant along that chain — most expensively the saturation power tables
 //! (`ln β` and `β^{1/d}`, one `powf` per item per time distance) — and
@@ -18,9 +18,10 @@
 //!   per-shard buffer sets; engines take buffers at construction and return
 //!   them from [`super::flat::IncrementalRevenue::into_strategy`];
 //! * [`ResidualDelta`] — what one session advance changed: the new frontier,
-//!   the shift, the prefix-adjacent (touched) users/items, and the snapshot.
-//!   `residual_advance` (in [`crate::events`]) uses the touched sets to
-//!   rebuild only the groups the new events invalidated, and
+//!   the shift, the users with new events, and the snapshot.
+//!   `residual_advance` (in [`crate::events`]) uses the frontier and the
+//!   shift to tell the batch from the history and rebuilds only the
+//!   (user, class) groups the batch touched, and
 //!   [`super::RevenueEngine::warm_start`] uses the snapshot.
 //!
 //! Warm state is a **performance** handle, never a behaviour one: recycled
@@ -198,10 +199,11 @@ impl EngineSnapshot {
 /// instance — the handle a warm-started replan works from.
 ///
 /// Carries the new frontier, the shift against the previous residual
-/// timeline, the **prefix-adjacent** users (those with new events, whose
-/// (user, class) groups must be rebuilt rather than shifted), and the
-/// session's [`EngineSnapshot`]. Built by [`ResidualDelta::new`] from the
-/// advance's event batch.
+/// timeline, the users with new events, and the session's
+/// [`EngineSnapshot`]. Built by [`ResidualDelta::new`] from the advance's
+/// event batch. Every session advance builds one to advance its residual
+/// ([`crate::events::residual_advance`]); a planner sees it only when warm
+/// starts are on.
 #[derive(Debug, Clone)]
 pub struct ResidualDelta {
     now: u32,
@@ -259,8 +261,9 @@ impl ResidualDelta {
         self.step
     }
 
-    /// Users with events in the advance (sorted, deduplicated): their
-    /// (user, class) groups must be rebuilt from the original instance.
+    /// Users with events in the advance (sorted, deduplicated). Only their
+    /// (user, class) groups with a batch event are rebuilt; their other
+    /// groups shift like everyone else's.
     pub fn touched_users(&self) -> &[UserId] {
         &self.touched_users
     }
@@ -268,11 +271,6 @@ impl ResidualDelta {
     /// The session's warm-start pool.
     pub fn snapshot(&self) -> &EngineSnapshot {
         &self.snapshot
-    }
-
-    /// Whether a user was touched by the advance (binary search).
-    pub fn is_touched_user(&self, user: UserId) -> bool {
-        self.touched_users.binary_search(&user).is_ok()
     }
 }
 

@@ -1,9 +1,9 @@
 //! # revmax-oracle
 //!
-//! Test-only reference engines for the REVMAX parity suites. The planner
-//! keeps one engine (the flat-arena [`revmax_core::IncrementalRevenue`]) and
-//! one selection rule (lazy forward); the references it is checked against
-//! are engine *types* that tests plug into the generic drivers
+//! Test-only references for the REVMAX parity suites. The planner keeps one
+//! engine (the flat-arena [`revmax_core::IncrementalRevenue`]) and one
+//! selection rule (lazy forward); the engines it is checked against are
+//! engine *types* that tests plug into the generic drivers
 //! (`revmax_algorithms::plan_with::<E>`):
 //!
 //! * [`HashIncrementalRevenue`] — the original hash-based evaluator, an
@@ -11,7 +11,13 @@
 //! * [`Eager`] — any engine with every lazy-forward flag stale, i.e. the
 //!   eager re-evaluation ablation of §5.1.
 //!
-//! Every reference must reproduce the product's plans (the parity suites
+//! The residual instances it plans are checked against
+//! [`residual_by_builder`], the from-scratch, builder-based construction
+//! that every chain of `revmax_core::residual_advance` calls must match bit
+//! for bit; its [`ResidualMode::Conservative`] is the capacity accounting
+//! the exemption suites compare against.
+//!
+//! Every reference must reproduce the product's results (the parity suites
 //! assert it), so none of them is a planner choice. No product crate
 //! depends on this one; `cargo xtask lint` confines the `revmax_oracle`
 //! path to test code and the bench emitters.
@@ -20,8 +26,10 @@
 #![warn(rust_2018_idioms)]
 
 mod hash;
+mod residual;
 
 pub use hash::HashIncrementalRevenue;
+pub use residual::{residual_by_builder, ResidualMode};
 
 use revmax_core::{
     CandidateId, Instance, ResidualDelta, RevenueEngine, Strategy, TimeStep, UserShard,

@@ -1,7 +1,7 @@
 //! Dynamic-replanning latency emitter: drives `PlanSession`s through a
 //! deterministic adoption stream and times **every per-event replan** in
-//! four modes — warm-started vs cold residual rebuilds, inline vs attached
-//! to a `PlanService` — then writes a machine-readable `BENCH_session.json`.
+//! four modes — warm-started vs cold engines, inline vs attached to a
+//! `PlanService` — then writes a machine-readable `BENCH_session.json`.
 //!
 //! Usage:
 //! ```text
@@ -19,12 +19,13 @@
 //!
 //! Reading the numbers: `warm_vs_cold_speedup` compares median per-event
 //! replan latency inline; the warm path skips the saturation-table rebuild
-//! (one `powf` per item per time distance), recycles the engine's arena
-//! buffers, and builds each residual instance incrementally
-//! (`residual_advance` shifts untouched candidate rows instead of
-//! recomputing them). `attached_overhead_pct` is the submit → sync round
-//! trip of the ticketed session-over-service path against replanning on the
-//! calling thread; with several concurrent sessions the pool amortises it.
+//! (one `powf` per item per time distance) and recycles the engine's arena
+//! buffers. Every mode, cold ones included, builds each residual instance
+//! incrementally (`residual_advance` shifts untouched candidate rows
+//! instead of recomputing them). `attached_overhead_pct` is the submit →
+//! sync round trip of the ticketed session-over-service path against
+//! replanning on the calling thread; with several concurrent sessions the
+//! pool amortises it.
 
 use revmax_core::{env, AdoptionEvent, AdoptionOutcome};
 use revmax_data::{generate, DatasetConfig};
@@ -204,8 +205,8 @@ fn main() {
     json.push_str(&format!("  \"samples\": {samples},\n"));
     json.push_str(
         "  \"notes\": \"per-event replan latency of a PlanSession driven through a deterministic \
-         adoption stream; warm rows recycle saturation tables + engine buffers and build \
-         residuals incrementally (residual_advance), attached rows pay the ticketed \
+         adoption stream; warm rows recycle saturation tables + engine buffers, every row \
+         builds residuals incrementally (residual_advance), attached rows pay the ticketed \
          submit -> sync round trip through a 1-worker PlanService; all four modes produce \
          identical per-day plans (asserted, relative 1e-9)\",\n",
     );

@@ -37,13 +37,14 @@
 //! **cancels** the stale in-flight replan ([`PlanTicket::cancel`]) before
 //! submitting its own — late results are never applied.
 //!
-//! # Warm-started replans
+//! # Incremental residuals and warm-started replans
 //!
-//! `PlannerConfig::warm_start` makes each advance build the residual
-//! instance incrementally (`revmax_core::residual_advance`: untouched
-//! candidate rows are a pure shift, only prefix-adjacent groups are
-//! rebuilt, and the instance is assembled without re-validation) and lets
-//! the engines recycle the previous replan's saturation tables and arena
+//! Every session advance builds the residual instance incrementally from
+//! the previous one (`revmax_core::residual_advance`: untouched candidate
+//! rows are a pure shift, only the (user, class) groups with new events are
+//! rebuilt, and the instance is assembled without re-validation) and
+//! validates only the new batch. `PlannerConfig::warm_start` only lets the
+//! engines recycle the previous replan's saturation tables and arena
 //! buffers (`revmax_core::EngineSnapshot`). Latency: on the bench instance
 //! (`amazon_like().scaled(0.02)`, 38k candidate pairs) warm-started
 //! replans run ≈ 1.1× faster per event than cold rebuilds, and the

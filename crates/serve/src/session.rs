@@ -20,16 +20,18 @@
 //! shard/warm-start knob of [`PlannerConfig`] remains a pure performance
 //! knob during a session too.
 //!
-//! # Warm-started replans
+//! # Incremental residuals and warm starts
 //!
-//! With [`PlannerConfig::warm_start`] set, each advance builds the residual
-//! instance **incrementally** from the previous one
+//! Every advance builds the residual instance **incrementally** from the
+//! previous one — the original instance on the first advance —
 //! ([`revmax_core::residual_advance`]: untouched candidate rows are a pure
-//! shift, only the groups of users with new events are rebuilt) and the
-//! engines recycle the previous replan's saturation tables and arena
-//! buffers through the session's [`EngineSnapshot`] pool. Warm and cold
-//! replans produce identical plans; the `bench_session` emitter measures
-//! the latency difference.
+//! shift, only the (user, class) groups with new events are rebuilt), and
+//! validates only the new batch: history and batch events can share no
+//! display or slot, since the batch lies after the fixed frontier. With
+//! [`PlannerConfig::warm_start`] set, the engines also recycle the previous
+//! replan's saturation tables and arena buffers through the session's
+//! [`EngineSnapshot`] pool. Warm and cold replans produce identical plans;
+//! the `bench_session` emitter measures the latency difference.
 //!
 //! # Sessions over a service
 //!
@@ -47,8 +49,8 @@
 use crate::service::{PlanService, PlanTicket, TicketStatus};
 use revmax_algorithms::{plan, plan_residual, PlannerConfig};
 use revmax_core::{
-    realized_revenue, residual_advance, residual_of_validated, shift_strategy, validate_events,
-    AdoptionEvent, EngineSnapshot, EventError, Instance, ResidualDelta, Strategy, Triple,
+    realized_revenue, residual_advance, shift_strategy, validate_events, AdoptionEvent,
+    EngineSnapshot, EventError, Instance, ResidualDelta, Strategy, Triple,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -386,13 +388,11 @@ impl PlanSession {
                 });
             }
         }
-        // Validate the cumulative history against the new frontier before
-        // mutating anything (duplicates and display limits are per-history);
-        // this is the single validation pass — the residual construction
-        // below takes the pre-validated path.
-        let mut all = self.events.clone();
-        all.extend_from_slice(events);
-        validate_events(&self.inst, &all, now)?;
+        // Validate before mutating anything. The batch alone suffices: the
+        // history lies at t <= self.now and the batch after it, so the two
+        // share no display triple and no (user, t) slot, and the batch's
+        // first error is the one the cumulative history would report.
+        validate_events(&self.inst, events, now)?;
 
         // This advance supersedes any replan still in flight: cancel it (a
         // queued job never runs; a running one finishes and is abandoned).
@@ -402,7 +402,7 @@ impl PlanSession {
 
         let prev_now = self.now;
         self.realized += realized_revenue(&self.inst, events);
-        self.events = all;
+        self.events.extend_from_slice(events);
         self.now = now;
         if now >= self.inst.horizon() {
             self.residual = None;
@@ -418,19 +418,14 @@ impl PlanSession {
             });
         }
 
-        // Residual construction: incremental from the previous residual when
-        // warm-starting (bit-identical to the from-scratch build — only the
-        // prefix-adjacent groups are rebuilt), from scratch otherwise.
-        let delta = self
-            .config
-            .warm_start
-            .then(|| ResidualDelta::new(prev_now, now, events, self.snapshot.clone()));
-        let residual = match (&delta, &self.residual) {
-            (Some(delta), Some(prev)) => residual_advance(&self.inst, prev, &self.events, delta),
-            _ => residual_of_validated(&self.inst, &self.events, now),
-        };
-        let residual = Arc::new(residual);
+        // The residual advances from the previous one (the original
+        // instance before the first advance); the planner sees the delta
+        // only when it recycles engine state.
+        let delta = ResidualDelta::new(prev_now, now, events, self.snapshot.clone());
+        let prev = self.residual.as_deref().unwrap_or(&self.inst);
+        let residual = Arc::new(residual_advance(&self.inst, prev, &self.events, &delta));
         self.residual = Some(Arc::clone(&residual));
+        let delta = self.config.warm_start.then_some(delta);
 
         if let Some(service) = &self.service {
             // Session-over-service: submit the ticketed replan and return
@@ -461,7 +456,7 @@ mod tests {
     use super::*;
     use revmax_algorithms::{plan_with, GreedyOutcome, PlanAlgorithm};
     use revmax_core::{residual_instance, revenue, AdoptionOutcome, InstanceBuilder, TimeStep};
-    use revmax_oracle::HashIncrementalRevenue;
+    use revmax_oracle::{residual_by_builder, HashIncrementalRevenue, ResidualMode};
 
     fn storefront_instance(seed: u32) -> Instance {
         let mut b = InstanceBuilder::new(4, 5, 4);
@@ -564,8 +559,12 @@ mod tests {
                         // From-scratch references: residual instance built
                         // independently, planned with the same config on
                         // the flat engine and on the hash engine.
-                        let residual =
-                            residual_instance(&inst, &all_events, session.now()).unwrap();
+                        let residual = residual_by_builder(
+                            &inst,
+                            &all_events,
+                            session.now(),
+                            ResidualMode::Exempt,
+                        );
                         let reference = plan(&residual, &cfg);
                         let label = format!("seed {seed} {shards} shards warm {warm}");
                         assert_suffix_is(&session, &reference, &format!("{label} flat"));
@@ -713,38 +712,109 @@ mod tests {
         assert!((session.realized_revenue() - inst.price(z.item, z.t)).abs() < 1e-12);
     }
 
+    /// Errors leave the session unchanged, and the session's batch-only
+    /// validation reports exactly what validating the cumulative history
+    /// reports: over random invalid batches — duplicates, overfull slots,
+    /// out-of-range, after-frontier and stale events, anywhere in the batch
+    /// — `advance_to` returns the cumulative check's first error, or
+    /// `StaleEvent` for the first stale event.
     #[test]
     fn errors_leave_the_session_unchanged() {
         let inst = storefront_instance(2);
+        let (users, items, horizon) = (inst.num_users(), inst.num_items(), inst.horizon());
         let mut session = PlanSession::new(inst.clone(), PlannerConfig::default());
-        let baseline_suffix: Vec<Triple> = session.planned_suffix().iter().collect();
-
-        assert!(matches!(
-            session.advance_to(0, &[]),
-            Err(SessionError::NotMonotone { .. })
-        ));
-        assert!(matches!(
-            session.advance_to(inst.horizon() + 1, &[]),
-            Err(SessionError::BeyondHorizon { .. })
-        ));
-        assert!(matches!(
-            session.advance_to(2, &[AdoptionEvent::adopted(0, 0, 3)]),
-            Err(SessionError::Event(EventError::AfterFrontier { .. }))
-        ));
-        assert!(matches!(
-            session.advance_to(1, &[AdoptionEvent::adopted(99, 0, 1)]),
-            Err(SessionError::Event(EventError::OutOfRange { .. }))
-        ));
-
-        // Advance once for real, then try to sneak in a stale event.
-        session.advance(&[]).unwrap();
-        assert!(matches!(
-            session.advance_to(2, &[AdoptionEvent::rejected(0, 0, 1)]),
-            Err(SessionError::StaleEvent { now: 1, .. })
-        ));
-
-        assert_eq!(session.now(), 1);
-        let _ = baseline_suffix; // state checked via now(); suffix replanned once
+        let state = |s: &PlanSession| {
+            let residual = s.residual().map(|r| r as *const Instance);
+            let suffix = s.planned_suffix().as_slice().to_vec();
+            let revenue = (s.realized_revenue(), s.expected_remaining_revenue());
+            (
+                s.now(),
+                s.events().to_vec(),
+                suffix,
+                residual,
+                revenue,
+                s.replans(),
+            )
+        };
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % u64::from(bound.max(1))) as u32
+        };
+        let mut seen = [0u32; 5];
+        for _day in 0..2 {
+            let now = session.now();
+            let before = state(&session);
+            let got = [
+                session.advance_to(now, &[]),
+                session.advance_to(horizon + 1, &[]),
+            ];
+            assert!(matches!(got[0], Err(SessionError::NotMonotone { .. })));
+            assert!(matches!(got[1], Err(SessionError::BeyondHorizon { .. })));
+            for trial in 0..200 {
+                // A valid batch (one display per slot), then one or two
+                // faults, each at a random position.
+                let target = now + 1 + draw(horizon - now);
+                let mut batch: Vec<AdoptionEvent> = (now + 1..=target)
+                    .flat_map(|t| (0..users).map(move |user| (user, t)))
+                    .filter_map(|(user, t)| {
+                        let item = draw(2 * items);
+                        (item < items).then(|| AdoptionEvent::rejected(user, item, t))
+                    })
+                    .collect();
+                for _ in 0..1 + draw(2) {
+                    let pick = batch.get(draw(batch.len() as u32) as usize).copied();
+                    let fault = match (draw(5), pick) {
+                        (0, Some(e)) => AdoptionEvent::adopted(e.user.0, e.item.0, e.t.0),
+                        (1, Some(e)) => {
+                            let other = (e.item.0 + 1 + draw(items - 1)) % items;
+                            AdoptionEvent::rejected(e.user.0, other, e.t.0)
+                        }
+                        (2, _) => AdoptionEvent::rejected(users + draw(2), draw(items), target),
+                        (3, _) if target < horizon => {
+                            AdoptionEvent::rejected(draw(users), draw(items), target + 1)
+                        }
+                        (4, _) if now > 0 => {
+                            AdoptionEvent::rejected(draw(users), draw(items), 1 + draw(now))
+                        }
+                        _ => AdoptionEvent::rejected(draw(users), items + draw(2), target),
+                    };
+                    batch.insert(draw(batch.len() as u32 + 1) as usize, fault);
+                }
+                let got = session.advance_to(target, &batch).err();
+                let expected = match batch.iter().find(|e| e.t.value() <= now) {
+                    Some(e) => SessionError::StaleEvent {
+                        event: e.triple(),
+                        now,
+                    },
+                    None => {
+                        let all = [session.events(), &batch[..]].concat();
+                        let e = validate_events(&inst, &all, target).expect_err("a fault");
+                        SessionError::Event(e)
+                    }
+                };
+                assert_eq!(got, Some(expected), "trial {trial}: {batch:?}");
+                assert_eq!(
+                    state(&session),
+                    before,
+                    "trial {trial}: the session changed"
+                );
+                seen[match expected {
+                    SessionError::Event(EventError::DuplicateDisplay { .. }) => 0,
+                    SessionError::Event(EventError::DisplayLimitExceeded { .. }) => 1,
+                    SessionError::Event(EventError::OutOfRange { .. }) => 2,
+                    SessionError::Event(EventError::AfterFrontier { .. }) => 3,
+                    SessionError::StaleEvent { .. } => 4,
+                    other => panic!("trial {trial}: unexpected {other:?}"),
+                }] += 1;
+            }
+            session
+                .advance(&realize_upcoming(&session))
+                .expect("a valid day");
+        }
+        assert!(seen.iter().all(|&n| n >= 20), "unreached kinds: {seen:?}");
     }
 
     #[test]

@@ -110,10 +110,10 @@ pub mod prelude {
         top_revenue, Algorithm, GreedyOutcome, PlanAlgorithm, PlannerConfig, RunReport,
     };
     pub use revmax_core::{
-        realized_revenue, residual_advance, residual_instance, residual_instance_with, revenue,
-        shift_strategy, validate_events, AdoptionEvent, AdoptionOutcome, EngineSnapshot,
-        EventError, IncrementalRevenue, Instance, InstanceBuilder, ItemId, ResidualDelta,
-        ResidualMode, Strategy, TimeStep, Triple, UserId,
+        realized_revenue, residual_advance, residual_instance, revenue, shift_strategy,
+        validate_events, AdoptionEvent, AdoptionOutcome, EngineSnapshot, EventError,
+        IncrementalRevenue, Instance, InstanceBuilder, ItemId, ResidualDelta, Strategy, TimeStep,
+        Triple, UserId,
     };
     pub use revmax_data::{
         generate, generate_scalability, BetaSetting, CapacityDistribution, DatasetConfig,
