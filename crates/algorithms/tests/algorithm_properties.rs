@@ -409,8 +409,10 @@ fn sharded_matches_sequential_on_capacity_bound_dataset() {
     }
 }
 
-/// G-Greedy on a mid-size generated dataset: flat and hash engines must pick
-/// identical strategies (the refactor changes speed, not behaviour).
+/// Every algorithm on a mid-size generated dataset: the flat and hash
+/// engines must report the same revenue (relative 1e-9) and strategy size,
+/// and G-Greedy must pick the same triples (the engine changes speed, not
+/// behaviour).
 #[test]
 fn engines_agree_on_generated_dataset() {
     let mut config = DatasetConfig::tiny();
@@ -418,12 +420,31 @@ fn engines_agree_on_generated_dataset() {
     config.num_items = 30;
     config.candidates_per_user = 12;
     let ds = generate(&config);
-    let flat = plan(&ds.instance, &PlannerConfig::default());
-    let hash = plan_with::<Hash<'_>>(&ds.instance, &PlannerConfig::default(), None);
-    assert!((flat.revenue - hash.revenue).abs() < 1e-9);
-    assert_eq!(flat.strategy.len(), hash.strategy.len());
-    for z in flat.strategy.iter() {
-        assert!(hash.strategy.contains(z), "strategies diverged at {z}");
+    for algorithm in [
+        PlanAlgorithm::GlobalGreedy,
+        PlanAlgorithm::GlobalNoSaturation,
+        PlanAlgorithm::SequentialLocalGreedy,
+        PlanAlgorithm::RandomizedLocalGreedy { permutations: 4 },
+    ] {
+        let cfg = PlannerConfig::default().with_algorithm(algorithm);
+        let flat = plan(&ds.instance, &cfg);
+        let hash = plan_with::<Hash<'_>>(&ds.instance, &cfg, None);
+        assert!(
+            (flat.revenue - hash.revenue).abs() <= 1e-9 * flat.revenue.abs().max(1.0),
+            "{algorithm:?}: flat {} vs hash {}",
+            flat.revenue,
+            hash.revenue
+        );
+        assert_eq!(
+            flat.strategy.len(),
+            hash.strategy.len(),
+            "{algorithm:?}: strategy sizes diverged"
+        );
+        if algorithm == PlanAlgorithm::GlobalGreedy {
+            for z in flat.strategy.iter() {
+                assert!(hash.strategy.contains(z), "strategies diverged at {z}");
+            }
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! speed, never behaviour, so a typo must degrade gracefully instead of
 //! aborting. This module is the single implementation of that contract; the
 //! per-crate `from_env` constructors (`PlannerConfig::from_env` in
-//! `revmax-algorithms`, `Scale::from_env` in `revmax-experiments`, the bench
-//! emitters) are thin layers over it.
+//! `revmax-algorithms`, `Scale::from_env` in `revmax-experiments`,
+//! `HttpConfig::from_env` in `revmax-http`) are thin layers over it.
 
 use std::str::FromStr;
 
@@ -45,14 +45,6 @@ pub fn flag(key: &str) -> bool {
 /// would change a default-path assertion.
 pub fn is_set(key: &str) -> bool {
     std::env::var_os(key).is_some()
-}
-
-/// Parses a comma-separated list (e.g. `REVMAX_SERVE_SHARDS=1,2,4`);
-/// unparsable entries are skipped, `None` when the variable is unset.
-pub fn var_list<T: FromStr>(key: &str) -> Option<Vec<T>> {
-    std::env::var(key)
-        .ok()
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
 }
 
 #[cfg(test)]
@@ -101,13 +93,5 @@ mod tests {
         });
         assert_eq!(parsed, None);
         std::env::remove_var("REVMAX_TEST_ENUM_C");
-    }
-
-    #[test]
-    fn var_list_splits_and_skips_garbage() {
-        std::env::set_var("REVMAX_TEST_LIST_D", "1, 2,x,8");
-        assert_eq!(var_list::<u32>("REVMAX_TEST_LIST_D"), Some(vec![1, 2, 8]));
-        std::env::remove_var("REVMAX_TEST_LIST_D");
-        assert_eq!(var_list::<u32>("REVMAX_TEST_LIST_D"), None);
     }
 }

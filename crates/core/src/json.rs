@@ -2,8 +2,8 @@
 //!
 //! Extracted from the hand-rolled [`crate::Strategy`] codec when the wire
 //! protocol (`revmax-http`) arrived: every serialised surface in the
-//! workspace — strategies, instances, adoption events, bench emitters —
-//! shares this one grammar instead of growing ad-hoc string scanners.
+//! workspace — strategies, instances, adoption events — shares this one
+//! grammar instead of growing ad-hoc string scanners.
 //!
 //! The grammar lives in exactly one place, the pull [`Reader`]: a cursor
 //! over the input bytes that hands out one token at a time (object keys,

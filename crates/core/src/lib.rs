@@ -26,7 +26,7 @@
 //!   realized prefix, the model layer behind dynamic replanning
 //!   (`revmax_serve::PlanSession`);
 //! * [`mod@env`] — the shared `REVMAX_*` environment-knob parsing used by every
-//!   `from_env` constructor and bench emitter in the workspace;
+//!   `from_env` constructor in the workspace;
 //! * [`mod@json`] / [`wire`] — the dependency-free JSON reader/writer
 //!   (extracted from the original [`Strategy`] codec) and the wire codecs
 //!   for [`Instance`], [`Strategy`], and [`AdoptionEvent`] behind the

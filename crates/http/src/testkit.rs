@@ -1,8 +1,7 @@
-//! A minimal blocking HTTP client for the conformance/stress suites and
-//! the `bench_http` emitter — the test harness must not depend on the
-//! parser under test, so responses are read with an independent, trivial
-//! scanner (status line + `Content-Length` only, which is everything the
-//! server emits).
+//! A minimal blocking HTTP client for the conformance/stress suites and the
+//! benchmark — the test harness must not depend on the parser under test,
+//! so responses are read with an independent, trivial scanner (status line
+//! + `Content-Length` only, which is everything the server emits).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};

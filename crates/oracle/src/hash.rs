@@ -1,13 +1,12 @@
 //! The original hash-based incremental evaluator, kept as a correctness
-//! reference and as the measured baseline of the flat-arena engine's perf
-//! trajectory (see `crates/bench`).
+//! reference for the flat-arena engine.
 //!
 //! Every marginal-revenue evaluation goes through a
 //! `HashMap<(u32, u32), Vec<Entry>>` group lookup, a `HashSet<(u32, u32)>`
 //! capacity set, and repeated `powf` calls — exactly the overhead the
-//! flat-arena [`revmax_core::IncrementalRevenue`] removes. Tests and benches
-//! plug it into the generic drivers (`revmax_algorithms::plan_with`) to
-//! cross-check or measure the flat engine.
+//! flat-arena [`revmax_core::IncrementalRevenue`] removes. Tests plug it
+//! into the generic drivers (`revmax_algorithms::plan_with`) to cross-check
+//! the flat engine.
 
 use revmax_core::{
     CandidateId, CapacityLedger, ClassId, Instance, RevenueEngine, Strategy, TimeStep, Triple,

@@ -20,7 +20,7 @@
 //! Every reference must reproduce the product's results (the parity suites
 //! assert it), so none of them is a planner choice. No product crate
 //! depends on this one; `cargo xtask lint` confines the `revmax_oracle`
-//! path to test code and the bench emitters.
+//! path to test code.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

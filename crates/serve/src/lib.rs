@@ -45,12 +45,8 @@
 //! rebuilt, and the instance is assembled without re-validation) and
 //! validates only the new batch. `PlannerConfig::warm_start` only lets the
 //! engines recycle the previous replan's saturation tables and arena
-//! buffers (`revmax_core::EngineSnapshot`). Latency: on the bench instance
-//! (`amazon_like().scaled(0.02)`, 38k candidate pairs) warm-started
-//! replans run ≈ 1.1× faster per event than cold rebuilds, and the
-//! ticketed session-over-service path adds a few percent of round-trip
-//! overhead on a single session — amortised away once several sessions
-//! share the pool (`BENCH_session.json`, emitter: `bench_session`).
+//! buffers (`revmax_core::EngineSnapshot`); warm and cold replans produce
+//! identical plans.
 //!
 //! ```
 //! use revmax_serve::{PlanService, PlanSession};
@@ -82,12 +78,6 @@
 //! let report = session.sync().expect("collects the replanned suffix");
 //! assert!(!report.pending);
 //! ```
-//!
-//! The `bench_serve` binary measures batch throughput across shard counts
-//! plus the submit/await round-trip overhead of the async front-end
-//! (`BENCH_serve.json`); the `bench_session` binary measures per-event
-//! replan latency — warm vs cold, inline vs attached
-//! (`BENCH_session.json`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

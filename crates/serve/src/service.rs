@@ -229,16 +229,11 @@ impl PlanService {
         self.submit_indexed(Arc::new(inst), 0, config, None)
     }
 
-    /// [`PlanService::submit`] without cloning the instance — batches of the
-    /// same instance (e.g. the bench emitter) share one allocation.
-    pub fn submit_shared(&self, inst: Arc<Instance>, config: PlannerConfig) -> PlanTicket {
-        self.submit_indexed(inst, 0, config, None)
-    }
-
-    /// Enqueues a **session replan**: like [`PlanService::submit_shared`],
-    /// with an optional [`ResidualDelta`] so a warm-start-enabled
-    /// configuration recycles the session's engine state on the worker. This
-    /// is the ticketed path `PlanSession::attach` routes its replans through.
+    /// Enqueues a **session replan**: like [`PlanService::submit`], on a
+    /// shared instance and with an optional [`ResidualDelta`] so a
+    /// warm-start-enabled configuration recycles the session's engine state
+    /// on the worker. This is the ticketed path `PlanSession::attach` routes
+    /// its replans through.
     pub fn submit_replan(
         &self,
         inst: Arc<Instance>,

@@ -30,8 +30,7 @@
 //! display or slot, since the batch lies after the fixed frontier. With
 //! [`PlannerConfig::warm_start`] set, the engines also recycle the previous
 //! replan's saturation tables and arena buffers through the session's
-//! [`EngineSnapshot`] pool. Warm and cold replans produce identical plans;
-//! the `bench_session` emitter measures the latency difference.
+//! [`EngineSnapshot`] pool. Warm and cold replans produce identical plans.
 //!
 //! # Sessions over a service
 //!

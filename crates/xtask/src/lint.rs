@@ -26,8 +26,8 @@
 //!    through `revmax_core::env` (no direct `std::env::var` outside it and
 //!    the vendored shims).
 //! 6. **Oracle confinement** — the `revmax_oracle` path (the test-only
-//!    reference engines: hash, eager) appears only in test code,
-//!    under `crates/oracle/`, and in the bench emitters (`crates/bench/`).
+//!    reference engines: hash, eager) appears only in test code and under
+//!    `crates/oracle/`.
 //!    The product plans with one engine; references are plugged in by tests
 //!    through `plan_with`, never selected at runtime.
 
@@ -465,7 +465,7 @@ fn env_registry(root: &Path, files: &[File], violations: &mut Vec<String>) {
 const ORACLE_PATH: &str = "revmax_oracle";
 
 fn oracle_allowed(rel: &str) -> bool {
-    rel.starts_with("crates/oracle/") || rel.starts_with("crates/bench/")
+    rel.starts_with("crates/oracle/")
 }
 
 fn oracle_confinement(files: &[File], violations: &mut Vec<String>) {
