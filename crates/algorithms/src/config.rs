@@ -63,9 +63,12 @@ pub struct PlannerConfig {
     pub algorithm: PlanAlgorithm,
     /// Number of user shards G-Greedy plans on (`0`/`1` = one shard, `n ≥ 2`
     /// = `n` shards coupled through a shared capacity ledger, see
-    /// [`crate::sharded`]). Every shard runs the same selection core, and
-    /// every shard count produces the same plan. SL-Greedy and RL-Greedy
-    /// ignore it: they always plan on one shard.
+    /// [`crate::sharded`]). Shards run on the concurrent executor's worker
+    /// threads, so `n ≥ 2` takes effect only when
+    /// [`PlannerConfig::shard_threads`] resolves to two or more workers;
+    /// otherwise the plan runs on one shard. Every shard runs the same
+    /// selection core, and every shard count produces the same plan.
+    /// SL-Greedy and RL-Greedy ignore it: they always plan on one shard.
     pub shards: u32,
     /// Seed for the randomized algorithms (RL-Greedy permutation sampling).
     pub seed: u64,
@@ -86,18 +89,18 @@ pub struct PlannerConfig {
     /// and 2).
     pub warm_start: bool,
     /// Worker threads for the **concurrent shard executor** of the sharded
-    /// G-Greedy core (default `1` = the sequential value-ordered
-    /// arbitration, unchanged from previous releases). With `≥ 2`, shards
-    /// free-run on a persistent scoped worker pool, committing
+    /// G-Greedy core (default `1`). The count resolves to
+    /// `min(shard_threads, shards)`, with `0` = auto:
+    /// `min(shards, available_parallelism)`. With two or more workers,
+    /// shards free-run on a persistent scoped worker pool, committing
     /// scarcity-window-abundant claims lock-free and parking only
     /// scarce-window moves for the coordinator (see `docs/concurrency.md`,
-    /// "The capacity window"). `0` = auto: `min(shards,
-    /// available_parallelism)`. Like every knob this is purely a
-    /// performance switch — every thread count reproduces the sequential
-    /// plan (parity asserted to 1e-9). Ignored (forced sequential) when
-    /// `shards <= 1` or when `track_trace` is set, since the trace records
-    /// the global selection order the concurrent executor does not
-    /// materialise move-by-move.
+    /// "The capacity window"). With fewer — the default, auto mode on a
+    /// one-CPU host, `shards <= 1`, or `track_trace`, since the trace
+    /// records the global selection order the executor does not
+    /// materialise move-by-move — G-Greedy plans one shard. Like every knob
+    /// this is purely a performance switch — every thread count reproduces
+    /// the one-shard plan (parity asserted to 1e-9).
     pub shard_threads: u32,
 }
 
@@ -160,8 +163,7 @@ impl PlannerConfig {
     }
 
     /// Selects the concurrent shard executor's worker-thread count (see
-    /// [`PlannerConfig::shard_threads`]; `1` = sequential arbitration,
-    /// `0` = auto).
+    /// [`PlannerConfig::shard_threads`]; `1` = one shard, `0` = auto).
     pub fn with_shard_threads(mut self, shard_threads: u32) -> Self {
         self.shard_threads = shard_threads;
         self
@@ -179,11 +181,12 @@ impl PlannerConfig {
     /// * `REVMAX_ALGORITHM` — `gg` (default), `gg-no`, `slg`, or `rlg`
     ///   (RL-Greedy with the paper's 20 permutations);
     /// * `REVMAX_SHARDS` — G-Greedy shard count (`≥ 2` couples the shards
-    ///   through the shared capacity ledger);
+    ///   through the shared capacity ledger, and takes effect only with
+    ///   two or more shard threads);
     /// * `REVMAX_SEED` — seed for the randomized algorithms;
     /// * `REVMAX_WARM_START` — `1` enables warm-started residual replans;
     /// * `REVMAX_SHARD_THREADS` — worker threads for the concurrent shard
-    ///   executor (default 1 = sequential arbitration, `0` = auto).
+    ///   executor (default 1 = one shard, `0` = auto).
     ///
     /// Unset or unparsable values keep the receiver's setting — selection
     /// must never change results (only speed), so a typo degrades
@@ -223,7 +226,7 @@ impl PlannerConfig {
     /// sharded G-Greedy core actually uses: `0` auto-sizes to
     /// `min(shards, available_parallelism)`, explicit values are capped at
     /// the shard count, and single-shard or traced runs always resolve to
-    /// `1` (the sequential arbitration loop).
+    /// `1`. Fewer than two workers plan one shard.
     pub(crate) fn effective_shard_threads(&self, shards: usize) -> usize {
         if shards <= 1 || self.track_trace {
             return 1;
@@ -324,12 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_threads_resolve_sequential_unless_concurrent_applies() {
+    fn shard_threads_resolve_one_shard_unless_concurrent_applies() {
         let cfg = PlannerConfig::default();
-        assert_eq!(
-            cfg.shard_threads, 1,
-            "sequential arbitration is the default"
-        );
+        assert_eq!(cfg.shard_threads, 1, "one shard is the default");
         assert_eq!(cfg.effective_shard_threads(1), 1, "one shard never pools");
         assert_eq!(cfg.effective_shard_threads(4), 1);
 
@@ -340,7 +340,7 @@ mod tests {
         assert_eq!(
             cfg.with_track_trace(true).effective_shard_threads(4),
             1,
-            "traces record the sequential selection order"
+            "traces record the one-shard selection order"
         );
 
         // Auto mode never exceeds the shard count either.

@@ -26,13 +26,13 @@
 //! Every G-Greedy plan runs on one selection core, `ShardCore`: an engine
 //! view, a `CandidateTable`, a `CandTournament` and a cached argmax per
 //! candidate, over one user shard. One shard covering every user is the
-//! sequential driver; [`crate::sharded`] runs several and arbitrates between
-//! their roots. The only thing that differs is where capacity lives
-//! (`Capacity`).
+//! one-shard driver; [`crate::sharded`] runs several on a pool of worker
+//! threads, coupled through a shared capacity ledger. The only thing that
+//! differs is where capacity lives (`Capacity`).
 //!
 //! The drivers are generic over [`RevenueEngine`]: the planner runs the
 //! flat-arena [`revmax_core::IncrementalRevenue`], and the parity suites
-//! and benches run the same drivers on their reference engines through
+//! run the same drivers on their reference engines through
 //! [`crate::plan_with`].
 //!
 //! Per-candidate cached state is stored struct-of-arrays: flat `values` and
@@ -66,14 +66,14 @@ pub struct GreedyOutcome {
     /// Number of marginal-revenue evaluations performed — the work lazy
     /// forward saves.
     pub marginal_evaluations: u64,
-    /// Concurrent shard-executor statistics; all zero for sequential runs.
+    /// Concurrent shard-executor statistics; all zero for one-shard plans.
     pub concurrency: ConcurrencyStats,
 }
 
 /// Statistics of the concurrent shard executor (two or more
 /// `PlannerConfig::shard_threads`): how many capacity-committing moves took
 /// the lock-free abundant fast path versus the coordinator's scarce-window
-/// arbitration. Sequential drivers leave the struct zeroed.
+/// arbitration. One-shard plans leave the struct zeroed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConcurrencyStats {
     /// Moves committed lock-free because the item was outside the scarcity
@@ -85,13 +85,13 @@ pub struct ConcurrencyStats {
     /// Arbitrated proposals the coordinator rejected (the speculative claim
     /// was rolled back or denied).
     pub rejected_moves: u64,
-    /// Worker threads the executor ran with (`0` for sequential runs).
+    /// Worker threads the executor ran with (`0` for one-shard plans).
     pub worker_threads: u32,
 }
 
 impl ConcurrencyStats {
     /// Fraction of committing moves that needed arbitration (`0.0` when no
-    /// move committed, or for sequential runs).
+    /// move committed, or for one-shard plans).
     pub fn scarce_occupancy(&self) -> f64 {
         let total = self.fast_path_moves + self.arbitrated_moves;
         if total == 0 {
@@ -416,9 +416,9 @@ pub(crate) enum Commit {
 }
 
 /// Where a shard's capacity lives — the one thing that differs between the
-/// one-shard driver (the engine's own counters, [`EngineCapacity`]), the
-/// sequential shard arbitration and the concurrent executor (the shared
-/// ledger, through `crate::protocol`).
+/// one-shard driver (the engine's own counters, [`EngineCapacity`]) and the
+/// concurrent executor's shards (the shared ledger under the scarcity
+/// window, through `crate::protocol`).
 pub(crate) trait Capacity {
     /// Whether the capacity gate retires `cand`, whose slot `t` is
     /// display-feasible. `counted` is whether the candidate's (user, item)

@@ -79,55 +79,18 @@ where
     });
 }
 
-/// Maps `f` over `items`, one scoped worker per item when `parallel` is
-/// requested and the hardware offers more than one unit of parallelism;
-/// otherwise maps sequentially. Output order always follows input order, and
-/// `f` is pure per item, so both paths are bit-identical — the shard
-/// planners use this to build per-shard engines and candidate tables
-/// concurrently without changing results.
-pub fn scoped_map<T, R, F>(items: Vec<T>, f: F, parallel: bool) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    if !parallel || items.len() <= 1 || worker_count(items.len()) <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| scope.spawn(move || f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    })
-}
-
 /// Runs `worker(tid)` on `threads` persistent scoped worker threads while
 /// `driver()` runs on the calling thread, returning the worker results (in
-/// `tid` order) alongside the driver's. This is the long-lived counterpart
-/// of [`scoped_map`]: where `scoped_map` spawns one short task per item,
-/// `scoped_pool` keeps each worker alive for a whole planning run so the
-/// concurrent shard executor can park and resume shards on the same OS
-/// thread, with the coordinator (the driver) arbitrating from the calling
-/// thread. With `threads <= 1` the single "worker" runs inline after the
-/// driver — callers must not make the driver block on worker progress in
-/// that configuration.
+/// `tid` order) alongside the driver's. Each worker stays alive for a whole
+/// planning run, so the concurrent shard executor can park and resume
+/// shards on the same OS thread, with the coordinator (the driver)
+/// arbitrating from the calling thread.
 pub fn scoped_pool<R, D, W, F>(threads: usize, worker: W, driver: F) -> (Vec<R>, D)
 where
     R: Send,
     W: Fn(usize) -> R + Sync,
     F: FnOnce() -> D,
 {
-    if threads <= 1 {
-        let d = driver();
-        let r = worker(0);
-        return (vec![r], d);
-    }
     std::thread::scope(|scope| {
         let worker = &worker;
         let handles: Vec<_> = (0..threads)
@@ -221,13 +184,6 @@ mod tests {
         );
         assert_eq!(ids, vec![0, 10, 20, 30]);
         assert_eq!(seen, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn scoped_pool_single_thread_is_inline() {
-        let (r, d) = scoped_pool(1, |tid| tid + 7, || 42);
-        assert_eq!(r, vec![7]);
-        assert_eq!(d, 42);
     }
 
     #[test]

@@ -1,95 +1,40 @@
-//! The shard/ledger claim protocol, as code.
+//! The concurrent shard executor's capacity protocol, as code.
 //!
-//! The sharded G-Greedy drivers (sequential arbitration and the concurrent
-//! executor of `crate::sharded`) couple their shards through a
-//! [`SharedCapacityLedgerIn`] and follow the same two-step capacity
-//! discipline per candidate:
+//! The executor of `crate::sharded` couples its shards through a
+//! [`SharedCapacityLedgerIn`] and splits the capacity discipline by the
+//! ledger's capacity-window analysis (`SharedCapacityLedgerIn::is_scarce`):
 //!
-//! 1. **gate** — before granting a display, check [`claim_blocked`]: a
-//!    candidate whose `(item, user)` pair has not yet claimed is dead when
-//!    the item is full for that user;
-//! 2. **commit** — on the first display of the pair, [`commit_claim`]: mark
-//!    the pair counted in the shard-local dedup bitmap and claim one
-//!    capacity unit through the shared ledger (exempt pairs succeed without
-//!    consuming).
+//! * claims against *abundant* items are order-insensitive and commit
+//!   lock-free through [`fast_commit_claim`];
+//! * claims against scarce-window items become speculative proposals
+//!   ([`speculative_claim`]) that park for the coordinator, which sequences
+//!   them in the one-shard selection order and resolves each through
+//!   exactly one of [`admit_granted`] / [`admit_claim`] /
+//!   [`steal_speculative`] / [`reject_claim`];
+//! * free-running gates read the *committed* count
+//!   ([`claim_blocked_committed`]) because speculative units may still be
+//!   stolen by a sequentially earlier claim, and a candidate that dies
+//!   without a claim retires its demand ([`retire_candidate`]).
 //!
 //! This module is the *instrumentation seam* for the analysis toolchain:
 //! the functions are generic over [`LedgerCell`], so `cargo xtask
-//! check-ledger` executes the **identical code** the production drivers run
-//! — only the cell type changes, from `AtomicCell` to an instrumented cell
-//! whose every load/RMW is routed through a schedule controller. The
-//! model-checker scenarios (claim-gated publication of shared state,
-//! the capacity window) call straight into these functions;
-//! see `docs/concurrency.md` for the protocol's memory-ordering contract
-//! and `ARCHITECTURE.md` § "Analysis toolchain" for how the ROADMAP-1
-//! speculative-shard executor is expected to extend them.
+//! check-ledger` executes the **identical code** the executor runs — only
+//! the cell type changes, from `AtomicCell` to an instrumented cell whose
+//! every load/RMW is routed through a schedule controller. The
+//! model-checker scenarios (claim-gated publication of shared state, the
+//! capacity window) call straight into these functions; see
+//! `docs/concurrency.md` for the protocol's memory-ordering contract and
+//! `ARCHITECTURE.md` § "Analysis toolchain" for the toolchain itself.
 //!
 //! Keep these functions in sync with nothing: they *are* the protocol; the
-//! drivers call them.
+//! executor calls them.
 
 use revmax_core::{ItemId, LedgerCell, SharedCapacityLedgerIn, UserId};
 
-/// Whether a candidate's capacity gate blocks its display: the `(item,
-/// user)` pair has not claimed yet (`counted == false`) **and** the item is
-/// full for this user (exempt pairs are never blocked).
-///
-/// Pure reads; safe to evaluate speculatively — a `false` answer can go
-/// stale the moment another shard claims the last unit, which is why the
-/// commit step re-validates through the ledger's CAS.
-#[inline]
-pub fn claim_blocked<C: LedgerCell>(
-    ledger: &SharedCapacityLedgerIn<C>,
-    counted: bool,
-    item: ItemId,
-    user: UserId,
-) -> bool {
-    !counted && ledger.is_full_for(item, user)
-}
-
-/// Commits the capacity side of a display: on the pair's first display
-/// (`counted == false`), marks it counted and claims one unit through the
-/// shared ledger. Returns whether the ledger granted the claim (`true` for
-/// exempt pairs and for every repeat display).
-///
-/// Under the deterministic value-ordered arbitration the grant can never be
-/// denied — the coordinator only commits the globally leading move, and it
-/// checked [`claim_blocked`] first with no competing commit in between. The
-/// arbitrated drivers therefore `debug_assert!` on the result. A
-/// *speculative* executor (ROADMAP-1) runs commits concurrently, must treat
-/// `false` as a conflict, and rolls back — the pair stays `counted`, so the
-/// rollback must clear the flag itself (and [`SharedCapacityLedgerIn::release`]
-/// any units the rolled-back suffix did win).
-#[inline]
-pub fn commit_claim<C: LedgerCell>(
-    ledger: &SharedCapacityLedgerIn<C>,
-    counted: &mut bool,
-    item: ItemId,
-    user: UserId,
-) -> bool {
-    if *counted {
-        return true;
-    }
-    *counted = true;
-    ledger.try_claim_for(item, user)
-}
-
-// ---------------------------------------------------------------------------
-// The concurrent (scarcity-window) protocol
-//
-// The concurrent shard executor splits the capacity discipline by the
-// ledger's capacity-window analysis (`SharedCapacityLedgerIn::is_scarce`):
-// claims against *abundant* items are order-insensitive and commit
-// lock-free through `fast_commit_claim`; claims against scarce-window items
-// become speculative proposals (`speculative_claim`) that park for the
-// coordinator, which sequences them in the sequential selection order and
-// resolves each through exactly one of `admit_granted` / `admit_claim` /
-// `steal_speculative` / `reject_claim`. Free-running gates read the
-// *committed* count (`claim_blocked_committed`) because speculative units
-// may still be stolen by a sequentially earlier claim.
-// ---------------------------------------------------------------------------
-
-/// The committed-basis capacity gate for free-running shard workers:
-/// like [`claim_blocked`], but blind to speculative units held by parked
+/// The committed-basis capacity gate for free-running shard workers: a
+/// candidate whose `(item, user)` pair has not claimed yet (`counted ==
+/// false`) is dead when the item is committed-full for that user (exempt
+/// pairs are never blocked). Blind to speculative units held by parked
 /// proposals. A `true` answer is final — committed units are never
 /// released, so an item committed-full now is committed-full at every
 /// later (in particular, at the move's sequential) position, and retiring
@@ -106,8 +51,8 @@ pub fn claim_blocked_committed<C: LedgerCell>(
 
 /// The lock-free commit for moves outside the scarcity window (counted or
 /// exempt pairs, or abundant items). On the pair's first commit, claims one
-/// unit and retires the pair's demand. Unlike [`commit_claim`], a denied
-/// claim leaves `counted` **unset**: denial means the item migrated into
+/// unit, marks the pair counted and retires its demand. A denied claim
+/// leaves `counted` **unset**: denial means the item migrated into
 /// the window after the caller's abundance check (see
 /// `SharedCapacityLedgerIn::is_scarce` — only an engine-side `charge` can
 /// cause this), and the caller must re-route the move through arbitration
@@ -220,39 +165,6 @@ pub fn retire_candidate<C: LedgerCell>(
 mod tests {
     use super::*;
     use revmax_core::{InstanceBuilder, SharedCapacityLedger};
-
-    #[test]
-    fn gate_then_commit_follows_ledger_semantics() {
-        let mut b = InstanceBuilder::new(3, 1, 1);
-        b.capacity(0, 1)
-            .constant_price(0, 1.0)
-            .candidate(0, 0, &[0.5], 0.0)
-            .exempt_user(0, 2);
-        let inst = b.build().unwrap();
-        let ledger = SharedCapacityLedger::new(&inst);
-
-        let (item, user) = (ItemId(0), UserId(0));
-        let mut counted = false;
-        assert!(!claim_blocked(&ledger, counted, item, user));
-        assert!(commit_claim(&ledger, &mut counted, item, user));
-        assert!(counted);
-        // Repeat displays of a counted pair are never gated and commit free.
-        assert!(!claim_blocked(&ledger, counted, item, user));
-        assert!(commit_claim(&ledger, &mut counted, item, user));
-        assert_eq!(ledger.used(item), 1);
-
-        // A different user is gated now that the item is full...
-        let mut counted2 = false;
-        assert!(claim_blocked(&ledger, counted2, item, UserId(1)));
-        // ...but an exempt user is not, and commits without consuming.
-        let mut counted_ex = false;
-        assert!(!claim_blocked(&ledger, counted_ex, item, UserId(2)));
-        assert!(commit_claim(&ledger, &mut counted_ex, item, UserId(2)));
-        assert_eq!(ledger.used(item), 1);
-
-        // A speculative commit that loses the race reports the conflict.
-        assert!(!commit_claim(&ledger, &mut counted2, item, UserId(1)));
-    }
 
     #[test]
     fn window_protocol_admits_steals_and_rejects() {

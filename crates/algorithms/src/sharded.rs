@@ -6,56 +6,55 @@
 //! item capacity. This module partitions the users into CSR-aligned shards
 //! ([`shard_users`]), runs the G-Greedy selection core
 //! (`global_greedy::ShardCore`: engine view, candidate table,
-//! tournament tree) on each, and couples the shards exclusively through a
-//! [`SharedCapacityLedger`]. One shard is the sequential driver, with
-//! capacity read from its own engine.
+//! tournament tree) on each, on a pool of worker threads, and couples the
+//! shards exclusively through a [`SharedCapacityLedger`].
 //!
-//! # Determinism: value-ordered claim arbitration
+//! # One worker means one shard
 //!
-//! Capacity claims are *order-sensitive*: the sequential greedy grants an
+//! Shards exist to plan in parallel. A plan that resolves fewer than two
+//! worker threads (`PlannerConfig::shard_threads` at its default of 1, auto
+//! mode on a one-CPU host, or `track_trace`, whose per-selection trace the
+//! executor does not record) plans one shard: the selection core over
+//! every user, with capacity read from its own engine. Such a plan is the
+//! one-shard outcome itself, whatever the shard count.
+//!
+//! # Determinism: scarce claims are admitted in selection order
+//!
+//! Capacity claims are *order-sensitive*: the one-shard greedy grants an
 //! item's last capacity unit to whichever candidate surfaces first, i.e. in
 //! descending marginal-revenue order. A free-running optimistic shard race
 //! would grant claims in scheduler order — nondeterministic and generally
-//! different from the sequential plan. (Empirically this matters: on
-//! `amazon_like().scaled(0.02)` the sequential G-Greedy plan ends with
+//! different from the one-shard plan. (Empirically this matters: on
+//! `amazon_like().scaled(0.02)` the one-shard G-Greedy plan ends with
 //! roughly half of all items exactly at capacity.)
 //!
-//! The coordinator therefore performs a *deterministic reconciliation* of
-//! the shard frontiers. Every shard's best pending move is its tournament
-//! root, so the coordinator's arbitration is a scan over plain `(value,
-//! candidate id)` pairs: it repeatedly advances the shard whose root is
-//! globally maximal (ties towards the smaller candidate id — the same total
-//! order the tree uses inside a shard), and that shard's step re-keys its
-//! own leaves. Capacity is claimed through the shared ledger at the moment
-//! a move is committed, so claims are granted in exactly the order the
-//! one-shard run grants them, independent of thread scheduling.
+//! The executor therefore splits commits by the ledger's scarcity window
+//! (`docs/concurrency.md`, "The capacity window"). A claim on an item whose
+//! remaining candidate demand fits its remaining capacity cannot be refused
+//! in any order, so it commits lock-free; a claim inside the window parks
+//! as a proposal. Once every shard is parked or drained, the coordinator
+//! admits the globally maximal proposal by `heap::precedes` (value descending,
+//! ties towards the smaller candidate id — the total order the tournament
+//! uses inside a shard): that is the one-shard run's next scarce commit.
+//! The plan is therefore the one-shard plan triple for triple, whatever the
+//! thread schedule; the strategy lists it in shard order, and the revenue
+//! folds the same marginals per shard, so it agrees to float re-association
+//! (the parity suites assert 1e-9).
 //!
-//! The sharded plan is consequently not merely "close": the selection
-//! sequence is identical triple for triple, and the reported revenue is the
-//! same fold of the same realised marginals (engine marginals are
-//! bit-identical because each user's group state only depends on that
-//! user's own picks). The kernel parity suite asserts bit-identical plans
-//! at 1 and 2 shards, for both engines, cold and warm.
+//! What the shards buy:
 //!
-//! What the shards buy, given the arbitration itself is sequential:
-//!
-//! * **near-free coordination** — reading a shard's root is a field read,
-//!   and per-step tree work is the same as one shard's, on trees
-//!   `shards`× smaller;
-//! * **construction parallelism** — shard engines and tables are built
-//!   concurrently by scoped workers when hardware parallelism is available
-//!   (bit-identical to the sequential build, which the tests assert);
+//! * **parallel selection** — shards free-run between arbitrations, and
+//!   abundant claims never wait for the coordinator;
+//! * **construction parallelism** — each worker builds the engines and
+//!   tables of the shards it owns;
 //! * **bounded per-worker memory** — every per-candidate structure is
-//!   `O(shard)`, the flat engine's shard view included;
-//! * **a serving boundary** — `revmax-serve` keeps shard workers alive
-//!   across requests and plans batches of instances over the same pool.
+//!   `O(shard)`, the flat engine's shard view included.
 //!
 //! Under eager re-evaluation (the parity suites' `revmax_oracle::Eager`
-//! engine) flags are stamped with the shard's own selection count rather
-//! than the global one; a cross-shard insertion cannot change another
-//! shard's marginals, so re-evaluations that the sequential eager run
-//! performs and a shard skips return the value already cached — the
-//! selected plan is identical, only `marginal_evaluations` differs.
+//! engine) flags are stamped with the engine's selection count, which a
+//! shard engine counts over its own selections only. A cross-shard
+//! insertion cannot change another shard's marginals, so the plan is the
+//! same; only `marginal_evaluations` can differ from one shard's.
 //!
 //! SL-Greedy and RL-Greedy always plan on one shard; `PlannerConfig::shards`
 //! applies to G-Greedy only.
@@ -97,35 +96,6 @@ pub fn shard_users(inst: &Instance, pieces: usize) -> Vec<UserShard> {
 #[inline]
 fn pair(inst: &Instance, cand: CandidateId) -> (ItemId, UserId) {
     (inst.candidate_item(cand), inst.candidate_user(cand))
-}
-
-/// Sequential arbitration's capacity: the shared ledger's gate and claim
-/// ([`protocol::claim_blocked`] / [`protocol::commit_claim`]).
-struct Arbitrated<'l> {
-    inst: &'l Instance,
-    ledger: &'l SharedCapacityLedger,
-}
-
-impl Capacity for Arbitrated<'_> {
-    #[inline]
-    fn blocked<'a, E: RevenueEngine<'a>>(
-        &self,
-        _inc: &E,
-        counted: bool,
-        cand: CandidateId,
-        _t: TimeStep,
-    ) -> bool {
-        let (item, user) = pair(self.inst, cand);
-        protocol::claim_blocked(self.ledger, counted, item, user)
-    }
-
-    #[inline]
-    fn commit(&self, counted: &mut bool, cand: CandidateId) -> Commit {
-        let (item, user) = pair(self.inst, cand);
-        let granted = protocol::commit_claim(self.ledger, counted, item, user);
-        debug_assert!(granted, "arbitrated claim must never be denied");
-        Commit::Insert
-    }
 }
 
 /// The concurrent executor's capacity, under the scarcity-window protocol
@@ -190,9 +160,10 @@ impl Capacity for Window<'_> {
 /// warm-starts each shard engine from the session's snapshot pool; `None`
 /// is a one-shot (cold) plan.
 ///
-/// Every piece count produces the same plan as one shard (see the module
-/// docs). The returned strategy's insertion order is the coordinator order,
-/// i.e. the sequential selection order.
+/// A plan that resolves fewer than two worker threads
+/// (`PlannerConfig::effective_shard_threads`) plans one shard; any other
+/// runs the shards on the concurrent executor. Either way the plan is the
+/// one-shard plan (see the module docs).
 pub(crate) fn sharded_plan_residual<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
@@ -200,81 +171,11 @@ pub(crate) fn sharded_plan_residual<'a, E: RevenueEngine<'a>>(
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
     let shards = shard_users(inst, pieces);
-    if shards.len() <= 1 {
+    let threads = cfg.effective_shard_threads(shards.len());
+    if threads < 2 {
         return one_shard_plan::<E>(inst, cfg, delta);
     }
-    let threads = cfg.effective_shard_threads(shards.len());
-    if threads >= 2 {
-        return sharded_concurrent_impl::<E>(inst, cfg, shards, delta, threads);
-    }
-    let ledger = SharedCapacityLedger::new(inst);
-    let cap = Arbitrated {
-        inst,
-        ledger: &ledger,
-    };
-    let mut workers: Vec<ShardCore<'a, E>> = par::scoped_map(
-        shards,
-        |shard| ShardCore::new(inst, cfg, shard, false, delta),
-        cfg.parallel_init(),
-    );
-
-    let total_slots = inst.total_slots();
-    let mut selected: u64 = 0;
-    let mut running_revenue = 0.0f64;
-    // Selections in coordinator (= sequential) order; folded into a Strategy
-    // after the loop so the hot path pays a plain push, not a hash insert.
-    let mut picks: Vec<Triple> = Vec::new();
-    let mut trace = Vec::new();
-    let mut evals: u64 = 0;
-
-    'arbitrate: while selected < total_slots {
-        // Deterministic arbitration over the shard roots: advance the shard
-        // whose move is globally maximal (ties to the smaller candidate id).
-        let mut best: Option<(usize, (f64, u32))> = None;
-        let mut runner_up: Option<(f64, u32)> = None;
-        for (wi, w) in workers.iter().enumerate() {
-            let Some(lead) = w.lead() else {
-                continue;
-            };
-            if best.is_none_or(|(_, b)| precedes(lead, b)) {
-                runner_up = best.map(|(_, b)| b);
-                best = Some((wi, lead));
-            } else if runner_up.is_none_or(|ru| precedes(lead, ru)) {
-                runner_up = Some(lead);
-            }
-        }
-        let Some((wi, _)) = best else {
-            break;
-        };
-        // Advance the leading shard for as long as its root stays the
-        // global leader: its steps only change its own leaves, so
-        // consecutive selections from one shard replay the sequential order
-        // exactly while the leadership re-check is two register compares.
-        loop {
-            if let Step::Inserted { z, marginal } = workers[wi].step(&cap, &mut evals) {
-                running_revenue += marginal;
-                picks.push(z);
-                selected += 1;
-                if cfg.track_trace {
-                    trace.push(running_revenue);
-                }
-                if selected >= total_slots {
-                    break 'arbitrate;
-                }
-            }
-            match workers[wi].lead() {
-                Some(lead) if runner_up.is_none_or(|ru| precedes(lead, ru)) => {}
-                _ => continue 'arbitrate,
-            }
-        }
-    }
-
-    // Release the shard engines through into_strategy so warm-started ones
-    // return their recycled buffers to the session's snapshot pool.
-    for w in workers {
-        let _ = w.inc.into_strategy();
-    }
-    outcome(inst, cfg, strategy_of(picks), running_revenue, trace, evals)
+    sharded_concurrent_impl::<E>(inst, cfg, shards, delta, threads)
 }
 
 fn strategy_of(picks: Vec<Triple>) -> Strategy {
@@ -341,19 +242,19 @@ struct ShardRun {
 /// and parking scarce-window moves as proposals; the coordinator (the
 /// calling thread) waits for the full barrier — every shard parked or done
 /// — then resolves the globally maximal proposal by [`precedes`], exactly
-/// the sequential arbitration order. See the module docs and
+/// the one-shard selection order. See the module docs and
 /// `docs/concurrency.md` ("The capacity window") for the parity argument;
-/// the plan is identical to the sequential driver's, and the reported
-/// revenue agrees to float re-association (the parity suite asserts 1e-9).
+/// the plan has the one-shard plan's triples, and the reported revenue
+/// agrees to float re-association (the parity suites assert 1e-9).
 ///
-/// Differences from the sequential loop that are plan-neutral:
+/// Differences from the one-shard loop that are plan-neutral:
 ///
 /// * the `total_slots` early-stop is not taken — once every (user, time)
 ///   slot is filled, every remaining candidate is display-blocked and
 ///   retires without committing;
-/// * the trace is not recorded (`track_trace` forces the sequential path);
-/// * revenue is folded per shard in shard-index order rather than in
-///   selection order (same addend multiset).
+/// * the trace is not recorded (`track_trace` plans one shard);
+/// * the strategy lists each shard's picks in shard-index order, and
+///   revenue is folded per shard in that order (same addend multiset).
 fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,

@@ -309,15 +309,18 @@ fn saturation_ablation_loses_revenue_on_saturated_datasets() {
     );
 }
 
-/// The shard-partitioned core on engine `E` at 1, 2 and 7 shards against
-/// the sequential flat plan: identical strategies and revenue to 1e-9.
+/// The shard-partitioned core on engine `E` at 1, 2 and 7 shards, on 2
+/// worker threads, against the sequential flat plan: identical strategies
+/// and revenue to 1e-9.
 fn shards_vs_sequential<'a, E: RevenueEngine<'a>>(
     label: &str,
     inst: &'a Instance,
     sequential: &revmax_algorithms::GreedyOutcome,
 ) {
     for shards in [1u32, 2, 7] {
-        let cfg = PlannerConfig::default().with_shards(shards);
+        let cfg = PlannerConfig::default()
+            .with_shards(shards)
+            .with_shard_threads(2);
         let sharded = plan_with::<E>(inst, &cfg, None);
         assert!(
             (sharded.revenue - sequential.revenue).abs() < 1e-9,
@@ -341,10 +344,10 @@ fn shards_vs_sequential<'a, E: RevenueEngine<'a>>(
 }
 
 /// Engine-parity for the shard-partitioned core: every randomized instance
-/// also runs the sharded path with 1, 2, and 7 shards, for both engines,
-/// and must match the sequential flat plan to 1e-9 — identical strategies
-/// and revenue (the coordinator replays the sequential selection order
-/// exactly; see `revmax_algorithms::sharded`).
+/// also runs the sharded path with 1, 2, and 7 shards on 2 worker threads,
+/// for both engines, and must match the sequential flat plan to 1e-9 —
+/// identical strategies and revenue (the coordinator admits scarce claims
+/// in the sequential selection order; see `revmax_algorithms::sharded`).
 #[test]
 fn sharded_global_greedy_matches_sequential_at_1_2_7_shards() {
     let mut rng = StdRng::seed_from_u64(0x5AAD);
@@ -356,30 +359,31 @@ fn sharded_global_greedy_matches_sequential_at_1_2_7_shards() {
     }
 }
 
-/// Sharding through the unified front-end (`PlannerConfig::shards`) leaves
-/// the G-Greedy plan unchanged, and SL-Greedy, which always plans on one
-/// shard, is unchanged by it.
+/// Sharding through the unified front-end (`PlannerConfig::shards`, on 2
+/// worker threads) leaves the G-Greedy plan unchanged, and SL-Greedy,
+/// which always plans on one shard, is unchanged by it.
 #[test]
 fn shards_option_routes_through_public_apis() {
     let mut rng = StdRng::seed_from_u64(0x5AAF);
     let inst = random_small_instance(&mut rng);
     let base = global_greedy(&inst);
-    let via_cfg = plan(&inst, &PlannerConfig::default().with_shards(3));
+    let sharded = PlannerConfig::default()
+        .with_shards(3)
+        .with_shard_threads(2);
+    let via_cfg = plan(&inst, &sharded);
     assert!((base.revenue - via_cfg.revenue).abs() < 1e-9);
     assert_eq!(base.strategy.len(), via_cfg.strategy.len());
 
     let slg = sequential_local_greedy(&inst);
     let slg_sharded = plan(
         &inst,
-        &PlannerConfig::default()
-            .with_algorithm(PlanAlgorithm::SequentialLocalGreedy)
-            .with_shards(3),
+        &sharded.with_algorithm(PlanAlgorithm::SequentialLocalGreedy),
     );
     assert!((slg.revenue - slg_sharded.revenue).abs() < 1e-9);
 }
 
-/// Sharded parity on a generated dataset with binding capacities: the
-/// acceptance-shaped check (a scaled-down analogue of
+/// Sharded parity on a generated dataset with binding capacities, on 2
+/// worker threads: the acceptance-shaped check (a scaled-down analogue of
 /// `amazon_like().scaled(0.02)`, where ~half the items end at capacity).
 #[test]
 fn sharded_matches_sequential_on_capacity_bound_dataset() {
@@ -394,7 +398,10 @@ fn sharded_matches_sequential_on_capacity_bound_dataset() {
     let ds = generate(&config);
     let sequential = global_greedy(&ds.instance);
     for shards in [2u32, 4] {
-        let sharded = plan(&ds.instance, &PlannerConfig::default().with_shards(shards));
+        let cfg = PlannerConfig::default()
+            .with_shards(shards)
+            .with_shard_threads(2);
+        let sharded = plan(&ds.instance, &cfg);
         assert!(
             (sharded.revenue - sequential.revenue).abs()
                 <= 1e-9 * sequential.revenue.abs().max(1.0),

@@ -1,8 +1,8 @@
 //! Parity oracle for the concurrent shard executor
 //! (`PlannerConfig::shard_threads >= 2`): every configuration of engine
 //! (the flat engine and the hash reference, through `plan_with`) × shard
-//! count × worker-thread count must reproduce the sequential plan —
-//! same strategy triple set, same revenue to 1e-9 — plus directed tests for
+//! count × worker-thread count must reproduce the one-shard plan — same
+//! strategy triple set, same revenue to 1e-9 — plus directed tests for
 //! the rollback (steal/reject) path and the scarcity-window boundary.
 
 use rand::rngs::StdRng;
@@ -107,8 +107,8 @@ fn configurations_vs_sequential<'a, E: RevenueEngine<'a>>(
 
 /// The randomized oracle: ≥120 contended instances across engines × shards
 /// {1, 2, 4, 8} × threads {1, 2, 4}. Thread counts above the shard count
-/// and single-shard / single-thread configurations resolve to the
-/// sequential arbitration — those rows pin the no-regression contract; the
+/// are capped at it, and single-shard / single-thread configurations
+/// resolve to one shard — those rows pin the no-regression contract; the
 /// rest exercise the concurrent executor proper.
 #[test]
 fn concurrent_executor_matches_sequential_plans() {

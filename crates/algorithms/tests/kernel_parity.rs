@@ -7,14 +7,19 @@
 //!
 //! * **Flat == hash engine.** Plans produced by the flat engine match the
 //!   hash engine run through [`plan_with`] to 1e-9 in revenue with
-//!   identically sized, valid strategies — across GG and SLG, at 1 and 2
-//!   shards.
-//! * **The tree == the heap oracle, bit for bit.** Every G-Greedy plan, at 1
-//!   and 2 shards, on both engines, lazy and `Eager`, cold and
-//!   warm, has the revenue bits and the strategy (in insertion order) of the
-//!   pop-per-iteration lazy-heap loop in `oracle/mod.rs` on the same engine
-//!   type. The concurrent executor, which folds revenue per shard, matches
-//!   it to 1e-9 with the same triple set.
+//!   identically sized, valid strategies — across GG and SLG, at 1 shard
+//!   and at 2 shards on 2 worker threads.
+//! * **The tree == the heap oracle.** Every one-shard G-Greedy plan, on
+//!   both engines, lazy and `Eager`, cold and warm, has the revenue bits
+//!   and the strategy (in insertion order) of the pop-per-iteration
+//!   lazy-heap loop in `oracle/mod.rs` on the same engine type. The
+//!   concurrent executor (2 or more shards on 2 or more worker threads),
+//!   which folds revenue per shard and lists the strategy in shard order,
+//!   matches it to 1e-9 with the same triple set.
+//! * **One worker means one shard.** A multi-shard configuration that
+//!   resolves fewer than two worker threads — one thread, or a traced plan
+//!   — returns the one-shard outcome exactly: revenue, strategy order,
+//!   trace and evaluation count.
 //! * **Warm == cold.** Residual replans through the snapshot pool
 //!   ([`plan_residual`] with `warm_start`) reproduce the cold plans exactly,
 //!   and still seed/return the pooled buffers.
@@ -28,7 +33,7 @@ use oracle::heap_greedy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revmax_algorithms::{
-    plan, plan_residual, plan_with, GreedyOutcome, PlanAlgorithm, PlannerConfig,
+    plan, plan_residual, plan_with, ConcurrencyStats, GreedyOutcome, PlanAlgorithm, PlannerConfig,
 };
 use revmax_core::{
     residual_of_validated, validate_events, AdoptionEvent, EngineSnapshot,
@@ -165,7 +170,8 @@ fn assert_same_plan(label: &str, reference: &GreedyOutcome, other: &GreedyOutcom
     );
 }
 
-/// Asserts that `out` is the heap oracle's plan on engine `E`, bit for bit.
+/// Asserts that `out` is the heap oracle's plan on engine `E`: bit for bit
+/// on one shard, and as [`assert_same_plan`] from the concurrent executor.
 fn assert_heap_plan<'a, E: RevenueEngine<'a>>(
     label: &str,
     inst: &'a Instance,
@@ -173,7 +179,12 @@ fn assert_heap_plan<'a, E: RevenueEngine<'a>>(
     out: &GreedyOutcome,
 ) {
     let reference = heap_greedy::<E>(inst, cfg, None);
-    assert_bit_identical(&format!("{label} vs heap oracle"), &reference, out);
+    let label = format!("{label} vs heap oracle");
+    if out.concurrency.worker_threads >= 2 {
+        assert_same_plan(&label, &reference, out);
+    } else {
+        assert_bit_identical(&label, &reference, out);
+    }
 }
 
 #[test]
@@ -190,7 +201,8 @@ fn flat_plans_match_the_hash_engine_and_the_heap_oracle() {
             for shards in [1u32, 2] {
                 let base = PlannerConfig::default()
                     .with_algorithm(algorithm)
-                    .with_shards(shards);
+                    .with_shards(shards)
+                    .with_shard_threads(2);
                 let flat = plan(&inst, &base);
                 let hash = plan_with::<Hash<'_>>(&inst, &base, None);
                 assert!(
@@ -224,24 +236,70 @@ fn flat_plans_match_the_hash_engine_and_the_heap_oracle() {
     );
 }
 
-/// The tree on engine `E`, at 1 and 2 shards, against the heap oracle on
-/// the same engine type: revenue, strategy and trace bit for bit.
+/// Asserts that `other` records `reference`'s trace bit for bit.
+fn assert_same_trace(label: &str, reference: &GreedyOutcome, other: &GreedyOutcome) {
+    let bits = |o: &GreedyOutcome| o.trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(reference), bits(other), "{label}: trace diverged");
+}
+
+/// Asserts that `other` is `one_shard`'s outcome exactly: the plan bit for
+/// bit, the trace bits, the evaluation count, and zeroed executor
+/// statistics.
+fn assert_one_shard_outcome(label: &str, one_shard: &GreedyOutcome, other: &GreedyOutcome) {
+    assert_bit_identical(label, one_shard, other);
+    assert_same_trace(label, one_shard, other);
+    assert_eq!(
+        one_shard.marginal_evaluations, other.marginal_evaluations,
+        "{label}: marginal evaluations diverged"
+    );
+    assert_eq!(
+        other.concurrency,
+        ConcurrencyStats::default(),
+        "{label}: executor statistics of a one-shard plan"
+    );
+}
+
+/// The tree on engine `E` against the heap oracle on the same engine type,
+/// with `base` traced: the one-shard plan matches revenue, strategy and
+/// trace bit for bit. Every multi-shard configuration that resolves fewer
+/// than two worker threads — 2 and 4 shards on one thread, and the traced
+/// plan at 2 shards × 2 threads — returns the one-shard outcome exactly,
+/// and 2 shards × 2 threads untraced runs the concurrent executor, which
+/// matches the oracle's plan.
 fn tree_vs_heap<'a, E: RevenueEngine<'a>>(label: &str, inst: &'a Instance, base: &PlannerConfig) {
     let reference = heap_greedy::<E>(inst, base, None);
-    for shards in [1u32, 2] {
-        let tree = plan_with::<E>(inst, &base.with_shards(shards), None);
-        let label = format!("{label} shards {shards}");
-        assert_bit_identical(&label, &reference, &tree);
-        assert_eq!(
-            reference
-                .trace
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            tree.trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "{label}: trace diverged"
+    let one_shard = plan_with::<E>(inst, base, None);
+    let one_label = format!("{label} one shard");
+    assert_bit_identical(&one_label, &reference, &one_shard);
+    assert_same_trace(&one_label, &reference, &one_shard);
+
+    let untraced = base.with_track_trace(false);
+    let one_shard_untraced = plan_with::<E>(inst, &untraced, None);
+    for (cfg, one) in [
+        (
+            untraced.with_shards(2).with_shard_threads(1),
+            &one_shard_untraced,
+        ),
+        (
+            untraced.with_shards(4).with_shard_threads(1),
+            &one_shard_untraced,
+        ),
+        (base.with_shards(2).with_shard_threads(2), &one_shard),
+    ] {
+        let out = plan_with::<E>(inst, &cfg, None);
+        let label = format!(
+            "{label} {} shards x {} threads, traced {}",
+            cfg.shards, cfg.shard_threads, cfg.track_trace
         );
+        assert_one_shard_outcome(&label, one, &out);
     }
+
+    let concurrent = plan_with::<E>(inst, &untraced.with_shards(2).with_shard_threads(2), None);
+    assert_same_plan(
+        &format!("{label} 2 shards x 2 threads vs heap oracle"),
+        &reference,
+        &concurrent,
+    );
 }
 
 #[test]
@@ -266,9 +324,9 @@ fn tree_plans_are_bit_identical_to_the_heap_oracle() {
 }
 
 /// An instance of ~4.8k candidates: the small generator above stays under
-/// a hundred, so this one gives the selection core and its shard
-/// arbitration parity coverage at a size where a shard's tournament spans
-/// 150–300 leaf blocks of 16 candidates under a winner tree eight or nine
+/// a hundred, so this one gives the selection core and the concurrent
+/// executor parity coverage at a size where a shard's tournament spans
+/// 75–300 leaf blocks of 16 candidates under a winner tree seven to nine
 /// levels deep, and a column block re-summarises the four or five leaf
 /// blocks under one user's ~54 candidates at once.
 fn large_parity_instance(rng: &mut StdRng) -> Instance {
@@ -328,7 +386,7 @@ fn tree_matches_the_heap_oracle_at_scale() {
         ] {
             let reference = heap_greedy::<Flat<'_>>(target, cfg, delta);
             assert!(reference.strategy.validate(target).is_ok());
-            for (shards, threads) in [(1u32, 1u32), (2, 1), (2, 2)] {
+            for (shards, threads) in [(1u32, 1u32), (2, 2), (4, 2)] {
                 let cfg = cfg.with_shards(shards).with_shard_threads(threads);
                 let tree = plan_residual(target, &cfg, delta);
                 let label =
@@ -352,24 +410,23 @@ fn tree_matches_the_heap_oracle_at_scale() {
     }
 }
 
-/// Cold and warm residual replans on engine `E` at 1 and 2 shards: warm
-/// equals cold bit for bit, and G-Greedy equals the heap oracle on `E`.
+/// Cold and warm residual replans on engine `E` at 1 shard and at 2 shards
+/// on 2 worker threads: warm equals cold bit for bit, and G-Greedy equals
+/// the heap oracle on `E` ([`assert_heap_plan`]).
 fn warm_vs_cold<'a, E: RevenueEngine<'a>>(
     label: &str,
     residual: &'a Instance,
     base: &PlannerConfig,
     delta: &ResidualDelta,
 ) {
-    let reference = (base.algorithm == PlanAlgorithm::GlobalGreedy)
-        .then(|| heap_greedy::<E>(residual, base, None));
     for shards in [1u32, 2] {
-        let cfg = base.with_shards(shards);
+        let cfg = base.with_shards(shards).with_shard_threads(2);
         let cold = plan_with::<E>(residual, &cfg, None);
         let warm = plan_with::<E>(residual, &cfg.with_warm_start(true), Some(delta));
         let label = format!("{label} shards {shards}");
         assert_bit_identical(&format!("{label} warm vs cold"), &cold, &warm);
-        if let Some(reference) = &reference {
-            assert_bit_identical(&format!("{label} vs heap oracle"), reference, &cold);
+        if base.algorithm == PlanAlgorithm::GlobalGreedy {
+            assert_heap_plan::<E>(&label, residual, base, &cold);
         }
         assert!(cold.strategy.validate(residual).is_ok());
     }

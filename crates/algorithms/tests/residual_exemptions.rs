@@ -458,7 +458,9 @@ fn exempt_residuals_replan_identically_on_uniform_beta_instances() {
         let snapshot = EngineSnapshot::new();
         let delta = ResidualDelta::initial(snapshot.clone());
         for shards in [1u32, 2] {
-            let base = PlannerConfig::default().with_shards(shards);
+            let base = PlannerConfig::default()
+                .with_shards(shards)
+                .with_shard_threads(2);
             let cold = plan(&residual, &base);
             let hash_cold = plan_with::<Hash<'_>>(&residual, &base, None);
             let warm = plan_residual(&residual, &base.with_warm_start(true), Some(&delta));

@@ -8,7 +8,7 @@
 //! state a first-class object instead of a field inside one evaluator:
 //!
 //! * [`CapacityLedger`] — the sequential ledger used inside the incremental
-//!   revenue engines: plain per-item counters, `&mut` claims;
+//!   revenue engines: plain per-item counters, `&mut` charges;
 //! * [`SharedCapacityLedger`] — the sharded ledger used by the
 //!   shard-partitioned planners: per-item atomic counters with `&self`
 //!   claim/release, safe to share across shard workers.
@@ -194,17 +194,6 @@ impl CapacityLedger {
         self.used[item.index()] >= self.cap[item.index()]
     }
 
-    /// Claims one unit of the item's capacity. Returns `false` (and changes
-    /// nothing) if the item is already full.
-    #[inline]
-    pub fn claim(&mut self, item: ItemId) -> bool {
-        if self.is_full(item) {
-            return false;
-        }
-        self.used[item.index()] += 1;
-        true
-    }
-
     /// Records a claim without checking the capacity.
     ///
     /// The incremental engines accept *any* strategy through their insert
@@ -215,16 +204,6 @@ impl CapacityLedger {
     pub fn claim_unchecked(&mut self, item: ItemId) {
         self.used[item.index()] += 1;
     }
-
-    /// Releases one previously claimed unit. Claims from the greedy
-    /// planners are permanent — no production path calls this today; it
-    /// completes the ledger API for backtracking callers (e.g. a future
-    /// ledger-aware local search).
-    #[inline]
-    pub fn release(&mut self, item: ItemId) {
-        debug_assert!(self.used[item.index()] > 0, "release without claim");
-        self.used[item.index()] = self.used[item.index()].saturating_sub(1);
-    }
 }
 
 /// Shard-safe display-capacity ledger: per-item atomic claim counts.
@@ -232,10 +211,10 @@ impl CapacityLedger {
 /// Shard workers plan disjoint user ranges concurrently and claim item
 /// capacity through one shared ledger; claims are lock-free CAS loops, so the
 /// ledger never blocks a worker. Determinism of the *plan* is not the
-/// ledger's job — the shard coordinator grants claims in descending
-/// marginal-revenue order (see `revmax-algorithms::sharded`), which makes the
-/// sharded plan reproduce the sequential one exactly regardless of thread
-/// scheduling.
+/// ledger's job — the shard coordinator admits scarce-window claims in
+/// descending marginal-revenue order (see `revmax-algorithms::sharded`),
+/// which makes the sharded plan reproduce the one-shard plan regardless of
+/// thread scheduling.
 ///
 /// The ledger is generic over its counter cell so `cargo xtask check-ledger`
 /// can run **this exact code** under an instrumented [`LedgerCell`] and
@@ -301,13 +280,6 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
         self.exempt.contains(item, user)
     }
 
-    /// Whether the item has no capacity left for *this* user: full **and**
-    /// the `(item, user)` pair is not exempt.
-    #[inline]
-    pub fn is_full_for(&self, item: ItemId, user: UserId) -> bool {
-        self.is_full(item) && !self.is_exempt(item, user)
-    }
-
     /// [`SharedCapacityLedger::try_claim`] for a specific user: exempt pairs
     /// succeed without consuming capacity.
     pub fn try_claim_for(&self, item: ItemId, user: UserId) -> bool {
@@ -366,9 +338,11 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
     /// Records the first display of `item` to `user` **without** checking the
     /// capacity: claims one unit unless the pair is exempt. The shared
     /// counterpart of [`CapacityLedger::charge`] — engine-side bookkeeping
-    /// for callers that own constraint checking (the speculative shard
-    /// executor charges realised displays through this). The caller dedups
-    /// `(item, user)` pairs, exactly as for the sequential ledger.
+    /// for callers that own constraint checking. No planner calls it today;
+    /// the model checker's window-migration scenarios use it as the
+    /// out-of-band consumption that pushes an item into the capacity
+    /// window. The caller dedups `(item, user)` pairs, exactly as for the
+    /// sequential ledger.
     ///
     /// `AcqRel`: the unconditional RMW both publishes this charge and joins
     /// the release sequence of prior claim-family RMWs, so charges are
@@ -380,9 +354,9 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
         }
     }
 
-    /// Releases one previously claimed unit. Like
-    /// [`CapacityLedger::release`], no production path calls this today;
-    /// it completes the shared-ledger API for backtracking callers.
+    /// Releases one previously claimed unit. Its one planner caller is
+    /// [`SharedCapacityLedgerIn::release_spec`], the coordinator's steal of
+    /// a speculative unit.
     ///
     /// `AcqRel`: the decrement must not be reordered before the reads of the
     /// work being rolled back, and a later `Acquire` load observing the
@@ -458,8 +432,8 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
 
     /// Whether the item has no *committed* capacity left for this user:
     /// committed-full **and** the `(item, user)` pair is not exempt. The
-    /// committed-basis counterpart of [`SharedCapacityLedgerIn::is_full_for`],
-    /// for gates that run concurrently with parked speculative claims.
+    /// committed-basis counterpart of [`CapacityLedger::is_full_for`], for
+    /// gates that run concurrently with parked speculative claims.
     #[inline]
     pub fn is_full_committed_for(&self, item: ItemId, user: UserId) -> bool {
         self.committed_used(item) >= self.cap[item.index()] && !self.is_exempt(item, user)
@@ -576,14 +550,17 @@ mod tests {
         let inst = two_item_instance();
         let mut ledger = CapacityLedger::new(&inst);
         assert_eq!(ledger.capacity(ItemId(0)), 2);
-        assert!(ledger.claim(ItemId(0)));
-        assert!(ledger.claim(ItemId(0)));
-        assert!(ledger.is_full(ItemId(0)));
-        assert!(!ledger.claim(ItemId(0)));
-        assert_eq!(ledger.used(ItemId(0)), 2);
-        ledger.release(ItemId(0));
+        ledger.charge(ItemId(0), UserId(0));
         assert!(!ledger.is_full(ItemId(0)));
-        assert!(ledger.claim(ItemId(0)));
+        ledger.charge(ItemId(0), UserId(1));
+        assert!(ledger.is_full(ItemId(0)));
+        assert_eq!(ledger.used(ItemId(0)), 2);
+        // Charges are unchecked bookkeeping: they keep counting past the
+        // capacity, and the item stays full.
+        ledger.charge(ItemId(0), UserId(2));
+        assert_eq!(ledger.used(ItemId(0)), 3);
+        assert!(ledger.is_full(ItemId(0)));
+        assert!(!ledger.is_full(ItemId(1)));
     }
 
     #[test]
@@ -622,7 +599,7 @@ mod tests {
         assert_eq!(shared.used(ItemId(0)), 0);
         assert!(shared.try_claim_for(ItemId(0), UserId(0)));
         assert!(shared.is_full(ItemId(0)));
-        assert!(!shared.is_full_for(ItemId(0), UserId(2)));
+        assert!(!shared.is_full_committed_for(ItemId(0), UserId(2)));
         assert!(shared.try_claim_for(ItemId(0), UserId(2)));
         assert!(!shared.try_claim_for(ItemId(0), UserId(1)));
     }

@@ -179,8 +179,8 @@ impl EngineSnapshot {
         guard.push((key, buffers));
     }
 
-    /// Whether tables have been published yet (used by tests and benches to
-    /// verify that warm starts actually engage).
+    /// Whether tables have been published yet (used by tests to verify
+    /// that warm starts actually engage).
     pub fn has_tables(&self) -> bool {
         self.inner
             .tables

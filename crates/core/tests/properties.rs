@@ -544,8 +544,8 @@ fn shard_views_match_full_engine_bit_for_bit() {
     }
 }
 
-/// The shared atomic ledger and the sequential ledger grant identical claim
-/// sequences.
+/// The shared atomic ledger and the sequential ledger count identical
+/// charge sequences.
 #[test]
 fn shared_and_sequential_ledgers_agree() {
     let mut rng = StdRng::seed_from_u64(0x1ED6);
@@ -555,9 +555,12 @@ fn shared_and_sequential_ledgers_agree() {
         let shared = revmax_core::SharedCapacityLedger::new(&inst);
         for _ in 0..40 {
             let item = revmax_core::ItemId(rng.gen_range(0..inst.num_items()));
+            let user = revmax_core::UserId(rng.gen_range(0..inst.num_users()));
             assert_eq!(seq.is_full(item), shared.is_full(item));
-            assert_eq!(seq.claim(item), shared.try_claim(item));
+            seq.charge(item, user);
+            shared.charge(item, user);
             assert_eq!(seq.used(item), shared.used(item));
+            assert_eq!(seq.is_full(item), shared.is_full(item));
         }
     }
 }

@@ -243,8 +243,10 @@ fn parse_events(body: &[u8]) -> Result<(Vec<AdoptionEvent>, Option<u32>), Reject
 }
 
 /// The wire subset of [`PlannerConfig`]: the algorithm selector plus the
-/// knobs a remote client can meaningfully set. Unknown
-/// keys are rejected so typos fail loudly instead of silently defaulting.
+/// knobs a remote client can meaningfully set. The shard count is not
+/// among them: it takes effect only with two or more shard threads, which
+/// the wire does not set. Unknown keys are rejected so typos fail loudly
+/// instead of silently defaulting.
 fn planner_config_from(value: &JsonValue) -> Result<PlannerConfig, String> {
     let Some(obj) = value.as_object() else {
         return Err("\"config\" must be a JSON object".into());
@@ -261,12 +263,6 @@ fn planner_config_from(value: &JsonValue) -> Result<PlannerConfig, String> {
                     "rlg" => PlanAlgorithm::RandomizedLocalGreedy { permutations: 20 },
                     other => return Err(format!("unknown algorithm {other:?}")),
                 });
-            }
-            "shards" => {
-                let n = field
-                    .as_u32()
-                    .ok_or("\"shards\" must be a non-negative integer")?;
-                cfg = cfg.with_shards(n);
             }
             "seed" => {
                 let n = field

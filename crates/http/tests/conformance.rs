@@ -156,11 +156,12 @@ fn golden_request_table() {
         }
     }
     // Retired keys answer like any other unknown one: the planner has one
-    // heap and one engine.
+    // heap and one engine, and shards need shard threads the wire cannot set.
     for retired in [
         "{\"heap\":\"lazy\"}",
         "{\"engine\":\"hash\"}",
         "{\"engine\":\"flat\"}",
+        "{\"shards\":2}",
     ] {
         let body = submission_body(&inst, retired);
         let (status, reply) =

@@ -438,8 +438,10 @@ mod tests {
         let direct: Vec<f64> = batch.iter().map(|i| global_greedy(i).revenue).collect();
         for shards in [1u32, 2, 3] {
             let service = PlanService::new(2);
-            let reports = service
-                .plan_batch_reports(batch.clone(), PlannerConfig::default().with_shards(shards));
+            let cfg = PlannerConfig::default()
+                .with_shards(shards)
+                .with_shard_threads(2);
+            let reports = service.plan_batch_reports(batch.clone(), cfg);
             assert_eq!(reports.len(), batch.len());
             for (i, report) in reports.iter().enumerate() {
                 assert_eq!(report.index, i);

@@ -10,7 +10,7 @@
 //! Because `SharedCapacityLedgerIn<InstrCell>` is the *production ledger
 //! type* at a different cell parameter, every scenario in
 //! [`crate::scenarios`] executes the identical claim/charge/release code
-//! the sharded drivers run — `cargo xtask check-ledger` model-checks the
+//! the concurrent shard executor runs — `cargo xtask check-ledger` model-checks the
 //! real protocol, not a transcription of it.
 
 use crate::model::{Controller, OpKind, OpReq, GRANT_CAS_SUCCESS};

@@ -49,7 +49,7 @@ struct File {
 
 impl File {
     fn is_integration_test(&self) -> bool {
-        self.rel.contains("/tests/") || self.rel.contains("/benches/")
+        self.rel.contains("/tests/")
     }
 
     fn in_test_code(&self, offset: usize) -> bool {

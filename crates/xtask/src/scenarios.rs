@@ -178,45 +178,6 @@ fn exempt_claims(ctrl: &Arc<Controller>) {
     });
 }
 
-/// The claim-protocol seam the sharded drivers use: concurrent
-/// `claim_blocked` → `commit_claim` commits at most `cap` claims, and a
-/// denied commit is reported to its caller (the speculative-conflict path).
-fn protocol_commit(ctrl: &Arc<Controller>) {
-    with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1], &[]);
-        let ledger = make_ledger(ctrl, &inst);
-        let body = |user: u32| {
-            let ledger = &ledger;
-            move || {
-                let mut counted = false;
-                if protocol::claim_blocked(ledger, counted, ItemId(0), UserId(user)) {
-                    return 0u64; // gated before committing
-                }
-                let granted = protocol::commit_claim(ledger, &mut counted, ItemId(0), UserId(user));
-                if !counted {
-                    return u64::MAX; // commit must always mark the pair
-                }
-                if granted {
-                    1
-                } else {
-                    2 // speculative conflict: commit denied
-                }
-            }
-        };
-        let results = run_threads(ctrl, vec![Box::new(body(0)), Box::new(body(1))]);
-        if results.contains(&u64::MAX) {
-            ctrl.flag("commit_claim left a pair uncounted".into());
-        }
-        let granted = results.iter().filter(|&&r| r == 1).count();
-        let used = ledger.used(ItemId(0));
-        if granted > 1 || used > 1 || used as usize != granted {
-            ctrl.flag(format!(
-                "protocol commit: {granted} grants, used {used} (cap 1)"
-            ));
-        }
-    });
-}
-
 /// Message-passing visibility: a thread that observes item B full must also
 /// observe the charge of item A that happened-before it. Passes with the
 /// real orderings; the `Relaxed` mutant must be flagged here.
@@ -747,13 +708,6 @@ pub fn dfs_suite() -> Vec<Scenario> {
             expect: Expect::Pass,
             demote: false,
             body: &exempt_claims,
-        },
-        Scenario {
-            name: "protocol_commit",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &protocol_commit,
         },
         Scenario {
             name: "visibility_chain",

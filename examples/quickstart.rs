@@ -41,8 +41,9 @@ fn main() {
         .candidate(2, 2, &[0.25, 0.35, 0.25], 3.9);
     let instance = builder.build().expect("valid instance");
 
-    // Revenue-maximizing plan, with algorithm/shards picked from the
-    // environment (defaults: G-Greedy, 1 shard).
+    // Revenue-maximizing plan, with algorithm/shards/shard threads picked
+    // from the environment (defaults: G-Greedy, 1 shard; shards take effect
+    // only with two or more shard threads).
     let config = PlannerConfig::from_env();
     let outcome = plan(&instance, &config);
 
