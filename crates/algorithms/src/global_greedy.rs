@@ -82,8 +82,8 @@ pub struct ConcurrencyStats {
     /// Scarce-window proposals sequenced by the coordinator (admitted plus
     /// rejected).
     pub arbitrated_moves: u64,
-    /// Arbitrated proposals the coordinator rejected (the speculative claim
-    /// was rolled back or denied).
+    /// Arbitrated proposals the coordinator rejected (its claim at
+    /// admission found the item full).
     pub rejected_moves: u64,
     /// Worker threads the executor ran with (`0` for one-shard plans).
     pub worker_threads: u32,
@@ -402,9 +402,8 @@ pub(crate) enum Step {
     /// alone (the concurrent executor's scarce window). The shard is
     /// untouched — the move stays at the tree root, the engine is not
     /// mutated — until [`ShardCore::admit`] or [`ShardCore::reject`];
-    /// `t_idx` is the commit's time index and `granted` whether a
-    /// speculative claim won a capacity unit.
-    Park { t_idx: usize, granted: bool },
+    /// `t_idx` is the commit's time index.
+    Park { t_idx: usize },
 }
 
 /// What a [`Capacity`] decided at a fresh root move's commit point.
@@ -412,7 +411,7 @@ pub(crate) enum Commit {
     /// The capacity side is settled: insert the move.
     Insert,
     /// Park the move for arbitration (see [`Step::Park`]).
-    Park { granted: bool },
+    Park,
 }
 
 /// Where a shard's capacity lives — the one thing that differs between the
@@ -591,7 +590,7 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
             return Step::Continue;
         }
         match cap.commit(&mut self.counted[local as usize], cand) {
-            Commit::Park { granted } => Step::Park { t_idx, granted },
+            Commit::Park => Step::Park { t_idx },
             Commit::Insert => {
                 let (z, marginal) = self.insert(cap, local, t_idx);
                 Step::Inserted { z, marginal }

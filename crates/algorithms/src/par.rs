@@ -84,7 +84,8 @@ where
 /// `tid` order) alongside the driver's. Each worker stays alive for a whole
 /// planning run, so the concurrent shard executor can park and resume
 /// shards on the same OS thread, with the coordinator (the driver)
-/// arbitrating from the calling thread.
+/// arbitrating from the calling thread. A worker's panic is re-raised on
+/// the calling thread once `driver` returns.
 pub fn scoped_pool<R, D, W, F>(threads: usize, worker: W, driver: F) -> (Vec<R>, D)
 where
     R: Send,
@@ -99,7 +100,10 @@ where
         let d = driver();
         let results = handles
             .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect();
         (results, d)
     })

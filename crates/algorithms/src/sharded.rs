@@ -31,15 +31,18 @@
 //! The executor therefore splits commits by the ledger's scarcity window
 //! (`docs/concurrency.md`, "The capacity window"). A claim on an item whose
 //! remaining candidate demand fits its remaining capacity cannot be refused
-//! in any order, so it commits lock-free; a claim inside the window parks
-//! as a proposal. Once every shard is parked or drained, the coordinator
-//! admits the globally maximal proposal by `heap::precedes` (value descending,
-//! ties towards the smaller candidate id — the total order the tournament
-//! uses inside a shard): that is the one-shard run's next scarce commit.
-//! The plan is therefore the one-shard plan triple for triple, whatever the
-//! thread schedule; the strategy lists it in shard order, and the revenue
-//! folds the same marginals per shard, so it agrees to float re-association
-//! (the parity suites assert 1e-9).
+//! in any order, so it commits lock-free; a move inside the window parks
+//! as a proposal, without claiming. Once every shard is parked or drained,
+//! the coordinator takes the globally maximal proposal by `heap::precedes`
+//! (value descending, ties towards the smaller candidate id — the total
+//! order the tournament uses inside a shard): that is the one-shard run's
+//! next scarce commit. It claims for it then, so the claim succeeds exactly
+//! when the one-shard run would find capacity left: a granted claim admits
+//! the proposal, a denied one rejects it. The plan is therefore the
+//! one-shard plan triple for triple, whatever the thread schedule; the
+//! strategy lists it in shard order, and the revenue folds the same
+//! marginals per shard, so it agrees to float re-association (the parity
+//! suites assert 1e-9).
 //!
 //! What the shards buy:
 //!
@@ -70,7 +73,7 @@ use revmax_core::{
     CandidateId, Instance, ItemId, ResidualDelta, RevenueEngine, SharedCapacityLedger, Strategy,
     TimeStep, Triple, UserId, UserShard,
 };
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Cuts the instance into at most `pieces` user shards whose candidate ranges
 /// are balanced (boundaries drawn from the CSR offsets, see
@@ -101,13 +104,11 @@ fn pair(inst: &Instance, cand: CandidateId) -> (ItemId, UserId) {
 /// The concurrent executor's capacity, under the scarcity-window protocol
 /// (`docs/concurrency.md`, "The capacity window"):
 ///
-/// * gates read the **committed** count
-///   ([`protocol::claim_blocked_committed`]) — a speculative unit held by a
-///   parked proposal may still be stolen by a sequentially earlier claim,
-///   so retiring a candidate against the raw count would be premature;
+/// * gates read the claim count ([`protocol::claim_blocked`]); a full item
+///   stays full, so retiring a candidate against it is final;
 /// * commits are routed by the window: counted, exempt, and abundant moves
 ///   commit lock-free ([`protocol::fast_commit_claim`]); scarce-window
-///   moves claim speculatively and park for the coordinator;
+///   moves park, unclaimed, for the coordinator's claim;
 /// * a candidate dying without a claim retires its demand, so the window
 ///   can shrink behind it.
 struct Window<'l> {
@@ -125,24 +126,19 @@ impl Capacity for Window<'_> {
         _t: TimeStep,
     ) -> bool {
         let (item, user) = pair(self.inst, cand);
-        protocol::claim_blocked_committed(self.ledger, counted, item, user)
+        protocol::claim_blocked(self.ledger, counted, item, user)
     }
 
     fn commit(&self, counted: &mut bool, cand: CandidateId) -> Commit {
         let (item, user) = pair(self.inst, cand);
-        if !*counted && !self.ledger.is_exempt(item, user) && self.ledger.is_scarce(item) {
-            let granted = protocol::speculative_claim(self.ledger, item, user);
-            return Commit::Park { granted };
-        }
-        if protocol::fast_commit_claim(self.ledger, counted, item, user) {
-            Commit::Insert
+        let scarce = !*counted && !self.ledger.is_exempt(item, user) && self.ledger.is_scarce(item);
+        // Abundance is sticky, so the fast claim is not denied in a plan;
+        // if it ever were, parking leaves the verdict to the coordinator's
+        // claim, which is exact.
+        if scarce || !protocol::fast_commit_claim(self.ledger, counted, item, user) {
+            Commit::Park
         } else {
-            // The abundance check raced a `charge`: the item migrated into
-            // the window between the check and the claim. Park ungranted —
-            // no free-running thread can release a unit (releases are
-            // barrier-quiescent), so retrying the claim here could never
-            // succeed.
-            Commit::Park { granted: false }
+            Commit::Insert
         }
     }
 
@@ -199,9 +195,6 @@ struct Proposal {
     user: UserId,
     /// Time-step index of the parked commit.
     t_idx: usize,
-    /// Whether the speculative claim won a unit (may be stolen while
-    /// parked).
-    granted: bool,
 }
 
 /// Where one shard stands in the park/verdict cycle.
@@ -224,6 +217,28 @@ enum Phase {
 /// executor flows through this lock and the ledger — no further atomics.
 struct CoordState {
     phases: Vec<Phase>,
+}
+
+/// Marks worker `tid`'s shards [`Phase::Done`] if the worker unwinds, so
+/// the coordinator's barrier still completes and the pool's join can
+/// re-raise the panic instead of hanging.
+struct DoneOnUnwind<'s> {
+    state: &'s Mutex<CoordState>,
+    to_coord: &'s Condvar,
+    tid: usize,
+    threads: usize,
+}
+
+impl Drop for DoneOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            for phase in st.phases.iter_mut().skip(self.tid).step_by(self.threads) {
+                *phase = Phase::Done;
+            }
+            self.to_coord.notify_one();
+        }
+    }
 }
 
 /// Per-shard results accumulated by the owning worker.
@@ -279,6 +294,12 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
         // Worker `tid` owns shards `i` with `i % threads == tid`; it builds
         // them (construction parallelism rides on the pool itself) and
         // free-runs each to its next park or to exhaustion.
+        let _unwind = DoneOnUnwind {
+            state: &state,
+            to_coord: &to_coord,
+            tid,
+            threads,
+        };
         let mut owned: Vec<(usize, ShardCore<'a, E>, ShardRun)> = (0..nshards)
             .filter(|i| i % threads == tid)
             .map(|i| {
@@ -316,7 +337,7 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
                             run.fast += 1;
                         }
                         Step::Continue => {}
-                        Step::Park { t_idx, granted } => {
+                        Step::Park { t_idx } => {
                             let cid = CandidateId(cand);
                             status[k] = WAITING;
                             state.lock().expect("executor state mutex poisoned").phases[*si] =
@@ -326,7 +347,6 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
                                     item: inst.candidate_item(cid),
                                     user: inst.candidate_user(cid),
                                     t_idx,
-                                    granted,
                                 });
                             to_coord.notify_one();
                             break;
@@ -402,52 +422,13 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
             let Phase::Parked(pr) = st.phases[wi] else {
                 unreachable!("best proposal is parked");
             };
-            let admitted = if pr.granted {
-                // A granted proposal is always admissible: its own unit is
-                // excluded from the committed count.
-                protocol::admit_granted(&ledger, pr.item, pr.user);
-                true
-            } else {
-                loop {
-                    if protocol::admit_claim(&ledger, pr.item, pr.user) {
-                        break true;
-                    }
-                    // Raw count full: steal from the sequentially *last*
-                    // granted victim on the same item, then retry (the
-                    // barrier guarantees quiescence for the release).
-                    let mut victim: Option<(usize, f64, u32)> = None;
-                    for (j, q) in st.phases.iter().enumerate() {
-                        if j == wi {
-                            continue;
-                        }
-                        if let Phase::Parked(qp) = q {
-                            if qp.granted
-                                && qp.item == pr.item
-                                && victim.is_none_or(|(_, vv, vc)| {
-                                    precedes((vv, vc), (qp.value, qp.cand))
-                                })
-                            {
-                                victim = Some((j, qp.value, qp.cand));
-                            }
-                        }
-                    }
-                    match victim {
-                        Some((j, _, _)) => {
-                            protocol::steal_speculative(&ledger, pr.item);
-                            if let Phase::Parked(ref mut qp) = st.phases[j] {
-                                qp.granted = false;
-                            }
-                        }
-                        None => {
-                            // Committed-full with no speculative unit left
-                            // to steal: the sequential run would gate this
-                            // candidate here.
-                            protocol::reject_claim(&ledger, pr.item, pr.user);
-                            break false;
-                        }
-                    }
-                }
-            };
+            // Claim at admission: the claim succeeds exactly when the item
+            // has capacity left, which is the one-shard verdict here. A
+            // denied claim rejects the proposal, and its pair dies.
+            let admitted = protocol::admit_claim(&ledger, pr.item, pr.user);
+            if !admitted {
+                protocol::retire_candidate(&ledger, pr.item, pr.user);
+            }
             st.phases[wi] = Phase::Verdict {
                 t_idx: pr.t_idx,
                 admitted,

@@ -3,13 +3,17 @@
 //! (the flat engine and the hash reference, through `plan_with`) × shard
 //! count × worker-thread count must reproduce the one-shard plan — same
 //! strategy triple set, same revenue to 1e-9 — plus directed tests for
-//! the rollback (steal/reject) path and the scarcity-window boundary.
+//! the rejection path, the scarcity-window boundary, and a worker panic.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use revmax_algorithms::{plan, plan_with, PlannerConfig};
-use revmax_core::{env, IncrementalRevenue as Flat, Instance, InstanceBuilder, RevenueEngine};
+use revmax_core::{
+    env, CandidateId, IncrementalRevenue as Flat, Instance, InstanceBuilder, RevenueEngine,
+    Strategy, TimeStep, UserShard,
+};
 use revmax_oracle::HashIncrementalRevenue as Hash;
+use std::time::Duration;
 
 /// Worker-thread counts under test: {1, 2, 4} plus any `REVMAX_SHARD_THREADS`
 /// override — the CI multi-core matrix leg re-runs the oracle with its
@@ -122,12 +126,11 @@ fn concurrent_executor_matches_sequential_plans() {
     }
 }
 
-/// An adversarial rollback instance: one hot item with capacity 1 that
+/// An adversarial rejection instance: one hot item with capacity 1 that
 /// every user values most. Every shard's first proposal targets the hot
-/// item; the sequentially leading one is admitted and — because its unit
-/// may have been speculatively granted to a later shard — the steal path
-/// (claim, then release on reject) runs before every other shard's
-/// proposal is rejected.
+/// item and parks; the coordinator claims for the sequentially leading one
+/// and admits it, and its claim for every other shard's proposal finds the
+/// item full and rejects it.
 #[test]
 fn every_losing_shards_first_proposal_is_rejected() {
     let users = 4u32;
@@ -148,7 +151,7 @@ fn every_losing_shards_first_proposal_is_rejected() {
         .with_shards(users)
         .with_shard_threads(users);
     let conc = plan(&inst, &cfg);
-    assert_same_plan("rollback", &seq, &conc);
+    assert_same_plan("rejection", &seq, &conc);
 
     let stats = &conc.concurrency;
     assert!(
@@ -198,4 +201,105 @@ fn capacity_equal_to_demand_stays_on_the_fast_path() {
     );
     assert_eq!(stats.fast_path_moves, users as u64);
     assert!((conc.concurrency.scarce_occupancy() - 0.0).abs() < 1e-12);
+}
+
+/// The flat engine, except that inserting a candidate of the instance's
+/// last user panics.
+struct PanicsOnLastUser<'a>(Flat<'a>);
+
+impl<'a> RevenueEngine<'a> for PanicsOnLastUser<'a> {
+    fn with_options(inst: &'a Instance, ignore_saturation: bool) -> Self {
+        PanicsOnLastUser(Flat::with_options(inst, ignore_saturation))
+    }
+
+    fn for_shard(inst: &'a Instance, ignore_saturation: bool, shard: UserShard) -> Self {
+        PanicsOnLastUser(Flat::for_shard(inst, ignore_saturation, shard))
+    }
+
+    fn group_size_cand(&self, cand: CandidateId) -> usize {
+        self.0.group_size_cand(cand)
+    }
+
+    fn instance(&self) -> &'a Instance {
+        self.0.instance()
+    }
+
+    fn revenue(&self) -> f64 {
+        self.0.revenue()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn would_violate_cand(&self, cand: CandidateId, t: TimeStep) -> bool {
+        self.0.would_violate_cand(cand, t)
+    }
+
+    fn would_violate_display_cand(&self, cand: CandidateId, t: TimeStep) -> bool {
+        self.0.would_violate_display_cand(cand, t)
+    }
+
+    fn marginal_revenue_cand(&self, cand: CandidateId, t: TimeStep) -> f64 {
+        self.0.marginal_revenue_cand(cand, t)
+    }
+
+    fn marginal_revenue_batch(&self, cand: CandidateId, live_mask: u64, out: &mut [f64]) -> u32 {
+        self.0.marginal_revenue_batch(cand, live_mask, out)
+    }
+
+    fn insert_cand(&mut self, cand: CandidateId, t: TimeStep) -> f64 {
+        let inst = self.0.instance();
+        assert!(
+            inst.candidate_user(cand).0 + 1 < inst.num_users(),
+            "injected panic for the last user"
+        );
+        self.0.insert_cand(cand, t)
+    }
+
+    fn into_strategy(self) -> Strategy {
+        self.0.into_strategy()
+    }
+}
+
+/// A panic in an executor worker reaches the caller: the worker's shards
+/// leave the coordinator's barrier as it unwinds, and the pool re-raises
+/// the panic, instead of the barrier waiting forever for them.
+#[test]
+fn worker_panic_reaches_the_caller() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let users = 4u32;
+        let mut b = InstanceBuilder::new(users, 2, 1);
+        b.display_limit(1);
+        b.capacity(0, users).constant_price(0, 10.0);
+        b.capacity(1, users).constant_price(1, 5.0);
+        for user in 0..users {
+            b.candidate(user, 0, &[0.5], 0.0);
+            b.candidate(user, 1, &[0.5], 0.0);
+        }
+        let inst = b.build().unwrap();
+        let cfg = PlannerConfig::default()
+            .with_shards(2)
+            .with_shard_threads(2);
+        let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            plan_with::<PanicsOnLastUser<'_>>(&inst, &cfg, None)
+        }));
+        let message = planned.err().map(|panic| {
+            panic
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default()
+        });
+        let _ = tx.send(message);
+    });
+    let message = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the planner hung after a worker panic");
+    assert_eq!(
+        message.as_deref(),
+        Some("injected panic for the last user"),
+        "the worker's panic must reach the caller"
+    );
 }

@@ -9,9 +9,9 @@
 //!
 //! * [`CapacityLedger`] — the sequential ledger used inside the incremental
 //!   revenue engines: plain per-item counters, `&mut` charges;
-//! * [`SharedCapacityLedger`] — the sharded ledger used by the
-//!   shard-partitioned planners: per-item atomic counters with `&self`
-//!   claim/release, safe to share across shard workers.
+//! * [`SharedCapacityLedger`] — the sharded ledger used by the concurrent
+//!   shard executor: per-item atomic counters with `&self` claims, safe to
+//!   share across shard workers.
 //!
 //! Both ledgers count *claims*, one per distinct (item, user) pair; the
 //! caller is responsible for claiming at most once per pair (the engines
@@ -31,14 +31,14 @@
 //! `std::sync::atomic::Ordering` tokens) are allowed — `cargo xtask lint`
 //! enforces the confinement mechanically. Every ordering choice below is
 //! justified in [`docs/concurrency.md`] (the ledger memory-ordering
-//! contract), and the shared ledger's claim/charge/release protocol is
+//! contract), and the shared ledger's claim/retire protocol is
 //! exhaustively schedule-checked by `cargo xtask check-ledger`, which
 //! substitutes an instrumented [`LedgerCell`] for [`AtomicCell`] and
 //! explores thread interleavings under an acquire/release-aware memory
-//! model. The contract in one line: **claim-family RMWs publish with
-//! `AcqRel` and count loads observe with `Acquire`, so any thread that
-//! observes an item's count also observes every ledger update that
-//! happened-before the RMW that produced it.**
+//! model. The contract in one line: **RMWs publish with `AcqRel` and count
+//! loads observe with `Acquire`, so any thread that observes an item's
+//! count also observes every ledger update that happened-before the RMW
+//! that produced it.**
 //!
 //! [`docs/concurrency.md`]: https://example.invalid/revmax/docs/concurrency.md
 
@@ -55,9 +55,9 @@ use std::sync::Arc;
 /// [`Ordering`]** into a schedule controller, then explores thread
 /// interleavings of the real ledger code under an acquire/release-aware
 /// memory model. Keeping the trait surface to exactly the operations the
-/// ledger performs (load, `fetch_add`, `fetch_sub`, `compare_exchange`) is
-/// what makes that exploration sound: every shared-memory transition of the
-/// protocol is one trait call.
+/// ledger performs (load, `fetch_sub`, `compare_exchange`) is what makes
+/// that exploration sound: every shared-memory transition of the protocol
+/// is one trait call.
 ///
 /// Implementations outside the model checker must be genuinely atomic;
 /// the `Ordering` arguments follow the contract in `docs/concurrency.md`.
@@ -66,8 +66,6 @@ pub trait LedgerCell {
     fn new(value: u32) -> Self;
     /// Atomic load with the requested ordering.
     fn load(&self, order: Ordering) -> u32;
-    /// Atomic add; returns the previous value.
-    fn fetch_add(&self, delta: u32, order: Ordering) -> u32;
     /// Atomic subtract; returns the previous value.
     fn fetch_sub(&self, delta: u32, order: Ordering) -> u32;
     /// Atomic compare-exchange (strong): store `new` iff the cell holds
@@ -100,11 +98,6 @@ impl LedgerCell for AtomicCell {
     #[inline(always)]
     fn load(&self, order: Ordering) -> u32 {
         self.0.load(order)
-    }
-
-    #[inline(always)]
-    fn fetch_add(&self, delta: u32, order: Ordering) -> u32 {
-        self.0.fetch_add(delta, order)
     }
 
     #[inline(always)]
@@ -216,6 +209,11 @@ impl CapacityLedger {
 /// which makes the sharded plan reproduce the one-shard plan regardless of
 /// thread scheduling.
 ///
+/// Every cell is monotone while shards plan: `used` only grows (claims are
+/// the only writes to it) and `demand` only shrinks
+/// ([`SharedCapacityLedgerIn::retire_demand`]). The capacity-window
+/// argument in `docs/concurrency.md` rests on exactly that.
+///
 /// The ledger is generic over its counter cell so `cargo xtask check-ledger`
 /// can run **this exact code** under an instrumented [`LedgerCell`] and
 /// exhaustively explore thread interleavings; production code uses the
@@ -225,11 +223,6 @@ impl CapacityLedger {
 #[derive(Debug)]
 pub struct SharedCapacityLedgerIn<C: LedgerCell> {
     used: Vec<C>,
-    /// Capacity-window state, per item: units of `used` that are held
-    /// *speculatively* by parked scarce-window proposals (see
-    /// [`SharedCapacityLedgerIn::try_claim_spec`]). `used - spec` is the
-    /// committed claim count — the basis concurrent shard workers gate on.
-    spec: Vec<C>,
     /// Capacity-window state, per item: remaining non-exempt candidate
     /// `(item, user)` pairs that could still claim. Initialised from the
     /// instance's candidate lists; decremented by
@@ -252,7 +245,7 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
     /// Cell construction order is part of the analysis-toolchain contract:
     /// the `used` cells are registered first (cell ids `0..items` under the
     /// instrumented cell, which is what `cargo xtask check-ledger` keys its
-    /// per-item capacity invariants on), then `spec`, then `demand`.
+    /// per-item capacity invariants on), then `demand`.
     pub fn new(inst: &Instance) -> Self {
         let items = inst.num_items() as usize;
         let exempt = inst.exempt_sets();
@@ -265,7 +258,6 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
         }
         SharedCapacityLedgerIn {
             used: (0..items).map(|_| C::new(0)).collect(),
-            spec: (0..items).map(|_| C::new(0)).collect(),
             demand: demand_init.iter().map(|&d| C::new(d)).collect(),
             cap: (0..inst.num_items())
                 .map(|i| inst.capacity(ItemId(i)))
@@ -291,8 +283,8 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
 
     /// Number of distinct users the item has been claimed for so far.
     ///
-    /// `Acquire`: pairs with the `AcqRel` claim-family RMWs so an observed
-    /// count carries every ledger update that happened-before the RMW that
+    /// `Acquire`: pairs with the `AcqRel` claim CAS so an observed count
+    /// carries every ledger update that happened-before the RMW that
     /// produced it (contract in `docs/concurrency.md`).
     #[inline]
     pub fn used(&self, item: ItemId) -> u32 {
@@ -309,6 +301,15 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
     #[inline]
     pub fn is_full(&self, item: ItemId) -> bool {
         self.used(item) >= self.cap[item.index()]
+    }
+
+    /// Whether the item has no capacity left for *this* user: full **and**
+    /// the `(item, user)` pair is not exempt — the shared counterpart of
+    /// [`CapacityLedger::is_full_for`]. A `true` answer is final while
+    /// shards plan, because `used` only grows.
+    #[inline]
+    pub fn is_full_for(&self, item: ItemId, user: UserId) -> bool {
+        self.is_full(item) && !self.is_exempt(item, user)
     }
 
     /// Atomically claims one unit of the item's capacity. Returns `false`
@@ -335,50 +336,6 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
         }
     }
 
-    /// Records the first display of `item` to `user` **without** checking the
-    /// capacity: claims one unit unless the pair is exempt. The shared
-    /// counterpart of [`CapacityLedger::charge`] — engine-side bookkeeping
-    /// for callers that own constraint checking. No planner calls it today;
-    /// the model checker's window-migration scenarios use it as the
-    /// out-of-band consumption that pushes an item into the capacity
-    /// window. The caller dedups `(item, user)` pairs, exactly as for the
-    /// sequential ledger.
-    ///
-    /// `AcqRel`: the unconditional RMW both publishes this charge and joins
-    /// the release sequence of prior claim-family RMWs, so charges are
-    /// causally ordered with claims (`docs/concurrency.md`).
-    #[inline]
-    pub fn charge(&self, item: ItemId, user: UserId) {
-        if !self.is_exempt(item, user) {
-            self.used[item.index()].fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Releases one previously claimed unit. Its one planner caller is
-    /// [`SharedCapacityLedgerIn::release_spec`], the coordinator's steal of
-    /// a speculative unit.
-    ///
-    /// `AcqRel`: the decrement must not be reordered before the reads of the
-    /// work being rolled back, and a later `Acquire` load observing the
-    /// release also observes what the releasing thread undid
-    /// (`docs/concurrency.md`).
-    pub fn release(&self, item: ItemId) {
-        let prev = self.used[item.index()].fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "release without claim");
-    }
-
-    /// Snapshot of the per-item claim counts (indexed by item id).
-    ///
-    /// `Acquire` per cell: each count is individually causally consistent;
-    /// the snapshot as a whole is **not** an atomic cut (`docs/concurrency.md`
-    /// spells out what callers may and may not conclude from it).
-    pub fn snapshot(&self) -> Vec<u32> {
-        self.used
-            .iter()
-            .map(|u| u.load(Ordering::Acquire))
-            .collect()
-    }
-
     // -----------------------------------------------------------------------
     // Capacity-window analysis (the scarcity window)
     //
@@ -386,8 +343,8 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
     // remaining capacity can never bind: every future claim against it is
     // guaranteed to succeed, so claims are order-insensitive and shard
     // workers may commit them lock-free without arbitration. The window
-    // state is two extra cells per item (`demand`, `spec`); the ordering
-    // rationale for every operation below is in `docs/concurrency.md`.
+    // state is one extra cell per item (`demand`); the ordering rationale
+    // for every operation below is in `docs/concurrency.md`.
     // -----------------------------------------------------------------------
 
     /// Remaining non-exempt candidate demand for the item — an upper bound
@@ -401,59 +358,18 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
         self.demand[item.index()].load(Ordering::Acquire)
     }
 
-    /// Units of the item's claim count held speculatively by parked
-    /// scarce-window proposals (diagnostics; the protocol itself reads the
-    /// combination through [`SharedCapacityLedgerIn::committed_used`]).
-    ///
-    /// `Acquire`: same pairing as [`SharedCapacityLedgerIn::used`]
-    /// (`docs/concurrency.md`).
-    #[inline]
-    pub fn speculative(&self, item: ItemId) -> u32 {
-        self.spec[item.index()].load(Ordering::Acquire)
-    }
-
-    /// The item's committed claim count: `used` minus the speculative units
-    /// held by parked proposals. This — not the raw count — is what a
-    /// free-running shard's capacity gate must read: a speculative unit may
-    /// still be stolen by a sequentially earlier claim, so it must not
-    /// retire anyone.
-    ///
-    /// Read order is load-bearing: `used` is loaded **before** `spec`
-    /// (both `Acquire`). A speculative claim raises `spec` before `used`,
-    /// so this order can transiently *under*-count committed units — which
-    /// only delays a retirement — but never over-count, which would retire
-    /// a live candidate (`docs/concurrency.md`).
-    #[inline]
-    pub fn committed_used(&self, item: ItemId) -> u32 {
-        let used = self.used[item.index()].load(Ordering::Acquire);
-        let spec = self.spec[item.index()].load(Ordering::Acquire);
-        used.saturating_sub(spec)
-    }
-
-    /// Whether the item has no *committed* capacity left for this user:
-    /// committed-full **and** the `(item, user)` pair is not exempt. The
-    /// committed-basis counterpart of [`CapacityLedger::is_full_for`], for
-    /// gates that run concurrently with parked speculative claims.
-    #[inline]
-    pub fn is_full_committed_for(&self, item: ItemId, user: UserId) -> bool {
-        self.committed_used(item) >= self.cap[item.index()] && !self.is_exempt(item, user)
-    }
-
     /// Whether the item is inside the **scarcity window**: its remaining
     /// candidate demand exceeds its remaining capacity, so claim order can
     /// decide who gets the last units and commits must be arbitrated.
     ///
     /// A `false` answer is *sticky* during planning: demand only shrinks
-    /// and (claims being the only capacity consumers while shards plan)
-    /// `demand - (cap - used)` never grows, so an item observed abundant
-    /// stays abundant and every later claim against it succeeds. Read order
-    /// is load-bearing for exactly that argument: `demand` is loaded
-    /// **before** `used` (both `Acquire`), so a racing commit can only make
-    /// the pair read *more* scarce than reality, never less
-    /// (`docs/concurrency.md`). [`SharedCapacityLedgerIn::charge`] breaks
-    /// the monotonicity (it consumes capacity without retiring demand) and
-    /// migrates items *into* the window — concurrent planners re-check
-    /// after any failed fast-path claim for that reason.
+    /// and every claim retires one unit of demand with the unit of capacity
+    /// it takes, so `demand - (cap - used)` never grows, an item observed
+    /// abundant stays abundant, and every later claim against it succeeds.
+    /// Read order is load-bearing for exactly that argument: `demand` is
+    /// loaded **before** `used` (both `Acquire`), so a racing commit can
+    /// only make the pair read *more* scarce than reality, never less
+    /// (`docs/concurrency.md`).
     #[inline]
     pub fn is_scarce(&self, item: ItemId) -> bool {
         let demand = self.demand[item.index()].load(Ordering::Acquire);
@@ -477,54 +393,6 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
             let prev = self.demand[item.index()].fetch_sub(1, Ordering::AcqRel);
             debug_assert!(prev > 0, "retire_demand without remaining demand");
         }
-    }
-
-    /// Claims one unit of the item's capacity **speculatively**, for a
-    /// scarce-window proposal that is about to park for arbitration. On
-    /// success the unit is tagged speculative (`spec` raised) until the
-    /// coordinator either converts it ([`SharedCapacityLedgerIn::commit_spec`])
-    /// or rolls it back ([`SharedCapacityLedgerIn::release_spec`]). Returns
-    /// whether the ledger granted the unit.
-    ///
-    /// Operation order is load-bearing: `spec` is raised (`fetch_add`,
-    /// `AcqRel`) **before** the capacity CAS, and lowered again (`AcqRel`)
-    /// if the CAS loses — so a concurrent
-    /// [`SharedCapacityLedgerIn::committed_used`] reader (which loads in
-    /// the opposite order) can under-count but never over-count committed
-    /// units (`docs/concurrency.md`).
-    pub fn try_claim_spec(&self, item: ItemId) -> bool {
-        self.spec[item.index()].fetch_add(1, Ordering::AcqRel);
-        if self.try_claim(item) {
-            true
-        } else {
-            self.spec[item.index()].fetch_sub(1, Ordering::AcqRel);
-            false
-        }
-    }
-
-    /// Converts a speculative unit into a committed one: the coordinator
-    /// admitted the parked proposal holding it. Coordinator-only, and only
-    /// while every shard is parked (the arbitration barrier) — see
-    /// `docs/concurrency.md` for why the quiescence requirement exists.
-    ///
-    /// `AcqRel`: the decrement of `spec` publishes the admission together
-    /// with everything the coordinator decided before it.
-    pub fn commit_spec(&self, item: ItemId) {
-        let prev = self.spec[item.index()].fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "commit_spec without a speculative unit");
-    }
-
-    /// Rolls back a speculative unit: the coordinator stole it for a
-    /// sequentially earlier claim (or rejected the proposal holding it).
-    /// Releases the capacity unit first, then drops the speculative tag.
-    /// Coordinator-only and barrier-quiescent, like
-    /// [`SharedCapacityLedgerIn::commit_spec`]: the two decrements are not
-    /// one atomic step, and a concurrent committed-basis reader between
-    /// them could over-count (`docs/concurrency.md`).
-    pub fn release_spec(&self, item: ItemId) {
-        self.release(item);
-        let prev = self.spec[item.index()].fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "release_spec without a speculative unit");
     }
 }
 
@@ -570,9 +438,6 @@ mod tests {
         assert!(shared.try_claim(ItemId(1)));
         assert!(!shared.try_claim(ItemId(1)));
         assert!(shared.is_full(ItemId(1)));
-        shared.release(ItemId(1));
-        assert!(shared.try_claim(ItemId(1)));
-        assert_eq!(shared.snapshot(), vec![0, 1]);
     }
 
     #[test]
@@ -599,30 +464,10 @@ mod tests {
         assert_eq!(shared.used(ItemId(0)), 0);
         assert!(shared.try_claim_for(ItemId(0), UserId(0)));
         assert!(shared.is_full(ItemId(0)));
-        assert!(!shared.is_full_committed_for(ItemId(0), UserId(2)));
+        assert!(shared.is_full_for(ItemId(0), UserId(1)));
+        assert!(!shared.is_full_for(ItemId(0), UserId(2)));
         assert!(shared.try_claim_for(ItemId(0), UserId(2)));
         assert!(!shared.try_claim_for(ItemId(0), UserId(1)));
-    }
-
-    #[test]
-    fn shared_charge_matches_sequential_charge() {
-        let mut b = InstanceBuilder::new(3, 1, 1);
-        b.capacity(0, 1)
-            .constant_price(0, 1.0)
-            .candidate(0, 0, &[0.5], 0.0)
-            .exempt_user(0, 2);
-        let inst = b.build().unwrap();
-
-        let shared = SharedCapacityLedger::new(&inst);
-        shared.charge(ItemId(0), UserId(2)); // exempt: no unit consumed
-        assert_eq!(shared.used(ItemId(0)), 0);
-        shared.charge(ItemId(0), UserId(0));
-        assert_eq!(shared.used(ItemId(0)), 1);
-        // Charges are unchecked bookkeeping: they keep counting past the
-        // capacity, exactly like the sequential ledger's charge.
-        shared.charge(ItemId(0), UserId(1));
-        assert_eq!(shared.used(ItemId(0)), 2);
-        assert!(shared.is_full(ItemId(0)));
     }
 
     #[test]
@@ -687,61 +532,5 @@ mod tests {
         // Exempt retirement is a no-op.
         shared.retire_demand(ItemId(0), UserId(2));
         assert_eq!(shared.demand(ItemId(0)), 0);
-    }
-
-    /// Speculative claims hold real capacity but stay out of the committed
-    /// count until converted; rollback restores both sides.
-    #[test]
-    fn speculative_claims_convert_or_roll_back() {
-        let mut b = InstanceBuilder::new(4, 1, 1);
-        b.capacity(0, 2)
-            .constant_price(0, 1.0)
-            .candidate(0, 0, &[0.5], 0.0)
-            .candidate(1, 0, &[0.5], 0.0)
-            .candidate(2, 0, &[0.5], 0.0);
-        let inst = b.build().unwrap();
-        let shared = SharedCapacityLedger::new(&inst);
-        let item = ItemId(0);
-
-        assert!(shared.try_claim_spec(item));
-        assert!(shared.try_claim_spec(item));
-        assert_eq!(shared.used(item), 2);
-        assert_eq!(shared.speculative(item), 2);
-        assert_eq!(shared.committed_used(item), 0);
-        assert!(!shared.is_full_committed_for(item, UserId(2)));
-        // The item is full at the raw count: a third speculative claim loses
-        // and must leave the speculative tag balanced.
-        assert!(!shared.try_claim_spec(item));
-        assert_eq!(shared.speculative(item), 2);
-
-        // Admit one, roll back the other.
-        shared.commit_spec(item);
-        assert_eq!(shared.committed_used(item), 1);
-        shared.release_spec(item);
-        assert_eq!(shared.used(item), 1);
-        assert_eq!(shared.speculative(item), 0);
-        assert_eq!(shared.committed_used(item), 1);
-        // The freed unit is claimable again.
-        assert!(shared.try_claim_for(item, UserId(2)));
-        assert!(shared.is_full_committed_for(item, UserId(3)));
-    }
-
-    /// A charge consumes capacity without retiring demand: the one event
-    /// that migrates an item *into* the scarcity window.
-    #[test]
-    fn charge_migrates_item_into_window() {
-        let mut b = InstanceBuilder::new(4, 1, 1);
-        b.capacity(0, 2)
-            .constant_price(0, 1.0)
-            .candidate(0, 0, &[0.5], 0.0)
-            .candidate(1, 0, &[0.5], 0.0);
-        let inst = b.build().unwrap();
-        let shared = SharedCapacityLedger::new(&inst);
-        // Demand 2 against cap 2: abundant.
-        assert!(!shared.is_scarce(ItemId(0)));
-        // An engine-side charge (prefix bookkeeping) takes a unit the
-        // candidates were counting on.
-        shared.charge(ItemId(0), UserId(3));
-        assert!(shared.is_scarce(ItemId(0)));
     }
 }

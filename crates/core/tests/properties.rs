@@ -544,8 +544,10 @@ fn shard_views_match_full_engine_bit_for_bit() {
     }
 }
 
-/// The shared atomic ledger and the sequential ledger count identical
-/// charge sequences.
+/// The shared atomic ledger's claim is the sequential ledger's gate plus
+/// charge: on random pairs, `try_claim_for` succeeds exactly when the
+/// sequential ledger is not full for the pair, and both count the same
+/// units.
 #[test]
 fn shared_and_sequential_ledgers_agree() {
     let mut rng = StdRng::seed_from_u64(0x1ED6);
@@ -556,9 +558,12 @@ fn shared_and_sequential_ledgers_agree() {
         for _ in 0..40 {
             let item = revmax_core::ItemId(rng.gen_range(0..inst.num_items()));
             let user = revmax_core::UserId(rng.gen_range(0..inst.num_users()));
-            assert_eq!(seq.is_full(item), shared.is_full(item));
-            seq.charge(item, user);
-            shared.charge(item, user);
+            assert_eq!(seq.is_full_for(item, user), shared.is_full_for(item, user));
+            let free = !seq.is_full_for(item, user);
+            if free {
+                seq.charge(item, user);
+            }
+            assert_eq!(shared.try_claim_for(item, user), free);
             assert_eq!(seq.used(item), shared.used(item));
             assert_eq!(seq.is_full(item), shared.is_full(item));
         }

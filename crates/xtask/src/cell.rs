@@ -9,9 +9,9 @@
 //!
 //! Because `SharedCapacityLedgerIn<InstrCell>` is the *production ledger
 //! type* at a different cell parameter, every scenario in
-//! [`crate::scenarios`] executes the identical claim/charge/release code
-//! the concurrent shard executor runs — `cargo xtask check-ledger` model-checks the
-//! real protocol, not a transcription of it.
+//! [`crate::scenarios`] executes the identical claim/retire code the
+//! concurrent shard executor runs — `cargo xtask check-ledger` model-checks
+//! the real protocol, not a transcription of it.
 
 use crate::model::{Controller, OpKind, OpReq, GRANT_CAS_SUCCESS};
 use revmax_core::LedgerCell;
@@ -73,13 +73,6 @@ impl LedgerCell for InstrCell {
         submit(OpReq {
             loc: self.id,
             kind: OpKind::Load(order),
-        }) as u32
-    }
-
-    fn fetch_add(&self, delta: u32, order: Ordering) -> u32 {
-        submit(OpReq {
-            loc: self.id,
-            kind: OpKind::FetchAdd(delta, order),
         }) as u32
     }
 

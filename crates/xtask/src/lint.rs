@@ -12,8 +12,10 @@
 //!    model-check it.
 //! 2. **Ordering contract coverage** — every ledger function that names an
 //!    atomic ordering is documented (function and ordering both appear as
-//!    code spans) in `docs/concurrency.md`, and both the ledger and
-//!    ARCHITECTURE.md link that contract.
+//!    code spans) in `docs/concurrency.md`; every code span in a `###`
+//!    heading there names a ledger function, so a contract section cannot
+//!    outlive its function; and both the ledger and ARCHITECTURE.md link
+//!    that contract.
 //! 3. **No deprecated surface** — `#[deprecated]` and lint attributes that
 //!    name `deprecated` (`#[allow(deprecated)]` and friends) appear only in
 //!    test code. The workspace has no external users, so a superseded API
@@ -234,6 +236,15 @@ fn ordering_contract(root: &Path, files: &[File], violations: &mut Vec<String>) 
 
     let code = &ledger.model.code;
     let fn_offsets = lex::token_offsets(code, "fn");
+    // The name declared by the `fn` token at `f`.
+    let fn_name = |f: usize| {
+        let bytes = code.as_bytes();
+        let mut p = f + 2;
+        while p < bytes.len() && bytes[p].is_ascii_whitespace() {
+            p += 1;
+        }
+        lex::ident_at(code, p)
+    };
     for at in lex::token_offsets(code, "Ordering::") {
         let variant = lex::ident_at(code, at + "Ordering::".len());
         if !ORDERING_VARIANTS.contains(&variant) {
@@ -243,14 +254,7 @@ fn ordering_contract(root: &Path, files: &[File], violations: &mut Vec<String>) 
             .iter()
             .rev()
             .find(|&&f| f < at)
-            .map(|&f| {
-                let mut p = f + 2;
-                let bytes = code.as_bytes();
-                while p < bytes.len() && bytes[p].is_ascii_whitespace() {
-                    p += 1;
-                }
-                lex::ident_at(code, p)
-            })
+            .map(|&f| fn_name(f))
             .unwrap_or("");
         for span in [variant, enclosing] {
             if !span.is_empty() && !doc.contains(&format!("`{span}`")) {
@@ -258,6 +262,18 @@ fn ordering_contract(root: &Path, files: &[File], violations: &mut Vec<String>) 
                     "ordering-contract: {}: `{span}` (at an `Ordering::{variant}` use) \
                      is not covered in docs/concurrency.md",
                     ledger.at(at)
+                ));
+            }
+        }
+    }
+
+    let fns: Vec<&str> = fn_offsets.iter().map(|&f| fn_name(f)).collect();
+    for heading in doc.lines().filter(|l| l.starts_with("### ")) {
+        for name in heading.split('`').skip(1).step_by(2) {
+            if !fns.contains(&name) {
+                violations.push(format!(
+                    "ordering-contract: docs/concurrency.md heading \"{heading}\" names \
+                     `{name}`, which is not a function in {LEDGER}"
                 ));
             }
         }

@@ -10,7 +10,7 @@
 //!   `docs/env.md`).
 //! * `cargo xtask check-ledger` — ledger model checker: exhaustive DFS
 //!   schedule exploration of the shared capacity ledger's
-//!   claim/charge/release protocol under an acquire/release-aware memory
+//!   claim/retire protocol under an acquire/release-aware memory
 //!   model, detector-sanity scenarios, a `Relaxed`-demotion mutant
 //!   sensitivity gate, and seeded random-schedule fuzzing.
 //! * `cargo xtask fuzz-http` — seeded fuzzing of the HTTP front end's

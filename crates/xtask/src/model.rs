@@ -32,9 +32,9 @@
 //!   is a separate DFS branch. `Acquire` loads join the store's message
 //!   clock; `Relaxed` loads join nothing — which is precisely how a
 //!   demoted-ordering mutant becomes observable;
-//! * an **RMW** (`fetch_add`/`fetch_sub`/`compare_exchange`) always reads
-//!   the latest store in the modification order (C++ guarantees RMW
-//!   atomicity regardless of ordering);
+//! * an **RMW** (`fetch_sub`/`compare_exchange`) always reads the latest
+//!   store in the modification order (C++ guarantees RMW atomicity
+//!   regardless of ordering);
 //! * **plain accesses** (the model's stand-in for non-atomic shared state,
 //!   e.g. a published held-slot) are checked for data races FastTrack-style:
 //!   two conflicting accesses not ordered by happens-before flag a race.
@@ -51,7 +51,8 @@
 //! * **capacity overrun** — a successful `compare_exchange` whose new value
 //!   exceeds the cell's registered capacity (`try_claim` is the only CAS
 //!   user in the ledger, so this is exactly "claims never exceed capacity");
-//! * **release underflow** — a `fetch_sub` displacing a zero value;
+//! * **underflow** — a `fetch_sub` displacing a zero value (a demand
+//!   retired twice);
 //! * **data race** — conflicting unsynchronised plain accesses.
 
 use std::sync::atomic::Ordering;
@@ -99,8 +100,6 @@ impl VClock {
 pub enum OpKind {
     /// Atomic load with the requested ordering.
     Load(Ordering),
-    /// Atomic `fetch_add(delta)`.
-    FetchAdd(u32, Ordering),
     /// Atomic `fetch_sub(delta)`.
     FetchSub(u32, Ordering),
     /// Atomic strong compare-exchange.
@@ -341,25 +340,19 @@ impl Inner {
                 ));
                 store.value as u64
             }
-            OpKind::FetchAdd(delta, order) | OpKind::FetchSub(delta, order) => {
-                let sub = matches!(req.kind, OpKind::FetchSub(..));
+            OpKind::FetchSub(delta, order) => {
                 let order = self.order(order);
                 let prev = self.rmw_read(tid, req.loc, order);
-                let new = if sub {
-                    if prev == 0 {
-                        self.violations.push(format!(
-                            "release underflow: t{tid} fetch_sub on c{} read 0",
-                            req.loc
-                        ));
-                    }
-                    prev.wrapping_sub(delta)
-                } else {
-                    prev.wrapping_add(delta)
-                };
+                if prev == 0 {
+                    self.violations.push(format!(
+                        "underflow: t{tid} fetch_sub on c{} read 0",
+                        req.loc
+                    ));
+                }
+                let new = prev.wrapping_sub(delta);
                 self.rmw_write(tid, req.loc, new, order);
                 self.trace.push(format!(
-                    "t{tid} {} c{} [{order:?}] {prev} -> {new}",
-                    if sub { "fetch_sub" } else { "fetch_add" },
+                    "t{tid} fetch_sub c{} [{order:?}] {prev} -> {new}",
                     req.loc
                 ));
                 prev as u64
@@ -602,9 +595,9 @@ impl Controller {
     /// Performs an operation directly, outside the schedule — only sound on
     /// the coordinating thread *before* workers start or *after* they have
     /// all finished (every op reads the latest store). This is exactly the
-    /// standing of the concurrent executor's coordinator: its admissions,
-    /// steals, and rejections run at the arbitration barrier with every
-    /// shard parked.
+    /// standing of the concurrent executor's coordinator: its admissions
+    /// and rejections run at the arbitration barrier with every shard
+    /// parked or done.
     pub fn perform_direct(&self, req: OpReq) -> u64 {
         let mut g = self.lock();
         match req.kind {
@@ -620,24 +613,19 @@ impl Controller {
                 g.mem.plains[req.loc].value = v;
                 v as u64
             }
-            OpKind::FetchAdd(delta, _) | OpKind::FetchSub(delta, _) => {
-                let sub = matches!(req.kind, OpKind::FetchSub(..));
+            OpKind::FetchSub(delta, _) => {
                 let prev = g.mem.cells[req.loc]
                     .stores
                     .last()
                     .expect("cell has an initial store")
                     .value;
-                if sub && prev == 0 {
+                if prev == 0 {
                     g.violations.push(format!(
-                        "release underflow: ambient fetch_sub on c{} read 0",
+                        "underflow: ambient fetch_sub on c{} read 0",
                         req.loc
                     ));
                 }
-                let value = if sub {
-                    prev.wrapping_sub(delta)
-                } else {
-                    prev.wrapping_add(delta)
-                };
+                let value = prev.wrapping_sub(delta);
                 let stamp = VClock::bottom(g.nthreads.max(1));
                 let msg = stamp.clone();
                 g.mem.cells[req.loc]

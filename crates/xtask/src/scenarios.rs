@@ -7,9 +7,10 @@
 //! * **pass scenarios** assert a safety invariant over *every* schedule
 //!   (DFS to exhaustion) or a large seeded sample (random mode);
 //! * **violation scenarios** are detector-sanity checks: a deliberately
-//!   broken protocol (unsynchronised held-slot publication, release
-//!   without claim) that the checker must flag — if it cannot, the gate
-//!   fails, because a detector that cannot detect proves nothing;
+//!   broken protocol (unsynchronised held-slot publication, a demand
+//!   retired twice, an abundance check that reads its cells in the wrong
+//!   order) that the checker must flag — if it cannot, the gate fails,
+//!   because a detector that cannot detect proves nothing;
 //! * **mutant scenarios** re-run the ordering-sensitive pass scenarios with
 //!   every `Ordering` demoted to `Relaxed` (the seeded mutant of the
 //!   sensitivity regression): the checker must flag the weakened ledger,
@@ -30,38 +31,11 @@ const FUZZ_ITERATIONS: usize = 400;
 
 type Ledger = SharedCapacityLedgerIn<InstrCell>;
 
-/// A tiny instance with the given per-item capacities; `exempt` lists
-/// `(item, user)` pairs exempt from capacity accounting.
-fn make_instance(caps: &[u32], exempt: &[(u32, u32)]) -> Instance {
-    let users = 8;
-    let mut b = InstanceBuilder::new(users, caps.len() as u32, 1);
-    b.display_limit(1);
-    for (i, &cap) in caps.iter().enumerate() {
-        b.capacity(i as u32, cap)
-            .constant_price(i as u32, 1.0)
-            .candidate(i as u32 % users, i as u32, &[0.5], 0.0);
-    }
-    for &(item, user) in exempt {
-        b.exempt_user(item, user);
-    }
-    b.build().expect("scenario instance is valid")
-}
-
-/// Builds the instrumented ledger and registers per-item capacities with
-/// the controller (cells are registered in item order).
-fn make_ledger(ctrl: &Arc<Controller>, inst: &Instance) -> Ledger {
-    let ledger: Ledger = SharedCapacityLedgerIn::new(inst);
-    for i in 0..inst.num_items() {
-        ctrl.set_cap(i as usize, inst.capacity(ItemId(i)));
-    }
-    ledger
-}
-
 /// A tiny instance with explicit per-item candidate lists: `items[i] =
-/// (capacity, candidate users)` — the scarcity-window scenarios need items
-/// whose demand exceeds capacity, which [`make_instance`]'s one-candidate-
-/// per-item shape cannot express.
-fn make_window_instance(items: &[(u32, &[u32])]) -> Instance {
+/// (capacity, candidate users)`, so an item's initial demand is its
+/// non-exempt candidate count. `exempt` lists `(item, user)` pairs exempt
+/// from capacity accounting.
+fn make_instance(items: &[(u32, &[u32])], exempt: &[(u32, u32)]) -> Instance {
     let users = 8;
     let mut b = InstanceBuilder::new(users, items.len() as u32, 1);
     b.display_limit(1);
@@ -71,7 +45,20 @@ fn make_window_instance(items: &[(u32, &[u32])]) -> Instance {
             b.candidate(user, i as u32, &[0.5], 0.0);
         }
     }
+    for &(item, user) in exempt {
+        b.exempt_user(item, user);
+    }
     b.build().expect("scenario instance is valid")
+}
+
+/// Builds the instrumented ledger and registers per-item capacities with
+/// the controller (the `used` cells are registered first, in item order).
+fn make_ledger(ctrl: &Arc<Controller>, inst: &Instance) -> Ledger {
+    let ledger: Ledger = SharedCapacityLedgerIn::new(inst);
+    for i in 0..inst.num_items() {
+        ctrl.set_cap(i as usize, inst.capacity(ItemId(i)));
+    }
+    ledger
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +68,7 @@ fn make_window_instance(items: &[(u32, &[u32])]) -> Instance {
 /// Two threads race one capacity unit; exactly one claim is ever granted.
 fn claim_contention(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1], &[]);
+        let inst = make_instance(&[(1, &[0, 1])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         let results = run_threads(
             ctrl,
@@ -103,7 +90,7 @@ fn claim_contention(ctrl: &Arc<Controller>) {
 /// Three threads race two capacity units; exactly two claims are granted.
 fn claim_contention_3t(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[2], &[]);
+        let inst = make_instance(&[(2, &[0, 1, 2])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         let results = run_threads(
             ctrl,
@@ -123,36 +110,11 @@ fn claim_contention_3t(ctrl: &Arc<Controller>) {
     });
 }
 
-/// Claim-then-release cycles settle back to zero and never underflow
-/// (underflow is flagged by the model itself).
-fn claim_release(ctrl: &Arc<Controller>) {
-    with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1], &[]);
-        let ledger = make_ledger(ctrl, &inst);
-        let body = |user: u32| {
-            let ledger = &ledger;
-            move || {
-                if ledger.try_claim_for(ItemId(0), UserId(user)) {
-                    ledger.release(ItemId(0));
-                    1u64
-                } else {
-                    0
-                }
-            }
-        };
-        run_threads(ctrl, vec![Box::new(body(0)), Box::new(body(1))]);
-        let used = ledger.used(ItemId(0));
-        if used != 0 {
-            ctrl.flag(format!("claim/release cycle left used = {used}"));
-        }
-    });
-}
-
 /// Exempt pairs are always granted, never consume capacity, and never
 /// block the one real capacity unit.
 fn exempt_claims(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1], &[(0, 7)]);
+        let inst = make_instance(&[(1, &[0, 1])], &[(0, 7)]);
         let ledger = make_ledger(ctrl, &inst);
         let results = run_threads(
             ctrl,
@@ -179,18 +141,18 @@ fn exempt_claims(ctrl: &Arc<Controller>) {
 }
 
 /// Message-passing visibility: a thread that observes item B full must also
-/// observe the charge of item A that happened-before it. Passes with the
+/// observe the claim of item A that happened-before it. Passes with the
 /// real orderings; the `Relaxed` mutant must be flagged here.
 fn visibility_chain(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1, 1], &[]);
+        let inst = make_instance(&[(1, &[0]), (1, &[0])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         let results = run_threads(
             ctrl,
             vec![
                 Box::new(|| {
-                    ledger.charge(ItemId(0), UserId(0));
-                    ledger.charge(ItemId(1), UserId(0));
+                    ledger.try_claim_for(ItemId(0), UserId(0));
+                    ledger.try_claim_for(ItemId(1), UserId(0));
                     0u64
                 }),
                 Box::new(|| {
@@ -203,7 +165,7 @@ fn visibility_chain(ctrl: &Arc<Controller>) {
             ],
         );
         if results[1] == 2 {
-            ctrl.flag("visibility chain: item 1 observed full but the charge of item 0 that happened-before it is not visible".into());
+            ctrl.flag("visibility chain: item 1 observed full but the claim of item 0 that happened-before it is not visible".into());
         }
     });
 }
@@ -213,7 +175,7 @@ fn visibility_chain(ctrl: &Arc<Controller>) {
 /// the winner's.
 fn held_slot_gated(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1], &[]);
+        let inst = make_instance(&[(1, &[0, 1])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         let slot = PlainVar::new(0);
         let body = |user: u32| {
@@ -239,12 +201,12 @@ fn held_slot_gated(ctrl: &Arc<Controller>) {
     });
 }
 
-/// Publication through the ledger: data plain-written before a charge is
-/// visible (and race-free) to a thread that observed the charge. Passes
+/// Publication through the ledger: data plain-written before a claim is
+/// visible (and race-free) to a thread that observed the claim. Passes
 /// with the real orderings; the `Relaxed` mutant must be flagged here.
 fn publication_gate(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1], &[]);
+        let inst = make_instance(&[(1, &[0])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         let data = PlainVar::new(0);
         let results = run_threads(
@@ -252,283 +214,172 @@ fn publication_gate(ctrl: &Arc<Controller>) {
             vec![
                 Box::new(|| {
                     data.write(42);
-                    ledger.charge(ItemId(0), UserId(0));
+                    ledger.try_claim_for(ItemId(0), UserId(0));
                     0u64
                 }),
                 Box::new(|| {
                     if ledger.used(ItemId(0)) >= 1 {
                         data.read() as u64
                     } else {
-                        42 // did not observe the charge: vacuously fine
+                        42 // did not observe the claim: vacuously fine
                     }
                 }),
             ],
         );
         if results[1] != 42 {
             ctrl.flag(format!(
-                "publication gate: observed charge but read data {}",
+                "publication gate: observed claim but read data {}",
                 results[1]
             ));
         }
     });
 }
 
-/// Scarcity window: a speculative grant on a scarce item being admitted by
-/// the coordinator races an abundant-item fast commit on another shard.
-/// The fast path is non-binding on the admission (different cells), and
-/// `commit_spec` only ever moves `committed_used` toward its final value —
-/// so every schedule ends with the admitted unit committed, the fast
-/// commit granted, and both demands retired.
+/// Scarcity window: the coordinator admits a scarce-window proposal by a
+/// plain claim while another shard fast-commits an abundant item. The two
+/// touch different cells, so every schedule ends with the admission
+/// granted, the fast commit granted, and both demands retired.
 fn window_commit_races_scarce_admit(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
         // item 0: cap 2, demand 3 — scarce. item 1: cap 1, demand 1 — abundant.
-        let inst = make_window_instance(&[(2, &[0, 1, 2]), (1, &[3])]);
+        let inst = make_instance(&[(2, &[0, 1, 2]), (1, &[3])], &[]);
         let ledger = make_ledger(ctrl, &inst);
-        // Setup (pre-schedule): shard 0's proposal for (item 0, user 0)
-        // claimed speculatively and parked. Capacity is untouched, so the
-        // grant is certain.
-        if !protocol::speculative_claim(&ledger, ItemId(0), UserId(0)) {
-            ctrl.flag("setup speculative claim denied on an empty item".into());
-        }
         let results = run_threads(
             ctrl,
             vec![
-                // Shard 1 free-runs its abundant-item move concurrently.
+                // A shard free-runs its abundant-item move.
                 Box::new(|| {
                     let mut counted = false;
-                    if protocol::claim_blocked_committed(&ledger, counted, ItemId(1), UserId(3)) {
-                        return 9; // committed-full on an empty item: impossible
+                    if protocol::claim_blocked(&ledger, counted, ItemId(1), UserId(3)) {
+                        return 9; // full on an empty item: impossible
                     }
                     if ledger.is_scarce(ItemId(1)) {
                         return 8; // demand 1 <= cap 1: abundant by construction
                     }
                     protocol::fast_commit_claim(&ledger, &mut counted, ItemId(1), UserId(3)) as u64
                 }),
-                // The coordinator admits the parked proposal.
-                Box::new(|| {
-                    protocol::admit_granted(&ledger, ItemId(0), UserId(0));
-                    0u64
-                }),
+                // The coordinator admits the parked proposal of user 0.
+                Box::new(|| protocol::admit_claim(&ledger, ItemId(0), UserId(0)) as u64),
             ],
         );
-        if results[0] != 1 {
+        if results != [1, 1] {
             ctrl.flag(format!(
-                "abundant fast commit returned {} racing a scarce admit (expected grant)",
-                results[0]
+                "fast commit and scarce admission returned {results:?} (expected both granted)"
             ));
         }
-        let (cu0, spec0, d0) = (
-            ledger.committed_used(ItemId(0)),
-            ledger.speculative(ItemId(0)),
-            ledger.demand(ItemId(0)),
-        );
+        let (used0, d0) = (ledger.used(ItemId(0)), ledger.demand(ItemId(0)));
         let (used1, d1) = (ledger.used(ItemId(1)), ledger.demand(ItemId(1)));
-        if cu0 != 1 || spec0 != 0 || d0 != 2 || used1 != 1 || d1 != 0 {
+        if used0 != 1 || d0 != 2 || used1 != 1 || d1 != 0 {
             ctrl.flag(format!(
-                "post-admit state: item0 committed {cu0}/spec {spec0}/demand {d0}, \
-                 item1 used {used1}/demand {d1}"
+                "post-admit state: item0 used {used0}/demand {d0}, item1 used {used1}/demand {d1}"
             ));
         }
     });
 }
 
-/// Scarcity window: two shards race one speculative unit of a scarce item;
-/// exactly one claim is granted. The barrier-quiescent coordinator (ambient
-/// after join) then admits in sequential order — when the sequentially
-/// earlier proposal lost the race, the rollback path runs: steal the later
-/// shard's speculative unit (claim, then release on reject), re-claim for
-/// the winner, reject the loser.
-fn speculative_claim_rollback(ctrl: &Arc<Controller>) {
+/// Scarcity window, fact 1 of `docs/concurrency.md`: abundance is sticky.
+/// Item 0 has cap 2 and three candidate users, so it starts scarce. One
+/// thread retires user 2's demand (the pair dies), which turns the item
+/// abundant; two shards, for users 0 and 1, each test `is_scarce` and,
+/// when the item is abundant, fast-commit. An abundant verdict followed by
+/// a denied claim is a violation. A shard that saw the item scarce parks,
+/// and the coordinator admits it at the barrier (after the join), which
+/// must be granted too: the two live pairs fit the capacity.
+fn abundant_claims_never_fail(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        // One item, cap 1, demand 2 — scarce from the start.
-        let inst = make_window_instance(&[(1, &[1, 2])]);
+        let inst = make_instance(&[(2, &[0, 1, 2])], &[]);
+        let ledger = make_ledger(ctrl, &inst);
+        let shard = |user: u32| {
+            let ledger = &ledger;
+            move || {
+                if ledger.is_scarce(ItemId(0)) {
+                    return 0u64; // parks for the coordinator
+                }
+                let mut counted = false;
+                if protocol::fast_commit_claim(ledger, &mut counted, ItemId(0), UserId(user)) {
+                    1
+                } else {
+                    2
+                }
+            }
+        };
+        let results = run_threads(
+            ctrl,
+            vec![
+                Box::new(shard(0)),
+                Box::new(shard(1)),
+                Box::new(|| {
+                    protocol::retire_candidate(&ledger, ItemId(0), UserId(2));
+                    0u64
+                }),
+            ],
+        );
+        for (user, &r) in results[..2].iter().enumerate() {
+            if r == 2 {
+                ctrl.flag(format!(
+                    "user {user}: abundant verdict followed by a denied fast claim"
+                ));
+            }
+            if r == 0 && !protocol::admit_claim(&ledger, ItemId(0), UserId(user as u32)) {
+                ctrl.flag(format!("user {user}: barrier admission denied"));
+            }
+        }
+        let (used, demand) = (ledger.used(ItemId(0)), ledger.demand(ItemId(0)));
+        if used != 2 || demand != 0 {
+            ctrl.flag(format!(
+                "abundance settle: used {used}, demand {demand} (expected 2/0)"
+            ));
+        }
+    });
+}
+
+/// Scarcity window: the read order of `is_scarce` under a racing commit.
+/// Item 0 has cap 1 and two candidate users, so it is scarce by exactly one
+/// unit; the coordinator admits user 1 (claim, then retire) while the
+/// shard of user 0 checks for abundance and, if it sees it, fast-commits.
+/// `is_scarce` reads `demand` before `used`, so it never sees abundance
+/// here. With `reversed`, the check reads `used` first: it can pair the
+/// count from before the claim with the demand from after the retirement,
+/// see abundance that never held, and have its fast claim denied.
+fn scarce_check_race(ctrl: &Arc<Controller>, reversed: bool) {
+    with_ambient(ctrl, None, || {
+        let inst = make_instance(&[(1, &[0, 1])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         let results = run_threads(
             ctrl,
             vec![
-                Box::new(|| protocol::speculative_claim(&ledger, ItemId(0), UserId(1)) as u64),
-                Box::new(|| protocol::speculative_claim(&ledger, ItemId(0), UserId(2)) as u64),
+                Box::new(|| {
+                    let scarce = if reversed {
+                        let used = ledger.used(ItemId(0));
+                        ledger.demand(ItemId(0)) > ledger.capacity(ItemId(0)).saturating_sub(used)
+                    } else {
+                        ledger.is_scarce(ItemId(0))
+                    };
+                    if scarce {
+                        return 0u64; // parks
+                    }
+                    let mut counted = false;
+                    protocol::fast_commit_claim(&ledger, &mut counted, ItemId(0), UserId(0)) as u64
+                        + 1
+                }),
+                Box::new(|| protocol::admit_claim(&ledger, ItemId(0), UserId(1)) as u64),
             ],
         );
-        let (g1, g2) = (results[0] == 1, results[1] == 1);
-        if g1 as u32 + g2 as u32 != 1 {
-            ctrl.flag(format!(
-                "speculative race: grants ({g1}, {g2}), expected exactly one"
-            ));
-            return;
-        }
-        // Coordinator resolution at the barrier. User 1's proposal is
-        // sequentially first (same value, smaller candidate id).
-        if g1 {
-            protocol::admit_granted(&ledger, ItemId(0), UserId(1));
-            // User 2 parked ungranted: no unit, no victim left — reject.
-            if protocol::admit_claim(&ledger, ItemId(0), UserId(2)) {
-                ctrl.flag("rejected proposal re-claimed a full item".into());
-            } else {
-                protocol::reject_claim(&ledger, ItemId(0), UserId(2));
-            }
-        } else {
-            // The later shard holds the unit: steal it back for user 1.
-            if protocol::admit_claim(&ledger, ItemId(0), UserId(1)) {
-                ctrl.flag("admit_claim granted while a speculative unit held the capacity".into());
-            } else {
-                protocol::steal_speculative(&ledger, ItemId(0));
-                if !protocol::admit_claim(&ledger, ItemId(0), UserId(1)) {
-                    ctrl.flag("admit_claim denied after stealing the speculative unit".into());
-                }
-            }
-            protocol::reject_claim(&ledger, ItemId(0), UserId(2));
-        }
-        let (cu, spec, d) = (
-            ledger.committed_used(ItemId(0)),
-            ledger.speculative(ItemId(0)),
-            ledger.demand(ItemId(0)),
-        );
-        if cu != 1 || spec != 0 || d != 0 {
-            ctrl.flag(format!(
-                "rollback settle: committed {cu}, speculative {spec}, demand {d} \
-                 (expected 1/0/0)"
-            ));
+        if results[0] == 1 {
+            ctrl.flag("abundant verdict followed by a denied fast claim".into());
         }
     });
 }
 
-/// Scarcity window: an item crosses into the scarce window (a concurrent
-/// charge consumes its slack) while a shard holds an uncommitted fast-path
-/// intent. The shard's denied fast commit must observe the migration — the
-/// re-check sees the item scarce, the pair stays uncounted, and the move
-/// parks for arbitration instead of committing.
-///
-/// No capacity is registered with the controller: in the schedules where
-/// the fast commit wins *before* the charge lands, `used` legitimately
-/// exceeds the planner-facing capacity (charges model ambient
-/// consumption, not planner claims), and a registered cap would
-/// false-flag them.
-fn window_migration_visibility(ctrl: &Arc<Controller>) {
-    with_ambient(ctrl, None, || {
-        // One item, cap 1, one candidate — abundant until the charge lands.
-        let inst = make_window_instance(&[(1, &[0])]);
-        let ledger: Ledger = SharedCapacityLedgerIn::new(&inst);
-        let results = run_threads(
-            ctrl,
-            vec![
-                // The shard: abundance check, then the fast-path commit.
-                Box::new(|| {
-                    let mut counted = false;
-                    if ledger.is_scarce(ItemId(0)) {
-                        return 3; // migrated before the check: shard parks, nothing to verify
-                    }
-                    if protocol::fast_commit_claim(&ledger, &mut counted, ItemId(0), UserId(0)) {
-                        return 0; // committed before the charge consumed the slack
-                    }
-                    // Denied: the charge landed between check and commit.
-                    if counted {
-                        return 6; // a denied commit must leave the pair uncounted
-                    }
-                    if !ledger.is_scarce(ItemId(0)) {
-                        return 7; // the re-check failed to observe the migration
-                    }
-                    // Correct re-route: claim speculatively and park. The
-                    // unit is gone, so the park is ungranted.
-                    protocol::speculative_claim(&ledger, ItemId(0), UserId(0)) as u64 + 1
-                }),
-                // Ambient consumption migrates the item into the window.
-                Box::new(|| {
-                    ledger.charge(ItemId(0), UserId(5));
-                    0u64
-                }),
-            ],
-        );
-        match results[0] {
-            0 => {
-                // Fast commit won the race; the charge landed afterwards.
-                let (used, d) = (ledger.used(ItemId(0)), ledger.demand(ItemId(0)));
-                if used != 2 || d != 0 {
-                    ctrl.flag(format!("fast-commit-first: used {used}, demand {d}"));
-                }
-            }
-            1 => {
-                // Parked ungranted. Coordinator: no unit to admit, no
-                // speculative victim — reject.
-                if protocol::admit_claim(&ledger, ItemId(0), UserId(0)) {
-                    ctrl.flag("admit_claim granted a unit the charge consumed".into());
-                } else {
-                    protocol::reject_claim(&ledger, ItemId(0), UserId(0));
-                }
-                let (used, spec, d) = (
-                    ledger.used(ItemId(0)),
-                    ledger.speculative(ItemId(0)),
-                    ledger.demand(ItemId(0)),
-                );
-                if used != 1 || spec != 0 || d != 0 {
-                    ctrl.flag(format!(
-                        "post-reject: used {used}, speculative {spec}, demand {d}"
-                    ));
-                }
-            }
-            2 => {
-                // A speculative grant after a denial is impossible here:
-                // the denial proves used == cap, and nothing releases.
-                ctrl.flag("speculative claim granted after the capacity was exhausted".into());
-            }
-            3 => {
-                let used = ledger.used(ItemId(0));
-                if used != 1 {
-                    ctrl.flag(format!("scarce-before-check: used {used}, expected 1"));
-                }
-            }
-            r => ctrl.flag(format!("migration visibility: shard invariant {r} broken")),
-        }
-    });
+/// [`scarce_check_race`] with `is_scarce` itself.
+fn scarce_check_races_admit(ctrl: &Arc<Controller>) {
+    scarce_check_race(ctrl, false);
 }
 
-/// DETECTOR SANITY (expected violation): the seeded window-migration
-/// mutant. The buggy shard skips the window re-check after its fast
-/// commit is denied and parks the move as *granted* — claiming a
-/// speculative unit it never obtained. The coordinator's `admit_granted`
-/// then decrements a zero `spec` cell, which the model flags as an
-/// underflow (and the debug assertion inside the ledger panics, which the
-/// harness also flags).
-fn window_migration_defect(ctrl: &Arc<Controller>) {
-    with_ambient(ctrl, None, || {
-        // Item 0 as in the visibility scenario; item 1 is the park
-        // mailbox the buggy shard publishes through (a charge as a ready
-        // flag, the speculative executor's publication pattern). No
-        // controller caps, as above.
-        let inst = make_window_instance(&[(1, &[0]), (2, &[1])]);
-        let ledger: Ledger = SharedCapacityLedgerIn::new(&inst);
-        run_threads(
-            ctrl,
-            vec![
-                // The buggy shard.
-                Box::new(|| {
-                    let mut counted = false;
-                    if ledger.is_scarce(ItemId(0)) {
-                        return 3;
-                    }
-                    if protocol::fast_commit_claim(&ledger, &mut counted, ItemId(0), UserId(0)) {
-                        return 0;
-                    }
-                    // BUG: no re-check, no speculative claim — park the
-                    // denied move as if its unit were granted.
-                    ledger.charge(ItemId(1), UserId(1));
-                    1
-                }),
-                // Ambient consumption migrates item 0 into the window.
-                Box::new(|| {
-                    ledger.charge(ItemId(0), UserId(5));
-                    0u64
-                }),
-                // The coordinator: admits any parked-granted proposal.
-                Box::new(|| {
-                    if ledger.used(ItemId(1)) >= 1 {
-                        protocol::admit_granted(&ledger, ItemId(0), UserId(0));
-                    }
-                    0u64
-                }),
-            ],
-        );
-    });
+/// DETECTOR SANITY (expected violation): [`scarce_check_race`] with the
+/// abundance check's reads reversed.
+fn reversed_scarce_check(ctrl: &Arc<Controller>) {
+    scarce_check_race(ctrl, true);
 }
 
 /// DETECTOR SANITY (expected violation): both shards publish their held
@@ -536,7 +387,7 @@ fn window_migration_defect(ctrl: &Arc<Controller>) {
 /// checker must find.
 fn held_slot_racy(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[2], &[]);
+        let inst = make_instance(&[(2, &[0, 1])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         let slot = PlainVar::new(0);
         let body = |user: u32| {
@@ -544,7 +395,7 @@ fn held_slot_racy(ctrl: &Arc<Controller>) {
             let slot = &slot;
             move || {
                 slot.write(user + 1);
-                ledger.charge(ItemId(0), UserId(user));
+                ledger.try_claim_for(ItemId(0), UserId(user));
                 0u64
             }
         };
@@ -552,35 +403,41 @@ fn held_slot_racy(ctrl: &Arc<Controller>) {
     });
 }
 
-/// DETECTOR SANITY (expected violation): a release without a claim
-/// underflows the counter; the model must flag it.
-fn release_underflow(ctrl: &Arc<Controller>) {
+/// DETECTOR SANITY (expected violation): a pair that commits and then also
+/// dies retires its demand twice; the second retirement underflows the
+/// item's one unit of demand, and the model must flag it.
+fn demand_retired_twice(ctrl: &Arc<Controller>) {
     with_ambient(ctrl, None, || {
-        let inst = make_instance(&[1], &[]);
+        let inst = make_instance(&[(1, &[0])], &[]);
         let ledger = make_ledger(ctrl, &inst);
         run_threads(
             ctrl,
             vec![
                 Box::new(|| {
-                    ledger.release(ItemId(0));
+                    let mut counted = false;
+                    protocol::fast_commit_claim(&ledger, &mut counted, ItemId(0), UserId(0)) as u64
+                }),
+                Box::new(|| {
+                    protocol::retire_candidate(&ledger, ItemId(0), UserId(0));
                     0u64
                 }),
-                Box::new(|| ledger.try_claim_for(ItemId(0), UserId(1)) as u64),
             ],
         );
     });
 }
 
-/// Random-schedule fuzz over larger thread/item counts: mixed
-/// claim/charge/release-own programs; final counts must match the
+/// Random-schedule fuzz over larger thread/item counts: mixed claim and
+/// demand-retirement programs; final `used` and `demand` must match the
 /// exemption-aware tally of what each thread actually did.
 fn fuzz_mixed(ctrl: &Arc<Controller>, program_seed: u64) {
     with_ambient(ctrl, None, || {
-        let caps = [1u32, 2, 3];
-        let inst = make_instance(&caps, &[(1, 7)]);
+        // Three items with caps 1, 2, 3; users 0..4 are candidates of
+        // every item, and user 7 is exempt on item 1.
+        let users: &[u32] = &[0, 1, 2, 3];
+        let inst = make_instance(&[(1, users), (2, users), (3, users)], &[(1, 7)]);
         let ledger = make_ledger(ctrl, &inst);
-        // tallies[item] = (claims granted, charges by non-exempt, releases)
-        let tallies: Mutex<[[u64; 3]; 3]> = Mutex::new([[0; 3]; 3]);
+        // tallies[item] = (non-exempt claims granted, demands retired)
+        let tallies: Mutex<[[u64; 2]; 3]> = Mutex::new([[0; 2]; 3]);
         let mut bodies: Vec<Box<dyn FnOnce() -> u64 + Send + '_>> = Vec::new();
         for tid in 0..4u64 {
             let ledger = &ledger;
@@ -593,41 +450,27 @@ fn fuzz_mixed(ctrl: &Arc<Controller>, program_seed: u64) {
                         .wrapping_add(1442695040888963407);
                     (rng >> 33) as u32
                 };
-                let mut owned = [0u32; 3];
-                let mut local = [[0u64; 3]; 3];
+                let mut retired = [false; 3];
+                let mut local = [[0u64; 2]; 3];
                 for _ in 0..5 {
                     let item = (step() % 3) as usize;
-                    // User 7 is exempt on item 1; everyone else is regular.
-                    let user = if step() % 4 == 0 { 7 } else { tid as u32 };
-                    match step() % 3 {
-                        0 => {
-                            if ledger.try_claim_for(ItemId(item as u32), UserId(user)) {
-                                let exempt = item == 1 && user == 7;
-                                if !exempt {
-                                    owned[item] += 1;
-                                    local[item][0] += 1;
-                                }
-                            }
+                    if step() % 2 == 0 {
+                        // User 7 is exempt on item 1; everyone else is regular.
+                        let user = if step() % 4 == 0 { 7 } else { tid as u32 };
+                        let exempt = item == 1 && user == 7;
+                        if ledger.try_claim_for(ItemId(item as u32), UserId(user)) && !exempt {
+                            local[item][0] += 1;
                         }
-                        1 => {
-                            ledger.charge(ItemId(item as u32), UserId(user));
-                            let exempt = item == 1 && user == 7;
-                            if !exempt {
-                                local[item][1] += 1;
-                            }
-                        }
-                        _ => {
-                            if owned[item] > 0 {
-                                owned[item] -= 1;
-                                local[item][2] += 1;
-                                ledger.release(ItemId(item as u32));
-                            }
-                        }
+                    } else if !retired[item] {
+                        // Each thread retires its own pair at most once.
+                        retired[item] = true;
+                        local[item][1] += 1;
+                        ledger.retire_demand(ItemId(item as u32), UserId(tid as u32));
                     }
                 }
                 let mut t = tallies.lock().unwrap_or_else(|e| e.into_inner());
                 for i in 0..3 {
-                    for k in 0..3 {
+                    for k in 0..2 {
                         t[i][k] += local[i][k];
                     }
                 }
@@ -637,13 +480,13 @@ fn fuzz_mixed(ctrl: &Arc<Controller>, program_seed: u64) {
         run_threads(ctrl, bodies);
         let t = tallies.lock().unwrap_or_else(|e| e.into_inner());
         for (i, row) in t.iter().enumerate() {
-            let expected = row[0] + row[1] - row[2];
             let used = ledger.used(ItemId(i as u32)) as u64;
-            if used != expected {
+            let demand = ledger.demand(ItemId(i as u32)) as u64;
+            if used != row[0] || demand != users.len() as u64 - row[1] {
                 ctrl.flag(format!(
-                    "fuzz tally mismatch on item {i}: used {used}, expected {expected} \
-                     (claims {}, charges {}, releases {})",
-                    row[0], row[1], row[2]
+                    "fuzz tally mismatch on item {i}: used {used}, demand {demand} \
+                     (claims {}, retirements {})",
+                    row[0], row[1]
                 ));
             }
         }
@@ -680,112 +523,63 @@ pub struct Scenario {
 
 /// The full DFS suite, including the mutant sensitivity runs.
 pub fn dfs_suite() -> Vec<Scenario> {
+    let pass = |name, threads, body| Scenario {
+        name,
+        threads,
+        expect: Expect::Pass,
+        demote: false,
+        body,
+    };
+    // Detector sanity (a seeded defect) and `Relaxed` mutants run on two
+    // threads and must be flagged.
+    let flagged = |name, demote, body| Scenario {
+        name,
+        threads: 2,
+        expect: Expect::Violation,
+        demote,
+        body,
+    };
+    let (sanity, mutant) = (false, true);
     vec![
-        Scenario {
-            name: "claim_contention",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &claim_contention,
-        },
-        Scenario {
-            name: "claim_contention_3t",
-            threads: 3,
-            expect: Expect::Pass,
-            demote: false,
-            body: &claim_contention_3t,
-        },
-        Scenario {
-            name: "claim_release",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &claim_release,
-        },
-        Scenario {
-            name: "exempt_claims",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &exempt_claims,
-        },
-        Scenario {
-            name: "visibility_chain",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &visibility_chain,
-        },
-        Scenario {
-            name: "publication_gate",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &publication_gate,
-        },
-        Scenario {
-            name: "held_slot_gated",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &held_slot_gated,
-        },
-        Scenario {
-            name: "window_commit_races_scarce_admit",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &window_commit_races_scarce_admit,
-        },
-        Scenario {
-            name: "speculative_claim_rollback",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &speculative_claim_rollback,
-        },
-        Scenario {
-            name: "window_migration_visibility",
-            threads: 2,
-            expect: Expect::Pass,
-            demote: false,
-            body: &window_migration_visibility,
-        },
-        Scenario {
-            name: "window_migration_defect (detector sanity)",
-            threads: 3,
-            expect: Expect::Violation,
-            demote: false,
-            body: &window_migration_defect,
-        },
-        Scenario {
-            name: "held_slot_racy (detector sanity)",
-            threads: 2,
-            expect: Expect::Violation,
-            demote: false,
-            body: &held_slot_racy,
-        },
-        Scenario {
-            name: "release_underflow (detector sanity)",
-            threads: 2,
-            expect: Expect::Violation,
-            demote: false,
-            body: &release_underflow,
-        },
-        Scenario {
-            name: "visibility_chain [Relaxed mutant]",
-            threads: 2,
-            expect: Expect::Violation,
-            demote: true,
-            body: &visibility_chain,
-        },
-        Scenario {
-            name: "publication_gate [Relaxed mutant]",
-            threads: 2,
-            expect: Expect::Violation,
-            demote: true,
-            body: &publication_gate,
-        },
+        pass("claim_contention", 2, &claim_contention),
+        pass("claim_contention_3t", 3, &claim_contention_3t),
+        pass("exempt_claims", 2, &exempt_claims),
+        pass("visibility_chain", 2, &visibility_chain),
+        pass("publication_gate", 2, &publication_gate),
+        pass("held_slot_gated", 2, &held_slot_gated),
+        pass(
+            "window_commit_races_scarce_admit",
+            2,
+            &window_commit_races_scarce_admit,
+        ),
+        pass("abundant_claims_never_fail", 3, &abundant_claims_never_fail),
+        pass("scarce_check_races_admit", 2, &scarce_check_races_admit),
+        flagged(
+            "reversed_scarce_check (detector sanity)",
+            sanity,
+            &reversed_scarce_check,
+        ),
+        flagged("held_slot_racy (detector sanity)", sanity, &held_slot_racy),
+        flagged(
+            "demand_retired_twice (detector sanity)",
+            sanity,
+            &demand_retired_twice,
+        ),
+        flagged(
+            "visibility_chain [Relaxed mutant]",
+            mutant,
+            &visibility_chain,
+        ),
+        flagged(
+            "publication_gate [Relaxed mutant]",
+            mutant,
+            &publication_gate,
+        ),
+        flagged(
+            "scarce_check_races_admit [Relaxed mutant]",
+            mutant,
+            &scarce_check_races_admit,
+        ),
     ]
 }
 
@@ -850,6 +644,7 @@ mod tests {
         for body in [
             &visibility_chain as &(dyn Fn(&Arc<Controller>) + Sync),
             &publication_gate,
+            &scarce_check_races_admit,
         ] {
             let exploration = explore_dfs(2, true, DFS_BUDGET, body);
             assert!(
@@ -866,10 +661,8 @@ mod tests {
             &visibility_chain as &(dyn Fn(&Arc<Controller>) + Sync),
             &publication_gate,
             &claim_contention,
-            &claim_release,
             &window_commit_races_scarce_admit,
-            &speculative_claim_rollback,
-            &window_migration_visibility,
+            &scarce_check_races_admit,
         ] {
             let exploration = explore_dfs(2, false, DFS_BUDGET, body);
             assert!(exploration.violation.is_none(), "real orderings must pass");
@@ -877,21 +670,18 @@ mod tests {
         }
     }
 
-    /// Detector sanity: seeded defects (race, underflow) are found.
+    /// Detector sanity: seeded defects (race, underflow, read order) are
+    /// found.
     #[test]
     fn seeded_defects_are_found() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let found = [
-            (&held_slot_racy as &(dyn Fn(&Arc<Controller>) + Sync), 2),
-            (&release_underflow, 2),
-            (&window_migration_defect, 3),
+            &held_slot_racy as &(dyn Fn(&Arc<Controller>) + Sync),
+            &demand_retired_twice,
+            &reversed_scarce_check,
         ]
-        .map(|(body, threads)| {
-            explore_dfs(threads, false, DFS_BUDGET, body)
-                .violation
-                .is_some()
-        });
+        .map(|body| explore_dfs(2, false, DFS_BUDGET, body).violation.is_some());
         std::panic::set_hook(prev);
         assert_eq!(found, [true, true, true], "seeded defect not found");
     }
