@@ -74,9 +74,11 @@ pub struct PlannerConfig {
     pub seed: u64,
     /// Record the objective value after every selection (Figure 4 traces).
     pub track_trace: bool,
-    /// Thread parallelism for the deterministic fill/scan phases: `None`
-    /// (default) lets each driver auto-decide by instance size, `Some(x)`
-    /// forces it on or off. Parallel and sequential fills are bit-identical.
+    /// Thread parallelism for the selection core's table fills: `None`
+    /// (default) and `Some(true)` fill a time window of at least 16,384 live
+    /// slots (candidates × time steps in the window) on scoped threads,
+    /// `Some(false)` never does. Parallel and sequential fills are
+    /// bit-identical.
     pub parallel: Option<bool>,
     /// Warm-start residual replans (off by default): when a replan comes
     /// with a [`ResidualDelta`] (see [`plan_residual`]), engines recycle the
@@ -148,8 +150,7 @@ impl PlannerConfig {
         self
     }
 
-    /// Forces the deterministic fill/scan parallelism on or off
-    /// (`None` = auto by instance size).
+    /// Sets the table-fill parallelism (see [`PlannerConfig::parallel`]).
     pub fn with_parallel(mut self, parallel: Option<bool>) -> Self {
         self.parallel = parallel;
         self
@@ -216,8 +217,8 @@ impl PlannerConfig {
         matches!(self.algorithm, PlanAlgorithm::GlobalNoSaturation)
     }
 
-    /// Greedy init-fill parallelism (the historical default was on; the
-    /// fill itself is additionally gated by instance size).
+    /// Table-fill parallelism (on unless switched off; the fill itself is
+    /// additionally gated by the window's live slot count).
     pub(crate) fn parallel_init(&self) -> bool {
         self.parallel.unwrap_or(true)
     }

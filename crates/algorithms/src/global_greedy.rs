@@ -23,12 +23,16 @@
 //!   empirically (eager re-evaluation is the test-only `revmax_oracle::Eager`
 //!   engine wrapper, plugged in through [`crate::plan_with`]).
 //!
-//! Every G-Greedy plan runs on one selection core, `ShardCore`: an engine
+//! Every greedy plan runs on one selection core, `ShardCore`: an engine
 //! view, a `CandidateTable`, a `CandTournament` and a cached argmax per
-//! candidate, over one user shard. One shard covering every user is the
-//! one-shard driver; [`crate::sharded`] runs several on a pool of worker
+//! candidate, over one user shard and one time window. G-Greedy's window is
+//! the whole horizon. One shard covering every user is the one-shard driver
+//! (`run_window`); [`crate::sharded`] runs several on a pool of worker
 //! threads, coupled through a shared capacity ledger. The only thing that
-//! differs is where capacity lives (`Capacity`).
+//! differs is where capacity lives (`Capacity`). SL-Greedy and RL-Greedy
+//! ([`crate::local_greedy`]) run the one-shard driver one time step at a
+//! time, and the staged variants ([`crate::staged`]) one sub-horizon at a
+//! time, each window on the engine the previous one left.
 //!
 //! The drivers are generic over [`RevenueEngine`]: the planner runs the
 //! flat-arena [`revmax_core::IncrementalRevenue`], and the parity suites
@@ -36,19 +40,18 @@
 //! [`crate::plan_with`].
 //!
 //! Per-candidate cached state is stored struct-of-arrays: flat `values` and
-//! `flags` vectors indexed by `cand * T + t` (blocked slots are encoded as
-//! `NEG_INFINITY` values), replacing the per-candidate triple-`Vec`
-//! allocations of the original implementation. The
-//! initial value pass (`q(u,i,t) · p(i,t)`, embarrassingly parallel over
-//! candidates) is filled by scoped threads cut at user boundaries.
+//! `flags` vectors indexed by `cand * T + t` (blocked slots, and slots
+//! outside the window, are encoded as `NEG_INFINITY` values). The initial
+//! value pass is embarrassingly parallel over slots and may be filled by
+//! scoped threads.
 
 use crate::config::PlannerConfig;
-use crate::heap::precedes;
 use crate::par;
 use revmax_core::{
     revenue, CandidateId, Instance, ResidualDelta, RevenueEngine, Strategy, TimeStep, Triple,
     UserShard,
 };
+use std::ops::RangeInclusive;
 
 /// The result of a greedy run.
 #[derive(Debug, Clone)]
@@ -147,28 +150,60 @@ struct CandidateTable {
 }
 
 impl CandidateTable {
-    /// Builds the initial value table (`q(u,i,t) · p(i,t)`) for the candidate
-    /// range `[cand_start, cand_end)`.
-    fn for_range(inst: &Instance, cand_start: u32, cand_end: u32, parallel: bool) -> Self {
+    /// Builds the initial table for the shard's candidates over the time
+    /// steps in `window`; every slot outside it is dead. On an empty engine
+    /// a slot's marginal is `q(u,i,t) · p(i,t)` at stamp 0, which costs no
+    /// evaluation. Any other engine evaluates the window's slots, stamped
+    /// with their group sizes, and adds the evaluations to `evals`. With
+    /// `parallel`, a window of at least 16,384 live slots is filled on
+    /// scoped threads.
+    fn for_window<'a, E: RevenueEngine<'a>>(
+        inst: &Instance,
+        inc: &E,
+        shard: UserShard,
+        window: &RangeInclusive<u32>,
+        parallel: bool,
+        evals: &mut u64,
+    ) -> Self {
         let horizon = inst.horizon() as usize;
-        let n = (cand_end - cand_start) as usize * horizon;
-        let mut values = vec![f64::NEG_INFINITY; n];
-        let fill = |slot: usize| {
-            let cand = CandidateId(cand_start + (slot / horizon) as u32);
-            let t = TimeStep::from_index(slot % horizon);
-            inst.candidate_prob(cand, t) * inst.price(inst.candidate_item(cand), t)
+        let n = shard.num_candidates() * horizon;
+        let cold = inc.is_empty();
+        let slot_of = |slot: usize| {
+            let cand = CandidateId(shard.cand_start() + (slot / horizon) as u32);
+            (cand, TimeStep::from_index(slot % horizon))
         };
-        if parallel && n >= 1 << 14 {
+        let fill = |slot: usize| {
+            let (cand, t) = slot_of(slot);
+            if !window.contains(&t.value()) {
+                f64::NEG_INFINITY
+            } else if cold {
+                inst.candidate_prob(cand, t) * inst.price(inst.candidate_item(cand), t)
+            } else {
+                inc.marginal_revenue_cand(cand, t)
+            }
+        };
+        let mut values = vec![f64::NEG_INFINITY; n];
+        if parallel && shard.num_candidates() * window.clone().count() >= 1 << 14 {
             par::parallel_fill(&mut values, fill);
         } else {
             for (slot, v) in values.iter_mut().enumerate() {
                 *v = fill(slot);
             }
         }
+        let mut flags = vec![0; n];
+        if !cold {
+            for (slot, flag) in flags.iter_mut().enumerate() {
+                let (cand, t) = slot_of(slot);
+                if window.contains(&t.value()) {
+                    *flag = inc.group_size_cand(cand) as u32;
+                    *evals += 1;
+                }
+            }
+        }
         CandidateTable {
             horizon,
             values,
-            flags: vec![0; n],
+            flags,
         }
     }
 
@@ -260,10 +295,18 @@ impl CandidateTable {
 /// of leaves, and a rescan is a 16-float forward scan.
 const BLOCK: usize = 16;
 
+/// Whether move `(value, candidate id)` `a` precedes `b` in the selection
+/// order: larger value first, ties towards the smaller id. The tournament
+/// selects in it inside a shard, and the executor's coordinator across
+/// shards.
+#[inline]
+pub(crate) fn precedes(a: (f64, u32), b: (f64, u32)) -> bool {
+    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
 /// A blocked tournament over the candidate root values, in the
-/// [`precedes`] order (larger value first, ties towards the smaller
-/// candidate id) that the shard arbitration and the parity suites' heap
-/// oracle share. The leaves are one `f64` per candidate; each run of
+/// [`precedes`] order that the shard arbitration and the parity suites'
+/// argmax oracles share. The leaves are one `f64` per candidate; each run of
 /// [`BLOCK`] contiguous candidates is summarised by its winner, and a
 /// loser-free winner tree over the block winners yields the root. Blocks
 /// keep path fixes cache resident: at 150k candidates the tree is 512 KB,
@@ -463,10 +506,11 @@ impl Capacity for EngineCapacity {
     }
 }
 
-/// One user shard's G-Greedy selection state: an engine view over the
-/// shard, its [`CandidateTable`], a [`CandTournament`] over the candidate
-/// roots, and a cached argmax time per candidate (the matching value lives
-/// in the tournament leaf; together they mirror `table.best` exactly).
+/// One user shard's selection state over one time window: an engine view
+/// over the shard, its [`CandidateTable`], a [`CandTournament`] over the
+/// candidate roots, and a cached argmax time per candidate (the matching
+/// value lives in the tournament leaf; together they mirror `table.best`
+/// exactly).
 ///
 /// Selection is O(1) at the tree root, and every constraint block, stale
 /// refresh or insertion re-keys one leaf (at most a 16-leaf block rescan
@@ -479,13 +523,14 @@ impl Capacity for EngineCapacity {
 /// over all its live time slots in one fused kernel pass; after the re-key
 /// the next stale candidate is back at the root in O(1).
 ///
-/// The core selects the pop-per-iteration lazy-heap loop's sequence exactly:
-/// cached root values evolve identically (marginals depend only on the
-/// candidate's own (user, class) group state, refreshed under the same
-/// lazy-forward stamps), and both selection orders are (value desc,
-/// candidate id asc) over those cached values. Like lazy forward itself,
-/// the equivalence is asserted empirically — the kernel parity suite pins
-/// every plan bit for bit against that heap loop, kept as a test oracle.
+/// The core selects the sequence of a naive lazy-forward loop exactly: take
+/// the argmax of the cached values, in (value desc, candidate id asc)
+/// order, and drop, refresh or commit it. Cached values evolve identically
+/// (marginals depend only on the candidate's own (user, class) group
+/// state, refreshed under the same lazy-forward stamps). Like lazy forward
+/// itself, the equivalence is asserted empirically: the kernel parity
+/// suite pins every plan bit for bit against such loops, kept as test
+/// oracles for G-Greedy and for SL-Greedy.
 pub(crate) struct ShardCore<'a, E> {
     inst: &'a Instance,
     /// First global candidate id of the shard; local index `c` is global
@@ -502,15 +547,18 @@ pub(crate) struct ShardCore<'a, E> {
 }
 
 impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
+    /// Starts selecting over the time steps in `window` from `inc`, which
+    /// may already hold selections (see [`CandidateTable::for_window`]);
+    /// the fill's marginal evaluations are added to `evals`.
     pub(crate) fn new(
         inst: &'a Instance,
-        cfg: &PlannerConfig,
+        inc: E,
         shard: UserShard,
+        window: RangeInclusive<u32>,
         parallel: bool,
-        delta: Option<&ResidualDelta>,
+        evals: &mut u64,
     ) -> Self {
-        let inc: E = make_engine(inst, cfg.ignores_saturation(), shard, cfg, delta);
-        let table = CandidateTable::for_range(inst, shard.cand_start(), shard.cand_end(), parallel);
+        let table = CandidateTable::for_window(inst, &inc, shard, &window, parallel, evals);
         let n = shard.num_candidates();
         let mut best_t = vec![0u32; n];
         let mut roots = vec![f64::NEG_INFINITY; n];
@@ -563,9 +611,9 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
 
         if self.inc.would_violate_display_cand(cand, t) {
             // The (user, t) slot is full: dead for this candidate, other
-            // time steps may still be fine. (Only pre-filled warm-start
-            // displays reach this branch — fills during the run block
-            // eagerly in `insert`.)
+            // time steps may still be fine. (Only displays filled before
+            // the window started reach this branch — fills during the run
+            // block eagerly in `insert`.)
             self.table.block(local, t_idx);
             self.refresh_leaf(local, cap);
             return Step::Continue;
@@ -678,42 +726,71 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
     }
 }
 
-/// The one-shard G-Greedy plan: the selection core over every user, with
-/// capacity read from the engine's own counters.
+/// The one-shard driver: greedily extends the selections `inc` holds with
+/// triples whose time step lies in `window`, on the selection core over
+/// every user with capacity read from the engine's own counters, and
+/// returns the extended engine. Marginal evaluations are added to `evals`,
+/// and the objective after each insertion is pushed to `trace` when given.
+pub(crate) fn run_window<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    inc: E,
+    window: RangeInclusive<u32>,
+    parallel: bool,
+    evals: &mut u64,
+    mut trace: Option<&mut Vec<f64>>,
+) -> E {
+    let mut core = ShardCore::new(inst, inc, inst.full_shard(), window, parallel, evals);
+    let total_slots = inst.total_slots();
+    while (core.inc.len() as u64) < total_slots && core.lead().is_some() {
+        if let Step::Inserted { .. } = core.step(&EngineCapacity, evals) {
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.push(core.inc.revenue());
+            }
+        }
+    }
+    core.inc
+}
+
+/// The one-shard G-Greedy plan: one window over the whole horizon.
 pub(crate) fn one_shard_plan<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
-    let mut core: ShardCore<'a, E> =
-        ShardCore::new(inst, cfg, inst.full_shard(), cfg.parallel_init(), delta);
+    let ignore_saturation = cfg.ignores_saturation();
+    let inc: E = make_engine(inst, ignore_saturation, inst.full_shard(), cfg, delta);
     let mut trace = Vec::new();
     let mut evals: u64 = 0;
-    let total_slots = inst.total_slots();
-    while (core.inc.len() as u64) < total_slots && core.lead().is_some() {
-        if let Step::Inserted { .. } = core.step(&EngineCapacity, &mut evals) {
-            if cfg.track_trace {
-                trace.push(core.inc.revenue());
-            }
-        }
-    }
-
-    let selection_objective = core.inc.revenue();
-    let strategy = core.inc.into_strategy();
-    outcome(inst, cfg, strategy, selection_objective, trace, evals)
+    let inc = run_window(
+        inst,
+        inc,
+        1..=inst.horizon(),
+        cfg.parallel_init(),
+        &mut evals,
+        cfg.track_trace.then_some(&mut trace),
+    );
+    let objective = inc.revenue();
+    outcome(
+        inst,
+        ignore_saturation,
+        inc.into_strategy(),
+        objective,
+        trace,
+        evals,
+    )
 }
 
-/// Assembles a G-Greedy outcome; `GlobalNo` plans report the true revenue
-/// of the strategy, not the saturation-blind objective they selected by.
+/// Assembles a greedy outcome; `GlobalNo` plans report the true revenue of
+/// the strategy, not the saturation-blind objective they selected by.
 pub(crate) fn outcome(
     inst: &Instance,
-    cfg: &PlannerConfig,
+    ignore_saturation: bool,
     strategy: Strategy,
     selection_objective: f64,
     trace: Vec<f64>,
     marginal_evaluations: u64,
 ) -> GreedyOutcome {
-    let revenue = if cfg.ignores_saturation() {
+    let revenue = if ignore_saturation {
         revenue(inst, &strategy)
     } else {
         selection_objective

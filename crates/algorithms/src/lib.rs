@@ -10,10 +10,12 @@
 //!   saturation during selection; [`mod@sharded`] runs the same selection
 //!   core on user shards coupled through a shared capacity ledger;
 //! * [`sequential_local_greedy`] / [`randomized_local_greedy`] — the per-time-
-//!   step SL-Greedy and RL-Greedy algorithms of §5.2;
+//!   step SL-Greedy and RL-Greedy algorithms of §5.2, which run G-Greedy's
+//!   selection core one time step at a time;
 //! * [`top_rating`] / [`top_revenue`] — the TopRA and TopRE baselines of §6.1;
 //! * [`global_greedy_staged`] / [`randomized_local_greedy_staged`] — the
-//!   incomplete-price variants of §6.3 (Figure 7);
+//!   incomplete-price variants of §6.3 (Figure 7), on the same core one
+//!   sub-horizon at a time;
 //! * [`local_search_r_revmax`] — the `1/(4+ε)` local-search approximation for
 //!   the relaxed problem R-REVMAX (§4.2), practical only on small instances;
 //! * [`solve_t1_exact`] — the exact Max-DCS solver for the PTIME `T = 1`
@@ -40,7 +42,6 @@ pub mod capacity_oracle;
 pub mod config;
 pub mod exhaustive;
 pub mod global_greedy;
-pub mod heap;
 pub mod local_greedy;
 pub mod local_search;
 pub mod max_dcs;
@@ -55,7 +56,6 @@ pub use capacity_oracle::MonteCarloOracle;
 pub use config::{plan, plan_order, plan_residual, plan_with, PlanAlgorithm, PlannerConfig};
 pub use exhaustive::{candidate_triples, exact_optimum, ExactOutcome};
 pub use global_greedy::{global_greedy, global_no_saturation, ConcurrencyStats, GreedyOutcome};
-pub use heap::LazyMaxHeap;
 pub use local_greedy::{randomized_local_greedy, sample_permutations, sequential_local_greedy};
 pub use local_search::{
     exact_r_revmax_optimum, is_display_independent, local_search_r_revmax, slot_occupancy,

@@ -7,26 +7,20 @@
 //! keeps the most profitable strategy (Example 4 of the paper shows why the
 //! chronological order can be suboptimal).
 //!
-//! The per-time-step initial scan (one marginal-revenue evaluation per
-//! candidate) decomposes per user — each user's candidates are CSR-contiguous
-//! and the evaluations are read-only — so it can be filled by scoped threads
-//! cut at user boundaries (see [`crate::par`]). The parallel and sequential
-//! scans are bit-identical, which the equivalence tests assert.
+//! A time step's greedy is G-Greedy's selection core restricted to a
+//! one-step window (`global_greedy::run_window`) on the engine the earlier
+//! steps left: lines 5–15 of Algorithm 2 are lazy-forward climbing over
+//! one time slot per candidate. The window's initial marginals are read
+//! from the engine (scoped threads may fill them, bit-identically), except
+//! on an empty engine, where they are `q · p` and cost no evaluation.
 
 use crate::config::{PlanAlgorithm, PlannerConfig};
-use crate::global_greedy::GreedyOutcome;
-use crate::heap::LazyMaxHeap;
-use crate::par;
+use crate::global_greedy::{make_engine, outcome, run_window, GreedyOutcome};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use revmax_core::{
-    CandidateId, IncrementalRevenue, Instance, ResidualDelta, RevenueEngine, TimeStep,
-};
+use revmax_core::{IncrementalRevenue, Instance, ResidualDelta, RevenueEngine};
 use std::collections::HashSet;
-
-/// Candidate count above which the per-step scan defaults to parallel.
-pub(crate) const PARALLEL_SCAN_THRESHOLD: usize = 1 << 13;
 
 /// Runs SL-Greedy: per-time-step greedy in chronological order `1, 2, …, T`.
 pub fn sequential_local_greedy(inst: &Instance) -> GreedyOutcome {
@@ -47,89 +41,15 @@ pub(crate) fn run_order<'a, E: RevenueEngine<'a>>(
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
-    let mut inc: E = crate::global_greedy::make_engine(inst, false, inst.full_shard(), cfg, delta);
+    let mut inc: E = make_engine(inst, false, inst.full_shard(), cfg, delta);
+    let parallel = cfg.parallel_init();
     let mut evals = 0u64;
     let mut trace = Vec::new();
-    let parallel = cfg
-        .parallel
-        .unwrap_or(inst.num_candidates() >= PARALLEL_SCAN_THRESHOLD);
     for &t in order {
-        run_time_step(
-            inst,
-            &mut inc,
-            TimeStep(t),
-            parallel,
-            &mut evals,
-            &mut trace,
-        );
+        inc = run_window(inst, inc, t..=t, parallel, &mut evals, Some(&mut trace));
     }
     let revenue = inc.revenue();
-    GreedyOutcome {
-        revenue,
-        selection_objective: revenue,
-        strategy: inc.into_strategy(),
-        trace,
-        marginal_evaluations: evals,
-        concurrency: Default::default(),
-    }
-}
-
-/// Greedily fills the recommendation slots of a single time step given the
-/// strategy accumulated so far (lines 5–15 of Algorithm 2, with lazy
-/// forward): one heap round trip per examined candidate.
-pub(crate) fn run_time_step<'a, E: RevenueEngine<'a>>(
-    inst: &'a Instance,
-    inc: &mut E,
-    t: TimeStep,
-    parallel_scan: bool,
-    evals: &mut u64,
-    trace: &mut Vec<f64>,
-) {
-    let num_cand = inst.num_candidates();
-    if num_cand == 0 {
-        return;
-    }
-    // Initial scan: one read-only marginal evaluation per candidate. This is
-    // the per-user decomposition — candidates are CSR-contiguous per user, so
-    // cutting at user boundaries gives each worker disjoint users.
-    let mut values = vec![f64::NEG_INFINITY; num_cand];
-    let scan = |c: usize| inc.marginal_revenue_cand(CandidateId(c as u32), t);
-    if parallel_scan {
-        let cuts = par::balanced_cuts(inst.user_cand_offsets(), par::worker_count(num_cand));
-        par::fill_by_cuts(&mut values, &cuts, scan);
-    } else {
-        for (c, v) in values.iter_mut().enumerate() {
-            *v = scan(c);
-        }
-    }
-    *evals += num_cand as u64;
-    let mut flags = vec![0u32; num_cand];
-    for (c, f) in flags.iter_mut().enumerate() {
-        *f = inc.group_size_cand(CandidateId(c as u32)) as u32;
-    }
-
-    let mut heap = LazyMaxHeap::new(&values);
-    while let Some((cand_idx, value)) = heap.pop() {
-        if value <= 0.0 {
-            break;
-        }
-        let cand = CandidateId(cand_idx);
-        if inc.would_violate_cand(cand, t) {
-            heap.remove(cand_idx);
-            continue;
-        }
-        let group_size = inc.group_size_cand(cand) as u32;
-        if flags[cand_idx as usize] == group_size {
-            inc.insert_cand(cand, t);
-            heap.remove(cand_idx);
-            trace.push(inc.revenue());
-        } else {
-            let fresh = inc.marginal_revenue_cand(cand, t);
-            *evals += 1;
-            flags[cand_idx as usize] = group_size;
-            heap.update(cand_idx, fresh);
-        }
-    }
+    outcome(inst, false, inc.into_strategy(), revenue, trace, evals)
 }
 
 /// Generates up to `n` distinct permutations of `1..=horizon` (always including
@@ -164,9 +84,9 @@ pub fn sample_permutations(horizon: u32, n: usize, seed: u64) -> Vec<Vec<u32>> {
 
 /// Runs RL-Greedy: `permutations` random orderings of `[T]`, per-step greedy
 /// under each, best strategy returned. Independent orders run on scoped
-/// threads; only then is each run's inner scan forced sequential (to avoid
+/// threads; only then is each run's window fill forced sequential (to avoid
 /// oversubscription) — a single-order or single-core run keeps the default
-/// per-user parallel scan.
+/// parallel fill.
 pub fn randomized_local_greedy(inst: &Instance, permutations: usize, seed: u64) -> GreedyOutcome {
     randomized_with::<IncrementalRevenue<'_>>(
         inst,
@@ -220,7 +140,10 @@ pub(crate) fn randomized_with<'a, E: RevenueEngine<'a>>(
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("worker panicked"))
+                .flat_map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         })
     };
@@ -247,7 +170,13 @@ mod tests {
     }
 
     fn medium_instance() -> Instance {
-        let mut b = InstanceBuilder::new(3, 4, 3);
+        medium_instance_for(1)
+    }
+
+    /// The medium instance's users and capacities, both repeated `copies`
+    /// times.
+    fn medium_instance_for(copies: u32) -> Instance {
+        let mut b = InstanceBuilder::new(3 * copies, 4, 3);
         b.display_limit(1)
             .item_class(0, 0)
             .item_class(1, 0)
@@ -257,15 +186,15 @@ mod tests {
             .beta(1, 0.8)
             .beta(2, 0.5)
             .beta(3, 0.9)
-            .capacity(0, 2)
-            .capacity(1, 2)
-            .capacity(2, 3)
-            .capacity(3, 1)
+            .capacity(0, 2 * copies)
+            .capacity(1, 2 * copies)
+            .capacity(2, 3 * copies)
+            .capacity(3, copies)
             .prices(0, &[20.0, 15.0, 18.0])
             .prices(1, &[8.0, 9.0, 7.0])
             .prices(2, &[12.0, 12.0, 11.0])
             .prices(3, &[30.0, 25.0, 35.0]);
-        for u in 0..3 {
+        for u in 0..3 * copies {
             b.candidate(u, 0, &[0.4, 0.6, 0.5], 4.0);
             b.candidate(u, 1, &[0.7, 0.5, 0.6], 3.0);
             b.candidate(u, 2, &[0.3, 0.2, 0.4], 3.5);
@@ -309,10 +238,12 @@ mod tests {
         assert!(rl.revenue + 1e-9 >= sl.revenue);
     }
 
+    /// 16,392 candidates: every one-step window is large enough for the
+    /// parallel fill to fork threads on a multi-core host.
     #[test]
     fn parallel_and_sequential_scans_are_identical() {
-        let inst = medium_instance();
-        let order: Vec<u32> = (1..=inst.horizon()).collect();
+        let inst = medium_instance_for(1366);
+        let order: Vec<u32> = (1..=inst.horizon()).rev().collect();
         let seq = crate::plan_order(
             &inst,
             &order,

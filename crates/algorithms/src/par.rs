@@ -8,9 +8,10 @@
 //!   its index, so the parallel and sequential fills produce bit-identical
 //!   results (asserted by the equivalence tests in
 //!   `crates/algorithms/tests/algorithm_properties.rs`);
-//! * **per-user decomposition** — callers cut the candidate axis at user
-//!   boundaries (the CSR layout keeps each user's candidates contiguous), the
-//!   slate-construction decomposition of Keerthi & Tomlin (2007).
+//! * **per-user decomposition** — [`balanced_cuts`] cuts the candidate axis
+//!   at user boundaries (the CSR layout keeps each user's candidates
+//!   contiguous), the slate-construction decomposition of Keerthi & Tomlin
+//!   (2007); the sharded planner draws its user shards from it.
 
 use std::num::NonZeroUsize;
 
@@ -47,38 +48,6 @@ pub fn balanced_cuts(boundaries: &[u32], pieces: usize) -> Vec<usize> {
     cuts
 }
 
-/// Fills `out` in parallel: piece `p` spans `cuts[p]..cuts[p + 1]`, and each
-/// element `out[i]` is set to `f(i)`. Falls back to a sequential fill when
-/// only one piece is given.
-pub fn fill_by_cuts<T, F>(out: &mut [T], cuts: &[usize], f: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    debug_assert_eq!(cuts.first(), Some(&0));
-    debug_assert_eq!(cuts.last(), Some(&out.len()));
-    if cuts.len() <= 2 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let f = &f;
-        for w in cuts.windows(2) {
-            let (piece, tail) = rest.split_at_mut(w[1] - w[0]);
-            rest = tail;
-            let start = w[0];
-            scope.spawn(move || {
-                for (i, slot) in piece.iter_mut().enumerate() {
-                    *slot = f(start + i);
-                }
-            });
-        }
-    });
-}
-
 /// Runs `worker(tid)` on `threads` persistent scoped worker threads while
 /// `driver()` runs on the calling thread, returning the worker results (in
 /// `tid` order) alongside the driver's. Each worker stays alive for a whole
@@ -109,25 +78,31 @@ where
     })
 }
 
-/// Convenience: parallel fill of `out` where `out[i] = f(i)`, cut into
-/// `worker_count` even pieces (no boundary constraints).
+/// Fills `out` with `out[i] = f(i)`, cut into `worker_count` even pieces
+/// that fill on scoped threads; one piece fills sequentially.
 pub fn parallel_fill<T, F>(out: &mut [T], f: F)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let len = out.len();
-    let workers = worker_count(len);
+    let workers = worker_count(out.len());
     if workers <= 1 {
         for (i, slot) in out.iter_mut().enumerate() {
             *slot = f(i);
         }
         return;
     }
-    let chunk = len.div_ceil(workers);
-    let mut cuts: Vec<usize> = (0..=workers).map(|p| (p * chunk).min(len)).collect();
-    cuts.dedup();
-    fill_by_cuts(out, &cuts, f);
+    let chunk = out.len().div_ceil(workers);
+    let f = &f;
+    std::thread::scope(|scope| {
+        for (p, piece) in out.chunks_mut(chunk).enumerate() {
+            scope.spawn(move || {
+                for (i, slot) in piece.iter_mut().enumerate() {
+                    *slot = f(p * chunk + i);
+                }
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -188,12 +163,5 @@ mod tests {
         );
         assert_eq!(ids, vec![0, 10, 20, 30]);
         assert_eq!(seen, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn fill_by_cuts_single_piece_is_sequential() {
-        let mut out = vec![0usize; 5];
-        fill_by_cuts(&mut out, &[0, 5], |i| i + 1);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
     }
 }

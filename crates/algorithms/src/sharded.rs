@@ -33,16 +33,16 @@
 //! remaining candidate demand fits its remaining capacity cannot be refused
 //! in any order, so it commits lock-free; a move inside the window parks
 //! as a proposal, without claiming. Once every shard is parked or drained,
-//! the coordinator takes the globally maximal proposal by `heap::precedes`
-//! (value descending, ties towards the smaller candidate id — the total
-//! order the tournament uses inside a shard): that is the one-shard run's
-//! next scarce commit. It claims for it then, so the claim succeeds exactly
-//! when the one-shard run would find capacity left: a granted claim admits
-//! the proposal, a denied one rejects it. The plan is therefore the
-//! one-shard plan triple for triple, whatever the thread schedule; the
-//! strategy lists it in shard order, and the revenue folds the same
-//! marginals per shard, so it agrees to float re-association (the parity
-//! suites assert 1e-9).
+//! the coordinator takes the globally maximal proposal by
+//! `global_greedy::precedes` (value descending, ties towards the smaller
+//! candidate id — the total order the tournament uses inside a shard): that
+//! is the one-shard run's next scarce commit. It claims for it then, so the
+//! claim succeeds exactly when the one-shard run would find capacity left:
+//! a granted claim admits the proposal, a denied one rejects it. The plan
+//! is therefore the one-shard plan triple for triple, whatever the thread
+//! schedule; the strategy lists it in shard order, and the revenue folds
+//! the same marginals per shard, so it agrees to float re-association (the
+//! parity suites assert 1e-9).
 //!
 //! What the shards buy:
 //!
@@ -64,9 +64,9 @@
 
 use crate::config::PlannerConfig;
 use crate::global_greedy::{
-    one_shard_plan, outcome, Capacity, Commit, ConcurrencyStats, GreedyOutcome, ShardCore, Step,
+    make_engine, one_shard_plan, outcome, precedes, Capacity, Commit, ConcurrencyStats,
+    GreedyOutcome, ShardCore, Step,
 };
-use crate::heap::precedes;
 use crate::par;
 use crate::protocol;
 use revmax_core::{
@@ -303,11 +303,12 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
         let mut owned: Vec<(usize, ShardCore<'a, E>, ShardRun)> = (0..nshards)
             .filter(|i| i % threads == tid)
             .map(|i| {
-                (
-                    i,
-                    ShardCore::new(inst, cfg, shard_descs[i], false, delta),
-                    ShardRun::default(),
-                )
+                let shard = shard_descs[i];
+                let inc = make_engine(inst, cfg.ignores_saturation(), shard, cfg, delta);
+                let mut run = ShardRun::default();
+                let window = 1..=inst.horizon();
+                let core = ShardCore::new(inst, inc, shard, window, false, &mut run.evals);
+                (i, core, run)
             })
             .collect();
 
@@ -473,7 +474,7 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
         concurrency: stats,
         ..outcome(
             inst,
-            cfg,
+            cfg.ignores_saturation(),
             strategy_of(picks),
             running_revenue,
             Vec::new(),

@@ -5,12 +5,15 @@
 //!
 //! With cut-off `c`, the first sub-horizon is `1..=c` and the second is
 //! `c+1..=T`. SL-Greedy is unaffected (it is already chronological), G-Greedy
-//! and RL-Greedy lose the ability to plan holistically across the cut.
+//! and RL-Greedy lose the ability to plan holistically across the cut. Each
+//! stage is a window of G-Greedy's selection core
+//! (`global_greedy::run_window`) on the engine the earlier stages left, so
+//! one stage covering the horizon is G-Greedy itself.
 
-use crate::global_greedy::GreedyOutcome;
-use crate::heap::LazyMaxHeap;
-use crate::local_greedy::{run_time_step, sample_permutations};
-use revmax_core::{CandidateId, IncrementalRevenue, Instance, RevenueEngine as _, TimeStep};
+use crate::config::PlannerConfig;
+use crate::global_greedy::{outcome, run_window, GreedyOutcome};
+use crate::local_greedy::sample_permutations;
+use revmax_core::{IncrementalRevenue, Instance};
 
 /// Expands stage end points (e.g. `[2, 7]`) into inclusive time ranges
 /// (`[(1,2), (3,7)]`). The last stage is extended to the horizon if needed.
@@ -34,59 +37,15 @@ pub fn stages_from_ends(horizon: u32, stage_ends: &[u32]) -> Vec<(u32, u32)> {
 /// greedy is run stage by stage, each stage only selecting triples whose time
 /// step lies inside the stage, on top of the selections of earlier stages.
 pub fn global_greedy_staged(inst: &Instance, stage_ends: &[u32]) -> GreedyOutcome {
-    let stages = stages_from_ends(inst.horizon(), stage_ends);
-    let horizon = inst.horizon() as usize;
+    let parallel = PlannerConfig::default().parallel_init();
     let mut inc = IncrementalRevenue::new(inst);
     let mut evals = 0u64;
     let mut trace = Vec::new();
-
-    for (lo, hi) in stages {
-        // Ground set of this stage: candidate triples with t in [lo, hi].
-        let num_elements = inst.num_candidates() * horizon;
-        let mut values = vec![f64::NEG_INFINITY; num_elements];
-        let mut flags = vec![0u32; num_elements];
-        for cand in inst.candidates() {
-            for t in lo..=hi {
-                let element = cand.index() * horizon + (t as usize - 1);
-                values[element] = inc.marginal_revenue_cand(cand, TimeStep(t));
-                flags[element] = inc.group_size_cand(cand) as u32;
-                evals += 1;
-            }
-        }
-        let mut heap = LazyMaxHeap::new(&values);
-        while let Some((element, value)) = heap.pop() {
-            if value <= 0.0 {
-                break;
-            }
-            let cand = CandidateId(element / horizon as u32);
-            let t = TimeStep::from_index((element as usize) % horizon);
-            if inc.would_violate_cand(cand, t) {
-                heap.remove(element);
-                continue;
-            }
-            let group_size = inc.group_size_cand(cand) as u32;
-            if flags[element as usize] == group_size {
-                inc.insert_cand(cand, t);
-                heap.remove(element);
-                trace.push(inc.revenue());
-            } else {
-                let fresh = inc.marginal_revenue_cand(cand, t);
-                evals += 1;
-                flags[element as usize] = group_size;
-                heap.update(element, fresh);
-            }
-        }
+    for (lo, hi) in stages_from_ends(inst.horizon(), stage_ends) {
+        inc = run_window(inst, inc, lo..=hi, parallel, &mut evals, Some(&mut trace));
     }
-
     let revenue = inc.revenue();
-    GreedyOutcome {
-        revenue,
-        selection_objective: revenue,
-        strategy: inc.into_strategy(),
-        trace,
-        marginal_evaluations: evals,
-        concurrency: Default::default(),
-    }
+    outcome(inst, false, inc.into_strategy(), revenue, trace, evals)
 }
 
 /// RL-Greedy under staged price availability: within each stage, `permutations`
@@ -99,6 +58,7 @@ pub fn randomized_local_greedy_staged(
     seed: u64,
 ) -> GreedyOutcome {
     let stages = stages_from_ends(inst.horizon(), stage_ends);
+    let parallel = PlannerConfig::default().parallel_init();
     let mut inc = IncrementalRevenue::new(inst);
     let mut evals = 0u64;
     let mut trace = Vec::new();
@@ -106,44 +66,35 @@ pub fn randomized_local_greedy_staged(
     for (stage_idx, (lo, hi)) in stages.iter().enumerate() {
         let width = hi - lo + 1;
         let orders = sample_permutations(width, permutations, seed.wrapping_add(stage_idx as u64));
-        let mut best: Option<(IncrementalRevenue<'_>, u64, Vec<f64>)> = None;
+        let mut best: Option<(IncrementalRevenue<'_>, Vec<f64>)> = None;
         for order in &orders {
             let mut candidate_inc = inc.clone();
-            let mut candidate_evals = 0u64;
             let mut candidate_trace = Vec::new();
             for &offset in order {
-                let t = TimeStep(lo + offset - 1);
-                run_time_step(
+                let t = lo + offset - 1;
+                candidate_inc = run_window(
                     inst,
-                    &mut candidate_inc,
-                    t,
-                    false,
-                    &mut candidate_evals,
-                    &mut candidate_trace,
+                    candidate_inc,
+                    t..=t,
+                    parallel,
+                    &mut evals,
+                    Some(&mut candidate_trace),
                 );
             }
             if best
                 .as_ref()
-                .is_none_or(|(b, _, _)| candidate_inc.revenue() > b.revenue())
+                .is_none_or(|(b, _)| candidate_inc.revenue() > b.revenue())
             {
-                best = Some((candidate_inc, candidate_evals, candidate_trace));
+                best = Some((candidate_inc, candidate_trace));
             }
-            evals += candidate_evals;
         }
-        let (best_inc, _, best_trace) = best.expect("at least one ordering per stage");
+        let (best_inc, best_trace) = best.expect("at least one ordering per stage");
         inc = best_inc;
         trace.extend(best_trace);
     }
 
     let revenue = inc.revenue();
-    GreedyOutcome {
-        revenue,
-        selection_objective: revenue,
-        strategy: inc.into_strategy(),
-        trace,
-        marginal_evaluations: evals,
-        concurrency: Default::default(),
-    }
+    outcome(inst, false, inc.into_strategy(), revenue, trace, evals)
 }
 
 #[cfg(test)]
@@ -200,14 +151,6 @@ mod tests {
                 full.revenue
             );
         }
-    }
-
-    #[test]
-    fn staged_with_full_horizon_matches_unstaged() {
-        let inst = instance();
-        let full = global_greedy(&inst);
-        let staged = global_greedy_staged(&inst, &[inst.horizon()]);
-        assert!((staged.revenue - full.revenue).abs() < 1e-9);
     }
 
     #[test]

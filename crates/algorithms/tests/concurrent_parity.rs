@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use revmax_algorithms::{plan, plan_with, PlannerConfig};
+use revmax_algorithms::{plan, plan_with, PlanAlgorithm, PlannerConfig};
 use revmax_core::{
     env, CandidateId, IncrementalRevenue as Flat, Instance, InstanceBuilder, RevenueEngine,
     Strategy, TimeStep, UserShard,
@@ -262,44 +262,52 @@ impl<'a> RevenueEngine<'a> for PanicsOnLastUser<'a> {
     }
 }
 
-/// A panic in an executor worker reaches the caller: the worker's shards
-/// leave the coordinator's barrier as it unwinds, and the pool re-raises
-/// the panic, instead of the barrier waiting forever for them.
+/// A panic in a planner's worker thread reaches the caller with its own
+/// message. In the concurrent executor the worker's shards leave the
+/// coordinator's barrier as it unwinds, and the pool re-raises the panic,
+/// instead of the barrier waiting forever for them; RL-Greedy re-raises
+/// the panic of the thread that ran its orders.
 #[test]
 fn worker_panic_reaches_the_caller() {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let users = 4u32;
-        let mut b = InstanceBuilder::new(users, 2, 1);
-        b.display_limit(1);
-        b.capacity(0, users).constant_price(0, 10.0);
-        b.capacity(1, users).constant_price(1, 5.0);
-        for user in 0..users {
-            b.candidate(user, 0, &[0.5], 0.0);
-            b.candidate(user, 1, &[0.5], 0.0);
-        }
-        let inst = b.build().unwrap();
-        let cfg = PlannerConfig::default()
+    for cfg in [
+        PlannerConfig::default()
             .with_shards(2)
-            .with_shard_threads(2);
-        let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan_with::<PanicsOnLastUser<'_>>(&inst, &cfg, None)
-        }));
-        let message = planned.err().map(|panic| {
-            panic
-                .downcast_ref::<&str>()
-                .map(|m| m.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_default()
+            .with_shard_threads(2),
+        PlannerConfig::default()
+            .with_algorithm(PlanAlgorithm::RandomizedLocalGreedy { permutations: 4 }),
+    ] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let users = 4u32;
+            let mut b = InstanceBuilder::new(users, 2, 3);
+            b.display_limit(1);
+            b.capacity(0, users).constant_price(0, 10.0);
+            b.capacity(1, users).constant_price(1, 5.0);
+            for user in 0..users {
+                b.candidate(user, 0, &[0.5, 0.4, 0.3], 0.0);
+                b.candidate(user, 1, &[0.5, 0.4, 0.3], 0.0);
+            }
+            let inst = b.build().unwrap();
+            let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                plan_with::<PanicsOnLastUser<'_>>(&inst, &cfg, None)
+            }));
+            let message = planned.err().map(|panic| {
+                panic
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            let _ = tx.send(message);
         });
-        let _ = tx.send(message);
-    });
-    let message = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("the planner hung after a worker panic");
-    assert_eq!(
-        message.as_deref(),
-        Some("injected panic for the last user"),
-        "the worker's panic must reach the caller"
-    );
+        let message = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the planner hung after a worker panic");
+        assert_eq!(
+            message.as_deref(),
+            Some("injected panic for the last user"),
+            "{:?}: the worker's panic must reach the caller",
+            cfg.algorithm
+        );
+    }
 }

@@ -1,53 +1,102 @@
-//! The parity suites' G-Greedy reference: the pop-per-iteration lazy-heap
-//! loop, written against the public `RevenueEngine` and `LazyMaxHeap` API.
+//! The parity suites' references: naive lazy-forward greedy loops, written
+//! against the public `RevenueEngine` API, that select with a plain argmax
+//! over cached values (the largest value, ties to the smaller candidate id).
 //!
-//! Every G-Greedy plan runs on the tournament-tree selection core. This loop
-//! is the independent statement of what that core must select: one
-//! `LazyMaxHeap` round trip per examined candidate, display-full slots
-//! drained when their candidate surfaces (and the candidate re-queued rather
-//! than processed on the spot), capacity retirement on surfacing, and stale
-//! candidates re-evaluated through the same `marginal_revenue_batch` call
-//! the core uses — so cached values, and therefore plans and revenues, must
-//! agree bit for bit.
+//! Every greedy plan runs on the tournament-tree selection core. These
+//! loops are the independent statement of what that core must select:
 //!
-//! Like the drivers, the loop is generic over the engine: the parity suites
-//! run it on the same engine type they pass to `plan_with` (the flat engine
-//! or a `revmax_oracle` reference).
+//! * [`argmax_greedy`] is G-Greedy (Algorithm 1 with §5.1's lazy forward):
+//!   each step takes the best cached slot of the best candidate, drops a
+//!   display-full slot, retires a candidate whose item is full, refreshes a
+//!   stale candidate through the same `marginal_revenue_batch` call the core
+//!   uses, and commits a fresh one;
+//! * [`sl_greedy`] is SL-Greedy (Algorithm 2) step by step: per time step,
+//!   a scan of every candidate's marginal, then the same climb over one
+//!   slot per candidate, refreshing through `marginal_revenue_cand`;
+//!   [`rl_greedy`] keeps the best of its runs under RL-Greedy's orders.
+//!
+//! Cached values, and therefore plans and revenues, must agree with the
+//! core bit for bit. Like the drivers, the loops are generic over the
+//! engine: the parity suites run them on the same engine type they pass to
+//! `plan_with` (the flat engine or a `revmax_oracle` reference).
 
-use revmax_algorithms::{GreedyOutcome, LazyMaxHeap, PlanAlgorithm, PlannerConfig};
+use revmax_algorithms::{sample_permutations, GreedyOutcome, PlanAlgorithm, PlannerConfig};
 use revmax_core::{revenue, CandidateId, Instance, ResidualDelta, RevenueEngine, TimeStep};
 
-/// Best live slot of a candidate's row: `(t index, value)`, first maximum
-/// on ties; `None` when every slot is blocked (`NEG_INFINITY`).
-fn best(row: &[f64]) -> Option<(usize, f64)> {
+/// The first index holding the largest value, with that value; `None` when
+/// every value is `NEG_INFINITY` (dead). An index loop, because the suites
+/// run it over thousands of candidates per step in unoptimised builds too.
+fn argmax(values: &[f64]) -> Option<(usize, f64)> {
     let mut best = None;
     let mut best_v = f64::NEG_INFINITY;
-    for (t, &v) in row.iter().enumerate() {
-        if v > best_v {
-            best_v = v;
-            best = Some((t, v));
+    let mut i = 0;
+    while i < values.len() {
+        if values[i] > best_v {
+            best_v = values[i];
+            best = Some((i, best_v));
         }
+        i += 1;
     }
     best
 }
 
+/// The engine a plan starts from: warm-started from `delta` when `cfg`
+/// asks for it, cold otherwise.
+fn engine<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    ignore_saturation: bool,
+    cfg: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+) -> E {
+    let shard = inst.full_shard();
+    match delta {
+        Some(delta) if cfg.warm_start => E::warm_start(inst, ignore_saturation, shard, delta),
+        _ => E::for_shard(inst, ignore_saturation, shard),
+    }
+}
+
+/// The outcome of the plan `inc` holds; a saturation-blind plan reports
+/// the true revenue of its strategy.
+fn outcome<'a, E: RevenueEngine<'a>>(
+    inst: &Instance,
+    ignore_saturation: bool,
+    inc: E,
+    trace: Vec<f64>,
+    marginal_evaluations: u64,
+) -> GreedyOutcome {
+    let selection_objective = inc.revenue();
+    let strategy = inc.into_strategy();
+    GreedyOutcome {
+        revenue: if ignore_saturation {
+            revenue(inst, &strategy)
+        } else {
+            selection_objective
+        },
+        strategy,
+        selection_objective,
+        trace,
+        marginal_evaluations,
+        concurrency: Default::default(),
+    }
+}
+
 /// Plans G-Greedy (or `GlobalNo`, per `cfg.algorithm`) on one shard of
-/// engine `E` with the heap loop. Honours `track_trace` and `warm_start`
-/// (with `delta`); every other knob only changes speed.
-pub fn heap_greedy<'a, E: RevenueEngine<'a>>(
+/// engine `E`. Honours `track_trace` and `warm_start` (with `delta`); every
+/// other knob only changes speed.
+pub fn argmax_greedy<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
     let ignore_saturation = cfg.algorithm == PlanAlgorithm::GlobalNoSaturation;
-    let shard = inst.full_shard();
-    let mut inc = match delta {
-        Some(delta) if cfg.warm_start => E::warm_start(inst, ignore_saturation, shard, delta),
-        _ => E::for_shard(inst, ignore_saturation, shard),
-    };
-
+    let mut inc: E = engine(inst, ignore_saturation, cfg, delta);
     let horizon = inst.horizon() as usize;
+    assert!(
+        horizon <= 64,
+        "the oracle refreshes whole rows in one batch"
+    );
     let num_cand = inst.num_candidates();
+    // One row of cached marginals per candidate, `q · p` at stamp 0 to start.
     let mut values: Vec<f64> = (0..num_cand * horizon)
         .map(|slot| {
             let cand = CandidateId((slot / horizon) as u32);
@@ -56,94 +105,116 @@ pub fn heap_greedy<'a, E: RevenueEngine<'a>>(
         })
         .collect();
     let mut flags = vec![0u32; num_cand * horizon];
-    let row = |c: u32| c as usize * horizon..(c as usize + 1) * horizon;
-    let roots: Vec<f64> = (0..num_cand as u32)
-        .map(|c| best(&values[row(c)]).map_or(f64::NEG_INFINITY, |(_, v)| v))
-        .collect();
-    let mut heap = LazyMaxHeap::new(&roots);
+    let row = |c: usize| c * horizon..(c + 1) * horizon;
+    let root =
+        |values: &[f64], c: usize| argmax(&values[row(c)]).map_or(f64::NEG_INFINITY, |b| b.1);
+    let mut roots: Vec<f64> = (0..num_cand).map(|c| root(&values, c)).collect();
     let mut trace = Vec::new();
     let mut evals = 0u64;
 
-    'outer: while (inc.len() as u64) < inst.total_slots() {
-        let Some((c, root_value)) = heap.pop() else {
+    while (inc.len() as u64) < inst.total_slots() {
+        let Some((c, value)) = argmax(&roots) else {
             break;
         };
-        if root_value <= 0.0 {
+        if value <= 0.0 {
             break;
         }
-        let cand = CandidateId(c);
-        let base = c as usize * horizon;
-
-        // Drain the candidate's display-full slots; if any was blocked,
-        // re-queue it at its new best instead of processing it now.
-        let mut blocked_any = false;
-        let t_idx = loop {
-            let Some((t_idx, _)) = best(&values[row(c)]) else {
-                heap.remove(c);
-                continue 'outer;
-            };
-            let t = TimeStep::from_index(t_idx);
-            if !inc.would_violate_cand(cand, t) {
-                break t_idx;
-            }
-            if inc.would_violate_display_cand(cand, t) {
-                values[base + t_idx] = f64::NEG_INFINITY;
-                blocked_any = true;
-            } else {
-                // Capacity exhausted by other users: the candidate dies.
-                heap.remove(c);
-                continue 'outer;
-            }
-        };
-        if blocked_any {
-            heap.update(c, values[base + t_idx]);
-            continue;
-        }
-
+        let (t_idx, _) = argmax(&values[row(c)]).expect("a live root has a live slot");
+        let cand = CandidateId(c as u32);
+        let t = TimeStep::from_index(t_idx);
+        let slot = c * horizon + t_idx;
         let stamp = inc.group_size_cand(cand) as u32;
-        if flags[base + t_idx] == stamp {
-            inc.insert_cand(cand, TimeStep::from_index(t_idx));
-            values[base + t_idx] = f64::NEG_INFINITY;
+        if inc.would_violate_display_cand(cand, t) {
+            values[slot] = f64::NEG_INFINITY;
+        } else if inc.would_violate_cand(cand, t) {
+            // Capacity exhausted by other users: the candidate dies.
+            values[row(c)].fill(f64::NEG_INFINITY);
+        } else if flags[slot] == stamp {
+            inc.insert_cand(cand, t);
+            values[slot] = f64::NEG_INFINITY;
             if cfg.track_trace {
                 trace.push(inc.revenue());
             }
-        } else if horizon <= 64 {
+        } else {
             let mut mask = 0u64;
-            for t in 0..horizon {
-                if values[base + t] != f64::NEG_INFINITY {
-                    mask |= 1 << t;
-                    flags[base + t] = stamp;
+            for (i, s) in row(c).enumerate() {
+                if values[s] != f64::NEG_INFINITY {
+                    mask |= 1 << i;
+                    flags[s] = stamp;
                 }
             }
             evals += inc.marginal_revenue_batch(cand, mask, &mut values[row(c)]) as u64;
-        } else {
-            for t in 0..horizon {
-                if values[base + t] != f64::NEG_INFINITY {
-                    values[base + t] = inc.marginal_revenue_cand(cand, TimeStep::from_index(t));
-                    flags[base + t] = stamp;
-                    evals += 1;
+        }
+        roots[c] = root(&values, c);
+    }
+    outcome(inst, ignore_saturation, inc, trace, evals)
+}
+
+/// Plans SL-Greedy (Algorithm 2) on engine `E` under `order`, a sequence of
+/// time steps. Honours `warm_start` (with `delta`); the objective after
+/// every insertion is recorded, as SL-Greedy always does.
+pub fn sl_greedy<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    order: &[u32],
+    cfg: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+) -> GreedyOutcome {
+    let mut inc: E = engine(inst, false, cfg, delta);
+    let cands: Vec<CandidateId> = inst.candidates().collect();
+    let mut trace = Vec::new();
+    let mut evals = 0u64;
+    for &t in order {
+        let t = TimeStep(t);
+        // Every candidate's marginal at t, flagged with its group size.
+        let mut values: Vec<f64> = cands
+            .iter()
+            .map(|&c| inc.marginal_revenue_cand(c, t))
+            .collect();
+        let mut flags: Vec<usize> = cands.iter().map(|&c| inc.group_size_cand(c)).collect();
+        evals += cands.len() as u64;
+        while let Some((c, value)) = argmax(&values) {
+            if value <= 0.0 {
+                break;
+            }
+            let cand = cands[c];
+            let stamp = inc.group_size_cand(cand);
+            if inc.would_violate_display_cand(cand, t) {
+                // The user's display at t is full: none of their candidates
+                // fits any more.
+                for other in inst.candidates_of_user(inst.candidate_user(cand)) {
+                    values[other.index()] = f64::NEG_INFINITY;
                 }
+            } else if inc.would_violate_cand(cand, t) {
+                values[c] = f64::NEG_INFINITY;
+            } else if flags[c] == stamp {
+                inc.insert_cand(cand, t);
+                values[c] = f64::NEG_INFINITY;
+                trace.push(inc.revenue());
+            } else {
+                values[c] = inc.marginal_revenue_cand(cand, t);
+                flags[c] = stamp;
+                evals += 1;
             }
         }
-        match best(&values[row(c)]) {
-            Some((_, v)) => heap.update(c, v),
-            None => heap.remove(c),
-        }
     }
+    outcome(inst, false, inc, trace, evals)
+}
 
-    let selection_objective = inc.revenue();
-    let strategy = inc.into_strategy();
-    let true_revenue = if ignore_saturation {
-        revenue(inst, &strategy)
-    } else {
-        selection_objective
-    };
-    GreedyOutcome {
-        strategy,
-        revenue: true_revenue,
-        selection_objective,
-        trace,
-        marginal_evaluations: evals,
-        concurrency: Default::default(),
-    }
+/// Plans RL-Greedy on engine `E`: [`sl_greedy`] under each of the orders
+/// RL-Greedy samples for `cfg.seed`, keeping the most profitable (the last
+/// among equals). Returns the winning order with its plan.
+pub fn rl_greedy<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    permutations: usize,
+    cfg: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+) -> (Vec<u32>, GreedyOutcome) {
+    sample_permutations(inst.horizon(), permutations, cfg.seed)
+        .into_iter()
+        .map(|order| {
+            let plan = sl_greedy::<E>(inst, &order, cfg, delta);
+            (order, plan)
+        })
+        .max_by(|a, b| a.1.revenue.total_cmp(&b.1.revenue))
+        .expect("at least one order")
 }
