@@ -74,11 +74,16 @@ pub struct PlannerConfig {
     pub seed: u64,
     /// Record the objective value after every selection (Figure 4 traces).
     pub track_trace: bool,
-    /// Thread parallelism for the selection core's table fills: `None`
-    /// (default) and `Some(true)` fill a time window of at least 16,384 live
-    /// slots (candidates × time steps in the window) on scoped threads,
-    /// `Some(false)` never does. Parallel and sequential fills are
-    /// bit-identical.
+    /// Thread parallelism of one-shard plans: `None` (default) and
+    /// `Some(true)` fill a time window of at least 16,384 live slots
+    /// (candidates × time steps in the window) on scoped threads, and let a
+    /// G-Greedy plan of that size in which no item is scarce (every item's
+    /// non-exempt candidate demand fits its capacity) split its users into
+    /// one shard per CPU, each selecting on its own thread. `Some(false)`
+    /// does neither. Both are exact: parallel and sequential fills are
+    /// bit-identical, and a split plan is the one-shard outcome bit for bit
+    /// (revenue, strategy order, trace and evaluation count). On a one-CPU
+    /// host nothing forks.
     pub parallel: Option<bool>,
     /// Warm-start residual replans (off by default): when a replan comes
     /// with a [`ResidualDelta`] (see [`plan_residual`]), engines recycle the
@@ -217,8 +222,9 @@ impl PlannerConfig {
         matches!(self.algorithm, PlanAlgorithm::GlobalNoSaturation)
     }
 
-    /// Table-fill parallelism (on unless switched off; the fill itself is
-    /// additionally gated by the window's live slot count).
+    /// One-shard parallelism (on unless switched off; the fill and the
+    /// split are additionally gated by the window's live slot count, and
+    /// the split by scarcity).
     pub(crate) fn parallel_init(&self) -> bool {
         self.parallel.unwrap_or(true)
     }

@@ -25,14 +25,27 @@
 //!
 //! Every greedy plan runs on one selection core, `ShardCore`: an engine
 //! view, a `CandidateTable`, a `CandTournament` and a cached argmax per
-//! candidate, over one user shard and one time window. G-Greedy's window is
-//! the whole horizon. One shard covering every user is the one-shard driver
-//! (`run_window`); [`crate::sharded`] runs several on a pool of worker
-//! threads, coupled through a shared capacity ledger. The only thing that
-//! differs is where capacity lives (`Capacity`). SL-Greedy and RL-Greedy
-//! ([`crate::local_greedy`]) run the one-shard driver one time step at a
-//! time, and the staged variants ([`crate::staged`]) one sub-horizon at a
-//! time, each window on the engine the previous one left.
+//! candidate, over one user shard and one time window. The one selection
+//! loop, `run_window`, runs the core over a shard with capacity read from
+//! the engine's own counters. G-Greedy's window is the whole horizon;
+//! SL-Greedy and RL-Greedy ([`crate::local_greedy`]) run the loop over
+//! every user one time step at a time, and the staged variants
+//! ([`crate::staged`]) one sub-horizon at a time, each window on the engine
+//! the previous one left. [`crate::sharded`] runs several cores on a pool
+//! of worker threads, coupled through a shared capacity ledger; the only
+//! thing that differs is where capacity lives (`Capacity`).
+//!
+//! # Where the second core comes from
+//!
+//! Item capacity is the only thing that couples users. When no item is
+//! scarce before any claim (every item's non-exempt candidate demand fits
+//! its capacity), no capacity gate can close, so a user shard's steps are
+//! the one-shard run's steps restricted to its users. The default G-Greedy
+//! plan then cuts the users into one shard per CPU (`plan_shards`), runs
+//! `run_window` on each shard on its own thread, and merges the insertions
+//! back into the one-shard order (`merge_by_floor`). The outcome is the
+//! one-shard outcome bit for bit: strategy order, revenue, trace and
+//! evaluation count.
 //!
 //! The drivers are generic over [`RevenueEngine`]: the planner runs the
 //! flat-arena [`revmax_core::IncrementalRevenue`], and the parity suites
@@ -46,7 +59,7 @@
 //! scoped threads.
 
 use crate::config::PlannerConfig;
-use crate::par;
+use crate::{par, sharded};
 use revmax_core::{
     revenue, CandidateId, Instance, ResidualDelta, RevenueEngine, Strategy, TimeStep, Triple,
     UserShard,
@@ -134,6 +147,11 @@ pub(crate) fn make_engine<'a, E: RevenueEngine<'a>>(
     }
 }
 
+/// Live slots (candidates × time steps in the window) from which a
+/// window's table fill forks threads, and from which the default G-Greedy
+/// plan splits its users across CPUs.
+const FORK_SLOTS: usize = 1 << 14;
+
 /// Struct-of-arrays per-candidate cached state: slot `local_cand * T + t`
 /// holds the cached (possibly stale) marginal revenue and the lazy-forward
 /// flag it was computed under. A blocked (dead) slot is encoded as
@@ -155,8 +173,8 @@ impl CandidateTable {
     /// a slot's marginal is `q(u,i,t) · p(i,t)` at stamp 0, which costs no
     /// evaluation. Any other engine evaluates the window's slots, stamped
     /// with their group sizes, and adds the evaluations to `evals`. With
-    /// `parallel`, a window of at least 16,384 live slots is filled on
-    /// scoped threads.
+    /// `parallel`, a window of at least [`FORK_SLOTS`] live slots is filled
+    /// on scoped threads.
     fn for_window<'a, E: RevenueEngine<'a>>(
         inst: &Instance,
         inc: &E,
@@ -183,7 +201,7 @@ impl CandidateTable {
             }
         };
         let mut values = vec![f64::NEG_INFINITY; n];
-        if parallel && shard.num_candidates() * window.clone().count() >= 1 << 14 {
+        if parallel && shard.num_candidates() * window.clone().count() >= FORK_SLOTS {
             par::parallel_fill(&mut values, fill);
         } else {
             for (slot, v) in values.iter_mut().enumerate() {
@@ -726,58 +744,164 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
     }
 }
 
-/// The one-shard driver: greedily extends the selections `inc` holds with
-/// triples whose time step lies in `window`, on the selection core over
-/// every user with capacity read from the engine's own counters, and
+/// One insertion of a window run: the triple, its realised marginal, and
+/// the run's floor when it was made — the [`precedes`]-minimum of every
+/// root key the run had stepped on so far.
+pub(crate) struct Insertion {
+    z: Triple,
+    marginal: f64,
+    floor: (f64, u32),
+}
+
+/// The selection loop: greedily extends the selections `inc` holds with
+/// triples of the shard's users whose time step lies in `window`, on the
+/// selection core with capacity read from the engine's own counters, and
 /// returns the extended engine. Marginal evaluations are added to `evals`,
-/// and the objective after each insertion is pushed to `trace` when given.
+/// and `on_insert` sees the engine after each insertion.
 pub(crate) fn run_window<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     inc: E,
+    shard: UserShard,
     window: RangeInclusive<u32>,
     parallel: bool,
     evals: &mut u64,
-    mut trace: Option<&mut Vec<f64>>,
+    mut on_insert: impl FnMut(&E, Insertion),
 ) -> E {
-    let mut core = ShardCore::new(inst, inc, inst.full_shard(), window, parallel, evals);
+    let mut core = ShardCore::new(inst, inc, shard, window, parallel, evals);
     let total_slots = inst.total_slots();
-    while (core.inc.len() as u64) < total_slots && core.lead().is_some() {
-        if let Step::Inserted { .. } = core.step(&EngineCapacity, evals) {
-            if let Some(trace) = trace.as_deref_mut() {
-                trace.push(core.inc.revenue());
-            }
+    let mut floor = (f64::INFINITY, 0);
+    while (core.inc.len() as u64) < total_slots {
+        let Some(root) = core.lead() else { break };
+        if precedes(floor, root) {
+            floor = root;
+        }
+        if let Step::Inserted { z, marginal } = core.step(&EngineCapacity, evals) {
+            on_insert(&core.inc, Insertion { z, marginal, floor });
         }
     }
     core.inc
 }
 
-/// The one-shard G-Greedy plan: one window over the whole horizon.
+/// The user shards a G-Greedy plan selects on: one per CPU when `parallel`
+/// is on, the host has two or more CPUs, the window holds at least
+/// [`FORK_SLOTS`] live slots and no item is scarce before any claim
+/// ([`sharded::any_item_scarce`]); every user in one shard otherwise.
+fn plan_shards(inst: &Instance, cfg: &PlannerConfig) -> Vec<UserShard> {
+    let slots = inst.num_candidates() * inst.horizon() as usize;
+    let workers = if cfg.parallel_init() && slots >= FORK_SLOTS {
+        par::worker_count(inst.num_users() as usize)
+    } else {
+        1
+    };
+    if workers < 2 || sharded::any_item_scarce(inst) {
+        return vec![inst.full_shard()];
+    }
+    sharded::shard_users(inst, workers)
+}
+
+/// The one-shard G-Greedy plan: one window over the whole horizon, on the
+/// user shards [`plan_shards`] picks (see [`plan_on_shards`]).
 pub(crate) fn one_shard_plan<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
+    plan_on_shards::<E>(inst, cfg, delta, &plan_shards(inst, cfg))
+}
+
+/// Runs the G-Greedy window on each of `shards` — the first on the calling
+/// thread, the rest on a scoped pool — with capacity read from each shard
+/// engine's own counters, and merges the runs ([`merge_by_floor`]): the
+/// strategy and trace in merged order, the revenue folded from 0.0 in that
+/// order, the evaluation counts summed. When no item is scarce before any
+/// claim, no capacity gate closes, each shard's steps are the one-shard
+/// run's steps restricted to its users, and the outcome is the one-shard
+/// outcome bit for bit. (Under eager re-evaluation only the evaluation
+/// count can differ; see [`crate::sharded`].) One shard is the one-shard
+/// run itself and merges as itself; only its table fill may fork.
+fn plan_on_shards<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    cfg: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+    shards: &[UserShard],
+) -> GreedyOutcome {
     let ignore_saturation = cfg.ignores_saturation();
-    let inc: E = make_engine(inst, ignore_saturation, inst.full_shard(), cfg, delta);
+    let parallel = cfg.parallel_init() && shards.len() == 1;
+    let run = |shard: UserShard| {
+        let inc: E = make_engine(inst, ignore_saturation, shard, cfg, delta);
+        let mut evals = 0u64;
+        let mut insertions = Vec::new();
+        let window = 1..=inst.horizon();
+        let inc = run_window(inst, inc, shard, window, parallel, &mut evals, |_, ins| {
+            insertions.push(ins)
+        });
+        (inc, insertions, evals)
+    };
+    let (first, rest) = shards
+        .split_first()
+        .expect("a plan covers one shard or more");
+    let (others, own) = par::scoped_pool(rest.len(), |tid| run(rest[tid]), || run(*first));
+
+    let mut engines = Vec::with_capacity(shards.len());
+    let mut runs = Vec::with_capacity(shards.len());
+    let mut evals = 0;
+    for (inc, insertions, shard_evals) in std::iter::once(own).chain(others) {
+        engines.push(inc);
+        runs.push(insertions);
+        evals += shard_evals;
+    }
+    let mut objective = 0.0;
     let mut trace = Vec::new();
-    let mut evals: u64 = 0;
-    let inc = run_window(
-        inst,
-        inc,
-        1..=inst.horizon(),
-        cfg.parallel_init(),
-        &mut evals,
-        cfg.track_trace.then_some(&mut trace),
-    );
-    let objective = inc.revenue();
-    outcome(
-        inst,
-        ignore_saturation,
-        inc.into_strategy(),
-        objective,
-        trace,
-        evals,
-    )
+    let split = shards.len() > 1;
+    let mut merged_strategy =
+        split.then(|| Strategy::with_capacity(runs.iter().map(Vec::len).sum()));
+    merge_by_floor(&runs, |ins| {
+        objective += ins.marginal;
+        if cfg.track_trace {
+            trace.push(objective);
+        }
+        if let Some(strategy) = merged_strategy.as_mut() {
+            strategy.insert(ins.z);
+        }
+    });
+    // Engines are released on the calling thread, in shard order, so
+    // warm-started ones return their buffers to the session pool in a fixed
+    // order. One engine's own strategy is already in merged order.
+    let mut strategies: Vec<Strategy> = engines.into_iter().map(E::into_strategy).collect();
+    let strategy = merged_strategy.unwrap_or_else(|| strategies.swap_remove(0));
+    outcome(inst, ignore_saturation, strategy, objective, trace, evals)
+}
+
+/// Visits shard runs' insertions in the order in which one run over all
+/// their users makes them. That run's root is the [`precedes`]-maximum of
+/// the shard roots, so it steps the shards in turn, each time the one whose
+/// root leads. When a shard's step sets its floor `f`, that shard leads
+/// every other root; its next steps keep keys not below `f` until one sets
+/// a lower floor, and the other roots stay put meanwhile. So every step
+/// runs while the other shards' roots, and with them all their later
+/// floors, lie below its own floor: the one run orders steps by floor,
+/// greatest first. Floors never rise within a run and never tie across
+/// runs (each is the key of a candidate of its shard), so taking the head
+/// with the greatest floor next reproduces the order. One run merges as
+/// itself.
+fn merge_by_floor(runs: &[Vec<Insertion>], mut visit: impl FnMut(&Insertion)) {
+    let mut heads = vec![0usize; runs.len()];
+    loop {
+        let mut next: Option<usize> = None;
+        for (r, run) in runs.iter().enumerate() {
+            let Some(ins) = run.get(heads[r]) else {
+                continue;
+            };
+            if next.is_none_or(|n| precedes(ins.floor, runs[n][heads[n]].floor)) {
+                next = Some(r);
+            }
+        }
+        let Some(r) = next else {
+            return;
+        };
+        visit(&runs[r][heads[r]]);
+        heads[r] += 1;
+    }
 }
 
 /// Assembles a greedy outcome; `GlobalNo` plans report the true revenue of
@@ -808,7 +932,12 @@ pub(crate) fn outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revmax_core::{marginal_revenue, IncrementalRevenue, InstanceBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use revmax_core::{
+        marginal_revenue, residual_of_validated, AdoptionEvent, EngineSnapshot, IncrementalRevenue,
+        InstanceBuilder,
+    };
     use revmax_oracle::{Eager, HashIncrementalRevenue};
 
     /// Small instance with one class of two items, price drops, and saturation.
@@ -1029,5 +1158,223 @@ mod tests {
         // Capacity 2 on the only item: at most 2 distinct users can receive it.
         let users: std::collections::HashSet<_> = out.strategy.iter().map(|z| z.user).collect();
         assert!(users.len() <= 2);
+    }
+
+    /// A small instance in which no item is scarce: 5–8 users, so that five
+    /// shards can be cut; 3–6 items; horizons 2–5; each class uniform-β,
+    /// mixed-β, β = 1 or β = 0. Each item's capacity lies between its
+    /// candidate demand and the user count. With `twins`, every user has
+    /// user 0's candidate rows, so marginals tie across the shard cuts and
+    /// candidate ids decide.
+    fn abundant_instance(rng: &mut StdRng, twins: bool) -> Instance {
+        let users = rng.gen_range(5u32..=8);
+        let items = rng.gen_range(3u32..=6);
+        let horizon = rng.gen_range(2u32..=5);
+        let classes: Vec<Option<f64>> = (0..rng.gen_range(2..=3))
+            .map(|_| {
+                [Some(rng.gen_range(0.2..=0.95)), None, Some(1.0), Some(0.0)][rng.gen_range(0..4)]
+            })
+            .collect();
+        let mut b = InstanceBuilder::new(users, items, horizon);
+        b.display_limit(rng.gen_range(1u32..=2));
+        let mut demand = vec![0u32; items as usize];
+        let mut first_rows: Vec<Option<Vec<f64>>> = Vec::new();
+        for user in 0..users {
+            for item in 0..items {
+                let row = if twins && user > 0 {
+                    first_rows[item as usize].clone()
+                } else {
+                    rng.gen_bool(0.8)
+                        .then(|| (0..horizon).map(|_| rng.gen_range(0.05..0.8)).collect())
+                };
+                if let Some(probs) = &row {
+                    b.candidate(user, item, probs, probs[0] * 5.0);
+                    demand[item as usize] += 1;
+                }
+                if user == 0 {
+                    first_rows.push(row);
+                }
+            }
+        }
+        for item in 0..items {
+            let class = rng.gen_range(0..classes.len());
+            let beta = classes[class].unwrap_or_else(|| rng.gen_range(0.1..=1.0));
+            let prices: Vec<f64> = (0..horizon).map(|_| rng.gen_range(5.0..50.0)).collect();
+            b.item_class(item, class as u32)
+                .beta(item, beta)
+                .capacity(item, rng.gen_range(demand[item as usize]..=users))
+                .prices(item, &prices);
+        }
+        b.build().unwrap()
+    }
+
+    /// A display prefix up to `now`: each user sees up to the display limit
+    /// of distinct random items per step, and adopts about a third.
+    fn random_events(rng: &mut StdRng, inst: &Instance, now: u32) -> Vec<AdoptionEvent> {
+        let mut events = Vec::new();
+        for t in 1..=now {
+            for user in 0..inst.num_users() {
+                let mut shown: Vec<u32> = Vec::new();
+                for _ in 0..inst.display_limit() {
+                    let item = rng.gen_range(0..inst.num_items());
+                    if !shown.contains(&item) {
+                        shown.push(item);
+                        events.push(if rng.gen_bool(0.3) {
+                            AdoptionEvent::adopted(user, item, t)
+                        } else {
+                            AdoptionEvent::rejected(user, item, t)
+                        });
+                    }
+                }
+            }
+        }
+        events
+    }
+
+    /// The G-Greedy plan of `inst` on engine `E`, forced onto 2, 3 and 5
+    /// user shards, against the one-shard loop: the revenue bits, the
+    /// strategy in insertion order and the trace bits, and with `counted`
+    /// the marginal evaluation count. Returns the number of split plans
+    /// compared (a cut of an instance whose candidates belong to one user
+    /// is one shard).
+    fn split_vs_one_shard<'a, E: RevenueEngine<'a>>(
+        label: &str,
+        inst: &'a Instance,
+        cfg: &PlannerConfig,
+        delta: Option<&ResidualDelta>,
+        counted: bool,
+    ) -> u32 {
+        let one = plan_on_shards::<E>(inst, cfg, delta, &[inst.full_shard()]);
+        let mut splits = 0;
+        for pieces in [2, 3, 5] {
+            let shards = sharded::shard_users(inst, pieces);
+            if shards.len() < 2 {
+                continue;
+            }
+            splits += 1;
+            let split = plan_on_shards::<E>(inst, cfg, delta, &shards);
+            let label = format!("{label}, {} shards", shards.len());
+            assert_eq!(
+                split.revenue.to_bits(),
+                one.revenue.to_bits(),
+                "{label}: revenue"
+            );
+            assert_eq!(
+                split.strategy.as_slice(),
+                one.strategy.as_slice(),
+                "{label}: strategy"
+            );
+            let bits = |o: &GreedyOutcome| o.trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&split), bits(&one), "{label}: trace");
+            assert!(
+                !one.trace.is_empty() || one.strategy.is_empty(),
+                "{label}: untraced"
+            );
+            if counted {
+                assert_eq!(
+                    split.marginal_evaluations, one.marginal_evaluations,
+                    "{label}: marginal evaluations"
+                );
+            }
+            assert_eq!(
+                split.concurrency,
+                ConcurrencyStats::default(),
+                "{label}: executor statistics"
+            );
+        }
+        splits
+    }
+
+    /// The split is exact wherever no item is scarce: on abundant instances
+    /// (a quarter with twin users), G-Greedy and GG-No, traced, cold and on
+    /// warm residuals with exempt pairs, plans at 2, 3 and 5 shards equal the
+    /// one-shard loop on the flat and hash engines, evaluation count
+    /// included. Under eager re-evaluation, whose stamps count a shard
+    /// engine's own selections, the plan is equal and only the count may
+    /// differ. A floor differs from the root key of its step only after a
+    /// re-evaluation raised a cached marginal (the non-submodular corner of
+    /// docs/submodularity.md), which about one case in 250 reaches; merging
+    /// by the raw root key instead fails cases 526 and 960.
+    #[test]
+    fn split_plans_are_the_one_shard_plan() {
+        let mut rng = StdRng::seed_from_u64(0x5711_7a11);
+        // Split plans compared, cold and on warm residuals.
+        let mut splits = [0u32; 2];
+        for case in 0..1000u32 {
+            let inst = abundant_instance(&mut rng, case % 4 == 3);
+            assert!(!sharded::any_item_scarce(&inst), "case {case}: scarce item");
+            let now = rng.gen_range(1..inst.horizon());
+            let events = random_events(&mut rng, &inst, now);
+            let residual = residual_of_validated(&inst, &events, now);
+            assert!(residual.has_exemptions(), "case {case}: no exempt pair");
+            let delta = ResidualDelta::initial(EngineSnapshot::new());
+            for algorithm in [
+                crate::PlanAlgorithm::GlobalGreedy,
+                crate::PlanAlgorithm::GlobalNoSaturation,
+            ] {
+                let cfg = PlannerConfig::default()
+                    .with_algorithm(algorithm)
+                    .with_track_trace(true);
+                let mut phases = vec![(0, &inst, cfg, None)];
+                // Displays to users without the item's candidate can leave
+                // a residual item scarce; the split never plans those.
+                if !sharded::any_item_scarce(&residual) {
+                    phases.push((1, &residual, cfg.with_warm_start(true), Some(&delta)));
+                }
+                for (phase, target, cfg, delta) in phases {
+                    let label =
+                        |engine| format!("case {case} {algorithm:?} phase {phase} {engine}");
+                    type Flat<'a> = IncrementalRevenue<'a>;
+                    type Hash<'a> = HashIncrementalRevenue<'a>;
+                    splits[phase] +=
+                        split_vs_one_shard::<Flat<'_>>(&label("flat"), target, &cfg, delta, true);
+                    split_vs_one_shard::<Hash<'_>>(&label("hash"), target, &cfg, delta, true);
+                    split_vs_one_shard::<Eager<Flat<'_>>>(
+                        &label("eager"),
+                        target,
+                        &cfg,
+                        delta,
+                        false,
+                    );
+                }
+            }
+        }
+        assert!(splits[0] >= 5000, "only {} cold split plans", splits[0]);
+        assert!(splits[1] >= 2500, "only {} warm split plans", splits[1]);
+    }
+
+    /// The scarcity rule at its boundary: demand equal to capacity is
+    /// abundant, one candidate more is scarce, and an exempt pair's
+    /// candidate is not demand.
+    #[test]
+    fn scarcity_rule_counts_non_exempt_demand_against_capacity() {
+        let instance = |capacity: u32, exempt: bool| {
+            let mut b = InstanceBuilder::new(3, 2, 1);
+            b.capacity(0, capacity)
+                .capacity(1, 3)
+                .constant_price(0, 1.0)
+                .constant_price(1, 1.0);
+            for user in 0..3 {
+                b.candidate(user, 0, &[0.5], 0.0)
+                    .candidate(user, 1, &[0.5], 0.0);
+            }
+            if exempt {
+                b.exempt_user(0, 2);
+            }
+            b.build().unwrap()
+        };
+        assert!(
+            !sharded::any_item_scarce(&instance(3, false)),
+            "demand = capacity"
+        );
+        assert!(
+            sharded::any_item_scarce(&instance(2, false)),
+            "demand = capacity + 1"
+        );
+        assert!(
+            !sharded::any_item_scarce(&instance(2, true)),
+            "exempt pair counted"
+        );
+        assert!(sharded::any_item_scarce(&instance(1, true)));
     }
 }

@@ -41,12 +41,14 @@ pub(crate) fn run_order<'a, E: RevenueEngine<'a>>(
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
 ) -> GreedyOutcome {
-    let mut inc: E = make_engine(inst, false, inst.full_shard(), cfg, delta);
+    let shard = inst.full_shard();
+    let mut inc: E = make_engine(inst, false, shard, cfg, delta);
     let parallel = cfg.parallel_init();
     let mut evals = 0u64;
     let mut trace = Vec::new();
     for &t in order {
-        inc = run_window(inst, inc, t..=t, parallel, &mut evals, Some(&mut trace));
+        let on_insert = |inc: &E, _| trace.push(inc.revenue());
+        inc = run_window(inst, inc, shard, t..=t, parallel, &mut evals, on_insert);
     }
     let revenue = inc.revenue();
     outcome(inst, false, inc.into_strategy(), revenue, trace, evals)

@@ -15,8 +15,9 @@
 //! worker threads (`PlannerConfig::shard_threads` at its default of 1, auto
 //! mode on a one-CPU host, or `track_trace`, whose per-selection trace the
 //! executor does not record) plans one shard: the selection core over
-//! every user, with capacity read from its own engine. Such a plan is the
-//! one-shard outcome itself, whatever the shard count.
+//! every user, with capacity read from its own engine (or its exact split
+//! across CPUs, see below). Such a plan is the one-shard outcome itself,
+//! whatever the shard count.
 //!
 //! # Determinism: scarce claims are admitted in selection order
 //!
@@ -53,11 +54,21 @@
 //! * **bounded per-worker memory** — every per-candidate structure is
 //!   `O(shard)`, the flat engine's shard view included.
 //!
+//! Where no item is scarce before any claim (`any_item_scarce`), the
+//! default one-shard plan buys the first two without this executor: with
+//! `PlannerConfig::parallel` on it cuts the users into one shard per CPU
+//! with [`shard_users`], runs each shard's selection loop on its own
+//! thread with no ledger, and merges the insertions into the one-shard
+//! order (`global_greedy`, "Where the second core comes from"). Its
+//! outcome is the one-shard outcome bit for bit, where this executor's
+//! agrees to 1e-9.
+//!
 //! Under eager re-evaluation (the parity suites' `revmax_oracle::Eager`
 //! engine) flags are stamped with the engine's selection count, which a
 //! shard engine counts over its own selections only. A cross-shard
 //! insertion cannot change another shard's marginals, so the plan is the
-//! same; only `marginal_evaluations` can differ from one shard's.
+//! same, in the executor and in the split alike; only
+//! `marginal_evaluations` can differ from one shard's.
 //!
 //! SL-Greedy and RL-Greedy always plan on one shard; `PlannerConfig::shards`
 //! applies to G-Greedy only.
@@ -93,6 +104,16 @@ pub fn shard_users(inst: &Instance, pieces: usize) -> Vec<UserShard> {
         .windows(2)
         .map(|w| inst.user_shard(w[0], w[1]))
         .collect()
+}
+
+/// Whether some item is in the scarcity window before any claim: its
+/// non-exempt candidate demand exceeds its capacity
+/// ([`SharedCapacityLedger::is_scarce`] at zero claims). When none is, no
+/// capacity gate can close in a G-Greedy plan, and users plan
+/// independently.
+pub(crate) fn any_item_scarce(inst: &Instance) -> bool {
+    let ledger = SharedCapacityLedger::new(inst);
+    (0..inst.num_items()).any(|i| ledger.is_scarce(ItemId(i)))
 }
 
 /// The `(item, user)` pair a candidate claims capacity for.

@@ -41,8 +41,10 @@ pub fn global_greedy_staged(inst: &Instance, stage_ends: &[u32]) -> GreedyOutcom
     let mut inc = IncrementalRevenue::new(inst);
     let mut evals = 0u64;
     let mut trace = Vec::new();
+    let shard = inst.full_shard();
     for (lo, hi) in stages_from_ends(inst.horizon(), stage_ends) {
-        inc = run_window(inst, inc, lo..=hi, parallel, &mut evals, Some(&mut trace));
+        let on_insert = |inc: &IncrementalRevenue<'_>, _| trace.push(inc.revenue());
+        inc = run_window(inst, inc, shard, lo..=hi, parallel, &mut evals, on_insert);
     }
     let revenue = inc.revenue();
     outcome(inst, false, inc.into_strategy(), revenue, trace, evals)
@@ -75,10 +77,11 @@ pub fn randomized_local_greedy_staged(
                 candidate_inc = run_window(
                     inst,
                     candidate_inc,
+                    inst.full_shard(),
                     t..=t,
                     parallel,
                     &mut evals,
-                    Some(&mut candidate_trace),
+                    |inc, _| candidate_trace.push(inc.revenue()),
                 );
             }
             if best
@@ -136,31 +139,41 @@ mod tests {
         assert_eq!(stages_from_ends(3, &[9]), vec![(1, 3)]);
     }
 
+    /// Staged G-Greedy at every cut plans validly, reports its plan's
+    /// revenue and beats TopRat. Less foresight can earn more (four Figure 7
+    /// rows do), so nothing orders staged against holistic revenue; this
+    /// instance's revenues are pinned bit for bit instead.
     #[test]
-    fn staged_greedy_is_valid_and_no_better_than_holistic() {
+    fn staged_greedy_is_valid_and_its_revenues_are_pinned() {
         let inst = instance();
-        let full = global_greedy(&inst);
-        for cut in [1, 2, 3] {
+        let top_rating = crate::baselines::top_rating(&inst).revenue;
+        let holistic = global_greedy(&inst).revenue;
+        assert_eq!(holistic.to_bits(), 60.79771813321373f64.to_bits());
+        for (cut, pinned) in [
+            (1, 60.79771813321373f64),
+            (2, 60.47217552216546),
+            (3, 60.48341159113288),
+        ] {
             let staged = global_greedy_staged(&inst, &[cut]);
             assert!(staged.strategy.validate(&inst).is_ok());
             assert!((staged.revenue - revenue(&inst, &staged.strategy)).abs() < 1e-9);
-            assert!(
-                staged.revenue <= full.revenue + 1e-9,
-                "cut {cut}: staged {} exceeded holistic {}",
-                staged.revenue,
-                full.revenue
-            );
+            assert!(staged.revenue > top_rating, "cut {cut}: below TopRat");
+            assert_eq!(staged.revenue.to_bits(), pinned.to_bits(), "cut {cut}");
         }
     }
 
+    /// Staged RL-Greedy plans validly, reports its plan's revenue and beats
+    /// TopRat; its revenue and unstaged RL-Greedy's on this instance are
+    /// pinned bit for bit.
     #[test]
-    fn staged_rl_greedy_is_valid_and_bounded_by_unstaged() {
+    fn staged_rl_greedy_is_valid_and_its_revenues_are_pinned() {
         let inst = instance();
-        let full = randomized_local_greedy(&inst, 8, 3);
+        let unstaged = randomized_local_greedy(&inst, 8, 3).revenue;
         let staged = randomized_local_greedy_staged(&inst, &[2], 8, 3);
         assert!(staged.strategy.validate(&inst).is_ok());
         assert!((staged.revenue - revenue(&inst, &staged.strategy)).abs() < 1e-9);
-        assert!(staged.revenue <= full.revenue + 1e-9);
-        assert!(staged.revenue > 0.0);
+        assert!(staged.revenue > crate::baselines::top_rating(&inst).revenue);
+        assert_eq!(unstaged.to_bits(), 60.47217552216546f64.to_bits());
+        assert_eq!(staged.revenue.to_bits(), 60.47217552216546f64.to_bits());
     }
 }

@@ -266,19 +266,28 @@ impl<'a> RevenueEngine<'a> for PanicsOnLastUser<'a> {
 /// message. In the concurrent executor the worker's shards leave the
 /// coordinator's barrier as it unwinds, and the pool re-raises the panic,
 /// instead of the barrier waiting forever for them; RL-Greedy re-raises
-/// the panic of the thread that ran its orders.
+/// the panic of the thread that ran its orders; and the default G-Greedy
+/// plan of an abundant instance of 18,000 live slots, which a multi-core
+/// host splits across its CPUs, re-raises the panic of the thread that
+/// planned the last users.
 #[test]
 fn worker_panic_reaches_the_caller() {
-    for cfg in [
-        PlannerConfig::default()
-            .with_shards(2)
-            .with_shard_threads(2),
-        PlannerConfig::default()
-            .with_algorithm(PlanAlgorithm::RandomizedLocalGreedy { permutations: 4 }),
+    for (cfg, users) in [
+        (
+            PlannerConfig::default()
+                .with_shards(2)
+                .with_shard_threads(2),
+            4u32,
+        ),
+        (
+            PlannerConfig::default()
+                .with_algorithm(PlanAlgorithm::RandomizedLocalGreedy { permutations: 4 }),
+            4,
+        ),
+        (PlannerConfig::default(), 3_000),
     ] {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let users = 4u32;
             let mut b = InstanceBuilder::new(users, 2, 3);
             b.display_limit(1);
             b.capacity(0, users).constant_price(0, 10.0);
@@ -306,7 +315,7 @@ fn worker_panic_reaches_the_caller() {
         assert_eq!(
             message.as_deref(),
             Some("injected panic for the last user"),
-            "{:?}: the worker's panic must reach the caller",
+            "{:?} with {users} users: the worker's panic must reach the caller",
             cfg.algorithm
         );
     }

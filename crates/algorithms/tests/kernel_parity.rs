@@ -30,6 +30,12 @@
 //!   resolves fewer than two worker threads — one thread, or a traced plan
 //!   — returns the one-shard outcome exactly: revenue, strategy order,
 //!   trace and evaluation count.
+//! * **The split is the one-shard plan.** Where no item is scarce and a
+//!   plan reaches the fork threshold, the default G-Greedy plan splits its
+//!   users across the host's CPUs; on an instance of ~4.8k candidates,
+//!   cold and as a warm residual, its outcome is the one-shard loop's
+//!   exactly (parallel off): revenue, strategy order, trace and
+//!   evaluation count.
 //! * **Warm == cold.** Residual replans through the snapshot pool
 //!   ([`plan_residual`] with `warm_start`) reproduce the cold plans exactly,
 //!   and still seed/return the pooled buffers.
@@ -51,7 +57,8 @@ use revmax_algorithms::{
 };
 use revmax_core::{
     residual_of_validated, validate_events, AdoptionEvent, EngineSnapshot,
-    IncrementalRevenue as Flat, Instance, InstanceBuilder, ResidualDelta, RevenueEngine, Triple,
+    IncrementalRevenue as Flat, Instance, InstanceBuilder, ItemId, ResidualDelta, RevenueEngine,
+    SharedCapacityLedger, Triple,
 };
 use revmax_oracle::{Eager, HashIncrementalRevenue as Hash};
 use std::ops::RangeInclusive;
@@ -574,6 +581,54 @@ fn tree_matches_the_heap_oracle_at_scale() {
         &base.with_warm_start(true),
         Some(&delta),
     );
+}
+
+/// The default G-Greedy plan where no item can bind: on
+/// `large_parity_instance(rng, 90, T..=T, 30)` every item's capacity is at
+/// least the 90 users, so no item is scarce, cold or on a warm residual,
+/// and the ~19–29k live slots of horizons 4–6 reach the fork threshold (a
+/// residual at `now = 1` does from horizon 5). With `parallel` on, a
+/// multi-core host splits the users across its CPUs; the outcome must be
+/// the one-shard loop's (`Some(false)`) exactly, for G-Greedy and GG-No,
+/// traced and untraced.
+#[test]
+fn abundant_plans_split_across_cpus_as_the_one_shard_plan() {
+    let mut rng = StdRng::seed_from_u64(0x5b17);
+    for horizon in 4..=6 {
+        let inst = large_parity_instance(&mut rng, 90, horizon..=horizon, 30);
+        let events = random_events(&mut rng, &inst, 1);
+        let residual = residual_of_validated(&inst, &events, 1);
+        let delta = ResidualDelta::initial(EngineSnapshot::new());
+        let mut phases = vec![("cold", &inst, false, None)];
+        if horizon >= 5 {
+            phases.push(("warm residual", &residual, true, Some(&delta)));
+        }
+        for (phase, target, warm, delta) in phases {
+            let case = format!("horizon {horizon}");
+            let ledger = SharedCapacityLedger::new(target);
+            assert!(
+                (0..target.num_items()).all(|i| !ledger.is_scarce(ItemId(i))),
+                "case {case} {phase}: an item is scarce"
+            );
+            let slots = target.num_candidates() * target.horizon() as usize;
+            assert!(slots >= 1 << 14, "case {case} {phase}: {slots} live slots");
+            for algorithm in [
+                PlanAlgorithm::GlobalGreedy,
+                PlanAlgorithm::GlobalNoSaturation,
+            ] {
+                for traced in [false, true] {
+                    let cfg = PlannerConfig::default()
+                        .with_algorithm(algorithm)
+                        .with_track_trace(traced)
+                        .with_warm_start(warm);
+                    let one_shard = plan_residual(target, &cfg.with_parallel(Some(false)), delta);
+                    let split = plan_residual(target, &cfg, delta);
+                    let label = format!("case {case} {phase} {algorithm:?}, traced {traced}");
+                    assert_one_shard_outcome(&label, &one_shard, &split);
+                }
+            }
+        }
+    }
 }
 
 /// One stage covering the horizon is G-Greedy itself: staged G-Greedy with

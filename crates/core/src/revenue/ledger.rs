@@ -242,6 +242,12 @@ pub type SharedCapacityLedger = SharedCapacityLedgerIn<AtomicCell>;
 impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
     /// Creates an empty shared ledger for an instance.
     ///
+    /// Each item's `demand` starts at its non-exempt candidate pairs, so on
+    /// the fresh ledger [`SharedCapacityLedgerIn::is_scarce`] reads
+    /// `demand > cap`. The G-Greedy planner asks exactly that of every item
+    /// before planning: when no item is scarce, no capacity gate can close,
+    /// and the default plan splits its users across CPUs.
+    ///
     /// Cell construction order is part of the analysis-toolchain contract:
     /// the `used` cells are registered first (cell ids `0..items` under the
     /// instrumented cell, which is what `cargo xtask check-ledger` keys its
