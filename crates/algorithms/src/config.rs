@@ -76,14 +76,16 @@ pub struct PlannerConfig {
     pub track_trace: bool,
     /// Thread parallelism of one-shard plans: `None` (default) and
     /// `Some(true)` fill a time window of at least 16,384 live slots
-    /// (candidates × time steps in the window) on scoped threads, and let a
-    /// G-Greedy plan of that size in which no item is scarce (every item's
-    /// non-exempt candidate demand fits its capacity) split its users into
-    /// one shard per CPU, each selecting on its own thread. `Some(false)`
-    /// does neither. Both are exact: parallel and sequential fills are
-    /// bit-identical, and a split plan is the one-shard outcome bit for bit
-    /// (revenue, strategy order, trace and evaluation count). On a one-CPU
-    /// host nothing forks.
+    /// (candidates × time steps in the window) on scoped threads, and cut
+    /// the users of a G-Greedy plan of that size in which no item is scarce
+    /// (every item's non-exempt candidate demand fits its capacity) into
+    /// one CPU shard per core, each on its own thread. `Some(false)` does
+    /// neither. Such a plan selects one user at a time on any host, with
+    /// `parallel` on or off; this knob only decides whether its CPU shards
+    /// use threads. Both settings are exact: parallel and sequential fills
+    /// are bit-identical, and a per-user plan is the whole-instance outcome
+    /// bit for bit (revenue, strategy order, trace and evaluation count) at
+    /// every CPU shard count. On a one-CPU host nothing forks.
     pub parallel: Option<bool>,
     /// Warm-start residual replans (off by default): when a replan comes
     /// with a [`ResidualDelta`] (see [`plan_residual`]), engines recycle the
@@ -222,9 +224,9 @@ impl PlannerConfig {
         matches!(self.algorithm, PlanAlgorithm::GlobalNoSaturation)
     }
 
-    /// One-shard parallelism (on unless switched off; the fill and the
-    /// split are additionally gated by the window's live slot count, and
-    /// the split by scarcity).
+    /// One-shard parallelism (on unless switched off; the forked fill and
+    /// the per-user path's CPU shards are additionally gated by the live
+    /// slot count).
     pub(crate) fn parallel_init(&self) -> bool {
         self.parallel.unwrap_or(true)
     }

@@ -26,26 +26,35 @@
 //! Every greedy plan runs on one selection core, `ShardCore`: an engine
 //! view, a `CandidateTable`, a `CandTournament` and a cached argmax per
 //! candidate, over one user shard and one time window. The one selection
-//! loop, `run_window`, runs the core over a shard with capacity read from
-//! the engine's own counters. G-Greedy's window is the whole horizon;
+//! loop, `ShardCore::run`, steps the core with capacity read from the
+//! engine's own counters. G-Greedy's window is the whole horizon;
 //! SL-Greedy and RL-Greedy ([`crate::local_greedy`]) run the loop over
-//! every user one time step at a time, and the staged variants
-//! ([`crate::staged`]) one sub-horizon at a time, each window on the engine
-//! the previous one left. [`crate::sharded`] runs several cores on a pool
-//! of worker threads, coupled through a shared capacity ledger; the only
-//! thing that differs is where capacity lives (`Capacity`).
+//! every user one time step at a time (`run_window`), and the staged
+//! variants ([`crate::staged`]) one sub-horizon at a time, each window on
+//! the engine the previous one left. [`crate::sharded`] runs several cores
+//! on a pool of worker threads, coupled through a shared capacity ledger;
+//! the only thing that differs is where capacity lives (`Capacity`).
 //!
-//! # Where the second core comes from
+//! Engines keep no record of the plan. Every driver builds its outcome's
+//! strategy once, from the insertions the loop hands it.
+//!
+//! # Users plan one at a time when no item is scarce
 //!
 //! Item capacity is the only thing that couples users. When no item is
 //! scarce before any claim (every item's non-exempt candidate demand fits
-//! its capacity), no capacity gate can close, so a user shard's steps are
-//! the one-shard run's steps restricted to its users. The default G-Greedy
-//! plan then cuts the users into one shard per CPU (`plan_shards`), runs
-//! `run_window` on each shard on its own thread, and merges the insertions
-//! back into the one-shard order (`merge_by_floor`). The outcome is the
-//! one-shard outcome bit for bit: strategy order, revenue, trace and
-//! evaluation count.
+//! its capacity, `sharded::any_item_scarce`), no capacity gate can close,
+//! so each user's steps are the whole-instance run's steps restricted to
+//! that user (Keerthi & Tomlin's per-user slate decomposition). G-Greedy
+//! then runs the core over one user's candidates at a time, on any host
+//! and with `parallel` on or off (`per_user_plan`), and sorts the
+//! insertions back into the whole-instance order (`sort_by_floor`). A
+//! user's table and tournament are a few kilobytes, so they stay in cache
+//! and are refilled in place for the next user. `parallel` only decides
+//! whether the users are cut into one CPU shard per core, each with its
+//! own engine and thread (`plan_shards`). The outcome is the
+//! whole-instance outcome bit for bit: strategy order, revenue, trace and
+//! evaluation count. An instance with a scarce item runs the
+//! whole-instance loop (`whole_instance_plan`).
 //!
 //! The drivers are generic over [`RevenueEngine`]: the planner runs the
 //! flat-arena [`revmax_core::IncrementalRevenue`], and the parity suites
@@ -148,8 +157,8 @@ pub(crate) fn make_engine<'a, E: RevenueEngine<'a>>(
 }
 
 /// Live slots (candidates × time steps in the window) from which a
-/// window's table fill forks threads, and from which the default G-Greedy
-/// plan splits its users across CPUs.
+/// window's table fill forks threads, and from which a per-user G-Greedy
+/// plan cuts its users into one CPU shard per core.
 const FORK_SLOTS: usize = 1 << 14;
 
 /// Struct-of-arrays per-candidate cached state: slot `local_cand * T + t`
@@ -159,8 +168,9 @@ const FORK_SLOTS: usize = 1 << 14;
 /// contiguous max scan over `T` floats.
 ///
 /// The table covers one shard's contiguous candidate range (the whole
-/// instance for a one-shard plan) and is addressed by *local* candidate
-/// indices relative to the range start.
+/// instance for a whole-instance plan, one user for a per-user run) and is
+/// addressed by *local* candidate indices relative to the range start.
+#[derive(Default)]
 struct CandidateTable {
     horizon: usize,
     values: Vec<f64>,
@@ -168,29 +178,31 @@ struct CandidateTable {
 }
 
 impl CandidateTable {
-    /// Builds the initial table for the shard's candidates over the time
-    /// steps in `window`; every slot outside it is dead. On an empty engine
-    /// a slot's marginal is `q(u,i,t) · p(i,t)` at stamp 0, which costs no
-    /// evaluation. Any other engine evaluates the window's slots, stamped
-    /// with their group sizes, and adds the evaluations to `evals`. With
-    /// `parallel`, a window of at least [`FORK_SLOTS`] live slots is filled
-    /// on scoped threads.
-    fn for_window<'a, E: RevenueEngine<'a>>(
-        inst: &Instance,
+    /// Refills the table, in place, for the shard's candidates over the
+    /// time steps in `window`; every slot outside it is dead. A `cold` fill
+    /// writes `q(u,i,t) · p(i,t)` at stamp 0, which costs no evaluation: the
+    /// caller vouches that `inc` holds no selection of the shard's users,
+    /// so that is every slot's marginal. Any other fill evaluates the
+    /// window's slots, stamped with their group sizes, and adds the
+    /// evaluations to `evals`. With `parallel`, a window of at least
+    /// [`FORK_SLOTS`] live slots is filled on scoped threads.
+    fn fill<'a, E: RevenueEngine<'a>>(
+        &mut self,
         inc: &E,
         shard: UserShard,
         window: &RangeInclusive<u32>,
+        cold: bool,
         parallel: bool,
         evals: &mut u64,
-    ) -> Self {
+    ) {
+        let inst = inc.instance();
         let horizon = inst.horizon() as usize;
         let n = shard.num_candidates() * horizon;
-        let cold = inc.is_empty();
         let slot_of = |slot: usize| {
             let cand = CandidateId(shard.cand_start() + (slot / horizon) as u32);
             (cand, TimeStep::from_index(slot % horizon))
         };
-        let fill = |slot: usize| {
+        let value = |slot: usize| {
             let (cand, t) = slot_of(slot);
             if !window.contains(&t.value()) {
                 f64::NEG_INFINITY
@@ -200,28 +212,32 @@ impl CandidateTable {
                 inc.marginal_revenue_cand(cand, t)
             }
         };
-        let mut values = vec![f64::NEG_INFINITY; n];
-        if parallel && shard.num_candidates() * window.clone().count() >= FORK_SLOTS {
-            par::parallel_fill(&mut values, fill);
-        } else {
-            for (slot, v) in values.iter_mut().enumerate() {
-                *v = fill(slot);
+        self.horizon = horizon;
+        self.values.clear();
+        let live = shard.num_candidates() * window.clone().count();
+        if parallel && live >= FORK_SLOTS {
+            self.values.resize(n, f64::NEG_INFINITY);
+            par::parallel_fill(&mut self.values, value);
+        } else if cold && live == n {
+            // Every slot is live: `value`'s `q · p`, a row at a time.
+            for cand in shard.candidates() {
+                let prices = inst.price_series(inst.candidate_item(cand));
+                let row = inst.candidate_probs(cand).iter().zip(prices);
+                self.values.extend(row.map(|(q, p)| q * p));
             }
+        } else {
+            self.values.extend((0..n).map(value));
         }
-        let mut flags = vec![0; n];
+        self.flags.clear();
+        self.flags.resize(n, 0);
         if !cold {
-            for (slot, flag) in flags.iter_mut().enumerate() {
+            for (slot, flag) in self.flags.iter_mut().enumerate() {
                 let (cand, t) = slot_of(slot);
                 if window.contains(&t.value()) {
                     *flag = inc.group_size_cand(cand) as u32;
                     *evals += 1;
                 }
             }
-        }
-        CandidateTable {
-            horizon,
-            values,
-            flags,
         }
     }
 
@@ -352,20 +368,29 @@ struct CandTournament {
 
 impl CandTournament {
     fn new(leaves: Vec<f64>) -> Self {
-        let blocks = leaves.len().div_ceil(BLOCK);
-        let size = blocks.next_power_of_two().max(1);
         let mut tour = CandTournament {
             leaves,
-            size,
-            tree: vec![(f64::NEG_INFINITY, u32::MAX); 2 * size],
+            size: 0,
+            tree: Vec::new(),
         };
-        for b in 0..blocks {
-            tour.tree[size + b] = tour.scan(b);
-        }
-        for i in (1..size).rev() {
-            tour.tree[i] = Self::winner(tour.tree[2 * i], tour.tree[2 * i + 1]);
-        }
+        tour.rebuild();
         tour
+    }
+
+    /// Derives the whole tree from the leaves, reusing its buffer: after
+    /// the leaves were rewritten wholesale for another shard.
+    fn rebuild(&mut self) {
+        let blocks = self.leaves.len().div_ceil(BLOCK);
+        self.size = blocks.next_power_of_two().max(1);
+        self.tree.clear();
+        self.tree
+            .resize(2 * self.size, (f64::NEG_INFINITY, u32::MAX));
+        for b in 0..blocks {
+            self.tree[self.size + b] = self.scan(b);
+        }
+        for i in (1..self.size).rev() {
+            self.tree[i] = Self::winner(self.tree[2 * i], self.tree[2 * i + 1]);
+        }
     }
 
     /// The selection order: maximum value, ties to the smaller candidate id.
@@ -566,35 +591,81 @@ pub(crate) struct ShardCore<'a, E> {
 
 impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
     /// Starts selecting over the time steps in `window` from `inc`, which
-    /// may already hold selections (see [`CandidateTable::for_window`]);
-    /// the fill's marginal evaluations are added to `evals`.
+    /// may already hold selections; `cold` says that it holds none of the
+    /// shard's users' (see [`CandidateTable::fill`]). The fill's marginal
+    /// evaluations are added to `evals`.
     pub(crate) fn new(
         inst: &'a Instance,
         inc: E,
         shard: UserShard,
         window: RangeInclusive<u32>,
+        cold: bool,
         parallel: bool,
         evals: &mut u64,
     ) -> Self {
-        let table = CandidateTable::for_window(inst, &inc, shard, &window, parallel, evals);
-        let n = shard.num_candidates();
-        let mut best_t = vec![0u32; n];
-        let mut roots = vec![f64::NEG_INFINITY; n];
-        for c in 0..n {
-            if let Some((t, v)) = table.best(c as u32) {
-                roots[c] = v;
-                best_t[c] = t as u32;
-            }
-        }
-        let tour = CandTournament::new(roots);
-        ShardCore {
+        let mut core = ShardCore {
             inst,
             start: shard.cand_start(),
             inc,
-            table,
-            tour,
-            best_t,
-            counted: vec![false; n],
+            table: CandidateTable::default(),
+            tour: CandTournament::new(Vec::new()),
+            best_t: Vec::new(),
+            counted: Vec::new(),
+        };
+        core.reset(shard, &window, cold, parallel, evals);
+        core
+    }
+
+    /// Points the core at another shard of its engine, as
+    /// [`ShardCore::new`] would start it, but refilling the table, the
+    /// tournament and the per-candidate state in place: a run over many
+    /// small shards allocates nothing once the buffers have grown.
+    pub(crate) fn reset(
+        &mut self,
+        shard: UserShard,
+        window: &RangeInclusive<u32>,
+        cold: bool,
+        parallel: bool,
+        evals: &mut u64,
+    ) {
+        self.start = shard.cand_start();
+        self.table
+            .fill(&self.inc, shard, window, cold, parallel, evals);
+        let n = shard.num_candidates();
+        self.best_t.clear();
+        self.best_t.resize(n, 0);
+        self.tour.leaves.clear();
+        for c in 0..n {
+            let root = match self.table.best(c as u32) {
+                Some((t, v)) => {
+                    self.best_t[c] = t as u32;
+                    v
+                }
+                None => f64::NEG_INFINITY,
+            };
+            self.tour.leaves.push(root);
+        }
+        self.tour.rebuild();
+        self.counted.clear();
+        self.counted.resize(n, false);
+    }
+
+    /// The selection loop: resolves root moves until no candidate has a
+    /// positive value left or every display slot of the instance is
+    /// taken, with capacity read from the engine's own counters. Marginal
+    /// evaluations are added to `evals`, and `on_insert` sees the engine
+    /// after each insertion, with the insertion's record.
+    pub(crate) fn run(&mut self, evals: &mut u64, mut on_insert: impl FnMut(&E, Insertion)) {
+        let total_slots = self.inst.total_slots();
+        let mut floor = (f64::INFINITY, 0);
+        while (self.inc.len() as u64) < total_slots {
+            let Some(root) = self.lead() else { break };
+            if precedes(floor, root) {
+                floor = root;
+            }
+            if let Step::Inserted { z, marginal } = self.step(&EngineCapacity, evals) {
+                on_insert(&self.inc, Insertion { z, marginal, floor });
+            }
         }
     }
 
@@ -744,20 +815,20 @@ impl<'a, E: RevenueEngine<'a>> ShardCore<'a, E> {
     }
 }
 
-/// One insertion of a window run: the triple, its realised marginal, and
-/// the run's floor when it was made — the [`precedes`]-minimum of every
+/// One insertion of a selection run: the triple, its realised marginal,
+/// and the run's floor when it was made — the [`precedes`]-minimum of every
 /// root key the run had stepped on so far.
 pub(crate) struct Insertion {
-    z: Triple,
-    marginal: f64,
+    pub(crate) z: Triple,
+    pub(crate) marginal: f64,
     floor: (f64, u32),
 }
 
-/// The selection loop: greedily extends the selections `inc` holds with
-/// triples of the shard's users whose time step lies in `window`, on the
-/// selection core with capacity read from the engine's own counters, and
-/// returns the extended engine. Marginal evaluations are added to `evals`,
-/// and `on_insert` sees the engine after each insertion.
+/// Greedily extends the selections `inc` holds with triples of the shard's
+/// users whose time step lies in `window` ([`ShardCore::run`]), and returns
+/// the extended engine. The fill is cold when `inc` is empty. Marginal
+/// evaluations are added to `evals`, and `on_insert` sees the engine after
+/// each insertion.
 pub(crate) fn run_window<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     inc: E,
@@ -765,27 +836,94 @@ pub(crate) fn run_window<'a, E: RevenueEngine<'a>>(
     window: RangeInclusive<u32>,
     parallel: bool,
     evals: &mut u64,
-    mut on_insert: impl FnMut(&E, Insertion),
+    on_insert: impl FnMut(&E, Insertion),
 ) -> E {
-    let mut core = ShardCore::new(inst, inc, shard, window, parallel, evals);
-    let total_slots = inst.total_slots();
-    let mut floor = (f64::INFINITY, 0);
-    while (core.inc.len() as u64) < total_slots {
-        let Some(root) = core.lead() else { break };
-        if precedes(floor, root) {
-            floor = root;
-        }
-        if let Step::Inserted { z, marginal } = core.step(&EngineCapacity, evals) {
-            on_insert(&core.inc, Insertion { z, marginal, floor });
-        }
-    }
+    let cold = inc.is_empty();
+    let mut core = ShardCore::new(inst, inc, shard, window, cold, parallel, evals);
+    core.run(evals, on_insert);
     core.inc
 }
 
-/// The user shards a G-Greedy plan selects on: one per CPU when `parallel`
-/// is on, the host has two or more CPUs, the window holds at least
-/// [`FORK_SLOTS`] live slots and no item is scarce before any claim
-/// ([`sharded::any_item_scarce`]); every user in one shard otherwise.
+/// A G-Greedy outcome under construction: the strategy, the objective
+/// folded from 0.0 and, when traced, the objective after each insertion,
+/// all in plan order.
+struct PlanLog {
+    strategy: Strategy,
+    objective: f64,
+    trace: Option<Vec<f64>>,
+}
+
+impl PlanLog {
+    fn new(cfg: &PlannerConfig, capacity: usize) -> Self {
+        PlanLog {
+            strategy: Strategy::with_capacity(capacity),
+            objective: 0.0,
+            trace: cfg.track_trace.then(|| Vec::with_capacity(capacity)),
+        }
+    }
+
+    fn push(&mut self, ins: &Insertion) {
+        self.objective += ins.marginal;
+        if let Some(trace) = self.trace.as_mut() {
+            trace.push(self.objective);
+        }
+        self.strategy.insert(ins.z);
+    }
+
+    fn finish(self, inst: &Instance, ignore_saturation: bool, evals: u64) -> GreedyOutcome {
+        let trace = self.trace.unwrap_or_default();
+        outcome(
+            inst,
+            ignore_saturation,
+            self.strategy,
+            self.objective,
+            trace,
+            evals,
+        )
+    }
+}
+
+/// The one-shard G-Greedy plan: user by user ([`per_user_plan`]) when no
+/// item is scarce before any claim ([`sharded::any_item_scarce`]), the
+/// whole-instance loop ([`whole_instance_plan`]) otherwise. Both are the
+/// whole-instance outcome bit for bit.
+pub(crate) fn one_shard_plan<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    cfg: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+) -> GreedyOutcome {
+    if sharded::any_item_scarce(inst) {
+        whole_instance_plan::<E>(inst, cfg, delta)
+    } else {
+        per_user_plan::<E>(inst, cfg, delta, &plan_shards(inst, cfg))
+    }
+}
+
+/// The whole-instance G-Greedy loop: one window over the whole horizon and
+/// every user, on one engine whose own counters hold capacity. With
+/// `parallel`, its table fill may fork.
+fn whole_instance_plan<'a, E: RevenueEngine<'a>>(
+    inst: &'a Instance,
+    cfg: &PlannerConfig,
+    delta: Option<&ResidualDelta>,
+) -> GreedyOutcome {
+    let ignore_saturation = cfg.ignores_saturation();
+    let shard = inst.full_shard();
+    let inc: E = make_engine(inst, ignore_saturation, shard, cfg, delta);
+    let mut evals = 0u64;
+    let mut log = PlanLog::new(cfg, 0);
+    let window = 1..=inst.horizon();
+    let parallel = cfg.parallel_init();
+    let inc = run_window(inst, inc, shard, window, parallel, &mut evals, |_, ins| {
+        log.push(&ins)
+    });
+    inc.release();
+    log.finish(inst, ignore_saturation, evals)
+}
+
+/// The CPU shards of a per-user plan: one per CPU when `parallel` is on,
+/// the host has two or more CPUs and the plan holds at least
+/// [`FORK_SLOTS`] live slots; one shard of every user otherwise.
 fn plan_shards(inst: &Instance, cfg: &PlannerConfig) -> Vec<UserShard> {
     let slots = inst.num_candidates() * inst.horizon() as usize;
     let workers = if cfg.parallel_init() && slots >= FORK_SLOTS {
@@ -793,115 +931,100 @@ fn plan_shards(inst: &Instance, cfg: &PlannerConfig) -> Vec<UserShard> {
     } else {
         1
     };
-    if workers < 2 || sharded::any_item_scarce(inst) {
-        return vec![inst.full_shard()];
-    }
     sharded::shard_users(inst, workers)
 }
 
-/// The one-shard G-Greedy plan: one window over the whole horizon, on the
-/// user shards [`plan_shards`] picks (see [`plan_on_shards`]).
-pub(crate) fn one_shard_plan<'a, E: RevenueEngine<'a>>(
-    inst: &'a Instance,
-    cfg: &PlannerConfig,
-    delta: Option<&ResidualDelta>,
-) -> GreedyOutcome {
-    plan_on_shards::<E>(inst, cfg, delta, &plan_shards(inst, cfg))
-}
-
-/// Runs the G-Greedy window on each of `shards` — the first on the calling
-/// thread, the rest on a scoped pool — with capacity read from each shard
-/// engine's own counters, and merges the runs ([`merge_by_floor`]): the
-/// strategy and trace in merged order, the revenue folded from 0.0 in that
-/// order, the evaluation counts summed. When no item is scarce before any
-/// claim, no capacity gate closes, each shard's steps are the one-shard
-/// run's steps restricted to its users, and the outcome is the one-shard
-/// outcome bit for bit. (Under eager re-evaluation only the evaluation
-/// count can differ; see [`crate::sharded`].) One shard is the one-shard
-/// run itself and merges as itself; only its table fill may fork.
-fn plan_on_shards<'a, E: RevenueEngine<'a>>(
+/// G-Greedy one user at a time, for an instance in which no item is
+/// scarce. Each of the CPU `shards` builds one engine over its users — the
+/// first on the calling thread, the rest on a scoped pool — and runs the
+/// selection core over each user's candidates in turn, refilling one set of
+/// table and tournament buffers ([`ShardCore::reset`]). A user's fill is
+/// cold: the engine holds other users' picks but none of this user's, so
+/// `q · p` at stamp 0 is every slot's marginal, exactly as on the
+/// whole-instance loop's empty engine, and costs no evaluation.
+///
+/// No capacity gate can close, so each user's steps are the
+/// whole-instance run's steps restricted to that user, and the runs'
+/// insertions sorted by floor ([`sort_by_floor`]) are the whole-instance
+/// order. The strategy and trace follow that order, the revenue is folded
+/// from 0.0 in it, and the evaluation counts are summed: the outcome is the
+/// whole-instance outcome bit for bit. (Under eager re-evaluation only the
+/// evaluation count can differ; see [`crate::sharded`].)
+fn per_user_plan<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
     delta: Option<&ResidualDelta>,
     shards: &[UserShard],
 ) -> GreedyOutcome {
     let ignore_saturation = cfg.ignores_saturation();
-    let parallel = cfg.parallel_init() && shards.len() == 1;
+    let window = 1..=inst.horizon();
     let run = |shard: UserShard| {
         let inc: E = make_engine(inst, ignore_saturation, shard, cfg, delta);
         let mut evals = 0u64;
+        let no_users = inst.user_shard(shard.user_start(), shard.user_start());
+        let mut core = ShardCore::new(inst, inc, no_users, window.clone(), true, false, &mut evals);
         let mut insertions = Vec::new();
-        let window = 1..=inst.horizon();
-        let inc = run_window(inst, inc, shard, window, parallel, &mut evals, |_, ins| {
-            insertions.push(ins)
-        });
-        (inc, insertions, evals)
+        for user in shard.user_start()..shard.user_end() {
+            let one = inst.user_shard(user, user + 1);
+            if one.num_candidates() > 0 {
+                core.reset(one, &window, true, false, &mut evals);
+                core.run(&mut evals, |_, ins| insertions.push(ins));
+            }
+        }
+        (core.inc, insertions, evals)
     };
     let (first, rest) = shards
         .split_first()
         .expect("a plan covers one shard or more");
     let (others, own) = par::scoped_pool(rest.len(), |tid| run(rest[tid]), || run(*first));
 
-    let mut engines = Vec::with_capacity(shards.len());
-    let mut runs = Vec::with_capacity(shards.len());
+    let mut insertions = Vec::new();
     let mut evals = 0;
-    for (inc, insertions, shard_evals) in std::iter::once(own).chain(others) {
-        engines.push(inc);
-        runs.push(insertions);
+    for (inc, shard_insertions, shard_evals) in std::iter::once(own).chain(others) {
+        // Engines are released on the calling thread, in shard order, so
+        // warm-started ones return their buffers to the session pool in a
+        // fixed order.
+        inc.release();
+        insertions.extend(shard_insertions);
         evals += shard_evals;
     }
-    let mut objective = 0.0;
-    let mut trace = Vec::new();
-    let split = shards.len() > 1;
-    let mut merged_strategy =
-        split.then(|| Strategy::with_capacity(runs.iter().map(Vec::len).sum()));
-    merge_by_floor(&runs, |ins| {
-        objective += ins.marginal;
-        if cfg.track_trace {
-            trace.push(objective);
-        }
-        if let Some(strategy) = merged_strategy.as_mut() {
-            strategy.insert(ins.z);
-        }
-    });
-    // Engines are released on the calling thread, in shard order, so
-    // warm-started ones return their buffers to the session pool in a fixed
-    // order. One engine's own strategy is already in merged order.
-    let mut strategies: Vec<Strategy> = engines.into_iter().map(E::into_strategy).collect();
-    let strategy = merged_strategy.unwrap_or_else(|| strategies.swap_remove(0));
-    outcome(inst, ignore_saturation, strategy, objective, trace, evals)
+    let mut log = PlanLog::new(cfg, insertions.len());
+    for i in sort_by_floor(&insertions) {
+        log.push(&insertions[i as usize]);
+    }
+    log.finish(inst, ignore_saturation, evals)
 }
 
-/// Visits shard runs' insertions in the order in which one run over all
-/// their users makes them. That run's root is the [`precedes`]-maximum of
-/// the shard roots, so it steps the shards in turn, each time the one whose
-/// root leads. When a shard's step sets its floor `f`, that shard leads
-/// every other root; its next steps keep keys not below `f` until one sets
-/// a lower floor, and the other roots stay put meanwhile. So every step
-/// runs while the other shards' roots, and with them all their later
-/// floors, lie below its own floor: the one run orders steps by floor,
-/// greatest first. Floors never rise within a run and never tie across
-/// runs (each is the key of a candidate of its shard), so taking the head
-/// with the greatest floor next reproduces the order. One run merges as
-/// itself.
-fn merge_by_floor(runs: &[Vec<Insertion>], mut visit: impl FnMut(&Insertion)) {
-    let mut heads = vec![0usize; runs.len()];
-    loop {
-        let mut next: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            let Some(ins) = run.get(heads[r]) else {
-                continue;
-            };
-            if next.is_none_or(|n| precedes(ins.floor, runs[n][heads[n]].floor)) {
-                next = Some(r);
-            }
-        }
-        let Some(r) = next else {
-            return;
-        };
-        visit(&runs[r][heads[r]]);
-        heads[r] += 1;
-    }
+/// Puts user runs' insertions, concatenated run by run, into the order in
+/// which one run over all their users makes them. That run's root is the
+/// [`precedes`]-maximum of the user roots, so it steps the users in turn,
+/// each time the one whose root leads. When a user's step sets its floor
+/// `f`, that user leads every other root; its next steps keep keys not
+/// below `f` until one sets a lower floor, and the other roots stay put
+/// meanwhile. So every step runs while the other users' roots, and with
+/// them all their later floors, lie below its own floor: the one run
+/// orders steps by floor, greatest first. Floors never rise within a run
+/// and never tie across runs (each is the key of a candidate of its
+/// user), so a stable sort by floor, greatest first, keeps each run's own
+/// order and reproduces the one run's.
+///
+/// The sort runs on one integer key per insertion: a floor's value is
+/// positive (only a positive root is stepped on), so its bit pattern
+/// orders like the value, and the key packs the complemented bits, the
+/// candidate id and the insertion's index (which keeps the sort stable).
+/// Returns the insertion indices in that order.
+fn sort_by_floor(insertions: &[Insertion]) -> Vec<u32> {
+    let mut keys: Vec<u128> = insertions
+        .iter()
+        .enumerate()
+        .map(|(i, ins)| {
+            let (value, cand) = ins.floor;
+            debug_assert!(value > 0.0, "a floor is a positive root key");
+            (u128::from(!value.to_bits()) << 64) | (u128::from(cand) << 32) | i as u128
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|key| key as u32).collect()
 }
 
 /// Assembles a greedy outcome; `GlobalNo` plans report the true revenue of
@@ -1161,11 +1284,13 @@ mod tests {
     }
 
     /// A small instance in which no item is scarce: 5–8 users, so that five
-    /// shards can be cut; 3–6 items; horizons 2–5; each class uniform-β,
-    /// mixed-β, β = 1 or β = 0. Each item's capacity lies between its
-    /// candidate demand and the user count. With `twins`, every user has
-    /// user 0's candidate rows, so marginals tie across the shard cuts and
-    /// candidate ids decide.
+    /// CPU shards can be cut; 3–6 items; horizons 2–5; each class
+    /// uniform-β, mixed-β, β = 1 or β = 0. Candidate counts are uneven:
+    /// each user keeps an item with probability 0.3, 0.7 or 1, and about
+    /// one user in six after user 0 has no candidate at all. Each item's
+    /// capacity lies between its candidate demand and the user count. With
+    /// `twins`, every user with candidates has user 0's candidate rows, so
+    /// marginals tie across users and candidate ids decide.
     fn abundant_instance(rng: &mut StdRng, twins: bool) -> Instance {
         let users = rng.gen_range(5u32..=8);
         let items = rng.gen_range(3u32..=6);
@@ -1180,11 +1305,18 @@ mod tests {
         let mut demand = vec![0u32; items as usize];
         let mut first_rows: Vec<Option<Vec<f64>>> = Vec::new();
         for user in 0..users {
+            let keep = if user > 0 && rng.gen_bool(1.0 / 6.0) {
+                0.0
+            } else {
+                [0.3, 0.7, 1.0][rng.gen_range(0..3)]
+            };
             for item in 0..items {
-                let row = if twins && user > 0 {
+                let row = if keep == 0.0 {
+                    None
+                } else if twins && user > 0 {
                     first_rows[item as usize].clone()
                 } else {
-                    rng.gen_bool(0.8)
+                    rng.gen_bool(keep)
                         .then(|| (0..horizon).map(|_| rng.gen_range(0.05..0.8)).collect())
                 };
                 if let Some(probs) = &row {
@@ -1231,75 +1363,75 @@ mod tests {
         events
     }
 
-    /// The G-Greedy plan of `inst` on engine `E`, forced onto 2, 3 and 5
-    /// user shards, against the one-shard loop: the revenue bits, the
+    /// The per-user G-Greedy plan of `inst` on engine `E`, on 1, 2, 3 and 5
+    /// CPU shards, against the whole-instance loop: the revenue bits, the
     /// strategy in insertion order and the trace bits, and with `counted`
-    /// the marginal evaluation count. Returns the number of split plans
-    /// compared (a cut of an instance whose candidates belong to one user
-    /// is one shard).
-    fn split_vs_one_shard<'a, E: RevenueEngine<'a>>(
+    /// the marginal evaluation count. Returns the number of per-user plans
+    /// compared.
+    fn per_user_vs_whole_instance<'a, E: RevenueEngine<'a>>(
         label: &str,
         inst: &'a Instance,
         cfg: &PlannerConfig,
         delta: Option<&ResidualDelta>,
         counted: bool,
     ) -> u32 {
-        let one = plan_on_shards::<E>(inst, cfg, delta, &[inst.full_shard()]);
-        let mut splits = 0;
-        for pieces in [2, 3, 5] {
+        let whole = whole_instance_plan::<E>(inst, cfg, delta);
+        let mut plans = 0;
+        for pieces in [1, 2, 3, 5] {
             let shards = sharded::shard_users(inst, pieces);
-            if shards.len() < 2 {
-                continue;
-            }
-            splits += 1;
-            let split = plan_on_shards::<E>(inst, cfg, delta, &shards);
-            let label = format!("{label}, {} shards", shards.len());
+            let per_user = per_user_plan::<E>(inst, cfg, delta, &shards);
+            plans += 1;
+            let label = format!("{label}, {} CPU shards", shards.len());
             assert_eq!(
-                split.revenue.to_bits(),
-                one.revenue.to_bits(),
+                per_user.revenue.to_bits(),
+                whole.revenue.to_bits(),
                 "{label}: revenue"
             );
             assert_eq!(
-                split.strategy.as_slice(),
-                one.strategy.as_slice(),
+                per_user.strategy.as_slice(),
+                whole.strategy.as_slice(),
                 "{label}: strategy"
             );
             let bits = |o: &GreedyOutcome| o.trace.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&split), bits(&one), "{label}: trace");
+            assert_eq!(bits(&per_user), bits(&whole), "{label}: trace");
             assert!(
-                !one.trace.is_empty() || one.strategy.is_empty(),
+                !whole.trace.is_empty() || whole.strategy.is_empty(),
                 "{label}: untraced"
             );
             if counted {
                 assert_eq!(
-                    split.marginal_evaluations, one.marginal_evaluations,
+                    per_user.marginal_evaluations, whole.marginal_evaluations,
                     "{label}: marginal evaluations"
                 );
             }
             assert_eq!(
-                split.concurrency,
+                per_user.concurrency,
                 ConcurrencyStats::default(),
                 "{label}: executor statistics"
             );
         }
-        splits
+        plans
     }
 
-    /// The split is exact wherever no item is scarce: on abundant instances
-    /// (a quarter with twin users), G-Greedy and GG-No, traced, cold and on
-    /// warm residuals with exempt pairs, plans at 2, 3 and 5 shards equal the
-    /// one-shard loop on the flat and hash engines, evaluation count
-    /// included. Under eager re-evaluation, whose stamps count a shard
-    /// engine's own selections, the plan is equal and only the count may
-    /// differ. A floor differs from the root key of its step only after a
+    /// The per-user path is exact wherever no item is scarce: on abundant
+    /// instances (a quarter with twin users, all with uneven candidate
+    /// counts and some users without candidates), G-Greedy and GG-No,
+    /// traced, cold and on warm residuals with exempt pairs, per-user plans
+    /// on 1, 2, 3 and 5 CPU shards equal the whole-instance loop on the flat
+    /// and hash engines, evaluation count included. Under eager
+    /// re-evaluation, whose stamps count an engine's selections of every
+    /// user it holds, the plan is equal and only the count may differ. A
+    /// floor differs from the root key of its step only after a
     /// re-evaluation raised a cached marginal (the non-submodular corner of
-    /// docs/submodularity.md), which about one case in 250 reaches; merging
-    /// by the raw root key instead fails cases 526 and 960.
+    /// docs/submodularity.md); sorting by the raw root key instead first
+    /// fails case 49 (strategy order), concatenating the user runs case 0
+    /// (strategy order), and counting a per-user cold fill as evaluations
+    /// case 0 (evaluation count).
     #[test]
     fn split_plans_are_the_one_shard_plan() {
         let mut rng = StdRng::seed_from_u64(0x5711_7a11);
-        // Split plans compared, cold and on warm residuals.
-        let mut splits = [0u32; 2];
+        // Per-user plans compared, cold and on warm residuals.
+        let mut per_user = [0u32; 2];
         for case in 0..1000u32 {
             let inst = abundant_instance(&mut rng, case % 4 == 3);
             assert!(!sharded::any_item_scarce(&inst), "case {case}: scarce item");
@@ -1317,7 +1449,8 @@ mod tests {
                     .with_track_trace(true);
                 let mut phases = vec![(0, &inst, cfg, None)];
                 // Displays to users without the item's candidate can leave
-                // a residual item scarce; the split never plans those.
+                // a residual item scarce; the per-user path never plans
+                // those.
                 if !sharded::any_item_scarce(&residual) {
                     phases.push((1, &residual, cfg.with_warm_start(true), Some(&delta)));
                 }
@@ -1326,10 +1459,21 @@ mod tests {
                         |engine| format!("case {case} {algorithm:?} phase {phase} {engine}");
                     type Flat<'a> = IncrementalRevenue<'a>;
                     type Hash<'a> = HashIncrementalRevenue<'a>;
-                    splits[phase] +=
-                        split_vs_one_shard::<Flat<'_>>(&label("flat"), target, &cfg, delta, true);
-                    split_vs_one_shard::<Hash<'_>>(&label("hash"), target, &cfg, delta, true);
-                    split_vs_one_shard::<Eager<Flat<'_>>>(
+                    per_user[phase] += per_user_vs_whole_instance::<Flat<'_>>(
+                        &label("flat"),
+                        target,
+                        &cfg,
+                        delta,
+                        true,
+                    );
+                    per_user_vs_whole_instance::<Hash<'_>>(
+                        &label("hash"),
+                        target,
+                        &cfg,
+                        delta,
+                        true,
+                    );
+                    per_user_vs_whole_instance::<Eager<Flat<'_>>>(
                         &label("eager"),
                         target,
                         &cfg,
@@ -1339,8 +1483,12 @@ mod tests {
                 }
             }
         }
-        assert!(splits[0] >= 5000, "only {} cold split plans", splits[0]);
-        assert!(splits[1] >= 2500, "only {} warm split plans", splits[1]);
+        assert_eq!(per_user[0], 8000, "cold per-user plans");
+        assert!(
+            per_user[1] >= 5000,
+            "only {} warm per-user plans",
+            per_user[1]
+        );
     }
 
     /// The scarcity rule at its boundary: demand equal to capacity is

@@ -15,11 +15,11 @@
 //! on an empty engine, where they are `q · p` and cost no evaluation.
 
 use crate::config::{PlanAlgorithm, PlannerConfig};
-use crate::global_greedy::{make_engine, outcome, run_window, GreedyOutcome};
+use crate::global_greedy::{make_engine, outcome, run_window, GreedyOutcome, Insertion};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use revmax_core::{IncrementalRevenue, Instance, ResidualDelta, RevenueEngine};
+use revmax_core::{IncrementalRevenue, Instance, ResidualDelta, RevenueEngine, Strategy};
 use std::collections::HashSet;
 
 /// Runs SL-Greedy: per-time-step greedy in chronological order `1, 2, …, T`.
@@ -46,12 +46,17 @@ pub(crate) fn run_order<'a, E: RevenueEngine<'a>>(
     let parallel = cfg.parallel_init();
     let mut evals = 0u64;
     let mut trace = Vec::new();
+    let mut strategy = Strategy::new();
     for &t in order {
-        let on_insert = |inc: &E, _| trace.push(inc.revenue());
+        let on_insert = |inc: &E, ins: Insertion| {
+            trace.push(inc.revenue());
+            strategy.insert(ins.z);
+        };
         inc = run_window(inst, inc, shard, t..=t, parallel, &mut evals, on_insert);
     }
     let revenue = inc.revenue();
-    outcome(inst, false, inc.into_strategy(), revenue, trace, evals)
+    inc.release();
+    outcome(inst, false, strategy, revenue, trace, evals)
 }
 
 /// Generates up to `n` distinct permutations of `1..=horizon` (always including

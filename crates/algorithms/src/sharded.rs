@@ -15,9 +15,9 @@
 //! worker threads (`PlannerConfig::shard_threads` at its default of 1, auto
 //! mode on a one-CPU host, or `track_trace`, whose per-selection trace the
 //! executor does not record) plans one shard: the selection core over
-//! every user, with capacity read from its own engine (or its exact split
-//! across CPUs, see below). Such a plan is the one-shard outcome itself,
-//! whatever the shard count.
+//! every user, with capacity read from its own engine, or one user at a
+//! time when no item is scarce (see below). Such a plan is the one-shard
+//! outcome itself, whatever the shard count.
 //!
 //! # Determinism: scarce claims are admitted in selection order
 //!
@@ -54,20 +54,23 @@
 //! * **bounded per-worker memory** — every per-candidate structure is
 //!   `O(shard)`, the flat engine's shard view included.
 //!
-//! Where no item is scarce before any claim (`any_item_scarce`), the
-//! default one-shard plan buys the first two without this executor: with
-//! `PlannerConfig::parallel` on it cuts the users into one shard per CPU
-//! with [`shard_users`], runs each shard's selection loop on its own
-//! thread with no ledger, and merges the insertions into the one-shard
-//! order (`global_greedy`, "Where the second core comes from"). Its
-//! outcome is the one-shard outcome bit for bit, where this executor's
-//! agrees to 1e-9.
+//! Where no item is scarce before any claim (`any_item_scarce`, a plain
+//! count of non-exempt candidate demand against capacity), the one-shard
+//! plan buys them without this executor or a ledger. It selects one user
+//! at a time, each user's table and tournament a few kilobytes, and sorts
+//! the insertions into the one-shard order (`global_greedy`, "Users plan
+//! one at a time when no item is scarce"). With `PlannerConfig::parallel`
+//! on it also cuts the users into one CPU shard per core with
+//! [`shard_users`], each building its own engine and selecting on its own
+//! thread. Its outcome is the one-shard outcome bit for bit, where this
+//! executor's agrees to 1e-9.
 //!
 //! Under eager re-evaluation (the parity suites' `revmax_oracle::Eager`
-//! engine) flags are stamped with the engine's selection count, which a
-//! shard engine counts over its own selections only. A cross-shard
-//! insertion cannot change another shard's marginals, so the plan is the
-//! same, in the executor and in the split alike; only
+//! engine) flags are stamped with the engine's selection count, which
+//! counts every selection the engine holds: a shard engine's own, or,
+//! on the per-user path, those of every user its CPU shard planned so far.
+//! Another user's insertion cannot change a user's marginals, so the plan
+//! is the same, in the executor and on the per-user path alike; only
 //! `marginal_evaluations` can differ from one shard's.
 //!
 //! SL-Greedy and RL-Greedy always plan on one shard; `PlannerConfig::shards`
@@ -108,12 +111,23 @@ pub fn shard_users(inst: &Instance, pieces: usize) -> Vec<UserShard> {
 
 /// Whether some item is in the scarcity window before any claim: its
 /// non-exempt candidate demand exceeds its capacity
-/// ([`SharedCapacityLedger::is_scarce`] at zero claims). When none is, no
-/// capacity gate can close in a G-Greedy plan, and users plan
-/// independently.
+/// ([`SharedCapacityLedger::is_scarce`] at zero claims). The demand is a
+/// plain count: an item's candidates, less its exempt users who are among
+/// them. When no item is scarce, no capacity gate can close in a G-Greedy
+/// plan, and users plan independently.
 pub(crate) fn any_item_scarce(inst: &Instance) -> bool {
-    let ledger = SharedCapacityLedger::new(inst);
-    (0..inst.num_items()).any(|i| ledger.is_scarce(ItemId(i)))
+    let mut demand = vec![0u32; inst.num_items() as usize];
+    for cand in inst.candidates() {
+        demand[inst.candidate_item(cand).index()] += 1;
+    }
+    (0..inst.num_items()).map(ItemId).any(|item| {
+        let exempt_candidates = inst
+            .exempt_users(item)
+            .iter()
+            .filter(|&&user| inst.candidate_for(user, item).is_some())
+            .count();
+        demand[item.index()] - exempt_candidates as u32 > inst.capacity(item)
+    })
 }
 
 /// The `(item, user)` pair a candidate claims capacity for.
@@ -325,10 +339,11 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
             .filter(|i| i % threads == tid)
             .map(|i| {
                 let shard = shard_descs[i];
-                let inc = make_engine(inst, cfg.ignores_saturation(), shard, cfg, delta);
+                let inc: E = make_engine(inst, cfg.ignores_saturation(), shard, cfg, delta);
                 let mut run = ShardRun::default();
                 let window = 1..=inst.horizon();
-                let core = ShardCore::new(inst, inc, shard, window, false, &mut run.evals);
+                let cold = inc.is_empty();
+                let core = ShardCore::new(inst, inc, shard, window, cold, false, &mut run.evals);
                 (i, core, run)
             })
             .collect();
@@ -485,10 +500,9 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
         stats.arbitrated_moves += run.arbitrated;
         stats.rejected_moves += run.rejected;
         picks.extend(run.picks);
-        // Release through into_strategy on the calling thread so
-        // warm-started engines return their buffers to the session pool
-        // without concurrent pool access.
-        let _ = sh.inc.into_strategy();
+        // Release on the calling thread so warm-started engines return
+        // their buffers to the session pool without concurrent pool access.
+        sh.inc.release();
     }
 
     GreedyOutcome {
@@ -501,5 +515,55 @@ fn sharded_concurrent_impl<'a, E: RevenueEngine<'a>>(
             Vec::new(),
             evals,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use revmax_core::InstanceBuilder;
+
+    /// The plain demand count is the shared ledger's scarcity window at
+    /// zero claims: on random instances with exempt pairs (on candidates
+    /// and off them) and capacities drawn just around each item's demand,
+    /// `any_item_scarce` holds exactly when a fresh ledger reads some item
+    /// scarce.
+    #[test]
+    fn scarcity_count_matches_the_ledger_at_zero_claims() {
+        let mut rng = StdRng::seed_from_u64(0x5ca7_c17e);
+        let mut verdicts = [0u32; 2];
+        for case in 0..2000u32 {
+            let users = rng.gen_range(1u32..=8);
+            let items = rng.gen_range(1u32..=4);
+            let mut b = InstanceBuilder::new(users, items, 1);
+            let mut demand = vec![0u32; items as usize];
+            for user in 0..users {
+                for item in 0..items {
+                    if rng.gen_bool(0.6) {
+                        b.candidate(user, item, &[0.5], 0.0);
+                        demand[item as usize] += 1;
+                    }
+                    if rng.gen_bool(0.2) {
+                        b.exempt_user(item, user);
+                    }
+                }
+            }
+            for item in 0..items {
+                let demand = demand[item as usize];
+                let capacity = rng.gen_range(demand.saturating_sub(2)..=demand + 1);
+                b.constant_price(item, 1.0).capacity(item, capacity);
+            }
+            let inst = b.build().unwrap();
+            let ledger = SharedCapacityLedger::new(&inst);
+            let scarce = (0..items).any(|i| ledger.is_scarce(ItemId(i)));
+            assert_eq!(any_item_scarce(&inst), scarce, "case {case}");
+            verdicts[usize::from(scarce)] += 1;
+        }
+        assert!(
+            verdicts.iter().all(|&n| n >= 400),
+            "abundant and scarce verdicts: {verdicts:?}"
+        );
     }
 }

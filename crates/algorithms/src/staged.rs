@@ -11,9 +11,9 @@
 //! one stage covering the horizon is G-Greedy itself.
 
 use crate::config::PlannerConfig;
-use crate::global_greedy::{outcome, run_window, GreedyOutcome};
+use crate::global_greedy::{outcome, run_window, GreedyOutcome, Insertion};
 use crate::local_greedy::sample_permutations;
-use revmax_core::{IncrementalRevenue, Instance};
+use revmax_core::{IncrementalRevenue, Instance, Strategy, Triple};
 
 /// Expands stage end points (e.g. `[2, 7]`) into inclusive time ranges
 /// (`[(1,2), (3,7)]`). The last stage is extended to the horizon if needed.
@@ -41,13 +41,17 @@ pub fn global_greedy_staged(inst: &Instance, stage_ends: &[u32]) -> GreedyOutcom
     let mut inc = IncrementalRevenue::new(inst);
     let mut evals = 0u64;
     let mut trace = Vec::new();
+    let mut strategy = Strategy::new();
     let shard = inst.full_shard();
     for (lo, hi) in stages_from_ends(inst.horizon(), stage_ends) {
-        let on_insert = |inc: &IncrementalRevenue<'_>, _| trace.push(inc.revenue());
+        let on_insert = |inc: &IncrementalRevenue<'_>, ins: Insertion| {
+            trace.push(inc.revenue());
+            strategy.insert(ins.z);
+        };
         inc = run_window(inst, inc, shard, lo..=hi, parallel, &mut evals, on_insert);
     }
     let revenue = inc.revenue();
-    outcome(inst, false, inc.into_strategy(), revenue, trace, evals)
+    outcome(inst, false, strategy, revenue, trace, evals)
 }
 
 /// RL-Greedy under staged price availability: within each stage, `permutations`
@@ -64,14 +68,16 @@ pub fn randomized_local_greedy_staged(
     let mut inc = IncrementalRevenue::new(inst);
     let mut evals = 0u64;
     let mut trace = Vec::new();
+    let mut strategy = Strategy::new();
 
     for (stage_idx, (lo, hi)) in stages.iter().enumerate() {
         let width = hi - lo + 1;
         let orders = sample_permutations(width, permutations, seed.wrapping_add(stage_idx as u64));
-        let mut best: Option<(IncrementalRevenue<'_>, Vec<f64>)> = None;
+        let mut best: Option<(IncrementalRevenue<'_>, Vec<f64>, Vec<Triple>)> = None;
         for order in &orders {
             let mut candidate_inc = inc.clone();
             let mut candidate_trace = Vec::new();
+            let mut candidate_picks = Vec::new();
             for &offset in order {
                 let t = lo + offset - 1;
                 candidate_inc = run_window(
@@ -81,23 +87,29 @@ pub fn randomized_local_greedy_staged(
                     t..=t,
                     parallel,
                     &mut evals,
-                    |inc, _| candidate_trace.push(inc.revenue()),
+                    |inc, ins| {
+                        candidate_trace.push(inc.revenue());
+                        candidate_picks.push(ins.z);
+                    },
                 );
             }
             if best
                 .as_ref()
-                .is_none_or(|(b, _)| candidate_inc.revenue() > b.revenue())
+                .is_none_or(|(b, _, _)| candidate_inc.revenue() > b.revenue())
             {
-                best = Some((candidate_inc, candidate_trace));
+                best = Some((candidate_inc, candidate_trace, candidate_picks));
             }
         }
-        let (best_inc, best_trace) = best.expect("at least one ordering per stage");
+        let (best_inc, best_trace, best_picks) = best.expect("at least one ordering per stage");
         inc = best_inc;
         trace.extend(best_trace);
+        for z in best_picks {
+            strategy.insert(z);
+        }
     }
 
     let revenue = inc.revenue();
-    outcome(inst, false, inc.into_strategy(), revenue, trace, evals)
+    outcome(inst, false, strategy, revenue, trace, evals)
 }
 
 #[cfg(test)]

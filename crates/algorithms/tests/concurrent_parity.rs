@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use revmax_algorithms::{plan, plan_with, PlanAlgorithm, PlannerConfig};
 use revmax_core::{
     env, CandidateId, IncrementalRevenue as Flat, Instance, InstanceBuilder, RevenueEngine,
-    Strategy, TimeStep, UserShard,
+    TimeStep, UserShard,
 };
 use revmax_oracle::HashIncrementalRevenue as Hash;
 use std::time::Duration;
@@ -257,8 +257,8 @@ impl<'a> RevenueEngine<'a> for PanicsOnLastUser<'a> {
         self.0.insert_cand(cand, t)
     }
 
-    fn into_strategy(self) -> Strategy {
-        self.0.into_strategy()
+    fn release(self) {
+        self.0.release()
     }
 }
 
@@ -267,9 +267,10 @@ impl<'a> RevenueEngine<'a> for PanicsOnLastUser<'a> {
 /// coordinator's barrier as it unwinds, and the pool re-raises the panic,
 /// instead of the barrier waiting forever for them; RL-Greedy re-raises
 /// the panic of the thread that ran its orders; and the default G-Greedy
-/// plan of an abundant instance of 18,000 live slots, which a multi-core
-/// host splits across its CPUs, re-raises the panic of the thread that
-/// planned the last users.
+/// plan of an abundant instance of 18,000 live slots runs one user at a
+/// time, which a multi-core host does on one CPU shard per core: the
+/// panic comes from the last user's per-user run, on the pool thread that
+/// planned the last CPU shard, and the pool re-raises it.
 #[test]
 fn worker_panic_reaches_the_caller() {
     for (cfg, users) in [

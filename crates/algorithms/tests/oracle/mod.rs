@@ -21,7 +21,9 @@
 //! `plan_with` (the flat engine or a `revmax_oracle` reference).
 
 use revmax_algorithms::{sample_permutations, GreedyOutcome, PlanAlgorithm, PlannerConfig};
-use revmax_core::{revenue, CandidateId, Instance, ResidualDelta, RevenueEngine, TimeStep};
+use revmax_core::{
+    revenue, CandidateId, Instance, ResidualDelta, RevenueEngine, Strategy, TimeStep, Triple,
+};
 
 /// The first index holding the largest value, with that value; `None` when
 /// every value is `NEG_INFINITY` (dead). An index loop, because the suites
@@ -55,17 +57,32 @@ fn engine<'a, E: RevenueEngine<'a>>(
     }
 }
 
-/// The outcome of the plan `inc` holds; a saturation-blind plan reports
-/// the true revenue of its strategy.
+/// Inserts `(cand, t)` into the engine and records the triple in the
+/// strategy the loop keeps (engines keep none).
+fn insert<'a, E: RevenueEngine<'a>>(
+    inc: &mut E,
+    strategy: &mut Strategy,
+    cand: CandidateId,
+    t: TimeStep,
+) {
+    let inst = inc.instance();
+    let (user, item) = (inst.candidate_user(cand), inst.candidate_item(cand));
+    inc.insert_cand(cand, t);
+    strategy.insert(Triple { user, item, t });
+}
+
+/// The outcome of the plan `inc` holds, whose triples `strategy` lists in
+/// insertion order; a saturation-blind plan reports the true revenue of
+/// its strategy.
 fn outcome<'a, E: RevenueEngine<'a>>(
     inst: &Instance,
     ignore_saturation: bool,
     inc: E,
+    strategy: Strategy,
     trace: Vec<f64>,
     marginal_evaluations: u64,
 ) -> GreedyOutcome {
     let selection_objective = inc.revenue();
-    let strategy = inc.into_strategy();
     GreedyOutcome {
         revenue: if ignore_saturation {
             revenue(inst, &strategy)
@@ -110,6 +127,7 @@ pub fn argmax_greedy<'a, E: RevenueEngine<'a>>(
         |values: &[f64], c: usize| argmax(&values[row(c)]).map_or(f64::NEG_INFINITY, |b| b.1);
     let mut roots: Vec<f64> = (0..num_cand).map(|c| root(&values, c)).collect();
     let mut trace = Vec::new();
+    let mut strategy = Strategy::new();
     let mut evals = 0u64;
 
     while (inc.len() as u64) < inst.total_slots() {
@@ -130,7 +148,7 @@ pub fn argmax_greedy<'a, E: RevenueEngine<'a>>(
             // Capacity exhausted by other users: the candidate dies.
             values[row(c)].fill(f64::NEG_INFINITY);
         } else if flags[slot] == stamp {
-            inc.insert_cand(cand, t);
+            insert(&mut inc, &mut strategy, cand, t);
             values[slot] = f64::NEG_INFINITY;
             if cfg.track_trace {
                 trace.push(inc.revenue());
@@ -147,7 +165,7 @@ pub fn argmax_greedy<'a, E: RevenueEngine<'a>>(
         }
         roots[c] = root(&values, c);
     }
-    outcome(inst, ignore_saturation, inc, trace, evals)
+    outcome(inst, ignore_saturation, inc, strategy, trace, evals)
 }
 
 /// Plans SL-Greedy (Algorithm 2) on engine `E` under `order`, a sequence of
@@ -162,6 +180,7 @@ pub fn sl_greedy<'a, E: RevenueEngine<'a>>(
     let mut inc: E = engine(inst, false, cfg, delta);
     let cands: Vec<CandidateId> = inst.candidates().collect();
     let mut trace = Vec::new();
+    let mut strategy = Strategy::new();
     let mut evals = 0u64;
     for &t in order {
         let t = TimeStep(t);
@@ -187,7 +206,7 @@ pub fn sl_greedy<'a, E: RevenueEngine<'a>>(
             } else if inc.would_violate_cand(cand, t) {
                 values[c] = f64::NEG_INFINITY;
             } else if flags[c] == stamp {
-                inc.insert_cand(cand, t);
+                insert(&mut inc, &mut strategy, cand, t);
                 values[c] = f64::NEG_INFINITY;
                 trace.push(inc.revenue());
             } else {
@@ -197,7 +216,7 @@ pub fn sl_greedy<'a, E: RevenueEngine<'a>>(
             }
         }
     }
-    outcome(inst, false, inc, trace, evals)
+    outcome(inst, false, inc, strategy, trace, evals)
 }
 
 /// Plans RL-Greedy on engine `E`: [`sl_greedy`] under each of the orders

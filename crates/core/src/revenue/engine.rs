@@ -9,7 +9,6 @@
 use super::warm::ResidualDelta;
 use crate::ids::{CandidateId, TimeStep};
 use crate::instance::{Instance, UserShard};
-use crate::strategy::Strategy;
 
 /// Incremental evaluation of the REVMAX objective and constraints, addressed
 /// by candidate id — the representation the greedy hot loops already hold.
@@ -126,6 +125,10 @@ pub trait RevenueEngine<'a>: Sized + Sync + Send {
     /// marginal revenue. The caller is responsible for constraint checks.
     fn insert_cand(&mut self, cand: CandidateId, t: TimeStep) -> f64;
 
-    /// Consumes the evaluator and returns the built strategy.
-    fn into_strategy(self) -> Strategy;
+    /// Consumes the evaluator, returning whatever it can recycle: a
+    /// warm-started engine hands its buffers back to the session's
+    /// [`super::warm::EngineSnapshot`] pool. Engines keep no record of the
+    /// plan they hold; every driver builds its outcome's strategy once,
+    /// from the insertions it made. The default just drops the engine.
+    fn release(self) {}
 }

@@ -20,8 +20,9 @@
 //! * saturation powers are table-driven: `ln β_i` per item turns
 //!   `β^M` into one `exp`, and a per-item table of `β_i^{1/d}` for
 //!   `d ∈ 1..T` turns the per-entry discount `β^{1/(t−τ)}` into a lookup;
-//! * selection membership is a flat bitmap over (candidate, time) slots, so
-//!   the hot path never touches the `Strategy`'s hash index.
+//! * selection membership is a flat bitmap over (candidate, time) slots, and
+//!   the engine keeps no `Strategy` at all: it counts its picks, and the
+//!   greedy drivers build the plan's strategy from their own insertions.
 //!
 //! Non-candidate triples (probability 0 everywhere) are accepted through the
 //! triple-based compatibility API and handled on a cold path so the engine
@@ -43,7 +44,6 @@ use super::ledger::CapacityLedger;
 use super::warm::{EngineSnapshot, FlatBuffers, ResidualDelta, SatTables};
 use crate::ids::{CandidateId, ClassId, TimeStep, Triple, UserId};
 use crate::instance::{Instance, UserShard};
-use crate::strategy::Strategy;
 use std::sync::Arc;
 
 const NONE: u32 = u32::MAX;
@@ -90,7 +90,7 @@ pub struct IncrementalRevenue<'a> {
     /// Dense (user, class) group slot per candidate (shard-local index).
     cand_group: Vec<u32>,
     /// Warm-start pool to return the recycled buffers to on
-    /// [`IncrementalRevenue::into_strategy`] (`None` for cold engines).
+    /// [`IncrementalRevenue::release`] (`None` for cold engines).
     recycle: Option<EngineSnapshot>,
 
     // --- dynamic state ---
@@ -108,7 +108,8 @@ pub struct IncrementalRevenue<'a> {
     /// Selection bitmap over `local_cand * horizon + (t − 1)` slots.
     selected: Vec<bool>,
     revenue: f64,
-    strategy: Strategy,
+    /// Number of triples selected so far.
+    picks: usize,
     /// Per (shard-local user, time) number of recommendations, for the
     /// display constraint.
     display_count: Vec<u16>,
@@ -124,8 +125,9 @@ pub struct IncrementalRevenue<'a> {
     /// the instance carries exemptions; when populated, the hot capacity
     /// check is two flat loads instead of a binary search per query.
     cand_exempt: Vec<bool>,
-    /// (item, user) pairs of inserted *non-candidate* triples (cold path).
-    extra_seen: Vec<(u32, u32)>,
+    /// Inserted *non-candidate* triples (cold path, linear-scanned; the
+    /// selection bitmap covers candidate triples only).
+    extra_triples: Vec<Triple>,
     /// Groups created on demand for non-candidate (user, class) pairs the
     /// static numbering has no slot for (cold path, linear-scanned).
     extra_groups: Vec<(u32, u32, u32)>,
@@ -276,11 +278,11 @@ impl<'a> IncrementalRevenue<'a> {
             arena,
             selected,
             revenue: 0.0,
-            strategy: Strategy::new(),
+            picks: 0,
             display_count,
             ledger: CapacityLedger::new(inst),
             cand_counted,
-            extra_seen: Vec::new(),
+            extra_triples: Vec::new(),
             extra_groups: Vec::new(),
             cand_exempt,
         }
@@ -322,16 +324,11 @@ impl<'a> IncrementalRevenue<'a> {
         self.revenue
     }
 
-    /// The strategy built so far.
-    pub fn strategy(&self) -> &Strategy {
-        &self.strategy
-    }
-
-    /// Consumes the evaluator and returns the built strategy. Warm-started
-    /// engines return their buffers to the session's [`EngineSnapshot`] pool
-    /// here — keyed by the shard that grew them — so the next replan of the
-    /// same shard can recycle them at matching capacity.
-    pub fn into_strategy(mut self) -> Strategy {
+    /// Consumes the evaluator. Warm-started engines return their buffers
+    /// to the session's [`EngineSnapshot`] pool here — keyed by the shard
+    /// that grew them — so the next replan of the same shard can recycle
+    /// them at matching capacity; cold engines are simply dropped.
+    pub fn release(mut self) {
         if let Some(pool) = self.recycle.take() {
             pool.return_buffers(
                 self.shard.user_start(),
@@ -348,17 +345,24 @@ impl<'a> IncrementalRevenue<'a> {
                 },
             );
         }
-        self.strategy
     }
 
     /// Number of triples selected so far.
     pub fn len(&self) -> usize {
-        self.strategy.len()
+        self.picks
     }
 
     /// Whether no triple has been selected yet.
     pub fn is_empty(&self) -> bool {
-        self.strategy.is_empty()
+        self.picks == 0
+    }
+
+    /// Whether a non-candidate triple of the same (item, user) pair as `z`
+    /// was inserted, i.e. the pair was already charged to the ledger.
+    fn extra_pair_seen(&self, z: Triple) -> bool {
+        self.extra_triples
+            .iter()
+            .any(|e| e.item == z.item && e.user == z.user)
     }
 
     /// The saturation-table row of an item under the evaluator's settings.
@@ -482,10 +486,7 @@ impl<'a> IncrementalRevenue<'a> {
         }
         match self.inst.candidate_for(z.user, z.item) {
             Some(cand) => self.capacity_violated_cand(cand, z.item.0),
-            None => {
-                !self.extra_seen.contains(&(z.item.0, z.user.0))
-                    && self.ledger.is_full_for(z.item, z.user)
-            }
+            None => !self.extra_pair_seen(z) && self.ledger.is_full_for(z.item, z.user),
         }
     }
 
@@ -514,7 +515,7 @@ impl<'a> IncrementalRevenue<'a> {
         match self.inst.candidate_for(z.user, z.item) {
             Some(cand) => self.marginal_revenue_cand(cand, z.t),
             None => {
-                if self.strategy.contains(z) {
+                if self.extra_triples.contains(&z) {
                     0.0
                 } else {
                     self.marginal_noncandidate(z)
@@ -562,7 +563,7 @@ impl<'a> IncrementalRevenue<'a> {
         match self.inst.candidate_for(z.user, z.item) {
             Some(cand) => self.insert_cand(cand, z.t),
             None => {
-                if self.strategy.contains(z) {
+                if self.extra_triples.contains(&z) {
                     return 0.0;
                 }
                 self.insert_noncandidate(z)
@@ -641,7 +642,7 @@ impl<'a> IncrementalRevenue<'a> {
             self.cand_counted[local] = true;
             self.ledger.charge(item, user);
         }
-        self.strategy.insert(Triple { user, item, t });
+        self.picks += 1;
         gain + loss
     }
 
@@ -847,11 +848,11 @@ impl<'a> IncrementalRevenue<'a> {
         self.revenue += loss;
         let dslot = self.local_user(z.user) * self.inst.horizon() as usize + z.t.index();
         self.display_count[dslot] += 1;
-        if !self.extra_seen.contains(&(z.item.0, z.user.0)) {
-            self.extra_seen.push((z.item.0, z.user.0));
+        if !self.extra_pair_seen(z) {
             self.ledger.charge(z.item, z.user);
         }
-        self.strategy.insert(z);
+        self.extra_triples.push(z);
+        self.picks += 1;
         loss
     }
 }
@@ -883,7 +884,7 @@ impl<'a> RevenueEngine<'a> for IncrementalRevenue<'a> {
     }
 
     fn len(&self) -> usize {
-        self.strategy.len()
+        self.picks
     }
 
     fn group_size_cand(&self, cand: CandidateId) -> usize {
@@ -917,7 +918,7 @@ impl<'a> RevenueEngine<'a> for IncrementalRevenue<'a> {
         IncrementalRevenue::insert_cand(self, cand, t)
     }
 
-    fn into_strategy(self) -> Strategy {
-        IncrementalRevenue::into_strategy(self)
+    fn release(self) {
+        IncrementalRevenue::release(self)
     }
 }

@@ -244,9 +244,9 @@ impl<C: LedgerCell> SharedCapacityLedgerIn<C> {
     ///
     /// Each item's `demand` starts at its non-exempt candidate pairs, so on
     /// the fresh ledger [`SharedCapacityLedgerIn::is_scarce`] reads
-    /// `demand > cap`. The G-Greedy planner asks exactly that of every item
-    /// before planning: when no item is scarce, no capacity gate can close,
-    /// and the default plan splits its users across CPUs.
+    /// `demand > cap`. The G-Greedy planner counts exactly that demand
+    /// before every plan, without a ledger: when no item is scarce, no
+    /// capacity gate can close, and the plan runs one user at a time.
     ///
     /// Cell construction order is part of the analysis-toolchain contract:
     /// the `used` cells are registered first (cell ids `0..items` under the

@@ -16,7 +16,9 @@
 //!   at the build horizon, shorter horizons index a prefix of each row);
 //! * [`EngineSnapshot`] — a shareable pool holding the tables plus recycled
 //!   per-shard buffer sets; engines take buffers at construction and return
-//!   them from [`super::flat::IncrementalRevenue::into_strategy`];
+//!   them from [`super::flat::IncrementalRevenue::release`] (the engine's
+//!   [`super::RevenueEngine::release`]), which the drivers call once the
+//!   plan is recorded;
 //! * [`ResidualDelta`] — what one session advance changed: the new frontier,
 //!   the shift, the users with new events, and the snapshot.
 //!   `residual_advance` (in [`crate::events`]) uses the frontier and the

@@ -285,9 +285,9 @@ pub fn table2(scale: &Scale) -> Table {
 
 /// **Figure 6** — running time of G-Greedy on synthetic datasets of growing
 /// size (the scalability study). No item of these datasets is scarce, so
-/// the default plan splits its users across every core of the host (see
-/// `revmax_algorithms::PlannerConfig::parallel`) and the seconds are
-/// wall-clock time on all of them.
+/// the default plan runs one user at a time, on one CPU shard per core of
+/// the host (see `revmax_algorithms::PlannerConfig::parallel`), and the
+/// seconds are wall-clock time on all of them.
 pub fn figure6(scale: &Scale) -> Table {
     let mut table = Table::new(
         "Figure 6: G-Greedy scalability on synthetic data (GG seconds use every core when no item is scarce)",

@@ -86,11 +86,6 @@ impl<'a> HashIncrementalRevenue<'a> {
         &self.strategy
     }
 
-    /// Consumes the evaluator and returns the built strategy.
-    pub fn into_strategy(self) -> Strategy {
-        self.strategy
-    }
-
     /// Number of triples selected so far.
     pub fn len(&self) -> usize {
         self.strategy.len()
@@ -292,9 +287,5 @@ impl<'a> RevenueEngine<'a> for HashIncrementalRevenue<'a> {
         let user = self.inst.candidate_user(cand);
         let item = self.inst.candidate_item(cand);
         self.insert(Triple { user, item, t })
-    }
-
-    fn into_strategy(self) -> Strategy {
-        self.strategy
     }
 }

@@ -31,9 +31,7 @@ mod residual;
 pub use hash::HashIncrementalRevenue;
 pub use residual::{residual_by_builder, ResidualMode};
 
-use revmax_core::{
-    CandidateId, Instance, ResidualDelta, RevenueEngine, Strategy, TimeStep, UserShard,
-};
+use revmax_core::{CandidateId, Instance, ResidualDelta, RevenueEngine, TimeStep, UserShard};
 
 /// Eager re-evaluation over any engine: every group reports the engine's
 /// total selection count as its size.
@@ -99,7 +97,7 @@ impl<'a, E: RevenueEngine<'a>> RevenueEngine<'a> for Eager<E> {
         self.0.insert_cand(cand, t)
     }
 
-    fn into_strategy(self) -> Strategy {
-        self.0.into_strategy()
+    fn release(self) {
+        self.0.release()
     }
 }
