@@ -75,17 +75,21 @@ pub struct PlannerConfig {
     /// Record the objective value after every selection (Figure 4 traces).
     pub track_trace: bool,
     /// Thread parallelism of one-shard plans: `None` (default) and
-    /// `Some(true)` fill a time window of at least 16,384 live slots
-    /// (candidates × time steps in the window) on scoped threads, and cut
-    /// the users of a G-Greedy plan of that size in which no item is scarce
-    /// (every item's non-exempt candidate demand fits its capacity) into
-    /// one CPU shard per core, each on its own thread. `Some(false)` does
-    /// neither. Such a plan selects one user at a time on any host, with
-    /// `parallel` on or off; this knob only decides whether its CPU shards
-    /// use threads. Both settings are exact: parallel and sequential fills
-    /// are bit-identical, and a per-user plan is the whole-instance outcome
-    /// bit for bit (revenue, strategy order, trace and evaluation count) at
-    /// every CPU shard count. On a one-CPU host nothing forks.
+    /// `Some(true)` evaluate a time window's table fill of at least 16,384
+    /// live slots (candidates × time steps in the window) on scoped
+    /// threads, and cut the users of a G-Greedy plan of that size in which
+    /// no item is scarce (every item's non-exempt candidate demand fits its
+    /// capacity) into one CPU shard per core, each on its own thread.
+    /// `Some(false)` does neither. Only an evaluated fill forks (a window
+    /// over an engine that already holds selections of its users); a cold
+    /// fill writes `q · p` on the calling thread either way, which costs
+    /// less than a fork. A plan with no scarce item selects one user at a
+    /// time on any host, with `parallel` on or off; this knob only decides
+    /// whether its CPU shards use threads. Both settings are exact:
+    /// parallel and sequential fills are bit-identical, and a per-user plan
+    /// is the whole-instance outcome bit for bit (revenue, strategy order,
+    /// trace and evaluation count) at every CPU shard count. On a one-CPU
+    /// host nothing forks.
     pub parallel: Option<bool>,
     /// Warm-start residual replans (off by default): when a replan comes
     /// with a [`ResidualDelta`] (see [`plan_residual`]), engines recycle the
@@ -224,9 +228,9 @@ impl PlannerConfig {
         matches!(self.algorithm, PlanAlgorithm::GlobalNoSaturation)
     }
 
-    /// One-shard parallelism (on unless switched off; the forked fill and
-    /// the per-user path's CPU shards are additionally gated by the live
-    /// slot count).
+    /// One-shard parallelism (on unless switched off; the forked evaluated
+    /// fill and the per-user path's CPU shards are additionally gated by the
+    /// live slot count).
     pub(crate) fn parallel_init(&self) -> bool {
         self.parallel.unwrap_or(true)
     }

@@ -46,15 +46,16 @@
 //! so each user's steps are the whole-instance run's steps restricted to
 //! that user (Keerthi & Tomlin's per-user slate decomposition). G-Greedy
 //! then runs the core over one user's candidates at a time, on any host
-//! and with `parallel` on or off (`per_user_plan`), and sorts the
-//! insertions back into the whole-instance order (`sort_by_floor`). A
-//! user's table and tournament are a few kilobytes, so they stay in cache
-//! and are refilled in place for the next user. `parallel` only decides
-//! whether the users are cut into one CPU shard per core, each with its
-//! own engine and thread (`plan_shards`). The outcome is the
-//! whole-instance outcome bit for bit: strategy order, revenue, trace and
-//! evaluation count. An instance with a scarce item runs the
-//! whole-instance loop (`whole_instance_plan`).
+//! and with `parallel` on or off (`per_user_plan`), and puts the
+//! insertions back into the whole-instance order: each CPU shard sorts its
+//! own by floor (`sort_by_floor`), and the caller merges the shards'
+//! sorted runs (`merge_by_floor`). A user's table and tournament are a few
+//! kilobytes, so they stay in cache and are refilled in place for the next
+//! user. `parallel` only decides whether the users are cut into one CPU
+//! shard per core, each with its own engine and thread (`plan_shards`).
+//! The outcome is the whole-instance outcome bit for bit: strategy order,
+//! revenue, trace and evaluation count. An instance with a scarce item runs
+//! the whole-instance loop (`whole_instance_plan`).
 //!
 //! The drivers are generic over [`RevenueEngine`]: the planner runs the
 //! flat-arena [`revmax_core::IncrementalRevenue`], and the parity suites
@@ -63,9 +64,10 @@
 //!
 //! Per-candidate cached state is stored struct-of-arrays: flat `values` and
 //! `flags` vectors indexed by `cand * T + t` (blocked slots, and slots
-//! outside the window, are encoded as `NEG_INFINITY` values). The initial
-//! value pass is embarrassingly parallel over slots and may be filled by
-//! scoped threads.
+//! outside the window, are encoded as `NEG_INFINITY` values). A cold fill
+//! (no selection of the shard's users yet) writes `q · p` a row at a time
+//! on the calling thread; an evaluated fill is embarrassingly parallel over
+//! slots and may be filled by scoped threads.
 
 use crate::config::PlannerConfig;
 use crate::{par, sharded};
@@ -182,10 +184,12 @@ impl CandidateTable {
     /// time steps in `window`; every slot outside it is dead. A `cold` fill
     /// writes `q(u,i,t) · p(i,t)` at stamp 0, which costs no evaluation: the
     /// caller vouches that `inc` holds no selection of the shard's users,
-    /// so that is every slot's marginal. Any other fill evaluates the
-    /// window's slots, stamped with their group sizes, and adds the
-    /// evaluations to `evals`. With `parallel`, a window of at least
-    /// [`FORK_SLOTS`] live slots is filled on scoped threads.
+    /// so that is every slot's marginal. It writes a row at a time on the
+    /// calling thread, for any window and any `parallel`: a product per
+    /// slot costs less than a fork. Any other fill evaluates the window's
+    /// slots, stamped with their group sizes, and adds the evaluations to
+    /// `evals`; with `parallel`, one of at least [`FORK_SLOTS`] live slots
+    /// is filled on scoped threads.
     fn fill<'a, E: RevenueEngine<'a>>(
         &mut self,
         inc: &E,
@@ -202,31 +206,38 @@ impl CandidateTable {
             let cand = CandidateId(shard.cand_start() + (slot / horizon) as u32);
             (cand, TimeStep::from_index(slot % horizon))
         };
-        let value = |slot: usize| {
-            let (cand, t) = slot_of(slot);
-            if !window.contains(&t.value()) {
-                f64::NEG_INFINITY
-            } else if cold {
-                inst.candidate_prob(cand, t) * inst.price(inst.candidate_item(cand), t)
-            } else {
-                inc.marginal_revenue_cand(cand, t)
-            }
-        };
         self.horizon = horizon;
         self.values.clear();
-        let live = shard.num_candidates() * window.clone().count();
-        if parallel && live >= FORK_SLOTS {
-            self.values.resize(n, f64::NEG_INFINITY);
-            par::parallel_fill(&mut self.values, value);
-        } else if cold && live == n {
-            // Every slot is live: `value`'s `q · p`, a row at a time.
+        if cold {
+            // `q · p` a row at a time, then dead outside the window's time
+            // indices `lo..hi`.
+            let lo = (*window.start() as usize).saturating_sub(1).min(horizon);
+            let hi = (*window.end() as usize).clamp(lo, horizon);
             for cand in shard.candidates() {
                 let prices = inst.price_series(inst.candidate_item(cand));
                 let row = inst.candidate_probs(cand).iter().zip(prices);
+                let start = self.values.len();
                 self.values.extend(row.map(|(q, p)| q * p));
+                let row = &mut self.values[start..];
+                row[..lo].fill(f64::NEG_INFINITY);
+                row[hi..].fill(f64::NEG_INFINITY);
             }
         } else {
-            self.values.extend((0..n).map(value));
+            let value = |slot: usize| {
+                let (cand, t) = slot_of(slot);
+                if window.contains(&t.value()) {
+                    inc.marginal_revenue_cand(cand, t)
+                } else {
+                    f64::NEG_INFINITY
+                }
+            };
+            let live = shard.num_candidates() * window.clone().count();
+            if parallel && live >= FORK_SLOTS {
+                self.values.resize(n, f64::NEG_INFINITY);
+                par::parallel_fill(&mut self.values, value);
+            } else {
+                self.values.extend((0..n).map(value));
+            }
         }
         self.flags.clear();
         self.flags.resize(n, 0);
@@ -945,11 +956,13 @@ fn plan_shards(inst: &Instance, cfg: &PlannerConfig) -> Vec<UserShard> {
 ///
 /// No capacity gate can close, so each user's steps are the
 /// whole-instance run's steps restricted to that user, and the runs'
-/// insertions sorted by floor ([`sort_by_floor`]) are the whole-instance
-/// order. The strategy and trace follow that order, the revenue is folded
-/// from 0.0 in it, and the evaluation counts are summed: the outcome is the
-/// whole-instance outcome bit for bit. (Under eager re-evaluation only the
-/// evaluation count can differ; see [`crate::sharded`].)
+/// insertions sorted by floor are the whole-instance order: each CPU shard
+/// sorts its own ([`sort_by_floor`]) on its thread, and the calling thread
+/// merges the shards' sorted runs ([`merge_by_floor`]). The strategy and
+/// trace follow that order, the revenue is folded from 0.0 in it, and the
+/// evaluation counts are summed: the outcome is the whole-instance outcome
+/// bit for bit. (Under eager re-evaluation only the evaluation count can
+/// differ; see [`crate::sharded`].)
 fn per_user_plan<'a, E: RevenueEngine<'a>>(
     inst: &'a Instance,
     cfg: &PlannerConfig,
@@ -971,7 +984,8 @@ fn per_user_plan<'a, E: RevenueEngine<'a>>(
                 core.run(&mut evals, |_, ins| insertions.push(ins));
             }
         }
-        (core.inc, insertions, evals)
+        let order = sort_by_floor(&insertions);
+        (core.inc, insertions, order, evals)
     };
     let (first, rest) = shards
         .split_first()
@@ -979,18 +993,24 @@ fn per_user_plan<'a, E: RevenueEngine<'a>>(
     let (others, own) = par::scoped_pool(rest.len(), |tid| run(rest[tid]), || run(*first));
 
     let mut insertions = Vec::new();
+    let mut orders = Vec::with_capacity(shards.len());
     let mut evals = 0;
-    for (inc, shard_insertions, shard_evals) in std::iter::once(own).chain(others) {
+    for (inc, shard_insertions, mut order, shard_evals) in std::iter::once(own).chain(others) {
         // Engines are released on the calling thread, in shard order, so
         // warm-started ones return their buffers to the session pool in a
         // fixed order.
         inc.release();
+        // Index bits now address the concatenation of the shards'
+        // insertions.
+        let offset = insertions.len() as u128;
+        order.iter_mut().for_each(|key| *key += offset);
         insertions.extend(shard_insertions);
+        orders.push(order);
         evals += shard_evals;
     }
     let mut log = PlanLog::new(cfg, insertions.len());
-    for i in sort_by_floor(&insertions) {
-        log.push(&insertions[i as usize]);
+    for key in merge_by_floor(orders) {
+        log.push(&insertions[key as u32 as usize]);
     }
     log.finish(inst, ignore_saturation, evals)
 }
@@ -1012,8 +1032,8 @@ fn per_user_plan<'a, E: RevenueEngine<'a>>(
 /// positive (only a positive root is stepped on), so its bit pattern
 /// orders like the value, and the key packs the complemented bits, the
 /// candidate id and the insertion's index (which keeps the sort stable).
-/// Returns the insertion indices in that order.
-fn sort_by_floor(insertions: &[Insertion]) -> Vec<u32> {
+/// Returns the keys in that order; a key's low 32 bits are its index.
+fn sort_by_floor(insertions: &[Insertion]) -> Vec<u128> {
     let mut keys: Vec<u128> = insertions
         .iter()
         .enumerate()
@@ -1024,7 +1044,44 @@ fn sort_by_floor(insertions: &[Insertion]) -> Vec<u32> {
         })
         .collect();
     keys.sort_unstable();
-    keys.into_iter().map(|key| key as u32).collect()
+    keys
+}
+
+/// Merges the CPU shards' keys, each shard's sorted by [`sort_by_floor`]
+/// (index bits pointing into the concatenation of the shards'
+/// insertions), into the order of one run over all their users, two runs
+/// at a time: `O(n log k)` for `k` shards. A floor is the key of a
+/// candidate of the shard's own users, so two shards' keys always differ
+/// above their index bits, and the merge is the sort of all shards'
+/// insertions together.
+fn merge_by_floor(mut runs: Vec<Vec<u128>>) -> Vec<u128> {
+    while runs.len() > 1 {
+        let mut merged = Vec::with_capacity(runs.len().div_ceil(2));
+        let mut pairs = runs.into_iter();
+        while let Some(a) = pairs.next() {
+            merged.push(match pairs.next() {
+                Some(b) => merge_two(&a, &b),
+                None => a,
+            });
+        }
+        runs = merged;
+    }
+    runs.pop().unwrap_or_default()
+}
+
+/// Merges two sorted runs of distinct keys.
+fn merge_two(a: &[u128], b: &[u128]) -> Vec<u128> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let take_a = a[i] < b[j];
+        out.push(if take_a { a[i] } else { b[j] });
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// Assembles a greedy outcome; `GlobalNo` plans report the true revenue of

@@ -246,7 +246,8 @@ mod tests {
     }
 
     /// 16,392 candidates: every one-step window is large enough for the
-    /// parallel fill to fork threads on a multi-core host.
+    /// parallel fill to fork threads on a multi-core host (every window
+    /// after the first: a cold fill never forks).
     #[test]
     fn parallel_and_sequential_scans_are_identical() {
         let inst = medium_instance_for(1366);

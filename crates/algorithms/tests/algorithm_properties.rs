@@ -164,7 +164,8 @@ fn parallel_vs_sequential_fill<'a, E: RevenueEngine<'a>>(label: &str, inst: &'a 
 
 /// Local greedy with parallel table fills plans exactly what it plans with
 /// sequential ones, for both engines, on instances whose windows are large
-/// enough for the parallel fill to fork threads on a multi-core host.
+/// enough for the parallel fill to fork threads on a multi-core host (every
+/// window after the first: a cold fill never forks).
 #[test]
 fn parallel_local_greedy_equals_sequential() {
     let mut rng = StdRng::seed_from_u64(47);

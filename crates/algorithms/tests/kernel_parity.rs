@@ -22,7 +22,8 @@
 //!   strategy order and trace of the step-by-step SL-Greedy oracle, and its
 //!   evaluation count less the first step's scan, which an empty engine
 //!   does not need. One case has ~21.6k candidates, so that every window
-//!   fill with parallel fills on forks threads on a multi-core host.
+//!   fill that evaluates marginals (every one but a cold first) forks
+//!   threads with parallel fills on, on a multi-core host.
 //! * **One stage is G-Greedy.** Staged G-Greedy with one stage covering
 //!   the horizon has G-Greedy's revenue bits, strategy order, trace and
 //!   evaluation count.
@@ -558,9 +559,10 @@ fn tree_matches_the_heap_oracle_at_scale() {
 
     // SL-Greedy where every one-step window, cold and on the warm residual,
     // exceeds the fork threshold: with parallel fills on, each window fill
-    // forks threads on a multi-core host. A window after the first
-    // insertion is engine-valued; the residual at `now = 1` keeps two steps
-    // so that its second window is one.
+    // that evaluates marginals forks threads on a multi-core host (a cold
+    // fill never forks). A window after the first insertion is
+    // engine-valued; the residual at `now = 1` keeps two steps so that its
+    // second window is one.
     let inst = large_parity_instance(&mut rng, 400, 3..=3, 20);
     let now = 1;
     let events = random_events(&mut rng, &inst, now);

@@ -5,6 +5,7 @@
 //! the paper trains — can actually recover structure), with item popularity
 //! skew and observation noise controlling sparsity and difficulty.
 
+use rand::seq::SliceRandom;
 use rand::Rng;
 use revmax_recsys::RatingSet;
 use std::collections::HashSet;
@@ -79,10 +80,7 @@ pub fn generate_ratings<R: Rng>(
     }
     // Popularity weights ∝ 1 / rank^0.8, assigned to a random permutation of items.
     let mut item_order: Vec<u32> = (0..num_items).collect();
-    for idx in (1..item_order.len()).rev() {
-        let j = rng.gen_range(0..=idx);
-        item_order.swap(idx, j);
-    }
+    item_order.shuffle(rng);
     let weights: Vec<f64> = (1..=num_items as usize)
         .map(|r| 1.0 / (r as f64).powf(0.8))
         .collect();
